@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log2 as _float_log2
+from math import gcd, log2 as _float_log2
 from pathlib import Path
 
 import numpy as np
@@ -577,7 +577,7 @@ def mnp_cover_check(
     target = Fraction(rows) - R
     d = target.denominator
     if Q:
-        d = d * Q.denominator // _gcd(d, Q.denominator)
+        d = d * Q.denominator // gcd(d, Q.denominator)
     rhs_exp = int(target * d)
     if count == 0:
         gap_ok = True  # empty cover: log2 is -inf, trivially below
@@ -608,12 +608,6 @@ def mnp_cover_check(
         analytic_bound_holds=analytic,
         f_value=f_text,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- cache persistence ---------------------------------------------------

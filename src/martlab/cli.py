@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cantor import BitString, EMPTY
+from .cantor import BitString
 from .combinators import sum_family
 from .config import (
     build_certify,
@@ -25,13 +25,20 @@ from .config import (
 )
 from .dyadic import Dyadic
 from .errors import CapExceeded, CensusUnavailable, ConfigError, MartlabError
-from .golden import FIGURE_DEPTH, GOLDEN_TREES, build_figure, figure_ids
+from .golden import (
+    FIGURE_DEPTH,
+    GOLDEN_TREES,
+    build_figure,
+    figure_ids,
+    golden_mismatches,
+)
 from .machine import BudgetPoly
 from .martingale import (
     diagonalize,
     success_scan,
     tree_csv,
     tree_dot,
+    tree_json,
     verify_averaging,
 )
 
@@ -58,16 +65,9 @@ def cmd_figures(args) -> int:
     rendered = []
     for fid in ids:
         m = build_figure(fid)
-        golden = GOLDEN_TREES[fid]
-        mismatches = []
-        for node, expected in sorted(
-            golden.items(), key=lambda kv: (len(kv[0]), str(kv[0]))
-        ):
-            actual = str(m.value(node))
-            if actual != expected:
-                mismatches.append((node, expected, actual))
+        mismatches = golden_mismatches(fid, m)
         status = "PASS" if not mismatches else "FAIL"
-        print(f"figure {fid}: {status} ({len(golden)} nodes)")
+        print(f"figure {fid}: {status} ({len(GOLDEN_TREES[fid])} nodes)")
         for node, expected, actual in mismatches:
             failed = True
             print(f"  node {node or 'λ'}: expected {expected}, got {actual}")
@@ -82,19 +82,8 @@ def cmd_figures(args) -> int:
 
 def cmd_construct(args) -> int:
     m = _config_construction(args)
-    depth = args.depth
-    if args.format == "dot":
-        _emit(tree_dot(m, depth), args.out)
-    elif args.format == "json":
-        nodes = {}
-        level = [EMPTY]
-        for _ in range(depth + 1):
-            for w in level:
-                nodes[str(w)] = str(m.value(w))
-            level = [w.append(b) for w in level for b in (0, 1)]
-        _emit(json.dumps(nodes, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(tree_csv(m, depth), args.out)
+    export = {"csv": tree_csv, "dot": tree_dot, "json": tree_json}[args.format]
+    _emit(export(m, args.depth), args.out)
     return 0
 
 
@@ -111,26 +100,25 @@ def cmd_verify(args) -> int:
             f"  node {violation.node or 'λ'}: 2*{violation.parent_value} "
             f"vs {violation.child_sum}"
         )
-    if m.freeze_depth is not None and args.depth > m.freeze_depth:
-        frozen_ok = True
-        level = [EMPTY]
-        for _ in range(m.freeze_depth):
-            level = [w.append(b) for w in level for b in (0, 1)]
-        for w in level:
-            v = m.value(w)
-            if m.value(w.append(0)) != v or m.value(w.append(1)) != v:
-                frozen_ok = False
-                print(f"  freeze violated below {w}")
-        print(f"freeze at depth {m.freeze_depth}: {'PASS' if frozen_ok else 'FAIL'}")
-        if not frozen_ok:
-            return 1
-    return 0 if report.passed else 1
+    if report.freeze_depth is not None:
+        for w in report.unfrozen:
+            print(f"  freeze violated below {w}")
+        print(f"freeze at depth {report.freeze_depth}: "
+              f"{'PASS' if report.frozen else 'FAIL'}")
+    return 0 if report.passed and report.frozen else 1
+
+
+def _parse_arg(parse, text: str, option: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=option) from exc
 
 
 def cmd_success(args) -> int:
     m = _config_construction(args)
-    S = BitString(args.sequence)
-    s = Dyadic.parse(args.s)
+    S = _parse_arg(BitString, args.sequence, "--sequence")
+    s = _parse_arg(Dyadic.parse, args.s, "--s")
     report = success_scan(m, S, s)
     print(f"success scan along {S} at s={s} (horizon {report.horizon})")
     for n, value in enumerate(report.values):
@@ -161,7 +149,7 @@ def cmd_sum(args) -> int:
         raise ConfigError("sum needs family and modulus objects")
     family = build_family(config["family"])
     modulus = build_modulus(config["modulus"])
-    w = BitString(args.w)
+    w = _parse_arg(BitString, args.w, "-w")
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is not None:
         # widen the audit with reproducible random instances
@@ -193,7 +181,9 @@ def cmd_census(args) -> int:
         for size, count in census.histogram().items():
             print(f"{size},{count}")
     if args.alpha is not None:
-        report = mnp_cover_check(args.inputs, Dyadic.parse(args.alpha), census)
+        report = mnp_cover_check(
+            args.inputs, _parse_arg(Dyadic.parse, args.alpha, "--alpha"), census
+        )
         print(f"size bound floor: {report.size_bound_floor}")
         print(f"tables within bound: {report.census_count}")
         print(
@@ -209,7 +199,7 @@ def cmd_census(args) -> int:
 def cmd_mcsp(args) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
-    tt = TruthTable.from_bits(args.table)
+    tt = TruthTable.from_bits(_parse_arg(BitString, args.table, "--table"))
     census = cached_census(tt.n, args.size, args.cache_dir)
     verdict = mcsp(tt, args.size, census)
     size = census.min_size(tt)
@@ -249,7 +239,7 @@ def cmd_kolmogorov(args) -> int:
     budget = BudgetPoly(*args.budget)
     table = cached_kt_table(budget, args.length_cap, args.cache_dir)
     if args.sequence:
-        S = BitString(args.sequence)
+        S = _parse_arg(BitString, args.sequence, "--sequence")
         report = k_rate(S, budget, table=table)
         print(f"kt rates along {S} under budget {budget}")
         print("n,kt,ratio")

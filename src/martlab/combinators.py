@@ -17,7 +17,7 @@ import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .cantor import EMPTY, BitString
 from .dyadic import Dyadic, ONE, ZERO, cmp_pow2
@@ -28,7 +28,7 @@ from .errors import (
     ModulusViolation,
     NegativeValue,
 )
-from .martingale import Martingale, RatioForm
+from .martingale import Martingale, RatioForm, averaging_report
 
 __all__ = [
     "MartingaleFamily",
@@ -184,6 +184,18 @@ def scale_pow2(m: Martingale, k: int) -> Martingale:
     )
 
 
+def _partial_sum(
+    fam: MartingaleFamily, w: BitString, start: int, stop: int
+) -> Dyadic:
+    """``sum_{start <= n < stop} d_n(w)``, cut off at the family's support."""
+    if fam.support_end is not None:
+        stop = min(stop, fam.support_end)
+    total = ZERO
+    for n in range(start, stop):
+        total = total + fam.member(n).value(w)
+    return total
+
+
 def _audit_tail(
     fam: MartingaleFamily,
     mod: ConvergenceModulus,
@@ -193,12 +205,7 @@ def _audit_tail(
 ) -> None:
     """Check the modulus promise on a finite window past ``m(w, i)``."""
     start = mod(w, i)
-    stop = start + pad
-    if fam.support_end is not None:
-        stop = min(stop, fam.support_end)
-    tail = ZERO
-    for n in range(start, stop):
-        tail = tail + fam.member(n).value(w)
+    tail = _partial_sum(fam, w, start, start + pad)
     if tail > Dyadic.pow2(-i):
         raise ModulusViolation(
             f"{mod.name}: tail from {start} at ({w!r}, {i}) already sums to "
@@ -221,13 +228,7 @@ def sum_family(
     """
     if validate:
         _audit_tail(fam, mod, w, r, audit_pad)
-    stop = mod(w, r)
-    if fam.support_end is not None:
-        stop = min(stop, fam.support_end)
-    total = ZERO
-    for n in range(stop):
-        total = total + fam.member(n).value(w)
-    return total
+    return _partial_sum(fam, w, 0, mod(w, r))
 
 
 def aggregate_martingale(
@@ -246,10 +247,7 @@ def aggregate_martingale(
 
         @lru_cache(maxsize=None)
         def evaluate(w: BitString) -> Dyadic:
-            total = ZERO
-            for n in range(end):
-                total = total + fam.member(n).value(w)
-            return total
+            return _partial_sum(fam, w, 0, end)
 
         return Martingale.from_exact(
             evaluate,
@@ -364,17 +362,10 @@ def unit_certificate(
     """Certify ``d(w) >= 1`` from member ``n`` reaching 1 at ``w``.
 
     The partial sum is extended through index ``n``, so the certificate is an
-    exact lower-bound witness regardless of truncation.
+    exact lower-bound witness regardless of truncation.  This is
+    :func:`dimension_certificate` of the unscaled family at ``t = 1``.
     """
-    member_value = fam.member(n).value(w)
-    stop = max(mod(w, r), n + 1)
-    if fam.support_end is not None:
-        stop = min(stop, fam.support_end)
-    partial = ZERO
-    for k in range(stop):
-        partial = partial + fam.member(k).value(w)
-    covered = member_value >= ONE and partial >= ONE
-    return CoverageCertificate(n, w, member_value, partial, ZERO, covered)
+    return dimension_certificate(fam, fam, mod, ONE, n, w, r)
 
 
 def borel_cantelli_dimension(
@@ -431,12 +422,7 @@ def dimension_certificate(
 ) -> CoverageCertificate:
     """Certify aggregate value at least ``2**((1-t)n)`` at a covered node."""
     member_value = base_fam.member(n).value(w)
-    stop = max(mod(w, r), n + 1)
-    if scaled_fam.support_end is not None:
-        stop = min(stop, scaled_fam.support_end)
-    partial = ZERO
-    for k in range(stop):
-        partial = partial + scaled_fam.member(k).value(w)
+    partial = _partial_sum(scaled_fam, w, 0, max(mod(w, r), n + 1))
     threshold = (ONE - t) * Dyadic(n)
     covered = member_value >= ONE and cmp_pow2(partial, threshold) >= 0
     return CoverageCertificate(n, w, member_value, partial, threshold, covered)
@@ -473,17 +459,8 @@ class ApproxSupermartingale:
 
     def verify_averaging_exact(self, depth: int) -> list[BitString]:
         """Nodes (if any) violating ``2 d(v) >= d(v0) + d(v1)``, in rationals."""
-        bad = []
-        stack = [EMPTY]
-        while stack:
-            v = stack.pop()
-            if len(v) >= depth:
-                continue
-            v0, v1 = v.append(0), v.append(1)
-            if 2 * self.exact_value(v) < self.exact_value(v0) + self.exact_value(v1):
-                bad.append(v)
-            stack.extend((v0, v1))
-        return sorted(bad, key=lambda v: (len(v), str(v)))
+        report = averaging_report(self.exact_value, depth, supermartingale=True)
+        return [violation.node for violation in report.violations]
 
 
 EXPORT_GRID_BITS = 32

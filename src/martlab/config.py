@@ -100,10 +100,22 @@ def load_config(path: Path | str) -> dict:
     return data
 
 
-def _need(spec: dict, key: str, path: str) -> Any:
+def _need(spec: dict, key: str, path: str, convert=None) -> Any:
+    """``spec[key]``, passed through ``convert(value, field)`` if given."""
     if key not in spec:
         raise ConfigError("missing field", field=f"{path}.{key}")
-    return spec[key]
+    return convert(spec[key], f"{path}.{key}") if convert else spec[key]
+
+
+def _int(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"not an integer: {value!r}", field=path) from exc
+
+
+def _int_map(spec: Any, path: str) -> dict[int, int]:
+    return {_int(k, path): _int(v, f"{path}.{k}") for k, v in spec.items()}
 
 
 def _bits(text: Any, path: str) -> BitString:
@@ -122,11 +134,11 @@ def _dyadic(text: Any, path: str) -> Dyadic:
 def _budget(value: Any, path: str) -> BudgetPoly:
     if not (isinstance(value, list) and len(value) == 3):
         raise ConfigError("budget must be [a, k, b]", field=path)
-    return BudgetPoly(*(int(v) for v in value))
+    return BudgetPoly(*(_int(v, path) for v in value))
 
 
 def build_language(spec: dict, path: str = "language") -> LanguageView:
-    horizon = int(_need(spec, "horizon", path))
+    horizon = _need(spec, "horizon", path, _int)
     if "indices" in spec:
         return LanguageView.from_indices(spec["indices"], horizon)
     if "members" in spec:
@@ -140,18 +152,18 @@ def build_relation(spec: dict, path: str = "relation"):
 
     builtin = _need(spec, "builtin", path)
     if builtin == "sat":
-        return oracle.sat_relation(int(_need(spec, "vars", path)))
+        return oracle.sat_relation(_need(spec, "vars", path, _int))
     if builtin == "explicit":
         members = [_bits(m, f"{path}.members") for m in _need(spec, "members", path)]
         return oracle.explicit_set_relation("explicit", members)
     if builtin == "mcsp-witness":
         return circuits.mcsp_witness_relation(
-            int(_need(spec, "inputs", path)), int(_need(spec, "size", path))
+            _need(spec, "inputs", path, _int), _need(spec, "size", path, _int)
         )
     if builtin == "short-program":
         return kolmogorov.kolmogorov_witness_relation(
-            int(_need(spec, "max_len", path)),
-            _budget(_need(spec, "budget", path), f"{path}.budget"),
+            _need(spec, "max_len", path, _int),
+            _need(spec, "budget", path, _budget),
         )
     raise ConfigError(f"unknown builtin {builtin!r}", field=path)
 
@@ -159,7 +171,7 @@ def build_relation(spec: dict, path: str = "relation"):
 def build_construction(spec: dict, path: str = "construction") -> Martingale:
     kind = _need(spec, "type", path)
     if kind == "cover":
-        level = int(_need(spec, "level", path))
+        level = _need(spec, "level", path, _int)
         if "members" in spec:
             members = [_bits(m, f"{path}.members") for m in spec["members"]]
             return cover_martingale(Cover.from_members(members, level))
@@ -178,31 +190,31 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         )
         return cover_martingale(cover)
     if kind == "condexp":
-        level = int(_need(spec, "level", path))
+        level = _need(spec, "level", path, _int)
         values = {
-            str(_bits(k, f"{path}.values")): int(v)
+            str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
             for k, v in _need(spec, "values", path).items()
         }
         return condexp_martingale(lambda x: values.get(str(x), 0), level)
     if kind == "subset":
         return subset_martingale(
             build_language(_need(spec, "language", path), f"{path}.language"),
-            int(_need(spec, "level", path)),
+            _need(spec, "level", path, _int),
         )
     if kind == "acceptance":
         target = build_language(_need(spec, "target", path), f"{path}.target")
         return acceptance_martingale(
             AcceptanceSpec.biased(
                 target,
-                correct=int(_need(spec, "correct", path)),
-                q=int(_need(spec, "q", path)),
+                correct=_need(spec, "correct", path, _int),
+                q=_need(spec, "q", path, _int),
             )
         )
     if kind == "acceptance-gap":
-        t = int(_need(spec, "t", path))
-        default = int(spec.get("default", 0))
+        t = _need(spec, "t", path, _int)
+        default = _int(spec.get("default", 0), f"{path}.default")
         values = {
-            str(_bits(k, f"{path}.values")): int(v)
+            str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
             for k, v in _need(spec, "values", path).items()
         }
 
@@ -218,9 +230,9 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         from .kolmogorov import kt_cover_martingale
 
         return kt_cover_martingale(
-            int(_need(spec, "level", path)),
-            int(_need(spec, "gap", path)),
-            _budget(_need(spec, "budget", path), f"{path}.budget"),
+            _need(spec, "level", path, _int),
+            _need(spec, "gap", path, _int),
+            _need(spec, "budget", path, _budget),
         )
     raise ConfigError(f"unknown construction type {kind!r}", field=path)
 
@@ -229,12 +241,12 @@ def build_modulus(spec: dict, path: str = "modulus") -> ConvergenceModulus:
     kind = _need(spec, "type", path)
     if kind == "geometric":
         return geometric_modulus(
-            _dyadic(_need(spec, "delta", path), f"{path}.delta"),
-            int(spec.get("scale", 0)),
+            _need(spec, "delta", path, _dyadic),
+            _int(spec.get("scale", 0), f"{path}.scale"),
         )
     if kind == "affine":
-        slope = int(_need(spec, "slope", path))
-        offset = int(_need(spec, "offset", path))
+        slope = _need(spec, "slope", path, _int)
+        offset = _need(spec, "offset", path, _int)
         return ConvergenceModulus(
             lambda w, i: slope * i + offset + len(w),
             name=f"affine({slope}i+{offset}+|w|)",
@@ -254,7 +266,7 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
         levels_spec = _need(spec, "levels", path)
         covers = {}
         for key, members in levels_spec.items():
-            level = int(key)
+            level = _int(key, f"{path}.levels")
             covers[level] = Cover.from_members(
                 [_bits(m, f"{path}.levels.{key}") for m in members], level
             )
@@ -267,7 +279,9 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
 
         bounds = {}
         for key, text in spec.get("capital_bounds", {}).items():
-            bounds[int(key)] = _dyadic(text, f"{path}.capital_bounds.{key}")
+            bounds[_int(key, f"{path}.capital_bounds")] = _dyadic(
+                text, f"{path}.capital_bounds.{key}"
+            )
 
         def capital_bound(n: int) -> Dyadic:
             if n in bounds:
@@ -291,13 +305,13 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
     from .entropy import LevelFamily
 
     fam_spec = _need(spec, "family", path)
-    fam_kind = _need(fam_spec, "type", f"{path}.family")
+    fam_path = f"{path}.family"
+    fam_kind = _need(fam_spec, "type", fam_path)
     if fam_kind == "mcsp":
-        inputs = [int(v) for v in _need(fam_spec, "inputs", f"{path}.family")]
-        alpha = _dyadic(
-            fam_spec.get("alpha", "0"), f"{path}.family.alpha"
-        )
-        census_size = int(fam_spec.get("census_size", 5))
+        inputs = _need(fam_spec, "inputs", fam_path)
+        inputs = [_int(v, f"{fam_path}.inputs") for v in inputs]
+        alpha = _dyadic(fam_spec.get("alpha", "0"), f"{fam_path}.alpha")
+        census_size = _int(fam_spec.get("census_size", 5), f"{fam_path}.census_size")
         covers = {}
         for n in inputs:
             census = circuits.cached_census(n, census_size, cache_dir)
@@ -308,54 +322,47 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
             lambda n: covers.get(n), name=f"mcsp(alpha={alpha})"
         )
     elif fam_kind == "explicit-levels":
-        levels_spec = _need(fam_spec, "levels", f"{path}.family")
+        levels_spec = _need(fam_spec, "levels", fam_path)
         covers = {}
         for key, members in levels_spec.items():
-            level = int(key)
+            level = _int(key, f"{fam_path}.levels")
             covers[level] = Cover.from_members(
-                [_bits(m, f"{path}.family.levels.{key}") for m in members],
-                level,
+                [_bits(m, f"{fam_path}.levels.{key}") for m in members], level
             )
         family = LevelFamily(lambda n: covers.get(n), name="explicit-levels")
     else:
-        raise ConfigError(
-            f"unknown certify family {fam_kind!r}", field=f"{path}.family"
-        )
+        raise ConfigError(f"unknown certify family {fam_kind!r}", field=fam_path)
 
-    gap_table = {int(k): int(v) for k, v in _need(spec, "gap", path).items()}
+    gap_table = _need(spec, "gap", path, _int_map)
     gap_default = spec.get("gap_default", 0)
     if gap_default == "n":  # identity default keeps the capital series summable
         def gap(n: int) -> int:
             return gap_table.get(n, n)
     else:
-        def gap(n: int, _d=int(gap_default)) -> int:
+        def gap(n: int, _d=_int(gap_default, f"{path}.gap_default")) -> int:
             return gap_table.get(n, _d)
 
     modulus_spec = _need(spec, "modulus", path)
-    kind = _need(modulus_spec, "type", f"{path}.modulus")
+    mod_path = f"{path}.modulus"
+    kind = _need(modulus_spec, "type", mod_path)
     if kind == "affine":
-        slope = int(_need(modulus_spec, "slope", f"{path}.modulus"))
-        offset = int(_need(modulus_spec, "offset", f"{path}.modulus"))
+        slope = _need(modulus_spec, "slope", mod_path, _int)
+        offset = _need(modulus_spec, "offset", mod_path, _int)
 
         def modulus(i: int) -> int:
             return slope * i + offset
 
     elif kind == "table":
-        table = {
-            int(k): int(v)
-            for k, v in _need(modulus_spec, "values", f"{path}.modulus").items()
-        }
-        default = int(modulus_spec.get("default", 0))
+        table = _need(modulus_spec, "values", mod_path, _int_map)
+        default = _int(modulus_spec.get("default", 0), f"{mod_path}.default")
 
         def modulus(i: int) -> int:
             return table.get(i, default)
 
     else:
-        raise ConfigError(
-            f"unknown certify modulus {kind!r}", field=f"{path}.modulus"
-        )
+        raise ConfigError(f"unknown certify modulus {kind!r}", field=mod_path)
 
-    horizon = int(_need(spec, "horizon", path))
+    horizon = _need(spec, "horizon", path, _int)
     witnesses = [
         _bits(w, f"{path}.witnesses") for w in spec.get("witnesses", [])
     ]

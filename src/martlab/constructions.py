@@ -9,7 +9,7 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -251,15 +251,7 @@ def subset_martingale(
     meta = dict(m.meta)
     meta["construction"] = "subset"
     meta["census"] = census(B, n)
-    return Martingale(
-        approx=m.approx,
-        exact=m.exact,
-        initial_capital=m.initial_capital,
-        freeze_depth=m.freeze_depth,
-        class_tag=class_tag,
-        ratio=m.ratio,
-        meta=meta,
-    )
+    return replace(m, class_tag=class_tag, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ integer comparisons.
 
 from __future__ import annotations
 
-from typing import Union
-
 __all__ = [
     "Dyadic",
     "ZERO",
@@ -207,12 +205,6 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
-DyadicLike = Union[Dyadic, int]
-
-
-def as_dyadic(value: DyadicLike) -> Dyadic:
-    return value if isinstance(value, Dyadic) else Dyadic(value)
-
 
 def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
     """Exact three-way comparison of ``value`` against ``2**exponent``.
@@ -233,21 +225,6 @@ def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
     lhs = value**q
     rhs = Dyadic.pow2(p)
     return lhs._cmp(rhs)
-
-
-def _cmp_scaled_log2(m: int, rhs_num: int, scale: int) -> int:
-    """Three-way comparison of ``scale * log2(m)`` against ``rhs_num``.
-
-    Equivalent to comparing ``m**scale`` with ``2**rhs_num``; all integers.
-    """
-    if m <= 0:
-        raise ValueError("log2 argument must be positive")
-    lhs = m**scale
-    if rhs_num < 0:
-        # lhs >= 1 > 2**rhs_num
-        return 1
-    rhs = 1 << rhs_num
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = 10) -> Dyadic:

@@ -18,9 +18,15 @@ from .constructions import (
     cover_martingale,
     subset_martingale,
 )
-from .martingale import Martingale
+from .martingale import Martingale, levels
 
-__all__ = ["FIGURE_DEPTH", "GOLDEN_TREES", "build_figure", "figure_ids"]
+__all__ = [
+    "FIGURE_DEPTH",
+    "GOLDEN_TREES",
+    "build_figure",
+    "figure_ids",
+    "golden_mismatches",
+]
 
 FIGURE_DEPTH = 4
 
@@ -53,6 +59,18 @@ def build_figure(figure_id: int) -> Martingale:
 
 def figure_ids() -> tuple[int, ...]:
     return (1, 2, 3, 4, 5)
+
+
+def golden_mismatches(figure_id: int, m: Martingale) -> list[tuple]:
+    """``(node, expected, actual)`` wherever ``m`` leaves the golden tree,
+    in level order."""
+    golden = GOLDEN_TREES[figure_id]
+    return [
+        (w, golden[w], str(v))
+        for nodes, values in levels(m.value, FIGURE_DEPTH)
+        for w, v in zip(nodes, values)
+        if str(v) != golden[w]
+    ]
 
 
 def _tree(rows: str) -> dict[BitString, str]:

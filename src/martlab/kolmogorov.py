@@ -15,7 +15,7 @@ the declared capital gap, and bet the conditional expectation of that count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -221,15 +221,7 @@ def kt_cover_martingale(
         gap=gap_fn(n),
         budget=str(budget),
     )
-    return Martingale(
-        approx=m.approx,
-        exact=m.exact,
-        initial_capital=m.initial_capital,
-        freeze_depth=m.freeze_depth,
-        class_tag="#P",
-        ratio=m.ratio,
-        meta=meta,
-    )
+    return replace(m, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,27 @@ the counting class the construction claims (recorded, never proved).
 The operations here are the generic checks every construction must survive:
 the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
 the bit-by-bit diagonalization that defeats a given martingale, and
-finite-horizon dimension statistics on a fixed dyadic grid.
+finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
+export over a whole prefix tree reads it through :func:`levels`, one
+level-order walk that evaluates each node once.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .cantor import EMPTY, BitString
 from .dyadic import (
     Dyadic,
     ONE,
-    ZERO,
     cmp_pow2,
     grid_floor_one_minus_log2_ratio,
 )
 from .errors import NegativeValue
+
+T = TypeVar("T")
 
 __all__ = [
     "Martingale",
@@ -33,11 +37,14 @@ __all__ = [
     "AveragingReport",
     "SuccessReport",
     "DimensionReport",
+    "levels",
+    "averaging_report",
     "verify_averaging",
     "success_scan",
     "diagonalize",
     "empirical_dimension",
     "tree_csv",
+    "tree_json",
     "tree_dot",
 ]
 
@@ -120,9 +127,6 @@ class Martingale:
     def value_approx(self, w: BitString, r: int) -> Dyadic:
         return self.approx(w, r)
 
-    def has_exact(self) -> bool:
-        return self.exact is not None
-
 
 @dataclass(frozen=True)
 class AveragingViolation:
@@ -133,45 +137,76 @@ class AveragingViolation:
 
 @dataclass(frozen=True)
 class AveragingReport:
+    """Averaging-law violations; ``unfrozen`` lists the nodes at the checked
+    ``freeze_depth`` (None: not checked) whose children differ from them."""
+
     depth: int
     supermartingale: bool
     violations: tuple[AveragingViolation, ...]
+    freeze_depth: int | None = None
+    unfrozen: tuple[BitString, ...] = ()
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
+    @property
+    def frozen(self) -> bool:
+        return not self.unfrozen
 
-def _nodes_to_depth(depth: int) -> Iterator[BitString]:
-    stack = [EMPTY]
-    while stack:
-        w = stack.pop()
-        yield w
-        if len(w) < depth:
-            stack.append(w.append(1))
-            stack.append(w.append(0))
+
+def levels(
+    value: Callable[[BitString], T], depth: int
+) -> Iterator[tuple[list[BitString], list[T]]]:
+    """Level-order walk of the prefix tree: ``(nodes, values)`` per level.
+
+    Levels ``0..depth`` come in order, each in index (lexicographic) order,
+    so the children of ``nodes[i]`` are ``2i`` and ``2i + 1`` of the next
+    level.  ``value`` (a ``Dyadic`` or ``Fraction`` evaluator) is called
+    exactly once per node.
+    """
+    nodes = [EMPTY]
+    for k in range(depth + 1):
+        if k:
+            nodes = [w.append(b) for w in nodes for b in (0, 1)]
+        yield nodes, [value(w) for w in nodes]
+
+
+def averaging_report(
+    value: Callable[[BitString], T],
+    depth: int,
+    supermartingale: bool = False,
+    freeze_depth: int | None = None,
+) -> AveragingReport:
+    """Check ``2*d(w) == d(w0) + d(w1)`` for every ``w`` shorter than depth.
+
+    Supermartingales are held to the relaxed ``>=`` law.  A ``freeze_depth``
+    below ``depth`` is checked too: both children of each node at that level
+    must repeat its value.  One walk, values compared exactly; findings come
+    out in level, then lexicographic, order.
+    """
+    if freeze_depth is not None and freeze_depth >= depth:
+        freeze_depth = None
+    violations, unfrozen = [], []
+    parents, parent_values = [], []
+    for k, (nodes, values) in enumerate(levels(value, depth)):
+        children = zip(parents, parent_values, values[0::2], values[1::2])
+        for w, v, v0, v1 in children:
+            child_sum = v0 + v1
+            doubled = v + v
+            if doubled < child_sum if supermartingale else doubled != child_sum:
+                violations.append(AveragingViolation(w, v, child_sum))
+            if k - 1 == freeze_depth and (v0 != v or v1 != v):
+                unfrozen.append(w)
+        parents, parent_values = nodes, values
+    return AveragingReport(
+        depth, supermartingale, tuple(violations), freeze_depth, tuple(unfrozen)
+    )
 
 
 def verify_averaging(m: Martingale, depth: int) -> AveragingReport:
-    """Check ``2*d(w) == d(w0) + d(w1)`` for every ``w`` shorter than depth.
-
-    Supermartingales are held to the relaxed ``>=`` law.  Values are computed
-    once per node and compared exactly.
-    """
-    values: dict[BitString, Dyadic] = {}
-    for w in _nodes_to_depth(depth):
-        values[w] = m.value(w)
-    violations = []
-    for w, v in values.items():
-        if len(w) >= depth:
-            continue
-        child_sum = values[w.append(0)] + values[w.append(1)]
-        doubled = v.scale2(1)
-        bad = doubled < child_sum if m.supermartingale else doubled != child_sum
-        if bad:
-            violations.append(AveragingViolation(w, v, child_sum))
-    violations.sort(key=lambda v: (len(v.node), str(v.node)))
-    return AveragingReport(depth, m.supermartingale, tuple(violations))
+    """:func:`averaging_report` on ``m``'s exact values and freeze depth."""
+    return averaging_report(m.value, depth, m.supermartingale, m.freeze_depth)
 
 
 @dataclass(frozen=True)
@@ -270,15 +305,17 @@ def empirical_dimension(
 def tree_csv(m: Martingale, depth: int) -> str:
     """Level-order ``node,value`` dump with values rendered ``p/2**k``."""
     lines = ["node,value"]
-    level = [EMPTY]
-    for _ in range(depth + 1):
-        next_level = []
-        for w in level:
-            label = str(w) if len(w) else "λ"
-            lines.append(f"{label},{m.value(w)}")
-            next_level.extend((w.append(0), w.append(1)))
-        level = next_level
+    for nodes, values in levels(m.value, depth):
+        lines.extend(f"{w or 'λ'},{v}" for w, v in zip(nodes, values))
     return "\n".join(lines) + "\n"
+
+
+def tree_json(m: Martingale, depth: int) -> str:
+    """``{node: value}`` as key-sorted JSON; the root's key is ``""``."""
+    tree = {}
+    for nodes, values in levels(m.value, depth):
+        tree.update(zip(map(str, nodes), map(str, values)))
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 def tree_dot(m: Martingale, depth: int) -> str:
@@ -288,16 +325,14 @@ def tree_dot(m: Martingale, depth: int) -> str:
         "  ordering=out;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for w in sorted(_nodes_to_depth(depth), key=lambda w: (len(w), str(w))):
-        v = m.value(w)
-        name = f'"{w}"' if len(w) else '"λ"'
-        attrs = f'label="{v}"'
-        if len(w) == depth and v >= ONE:
-            attrs += ", style=filled, fillcolor=palegreen"
-        lines.append(f"  {name} [{attrs}];")
-        if len(w) < depth:
-            for b in (0, 1):
-                child = w.append(b)
-                lines.append(f'  {name} -> "{child}";')
+    for k, (nodes, values) in enumerate(levels(m.value, depth)):
+        for w, v in zip(nodes, values):
+            name = f'"{w or "λ"}"'
+            attrs = f'label="{v}"'
+            if k == depth and v >= ONE:
+                attrs += ", style=filled, fillcolor=palegreen"
+            lines.append(f"  {name} [{attrs}];")
+            if k < depth:
+                lines.extend(f'  {name} -> "{w}{b}";' for b in "01")
     lines.append("}")
     return "\n".join(lines) + "\n"

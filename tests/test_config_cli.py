@@ -4,7 +4,9 @@ import pytest
 
 from martlab.cli import main
 from martlab.config import build_construction, load_config
+from martlab.dyadic import ONE, Dyadic
 from martlab.errors import ConfigError
+from martlab.martingale import Martingale
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -85,6 +87,33 @@ def test_cli_verify_and_construct(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("node,value")
     assert "λ,5/16" in out
+
+
+def test_cli_construct_json_matches_csv(tmp_path, capsys):
+    config = write_config(tmp_path, FIGURE1)
+    assert main(["construct", "--config", config, "--depth", "4",
+                 "--format", "json"]) == 0
+    as_json = json.loads(capsys.readouterr().out)
+    assert main(["construct", "--config", config, "--depth", "4"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    as_csv = dict(row.split(",") for row in rows)
+    as_csv[""] = as_csv.pop("λ")
+    assert as_json == as_csv
+    assert len(as_json) == 31
+
+
+def test_cli_verify_reports_freeze_violation(monkeypatch, capsys):
+    import martlab.cli as cli
+
+    values = {"": ONE, "0": ONE, "1": ONE, "00": Dyadic(1, 1),
+              "01": Dyadic(3, 1), "10": ONE, "11": ONE}
+    unfrozen = Martingale.from_exact(lambda w: values[str(w)], freeze_depth=1)
+    monkeypatch.setattr(cli, "_config_construction", lambda args: unfrozen)
+    assert main(["verify", "--config", "unused.json", "--depth", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "to depth 2: PASS" in out
+    assert "  freeze violated below 0\n" in out
+    assert "freeze at depth 1: FAIL" in out
 
 
 def test_cli_construct_deterministic(tmp_path, capsys):
@@ -225,3 +254,30 @@ def test_cli_exit_codes(tmp_path, capsys):
         },
     )
     assert main(["verify", "--config", bad_row, "--depth", "2"]) == 1
+    # unparsable values are configuration errors, not tracebacks
+    acceptance = write_config(
+        tmp_path,
+        {
+            "version": 1,
+            "construction": {
+                "type": "acceptance",
+                "q": 2,
+                "correct": 3,
+                "target": {"indices": [1, 3], "horizon": 16},
+            },
+        },
+        name="acceptance.json",
+    )
+    assert main(["success", "--config", acceptance, "--sequence", "01",
+                 "--s", "1/3"]) == 2
+    assert main(["success", "--config", acceptance, "--sequence", "012"]) == 2
+    bad_level = write_config(
+        tmp_path,
+        {"version": 1,
+         "construction": {**FIGURE1["construction"], "level": "x"}},
+        name="bad_level.json",
+    )
+    assert main(["verify", "--config", bad_level, "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--s:" in err and "--sequence:" in err
+    assert "construction.level: not an integer: 'x'" in err

@@ -15,6 +15,7 @@ from martlab.martingale import (
     Martingale,
     diagonalize,
     empirical_dimension,
+    levels,
     success_scan,
     tree_csv,
     tree_dot,
@@ -44,21 +45,62 @@ def test_averaging_pass_constant():
     assert verify_averaging(Martingale.constant(ONE), 7).passed
 
 
+def figure_cover_table() -> dict:
+    return {
+        str(w): v
+        for nodes, values in levels(figure_cover().value, 4)
+        for w, v in zip(nodes, values)
+    }
+
+
+def test_levels_index_order_and_single_evaluation():
+    calls = []
+
+    def value(w):
+        calls.append(w)
+        return Fraction(len(w), 3)
+
+    walk = list(levels(value, 3))
+    assert [len(nodes) for nodes, _ in walk] == [1, 2, 4, 8]
+    for k, (nodes, values) in enumerate(walk):
+        assert [str(w) for w in nodes] == [
+            format(i, f"0{k}b") if k else "" for i in range(1 << k)
+        ]
+        assert values == [Fraction(k, 3)] * len(nodes)
+    # the children of nodes[i] sit at 2i and 2i+1 one level down
+    parents, children = walk[2][0], walk[3][0]
+    for i, w in enumerate(parents):
+        assert (children[2 * i], children[2 * i + 1]) == (w.append(0), w.append(1))
+    assert len(calls) == len(set(calls)) == 15
+
+
 def test_averaging_localizes_corruption():
-    values = {}
-    level = [EMPTY]
-    m = figure_cover()
-    for _ in range(4):
-        next_level = []
-        for w in level:
-            values[str(w)] = m.value(w)
-            next_level.extend((w.append(0), w.append(1)))
-        level = next_level
-    for w in level:
-        values[str(w)] = m.value(w)
+    values = figure_cover_table()
     values["0010"] = values["0010"] + ONE  # perturb one leaf
     report = verify_averaging(table_martingale(values), 4)
     assert [str(v.node) for v in report.violations] == ["001"]
+
+
+def test_averaging_violations_in_level_then_lex_order():
+    values = figure_cover_table()
+    values["0010"] = values["0010"] + ONE  # a leaf under the 0-branch
+    values["10"] = values["10"] + ONE  # a level-2 node under the 1-branch
+    report = verify_averaging(table_martingale(values), 4)
+    # depth-first order would give 001, 1, 10 and string order the same
+    assert [str(v.node) for v in report.violations] == ["1", "10", "001"]
+
+
+def test_freeze_violation_reported():
+    values = {"": ONE, "0": ONE, "1": ONE, "00": Dyadic(1, 1),
+              "01": Dyadic(3, 1), "10": ONE, "11": ONE}
+    m = Martingale.from_exact(lambda w: values[str(w)], freeze_depth=1)
+    report = verify_averaging(m, 2)
+    assert report.passed  # the averaging law itself holds
+    assert report.freeze_depth == 1
+    assert [str(w) for w in report.unfrozen] == ["0"]
+    assert not report.frozen
+    # a freeze at or below the checked depth is not checked
+    assert verify_averaging(m, 1).freeze_depth is None
 
 
 def test_supermartingale_relaxation():
