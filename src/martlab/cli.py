@@ -59,6 +59,12 @@ def _config_construction(args) -> "Martingale":
     return build_construction(config["construction"])
 
 
+def _depth(args) -> int:
+    if args.depth < 0:
+        raise ConfigError(f"must be nonnegative, got {args.depth}", field="--depth")
+    return args.depth
+
+
 def cmd_figures(args) -> int:
     failed = False
     ids = [args.id] if args.id else list(figure_ids())
@@ -81,15 +87,17 @@ def cmd_figures(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    depth = _depth(args)
     m = _config_construction(args)
     export = {"csv": tree_csv, "dot": tree_dot, "json": tree_json}[args.format]
-    _emit(export(m, args.depth), args.out)
+    _emit(export(m, depth), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
+    depth = _depth(args)
     m = _config_construction(args)
-    report = verify_averaging(m, args.depth)
+    report = verify_averaging(m, depth)
     law = ">=" if report.supermartingale else "=="
     print(
         f"averaging law (2*d(w) {law} d(w0)+d(w1)) to depth {report.depth}: "
@@ -236,7 +244,7 @@ def cmd_certify(args) -> int:
 def cmd_kolmogorov(args) -> int:
     from .kolmogorov import cached_kt_table, k_rate
 
-    budget = BudgetPoly(*args.budget)
+    budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
     table = cached_kt_table(budget, args.length_cap, args.cache_dir)
     if args.sequence:
         S = _parse_arg(BitString, args.sequence, "--sequence")

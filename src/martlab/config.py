@@ -100,11 +100,23 @@ def load_config(path: Path | str) -> dict:
     return data
 
 
-def _need(spec: dict, key: str, path: str, convert=None) -> Any:
+def _need(spec: Any, key: str, path: str, convert=None) -> Any:
     """``spec[key]``, passed through ``convert(value, field)`` if given."""
-    if key not in spec:
+    if key not in _object(spec, path):
         raise ConfigError("missing field", field=f"{path}.{key}")
     return convert(spec[key], f"{path}.{key}") if convert else spec[key]
+
+
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"not an object: {value!r}", field=path)
+    return value
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"not a list: {value!r}", field=path)
+    return value
 
 
 def _int(value: Any, path: str) -> int:
@@ -115,13 +127,20 @@ def _int(value: Any, path: str) -> int:
 
 
 def _int_map(spec: Any, path: str) -> dict[int, int]:
-    return {_int(k, path): _int(v, f"{path}.{k}") for k, v in spec.items()}
+    return {
+        _int(k, path): _int(v, f"{path}.{k}")
+        for k, v in _object(spec, path).items()
+    }
 
 
 def _bits(text: Any, path: str) -> BitString:
     if not isinstance(text, str) or text.strip("01"):
         raise ConfigError(f"not a bit string: {text!r}", field=path)
     return BitString(text)
+
+
+def _bits_list(value: Any, path: str) -> list[BitString]:
+    return [_bits(m, path) for m in _list(value, path)]
 
 
 def _dyadic(text: Any, path: str) -> Dyadic:
@@ -134,15 +153,21 @@ def _dyadic(text: Any, path: str) -> Dyadic:
 def _budget(value: Any, path: str) -> BudgetPoly:
     if not (isinstance(value, list) and len(value) == 3):
         raise ConfigError("budget must be [a, k, b]", field=path)
-    return BudgetPoly(*(_int(v, path) for v in value))
+    try:
+        return BudgetPoly(*(_int(v, path) for v in value))
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=path) from exc
 
 
 def build_language(spec: dict, path: str = "language") -> LanguageView:
     horizon = _need(spec, "horizon", path, _int)
     if "indices" in spec:
-        return LanguageView.from_indices(spec["indices"], horizon)
+        indices = _list(spec["indices"], f"{path}.indices")
+        return LanguageView.from_indices(
+            [_int(i, f"{path}.indices") for i in indices], horizon
+        )
     if "members" in spec:
-        members = [_bits(m, f"{path}.members") for m in spec["members"]]
+        members = _bits_list(spec["members"], f"{path}.members")
         return LanguageView.from_members(members, horizon)
     raise ConfigError("needs indices or members", field=path)
 
@@ -154,7 +179,7 @@ def build_relation(spec: dict, path: str = "relation"):
     if builtin == "sat":
         return oracle.sat_relation(_need(spec, "vars", path, _int))
     if builtin == "explicit":
-        members = [_bits(m, f"{path}.members") for m in _need(spec, "members", path)]
+        members = _need(spec, "members", path, _bits_list)
         return oracle.explicit_set_relation("explicit", members)
     if builtin == "mcsp-witness":
         return circuits.mcsp_witness_relation(
@@ -173,7 +198,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
     if kind == "cover":
         level = _need(spec, "level", path, _int)
         if "members" in spec:
-            members = [_bits(m, f"{path}.members") for m in spec["members"]]
+            members = _bits_list(spec["members"], f"{path}.members")
             return cover_martingale(Cover.from_members(members, level))
         rel = build_relation(_need(spec, "relation", path), f"{path}.relation")
         decide = spec.get("decide", "exists")
@@ -193,7 +218,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         level = _need(spec, "level", path, _int)
         values = {
             str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
-            for k, v in _need(spec, "values", path).items()
+            for k, v in _need(spec, "values", path, _object).items()
         }
         return condexp_martingale(lambda x: values.get(str(x), 0), level)
     if kind == "subset":
@@ -215,7 +240,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         default = _int(spec.get("default", 0), f"{path}.default")
         values = {
             str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
-            for k, v in _need(spec, "values", path).items()
+            for k, v in _need(spec, "values", path, _object).items()
         }
 
         def g(x: BitString) -> int:
@@ -263,12 +288,12 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
             name="geometric-constants",
         )
     if kind == "covers":
-        levels_spec = _need(spec, "levels", path)
+        levels_spec = _need(spec, "levels", path, _object)
         covers = {}
         for key, members in levels_spec.items():
             level = _int(key, f"{path}.levels")
             covers[level] = Cover.from_members(
-                [_bits(m, f"{path}.levels.{key}") for m in members], level
+                _bits_list(members, f"{path}.levels.{key}"), level
             )
         end = max(covers) + 1 if covers else 0
 
@@ -278,7 +303,10 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
             return Martingale.constant(Dyadic(0))
 
         bounds = {}
-        for key, text in spec.get("capital_bounds", {}).items():
+        bounds_spec = _object(
+            spec.get("capital_bounds", {}), f"{path}.capital_bounds"
+        )
+        for key, text in bounds_spec.items():
             bounds[_int(key, f"{path}.capital_bounds")] = _dyadic(
                 text, f"{path}.capital_bounds.{key}"
             )
@@ -308,8 +336,10 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
     fam_path = f"{path}.family"
     fam_kind = _need(fam_spec, "type", fam_path)
     if fam_kind == "mcsp":
-        inputs = _need(fam_spec, "inputs", fam_path)
-        inputs = [_int(v, f"{fam_path}.inputs") for v in inputs]
+        inputs = [
+            _int(v, f"{fam_path}.inputs")
+            for v in _need(fam_spec, "inputs", fam_path, _list)
+        ]
         alpha = _dyadic(fam_spec.get("alpha", "0"), f"{fam_path}.alpha")
         census_size = _int(fam_spec.get("census_size", 5), f"{fam_path}.census_size")
         covers = {}
@@ -322,12 +352,12 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
             lambda n: covers.get(n), name=f"mcsp(alpha={alpha})"
         )
     elif fam_kind == "explicit-levels":
-        levels_spec = _need(fam_spec, "levels", fam_path)
+        levels_spec = _need(fam_spec, "levels", fam_path, _object)
         covers = {}
         for key, members in levels_spec.items():
             level = _int(key, f"{fam_path}.levels")
             covers[level] = Cover.from_members(
-                [_bits(m, f"{fam_path}.levels.{key}") for m in members], level
+                _bits_list(members, f"{fam_path}.levels.{key}"), level
             )
         family = LevelFamily(lambda n: covers.get(n), name="explicit-levels")
     else:
@@ -363,7 +393,5 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
         raise ConfigError(f"unknown certify modulus {kind!r}", field=mod_path)
 
     horizon = _need(spec, "horizon", path, _int)
-    witnesses = [
-        _bits(w, f"{path}.witnesses") for w in spec.get("witnesses", [])
-    ]
+    witnesses = _bits_list(spec.get("witnesses", []), f"{path}.witnesses")
     return family, gap, modulus, horizon, witnesses

@@ -1,20 +1,27 @@
-"""Brute-force time-bounded description complexity on the toy machine.
+"""Time-bounded description complexity on the toy machine, by term length.
 
 ``kt(x, t)`` is the length of the shortest program printing ``x`` within
-``t(|x|)`` steps, found by sweeping every program of length at most
-``|x| + C_LIT`` (the literal-print bound caps the useful search space).  One
-sweep fills the table for every string up to the length cap at once, and
-tables persist as CSV keyed by machine version and budget, because the sweep
-dominates runtime.
+``t(|x|)`` steps, over every program of length at most ``|x| + C_LIT`` (the
+literal-print bound caps the useful search space).  Programs are
+self-delimiting terms whose output and step count build up from their
+subterms, so one dynamic program over term length replaces running every bit
+string: ``D[l]`` counts the terms of exactly ``l`` bits by (output, steps).
+Leaves (literal, run, table) are run on the machine itself, the only
+definition of their semantics; repeat and pair terms combine shorter entries.
+Outputs longer than the cap and steps above the run budget are pruned, which
+is sound because both only grow under composition.  One pass fills the table
+for every string up to the length cap at once, and tables persist as CSV
+keyed by machine version and budget.
 
-The same program enumeration yields the compressible-string covering
-martingale: count the (string, program) pairs with the program shorter than
-the declared capital gap, and bet the conditional expectation of that count.
+The same term counts yield the compressible-string covering martingale:
+count the (string, program) pairs with the program shorter than the declared
+capital gap, and bet the conditional expectation of that count.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +30,16 @@ from typing import Callable
 from .cantor import BitString
 from .constructions import condexp_martingale
 from .errors import CapExceeded, MartlabError
-from .machine import BudgetPoly, C_LIT, MACHINE_VERSION, run
+from .machine import (
+    BudgetPoly,
+    C_LIT,
+    MACHINE_VERSION,
+    encode_literal,
+    encode_run,
+    encode_table,
+    gamma_bits,
+    run,
+)
 from .martingale import Martingale
 from .oracle import WitnessRelation
 
@@ -69,32 +85,117 @@ class KtTable:
         return self.entries[bits]
 
 
-def _programs(max_len: int):
-    for length in range(1, max_len + 1):
+# the shortest term is the empty literal "001"
+_MIN_TERM = 3
+
+
+def _table_ops(n: int, m: int, room: int):
+    """Postfix programs of ``m`` ops over ``n`` variables in ``room`` bits.
+
+    Only sequences the machine's dry run accepts (no underflow, one value
+    left) are yielded; every other one diverges before printing.
+    """
+    push_bits = 2 + max(1, (n + 1).bit_length())
+    pushes = [("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1)]
+
+    def extend(ops: tuple, depth: int, bits: int):
+        left = m - len(ops)
+        if left == 0:
+            if depth == 1:
+                yield ops
+            return
+        if depth - 1 > left or bits + 2 * left > room:
+            return
+        if bits + push_bits + 2 * (left - 1) <= room:
+            for op in pushes:
+                yield from extend(ops + (op,), depth + 1, bits + push_bits)
+        if depth >= 1:
+            yield from extend(ops + (("NOT",),), depth, bits + 2)
+        if depth >= 2:
+            for op in (("AND",), ("OR",)):
+                yield from extend(ops + (op,), depth - 1, bits + 2)
+
+    return extend((), 0, 0)
+
+
+def _leaves(max_len: int, out_cap: int, step_cap: int):
+    """Every literal, run and table term that fits in ``max_len`` bits and
+    could print at most ``out_cap`` bits within ``step_cap`` steps."""
+    for length in range(out_cap + 1):
+        if 2 + len(gamma_bits(length + 1)) + length > max_len:
+            break
         for value in range(1 << length):
-            yield format(value, f"0{length}b")
+            yield encode_literal(format(value, f"0{length}b") if length else "")
+    if max_len >= 8:  # every run term is 8 bits
+        for k in range(1, min(out_cap, 16) + 1):
+            for bit in (0, 1):
+                yield encode_run(bit, k)
+    n = 1
+    while 1 << n <= out_cap:
+        rows = 1 << n
+        m = 1
+        while True:
+            head = 2 + len(gamma_bits(n + 1)) + len(gamma_bits(m + 1))
+            # the cheapest table reads 2m op bits, runs m ops per row and
+            # prints every row; both bounds only grow with m
+            if head + 2 * m > max_len or head + 2 * m + rows * (m + 1) > step_cap:
+                break
+            for ops in _table_ops(n, m, max_len - head):
+                yield encode_table(n, ops)
+            m += 1
+        n += 1
+
+
+def _term_counts(max_len: int, out_cap: int, step_cap: int) -> list:
+    """``D[l]`` counts the terms of exactly ``l`` bits by (output, steps).
+
+    Only terms printing at most ``out_cap`` bits within ``step_cap`` steps
+    are kept.  A top-level program is one term, so ``D[l]`` also describes
+    the halting programs of length ``l`` under budget ``step_cap``.
+    """
+    D = [Counter() for _ in range(max(max_len, 0) + 1)]
+    for program in _leaves(max_len, out_cap, step_cap):
+        result = run(program, step_cap)
+        if result.output is not None:
+            D[len(program)][result.output.bits(), result.steps] += 1
+    for length in range(_MIN_TERM, max_len + 1):
+        terms = D[length]
+        # repeat: 011 gamma(k) body, printing the body k times
+        k = 1
+        while (head := 3 + len(gamma_bits(k))) + _MIN_TERM <= length:
+            for (out, steps), count in D[length - head].items():
+                total = head + steps + k * len(out)
+                if len(out) * k <= out_cap and total <= step_cap:
+                    terms[out * k, total] += count
+            k += 1
+        # pair: 10 gamma(L1) left right, the left term exactly L1 bits long
+        first = _MIN_TERM
+        while (head := 2 + len(gamma_bits(first))) + first + _MIN_TERM <= length:
+            right = D[length - head - first]
+            for (lout, lsteps), lcount in D[first].items():
+                for (rout, rsteps), rcount in right.items():
+                    total = head + lsteps + rsteps
+                    if len(lout) + len(rout) <= out_cap and total <= step_cap:
+                        terms[lout + rout, total] += lcount * rcount
+            first += 1
+    return D
 
 
 def build_kt_table(
     budget: BudgetPoly, length_cap: int = DEFAULT_LENGTH_CAP
 ) -> KtTable:
-    """One sweep over all programs of length up to ``length_cap + C_LIT``."""
+    """kt of every string up to ``length_cap``, over programs of length up
+    to ``length_cap + C_LIT``."""
     if length_cap > DEFAULT_LENGTH_CAP:
         raise CapExceeded(
             f"length cap {length_cap} exceeds {DEFAULT_LENGTH_CAP}"
         )
-    max_budget = budget(length_cap)
     entries: dict[str, int] = {}
-    for program in _programs(length_cap + C_LIT):
-        result = run(program, max_budget)
-        out = result.output
-        if out is None or len(out) > length_cap:
-            continue
-        if result.steps > budget(len(out)):
-            continue
-        bits = out.bits()
-        if bits not in entries:
-            entries[bits] = len(program)  # lengths sweep upward: first is min
+    terms = _term_counts(length_cap + C_LIT, length_cap, budget(length_cap))
+    for length, level in enumerate(terms):  # lengths upward: first is min
+        for out, steps in level:
+            if out not in entries and steps <= budget(len(out)):
+                entries[out] = length
     return KtTable(budget, length_cap, MACHINE_VERSION, entries)
 
 
@@ -176,20 +277,18 @@ def short_program_counts(
 ) -> dict:
     """How many programs shorter than the bound print each length-``n`` string.
 
-    Enumerates the program cube once with budget ``budget(n)``; the result
-    maps bit strings to pair counts (strings absent map to zero).
+    Counts the programs by term length once with budget ``budget(n)``; the
+    result maps bit strings to pair counts (strings absent map to zero).
     """
     if max_program_len_exclusive - 1 > n + C_LIT:
         raise CapExceeded(
             "program bound exceeds the literal-print search space"
         )
     counts: dict[str, int] = {}
-    step_cap = budget(n)
-    for program in _programs(max_program_len_exclusive - 1):
-        result = run(program, step_cap)
-        out = result.output
-        if out is not None and len(out) == n:
-            counts[out.bits()] = counts.get(out.bits(), 0) + 1
+    for level in _term_counts(max_program_len_exclusive - 1, n, budget(n)):
+        for (out, _), count in level.items():
+            if len(out) == n:
+                counts[out] = counts.get(out, 0) + count
     return counts
 
 

@@ -63,11 +63,23 @@ C_PAIR = 3
 
 @dataclass(frozen=True)
 class BudgetPoly:
-    """A step budget ``a * n**k + b`` with small integer coefficients."""
+    """A step budget ``a * n**k + b`` with small integer coefficients.
+
+    Coefficients are nonnegative, so budgets never decrease with ``n``: the kt
+    sweep prunes every run at the budget of the longest output, and a cached
+    table built with a larger length cap serves a smaller one.
+    """
 
     a: int
     k: int
     b: int
+
+    def __post_init__(self):
+        if min(self.a, self.k, self.b) < 0:
+            raise ValueError(
+                f"budget coefficients must be nonnegative, got "
+                f"({self.a}, {self.k}, {self.b})"
+            )
 
     def __call__(self, n: int) -> int:
         return self.a * n**self.k + self.b

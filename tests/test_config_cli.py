@@ -3,7 +3,12 @@ import json
 import pytest
 
 from martlab.cli import main
-from martlab.config import build_construction, load_config
+from martlab.config import (
+    build_certify,
+    build_construction,
+    build_family,
+    load_config,
+)
 from martlab.dyadic import ONE, Dyadic
 from martlab.errors import ConfigError
 from martlab.martingale import Martingale
@@ -281,3 +286,66 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--s:" in err and "--sequence:" in err
     assert "construction.level: not an integer: 'x'" in err
+
+
+def _verify_construction(tmp_path, construction):
+    config = write_config(tmp_path, {"version": 1, "construction": construction})
+    return main(["verify", "--config", config, "--depth", "2"])
+
+
+def test_config_construction_not_an_object(tmp_path, capsys):
+    assert _verify_construction(tmp_path, 5) == 2
+    assert "construction: not an object: 5" in capsys.readouterr().err
+
+
+def test_config_condexp_values_not_an_object(tmp_path, capsys):
+    spec = {"type": "condexp", "level": 3, "values": [1]}
+    assert _verify_construction(tmp_path, spec) == 2
+    assert "construction.values: not an object: [1]" in capsys.readouterr().err
+
+
+def test_config_language_indices_not_integers(tmp_path, capsys):
+    spec = {"type": "subset", "level": 4,
+            "language": {"indices": ["a"], "horizon": 16}}
+    assert _verify_construction(tmp_path, spec) == 2
+    err = capsys.readouterr().err
+    assert "construction.language.indices: not an integer: 'a'" in err
+
+
+@pytest.mark.parametrize(
+    "build, spec, field",
+    [
+        (build_family, {"type": "covers", "levels": ["001"]}, "family.levels"),
+        (build_family, {"type": "covers", "levels": {"3": "001"}},
+         "family.levels.3"),
+        (build_family, {"type": "covers", "levels": {}, "capital_bounds": 1},
+         "family.capital_bounds"),
+        (build_construction, {"type": "cover", "level": 3, "members": "001"},
+         "construction.members"),
+        (lambda spec: build_certify(spec, None),
+         {"family": {"type": "mcsp", "inputs": 2}}, "certify.family.inputs"),
+    ],
+)
+def test_config_containers_of_the_wrong_type(build, spec, field):
+    with pytest.raises(ConfigError) as err:
+        build(spec)
+    assert str(err.value).startswith(f"{field}: not a")
+
+
+def test_negative_budget_is_a_config_error(tmp_path, capsys):
+    for budget in (["1", "-1", "0"], ["-4", "1", "60"]):
+        assert main(["kolmogorov", "-L", "3", "--budget", *budget]) == 2
+    spec = {"type": "kt-cover", "level": 4, "gap": 0, "budget": [1, -1, 0]}
+    assert _verify_construction(tmp_path, spec) == 2
+    err = capsys.readouterr().err
+    assert err.count("--budget: budget coefficients must be nonnegative") == 2
+    assert "construction.budget: budget coefficients must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_cli_rejects_negative_depth(tmp_path, capsys, command):
+    config = write_config(tmp_path, FIGURE1)
+    assert main([command, "--config", config, "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth: must be nonnegative, got -1" in captured.err

@@ -7,6 +7,7 @@ from martlab.circuits import TruthTable, circuit_for, encode_circuit
 from martlab.dyadic import Dyadic, ONE
 from martlab.errors import CapExceeded
 from martlab.kolmogorov import (
+    DEFAULT_LENGTH_CAP,
     build_kt_table,
     cached_kt_table,
     k_rate,
@@ -17,9 +18,76 @@ from martlab.kolmogorov import (
     save_kt_table,
     short_program_counts,
 )
-from martlab.machine import BudgetPoly, C_LIT, run
+from martlab.machine import BudgetPoly, C_LIT, pairing_budget, run
 from martlab.martingale import verify_averaging
 from martlab.oracle import CountMode, count
+
+
+def _programs(max_len):
+    for length in range(1, max_len + 1):
+        for value in range(1 << length):
+            yield format(value, f"0{length}b")
+
+
+def brute_kt_entries(budget, length_cap):
+    """kt by running every program up to ``length_cap + C_LIT`` bits."""
+    entries = {}
+    for program in _programs(length_cap + C_LIT):
+        result = run(program, budget(length_cap))
+        out = result.output
+        if out is None or len(out) > length_cap:
+            continue
+        if result.steps <= budget(len(out)):
+            entries.setdefault(out.bits(), len(program))
+    return entries
+
+
+def brute_program_counts(n, max_program_len_exclusive, budget):
+    counts = {}
+    for program in _programs(max_program_len_exclusive - 1):
+        out = run(program, budget(n)).output
+        if out is not None and len(out) == n:
+            counts[out.bits()] = counts.get(out.bits(), 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        BudgetPoly(4, 1, 16),
+        pairing_budget(BudgetPoly(4, 1, 16)),
+        BudgetPoly(3, 1, 12),
+        BudgetPoly(4, 2, 64),  # reaches table terms
+        BudgetPoly(2, 1, 8),  # tight: repeat step counts decide entries
+    ],
+    ids=str,
+)
+def test_kt_table_matches_brute_force(budget):
+    assert build_kt_table(budget, 8).entries == brute_kt_entries(budget, 8)
+
+
+@pytest.mark.parametrize(
+    "n, bound, budget",
+    [
+        (6, 14, BudgetPoly(3, 1, 12)),
+        (4, 13, BudgetPoly(9, 1, 48)),
+        (6, 15, BudgetPoly(4, 2, 64)),
+        (8, 17, BudgetPoly(2, 1, 6)),  # tight: pair step counts decide
+        (0, 5, BudgetPoly(4, 1, 16)),
+    ],
+)
+def test_short_program_counts_match_brute_force(n, bound, budget):
+    counts = short_program_counts(n, bound, budget)
+    assert counts == brute_program_counts(n, bound, budget)
+    assert sum(counts.values()) >= 1
+
+
+def test_kt_table_at_default_length_cap(budget):
+    table = build_kt_table(budget, DEFAULT_LENGTH_CAP)
+    assert len(table.entries) == (1 << (DEFAULT_LENGTH_CAP + 1)) - 1
+    for bits, value in table.entries.items():
+        assert len(bits) <= DEFAULT_LENGTH_CAP
+        assert value <= len(bits) + C_LIT
 
 
 def test_literal_bound_holds_everywhere(kt_table_10):

@@ -138,6 +138,13 @@ def test_budget_poly():
     assert tp(10) >= 2 * t(10)
 
 
+@pytest.mark.parametrize("coefficients", [(1, -1, 0), (-4, 1, 60), (4, 1, -1)])
+def test_budget_poly_rejects_negative_coefficients(coefficients):
+    # a decreasing budget would make kt pruning and cache reuse unsound
+    with pytest.raises(ValueError):
+        BudgetPoly(*coefficients)
+
+
 def test_gamma_roundtrip_via_machine():
     # gamma codes drive every header; spot the values through repeat counts
     for k in (1, 2, 3, 7, 12, 40):
