@@ -4,7 +4,8 @@ Every subcommand is a thin shell over module operations; the CLI does no
 arithmetic of its own.  Output is deterministic given the arguments (plus
 the seed, where one applies), so runs are diffable.
 
-Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 resource cap.
+Exit codes: 0 pass, 1 check failure, 2 configuration error (a query past a
+language's declared horizon counts as one), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .config import (
     load_config,
 )
 from .dyadic import Dyadic
-from .errors import CapExceeded, CensusUnavailable, ConfigError, MartlabError
+from .errors import (
+    CapExceeded,
+    CensusUnavailable,
+    ConfigError,
+    HorizonExceeded,
+    MartlabError,
+)
 from .golden import (
     FIGURE_DEPTH,
     GOLDEN_TREES,
@@ -59,10 +66,10 @@ def _config_construction(args) -> "Martingale":
     return build_construction(config["construction"])
 
 
-def _depth(args) -> int:
-    if args.depth < 0:
-        raise ConfigError(f"must be nonnegative, got {args.depth}", field="--depth")
-    return args.depth
+def _nonnegative(value: int, option: str) -> int:
+    if value < 0:
+        raise ConfigError(f"must be nonnegative, got {value}", field=option)
+    return value
 
 
 def cmd_figures(args) -> int:
@@ -87,7 +94,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    depth = _depth(args)
+    depth = _nonnegative(args.depth, "--depth")
     m = _config_construction(args)
     export = {"csv": tree_csv, "dot": tree_dot, "json": tree_json}[args.format]
     _emit(export(m, depth), args.out)
@@ -95,7 +102,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    depth = _depth(args)
+    depth = _nonnegative(args.depth, "--depth")
     m = _config_construction(args)
     report = verify_averaging(m, depth)
     law = ">=" if report.supermartingale else "=="
@@ -138,8 +145,9 @@ def cmd_success(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
+    length = _nonnegative(args.length, "--length")
     m = _config_construction(args)
-    w = diagonalize(m, args.length)
+    w = diagonalize(m, length)
     print(f"diagonal prefix: {w or 'λ'}")
     trace = [m.value(w.prefix(k)) for k in range(len(w) + 1)]
     for k, value in enumerate(trace):
@@ -152,6 +160,7 @@ def cmd_diagonalize(args) -> int:
 def cmd_sum(args) -> int:
     import random
 
+    precision = _nonnegative(args.precision, "--precision")
     config = load_config(args.config)
     if "family" not in config or "modulus" not in config:
         raise ConfigError("sum needs family and modulus objects")
@@ -166,15 +175,16 @@ def cmd_sum(args) -> int:
             k = rnd.randrange(0, 8)
             probe = BitString.from_int(rnd.randrange(1 << k) if k else 0, k)
             sum_family(family, modulus, probe, rnd.randrange(0, 16))
-    value = sum_family(family, modulus, w, args.precision)
-    print(f"truncated sum at {w or 'λ'} (precision 2^-{args.precision}): {value}")
+    value = sum_family(family, modulus, w, precision)
+    print(f"truncated sum at {w or 'λ'} (precision 2^-{precision}): {value}")
     return 0
 
 
 def cmd_census(args) -> int:
     from .circuits import cached_census, mnp_cover_check
 
-    census = cached_census(args.inputs, args.size, args.cache_dir)
+    size = _nonnegative(args.size, "--size")
+    census = cached_census(args.inputs, size, args.cache_dir)
     if args.format == "json":
         payload = {
             "inputs": census.n,
@@ -208,11 +218,12 @@ def cmd_mcsp(args) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
     tt = TruthTable.from_bits(_parse_arg(BitString, args.table, "--table"))
-    census = cached_census(tt.n, args.size, args.cache_dir)
-    verdict = mcsp(tt, args.size, census)
+    bound = _nonnegative(args.size, "--size")
+    census = cached_census(tt.n, bound, args.cache_dir)
+    verdict = mcsp(tt, bound, census)
     size = census.min_size(tt)
     print(f"table {args.table} (n={tt.n}): "
-          f"{'ACCEPT' if verdict else 'REJECT'} at size {args.size}"
+          f"{'ACCEPT' if verdict else 'REJECT'} at size {bound}"
           + (f" (min size {size})" if size is not None
              else f" (not reachable within {census.max_size})"))
     return 0
@@ -244,8 +255,9 @@ def cmd_certify(args) -> int:
 def cmd_kolmogorov(args) -> int:
     from .kolmogorov import cached_kt_table, k_rate
 
+    length_cap = _nonnegative(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
-    table = cached_kt_table(budget, args.length_cap, args.cache_dir)
+    table = cached_kt_table(budget, length_cap, args.cache_dir)
     if args.sequence:
         S = _parse_arg(BitString, args.sequence, "--sequence")
         report = k_rate(S, budget, table=table)
@@ -360,7 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, HorizonExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, CensusUnavailable) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .cantor import BitString, LanguageView, census
 from .dyadic import Dyadic, ONE
@@ -34,6 +34,8 @@ __all__ = [
     "biimmunity_martingale",
     "LEVEL_CAP",
 ]
+
+T = TypeVar("T")
 
 # generic extension enumeration is 2**(level - |w|) membership queries
 LEVEL_CAP = 22
@@ -307,6 +309,29 @@ class AcceptanceSpec:
         return cls(f=f, q=lambda n: q, name=f"biased({correct}/{1 << q})")
 
 
+def _prefix_memo(
+    root: T, step: Callable[[T, int, int], T]
+) -> Callable[[BitString], T]:
+    """``f(EMPTY) = root`` and ``f(w + b) = step(f(w), len(w), b)``, memoized.
+
+    Evaluation walks back to the longest memoized prefix, then forward, so
+    no prefix length reaches the recursion limit and a left-to-right scan
+    costs one ``step`` per level.
+    """
+    memo = {"": root}
+
+    def f(w: BitString) -> T:
+        bits = w.bits()
+        k = len(bits)
+        while (v := memo.get(bits[:k])) is None:
+            k -= 1
+        for i in range(k, len(bits)):
+            v = memo[bits[: i + 1]] = step(v, i, int(bits[i]))
+        return v
+
+    return f
+
+
 def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     """Double-or-scale capital by the declared odds along the enumeration.
 
@@ -324,16 +349,15 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
             )
         return f0, f1
 
-    @lru_cache(maxsize=None)
-    def numerator(w: BitString) -> int:
-        if len(w) == 0:
-            return 1
-        f0, f1 = row(len(w) - 1)
-        return 2 * numerator(w.prefix(len(w) - 1)) * (f1 if w[len(w) - 1] else f0)
+    numerator = _prefix_memo(1, lambda v, i, bit: 2 * v * row(i)[bit])
 
-    @lru_cache(maxsize=None)
+    # q_sums[i] = q(|s_0|) + ... + q(|s_{i-1}|), one entry per index reached
+    q_sums = [0]
+
     def log_denominator(w: BitString) -> int:
-        return sum(spec.q(len(string_index(i))) for i in range(len(w)))
+        for i in range(len(q_sums) - 1, len(w)):
+            q_sums.append(q_sums[i] + spec.q(len(string_index(i))))
+        return q_sums[len(w)]
 
     ratio = RatioForm(numerator, log_denominator)
 
@@ -360,16 +384,13 @@ def biimmunity_martingale(
     else 0.
     """
 
-    @lru_cache(maxsize=None)
-    def evaluate(w: BitString) -> Dyadic:
-        if len(w) == 0:
-            return ONE
-        parent = w.prefix(len(w) - 1)
-        v = evaluate(parent)
-        member = A.contains_index(len(w) - 1)
-        if w[len(w) - 1]:
+    def step(v: Dyadic, i: int, bit: int) -> Dyadic:
+        member = A.contains_index(i)
+        if bit:
             return v.scale2(1) if member else v
         return Dyadic(0) if member else v
+
+    evaluate = _prefix_memo(ONE, step)
 
     ratio = RatioForm(lambda w: evaluate(w).num, lambda w: 0)
 

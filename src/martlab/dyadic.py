@@ -11,8 +11,13 @@ produced, not here.
 
 The module also houses the exact-logarithm helpers used for success
 thresholds (compare a value against ``2**(p/2**k)``) and for quantizing
-``log2`` ratios onto a fixed dyadic grid.  Both reduce to arbitrary-precision
-integer comparisons.
+``log2`` ratios onto a fixed dyadic grid.  Both reduce to the bit length of
+``m**(2**k)`` for an integer ``m``, which :func:`pow_bit_length` finds
+without building the power.  It brackets ``m**e`` between two powers
+computed from ``m``'s leading ``t`` bits, one rounded down after every
+multiplication and one rounded up, and doubles ``t`` while the two ends'
+bit lengths differ.  Once ``t`` covers ``m**e`` nothing is rounded, so the
+exact full power is the fallback.  No floating point is involved.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "ONE",
     "HALF",
     "cmp_pow2",
+    "pow_bit_length",
     "grid_floor_one_minus_log2_ratio",
     "grid_floor_log2_ratio",
 ]
@@ -206,46 +212,82 @@ ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
 
+def _pow_bit_bound(m: int, e: int, t: int, up: bool) -> int:
+    """A lower (or, ``up``, an upper) bound on ``(m**e).bit_length()``:
+    square-and-multiply with every partial result rounded to its leading
+    ``t`` bits, down (or up)."""
+    r, shift = 1, 0
+    for bit in bin(e)[2:]:
+        r *= r
+        shift *= 2
+        if bit == "1":
+            r *= m
+        drop = r.bit_length() - t
+        if drop > 0:
+            r = -(-r >> drop) if up else r >> drop
+            shift += drop
+    return r.bit_length() + shift
+
+
+def pow_bit_length(m: int, e: int) -> int:
+    """Exact ``(m**e).bit_length()`` for ``m >= 1``, ``e >= 0``, from the
+    bracket described in the module docstring."""
+    if m < 1 or e < 0:
+        raise ValueError("requires m >= 1 and e >= 0")
+    t = 64
+    while True:
+        lower = _pow_bit_bound(m, e, t, up=False)
+        if lower == _pow_bit_bound(m, e, t, up=True):
+            return lower
+        t *= 2
+
+
+def _is_pow2(m: int) -> bool:
+    return m & (m - 1) == 0
+
+
 def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
     """Exact three-way comparison of ``value`` against ``2**exponent``.
 
-    ``exponent`` is dyadic, so ``2**exponent`` is irrational in general; the
-    comparison is decided by raising both sides to the power
-    ``2**exponent.log_den``, which clears the fractional exponent:
+    ``exponent = p / 2**k`` is dyadic, so ``2**exponent`` is irrational in
+    general.  Raising both sides to the power ``q = 2**k`` clears it: for
+    ``value = m / 2**j > 0``,
 
-        value >= 2**(p / 2**k)   iff   value**(2**k) >= 2**p   (value > 0).
+        value >= 2**(p / 2**k)   iff   m**q >= 2**(p + j*q).
 
-    Returns -1, 0, or +1.
+    ``m``'s bit length ``b`` puts ``m**q`` in ``[2**((b-1)q), 2**(bq))``,
+    which decides every target outside that band; inside it,
+    ``floor(log2(m**q))`` comes from :func:`pow_bit_length`, and equality
+    holds exactly when ``m`` is a power of two.  Returns -1, 0, or +1.
     """
-    if value.num <= 0:
+    m = value.num
+    if m <= 0:
         # 2**exponent is strictly positive
         return -1
-    q = 1 << exponent.log_den
-    p = exponent.num
-    lhs = value**q
-    rhs = Dyadic.pow2(p)
-    return lhs._cmp(rhs)
+    k = exponent.log_den
+    target = exponent.num + (value.log_den << k)
+    b = m.bit_length()
+    if target < (b - 1) << k:
+        return 1
+    if target >= b << k:
+        return -1
+    floor_log = pow_bit_length(m, 1 << k) - 1
+    if target != floor_log:
+        return 1 if target < floor_log else -1
+    return 0 if _is_pow2(m) else 1
 
 
 def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = 10) -> Dyadic:
     """Largest grid multiple of ``2**-grid_bits`` at most ``log2(m) / n``.
 
-    Exact: the candidate grid index ``g`` satisfies ``g <= 2**grid_bits *
-    log2(m)/n`` iff ``m**(2**grid_bits) >= 2**(g*n)``.  Requires ``m >= 1``.
+    Exact: a grid index ``g`` qualifies iff ``m**(2**grid_bits) >= 2**(g*n)``,
+    that is iff ``g*n <= floor(log2(m**(2**grid_bits)))``, one less than
+    that power's bit length.  Requires ``m >= 1``.
     """
     if m < 1 or n < 1:
         raise ValueError("requires m >= 1 and n >= 1")
-    scale = 1 << grid_bits
-    # bracket: 0 <= log2(m)/n <= bitlength(m)
-    lo, hi = 0, ((m.bit_length()) * scale) // n + 1
-    powered = m**scale
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if powered >= (1 << (mid * n)):
-            lo = mid
-        else:
-            hi = mid - 1
-    return Dyadic(lo, grid_bits)
+    floor_log = pow_bit_length(m, 1 << grid_bits) - 1
+    return Dyadic(floor_log // n, grid_bits)
 
 
 def grid_floor_one_minus_log2_ratio(
@@ -255,7 +297,9 @@ def grid_floor_one_minus_log2_ratio(
 
     Exact for positive ``value = m / 2**j``:  the target equals
     ``(n + j - log2(m)) / n`` and a grid index ``g`` qualifies iff
-    ``2**(scale*(n + j) - g*n) >= m**scale``.
+    ``2**(scale*(n + j) - g*n) >= m**scale``, that is iff
+    ``g*n <= scale*(n + j) - ceil(log2(m**scale))``.  The ceiling is the
+    power's bit length, less one when ``m`` is a power of two.
     """
     if value.num <= 0:
         raise ValueError("requires a positive value")
@@ -263,22 +307,5 @@ def grid_floor_one_minus_log2_ratio(
         raise ValueError("requires n >= 1")
     m, j = value.num, value.log_den
     scale = 1 << grid_bits
-    powered = m**scale
-    top = scale * (n + j)
-
-    def ok(g: int) -> bool:
-        rhs_exp = top - g * n
-        if rhs_exp < 0:
-            return False
-        return (1 << rhs_exp) >= powered
-
-    # bracket generously: |log2(value)| <= bitlength(m) + j
-    span = (m.bit_length() + j + n) * scale // n + 2
-    lo, hi = -span, span
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return Dyadic(lo, grid_bits)
+    ceil_log = pow_bit_length(m, scale) - _is_pow2(m)
+    return Dyadic((scale * (n + j) - ceil_log) // n, grid_bits)

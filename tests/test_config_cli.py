@@ -201,7 +201,7 @@ def test_cli_census_and_mcsp(tmp_path, capsys):
 
     assert main(["mcsp", "--table", "0110", "-s", "3",
                  "--cache-dir", cache]) == 0
-    assert "REJECT" in capsys.readouterr().out
+    assert "REJECT at size 3 (" in capsys.readouterr().out
     assert main(["mcsp", "--table", "0110", "-s", "4",
                  "--cache-dir", cache]) == 0
     assert "ACCEPT" in capsys.readouterr().out
@@ -349,3 +349,54 @@ def test_cli_rejects_negative_depth(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--depth: must be nonnegative, got -1" in captured.err
+
+
+SUM_CONFIG = {
+    "version": 1,
+    "family": {"type": "geometric-constants"},
+    "modulus": {"type": "affine", "slope": 1, "offset": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "config, argv, option",
+    [
+        (None, ["kolmogorov", "-L", "-3"], "--length-cap"),
+        (SUM_CONFIG, ["sum", "--precision", "-1"], "--precision"),
+        (FIGURE1, ["diagonalize", "-N", "-1"], "--length"),
+        (None, ["census", "-n", "2", "-S", "-1"], "--size"),
+        (None, ["mcsp", "--table", "0110", "-s", "-1"], "--size"),
+    ],
+    ids=["kolmogorov", "sum", "diagonalize", "census", "mcsp"],
+)
+def test_cli_rejects_negative_integer_options(
+    tmp_path, capsys, config, argv, option
+):
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: must be nonnegative, got" in captured.err
+
+
+def test_cli_query_past_horizon_is_a_config_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        {
+            "version": 1,
+            "construction": {
+                "type": "acceptance",
+                "q": 2,
+                "correct": 3,
+                "target": {"indices": [1, 3], "horizon": 4},
+            },
+        },
+    )
+    assert main(["success", "--config", config, "--sequence", "0101"]) == 0
+    capsys.readouterr()
+    assert main(["success", "--config", config, "--sequence", "01010"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "horizon" in captured.err

@@ -297,6 +297,33 @@ def test_acceptance_growth_bound():
         assert Fraction(lhs.num, 1 << lhs.log_den) >= bound
 
 
+def test_acceptance_log_denominator_matches_resum():
+    # non-constant q, queried deep first and then at shallower, unseen prefixes
+    def q(k):
+        return k % 3 + 1
+
+    m = acceptance_martingale(AcceptanceSpec.from_gap(lambda x: 1, q))
+    rnd = random.Random(23)
+    for n in (40, 7, 0, 41, 13, 100, 99):
+        w = BitString.from_int(rnd.getrandbits(n), n) if n else EMPTY
+        resum = sum(q(len(string_index(i))) for i in range(n))
+        assert m.ratio.log_denominator(w) == resum
+        assert m.ratio.value(w) == m.value(w)
+
+
+def test_acceptance_deep_cold_prefix():
+    # 5,000 levels evaluated in one call, past the default recursion limit
+    n = 5000
+    members = range(0, n, 3)
+    target = LanguageView.from_indices(members, horizon=n + 1)
+    m = acceptance_martingale(AcceptanceSpec.biased(target, 3, 2))
+    w = BitString("1" * n)
+    # a 1 bit wins odds 3/4 on a member and 1/4 elsewhere
+    expected = Dyadic(2**n * 3 ** len(members), 2 * n)
+    assert m.value(w) == expected
+    assert m.value(w.append(0)) == expected * Dyadic(3, 1)
+
+
 # -- bi-immunity -----------------------------------------------------------
 
 
@@ -346,6 +373,17 @@ def test_biimmunity_support_law():
         prefix = char_prefix(A, 5)
         dominates = all(w[i] == 1 for i in range(5) if prefix[i] == 1)
         assert (m.value(w) > ZERO) == dominates
+
+
+def test_biimmunity_deep_cold_prefix():
+    n = 5000
+    indices = range(2, n, 7)
+    m = biimmunity_martingale(LanguageView.from_indices(indices, horizon=n + 1))
+    w = BitString("1" * n)
+    assert m.value(w) == Dyadic(1 << len(indices))
+    assert m.value(w.append(1)) == m.value(w)
+    assert m.value(BitString("1" * (n - 1) + "0")) == m.value(w)
+    assert m.value(BitString("0" * n)) == ZERO
 
 
 # -- cross-construction averaging -------------------------------------------

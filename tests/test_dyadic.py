@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from martlab.dyadic import (
     Dyadic,
@@ -11,6 +11,7 @@ from martlab.dyadic import (
     cmp_pow2,
     grid_floor_log2_ratio,
     grid_floor_one_minus_log2_ratio,
+    pow_bit_length,
 )
 
 dyadics = st.builds(
@@ -145,3 +146,169 @@ def test_grid_floor_one_minus_log2_brackets(num, log_den, n):
     threshold_hi = Dyadic(n) - Dyadic(n) * Dyadic(lo + 1, 10)
     assert cmp_pow2(v, threshold_lo) <= 0
     assert cmp_pow2(v, threshold_hi) > 0
+    # and with the raw formula: 2**(1024*(n + j) - g*n) >= num**1024
+    powered = v.num**1024
+
+    def fits(index):
+        e = 1024 * (n + v.log_den) - index * n
+        return e >= 0 and (1 << e) >= powered
+
+    assert fits(lo) and not fits(lo + 1)
+
+
+# -- differential oracles: the full-power code the fast paths replaced --------
+
+
+def full_power_cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
+    if value.num <= 0:
+        return -1
+    lhs = value ** (1 << exponent.log_den)
+    rhs = Dyadic.pow2(exponent.num)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def search_grid_floor_log2_ratio(m: int, n: int, grid_bits: int) -> Dyadic:
+    scale = 1 << grid_bits
+    lo, hi = 0, (m.bit_length() * scale) // n + 1
+    powered = m**scale
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if powered >= (1 << (mid * n)):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Dyadic(lo, grid_bits)
+
+
+def search_grid_floor_one_minus(value: Dyadic, n: int, grid_bits: int) -> Dyadic:
+    m, j = value.num, value.log_den
+    scale = 1 << grid_bits
+    powered = m**scale
+    top = scale * (n + j)
+
+    def ok(g: int) -> bool:
+        rhs_exp = top - g * n
+        return rhs_exp >= 0 and (1 << rhs_exp) >= powered
+
+    span = (m.bit_length() + j + n) * scale // n + 2
+    lo, hi = -span, span
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Dyadic(lo, grid_bits)
+
+
+def band_exponent(value: Dyadic, k: int, offset: int) -> Dyadic:
+    """``p / 2**k`` whose target ``p + j*2**k`` sits ``offset`` into the band
+    ``[(b-1)*2**k, b*2**k)`` that ``value``'s bit length ``b`` leaves open;
+    ``p`` is made odd so the exponent keeps its ``2**k`` denominator."""
+    q = 1 << k
+    target = (value.num.bit_length() - 1) * q + offset % q
+    p = target - value.log_den * q
+    return Dyadic(p | 1 if k else p, k)
+
+
+numerators = st.one_of(
+    st.integers(min_value=1, max_value=2**2000),
+    st.integers(min_value=1, max_value=2000).map(lambda b: 1 << b),
+    st.integers(min_value=1, max_value=2000).map(lambda b: (1 << b) - 1),
+)
+slow = settings(deadline=None, max_examples=60)
+
+
+@slow
+@given(numerators, st.integers(min_value=0, max_value=2100))
+@example(1, 0)
+@example(1, 2100)
+@example((1 << 2000) - 1, 1024)
+@example(1 << 2000, 1024)
+@example(3, 1 << 11)
+def test_pow_bit_length_matches_full_power(m, e):
+    assert pow_bit_length(m, e) == (m**e).bit_length()
+
+
+def test_pow_bit_length_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        pow_bit_length(0, 3)
+    with pytest.raises(ValueError):
+        pow_bit_length(3, -1)
+
+
+@slow
+@given(
+    numerators,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=2**10),
+)
+def test_cmp_pow2_matches_full_power_in_the_band(m, log_den, k, offset):
+    value = Dyadic(m, log_den)
+    exponent = band_exponent(value, k, offset)
+    assert cmp_pow2(value, exponent) == full_power_cmp_pow2(value, exponent)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-(2**20), max_value=2**20),
+    st.integers(min_value=0, max_value=10),
+)
+def test_cmp_pow2_matches_full_power_anywhere(num, log_den, p, k):
+    value, exponent = Dyadic(num, log_den), Dyadic(p, k)
+    assert cmp_pow2(value, exponent) == full_power_cmp_pow2(value, exponent)
+
+
+@pytest.mark.parametrize("b", [1, 2, 63, 64, 65, 200, 2000])
+@pytest.mark.parametrize("k", [0, 1, 5, 10])
+@pytest.mark.parametrize("log_den", [0, 3])
+def test_cmp_pow2_powers_of_two_and_all_ones(b, k, log_den):
+    q = 1 << k
+    power = Dyadic(1 << b, log_den)  # exactly 2**(b - log_den)
+    exact = Dyadic((b - log_den) * q, k)
+    assert cmp_pow2(power, exact) == 0
+    below = Dyadic((b - log_den) * q + 1, k)
+    above = Dyadic((b - log_den) * q - 1, k)
+    for exponent in (exact, below, above):
+        assert cmp_pow2(power, exponent) == full_power_cmp_pow2(power, exponent)
+    ones = Dyadic((1 << b) - 1, log_den)
+    for exponent in (exact, below, above, band_exponent(ones, k, q - 1)):
+        assert cmp_pow2(ones, exponent) == full_power_cmp_pow2(ones, exponent)
+
+
+def test_cmp_pow2_negative_exponents():
+    assert cmp_pow2(Dyadic(1, 3), Dyadic(-3)) == 0
+    assert cmp_pow2(Dyadic(1, 3), Dyadic(-5, 1)) == -1
+    assert cmp_pow2(Dyadic(1, 3), Dyadic(-7, 1)) == 1
+    assert cmp_pow2(Dyadic(3, 10), Dyadic(-8)) == -1
+    assert cmp_pow2(Dyadic(3, 10), Dyadic(-9)) == 1
+    assert cmp_pow2(ZERO, Dyadic(-8)) == -1
+
+
+@slow
+@given(
+    numerators,
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=0, max_value=10),
+)
+def test_grid_floor_log2_ratio_matches_search(m, n, grid_bits):
+    expected = search_grid_floor_log2_ratio(m, n, grid_bits)
+    assert grid_floor_log2_ratio(m, n, grid_bits) == expected
+
+
+@slow
+@given(
+    numerators,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=0, max_value=10),
+)
+@example(1 << 64, 0, 64, 10)
+@example(1, 12, 3, 10)
+def test_grid_floor_one_minus_matches_search(m, log_den, n, grid_bits):
+    v = Dyadic(m, log_den)
+    expected = search_grid_floor_one_minus(v, n, grid_bits)
+    assert grid_floor_one_minus_log2_ratio(v, n, grid_bits) == expected
