@@ -183,6 +183,8 @@ def cmd_sum(args) -> int:
 def cmd_census(args) -> int:
     from .circuits import cached_census, mnp_cover_check
 
+    if args.inputs < 1:
+        raise ConfigError(f"must be at least 1, got {args.inputs}", field="--inputs")
     size = _nonnegative(args.size, "--size")
     census = cached_census(args.inputs, size, args.cache_dir)
     if args.format == "json":

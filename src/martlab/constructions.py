@@ -4,16 +4,19 @@ Each factory returns a :class:`~martlab.martingale.Martingale` whose exact
 evaluator enumerates witnesses or applies the construction's closed form.
 The leveled constructions (cover, conditional expectation, subset) freeze at
 their level; the acceptance and superset-tracking constructions grow without
-bound.
+bound.  Leveled numerators come from a binary search over sorted members or
+from one pass over the ``2**n`` leaves, summed pairwise up to the root.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, TypeVar
 
-from .cantor import BitString, LanguageView, census
+from .cantor import BitString, LanguageView, all_strings, census
 from .dyadic import Dyadic, ONE
 from .errors import (
     CapExceeded,
@@ -22,7 +25,7 @@ from .errors import (
     RowSumViolation,
 )
 from .martingale import Martingale, RatioForm
-from .oracle import CountMode, WitnessRelation, count, decide_unique
+from .oracle import CountMode, WitnessRelation, count, decide_unique, exists
 
 __all__ = [
     "Cover",
@@ -37,7 +40,7 @@ __all__ = [
 
 T = TypeVar("T")
 
-# generic extension enumeration is 2**(level - |w|) membership queries
+# generic covers and conditional expectations evaluate all 2**level leaves
 LEVEL_CAP = 22
 
 
@@ -48,7 +51,8 @@ class Cover:
     ``contains`` decides membership of length-``level`` strings.
     ``ext_count``, when given, must return the exact number of members
     extending a prefix; covers with product structure use it to dodge the
-    enumeration cap.
+    enumeration cap.  :meth:`from_members` counts by binary search, in
+    ``O(log m)`` per prefix; without ``ext_count`` each leaf is read once.
     """
 
     level: int
@@ -71,11 +75,19 @@ class Cover:
         for m in member_set:
             if len(m) != level:
                 raise ValueError(f"member {m} does not have length {level}")
+        values = sorted(m.to_int() for m in member_set)
 
         def ext_count(w: BitString) -> int:
-            return sum(1 for m in member_set if w.is_prefix_of(m))
+            # the extensions of w read as the integers [v << free, (v+1) << free)
+            free, v = level - len(w), w.to_int()
+            if free < 0:
+                return 0
+            return bisect_left(values, v + 1 << free) - bisect_left(values, v << free)
 
-        return cls(level, lambda x: x in member_set, ext_count, class_tag, name)
+        def contains(x: BitString) -> bool:
+            return len(x) == level and ext_count(x) == 1
+
+        return cls(level, contains, ext_count, class_tag, name)
 
     @classmethod
     def from_predicate(
@@ -120,15 +132,30 @@ class Cover:
             tag = "#P"
         else:
             def contains(x: BitString) -> bool:
-                return count(rel, CountMode.WITNESS_COUNT, x, cap) > 0
+                return exists(rel, x, cap)
 
             tag = "SpanP"
         return cls(level, contains, None, tag, rel.name)
 
 
-def _extensions(w: BitString, level: int) -> Iterable[BitString]:
-    for v in range(1 << (level - len(w))):
-        yield w + BitString.from_int(v, level - len(w))
+def _subtree_sums(
+    leaf: Callable[[BitString], int], n: int
+) -> Callable[[BitString], int]:
+    """The sum of ``leaf`` over the length-``n`` extensions of a prefix.
+
+    The first query evaluates every leaf once, in lexicographic order;
+    ``rows[k][v]`` sums the leaves below the length-``n - k`` prefix ``v``.
+    """
+    rows: list[list[int]] = []
+
+    def total(w: BitString) -> int:
+        if not rows:
+            rows.append([leaf(x) for x in all_strings(n)])
+            while len(row := rows[-1]) > 1:
+                rows.append(list(map(add, row[::2], row[1::2])))
+        return rows[n - len(w)][w.to_int()]
+
+    return total
 
 
 def cover_martingale(cover: Cover, cap: int = LEVEL_CAP) -> Martingale:
@@ -146,10 +173,7 @@ def cover_martingale(cover: Cover, cap: int = LEVEL_CAP) -> Martingale:
             raise CapExceeded(
                 f"cover level {n} exceeds enumeration cap {cap}"
             )
-        contains = lru_cache(maxsize=None)(cover.contains)
-
-        def ext_count(w: BitString) -> int:
-            return sum(1 for x in _extensions(w, n) if contains(x))
+        ext_count = _subtree_sums(lambda x: 1 if cover.contains(x) else 0, n)
 
     @lru_cache(maxsize=None)
     def numerator(w: BitString) -> int:
@@ -184,17 +208,16 @@ def condexp_martingale(
     if n > cap:
         raise CapExceeded(f"level {n} exceeds enumeration cap {cap}")
 
-    @lru_cache(maxsize=None)
     def f_checked(x: BitString) -> int:
         v = f(x)
         if v < 0:
             raise NegativeValue(f"f({x!r}) = {v} is negative")
         return v
 
-    @lru_cache(maxsize=None)
+    sums = _subtree_sums(f_checked, n)
+
     def numerator(w: BitString) -> int:
-        w = w.prefix(n)
-        return sum(f_checked(x) for x in _extensions(w, n))
+        return sums(w.prefix(n))
 
     ratio = RatioForm(numerator, lambda w: max(0, n - len(w)))
 
@@ -312,22 +335,28 @@ class AcceptanceSpec:
 def _prefix_memo(
     root: T, step: Callable[[T, int, int], T]
 ) -> Callable[[BitString], T]:
-    """``f(EMPTY) = root`` and ``f(w + b) = step(f(w), len(w), b)``, memoized.
+    """``f(EMPTY) = root`` and ``f(w + b) = step(f(w), len(w), b)``.
 
-    Evaluation walks back to the longest memoized prefix, then forward, so
-    no prefix length reaches the recursion limit and a left-to-right scan
-    costs one ``step`` per level.
+    Only the last query's path is kept, so memory is linear in the depth; a
+    query steps forward from its common prefix with the last, so no length
+    reaches the recursion limit and a left-to-right scan costs one ``step``.
     """
-    memo = {"": root}
+    last = ""
+    values = [root]
 
     def f(w: BitString) -> T:
+        nonlocal last
         bits = w.bits()
-        k = len(bits)
-        while (v := memo.get(bits[:k])) is None:
-            k -= 1
+        k = len(last)
+        if not bits.startswith(last):  # k = the common prefix length
+            k = min(k, len(bits))
+            k -= (int("0" + last[:k], 2) ^ int("0" + bits[:k], 2)).bit_length()
+        del values[k + 1 :]
+        last = bits[:k]  # what values still holds if a step below fails
         for i in range(k, len(bits)):
-            v = memo[bits[: i + 1]] = step(v, i, int(bits[i]))
-        return v
+            values.append(step(values[i], i, int(bits[i])))
+        last = bits
+        return values[-1]
 
     return f
 

@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_WITNESS_CAP",
     "count",
     "decide_unique",
+    "exists",
     "explicit_set_relation",
     "sat_relation",
 ]
@@ -91,6 +92,14 @@ def count(
     if mode is CountMode.DISTINCT_OUTPUT_COUNT:
         return len(outputs)
     return 2 * accepts - (1 << k)
+
+
+def exists(
+    rel: WitnessRelation, x: BitString, cap: int = DEFAULT_WITNESS_CAP
+) -> bool:
+    """``count(...) > 0``, stopping at the first accepting witness."""
+    k, cube = _witness_cube(rel, x, cap)
+    return any(rel.verify(x, BitString.from_int(v, k)) for v in cube)
 
 
 def decide_unique(

@@ -351,6 +351,8 @@ def test_cli_rejects_negative_depth(tmp_path, capsys, command):
     assert "--depth: must be nonnegative, got -1" in captured.err
 
 
+NONNEGATIVE = "must be nonnegative, got"
+
 SUM_CONFIG = {
     "version": 1,
     "family": {"type": "geometric-constants"},
@@ -359,25 +361,35 @@ SUM_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "config, argv, option",
+    "config, argv, message",
     [
-        (None, ["kolmogorov", "-L", "-3"], "--length-cap"),
-        (SUM_CONFIG, ["sum", "--precision", "-1"], "--precision"),
-        (FIGURE1, ["diagonalize", "-N", "-1"], "--length"),
-        (None, ["census", "-n", "2", "-S", "-1"], "--size"),
-        (None, ["mcsp", "--table", "0110", "-s", "-1"], "--size"),
+        (None, ["kolmogorov", "-L", "-3"], f"--length-cap: {NONNEGATIVE}"),
+        (SUM_CONFIG, ["sum", "--precision", "-1"], f"--precision: {NONNEGATIVE}"),
+        (FIGURE1, ["diagonalize", "-N", "-1"], f"--length: {NONNEGATIVE}"),
+        (None, ["census", "-n", "2", "-S", "-1"], f"--size: {NONNEGATIVE}"),
+        (None, ["mcsp", "--table", "0110", "-s", "-1"], f"--size: {NONNEGATIVE}"),
+        (None, ["census", "-n", "0", "-S", "2"], "--inputs: must be at least 1, got 0"),
+        (None, ["census", "-n", "-1", "-S", "2"], "--inputs: must be at least 1, got -1"),
     ],
-    ids=["kolmogorov", "sum", "diagonalize", "census", "mcsp"],
+    ids=[
+        "kolmogorov",
+        "sum",
+        "diagonalize",
+        "census",
+        "mcsp",
+        "census-inputs-zero",
+        "census-inputs-negative",
+    ],
 )
 def test_cli_rejects_negative_integer_options(
-    tmp_path, capsys, config, argv, option
+    tmp_path, capsys, config, argv, message
 ):
     if config is not None:
         argv = argv + ["--config", write_config(tmp_path, config)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{option}: must be nonnegative, got" in captured.err
+    assert message in captured.err
 
 
 def test_cli_query_past_horizon_is_a_config_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from martlab.cantor import (
     BitString,
@@ -15,6 +18,7 @@ from martlab.cantor import (
 from martlab.constructions import (
     AcceptanceSpec,
     Cover,
+    _prefix_memo,
     acceptance_martingale,
     biimmunity_martingale,
     condexp_martingale,
@@ -158,6 +162,132 @@ def test_condexp_leaf_law_randomized():
         m = condexp_martingale(lambda x: values[str(x)], n)
         for x in all_strings(n):
             assert m.value(x) == Dyadic(values[str(x)])
+
+
+# -- counting kernels against their brute-force twins -----------------------
+
+
+def scan_ext_count(members, w):
+    # brute-force twin of Cover.from_members' sorted-range count
+    return sum(1 for m in members if w.is_prefix_of(m))
+
+
+def extension_sum(leaf, w, n):
+    # brute-force twin of the pairwise subtree sums
+    free = n - len(w)
+    return sum(leaf(w + BitString.from_int(v, free)) for v in range(1 << free))
+
+
+def check_ext_count(level, values, probes):
+    members = [BitString.from_int(v, level) for v in values]
+    cover = Cover.from_members(members, level)
+    top = (1 << level) - 1
+    for p in probes:
+        x = BitString.from_int(min(max(p, 0), top), level)
+        for k in range(level + 1):
+            w = x.prefix(k)
+            assert cover.ext_count(w) == scan_ext_count(members, w)
+        assert cover.contains(x) == (x in members)
+        assert cover.ext_count(x.append(1)) == 0
+        assert not cover.contains(x.append(1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_explicit_ext_count_matches_member_scan(data):
+    level = data.draw(st.integers(0, 12), label="level")
+    top = (1 << level) - 1
+    values = data.draw(st.sets(st.integers(0, top), max_size=64), label="members")
+    probes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    # members and their neighbours sit at the edges of the counted ranges
+    probes += [v + d for v in sorted(values)[:6] for d in (-1, 0, 1)]
+    check_ext_count(level, values, probes)
+
+
+def test_explicit_ext_count_empty_and_full_cube():
+    for level in range(13):
+        top = (1 << level) - 1
+        probes = [0, 1, top // 3, top - 1, top]
+        check_ext_count(level, [], probes)
+        check_ext_count(level, range(top + 1), probes)
+
+
+def test_subtree_sums_match_extension_sums():
+    rnd = random.Random(37)
+    for n in range(8):
+        values = [rnd.randrange(5) for _ in range(1 << n)]
+        marks = {v for v in range(1 << n) if rnd.random() < 0.4}
+
+        def f(x):
+            return values[x.to_int()]
+
+        def member(x):
+            return x.to_int() in marks
+
+        def indicator(x):
+            return 1 if member(x) else 0
+
+        condexp = condexp_martingale(f, n)
+        cover = cover_martingale(Cover.from_predicate(member, n))
+        for k in range(n + 2):
+            for w in all_strings(k):
+                free = max(0, n - k)
+                expected = extension_sum(f, w.prefix(n), n)
+                assert condexp.ratio.numerator(w) == expected
+                assert condexp.value(w) == Dyadic(expected, free)
+                expected = extension_sum(indicator, w.prefix(n), n)
+                assert cover.ratio.numerator(w) == expected
+                assert cover.value(w) == Dyadic(expected, free)
+
+
+def test_generic_kernels_evaluate_each_leaf_once_in_order():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x.count_ones()
+
+    assert verify_averaging(condexp_martingale(f, 5), 7).passed
+    assert seen == list(all_strings(5))
+    seen.clear()
+    cover = Cover.from_predicate(lambda x: f(x) % 2 == 1, 5)
+    assert verify_averaging(cover_martingale(cover), 7).passed
+    assert seen == list(all_strings(5))
+
+
+def test_condexp_negative_names_first_leaf():
+    # the leaves are met in lexicographic order, so 0011 is the one reported
+    bad = {"0110", "0011", "1001"}
+    seen = []
+
+    def f(x):
+        seen.append(str(x))
+        return -1 if str(x) in bad else 1
+
+    with pytest.raises(NegativeValue, match=r"f\(BitString\('0011'\)\) = -1"):
+        condexp_martingale(f, 4)
+    assert seen == ["0000", "0001", "0010", "0011"]
+
+
+def test_kernels_leave_no_garbage_cycles():
+    # a self-referencing memo would keep each dropped martingale alive until
+    # a full collection
+    builds = (
+        lambda: cover_martingale(
+            Cover.from_members(["0001", "0110", "1101"], 4)
+        ),
+        lambda: cover_martingale(Cover.from_relation(sat_relation(2), 4)),
+        lambda: cover_martingale(Cover.from_predicate(lambda x: x[0] == 1, 4)),
+        lambda: condexp_martingale(lambda x: x.count_ones(), 4),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builds:
+            assert verify_averaging(build(), 6).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- subset ----------------------------------------------------------------
@@ -322,6 +452,50 @@ def test_acceptance_deep_cold_prefix():
     expected = Dyadic(2**n * 3 ** len(members), 2 * n)
     assert m.value(w) == expected
     assert m.value(w.append(0)) == expected * Dyadic(3, 1)
+
+
+def test_deep_cold_prefix_memory_is_linear():
+    # only the values along one path are kept, a few MiB of numerators here
+    n = 5000
+    target = LanguageView.from_indices(range(0, n, 3), horizon=n + 1)
+    w = BitString("1" * n)
+    for m in (
+        acceptance_martingale(AcceptanceSpec.biased(target, 3, 2)),
+        biimmunity_martingale(target),
+    ):
+        tracemalloc.start()
+        try:
+            m.value(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def test_prefix_memo_path_survives_failed_step_and_jumps():
+    # f(w) = int("1" + w, 2); a step fails once, on a query that left the
+    # last path at index 5 and already stepped twice along its own
+    armed = []
+
+    def step(v, i, bit):
+        if i == 7 and armed:
+            armed.pop()
+            raise RuntimeError("transient")
+        return 2 * v + bit
+
+    f = _prefix_memo(1, step)
+    assert f(BitString("0000000000")) == 1 << 10
+    armed.append(True)
+    with pytest.raises(RuntimeError):
+        f(BitString("0000011111"))
+    rnd = random.Random(41)
+    queries = ["0000000000", "0000011111", "0110", "", "011010111", "1"]
+    queries += [
+        format(rnd.getrandbits(n), f"0{n}b") if n else ""
+        for n in (rnd.randrange(12) for _ in range(200))
+    ]
+    for bits in queries:
+        assert f(BitString(bits)) == int("1" + bits, 2)
 
 
 # -- bi-immunity -----------------------------------------------------------

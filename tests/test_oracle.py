@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from martlab.cantor import BitString
+from martlab.cantor import BitString, all_strings
+from martlab.circuits import mcsp_witness_relation
 from martlab.errors import CapExceeded, SpanModeUnavailable, UniquenessViolation
 from martlab.oracle import (
     CountMode,
     WitnessRelation,
     count,
     decide_unique,
+    exists,
     explicit_set_relation,
     sat_relation,
 )
@@ -95,3 +97,58 @@ def test_injective_emit_matches_witness_count():
     assert count(rel, CountMode.WITNESS_COUNT, x) == count(
         rel, CountMode.DISTINCT_OUTPUT_COUNT, x
     )
+
+
+# -- first-witness membership ------------------------------------------------
+
+
+def _relations():
+    from martlab.kolmogorov import kolmogorov_witness_relation
+    from martlab.machine import BudgetPoly
+
+    short = kolmogorov_witness_relation(4, BudgetPoly(4, 1, 16))
+    return [
+        (sat_relation(2), [all_strings(4)]),
+        (sat_relation(3), [all_strings(8)]),
+        (mcsp_witness_relation(2, 1), [all_strings(4)]),
+        (mcsp_witness_relation(2, 0), [all_strings(4)]),
+        (short, [all_strings(n) for n in range(6)]),
+    ]
+
+
+def test_exists_matches_positive_count():
+    for rel, groups in _relations():
+        answers = set()
+        for group in groups:
+            for x in group:
+                expected = count(rel, CountMode.WITNESS_COUNT, x) > 0
+                assert exists(rel, x) is expected
+                answers.add(expected)
+        # every relation here has both members and non-members
+        assert answers == {True, False}, rel.name
+
+
+def test_exists_stops_at_first_witness():
+    seen = []
+
+    def verify(x, y):
+        seen.append(y.to_int())
+        return y.to_int() >= 5
+
+    rel = WitnessRelation("from-five", lambda n: 4, verify)
+    assert exists(rel, BitString("0"))
+    assert seen == list(range(6))
+
+
+def test_exists_checks_cap_before_verifying():
+    seen = []
+    rel = WitnessRelation(
+        "wide", lambda n: 23, lambda x, y: seen.append(y) or True
+    )
+    with pytest.raises(CapExceeded):
+        exists(rel, BitString("0"))
+    assert seen == []
+    narrow = WitnessRelation("narrow", lambda n: 3, rel.verify)
+    with pytest.raises(CapExceeded):
+        exists(narrow, BitString("0"), cap=2)
+    assert seen == []
