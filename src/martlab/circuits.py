@@ -18,6 +18,7 @@ the translation of census witnesses into stack programs for the toy machine.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from .cantor import BitString
 from .constructions import Cover
 from .dyadic import Dyadic
@@ -82,11 +84,7 @@ class TruthTable:
         n = rows.bit_length() - 1
         if rows != 1 << n:
             raise ValueError(f"table length {rows} is not a power of two")
-        mask = 0
-        for j, c in enumerate(text):
-            if c == "1":
-                mask |= 1 << j
-        return cls(n, mask)
+        return cls(n, int(text[::-1], 2))
 
     def to_bits(self) -> BitString:
         return BitString(
@@ -131,14 +129,7 @@ class Circuit:
 
 
 def _projection_masks(n: int) -> list[int]:
-    masks = []
-    for i in range(n):
-        mask = 0
-        for j in range(1 << n):
-            if (j >> i) & 1:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+    return [sum(1 << j for j in range(1 << n) if (j >> i) & 1) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -164,10 +155,7 @@ class CircuitCensus:
         return sum(1 for size in self.sizes.values() if size <= s)
 
     def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for size in self.sizes.values():
-            hist[size] = hist.get(size, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(self.sizes.values()).items()))
 
 
 def build_census(
@@ -610,74 +598,46 @@ def mnp_cover_check(
     )
 
 
-# -- cache persistence ---------------------------------------------------
+# -- cache payload -------------------------------------------------------
 
-_MAGIC = b"MLC1"
-_WKIND = {"VAR": 0, "CONST": 1, "NOT": 2, "AND": 3, "OR": 4}
-_WKIND_BACK = {v: k for k, v in _WKIND.items()}
+# one record per table, sorted by mask: u32 mask, u8 size, u8 kind, u32 a, u32 b
+_RECORD = struct.Struct("<IBBII")
+_WKIND = ("VAR", "CONST", "NOT", "AND", "OR")
+_WKIND_CODE = {name: code for code, name in enumerate(_WKIND)}
 
 
-def save_census(census: CircuitCensus, path: Path | str) -> None:
-    """Binary layout: magic, u8 n, u8 max_size, u16+utf8 basis, u32 count,
-    then per table (u32 mask, u8 size, u8 kind, u32 a, u32 b) sorted by mask."""
-    path = Path(path)
-    basis = census.basis.encode()
-    blob = [
-        _MAGIC,
-        struct.pack("<BBH", census.n, census.max_size, len(basis)),
-        basis,
-        struct.pack("<I", len(census.sizes)),
-    ]
+def save_census(census: CircuitCensus) -> bytes:
+    """The census payload; ``martlab.cache`` stores it under its key."""
+    records = []
     for mask in sorted(census.sizes):
         how = census.witness[mask]
-        kind = _WKIND[how[0]]
-        a = how[1] if len(how) > 1 else 0
-        b = how[2] if len(how) > 2 else 0
-        blob.append(
-            struct.pack("<IBBII", mask, census.sizes[mask], kind, a, b)
+        b = how[2] if len(how) == 3 else 0
+        records.append(
+            _RECORD.pack(mask, census.sizes[mask], _WKIND_CODE[how[0]], how[1], b)
         )
-    path.write_bytes(b"".join(blob))
+    return b"".join(records)
 
 
-def load_census(path: Path | str) -> CircuitCensus:
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a census cache")
-    n, max_size, basis_len = struct.unpack_from("<BBH", data, 4)
-    offset = 8
-    basis = data[offset : offset + basis_len].decode()
-    offset += basis_len
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+def load_census(
+    payload: bytes, n: int, max_size: int, basis: str = DEFAULT_BASIS
+) -> CircuitCensus:
+    """Decode a :func:`save_census` payload for the census it was keyed by."""
     sizes: dict[int, int] = {}
     witness: dict[int, tuple] = {}
-    for _ in range(count):
-        mask, size, kind, a, b = struct.unpack_from("<IBBII", data, offset)
-        offset += 14
+    for mask, size, kind, a, b in _RECORD.iter_unpack(payload):
         sizes[mask] = size
-        name = _WKIND_BACK[kind]
-        witness[mask] = (name, a, b) if name in ("AND", "OR") else (
-            (name, a) if name in ("VAR", "CONST", "NOT") else (name,)
-        )
+        witness[mask] = (_WKIND[kind], a, b) if kind > 2 else (_WKIND[kind], a)
     return CircuitCensus(n, basis, max_size, sizes, witness)
 
 
 def cached_census(
-    n: int,
-    max_size: int,
-    cache_dir: Path | str | None,
-    basis: str = DEFAULT_BASIS,
+    n: int, max_size: int, cache_dir: Path | str | None, basis: str = DEFAULT_BASIS
 ) -> CircuitCensus:
     """Build or reload the census keyed by (n, basis, max_size)."""
-    if cache_dir is None:
-        return build_census(n, max_size, basis)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"census_n{n}_s{max_size}_{basis}.bin"
-    if path.exists():
-        census = load_census(path)
-        if (census.n, census.max_size, census.basis) == (n, max_size, basis):
-            return census
-    census = build_census(n, max_size, basis)
-    save_census(census, path)
-    return census
+    return cache.fetch(
+        cache_dir,
+        f"census_n{n}_s{max_size}_{basis}.bin",
+        lambda: build_census(n, max_size, basis),
+        save_census,
+        lambda payload: load_census(payload, n, max_size, basis),
+    )

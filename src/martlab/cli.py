@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import cache
 from .cantor import BitString
 from .combinators import sum_family
 from .config import (
@@ -63,7 +64,15 @@ def _config_construction(args) -> "Martingale":
     config = load_config(args.config)
     if "construction" not in config:
         raise ConfigError("missing field", field="construction")
-    return build_construction(config["construction"])
+    return _parse_arg(build_construction, config["construction"], "construction")
+
+
+def _cache_dir(args) -> Path | None:
+    try:
+        return None if args.cache_dir is None else cache.directory(args.cache_dir)
+    except OSError as exc:
+        raise ConfigError(f"not a usable directory ({exc.strerror})",
+                          field="--cache-dir") from exc
 
 
 def _nonnegative(value: int, option: str) -> int:
@@ -164,8 +173,8 @@ def cmd_sum(args) -> int:
     config = load_config(args.config)
     if "family" not in config or "modulus" not in config:
         raise ConfigError("sum needs family and modulus objects")
-    family = build_family(config["family"])
-    modulus = build_modulus(config["modulus"])
+    family = _parse_arg(build_family, config["family"], "family")
+    modulus = _parse_arg(build_modulus, config["modulus"], "modulus")
     w = _parse_arg(BitString, args.w, "-w")
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is not None:
@@ -186,7 +195,7 @@ def cmd_census(args) -> int:
     if args.inputs < 1:
         raise ConfigError(f"must be at least 1, got {args.inputs}", field="--inputs")
     size = _nonnegative(args.size, "--size")
-    census = cached_census(args.inputs, size, args.cache_dir)
+    census = cached_census(args.inputs, size, _cache_dir(args))
     if args.format == "json":
         payload = {
             "inputs": census.n,
@@ -219,9 +228,9 @@ def cmd_census(args) -> int:
 def cmd_mcsp(args) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
-    tt = TruthTable.from_bits(_parse_arg(BitString, args.table, "--table"))
+    tt = _parse_arg(lambda t: TruthTable.from_bits(BitString(t)), args.table, "--table")
     bound = _nonnegative(args.size, "--size")
-    census = cached_census(tt.n, bound, args.cache_dir)
+    census = cached_census(tt.n, bound, _cache_dir(args))
     verdict = mcsp(tt, bound, census)
     size = census.min_size(tt)
     print(f"table {args.table} (n={tt.n}): "
@@ -239,8 +248,9 @@ def cmd_certify(args) -> int:
     config = load_config(args.config)
     if "certify" not in config:
         raise ConfigError("missing field", field="certify")
-    family, gap, modulus, horizon, witnesses = build_certify(
-        config["certify"], args.cache_dir
+    cache_dir = _cache_dir(args)
+    family, gap, modulus, horizon, witnesses = _parse_arg(
+        lambda spec: build_certify(spec, cache_dir), config["certify"], "certify"
     )
     audit_is = (0, 2, 4, 8)
     seed = args.seed if args.seed is not None else config.get("seed")
@@ -259,7 +269,7 @@ def cmd_kolmogorov(args) -> int:
 
     length_cap = _nonnegative(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
-    table = cached_kt_table(budget, length_cap, args.cache_dir)
+    table = cached_kt_table(budget, length_cap, _cache_dir(args))
     if args.sequence:
         S = _parse_arg(BitString, args.sequence, "--sequence")
         report = k_rate(S, budget, table=table)

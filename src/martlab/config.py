@@ -97,6 +97,8 @@ def load_config(path: Path | str) -> dict:
         raise ConfigError(
             f"unsupported version {data.get('version')!r}", field="version"
         )
+    if data.get("seed") is not None:
+        data["seed"] = _int(data["seed"], "seed")
     return data
 
 

@@ -175,7 +175,6 @@ def cover_martingale(cover: Cover, cap: int = LEVEL_CAP) -> Martingale:
             )
         ext_count = _subtree_sums(lambda x: 1 if cover.contains(x) else 0, n)
 
-    @lru_cache(maxsize=None)
     def numerator(w: BitString) -> int:
         return ext_count(w.prefix(n))
 

@@ -98,9 +98,6 @@ class Dyadic:
     def is_negative(self) -> bool:
         return self.num < 0
 
-    def is_integer(self) -> bool:
-        return self.log_den == 0
-
     def floor(self) -> int:
         # Python's >> floors toward -inf, which is what floor needs
         return self.num >> self.log_den

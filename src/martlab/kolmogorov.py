@@ -10,8 +10,8 @@ Leaves (literal, run, table) are run on the machine itself, the only
 definition of their semantics; repeat and pair terms combine shorter entries.
 Outputs longer than the cap and steps above the run budget are pruned, which
 is sound because both only grow under composition.  One pass fills the table
-for every string up to the length cap at once, and tables persist as CSV
-keyed by machine version and budget.
+for every string up to the length cap at once, and tables persist through
+``martlab.cache`` keyed by machine version, budget and length cap.
 
 The same term counts yield the compressible-string covering martingale:
 count the (string, program) pairs with the program shorter than the declared
@@ -20,13 +20,13 @@ capital gap, and bet the conditional expectation of that count.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+from . import cache
 from .cantor import BitString
 from .constructions import condexp_martingale
 from .errors import CapExceeded, MartlabError
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_LENGTH_CAP = 14
-TABLE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -199,65 +198,32 @@ def build_kt_table(
     return KtTable(budget, length_cap, MACHINE_VERSION, entries)
 
 
-def save_kt_table(table: KtTable, path: Path | str) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# martlab kt table v{TABLE_FORMAT_VERSION}\n")
-        fh.write(
-            f"# machine={table.machine_version} budget={table.budget.key()} "
-            f"L={table.length_cap}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["string", "kt"])
-        for bits in sorted(table.entries, key=lambda b: (len(b), b)):
-            writer.writerow([bits, table.entries[bits]])
+def save_kt_table(table: KtTable) -> bytes:
+    """The payload: one ``string,kt`` line per entry, shortest strings first."""
+    return "".join(
+        f"{bits},{table.entries[bits]}\n"
+        for bits in sorted(table.entries, key=lambda b: (len(b), b))
+    ).encode()
 
 
-def load_kt_table(path: Path | str) -> KtTable:
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline()
-        if "martlab kt table" not in header:
-            raise ValueError(f"{path}: not a kt table")
-        meta = dict(
-            part.split("=", 1) for part in fh.readline()[1:].split()
-        )
-        reader = csv.reader(fh)
-        next(reader)  # column header
-        entries = {row[0]: int(row[1]) for row in reader}
-    a, rest = meta["budget"].split("n", 1)
-    k, b = rest.split("p", 1)
-    return KtTable(
-        BudgetPoly(int(a), int(k), int(b)),
-        int(meta["L"]),
-        meta["machine"],
-        entries,
-    )
+def load_kt_table(payload: bytes, budget: BudgetPoly, length_cap: int) -> KtTable:
+    """Decode a :func:`save_kt_table` payload for the table it was keyed by."""
+    rows = (line.split(",") for line in payload.decode().splitlines())
+    entries = {bits: int(value) for bits, value in rows}
+    return KtTable(budget, length_cap, MACHINE_VERSION, entries)
 
 
 def cached_kt_table(
-    budget: BudgetPoly,
-    length_cap: int,
-    cache_dir: Path | str | None,
+    budget: BudgetPoly, length_cap: int, cache_dir: Path | str | None
 ) -> KtTable:
-    if cache_dir is None:
-        return build_kt_table(budget, length_cap)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / (
-        f"kt_{MACHINE_VERSION}_t{budget.key()}_L{length_cap}.csv"
+    """Build or reload the table keyed by (machine version, budget, cap)."""
+    return cache.fetch(
+        cache_dir,
+        f"kt_{MACHINE_VERSION}_t{budget.key()}_L{length_cap}.csv",
+        lambda: build_kt_table(budget, length_cap),
+        save_kt_table,
+        lambda payload: load_kt_table(payload, budget, length_cap),
     )
-    if path.exists():
-        table = load_kt_table(path)
-        if (
-            table.machine_version == MACHINE_VERSION
-            and table.budget == budget
-            and table.length_cap >= length_cap
-        ):
-            return table
-    table = build_kt_table(budget, length_cap)
-    save_kt_table(table, path)
-    return table
 
 
 def kt(

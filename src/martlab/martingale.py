@@ -219,9 +219,6 @@ class SuccessReport:
     success_levels: frozenset[int]
     unitary_hit: int | None
 
-    def succeeded(self) -> bool:
-        return bool(self.success_levels)
-
 
 def success_scan(m: Martingale, S: BitString, s: Dyadic) -> SuccessReport:
     """Exact comparison ``d(S[:n]) >= 2**((1-s)*n)`` at every level.

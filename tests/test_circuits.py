@@ -1,5 +1,6 @@
 import pytest
 
+from martlab import circuits
 from martlab.cantor import BitString, EMPTY
 from martlab.circuits import (
     Circuit,
@@ -121,24 +122,26 @@ def test_census_caps():
         mcsp(TruthTable.from_bits("0110"), 7, build_census(2, 4))
 
 
-def test_cache_roundtrip(tmp_path, census3):
-    path = tmp_path / "census.bin"
-    save_census(census3, path)
-    loaded = load_census(path)
+def test_cache_roundtrip(census3):
+    payload = save_census(census3)
+    loaded = load_census(payload, census3.n, census3.max_size)
     assert loaded.n == census3.n
     assert loaded.max_size == census3.max_size
     assert loaded.sizes == census3.sizes
     assert loaded.witness == census3.witness
     # cache writes are byte-deterministic
-    blob = path.read_bytes()
-    save_census(loaded, path)
-    assert path.read_bytes() == blob
+    assert save_census(loaded) == payload
 
 
-def test_cached_census_reuses_file(tmp_path):
+def test_cached_census_reuses_file(tmp_path, monkeypatch):
     first = cached_census(2, 4, tmp_path)
+
+    def rebuild(*args):
+        raise AssertionError("the cached census was rebuilt")
+
+    monkeypatch.setattr(circuits, "build_census", rebuild)
     second = cached_census(2, 4, tmp_path)
-    assert first.sizes == second.sizes
+    assert second == first
 
 
 def test_witness_circuits_evaluate_to_their_tables(census3):

@@ -412,3 +412,40 @@ def test_cli_query_past_horizon_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error:")
     assert "horizon" in captured.err
+
+
+CERTIFY_CONFIG = {
+    "version": 1,
+    "certify": {
+        "family": {"type": "mcsp", "inputs": [2], "alpha": "0", "census_size": 4},
+        "gap": {"7": 0},
+        "modulus": {"type": "affine", "slope": 1, "offset": 8},
+        "horizon": 7,
+    },
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["census", "-n", "2", "-S", "4"]),
+        (None, ["mcsp", "--table", "0110", "-s", "3"]),
+        (None, ["kolmogorov", "-L", "4"]),
+        (CERTIFY_CONFIG, ["certify"]),
+    ],
+    ids=["census", "mcsp", "kolmogorov", "certify"],
+)
+def test_cli_cache_dir_that_cannot_be_a_directory(
+    tmp_path, capsys, config, argv, below
+):
+    blocker = tmp_path / "README.md"
+    blocker.write_text("a file, not a directory\n")
+    cache = blocker / "cache" if below else blocker
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    assert main(argv + ["--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --cache-dir: ")
+    assert blocker.read_text() == "a file, not a directory\n"

@@ -472,6 +472,20 @@ def test_deep_cold_prefix_memory_is_linear():
         assert peak < 8 << 20
 
 
+def test_cover_verify_retains_little_memory():
+    # values past the freeze depth are not memoized per query
+    m = cover_martingale(
+        Cover.from_members(["0001", "0010", "0011", "0110", "1101"], 4)
+    )
+    tracemalloc.start()
+    try:
+        assert verify_averaging(m, 14).passed
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
 def test_prefix_memo_path_survives_failed_step_and_jumps():
     # f(w) = int("1" + w, 2); a step fails once, on a query that left the
     # last path at index 5 and already stepped twice along its own

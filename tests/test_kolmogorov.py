@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from martlab import kolmogorov
 from martlab.cantor import BitString, all_strings
 from martlab.circuits import TruthTable, circuit_for, encode_circuit
 from martlab.dyadic import Dyadic, ONE
@@ -122,21 +123,26 @@ def test_length_cap_enforced(kt_table_10, budget):
         kt(BitString("0" * 11), budget, table=kt_table_10)
 
 
-def test_csv_roundtrip(tmp_path, budget):
+def test_csv_roundtrip(budget):
     table = build_kt_table(budget, 5)
-    path = tmp_path / "kt.csv"
-    save_kt_table(table, path)
-    loaded = load_kt_table(path)
+    payload = save_kt_table(table)
+    loaded = load_kt_table(payload, budget, 5)
     assert loaded.entries == table.entries
     assert loaded.budget == table.budget
     assert loaded.length_cap == table.length_cap
     assert loaded.machine_version == table.machine_version
+    assert save_kt_table(loaded) == payload
 
 
-def test_cached_table_reused(tmp_path, budget):
+def test_cached_table_reused(tmp_path, budget, monkeypatch):
     first = cached_kt_table(budget, 5, tmp_path)
+
+    def rebuild(*args):
+        raise AssertionError("the cached table was rebuilt")
+
+    monkeypatch.setattr(kolmogorov, "build_kt_table", rebuild)
     second = cached_kt_table(budget, 5, tmp_path)
-    assert first.entries == second.entries
+    assert second == first
 
 
 def test_kt_cover_empty_when_gap_fills_length(budget):
