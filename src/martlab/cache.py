@@ -17,6 +17,8 @@ import os
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from .errors import ConfigError
+
 __all__ = ["FORMAT_VERSION", "directory", "fetch"]
 
 # version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV
@@ -46,7 +48,8 @@ def fetch(
 ) -> T:
     """Decode the cached ``name``, or build it and store its encoding.
 
-    Without a cache directory the value is built and nothing is stored.
+    Without a cache directory the value is built and nothing is stored.  A
+    name that cannot be read as a file, such as a directory, is a ``ConfigError``.
     """
     if cache_dir is None:
         return build()
@@ -55,6 +58,9 @@ def fetch(
         data = path.read_bytes()
     except FileNotFoundError:
         data = b""
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name} ({exc.strerror})",
+                          field="--cache-dir") from exc
     payload = data[data.find(b"\n") + 1 :]
     if data.startswith(_header(name, payload)):
         return decode(payload)

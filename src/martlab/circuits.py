@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cache
+from . import cache, machine
 from .cantor import BitString
 from .constructions import Cover
 from .dyadic import Dyadic
@@ -37,7 +37,6 @@ from .errors import (
     DegenerateParameter,
     IndeterminateComparison,
 )
-from .machine import encode_table
 from .oracle import WitnessRelation
 
 __all__ = [
@@ -87,9 +86,7 @@ class TruthTable:
         return cls(n, int(text[::-1], 2))
 
     def to_bits(self) -> BitString:
-        return BitString(
-            "".join("1" if (self.mask >> j) & 1 else "0" for j in range(1 << self.n))
-        )
+        return BitString(format(self.mask, f"0{1 << self.n}b")[::-1])
 
     def __str__(self) -> str:
         return str(self.to_bits())
@@ -106,30 +103,10 @@ class Circuit:
         return sum(1 for op in self.ops if op[0] in ("NOT", "AND", "OR"))
 
     def table(self) -> TruthTable:
-        full = (1 << (1 << self.n)) - 1
-        var_masks = _projection_masks(self.n)
-        stack: list[int] = []
-        for op in self.ops:
-            kind = op[0]
-            if kind == "VAR":
-                stack.append(var_masks[op[1]])
-            elif kind == "CONST":
-                stack.append(full if op[1] else 0)
-            elif kind == "NOT":
-                stack.append(full & ~stack.pop())
-            elif kind == "AND":
-                stack.append(stack.pop() & stack.pop())
-            elif kind == "OR":
-                stack.append(stack.pop() | stack.pop())
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        if len(stack) != 1:
+        mask = machine.table_mask(self.n, self.ops)
+        if mask is None:
             raise ValueError("stack program does not leave one value")
-        return TruthTable(self.n, stack[0])
-
-
-def _projection_masks(n: int) -> list[int]:
-    return [sum(1 << j for j in range(1 << n) if (j >> i) & 1) for i in range(n)]
+        return TruthTable(self.n, mask)
 
 
 @dataclass(frozen=True)
@@ -175,7 +152,7 @@ def build_census(
     by_size: list[np.ndarray] = []
 
     seeds: list[tuple[int, tuple]] = [(0, ("CONST", 0)), (full, ("CONST", 1))]
-    seeds += [(m, ("VAR", i)) for i, m in enumerate(_projection_masks(n))]
+    seeds += [(m, ("VAR", i)) for i, m in enumerate(machine.projection_masks(n))]
     level0 = []
     for mask, how in seeds:
         if mask not in sizes:
@@ -229,7 +206,7 @@ def dag_minimum_sizes(n: int, max_size: int) -> dict[int, int]:
     if n > 2:
         raise CapExceeded("the DAG oracle is meant for n <= 2")
     full = (1 << (1 << n)) - 1
-    base = tuple(sorted({0, full, *(_projection_masks(n))}))
+    base = tuple(sorted({0, full, *(machine.projection_masks(n))}))
     minima = {m: 0 for m in base}
     states = {base}
     for s in range(1, max_size + 1):
@@ -278,16 +255,14 @@ def circuit_for(census: CircuitCensus, tt: TruthTable) -> Circuit:
         how = census.witness[mask]
         if how[0] in ("VAR", "CONST"):
             return (how,)
-        if how[0] == "NOT":
-            return expand(how[1]) + (("NOT",),)
-        return expand(how[1]) + expand(how[2]) + ((how[0],),)
+        return sum(map(expand, how[1:]), ()) + ((how[0],),)
 
     return Circuit(census.n, expand(tt.mask))
 
 
 def encode_circuit(circuit: Circuit) -> BitString:
     """A toy-machine program printing the circuit's truth table."""
-    return encode_table(circuit.n, circuit.ops)
+    return machine.encode_table(circuit.n, circuit.ops)
 
 
 def measured_encoding_constant(census: CircuitCensus) -> int:
@@ -368,10 +343,8 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     max_ops = 2 * s + 1
     max_push = s + 1
     header_bits = max(1, max_ops.bit_length())
-    ref_width = max(1, (n + 1).bit_length())
-    total = header_bits + 2 * max_ops + ref_width * max_push
-    var_masks = _projection_masks(n)
-    full = (1 << (1 << n)) - 1
+    width = machine.ref_width(n)
+    total = header_bits + 2 * max_ops + width * max_push
 
     def verify(x: BitString, y: BitString) -> bool:
         if len(x) != 1 << n:
@@ -380,46 +353,21 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
         k = int(bits[:header_bits], 2)
         if not 1 <= k <= max_ops:
             return False
-        codes = [
-            bits[header_bits + 2 * i : header_bits + 2 * i + 2]
-            for i in range(k)
-        ]
-        pushes = sum(1 for c in codes if c == "00")
-        if pushes > max_push:
+        codes = [bits[i : i + 2] for i in range(header_bits, header_bits + 2 * k, 2)]
+        pushes = codes.count(machine.PUSH)
+        if pushes > max_push or k - pushes > s:
             return False
         refs_at = header_bits + 2 * k
-        refs = [
-            int(bits[refs_at + ref_width * i : refs_at + ref_width * (i + 1)], 2)
-            for i in range(pushes)
-        ]
-        if "1" in bits[refs_at + ref_width * pushes :]:
+        refs_end = refs_at + width * pushes
+        if "1" in bits[refs_end:]:
             return False
-        stack: list[int] = []
-        gates = 0
-        next_ref = 0
-        for code in codes:
-            if code == "00":
-                ref = refs[next_ref]
-                next_ref += 1
-                if ref >= n + 2:
-                    return False
-                stack.append(
-                    var_masks[ref] if ref < n else (full if ref == n + 1 else 0)
-                )
-                continue
-            gates += 1
-            if code == "01":
-                if not stack:
-                    return False
-                stack.append(full & ~stack.pop())
-            else:
-                if len(stack) < 2:
-                    return False
-                a, b = stack.pop(), stack.pop()
-                stack.append(a & b if code == "10" else a | b)
-        if len(stack) != 1 or gates > s:
+        refs = (machine.push_op(n, int(bits[i : i + width], 2))
+                for i in range(refs_at, refs_end, width))
+        ops = [machine.GATES.get(code) or next(refs) for code in codes]
+        if None in ops:
             return False
-        return stack[0] == TruthTable.from_bits(x).mask
+        mask = machine.table_mask(n, ops)
+        return mask is not None and mask == TruthTable.from_bits(x).mask
 
     return WitnessRelation(
         name=f"mcsp-witness(n={n},s={s})",

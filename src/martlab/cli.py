@@ -54,10 +54,13 @@ __all__ = ["main"]
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out} ({exc.strerror})", field="--out") from exc
 
 
 def _config_construction(args) -> "Martingale":
@@ -98,7 +101,7 @@ def cmd_figures(args) -> int:
         elif args.format == "csv":
             rendered.append(tree_csv(m, FIGURE_DEPTH))
     if args.out and rendered:
-        Path(args.out).write_text("\n".join(rendered))
+        _emit("\n".join(rendered), args.out)
     return 1 if failed else 0
 
 

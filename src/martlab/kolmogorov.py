@@ -33,11 +33,15 @@ from .errors import CapExceeded, MartlabError
 from .machine import (
     BudgetPoly,
     C_LIT,
+    GATES,
     MACHINE_VERSION,
+    TABLE_OPS,
     encode_literal,
     encode_run,
     encode_table,
     gamma_bits,
+    push_op,
+    ref_width,
     run,
 )
 from .martingale import Martingale
@@ -94,8 +98,8 @@ def _table_ops(n: int, m: int, room: int):
     Only sequences the machine's dry run accepts (no underflow, one value
     left) are yielded; every other one diverges before printing.
     """
-    push_bits = 2 + max(1, (n + 1).bit_length())
-    pushes = [("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1)]
+    push_bits = 2 + ref_width(n)
+    choices = [push_op(n, ref) for ref in range(n + 2)] + list(GATES.values())
 
     def extend(ops: tuple, depth: int, bits: int):
         left = m - len(ops)
@@ -105,14 +109,11 @@ def _table_ops(n: int, m: int, room: int):
             return
         if depth - 1 > left or bits + 2 * left > room:
             return
-        if bits + push_bits + 2 * (left - 1) <= room:
-            for op in pushes:
-                yield from extend(ops + (op,), depth + 1, bits + push_bits)
-        if depth >= 1:
-            yield from extend(ops + (("NOT",),), depth, bits + 2)
-        if depth >= 2:
-            for op in (("AND",), ("OR",)):
-                yield from extend(ops + (op,), depth - 1, bits + 2)
+        for op in choices:
+            pops = TABLE_OPS[op[0]][1]
+            cost = 2 if pops else push_bits
+            if depth >= pops and bits + cost + 2 * (left - 1) <= room:
+                yield from extend(ops + (op,), depth + 1 - pops, bits + cost)
 
     return extend((), 0, 0)
 

@@ -31,6 +31,7 @@ complexity table, so the version string below must be bumped with any change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cantor import BitString
 
@@ -49,6 +50,13 @@ __all__ = [
     "encode_repeat",
     "encode_pair",
     "encode_table",
+    "PUSH",
+    "TABLE_OPS",
+    "GATES",
+    "ref_width",
+    "push_op",
+    "projection_masks",
+    "table_mask",
 ]
 
 MACHINE_VERSION = "m1"
@@ -186,51 +194,25 @@ class _Runner:
         m = self.read_gamma() - 1
         if m < 1:
             raise _Diverge
-        ref_width = max(1, (n + 1).bit_length())
-        ops: list[tuple[int, int]] = []
+        width = ref_width(n)
+        ops, depth, low = [], 0, 0
         for _ in range(m):
             code = self.read(2)
-            if code == "00":
-                ref = int(self.read(ref_width), 2)
-                if ref >= n + 2:
-                    raise _Diverge
-                ops.append((0, ref))
-            else:
-                ops.append((int(code, 2), 0))
-        # dry-run stack discipline before paying per-row costs
-        depth = 0
-        for kind, _ in ops:
-            if kind == 0:
-                depth += 1
-            elif kind == 1:
-                if depth < 1:
-                    raise _Diverge
-            else:
-                if depth < 2:
-                    raise _Diverge
-                depth -= 1
-        if depth != 1:
+            op = GATES.get(code) or push_op(n, int(self.read(width), 2))
+            if op is None:
+                raise _Diverge
+            ops.append(op)
+            pops = TABLE_OPS[op[0]][1]
+            low, depth = min(low, depth - pops), depth + 1 - pops
+        # stack discipline decides an ill-formed program before rows are paid
+        if low < 0 or depth != 1:
             raise _Diverge
-        rows = []
-        for row in range(1 << n):
-            stack: list[int] = []
-            for kind, ref in ops:
-                self.steps += 1
-                if self.steps > self.budget:
-                    raise _Diverge
-                if kind == 0:
-                    if ref < n:
-                        stack.append((row >> ref) & 1)
-                    else:
-                        stack.append(ref - n)
-                elif kind == 1:
-                    stack.append(1 - stack.pop())
-                elif kind == 2:
-                    stack.append(stack.pop() & stack.pop())
-                else:
-                    stack.append(stack.pop() | stack.pop())
-            rows.append("1" if stack[0] else "0")
-        body = "".join(rows)
+        # every op runs once per row; a budget below 2**b steps is already
+        # exceeded by 2**b rows, so the shift stops at b bits
+        self.steps += m << min(n, self.budget.bit_length())
+        if self.steps > self.budget:
+            raise _Diverge
+        body = format(table_mask(n, ops), f"0{1 << n}b")[::-1]
         self.emit(body)
         return body
 
@@ -292,20 +274,78 @@ def encode_table(n: int, ops: tuple) -> BitString:
     """
     if n < 1:
         raise ValueError("table needs at least one variable")
-    ref_width = max(1, (n + 1).bit_length())
+    width = ref_width(n)
     pieces = ["11", gamma_bits(n + 1), gamma_bits(len(ops) + 1)]
     for op in ops:
-        kind = op[0]
-        if kind == "VAR":
-            pieces.append("00" + format(op[1], f"0{ref_width}b"))
-        elif kind == "CONST":
-            pieces.append("00" + format(n + op[1], f"0{ref_width}b"))
-        elif kind == "NOT":
-            pieces.append("01")
-        elif kind == "AND":
-            pieces.append("10")
-        elif kind == "OR":
-            pieces.append("11")
-        else:
+        if op[0] not in TABLE_OPS:
             raise ValueError(f"unknown op {op!r}")
+        pieces.append(TABLE_OPS[op[0]][0])
+        if op[0] in ("VAR", "CONST"):
+            ref = op[1] if op[0] == "VAR" else n + op[1]
+            pieces.append(format(ref, f"0{width}b"))
     return BitString("".join(pieces))
+
+
+# -- stack programs over truth-table masks ---------------------------------
+# Bit ``j`` of a mask is table row ``j``, which sets variable ``i`` to
+# ``(j >> i) & 1``, so one bitwise op runs a gate on every row at once.
+
+# op -> (2-bit opcode, operands popped); VAR and CONST share the push opcode
+PUSH = "00"
+TABLE_OPS = {
+    "VAR": (PUSH, 0),
+    "CONST": (PUSH, 0),
+    "NOT": ("01", 1),
+    "AND": ("10", 2),
+    "OR": ("11", 2),
+}
+GATES = {code: (op,) for op, (code, pops) in TABLE_OPS.items() if pops}
+
+
+def ref_width(n: int) -> int:
+    """Bits in a push ref: ``ceil(log2(n + 2))``, at least one."""
+    return max(1, (n + 1).bit_length())
+
+
+def push_op(n: int, ref: int) -> tuple | None:
+    """The push a ref names, or ``None`` for a ref past both constants."""
+    if ref < n:
+        return ("VAR", ref)
+    return ("CONST", ref - n) if ref < n + 2 else None
+
+
+@lru_cache(maxsize=None)
+def projection_masks(n: int) -> tuple[int, ...]:
+    """The table of each variable over ``n`` inputs."""
+    return tuple(
+        sum(1 << j for j in range(1 << n) if (j >> i) & 1) for i in range(n)
+    )
+
+
+def table_mask(n: int, ops) -> int | None:
+    """The table a postfix stack program computes, as a ``2**n``-bit mask.
+
+    ``None`` when an op finds too few operands or the program does not leave
+    exactly one value; ``ValueError`` on an unknown op or variable.
+    """
+    full = (1 << (1 << n)) - 1
+    var = projection_masks(n)
+    stack: list[int] = []
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "VAR" and 0 <= op[1] < n:
+                stack.append(var[op[1]])
+            elif kind == "CONST":
+                stack.append(full if op[1] else 0)
+            elif kind == "NOT":
+                stack.append(full ^ stack.pop())
+            elif kind == "AND":
+                stack.append(stack.pop() & stack.pop())
+            elif kind == "OR":
+                stack.append(stack.pop() | stack.pop())
+            else:
+                raise ValueError(f"unknown op {op!r}")
+    except IndexError:  # pop from an empty stack
+        return None
+    return stack[0] if len(stack) == 1 else None

@@ -261,3 +261,80 @@ def test_circuit_direct_construction():
     circuit = Circuit(1, ops)
     assert circuit.size() == 1
     assert circuit.table().to_bits() == BitString("01")
+    for bad in (
+        (("NOT",),),  # underflow
+        (("VAR", 0), ("CONST", 1)),  # two values left
+        (("VAR", 0), ("XOR",)),  # outside the basis
+        (("VAR", 1),),  # no such variable
+    ):
+        with pytest.raises(ValueError):
+            Circuit(1, bad).table()
+
+
+def _reference_witness_verify(n: int, s: int):
+    """The witness check with its own stack loop over table masks: the
+    reference the shared evaluator is checked against."""
+    max_ops = 2 * s + 1
+    max_push = s + 1
+    header_bits = max(1, max_ops.bit_length())
+    ref_width = max(1, (n + 1).bit_length())
+    var_masks = [sum(1 << j for j in range(1 << n) if (j >> i) & 1) for i in range(n)]
+    full = (1 << (1 << n)) - 1
+
+    def verify(x: BitString, y: BitString) -> bool:
+        bits = y.bits()
+        k = int(bits[:header_bits], 2)
+        if not 1 <= k <= max_ops:
+            return False
+        codes = [bits[header_bits + 2 * i : header_bits + 2 * i + 2] for i in range(k)]
+        pushes = sum(1 for c in codes if c == "00")
+        if pushes > max_push:
+            return False
+        refs_at = header_bits + 2 * k
+        refs = [
+            int(bits[refs_at + ref_width * i : refs_at + ref_width * (i + 1)], 2)
+            for i in range(pushes)
+        ]
+        if "1" in bits[refs_at + ref_width * pushes :]:
+            return False
+        stack: list[int] = []
+        gates = 0
+        next_ref = 0
+        for code in codes:
+            if code == "00":
+                ref = refs[next_ref]
+                next_ref += 1
+                if ref >= n + 2:
+                    return False
+                stack.append(var_masks[ref] if ref < n else (full if ref == n + 1 else 0))
+                continue
+            gates += 1
+            if code == "01":
+                if not stack:
+                    return False
+                stack.append(full & ~stack.pop())
+            else:
+                if len(stack) < 2:
+                    return False
+                a, b = stack.pop(), stack.pop()
+                stack.append(a & b if code == "10" else a | b)
+        if len(stack) != 1 or gates > s:
+            return False
+        return stack[0] == TruthTable.from_bits(x).mask
+
+    return verify
+
+
+@pytest.mark.parametrize("n, s", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_mcsp_witness_verify_matches_reference_on_full_cube(n, s):
+    rel = mcsp_witness_relation(n, s)
+    reference = _reference_witness_verify(n, s)
+    length = rel.witness_length(1 << n)
+    tables = [BitString.from_int(v, 1 << n) for v in range(1 << (1 << n))]
+    accepted = 0
+    for y in (BitString.from_int(v, length) for v in range(1 << length)):
+        for x in tables:
+            verdict = rel.verify(x, y)
+            assert verdict == reference(x, y), (x, y)
+            accepted += verdict
+    assert accepted > 0

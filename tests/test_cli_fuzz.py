@@ -107,6 +107,10 @@ OPTIONS = {
 }
 TAKES_CONFIG = {"construct", "verify", "success", "diagonalize", "sum", "certify"}
 TAKES_CACHE = {"census", "mcsp", "certify", "kolmogorov"}
+TAKES_OUT = {"figures", "construct", "certify"}
+# no --out, or one below the fuzz directory: a writable file, a file in a
+# missing directory, or an existing directory
+OUTS = st.sampled_from([None, "out.txt", "missing/out.txt", "."])
 
 
 @st.composite
@@ -126,6 +130,8 @@ def runs(draw):
         argv += ["--budget", *(draw(_int(-1, 4)) for _ in range(3))]
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(TEXT))
+    if command in TAKES_OUT and (out := draw(OUTS)):
+        argv += ["--out", out]
     names = FITS.get(command, []) if draw(st.integers(0, 4)) else []
     return argv, draw(configs(names or sorted(FIXTURES)))
 
@@ -147,6 +153,9 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, run):
         argv = argv + ["--config", str(path)]
     if argv[0] in TAKES_CACHE:
         argv = argv + ["--cache-dir", str(root / "cache")]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv = argv[:at] + [str(root / argv[at])] + argv[at + 1 :]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -425,7 +425,7 @@ CERTIFY_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("case", ["file", "below-file", "collision"])
 @pytest.mark.parametrize(
     "config, argv",
     [
@@ -437,15 +437,43 @@ CERTIFY_CONFIG = {
     ids=["census", "mcsp", "kolmogorov", "certify"],
 )
 def test_cli_cache_dir_that_cannot_be_a_directory(
-    tmp_path, capsys, config, argv, below
+    tmp_path, capsys, config, argv, case
 ):
     blocker = tmp_path / "README.md"
     blocker.write_text("a file, not a directory\n")
-    cache = blocker / "cache" if below else blocker
+    cache = blocker / "cache" if case == "below-file" else blocker
     if config is not None:
         argv = argv + ["--config", write_config(tmp_path, config)]
+    if case == "collision":
+        # a directory sits at each cache file's name
+        cache = tmp_path / "cache"
+        assert main(argv + ["--cache-dir", str(cache)]) == 0
+        for path in cache.iterdir():
+            path.unlink()
+            path.mkdir()
+        capsys.readouterr()
     assert main(argv + ["--cache-dir", str(cache)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: --cache-dir: ")
     assert blocker.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["figures", "--format", "csv"]),
+        (FIGURE1, ["construct"]),
+        (CERTIFY_CONFIG, ["certify"]),
+    ],
+    ids=["figures", "construct", "certify"],
+)
+def test_cli_out_that_cannot_be_written(tmp_path, capsys, config, argv, where):
+    out = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: cannot write ")
+    assert not (tmp_path / "missing").exists()

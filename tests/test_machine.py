@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from martlab import kolmogorov, machine
 from martlab.cantor import BitString
 from martlab.machine import (
     BudgetPoly,
@@ -16,6 +18,7 @@ from martlab.machine import (
     gamma_bits,
     pairing_budget,
     run,
+    table_mask,
 )
 
 
@@ -151,3 +154,162 @@ def test_gamma_roundtrip_via_machine():
         program = encode_repeat(k, encode_literal("1"))
         assert out(program) == BitString("1" * k)
         assert len(gamma_bits(k)) == 2 * (k.bit_length() - 1) + 1
+
+
+class _RowRunner(machine._Runner):
+    """The machine with its table op run row by row, one stack per row: the
+    reference the mask-level table op is checked against."""
+
+    def term(self) -> str:
+        if self.bits[self.pos : self.pos + 2] != "11":
+            return super().term()
+        self.read(2)
+        n = self.read_gamma() - 1
+        if n < 1:
+            raise machine._Diverge
+        m = self.read_gamma() - 1
+        if m < 1:
+            raise machine._Diverge
+        ref_width = max(1, (n + 1).bit_length())
+        ops: list[tuple[int, int]] = []
+        for _ in range(m):
+            code = self.read(2)
+            if code == "00":
+                ref = int(self.read(ref_width), 2)
+                if ref >= n + 2:
+                    raise machine._Diverge
+                ops.append((0, ref))
+            else:
+                ops.append((int(code, 2), 0))
+        depth = 0
+        for kind, _ in ops:
+            if kind == 0:
+                depth += 1
+            elif kind == 1:
+                if depth < 1:
+                    raise machine._Diverge
+            else:
+                if depth < 2:
+                    raise machine._Diverge
+                depth -= 1
+        if depth != 1:
+            raise machine._Diverge
+        rows = []
+        for row in range(1 << n):
+            stack: list[int] = []
+            for kind, ref in ops:
+                self.steps += 1
+                if self.steps > self.budget:
+                    raise machine._Diverge
+                if kind == 0:
+                    stack.append((row >> ref) & 1 if ref < n else ref - n)
+                elif kind == 1:
+                    stack.append(1 - stack.pop())
+                elif kind == 2:
+                    stack.append(stack.pop() & stack.pop())
+                else:
+                    stack.append(stack.pop() | stack.pop())
+            rows.append("1" if stack[0] else "0")
+        body = "".join(rows)
+        self.emit(body)
+        return body
+
+
+def run_rowwise(bits: str, budget: int) -> tuple:
+    runner = _RowRunner(bits, budget)
+    if not bits:
+        return None, 0
+    try:
+        runner.term()
+        if runner.pos != len(bits):
+            return None, runner.steps
+    except machine._Diverge:
+        return None, min(runner.steps, budget)
+    return BitString("".join(runner.out)), runner.steps
+
+
+def _result(bits: str, budget: int) -> tuple:
+    result = run(bits, budget)
+    return result.output, result.steps
+
+
+@pytest.mark.parametrize("budget", [5, 30, 200, 5000])
+def test_run_matches_rowwise_tables_on_every_short_program(budget):
+    # diverged runs included: the step count at divergence must agree too
+    for length in range(15):
+        for value in range(1 << length):
+            bits = format(value, f"0{length}b") if length else ""
+            assert _result(bits, budget) == run_rowwise(bits, budget), bits
+
+
+def test_run_matches_rowwise_tables_on_kt_table_leaves():
+    leaves = [p.bits() for p in kolmogorov._leaves(23, 14, 5000)]
+    tables = [bits for bits in leaves if bits.startswith("11")]
+    assert len(tables) == 255
+    for bits in tables:
+        steps = run_rowwise(bits, 5000)[1]
+        # a tight budget (t(14) under 4n+16), an ample one, and both sides of
+        # the program's own step count
+        for budget in (72, 5000, steps, steps - 1):
+            assert _result(bits, budget) == run_rowwise(bits, budget), (bits, budget)
+
+
+def test_huge_declared_table_diverges_at_the_budget():
+    # one push of x0 over 40 variables: the 2**40-bit masks are never built
+    program = "11" + gamma_bits(41) + gamma_bits(2) + "00" + "0" * 6
+    assert _result(program, 10_000) == run_rowwise(program, 10_000) == (None, 10_000)
+    # over 2**40 - 1 variables even the row count is too wide to build
+    program = "11" + gamma_bits(1 << 40) + gamma_bits(2) + "00" + "0" * 41
+    assert _result(program, 10_000) == (None, 10_000)
+
+
+def _rowwise_mask(n: int, ops) -> int | None:
+    mask = 0
+    for row in range(1 << n):
+        stack: list[int] = []
+        for op in ops:
+            if op[0] == "VAR":
+                stack.append((row >> op[1]) & 1)
+            elif op[0] == "CONST":
+                stack.append(op[1])
+            elif len(stack) < (1 if op[0] == "NOT" else 2):
+                return None
+            elif op[0] == "NOT":
+                stack.append(1 - stack.pop())
+            elif op[0] == "AND":
+                stack.append(stack.pop() & stack.pop())
+            else:
+                stack.append(stack.pop() | stack.pop())
+        if len(stack) != 1:
+            return None
+        mask |= stack[0] << row
+    return mask
+
+
+@st.composite
+def stack_programs(draw):
+    """A postfix program over 1..4 variables: a random expression (well
+    formed) one time in two, otherwise any op sequence."""
+    n = draw(st.integers(1, 4))
+    push = st.sampled_from([("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1)])
+    gate = st.sampled_from([("NOT",), ("AND",), ("OR",)])
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(push | gate, max_size=12)))
+    ops, depth = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(push | gate) if depth else draw(push)
+        if op[0] in ("AND", "OR") and depth < 2:
+            op = ("NOT",)
+        ops.append(op)
+        depth += {"VAR": 1, "CONST": 1, "NOT": 0}.get(op[0], -1)
+    while depth > 1:
+        ops.append(draw(st.sampled_from([("AND",), ("OR",)])))
+        depth -= 1
+    return n, tuple(ops)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(program=stack_programs())
+def test_table_mask_matches_rowwise_evaluation(program):
+    n, ops = program
+    assert table_mask(n, ops) == _rowwise_mask(n, ops)
