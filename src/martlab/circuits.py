@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, log2 as _float_log2
+from typing import Callable
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import cache, machine
 from .cantor import BitString
 from .constructions import Cover
-from .dyadic import Dyadic
+from .dyadic import Dyadic, grid_floor_log2_ratio
 from .errors import (
     CapExceeded,
     CensusUnavailable,
@@ -379,6 +380,12 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
 
 # -- the covering report -------------------------------------------------
 
+# log2 brackets start on the 2**-g grid at g = 16, which decides every report
+# for n <= 4 and alpha = k/16, -8 <= alpha <= 4, in one round; g doubles up
+# to this cap
+_BRACKET_BITS = 16
+_BRACKET_CAP = 1 << 12
+
 
 @dataclass(frozen=True)
 class MnpCoverReport:
@@ -393,81 +400,100 @@ class MnpCoverReport:
     f_value: str  # f(N) rendered for the report
 
 
-def _floor_linear_log2_3(a: Fraction, b: Fraction) -> int:
-    """Exact floor of ``a + b * log2(3)`` for rationals ``a, b >= 0``."""
-    # k <= a + b log2 3  iff  3**(b.den-scaled) ... reduce to integer powers
-    def at_least(k: int) -> bool:
-        # a + b*log2(3) >= k  iff  b*log2(3) >= k - a
-        rhs = k - a
-        if b == 0:
-            return rhs <= 0
-        # log2(3) >= rhs / b  iff  3**den >= 2**num  (for rhs/b = num/den, den>0)
-        q = rhs / b
-        num, den = q.numerator, q.denominator
-        if num <= 0:
-            return True
-        return 3**den >= 2**num
-
-    k = int(a) + int(2 * b) + 2
-    while not at_least(k):
-        k -= 1
-    return k
-
-
-def lutz_size_bound_floor(n: int, alpha: Dyadic) -> int:
-    """Exact floor of ``(2**n / n) * (1 + alpha * log2(n) / n)``."""
-    if n < 2:
-        raise DegenerateParameter("size bound needs n >= 2")
-    alpha_frac = Fraction(alpha.num, 1 << alpha.log_den)
-    base = Fraction(1 << n, n)
-    if n == 3:
-        return _floor_linear_log2_3(base, base * alpha_frac / 3)
-    log2_n = n.bit_length() - 1  # exact for n in {2, 4}
-    return int(base * (1 + alpha_frac * log2_n / n))
-
-
-def _e_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e from its factorial series."""
-    total = Fraction(0)
-    fact = 1
-    for k in range(terms):
-        if k:
-            fact *= k
-        total += Fraction(1, fact)
-    return total, total + Fraction(2, fact * terms)
-
-
-def _analytic_bound_rational(count: int, s: Fraction) -> bool:
-    """Exact verdict of ``count <= (48 e s)**s`` for rational ``s > 0``."""
-    p, q = s.numerator, s.denominator
-    lhs = count**q
-    for terms in (12, 20, 30, 45):
-        e_lo, e_hi = _e_bounds(terms)
-        low = (48 * e_lo * s) ** p
-        high = (48 * e_hi * s) ** p
-        if Fraction(lhs) <= low:
-            return True
-        if Fraction(lhs) > high:
-            return False
+def _refine(decide: Callable[[int], bool | int | None], what: str):
+    """``decide(g)`` on ``2**-g`` log2 brackets for ``g = 16, 32, ...`` up to
+    the precision cap; ``None`` means the brackets were too wide to tell."""
+    g = _BRACKET_BITS
+    while g <= _BRACKET_CAP:
+        verdict = decide(g)
+        if verdict is not None:
+            return verdict
+        g *= 2
     raise IndeterminateComparison(
-        f"count**{q} = {lhs} sits inside the e-interval bound"
+        f"{what}: undecided at the 2**-{_BRACKET_CAP} precision cap"
     )
 
 
-def _analytic_bound_guarded_float(count: int, n: int, alpha: Dyadic) -> bool:
-    """Float verdict with a relative margin guard (irrational exponent case)."""
-    import math
+def _log2_bracket(m: int, g: int) -> tuple[Fraction, Fraction]:
+    """``[lo, hi]`` around ``log2(m)`` for an integer ``m >= 1``: the grid
+    floor at ``2**-g`` and one grid step above it, a point when ``m`` is a
+    power of two."""
+    if m & (m - 1) == 0:
+        k = Fraction(m.bit_length() - 1)
+        return k, k
+    low = grid_floor_log2_ratio(m, 1, g)
+    lo = Fraction(low.num, low.denominator)
+    return lo, lo + Fraction(1, 1 << g)
 
-    alpha_f = alpha.to_float()
-    s = (2**n / n) * (1 + alpha_f * _float_log2(n) / n)
-    lhs = _float_log2(count) if count else float("-inf")
-    rhs = s * (_float_log2(48 * math.e) + _float_log2(s))
-    margin = 1e-9 * max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - rhs) < margin:
-        raise IndeterminateComparison(
-            f"log2 comparison within float margin: {lhs} vs {rhs}"
-        )
-    return lhs <= rhs
+
+def _log2_ratio_bracket(
+    x_lo: Fraction, x_hi: Fraction, g: int
+) -> tuple[Fraction, Fraction]:
+    """``[lo, hi]`` around ``log2(x)`` for rationals ``0 < x_lo <= x <= x_hi``."""
+    lo = _log2_bracket(x_lo.numerator, g)[0] - _log2_bracket(x_lo.denominator, g)[1]
+    hi = _log2_bracket(x_hi.numerator, g)[1] - _log2_bracket(x_hi.denominator, g)[0]
+    return lo, hi
+
+
+def _size_bracket(n: int, alpha: Dyadic, g: int) -> tuple[Fraction, Fraction]:
+    """``[lo, hi]`` around ``s = (2**n / n) (1 + alpha log2(n) / n)``, from
+    the bracket on ``log2(n)``; a point when ``s`` is rational."""
+    base = Fraction(1 << n, n)
+    slope = base * Fraction(alpha.num, alpha.denominator) / n
+    ends = [base + slope * end for end in _log2_bracket(n, g)]
+    return min(ends), max(ends)
+
+
+def lutz_size_bound_floor(n: int, alpha: Dyadic) -> int:
+    """Exact floor of ``s = (2**n / n) * (1 + alpha * log2(n) / n)``.
+
+    ``s`` is rational when ``n`` is a power of two or ``alpha = 0``, and its
+    bracket is then a point; otherwise ``s`` is irrational, so some bracket
+    holds no integer and both of its ends share the floor.
+    """
+    if n < 2:
+        raise DegenerateParameter("size bound needs n >= 2")
+
+    def floor(g: int) -> int | None:
+        lo, hi = _size_bracket(n, alpha, g)
+        return lo // 1 if lo // 1 == hi // 1 else None
+
+    return _refine(floor, "size bound floor")
+
+
+def _e_bounds(terms: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds on e: the factorial series to ``terms``
+    terms, and that sum plus ``2 / terms!``, which exceeds the tail."""
+    num, fact = 1, 1  # num / fact = sum of 1/k! for k < terms, fact = (terms-1)!
+    for k in range(1, terms):
+        num = num * k + 1
+        fact *= k
+    return Fraction(num, fact), Fraction(num * terms + 2, fact * terms)
+
+
+def _analytic_bound(count: int, n: int, alpha: Dyadic) -> bool:
+    """Exact verdict of ``count <= (48 e s)**s`` for ``count >= 1`` and
+    ``s >= 0``: brackets on ``log2(count)`` and ``s * log2(48 e s)`` are
+    refined until they separate.  At ``s = 0`` the bound reads ``0**0 = 1``.
+    """
+
+    def holds(g: int) -> bool | None:
+        s_lo, s_hi = _size_bracket(n, alpha, g)
+        if s_lo == s_hi == 0:
+            return count <= 1
+        if s_lo <= 0:
+            return None
+        e_lo, e_hi = _e_bounds(g // 2 + 4)  # (g/2 + 4)! > 2**g: e is as tight as the logs
+        log_lo, log_hi = _log2_ratio_bracket(48 * e_lo * s_lo, 48 * e_hi * s_hi, g)
+        rhs = [s * log for s in (s_lo, s_hi) for log in (log_lo, log_hi)]
+        lhs_lo, lhs_hi = _log2_bracket(count, g)
+        if lhs_hi <= min(rhs):
+            return True
+        if lhs_lo > max(rhs):
+            return False
+        return None
+
+    return _refine(holds, f"{count} <= (48 e s)**s")
 
 
 def mnp_cover_check(
@@ -499,39 +525,26 @@ def mnp_cover_check(
     cover_count = (1 << (N - rows)) * count
 
     # condition (ii): log2(cover_count) < N - f(N), i.e. log2(count) < 2**n - f(N)
-    # f(N) = (1 - alpha/2) * (2**n / n) * log2(n) = R + Q * log2(3)
-    alpha_frac = Fraction(alpha.num, 1 << alpha.log_den)
+    # f(N) = (1 - alpha/2) * (2**n / n) * log2(n) = R + Q * log2(n)
+    alpha_frac = Fraction(alpha.num, alpha.denominator)
     coeff = (1 - alpha_frac / 2) * Fraction(rows, n)
-    if n == 3:
-        R, Q = Fraction(0), coeff
-        f_text = f"{coeff}*log2(3)"
-    else:
-        log2_n = n.bit_length() - 1
-        R, Q = coeff * log2_n, Fraction(0)
+    if n & (n - 1) == 0:
+        R, Q = coeff * (n.bit_length() - 1), Fraction(0)
         f_text = str(R)
-    # log2(count) + Q log2(3) < 2**n - R, cleared to integer powers
-    target = Fraction(rows) - R
-    d = target.denominator
-    if Q:
-        d = d * Q.denominator // gcd(d, Q.denominator)
-    rhs_exp = int(target * d)
-    if count == 0:
-        gap_ok = True  # empty cover: log2 is -inf, trivially below
-    elif rhs_exp <= 0:
-        gap_ok = False
     else:
-        gap_ok = count**d * 3 ** int(Q * d) < (1 << rhs_exp)
+        R, Q = Fraction(0), coeff
+        f_text = f"{coeff}*log2({n})"
+    # d log2(count) + a log2(n) < b with d, a = Q d and b = (2**n - R) d
+    # integers, cleared to integer powers with negative exponents moved across
+    target = rows - R
+    d = target.denominator * Q.denominator // gcd(target.denominator, Q.denominator)
+    a, b = int(Q * d), int(target * d)
+    lhs = count**d * n ** max(a, 0) << max(-b, 0)
+    # an empty cover has log2 = -inf, trivially below
+    gap_ok = count == 0 or lhs < n ** max(-a, 0) << max(b, 0)
 
     # condition (iii): census_count <= (48 e s)**s
-    if n == 3 and not alpha.is_zero():
-        analytic = _analytic_bound_guarded_float(count, n, alpha)
-    else:
-        if n == 3:
-            s_exact = Fraction(rows, n)
-        else:
-            log2_n = n.bit_length() - 1
-            s_exact = Fraction(rows, n) * (1 + alpha_frac * log2_n / n)
-        analytic = count == 0 or _analytic_bound_rational(count, s_exact)
+    analytic = count == 0 or _analytic_bound(count, n, alpha)
 
     return MnpCoverReport(
         n=n,

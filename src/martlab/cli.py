@@ -100,7 +100,7 @@ def cmd_figures(args) -> int:
             rendered.append(tree_dot(m, FIGURE_DEPTH))
         elif args.format == "csv":
             rendered.append(tree_csv(m, FIGURE_DEPTH))
-    if args.out and rendered:
+    if rendered:
         _emit("\n".join(rendered), args.out)
     return 1 if failed else 0
 

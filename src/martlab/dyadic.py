@@ -105,10 +105,6 @@ class Dyadic:
     def ceil(self) -> int:
         return -((-self.num) >> self.log_den)
 
-    def to_float(self) -> float:
-        # report-only; may round for huge operands
-        return self.num / (1 << self.log_den)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
@@ -151,10 +147,6 @@ class Dyadic:
     def half(self) -> "Dyadic":
         return Dyadic(self.num, self.log_den + 1)
 
-    def avg(self, other: "Dyadic") -> "Dyadic":
-        """Exact ``(self + other) / 2``."""
-        return (self + other).half()
-
     # -- ordering ----------------------------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:
@@ -192,16 +184,6 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.log_den})"
-
-    def to_decimal(self) -> str:
-        """Exact decimal rendering (dyadics terminate in base ten)."""
-        if self.log_den == 0:
-            return str(self.num)
-        sign = "-" if self.num < 0 else ""
-        digits = abs(self.num) * 5**self.log_den
-        text = str(digits).rjust(self.log_den + 1, "0")
-        whole, frac = text[: -self.log_den], text[-self.log_den :]
-        return f"{sign}{whole}.{frac}"
 
 
 ZERO = Dyadic(0)

@@ -58,7 +58,7 @@ class CensusUnavailable(MartlabError):
 
 
 class IndeterminateComparison(MartlabError):
-    """A guarded floating-point comparison was too close to call."""
+    """An exact log2 bracket refinement hit its precision cap undecided."""
 
 
 class ConfigError(MartlabError):

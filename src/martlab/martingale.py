@@ -124,9 +124,6 @@ class Martingale:
             raise NegativeValue(f"negative value {v} at {w!r}")
         return v
 
-    def value_approx(self, w: BitString, r: int) -> Dyadic:
-        return self.approx(w, r)
-
 
 @dataclass(frozen=True)
 class AveragingViolation:

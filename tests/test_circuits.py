@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import pytest
 
 from martlab import circuits
@@ -25,6 +29,7 @@ from martlab.errors import (
     CapExceeded,
     CensusUnavailable,
     DegenerateParameter,
+    IndeterminateComparison,
 )
 from martlab.machine import run
 from martlab.martingale import verify_averaging
@@ -220,6 +225,11 @@ def test_size_bound_floor_values():
     assert lutz_size_bound_floor(3, half) == 3
     assert lutz_size_bound_floor(4, Dyadic(0)) == 4
     assert lutz_size_bound_floor(4, half) == 5
+    # s = (8/3)(1 + alpha log2(3) / 3): alpha = -1 gives 1.26, -1/4 gives 2.31
+    assert lutz_size_bound_floor(3, Dyadic(-1)) == 1
+    assert lutz_size_bound_floor(3, Dyadic(-1, 2)) == 2
+    assert lutz_size_bound_floor(3, Dyadic(-8)) == -9
+    assert lutz_size_bound_floor(2, Dyadic(-5, 1)) == -1
 
 
 def test_mnp_cover_check_reports(census2, census3, census4):
@@ -243,6 +253,157 @@ def test_mnp_cover_check_reports(census2, census3, census4):
         assert report.cover_count == (1 << (N - (1 << n))) * expected
         assert not report.log2_count_below_gap
         assert report.analytic_bound_holds
+
+
+def _log2_3_at_least(x: Fraction) -> bool:
+    """``log2(3) >= x`` for ``x = p/q``: true for ``p <= 0``, else ``3**q >= 2**p``."""
+    return x <= 0 or 3**x.denominator >= 2**x.numerator
+
+
+def _size_floor_oracle(n: int, alpha: Dyadic) -> int:
+    """Fraction floor where ``log2(n)`` is an integer; at ``n = 3`` the largest
+    ``k`` with ``s >= k``, decided by a sign-aware ``3**q`` vs ``2**p`` test."""
+    a = Fraction(alpha.num, alpha.denominator)
+    base = Fraction(1 << n, n)
+    if n != 3:
+        return math.floor(base * (1 + a * (n.bit_length() - 1) / n))
+    c = base * a / 3  # s = base + c * log2(3)
+
+    def at_least(k: int) -> bool:
+        if c == 0:
+            return base >= k
+        x = (k - base) / c
+        # c log2(3) >= k - base: log2(3) >= x for c > 0, log2(3) <= x for c < 0
+        return _log2_3_at_least(x) if c > 0 else not _log2_3_at_least(x)
+
+    k = math.floor(min(base + c * Fraction(3, 2), base + c * 2))  # 3/2 < log2(3) < 2
+    while at_least(k + 1):
+        k += 1
+    return k
+
+
+def test_size_bound_floor_matches_oracle():
+    for n in (2, 3, 4):
+        for k in range(-128, 65):
+            alpha = Dyadic(k, 4)
+            assert lutz_size_bound_floor(n, alpha) == _size_floor_oracle(n, alpha), (n, k)
+
+
+def test_gap_condition_matches_decimal_oracle(census2, census3, census4):
+    # log2(count) < 2**n - (1 - alpha/2) (2**n / n) log2(n), in 60-digit decimals;
+    # alpha > 2 makes the log2(3) coefficient negative at n = 3
+    compared = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for census in (census2, census3, census4):
+            n = census.n
+            log2_n = Decimal(n).ln() / Decimal(2).ln()
+            for k in range(-128, 129, 4):
+                alpha = Dyadic(k, 4)
+                if lutz_size_bound_floor(n, alpha) > census.max_size:
+                    continue
+                report = mnp_cover_check(n, alpha, census)
+                if report.census_count == 0:
+                    assert report.log2_count_below_gap
+                    continue
+                gap = (1 - Decimal(k) / 32) * Decimal(1 << n) / n * log2_n
+                log2_count = Decimal(report.census_count).ln() / Decimal(2).ln()
+                margin = (1 << n) - gap - log2_count
+                if abs(margin) > Decimal("1e-30"):
+                    assert report.log2_count_below_gap == (margin > 0), (n, k)
+                    compared += 1
+    assert compared > 40
+
+
+def _bound_decimal(n: int, alpha: Dyadic) -> Decimal:
+    """``(48 e s)**s`` in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log2_n = Decimal(n).ln() / Decimal(2).ln()
+        a = Decimal(alpha.num) / Decimal(alpha.denominator)
+        s = Decimal(1 << n) / n * (1 + a * log2_n / n)
+        return (s * (48 * Decimal(1).exp() * s).ln()).exp()
+
+
+@pytest.mark.parametrize("start_bits", [16, 1])  # 1: the first rounds are too coarse
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("alpha_text", ["-1/2", "1/4", "1/2", "3/4"])
+def test_analytic_bound_on_either_side_of_threshold(
+    monkeypatch, start_bits, n, alpha_text
+):
+    monkeypatch.setattr(circuits, "_BRACKET_BITS", start_bits)
+    alpha = Dyadic.parse(alpha_text)
+    bound = _bound_decimal(n, alpha)
+    below = int(bound)
+    assert min(bound - below, below + 1 - bound) > Decimal("1e-20")
+    assert circuits._analytic_bound(below, n, alpha)
+    assert not circuits._analytic_bound(below + 1, n, alpha)
+
+
+def test_brackets_contain_their_values():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = Decimal(2).ln()
+        for terms in range(1, 30):
+            lo, hi = circuits._e_bounds(terms)
+            assert Decimal(lo.numerator) / lo.denominator < Decimal(1).exp()
+            assert Decimal(1).exp() < Decimal(hi.numerator) / hi.denominator
+        for g in (1, 4, 16, 64):
+            for m in (1, 2, 3, 5, 8, 1000, 3**40):
+                lo, hi = circuits._log2_bracket(m, g)
+                assert hi - lo == (0 if m & (m - 1) == 0 else Fraction(1, 1 << g))
+                log2_m = Decimal(m).ln() / ln2
+                assert Decimal(lo.numerator) / lo.denominator <= log2_m
+                assert log2_m <= Decimal(hi.numerator) / hi.denominator
+            for n in (2, 3, 5):
+                for k in (-40, -3, 0, 7, 64):
+                    lo, hi = circuits._size_bracket(n, Dyadic(k, 4), g)
+                    size = Decimal(1 << n) / n * (1 + Decimal(k) / 16 * Decimal(n).ln() / ln2 / n)
+                    assert lo <= hi
+                    assert Decimal(lo.numerator) / lo.denominator <= size
+                    assert size <= Decimal(hi.numerator) / hi.denominator
+
+
+def _float_verdict(count: int, n: int, alpha: Dyadic) -> bool | None:
+    """The float comparison the analytic bound once used, or ``None`` where
+    its margin is not wide."""
+    a = alpha.num / alpha.denominator
+    s = (2**n / n) * (1 + a * math.log2(n) / n)
+    lhs = math.log2(count)
+    rhs = s * (math.log2(48 * math.e) + math.log2(s))
+    if abs(lhs - rhs) < 1e-6 * max(1.0, abs(lhs), abs(rhs)):
+        return None
+    return lhs <= rhs
+
+
+def test_analytic_bound_matches_float_oracle_where_margin_is_wide():
+    compared = 0
+    for n in (2, 3, 4):
+        for k in range(-24, 65, 3):  # s > 0 for every such alpha
+            alpha = Dyadic(k, 4)
+            for count in (1, 5, 14, 40, 886, 17244, 10**6, 10**12):
+                expected = _float_verdict(count, n, alpha)
+                if expected is not None:
+                    assert circuits._analytic_bound(count, n, alpha) == expected
+                    compared += 1
+    assert compared > 700
+
+
+def test_analytic_bound_at_zero_size_reads_one(census2):
+    # alpha = -2 at n = 2 puts s at exactly 0, where (48 e s)**s = 0**0 = 1
+    report = mnp_cover_check(2, Dyadic(-2), census2)
+    assert report.size_bound_floor == 0
+    assert report.census_count == 4
+    assert not report.analytic_bound_holds
+    assert circuits._analytic_bound(1, 2, Dyadic(-2))
+
+
+def test_analytic_bound_undecided_at_precision_cap(monkeypatch):
+    alpha = Dyadic(1, 2)
+    below = int(_bound_decimal(3, alpha))
+    monkeypatch.setattr(circuits, "_BRACKET_CAP", circuits._BRACKET_BITS)
+    with pytest.raises(IndeterminateComparison):
+        circuits._analytic_bound(below + 1, 3, alpha)
 
 
 def test_mnp_cover_check_degenerate_input(census2):

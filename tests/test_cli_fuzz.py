@@ -86,8 +86,12 @@ def _int(lo, hi):
 
 
 TEXT = bits | st.sampled_from(WORDS) | st.text(max_size=4)
+# signed dyadic text; a negative one only parses in the --alpha=<v> form
+DYADICS = st.builds(lambda p, k: f"{p}/{1 << k}" if k else str(p),
+                    st.integers(-160, 64), st.integers(0, 4))
 TABLES = st.integers(0, 4).flatmap(lambda n: st.text("01", min_size=1 << n, max_size=1 << n))
-# per command: (option, value strategy, whether argparse requires it)
+# per command: (option, value strategy, whether argparse requires it); an
+# option ending in "=" is joined to its value in one argument
 OPTIONS = {
     "figures": [("--format", st.sampled_from(["csv", "dot"]), False)],
     "construct": [("--depth", _int(-2, 5), False),
@@ -98,7 +102,7 @@ OPTIONS = {
     "sum": [("-w", bits, False), ("--precision", _int(-2, 10), False),
             ("--seed", _int(-2, 9), False)],
     "census": [("-n", _int(-1, 5), True), ("-S", _int(-2, 6), True),
-               ("--alpha", TEXT, False),
+               ("--alpha", TEXT, False), ("--alpha=", DYADICS, False),
                ("--format", st.sampled_from(["csv", "json"]), False)],
     "mcsp": [("--table", TABLES | TEXT, True), ("-s", _int(-2, 6), True)],
     "certify": [("--seed", _int(-2, 9), False)],
@@ -125,7 +129,8 @@ def runs(draw):
         argv.append(draw(_int(0, 6)))
     for option, values, required in OPTIONS[command]:
         if draw(st.integers(0, 9)) if required else draw(st.booleans()):
-            argv += [option, draw(values)]
+            value = draw(values)
+            argv += [option + value] if option.endswith("=") else [option, value]
     if command == "kolmogorov" and draw(st.booleans()):
         argv += ["--budget", *(draw(_int(-1, 4)) for _ in range(3))]
     if draw(st.integers(0, 9)) == 0:
@@ -163,3 +168,16 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, run):
         except SystemExit as exc:
             code = ("argparse", exc.code)
     assert code in (0, 1, 2, 3, ("argparse", 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), alpha=DYADICS)
+def test_census_alpha_exits_with_a_documented_code(tmp_path_factory, n, alpha):
+    cache = tmp_path_factory.getbasetemp() / "cli-fuzz" / "cache"
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["census", "-n", str(n), "-S", "4", f"--alpha={alpha}",
+                     "--cache-dir", str(cache)])
+    # 3: the size bound floor is past the census
+    assert code in (0, 3)
+    assert code == 3 or "size bound floor: " in out.getvalue()

@@ -364,7 +364,7 @@ def test_transform_export_floor_grid():
         v = BitString(v)
         exact = result.exact_value(v)
         for r in (8, 32, 40):
-            approx = out.value_approx(v, r)
+            approx = out.approx(v, r)
             err = exact - Fraction(approx.num, 1 << approx.log_den)
             assert 0 <= err < Fraction(1, 2 ** max(r, 32))
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from martlab.config import (
 from martlab.dyadic import ONE, Dyadic
 from martlab.errors import ConfigError
 from martlab.martingale import Martingale
+
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -80,6 +84,14 @@ def test_cli_figure_single_with_dot(tmp_path, capsys):
     out_file = tmp_path / "fig.dot"
     assert main(["figures", "1", "--format", "dot", "--out", str(out_file)]) == 0
     assert "digraph" in out_file.read_text()
+
+
+def test_cli_figure_csv_goes_to_stdout(capsys):
+    assert main(["figures", "1", "--format", "csv"]) == 0
+    figure = capsys.readouterr().out
+    assert main(["construct", "--config", str(EXPERIMENTS / "figure1_cover.json"),
+                 "--depth", "4"]) == 0
+    assert figure == "figure 1: PASS (31 nodes)\n" + capsys.readouterr().out
 
 
 def test_cli_verify_and_construct(tmp_path, capsys):
@@ -205,6 +217,35 @@ def test_cli_census_and_mcsp(tmp_path, capsys):
     assert main(["mcsp", "--table", "0110", "-s", "4",
                  "--cache-dir", cache]) == 0
     assert "ACCEPT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, alpha, floor",
+    [(3, "-3", -2), (3, "-8", -9), (2, "-5/2", -1), (3, "-1", 1), (3, "-1/4", 2)],
+)
+def test_cli_census_negative_alpha_exact_floor(tmp_path, capsys, n, alpha, floor):
+    cache = str(tmp_path / "cache")
+    assert main(["census", "-n", str(n), "-S", "8", f"--alpha={alpha}",
+                 "--cache-dir", cache]) == 0
+    out = capsys.readouterr().out
+    assert f"size bound floor: {floor}\n" in out
+    if floor < 0:
+        assert "tables within bound: 0\n" in out
+        assert "analytic (48*e*s)^s bound: holds\n" in out
+
+
+def test_cli_certify_negative_alpha_has_empty_covers(tmp_path, capsys):
+    # the size bound floor is negative at n = 2 and n = 3, so both covers are empty
+    family = {"type": "mcsp", "inputs": [2, 3], "alpha": "-8", "census_size": 4}
+    config = write_config(tmp_path, {"version": 1, "certify": {
+        **CERTIFY_CONFIG["certify"], "family": family, "gap": {"7": 0, "15": 0},
+        "gap_default": "n", "modulus": {"type": "affine", "slope": 1, "offset": 16},
+        "horizon": 15}})
+    assert main(["certify", "--config", config,
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    out = capsys.readouterr().out
+    assert "status: VALID" in out
+    assert "n=7: count=0 " in out and "n=15: count=0 " in out
 
 
 def test_cli_certify(tmp_path, capsys):

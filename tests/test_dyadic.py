@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from martlab.dyadic import (
     Dyadic,
-    HALF,
     ONE,
     ZERO,
     cmp_pow2,
@@ -49,13 +48,6 @@ def test_mul_examples():
     assert Dyadic(7, 3) * ONE == Dyadic(7, 3)
 
 
-def test_avg_examples():
-    assert Dyadic(1, 1).avg(Dyadic(1, 3)) == Dyadic(5, 4)
-    assert ZERO.avg(ONE) == HALF
-    x = Dyadic(13, 5)
-    assert x.avg(x) == x
-
-
 def test_parse_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         Dyadic.parse("2/3")
@@ -64,17 +56,6 @@ def test_parse_rejects_non_power_of_two():
 def test_negative_log_den_rejected():
     with pytest.raises(ValueError):
         Dyadic(1, -1)
-
-
-def test_decimal_rendering_exact():
-    assert Dyadic(5, 4).to_decimal() == "0.3125"
-    assert Dyadic(-7, 1).to_decimal() == "-3.5"
-    assert Dyadic(3).to_decimal() == "3"
-
-
-@given(dyadics, dyadics)
-def test_avg_is_half_of_sum(a, b):
-    assert a.avg(b) == (a + b) * HALF
 
 
 @given(dyadics)

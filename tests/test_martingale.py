@@ -219,4 +219,4 @@ def test_tree_dot_highlights_unit_leaves():
 def test_approx_consistency_default():
     m = figure_cover()
     for r in (0, 5, 30):
-        assert m.value_approx(BitString("01"), r) == m.value(BitString("01"))
+        assert m.approx(BitString("01"), r) == m.value(BitString("01"))
