@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
-from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +495,25 @@ def _analytic_bound(count: int, n: int, alpha: Dyadic) -> bool:
     return _refine(holds, f"{count} <= (48 e s)**s")
 
 
+def _log2_below(count: int, n: int, Q: Fraction, target: Fraction) -> bool:
+    """Exact verdict of ``log2(count) + Q log2(n) < target`` for ``count >= 1``,
+    from the brackets on ``log2(count)`` and ``log2(n)``.  For ``n <= 4`` and
+    ``count <= 2**(2**n)``, equality needs both terms rational; their brackets
+    are then points, so the refinement ends.
+    """
+
+    def below(g: int) -> bool | None:
+        c_lo, c_hi = _log2_bracket(count, g)
+        ends = [Q * end for end in _log2_bracket(n, g)]
+        if c_hi + max(ends) < target:
+            return True
+        if c_lo + min(ends) >= target:
+            return False
+        return None
+
+    return _refine(below, f"log2({count}) + {Q} log2({n}) < {target}")
+
+
 def mnp_cover_check(
     n: int, alpha: Dyadic, census: CircuitCensus
 ) -> MnpCoverReport:
@@ -534,14 +552,8 @@ def mnp_cover_check(
     else:
         R, Q = Fraction(0), coeff
         f_text = f"{coeff}*log2({n})"
-    # d log2(count) + a log2(n) < b with d, a = Q d and b = (2**n - R) d
-    # integers, cleared to integer powers with negative exponents moved across
-    target = rows - R
-    d = target.denominator * Q.denominator // gcd(target.denominator, Q.denominator)
-    a, b = int(Q * d), int(target * d)
-    lhs = count**d * n ** max(a, 0) << max(-b, 0)
     # an empty cover has log2 = -inf, trivially below
-    gap_ok = count == 0 or lhs < n ** max(-a, 0) << max(b, 0)
+    gap_ok = count == 0 or _log2_below(count, n, Q, rows - R)
 
     # condition (iii): census_count <= (48 e s)**s
     analytic = count == 0 or _analytic_bound(count, n, alpha)

@@ -5,13 +5,15 @@ arithmetic of its own.  Output is deterministic given the arguments (plus
 the seed, where one applies), so runs are diffable.
 
 Exit codes: 0 pass, 1 check failure, 2 configuration error (a query past a
-language's declared horizon counts as one), 3 resource cap.
+language's declared horizon counts as one), 3 resource cap.  A stdout
+whose reader closes early ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -386,7 +388,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: send the rest of stdout to devnull, no traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, HorizonExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -115,71 +115,47 @@ def geometric_modulus(
 
 
 def sum_finite(a: Martingale, b: Martingale) -> Martingale:
-    """Exact pointwise sum; capitals add."""
-    if a.exact is None or b.exact is None:
+    """Exact pointwise sum over the common power of two; capitals add."""
+    if a.ratio is None or b.ratio is None:
         raise ValueError("finite sums need exact evaluators")
+    ra, rb = a.ratio, b.ratio
 
-    def evaluate(w: BitString) -> Dyadic:
-        return a.value(w) + b.value(w)
+    def numerator(w: BitString) -> int:
+        la, lb = ra.log_denominator(w), rb.log_denominator(w)
+        common = max(la, lb)
+        return (ra.numerator(w) << (common - la)) + (
+            rb.numerator(w) << (common - lb)
+        )
+
+    def log_denominator(w: BitString) -> int:
+        return max(ra.log_denominator(w), rb.log_denominator(w))
 
     if a.freeze_depth is not None and b.freeze_depth is not None:
         freeze = max(a.freeze_depth, b.freeze_depth)
     else:
         freeze = None
-
-    ratio = None
-    if a.ratio is not None and b.ratio is not None:
-        ra, rb = a.ratio, b.ratio
-
-        def numerator(w: BitString) -> int:
-            la, lb = ra.log_denominator(w), rb.log_denominator(w)
-            common = max(la, lb)
-            return (ra.numerator(w) << (common - la)) + (
-                rb.numerator(w) << (common - lb)
-            )
-
-        def log_denominator(w: BitString) -> int:
-            return max(ra.log_denominator(w), rb.log_denominator(w))
-
-        ratio = RatioForm(numerator, log_denominator)
-
     tag = a.class_tag if a.class_tag == b.class_tag else "mixed"
-    return Martingale.from_exact(
-        evaluate,
+    return Martingale.from_ratio(
+        numerator,
+        log_denominator,
         freeze_depth=freeze,
         class_tag=tag,
         supermartingale=a.supermartingale or b.supermartingale,
-        ratio=ratio,
         meta={"construction": "sum", "parts": (a.meta, b.meta)},
     )
 
 
 def scale_pow2(m: Martingale, k: int) -> Martingale:
     """Exact scaling by ``2**k`` (martingale law is scale-invariant)."""
-    if m.exact is None:
+    if m.ratio is None:
         raise ValueError("scaling needs an exact evaluator")
-
-    def evaluate(w: BitString) -> Dyadic:
-        return m.value(w).scale2(k)
-
-    ratio = None
-    if m.ratio is not None:
-        r = m.ratio
-        if k >= 0:
-            ratio = RatioForm(
-                lambda w: r.numerator(w) << k, r.log_denominator
-            )
-        else:
-            ratio = RatioForm(
-                r.numerator, lambda w: r.log_denominator(w) - k
-            )
-
-    return Martingale.from_exact(
-        evaluate,
+    r, up, down = m.ratio, max(k, 0), max(-k, 0)
+    return Martingale.from_ratio(
+        lambda w: r.numerator(w) << up,
+        lambda w: r.log_denominator(w) + down,
         freeze_depth=m.freeze_depth,
         class_tag=m.class_tag,
         supermartingale=m.supermartingale,
-        ratio=ratio,
         meta={**dict(m.meta), "scaled_by_log2": k},
     )
 
@@ -267,7 +243,6 @@ def aggregate_martingale(
     root = approx(EMPTY, DEFAULT_ROOT_PRECISION)
     return Martingale(
         approx=approx,
-        exact=None,
         initial_capital=root,
         freeze_depth=None,
         class_tag=class_tag,
@@ -513,7 +488,6 @@ def approx_supermartingale(
 
     martingale = Martingale(
         approx=approx,
-        exact=None,
         initial_capital=approx(EMPTY, EXPORT_GRID_BITS),
         freeze_depth=n,
         class_tag=class_tag,

@@ -145,6 +145,25 @@ def _bits_list(value: Any, path: str) -> list[BitString]:
     return [_bits(m, path) for m in _list(value, path)]
 
 
+def _values(spec: Any, path: str) -> dict[str, int]:
+    """``spec.values``: bit string -> integer."""
+    return {
+        str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
+        for k, v in _need(spec, "values", path, _object).items()
+    }
+
+
+def _level_covers(spec: Any, path: str) -> dict[int, Cover]:
+    """``spec.levels``: one explicit cover per level, ``{"n": [bits, ...]}``."""
+    covers = {}
+    for key, members in _need(spec, "levels", path, _object).items():
+        level = _int(key, f"{path}.levels")
+        covers[level] = Cover.from_members(
+            _bits_list(members, f"{path}.levels.{key}"), level
+        )
+    return covers
+
+
 def _dyadic(text: Any, path: str) -> Dyadic:
     try:
         return Dyadic.parse(str(text))
@@ -218,10 +237,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         return cover_martingale(cover)
     if kind == "condexp":
         level = _need(spec, "level", path, _int)
-        values = {
-            str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
-            for k, v in _need(spec, "values", path, _object).items()
-        }
+        values = _values(spec, path)
         return condexp_martingale(lambda x: values.get(str(x), 0), level)
     if kind == "subset":
         return subset_martingale(
@@ -240,10 +256,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
     if kind == "acceptance-gap":
         t = _need(spec, "t", path, _int)
         default = _int(spec.get("default", 0), f"{path}.default")
-        values = {
-            str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
-            for k, v in _need(spec, "values", path, _object).items()
-        }
+        values = _values(spec, path)
 
         def g(x: BitString) -> int:
             return values.get(str(x), default)
@@ -290,13 +303,7 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
             name="geometric-constants",
         )
     if kind == "covers":
-        levels_spec = _need(spec, "levels", path, _object)
-        covers = {}
-        for key, members in levels_spec.items():
-            level = _int(key, f"{path}.levels")
-            covers[level] = Cover.from_members(
-                _bits_list(members, f"{path}.levels.{key}"), level
-            )
+        covers = _level_covers(spec, path)
         end = max(covers) + 1 if covers else 0
 
         def generator(n: int) -> Martingale:
@@ -354,13 +361,7 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
             lambda n: covers.get(n), name=f"mcsp(alpha={alpha})"
         )
     elif fam_kind == "explicit-levels":
-        levels_spec = _need(fam_spec, "levels", fam_path, _object)
-        covers = {}
-        for key, members in levels_spec.items():
-            level = _int(key, f"{fam_path}.levels")
-            covers[level] = Cover.from_members(
-                _bits_list(members, f"{fam_path}.levels.{key}"), level
-            )
+        covers = _level_covers(fam_spec, fam_path)
         family = LevelFamily(lambda n: covers.get(n), name="explicit-levels")
     else:
         raise ConfigError(f"unknown certify family {fam_kind!r}", field=fam_path)

@@ -1,11 +1,12 @@
 """The five betting constructions.
 
-Each factory returns a :class:`~martlab.martingale.Martingale` whose exact
-evaluator enumerates witnesses or applies the construction's closed form.
-The leveled constructions (cover, conditional expectation, subset) freeze at
-their level; the acceptance and superset-tracking constructions grow without
-bound.  Leveled numerators come from a binary search over sorted members or
-from one pass over the ``2**n`` leaves, summed pairwise up to the root.
+Each factory returns a :class:`~martlab.martingale.Martingale` in counting
+form: an integer numerator, from witness counts or the construction's closed
+form, over a power of two.  The leveled constructions (cover, conditional
+expectation, subset) freeze at their level; the acceptance and
+superset-tracking constructions grow without bound.  Leveled numerators come
+from a binary search over sorted members or from one pass over the ``2**n``
+leaves, summed pairwise up to the root.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from operator import add
 from typing import Callable, Iterable, TypeVar
 
 from .cantor import BitString, LanguageView, all_strings, census
-from .dyadic import Dyadic, ONE
 from .errors import (
     CapExceeded,
     GapViolation,
     NegativeValue,
     RowSumViolation,
 )
-from .martingale import Martingale, RatioForm
+from .martingale import Martingale
 from .oracle import CountMode, WitnessRelation, count, decide_unique, exists
 
 __all__ = [
@@ -48,16 +48,17 @@ LEVEL_CAP = 22
 class Cover:
     """A set of length-``level`` strings the cover martingale bets on.
 
-    ``contains`` decides membership of length-``level`` strings.
-    ``ext_count``, when given, must return the exact number of members
-    extending a prefix; covers with product structure use it to dodge the
-    enumeration cap.  :meth:`from_members` counts by binary search, in
-    ``O(log m)`` per prefix; without ``ext_count`` each leaf is read once.
+    ``contains`` decides membership of length-``level`` strings and
+    ``ext_count`` returns the exact number of members extending a prefix of
+    length at most ``level``.  :meth:`from_members` counts by binary search,
+    in ``O(log m)`` per prefix; :meth:`from_predicate` reads each leaf once
+    and sums pairwise; covers with product structure count in closed form,
+    past the enumeration cap.
     """
 
     level: int
     contains: Callable[[BitString], bool]
-    ext_count: Callable[[BitString], int] | None = None
+    ext_count: Callable[[BitString], int]
     class_tag: str = "unclassified"
     name: str = "cover"
 
@@ -97,7 +98,12 @@ class Cover:
         class_tag: str = "unclassified",
         name: str = "predicate-cover",
     ) -> "Cover":
-        return cls(level, predicate, None, class_tag, name)
+        if level > LEVEL_CAP:
+            raise CapExceeded(
+                f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
+            )
+        ext_count = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
+        return cls(level, predicate, ext_count, class_tag, name)
 
     @classmethod
     def from_relation(
@@ -135,7 +141,7 @@ class Cover:
                 return exists(rel, x, cap)
 
             tag = "SpanP"
-        return cls(level, contains, None, tag, rel.name)
+        return cls.from_predicate(contains, level, tag, rel.name)
 
 
 def _subtree_sums(
@@ -158,7 +164,20 @@ def _subtree_sums(
     return total
 
 
-def cover_martingale(cover: Cover, cap: int = LEVEL_CAP) -> Martingale:
+def _leveled(
+    sums: Callable[[BitString], int], n: int, class_tag: str, meta: dict
+) -> Martingale:
+    """``sums(w[:n]) / 2**max(0, n - |w|)``, frozen at level ``n``."""
+    return Martingale.from_ratio(
+        lambda w: sums(w.prefix(n)),
+        lambda w: max(0, n - len(w)),
+        freeze_depth=n,
+        class_tag=class_tag,
+        meta=meta,
+    )
+
+
+def cover_martingale(cover: Cover) -> Martingale:
     """Bet on the chance a uniform length-``level`` extension hits the cover.
 
     The value at ``w`` is (members extending ``w``) / 2**(level - |w|); at
@@ -166,30 +185,8 @@ def cover_martingale(cover: Cover, cap: int = LEVEL_CAP) -> Martingale:
     length-``level`` prefix value.
     """
     n = cover.level
-    if cover.ext_count is not None:
-        ext_count = cover.ext_count
-    else:
-        if n > cap:
-            raise CapExceeded(
-                f"cover level {n} exceeds enumeration cap {cap}"
-            )
-        ext_count = _subtree_sums(lambda x: 1 if cover.contains(x) else 0, n)
-
-    def numerator(w: BitString) -> int:
-        return ext_count(w.prefix(n))
-
-    ratio = RatioForm(numerator, lambda w: max(0, n - len(w)))
-
-    def evaluate(w: BitString) -> Dyadic:
-        return Dyadic(numerator(w), max(0, n - len(w)))
-
-    return Martingale.from_exact(
-        evaluate,
-        freeze_depth=n,
-        class_tag=cover.class_tag,
-        ratio=ratio,
-        meta={"construction": "cover", "level": n, "cover": cover.name},
-    )
+    meta = {"construction": "cover", "level": n, "cover": cover.name}
+    return _leveled(cover.ext_count, n, cover.class_tag, meta)
 
 
 def condexp_martingale(
@@ -213,23 +210,8 @@ def condexp_martingale(
             raise NegativeValue(f"f({x!r}) = {v} is negative")
         return v
 
-    sums = _subtree_sums(f_checked, n)
-
-    def numerator(w: BitString) -> int:
-        return sums(w.prefix(n))
-
-    ratio = RatioForm(numerator, lambda w: max(0, n - len(w)))
-
-    def evaluate(w: BitString) -> Dyadic:
-        return Dyadic(numerator(w), max(0, n - len(w)))
-
-    return Martingale.from_exact(
-        evaluate,
-        freeze_depth=n,
-        class_tag=class_tag,
-        ratio=ratio,
-        meta={"construction": "condexp", "level": n},
-    )
+    meta = {"construction": "condexp", "level": n}
+    return _leveled(_subtree_sums(f_checked, n), n, class_tag, meta)
 
 
 def subset_cover(B: LanguageView, n: int, class_tag: str = "SpanP") -> Cover:
@@ -387,16 +369,10 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
             q_sums.append(q_sums[i] + spec.q(len(string_index(i))))
         return q_sums[len(w)]
 
-    ratio = RatioForm(numerator, log_denominator)
-
-    def evaluate(w: BitString) -> Dyadic:
-        return Dyadic(numerator(w), log_denominator(w))
-
-    return Martingale.from_exact(
-        evaluate,
-        freeze_depth=None,
+    return Martingale.from_ratio(
+        numerator,
+        log_denominator,
         class_tag=spec.class_tag,
-        ratio=ratio,
         meta={"construction": "acceptance", "spec": spec.name},
     )
 
@@ -412,20 +388,15 @@ def biimmunity_martingale(
     else 0.
     """
 
-    def step(v: Dyadic, i: int, bit: int) -> Dyadic:
+    def step(v: int, i: int, bit: int) -> int:
         member = A.contains_index(i)
         if bit:
-            return v.scale2(1) if member else v
-        return Dyadic(0) if member else v
+            return 2 * v if member else v
+        return 0 if member else v
 
-    evaluate = _prefix_memo(ONE, step)
-
-    ratio = RatioForm(lambda w: evaluate(w).num, lambda w: 0)
-
-    return Martingale.from_exact(
-        evaluate,
-        freeze_depth=None,
+    return Martingale.from_ratio(
+        _prefix_memo(1, step),
+        lambda w: 0,
         class_tag=class_tag,
-        ratio=ratio,
         meta={"construction": "biimmunity", "language": A.name},
     )

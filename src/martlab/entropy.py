@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .cantor import BitString
+from .cantor import EMPTY, BitString
 from .combinators import ConvergenceModulus, MartingaleFamily
 from .constructions import Cover, cover_martingale
 from .dyadic import Dyadic, ZERO, grid_floor_log2_ratio
-from .errors import CapExceeded
 from .martingale import Martingale
 
 __all__ = [
@@ -34,10 +33,7 @@ __all__ = [
     "entropy_rate",
     "mc_certificate",
     "certificate_family",
-    "ENUMERATION_CAP",
 ]
-
-ENUMERATION_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -58,21 +54,9 @@ class LevelFamily:
 
 
 def level_count(fam: LevelFamily, n: int) -> int:
-    """Exact ``|members at level n|`` via the cover's counter or enumeration."""
+    """Exact ``|members at level n|``, as the cover counts itself."""
     cover = fam.cover_at(n)
-    if cover is None:
-        return 0
-    if cover.ext_count is not None:
-        from .cantor import EMPTY
-
-        return cover.ext_count(EMPTY)
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"level {n} exceeds enumeration cap")
-    return sum(
-        1
-        for v in range(1 << n)
-        if cover.contains(BitString.from_int(v, n))
-    )
+    return 0 if cover is None else cover.ext_count(EMPTY)
 
 
 @dataclass(frozen=True)

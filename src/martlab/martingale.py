@@ -1,9 +1,10 @@
 """Evaluable betting functions on binary prefixes.
 
-A :class:`Martingale` bundles an exact evaluator (when one exists), a
-precision-``r`` approximate evaluator, the value at the empty string, an
-optional freeze depth past which values repeat, and a metadata tag recording
-the counting class the construction claims (recorded, never proved).
+A :class:`Martingale` bundles an exact evaluator in counting form (when one
+exists), a precision-``r`` approximate evaluator, the value at the empty
+string, an optional freeze depth past which values repeat, and a metadata
+tag recording the counting class the construction claims (recorded, never
+proved).
 
 The operations here are the generic checks every construction must survive:
 the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
@@ -53,7 +54,7 @@ __all__ = [
 class RatioForm:
     """A martingale written as integer numerator over a power of two.
 
-    ``numerator(w) / 2**log_denominator(w)`` must equal the exact value; the
+    ``numerator(w) / 2**log_denominator(w)`` is the exact value; the
     numerator plays the counting-function role, the denominator the
     polynomial-time power-of-two role.
     """
@@ -69,14 +70,15 @@ class RatioForm:
 class Martingale:
     """An evaluable betting function.
 
-    ``exact`` may be None for approximation-only martingales (aggregates of
-    infinite families); ``approx(w, r)`` must then be within ``2**-r`` of the
-    true value.  ``freeze_depth = n`` declares that strings longer than ``n``
-    take the value of their length-``n`` prefix.
+    ``ratio`` is the one exact evaluator, the counting form
+    ``numerator(w) / 2**log_denominator(w)``; it is None for
+    approximation-only martingales (aggregates of infinite families), whose
+    ``approx(w, r)`` must be within ``2**-r`` of the true value.
+    ``freeze_depth = n`` declares that strings longer than ``n`` take the
+    value of their length-``n`` prefix.
     """
 
     approx: Callable[[BitString, int], Dyadic]
-    exact: Callable[[BitString], Dyadic] | None
     initial_capital: Dyadic
     freeze_depth: int | None = None
     class_tag: str = "unclassified"
@@ -85,22 +87,23 @@ class Martingale:
     meta: Mapping = field(default_factory=dict)
 
     @classmethod
-    def from_exact(
+    def from_ratio(
         cls,
-        evaluate: Callable[[BitString], Dyadic],
+        numerator: Callable[[BitString], int],
+        log_denominator: Callable[[BitString], int],
         freeze_depth: int | None = None,
         class_tag: str = "unclassified",
         supermartingale: bool = False,
-        ratio: RatioForm | None = None,
         meta: Mapping | None = None,
     ) -> "Martingale":
+        ratio = RatioForm(numerator, log_denominator)
+
         def approx(w: BitString, r: int) -> Dyadic:
-            return evaluate(w)
+            return ratio.value(w)
 
         return cls(
             approx=approx,
-            exact=evaluate,
-            initial_capital=evaluate(EMPTY),
+            initial_capital=ratio.value(EMPTY),
             freeze_depth=freeze_depth,
             class_tag=class_tag,
             supermartingale=supermartingale,
@@ -109,17 +112,30 @@ class Martingale:
         )
 
     @classmethod
+    def from_exact(
+        cls, evaluate: Callable[[BitString], Dyadic], **kwargs
+    ) -> "Martingale":
+        """:meth:`from_ratio` reading each ``Dyadic`` value as its own
+        ``num / 2**log_den``."""
+        return cls.from_ratio(
+            lambda w: evaluate(w).num, lambda w: evaluate(w).log_den, **kwargs
+        )
+
+    @classmethod
     def constant(cls, value: Dyadic) -> "Martingale":
         if value.is_negative():
             raise NegativeValue(f"constant martingale value {value}")
-        return cls.from_exact(
-            lambda w: value, freeze_depth=0, class_tag="constant"
+        return cls.from_ratio(
+            lambda w: value.num,
+            lambda w: value.log_den,
+            freeze_depth=0,
+            class_tag="constant",
         )
 
     def value(self, w: BitString) -> Dyadic:
-        if self.exact is None:
+        if self.ratio is None:
             raise ValueError("martingale has no exact evaluator")
-        v = self.exact(w)
+        v = self.ratio.value(w)
         if v.is_negative():
             raise NegativeValue(f"negative value {v} at {w!r}")
         return v

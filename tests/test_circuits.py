@@ -1,4 +1,5 @@
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from martlab.circuits import (
     mnp_cover_check,
     save_census,
 )
+from martlab.cli import main
 from martlab.constructions import cover_martingale
 from martlab.dyadic import Dyadic, ONE, ZERO
 from martlab.errors import (
@@ -313,6 +315,62 @@ def test_gap_condition_matches_decimal_oracle(census2, census3, census4):
                     assert report.log2_count_below_gap == (margin > 0), (n, k)
                     compared += 1
     assert compared > 40
+
+
+def _gap_terms(n: int, alpha: Dyadic) -> tuple[Fraction, Fraction]:
+    """``(Q, 2**n - R)`` of condition (ii), as the report splits ``f(N)``."""
+    rows = 1 << n
+    coeff = (1 - Fraction(alpha.num, alpha.denominator) / 2) * Fraction(rows, n)
+    if n & (n - 1) == 0:
+        return Fraction(0), rows - coeff * (n.bit_length() - 1)
+    return coeff, Fraction(rows)
+
+
+def _power_gap_oracle(count: int, n: int, alpha: Dyadic) -> bool:
+    """Condition (ii) as the report once decided it: ``log2(count) +
+    Q log2(n) < 2**n - R`` cleared to one comparison of integer powers."""
+    if count == 0:
+        return True
+    Q, target = _gap_terms(n, alpha)
+    d = math.lcm(target.denominator, Q.denominator)
+    a, b = int(Q * d), int(target * d)
+    lhs = count**d * n ** max(a, 0) << max(-b, 0)
+    return lhs < n ** max(-a, 0) << max(b, 0)
+
+
+@pytest.mark.parametrize("start_bits", [16, 1])  # 1: the first rounds are too coarse
+def test_gap_condition_matches_power_oracle(monkeypatch, cache_dir, start_bits):
+    # every n in {2, 3, 4} and alpha = k/16, -128 <= k <= 64: the report's
+    # own count wherever the size-8 census reaches the floor, and a spread of
+    # counts through the bracket helper for all 579 cases
+    monkeypatch.setattr(circuits, "_BRACKET_BITS", start_bits)
+    censuses = {n: cached_census(n, 8, cache_dir) for n in (2, 3, 4)}
+    reported = cases = 0
+    for n, census in censuses.items():
+        for k in range(-128, 65):
+            alpha = Dyadic(k, 4)
+            if lutz_size_bound_floor(n, alpha) <= census.max_size:
+                report = mnp_cover_check(n, alpha, census)
+                expected = _power_gap_oracle(report.census_count, n, alpha)
+                assert report.log2_count_below_gap == expected, (n, k)
+                reported += 1
+            Q, target = _gap_terms(n, alpha)
+            for count in (1, 2, 3, 5, 14, 40, 84, 255, 256, 886, 2254, 65535, 65536):
+                if count <= 1 << (1 << n):
+                    expected = _power_gap_oracle(count, n, alpha)
+                    assert circuits._log2_below(count, n, Q, target) == expected, (n, k, count)
+            cases += 1
+    assert cases == 579 and reported > 500
+
+
+def test_census_report_at_fine_alpha_ends(tmp_path, capsys):
+    # alpha = 2**-26 once raised the count to the power 2**26
+    start = time.perf_counter()
+    assert main(["census", "-n", "2", "-S", "4", "--alpha=1/67108864",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 30
+    out = capsys.readouterr().out
+    assert "f(N)=134217727/67108864: no" in out
 
 
 def _bound_decimal(n: int, alpha: Dyadic) -> Decimal:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -518,3 +521,54 @@ def test_cli_out_that_cannot_be_written(tmp_path, capsys, config, argv, where):
     err = capsys.readouterr().err
     assert err.startswith("config error: --out: cannot write ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "build, spec, field",
+    [
+        (build_construction, {"type": "acceptance-gap", "t": 2, "values": 3},
+         "construction.values: not an object"),
+        (build_construction, {"type": "acceptance-gap", "t": 2, "values": {"2": 1}},
+         "construction.values: not a bit string"),
+        (build_construction, {"type": "condexp", "level": 2, "values": {"01": "x"}},
+         "construction.values.01: not an integer"),
+        (lambda spec: build_certify(spec, None),
+         {"family": {"type": "explicit-levels", "levels": ["001"]}},
+         "certify.family.levels: not an object"),
+        (lambda spec: build_certify(spec, None),
+         {"family": {"type": "explicit-levels", "levels": {"3": "001"}}},
+         "certify.family.levels.3: not a list"),
+        (lambda spec: build_certify(spec, None),
+         {"family": {"type": "explicit-levels", "levels": {"x": []}}},
+         "certify.family.levels: not an integer"),
+        (build_family, {"type": "covers", "levels": {"2": ["0a"]}},
+         "family.levels.2: not a bit string"),
+    ],
+)
+def test_shared_map_parsers_keep_field_paths(build, spec, field):
+    with pytest.raises(ConfigError) as err:
+        build(spec)
+    assert str(err.value).startswith(field)
+
+
+# block-buffered stdout (the default) first meets the closed pipe when main
+# flushes it; unbuffered stdout meets it at the first print
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["figures", "--format", "dot"], ["figures", "1"]])
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the child writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "martlab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,6 +1,11 @@
 import math
+import random
 
-from martlab.cantor import BitString, EMPTY
+import pytest
+
+from martlab.cantor import BitString, EMPTY, all_strings
+from martlab.circuits import mcsp_cover, mcsp_witness_relation
+from martlab.cli import main
 from martlab.combinators import borel_cantelli_measure, unit_certificate
 from martlab.constructions import Cover
 from martlab.dyadic import Dyadic, grid_floor_log2_ratio
@@ -11,6 +16,8 @@ from martlab.entropy import (
     level_count,
     mc_certificate,
 )
+from martlab.errors import CapExceeded
+from martlab.oracle import explicit_set_relation, sat_relation
 
 
 def constant_family(predicate, name):
@@ -85,6 +92,71 @@ def test_level_count_uses_analytic_counter():
     )
     fam = LevelFamily(lambda n: cover if n == 30 else None, "wide")
     assert level_count(fam, 30) == 7
+
+
+def enumerated_count(cover, w=EMPTY):
+    """The leaf scan ``level_count`` once ran: every length-``level``
+    extension of ``w``, read by ``contains``."""
+    free = cover.level - len(w)
+    return sum(
+        1
+        for v in range(1 << free)
+        if cover.contains(BitString.from_int(w.to_int() << free | v, cover.level))
+    )
+
+
+def _covers_to_level_8(census2):
+    """Predicate, explicit-relation (exists and unique), sat, mcsp-witness
+    and mcsp covers at levels 0..8."""
+    rnd = random.Random(41)
+    for n in range(9):
+        marks = {v for v in range(1 << n) if rnd.random() < 0.3}
+        yield Cover.from_predicate(lambda x, marks=marks: x.to_int() in marks, n)
+        members = [BitString.from_int(v, n) for v in sorted(marks)]
+        explicit = explicit_set_relation(f"explicit{n}", members)
+        yield Cover.from_relation(explicit, n)
+        yield Cover.from_relation(explicit, n, unique_witnesses=True)
+    for v in range(4):
+        yield Cover.from_relation(sat_relation(v), 1 << v)
+    for s in (0, 1):
+        yield Cover.from_relation(mcsp_witness_relation(2, s), 4)
+        yield mcsp_cover(2, s, census2)
+
+
+def test_cover_counts_match_leaf_enumeration(census2):
+    names = []
+    for cover in _covers_to_level_8(census2):
+        n = cover.level
+        fam = LevelFamily(lambda k: cover if k == n else None, cover.name)
+        assert level_count(fam, n) == enumerated_count(cover)
+        for k in range(n + 1):
+            for w in all_strings(k):
+                assert cover.ext_count(w) == enumerated_count(cover, w), (cover.name, w)
+        names.append(cover.name)
+    assert len(names) == 35
+    assert {"sat-3", "mcsp-witness(n=2,s=1)", "mcsp(n=2,s=1)"} <= set(names)
+
+
+def test_enumeration_cap_still_refuses_level_23():
+    with pytest.raises(CapExceeded):
+        Cover.from_predicate(lambda x: True, 23)
+    with pytest.raises(CapExceeded):
+        Cover.from_relation(sat_relation(2), 23)
+    fam = constant_family(lambda x: True, "all")
+    with pytest.raises(CapExceeded):
+        fam.cover_at(23)
+    with pytest.raises(CapExceeded):
+        level_count(fam, 23)
+
+
+def test_level_23_relation_cover_config_exits_3(tmp_path, capsys):
+    config = tmp_path / "wide.json"
+    config.write_text(
+        '{"version": 1, "construction": {"type": "cover", "level": 23,'
+        ' "relation": {"builtin": "explicit", "members": []}}}'
+    )
+    assert main(["verify", "--config", str(config), "--depth", "2"]) == 3
+    assert "exceeds enumeration cap" in capsys.readouterr().err
 
 
 def test_certificate_fails_on_full_family():
