@@ -1,6 +1,6 @@
 """The one persistence path for cached tables (censuses and kt tables).
 
-A cache file is one header line, ``martlab-cache v2 <file name>
+A cache file is one header line, ``martlab-cache v3 <file name>
 sha256=<payload digest>``, followed by the payload.  The file name spells out
 every parameter the contents depend on, so the header carries the key.  A
 load trusts the payload only when the whole header matches; anything else (an
@@ -21,8 +21,9 @@ from .errors import ConfigError
 
 __all__ = ["FORMAT_VERSION", "directory", "fetch"]
 
-# version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV
-FORMAT_VERSION = 2
+# version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV;
+# version 2 stored a census as one 14-byte record per reached table
+FORMAT_VERSION = 3
 
 T = TypeVar("T")
 

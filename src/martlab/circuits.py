@@ -17,11 +17,10 @@ the translation of census witnesses into stack programs for the toy machine.
 
 from __future__ import annotations
 
-import struct
-from collections import Counter
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 from pathlib import Path
 
@@ -45,6 +44,7 @@ __all__ = [
     "CircuitCensus",
     "DEFAULT_BASIS",
     "SIZE_CAP",
+    "UNREACHED",
     "build_census",
     "dag_minimum_sizes",
     "mcsp",
@@ -63,6 +63,9 @@ __all__ = [
 DEFAULT_BASIS = "and-or-not"
 SIZE_CAP = 8
 INPUT_CAP = 4
+UNREACHED = 255  # the size byte of a table no circuit within the cap computes
+_WKIND = ("VAR", "CONST", "NOT", "AND", "OR")
+_WKIND_CODE = {name: code for code, name in enumerate(_WKIND)}
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,9 @@ class TruthTable:
     def from_bits(cls, bits: BitString | str) -> "TruthTable":
         text = bits.bits() if isinstance(bits, BitString) else bits
         rows = len(text)
-        n = rows.bit_length() - 1
-        if rows != 1 << n:
+        if rows < 1 or rows & (rows - 1):
             raise ValueError(f"table length {rows} is not a power of two")
-        return cls(n, int(text[::-1], 2))
+        return cls(rows.bit_length() - 1, int(text[::-1], 2))
 
     def to_bits(self) -> BitString:
         return BitString(format(self.mask, f"0{1 << self.n}b")[::-1])
@@ -111,34 +113,70 @@ class Circuit:
 
 @dataclass(frozen=True)
 class CircuitCensus:
-    """Minimum gate counts for every table reachable within ``max_size``."""
+    """Minimum gate counts for every table reachable within ``max_size``.
+
+    Dense and indexed by mask: ``sizes[mask]`` is the table's minimum size,
+    or :data:`UNREACHED`, and its first-reached witness is ``("VAR", i)``,
+    ``("CONST", b)``, ``("NOT", a)``, ``("AND", a, b)`` or ``("OR", a, b)``,
+    stored as ``kinds[mask]`` (an index into the kind names), ``left[mask]``
+    and ``right[mask]`` (0 for one-field witnesses).
+    """
 
     n: int
     basis: str
     max_size: int
-    sizes: dict  # mask -> minimum size
-    witness: dict  # mask -> ("VAR", i) | ("CONST", b) | ("NOT", a) | ("AND", a, b) | ("OR", a, b)
+    sizes: bytes
+    kinds: bytes
+    left: array  # u16
+    right: array  # u16
 
     def min_size(self, tt: TruthTable) -> int | None:
         if tt.n != self.n:
             raise ValueError(f"table has {tt.n} inputs, census has {self.n}")
-        return self.sizes.get(tt.mask)
+        size = self.sizes[tt.mask]
+        return None if size == UNREACHED else size
+
+    def witness(self, mask: int) -> tuple | None:
+        """The table's first-reached witness; ``None`` if it is unreached."""
+        if self.sizes[mask] == UNREACHED:
+            return None
+        kind = _WKIND[self.kinds[mask]]
+        if kind in ("AND", "OR"):
+            return kind, self.left[mask], self.right[mask]
+        return kind, self.left[mask]
+
+    def reached(self) -> list[int]:
+        """The reached masks, in increasing order."""
+        sizes = np.frombuffer(self.sizes, dtype=np.uint8)
+        return np.flatnonzero(sizes != UNREACHED).tolist()
 
     def count_at_most(self, s: int) -> int:
         if s > self.max_size:
             raise CensusUnavailable(
                 f"census caps at size {self.max_size}, asked for {s}"
             )
-        return sum(1 for size in self.sizes.values() if size <= s)
+        return _at_most(self.sizes, s)
 
     def histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.sizes.values()).items()))
+        counts = {s: self.sizes.count(s) for s in range(self.max_size + 1)}
+        return {s: c for s, c in counts.items() if c}
+
+
+def _at_most(sizes: bytes, s: int) -> int:
+    """How many entries of ``sizes`` are at most ``s``."""
+    return len(sizes) - len(sizes.translate(None, bytes(range(s + 1))))
 
 
 def build_census(
     n: int, max_size: int, basis: str = DEFAULT_BASIS
 ) -> CircuitCensus:
-    """Breadth-first closure census; deterministic first-reached sizes."""
+    """Breadth-first closure census; deterministic first-reached sizes.
+
+    Each level offers its candidates in a fixed order (NOT of the previous
+    level, then AND and OR of every size split, each grid by increasing
+    mask); a table takes the first candidate that reaches it, from the grid
+    cell that comes first in row-major order.
+    """
     if basis != DEFAULT_BASIS:
         raise ValueError(f"unsupported basis {basis!r}")
     if not 1 <= n <= INPUT_CAP:
@@ -146,54 +184,46 @@ def build_census(
     if max_size > SIZE_CAP:
         raise CapExceeded(f"census caps at {SIZE_CAP} gates, got {max_size}")
 
-    full = (1 << (1 << n)) - 1
-    sizes: dict[int, int] = {}
-    witness: dict[int, tuple] = {}
-    by_size: list[np.ndarray] = []
+    tables = 1 << (1 << n)
+    full = tables - 1
+    sizes = np.full(tables, UNREACHED, dtype=np.uint8)
+    kinds = np.zeros(tables, dtype=np.uint8)
+    left = np.zeros(tables, dtype=np.uint16)
+    right = np.zeros(tables, dtype=np.uint16)
 
-    seeds: list[tuple[int, tuple]] = [(0, ("CONST", 0)), (full, ("CONST", 1))]
-    seeds += [(m, ("VAR", i)) for i, m in enumerate(machine.projection_masks(n))]
-    level0 = []
-    for mask, how in seeds:
-        if mask not in sizes:
-            sizes[mask] = 0
-            witness[mask] = how
-            level0.append(mask)
-    by_size.append(np.array(sorted(level0), dtype=np.uint32))
+    def reach(s: int, kind: str, masks, a, b=None) -> np.ndarray:
+        """Give size ``s`` to the distinct ``masks`` not reached yet."""
+        fresh = sizes[masks] == UNREACHED
+        masks = masks[fresh]
+        sizes[masks] = s
+        kinds[masks] = _WKIND_CODE[kind]
+        left[masks] = a[fresh]
+        if b is not None:
+            right[masks] = b[fresh]
+        return masks
 
+    projections = np.array(machine.projection_masks(n), dtype=np.uint16)
+    by_size = [np.sort(np.concatenate([
+        reach(0, "CONST", np.array([0, full], dtype=np.uint16), np.array([0, 1])),
+        reach(0, "VAR", projections, np.arange(n)),
+    ]))]
     for s in range(1, max_size + 1):
-        found: dict[int, tuple] = {}
-
-        def consider(mask: int, how: tuple) -> None:
-            if mask not in sizes and mask not in found:
-                found[mask] = how
-
         prev = by_size[s - 1]
-        for a in prev.tolist():
-            consider(full & ~a, ("NOT", a))
-        for i in range(s):
-            j = s - 1 - i
-            if j < i:
-                break
-            left, right = by_size[i], by_size[j]
-            if len(left) == 0 or len(right) == 0:
+        new = [reach(s, "NOT", full ^ prev, prev)]
+        for i in range((s + 1) // 2):
+            lo, hi = by_size[i], by_size[s - 1 - i]
+            if len(lo) == 0 or len(hi) == 0:
                 continue
-            for op_name, ufunc in (("AND", np.bitwise_and), ("OR", np.bitwise_or)):
-                grid = ufunc.outer(left, right)
-                flat = grid.ravel()
-                uniq, first = np.unique(flat, return_index=True)
-                for mask, idx in zip(uniq.tolist(), first.tolist()):
-                    if mask in sizes or mask in found:
-                        continue
-                    r, c = divmod(idx, len(right))
-                    consider(mask, (op_name, int(left[r]), int(right[c])))
-        new_masks = sorted(found)
-        for mask in new_masks:
-            sizes[mask] = s
-            witness[mask] = found[mask]
-        by_size.append(np.array(new_masks, dtype=np.uint32))
+            for kind, ufunc in (("AND", np.bitwise_and), ("OR", np.bitwise_or)):
+                uniq, first = np.unique(ufunc.outer(lo, hi), return_index=True)
+                row, col = np.divmod(first, len(hi))
+                new.append(reach(s, kind, uniq, lo[row], hi[col]))
+        by_size.append(np.sort(np.concatenate(new)))
 
-    return CircuitCensus(n, basis, max_size, sizes, witness)
+    return CircuitCensus(
+        n, basis, max_size, sizes.tobytes(), kinds.tobytes(),
+        array("H", left.tobytes()), array("H", right.tobytes()),
+    )
 
 
 def dag_minimum_sizes(n: int, max_size: int) -> dict[int, int]:
@@ -252,7 +282,7 @@ def circuit_for(census: CircuitCensus, tt: TruthTable) -> Circuit:
         raise CensusUnavailable(f"table {tt} not reached within the census")
 
     def expand(mask: int) -> tuple:
-        how = census.witness[mask]
+        how = census.witness(mask)
         if how[0] in ("VAR", "CONST"):
             return (how,)
         return sum(map(expand, how[1:]), ()) + ((how[0],),)
@@ -270,7 +300,7 @@ def measured_encoding_constant(census: CircuitCensus) -> int:
     ``(size+1) * (c0 + ceil(log2(n + size)))`` bits."""
     c0 = 0
     n = census.n
-    for mask in census.sizes:
+    for mask in census.reached():
         circuit = circuit_for(census, TruthTable(n, mask))
         s = circuit.size()
         width = (n + s - 1).bit_length() if n + s > 1 else 0  # ceil(log2(n+s))
@@ -296,31 +326,20 @@ def mcsp_cover(
             f"need a census for n={n} up to size {s}, "
             f"have n={census.n} up to {census.max_size}"
         )
-    rows = 1 << n
     level = (1 << (n + 1)) - 1
-    table_start = rows - 1  # strings of length n begin at this index
-    qualifying = frozenset(
-        mask for mask, size in census.sizes.items() if size <= s
-    )
+    table_start = (1 << n) - 1  # strings of length n begin at this index
 
     def contains(x: BitString) -> bool:
-        tt = TruthTable.from_bits(x[table_start:])
-        return tt.mask in qualifying
-
-    # per-prefix counts over table masks, grouped by how many table bits are fixed
-    @lru_cache(maxsize=None)
-    def count_with_fixed(fixed_bits: str) -> int:
-        k = len(fixed_bits)
-        prefix_val = int(fixed_bits[::-1], 2) if k else 0
-        low_mask = (1 << k) - 1
-        return sum(
-            1 for mask in qualifying if (mask & low_mask) == prefix_val
-        )
+        return census.sizes[TruthTable.from_bits(x[table_start:]).mask] <= s
 
     def ext_count(w: BitString) -> int:
-        free_prefix = max(0, table_start - len(w))
-        fixed_table = w[table_start:].bits() if len(w) > table_start else ""
-        return (1 << free_prefix) * count_with_fixed(fixed_table)
+        # the tables whose low k rows are w's k table bits v: masks v + j 2**k
+        if len(w) > level:
+            return 0
+        fixed = w[table_start:].bits()
+        v = int(fixed[::-1], 2) if fixed else 0
+        count = _at_most(census.sizes[v :: 1 << len(fixed)], s)
+        return count << max(0, table_start - len(w))
 
     return Cover(
         level=level,
@@ -573,34 +592,43 @@ def mnp_cover_check(
 
 # -- cache payload -------------------------------------------------------
 
-# one record per table, sorted by mask: u32 mask, u8 size, u8 kind, u32 a, u32 b
-_RECORD = struct.Struct("<IBBII")
-_WKIND = ("VAR", "CONST", "NOT", "AND", "OR")
-_WKIND_CODE = {name: code for code, name in enumerate(_WKIND)}
+
+def _little_endian(values: array) -> array:
+    """u16 ``values`` between this machine's byte order and little-endian:
+    a byte-swapped copy on a big-endian machine, else ``values`` itself."""
+    if sys.byteorder == "big":
+        values = array("H", values)
+        values.byteswap()
+    return values
 
 
 def save_census(census: CircuitCensus) -> bytes:
-    """The census payload; ``martlab.cache`` stores it under its key."""
-    records = []
-    for mask in sorted(census.sizes):
-        how = census.witness[mask]
-        b = how[2] if len(how) == 3 else 0
-        records.append(
-            _RECORD.pack(mask, census.sizes[mask], _WKIND_CODE[how[0]], how[1], b)
-        )
-    return b"".join(records)
+    """The census payload; ``martlab.cache`` stores it under its key.
+
+    Dense, for ``T = 2**(2**n)`` tables: ``T`` size bytes, ``T`` kind bytes,
+    then the left and the right witness fields as ``T`` little-endian u16 each.
+    """
+    return b"".join((
+        census.sizes,
+        census.kinds,
+        _little_endian(census.left).tobytes(),
+        _little_endian(census.right).tobytes(),
+    ))
 
 
 def load_census(
     payload: bytes, n: int, max_size: int, basis: str = DEFAULT_BASIS
 ) -> CircuitCensus:
     """Decode a :func:`save_census` payload for the census it was keyed by."""
-    sizes: dict[int, int] = {}
-    witness: dict[int, tuple] = {}
-    for mask, size, kind, a, b in _RECORD.iter_unpack(payload):
-        sizes[mask] = size
-        witness[mask] = (_WKIND[kind], a, b) if kind > 2 else (_WKIND[kind], a)
-    return CircuitCensus(n, basis, max_size, sizes, witness)
+    tables = 1 << (1 << n)
+    view = memoryview(payload)
+    left, right = array("H"), array("H")
+    left.frombytes(view[2 * tables : 4 * tables])
+    right.frombytes(view[4 * tables : 6 * tables])
+    return CircuitCensus(
+        n, basis, max_size, bytes(view[:tables]), bytes(view[tables : 2 * tables]),
+        _little_endian(left), _little_endian(right),
+    )
 
 
 def cached_census(

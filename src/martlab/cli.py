@@ -207,7 +207,7 @@ def cmd_census(args) -> int:
             "basis": census.basis,
             "max_size": census.max_size,
             "histogram": {str(k): v for k, v in census.histogram().items()},
-            "reachable": len(census.sizes),
+            "reachable": census.count_at_most(census.max_size),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -49,11 +49,11 @@ class Cover:
     """A set of length-``level`` strings the cover martingale bets on.
 
     ``contains`` decides membership of length-``level`` strings and
-    ``ext_count`` returns the exact number of members extending a prefix of
-    length at most ``level``.  :meth:`from_members` counts by binary search,
-    in ``O(log m)`` per prefix; :meth:`from_predicate` reads each leaf once
-    and sums pairwise; covers with product structure count in closed form,
-    past the enumeration cap.
+    ``ext_count`` returns the exact number of members extending a prefix, 0
+    for a prefix longer than ``level``.  :meth:`from_members` counts by
+    binary search, in ``O(log m)`` per prefix; :meth:`from_predicate` reads
+    each leaf once and sums pairwise; covers with product structure count in
+    closed form, past the enumeration cap.
     """
 
     level: int
@@ -147,7 +147,8 @@ class Cover:
 def _subtree_sums(
     leaf: Callable[[BitString], int], n: int
 ) -> Callable[[BitString], int]:
-    """The sum of ``leaf`` over the length-``n`` extensions of a prefix.
+    """The sum of ``leaf`` over the length-``n`` extensions of a prefix, 0
+    for a prefix longer than ``n``.
 
     The first query evaluates every leaf once, in lexicographic order;
     ``rows[k][v]`` sums the leaves below the length-``n - k`` prefix ``v``.
@@ -155,6 +156,8 @@ def _subtree_sums(
     rows: list[list[int]] = []
 
     def total(w: BitString) -> int:
+        if len(w) > n:
+            return 0
         if not rows:
             rows.append([leaf(x) for x in all_strings(n)])
             while len(row := rows[-1]) > 1:
@@ -232,7 +235,7 @@ def subset_cover(B: LanguageView, n: int, class_tag: str = "SpanP") -> Cover:
         )
 
     def ext_count(w: BitString) -> int:
-        if not consistent(w):
+        if len(w) > n or not consistent(w):
             return 0
         return 1 << (ones_before[n] - ones_before[len(w)])
 

@@ -393,23 +393,27 @@ def test_criterion_07_supermartingale_transform():
 
 def test_criterion_08_circuit_census(census2, census3, census4):
     from martlab.circuits import (
+        TruthTable,
         build_census,
         dag_minimum_sizes,
         mnp_cover_check,
     )
 
+    def sizes_of(census):
+        return {m: census.min_size(TruthTable(census.n, m)) for m in census.reached()}
+
     with criterion(8, "census == DAG oracle at n=2; deterministic; reports"):
         dag = dag_minimum_sizes(2, 6)
-        assert set(census2.sizes) == set(dag)
+        assert census2.reached() == sorted(dag)
         for mask in range(16):
-            assert census2.sizes[mask] == dag[mask]
+            assert census2.min_size(TruthTable(2, mask)) == dag[mask]
 
         for census in (census3, census4):
             rebuilt = build_census(census.n, census.max_size)
-            assert rebuilt.sizes == census.sizes
+            assert sizes_of(rebuilt) == sizes_of(census)
         small = build_census(3, 4)
-        assert small.sizes == {
-            m: s for m, s in census3.sizes.items() if s <= 4
+        assert sizes_of(small) == {
+            m: s for m, s in sizes_of(census3).items() if s <= 4
         }
 
         censuses = {2: census2, 3: census3, 4: census4}
@@ -479,7 +483,7 @@ def test_criterion_09_kolmogorov(budget, kt_table_10, kt_table_pairing_10):
 
 
 def test_criterion_10_entropy_bridge(census2, census3, census4, cache_dir):
-    from martlab.circuits import mcsp_cover
+    from martlab.circuits import TruthTable, mcsp_cover
     from martlab.entropy import LevelFamily, certificate_family, mc_certificate
 
     with criterion(10, "valid mcsp certificate covers every element with >= 1"):
@@ -517,8 +521,8 @@ def test_criterion_10_entropy_bridge(census2, census3, census4, cache_dir):
         assert len(certified7) == 112
         certified15 = []
         for prefix in range(1 << 7):
-            for mask, size in census3.sizes.items():
-                if size <= 3:
+            for mask in census3.reached():
+                if census3.min_size(TruthTable(3, mask)) <= 3:
                     bits = format(prefix, "07b") + "".join(
                         "1" if (mask >> j) & 1 else "0" for j in range(8)
                     )
@@ -544,7 +548,8 @@ def test_criterion_10_entropy_bridge(census2, census3, census4, cache_dir):
             assert member15.value(p) in (ZERO, ONE)
 
         qualifying4 = [
-            mask for mask, size in census4.sizes.items() if size <= 5
+            mask for mask in census4.reached()
+            if census4.min_size(TruthTable(4, mask)) <= 5
         ]
         assert len(qualifying4) == 2254
         fixed_prefix = BitString("0" * 15)

@@ -6,6 +6,7 @@ fresh build, the damaged file must have cost exactly one rebuild, and the
 rewritten file must load without another.
 """
 
+import hashlib
 import os
 import pathlib
 import struct
@@ -14,6 +15,8 @@ import pytest
 
 from martlab import circuits, kolmogorov
 from martlab.machine import MACHINE_VERSION, BudgetPoly
+
+import census_v2
 
 BUDGET = BudgetPoly(4, 1, 16)
 
@@ -37,21 +40,28 @@ def _fresh(table):
 def _v1(table) -> bytes:
     """The file the version-1 writers produced for the table's key."""
     if table == "census":
-        census = _fresh(table)
-        basis = census.basis.encode()
-        blob = [b"MLC1", struct.pack("<BBH", census.n, census.max_size, len(basis)),
-                basis, struct.pack("<I", len(census.sizes))]
-        kinds = ("VAR", "CONST", "NOT", "AND", "OR")
-        for mask in sorted(census.sizes):
-            kind, a, *b = census.witness[mask]
-            blob.append(struct.pack("<IBBII", mask, census.sizes[mask],
-                                    kinds.index(kind), a, *(b or [0])))
-        return b"".join(blob)
+        n, max_size = TABLES[table][3]
+        sizes, witness = census_v2.build(n, max_size)
+        basis = circuits.DEFAULT_BASIS.encode()
+        return b"".join([b"MLC1", struct.pack("<BBH", n, max_size, len(basis)),
+                         basis, struct.pack("<I", len(sizes)),
+                         census_v2.encode(sizes, witness)])
     t = _fresh(table)
     rows = "".join(f"{bits},{t.entries[bits]}\r\n"
                    for bits in sorted(t.entries, key=lambda b: (len(b), b)))
     return (f"# martlab kt table v1\n# machine={t.machine_version} "
             f"budget={t.budget.key()} L={t.length_cap}\nstring,kt\r\n{rows}").encode()
+
+
+def _v2(table, name) -> bytes:
+    """The file the version-2 writer produced for the table's key: a census
+    as 14-byte records, a kt table in the payload it still has."""
+    if table == "census":
+        payload = census_v2.encode(*census_v2.build(*TABLES[table][3]))
+    else:
+        payload = kolmogorov.save_kt_table(_fresh(table))
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"martlab-cache v2 {name} sha256={digest}\n".encode() + payload
 
 
 def _damage(case, path, table, scratch):
@@ -71,6 +81,8 @@ def _damage(case, path, table, scratch):
         data = source.read_bytes()
     elif case == "v1-format":
         data = _v1(table)
+    elif case == "v2-format":
+        data = _v2(table, path.name)
     elif case == "leftover-tmp":
         # an earlier process with this pid died between writing and renaming
         path.with_name(f"{path.name}.{os.getpid()}.tmp").write_bytes(data[:-8])
@@ -91,7 +103,7 @@ OTHER_TABLE = {"census": "kt", "kt": "census"}
 ROW_CASES = ("duplicated-row", "missing-row", "extra-row")
 CASES = [(table, case) for table in TABLES
          for case in ("truncated", "flipped-byte", "other-key", "other-table",
-                      "v1-format", "leftover-tmp")]
+                      "v1-format", "v2-format", "leftover-tmp")]
 CASES += [("kt", case) for case in ROW_CASES]
 
 

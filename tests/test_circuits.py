@@ -1,13 +1,17 @@
 import math
+import random
 import time
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from martlab import circuits
-from martlab.cantor import BitString, EMPTY
+from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.circuits import (
+    UNREACHED,
     Circuit,
     TruthTable,
     build_census,
@@ -37,34 +41,42 @@ from martlab.machine import run
 from martlab.martingale import verify_averaging
 from martlab.oracle import CountMode, count
 
+import census_v2
+
+
+def sizes_of(census) -> dict:
+    """mask -> minimum size over the reached tables, read through ``min_size``."""
+    return {m: census.min_size(TruthTable(census.n, m)) for m in census.reached()}
+
 
 def test_truth_table_roundtrip():
     tt = TruthTable.from_bits("0110")
     assert tt.n == 2 and tt.mask == 0b0110
     assert str(tt.to_bits()) == "0110"
-    with pytest.raises(ValueError):
-        TruthTable.from_bits("011")
+    for bad in ("011", ""):
+        with pytest.raises(ValueError, match="is not a power of two"):
+            TruthTable.from_bits(bad)
 
 
 def test_seeds_present_at_size_zero(census2):
     for mask in (0b0000, 0b1111, 0b1010, 0b1100):
-        assert census2.sizes[mask] == 0
+        assert census2.min_size(TruthTable(2, mask)) == 0
 
 
 def test_not_gate_reached_at_one():
     census = build_census(1, 2)
-    assert census.sizes[0b01] == 1  # NOT of the single input
+    assert census.min_size(TruthTable(1, 0b01)) == 1  # NOT of the single input
 
 
 def test_closure_equals_dag_oracle(census2):
     dag = dag_minimum_sizes(2, 6)
-    assert set(census2.sizes) == set(dag)
+    assert census2.reached() == sorted(dag)
     for mask in range(16):
-        assert census2.sizes[mask] == dag[mask]
+        assert census2.min_size(TruthTable(2, mask)) == dag[mask]
 
 
 def test_xor_needs_four_gates(census2):
-    assert census2.sizes[0b0110] == 4
+    assert census2.min_size(TruthTable(2, 0b0110)) == 4
     assert not mcsp(TruthTable.from_bits("0110"), 0, census2)
     assert not mcsp(TruthTable.from_bits("0110"), 3, census2)
     assert mcsp(TruthTable.from_bits("0110"), 4, census2)
@@ -76,7 +88,7 @@ def test_constant_accepted_at_zero(census2):
 
 def test_rejected_below_minimum(census3):
     # every censused table flips from reject to accept exactly at its minimum
-    for mask, minimum in census3.sizes.items():
+    for mask, minimum in sizes_of(census3).items():
         if minimum == 0:
             continue
         tt = TruthTable(3, mask)
@@ -96,7 +108,7 @@ def test_parity3_beyond_tree_cap():
 
 def test_size_zero_has_only_projections_and_constants():
     census = build_census(2, 0)
-    assert sorted(census.sizes) == sorted(
+    assert census.reached() == sorted(
         {0b0000, 0b1111, 0b1010, 0b1100}
     )
 
@@ -104,20 +116,19 @@ def test_size_zero_has_only_projections_and_constants():
 def test_census_monotone_in_cap():
     small = build_census(3, 3)
     large = build_census(3, 5)
-    assert small.sizes == {
-        m: s for m, s in large.sizes.items() if s <= 3
+    assert sizes_of(small) == {
+        m: s for m, s in sizes_of(large).items() if s <= 3
     }
 
 
 def test_census_deterministic(census4):
     rebuilt = build_census(4, 5)
-    assert rebuilt.sizes == census4.sizes
-    assert rebuilt.witness == census4.witness
+    assert rebuilt == census4
 
 
 def test_shannon_direction_at_four_inputs():
     census = build_census(4, 8)  # the full default cap
-    assert len(census.sizes) < 1 << 16
+    assert census.count_at_most(8) < 1 << 16
 
 
 def test_census_caps():
@@ -129,13 +140,49 @@ def test_census_caps():
         mcsp(TruthTable.from_bits("0110"), 7, build_census(2, 4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_census_matches_dict_oracle(n):
+    tables = range(1 << (1 << n))
+    for S in range(circuits.SIZE_CAP + 1):
+        sizes, witness = census_v2.build(n, S)
+        census = build_census(n, S)
+        assert load_census(save_census(census), n, S) == census
+        assert [census.min_size(TruthTable(n, m)) for m in tables] == [
+            sizes.get(m) for m in tables
+        ]
+        assert [census.witness(m) for m in tables] == [witness.get(m) for m in tables]
+        assert census.reached() == sorted(sizes)
+        assert census.histogram() == dict(sorted(Counter(sizes.values()).items()))
+        for s in range(S + 1):
+            assert census.count_at_most(s) == sum(v <= s for v in sizes.values())
+        assert census.count_at_most(S) == len(sizes)
+        for m in sizes:
+            assert circuit_for(census, TruthTable(n, m)).ops == census_v2.circuit_ops(witness, m)
+
+
+def test_dense_payload_layout():
+    census = build_census(2, 4)
+    payload = save_census(census)
+    assert len(payload) == 6 * 16
+    assert payload[:16] == bytes(
+        UNREACHED if size is None else size
+        for size in (census.min_size(TruthTable(2, m)) for m in range(16))
+    )
+    # then the kind byte and little-endian u16 fields of each witness
+    xor = 0b0110
+    kind, a, b = census.witness(xor)
+    assert payload[xor] == 4 and kind in ("AND", "OR")
+    assert payload[16 + xor] == census_v2.KINDS.index(kind)
+    assert payload[32 + 2 * xor : 34 + 2 * xor] == a.to_bytes(2, "little")
+    assert payload[64 + 2 * xor : 66 + 2 * xor] == b.to_bytes(2, "little")
+
+
 def test_cache_roundtrip(census3):
     payload = save_census(census3)
     loaded = load_census(payload, census3.n, census3.max_size)
     assert loaded.n == census3.n
     assert loaded.max_size == census3.max_size
-    assert loaded.sizes == census3.sizes
-    assert loaded.witness == census3.witness
+    assert loaded == census3
     # cache writes are byte-deterministic
     assert save_census(loaded) == payload
 
@@ -152,15 +199,15 @@ def test_cached_census_reuses_file(tmp_path, monkeypatch):
 
 
 def test_witness_circuits_evaluate_to_their_tables(census3):
-    for mask in census3.sizes:
+    for mask, size in sizes_of(census3).items():
         circuit = circuit_for(census3, TruthTable(3, mask))
         assert circuit.table().mask == mask
-        assert circuit.size() == census3.sizes[mask]
+        assert circuit.size() == size
 
 
 def test_encode_circuit_decodes_on_machine(census2, census3):
     for census in (census2, census3):
-        for mask in census.sizes:
+        for mask in census.reached():
             tt = TruthTable(census.n, mask)
             program = encode_circuit(circuit_for(census, tt))
             result = run(program, 10_000)
@@ -172,7 +219,7 @@ def test_encoding_length_bound(census2, census3):
         c0 = measured_encoding_constant(census)
         assert c0 <= 24  # the bound must not be vacuous
         n = census.n
-        for mask in census.sizes:
+        for mask in census.reached():
             circuit = circuit_for(census, TruthTable(n, mask))
             s = circuit.size()
             width = (n + s - 1).bit_length() if n + s > 1 else 0
@@ -203,8 +250,63 @@ def test_mcsp_cover_counts_factorize(census2):
     # leaf law: membership is decided by the trailing table bits
     for mask in range(16):
         x = BitString("010") + TruthTable(2, mask).to_bits()
-        expected = ONE if census2.sizes.get(mask, 99) <= 2 else ZERO
+        size = census2.min_size(TruthTable(2, mask))
+        expected = ONE if size is not None and size <= 2 else ZERO
         assert m.value(x) == expected
+
+
+def frozenset_mcsp_cover(n: int, s: int, sizes: dict):
+    """``mcsp_cover``'s (contains, ext_count) as they read a mask -> size
+    dict: a frozenset of qualifying masks, counted per fixed table bits."""
+    table_start = (1 << n) - 1
+    qualifying = frozenset(mask for mask, size in sizes.items() if size <= s)
+
+    def contains(x: BitString) -> bool:
+        return TruthTable.from_bits(x[table_start:]).mask in qualifying
+
+    @lru_cache(maxsize=None)
+    def count_with_fixed(fixed_bits: str) -> int:
+        k = len(fixed_bits)
+        prefix_val = int(fixed_bits[::-1], 2) if k else 0
+        low_mask = (1 << k) - 1
+        return sum(1 for mask in qualifying if (mask & low_mask) == prefix_val)
+
+    def ext_count(w: BitString) -> int:
+        free_prefix = max(0, table_start - len(w))
+        fixed_table = w[table_start:].bits() if len(w) > table_start else ""
+        return (1 << free_prefix) * count_with_fixed(fixed_table)
+
+    return contains, ext_count
+
+
+@pytest.mark.parametrize("n, bounds", [(1, range(7)), (2, range(7)), (3, (0, 3, 6))])
+def test_mcsp_cover_matches_frozenset_twin_on_every_prefix(n, bounds):
+    census = build_census(n, 6)
+    sizes, _ = census_v2.build(n, 6)
+    for s in bounds:
+        cover = mcsp_cover(n, s, census)
+        contains, ext_count = frozenset_mcsp_cover(n, s, sizes)
+        for k in range(cover.level + 1):
+            for w in all_strings(k):
+                assert cover.ext_count(w) == ext_count(w), (s, w)
+        for x in all_strings(cover.level):
+            assert cover.contains(x) == contains(x), (s, x)
+
+
+def test_mcsp_cover_matches_frozenset_twin_at_four_inputs():
+    census = build_census(4, 8)
+    sizes, _ = census_v2.build(4, 8)
+    rnd = random.Random(4)
+    for s in range(9):
+        cover = mcsp_cover(4, s, census)
+        contains, ext_count = frozenset_mcsp_cover(4, s, sizes)
+        for k in range(32):
+            for _ in range(20):
+                w = BitString.from_int(rnd.getrandbits(k) if k else 0, k)
+                assert cover.ext_count(w) == ext_count(w), (s, w)
+        for _ in range(200):
+            x = BitString.from_int(rnd.getrandbits(31), 31)
+            assert cover.contains(x) == contains(x), (s, x)
 
 
 def test_mcsp_cover_against_enumeration(census2):

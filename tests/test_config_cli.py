@@ -213,6 +213,10 @@ def test_cli_census_and_mcsp(tmp_path, capsys):
                  "--alpha", "1/2"]) == 0
     out = capsys.readouterr().out
     assert "0,4" in out and "tables within bound: 14" in out
+    assert main(["census", "-n", "3", "-S", "8", "--format", "json",
+                 "--cache-dir", cache]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["reachable"] == sum(report["histogram"].values()) == 248
 
     assert main(["mcsp", "--table", "0110", "-s", "3",
                  "--cache-dir", cache]) == 0
@@ -434,6 +438,17 @@ def test_cli_rejects_negative_integer_options(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("table", ["", "011"])
+def test_cli_mcsp_table_length_must_be_a_power_of_two(tmp_path, capsys, table):
+    argv = ["mcsp", "--table", table, "-s", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: --table: table length {len(table)} is not a power of two\n"
+    )
 
 
 def test_cli_query_past_horizon_is_a_config_error(tmp_path, capsys):

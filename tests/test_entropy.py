@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from martlab.cantor import BitString, EMPTY, all_strings
+from martlab.cantor import BitString, EMPTY, LanguageView, all_strings
 from martlab.circuits import mcsp_cover, mcsp_witness_relation
 from martlab.cli import main
 from martlab.combinators import borel_cantelli_measure, unit_certificate
-from martlab.constructions import Cover
+from martlab.constructions import Cover, subset_cover
 from martlab.dyadic import Dyadic, grid_floor_log2_ratio
 from martlab.entropy import (
     LevelFamily,
@@ -135,6 +135,22 @@ def test_cover_counts_match_leaf_enumeration(census2):
         names.append(cover.name)
     assert len(names) == 35
     assert {"sat-3", "mcsp-witness(n=2,s=1)", "mcsp(n=2,s=1)"} <= set(names)
+
+
+def test_ext_count_is_zero_past_the_level(census2):
+    B = LanguageView.from_indices([1, 3, 4], horizon=16)
+    covers = [
+        *_covers_to_level_8(census2),
+        Cover.from_members(["000", "001", "010"], 3),
+        Cover.from_predicate(lambda x: True, 3),
+        subset_cover(B, 3),
+        subset_cover(B, 6),
+        mcsp_cover(2, 4, census2),
+    ]
+    for cover in covers:
+        for k in (cover.level + 1, cover.level + 2):
+            for w in all_strings(k):
+                assert cover.ext_count(w) == 0, (cover.name, w)
 
 
 def test_enumeration_cap_still_refuses_level_23():

@@ -202,7 +202,7 @@ def test_circuit_link(census2, census3, budget):
     table = build_kt_table(generous, 8)
     for census in (census2, census3):
         rows = 1 << census.n
-        for mask in census.sizes:
+        for mask in census.reached():
             tt = TruthTable(census.n, mask)
             program = encode_circuit(circuit_for(census, tt))
             assert run(program, generous(rows)).output == tt.to_bits()
