@@ -1,13 +1,15 @@
 """The one persistence path for cached tables (censuses and kt tables).
 
-A cache file is one header line, ``martlab-cache v3 <file name>
+A cache file is one header line, ``martlab-cache v4 <file name>
 sha256=<payload digest>``, followed by the payload.  The file name spells out
 every parameter the contents depend on, so the header carries the key.  A
 load trusts the payload only when the whole header matches; anything else (an
 older format, a cut or edited file, a copy under another key's name) is
 rebuilt and rewritten.  Writes go to a per-process temporary file in the same
 directory and are moved into place with ``os.replace``, so no reader sees
-half a file.  Callers supply only the payload encoding.
+half a file.  Callers supply only the payload encoding; a decoder gets a
+``memoryview`` of the payload, so a load hashes and reads the file's bytes in
+place.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .errors import ConfigError
 __all__ = ["FORMAT_VERSION", "directory", "fetch"]
 
 # version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV;
-# version 2 stored a census as one 14-byte record per reached table
-FORMAT_VERSION = 3
+# version 2 stored a census as one 14-byte record per reached table; versions
+# 2 and 3 stored a kt table as ``string,kt`` CSV lines
+FORMAT_VERSION = 4
 
 T = TypeVar("T")
 
@@ -35,7 +38,7 @@ def directory(cache_dir: Path | str) -> Path:
     return path
 
 
-def _header(name: str, payload: bytes) -> bytes:
+def _header(name: str, payload: bytes | memoryview) -> bytes:
     digest = hashlib.sha256(payload).hexdigest()
     return f"martlab-cache v{FORMAT_VERSION} {name} sha256={digest}\n".encode()
 
@@ -45,7 +48,7 @@ def fetch(
     name: str,
     build: Callable[[], T],
     encode: Callable[[T], bytes],
-    decode: Callable[[bytes], T],
+    decode: Callable[[memoryview], T],
 ) -> T:
     """Decode the cached ``name``, or build it and store its encoding.
 
@@ -62,7 +65,7 @@ def fetch(
     except OSError as exc:
         raise ConfigError(f"cannot read {name} ({exc.strerror})",
                           field="--cache-dir") from exc
-    payload = data[data.find(b"\n") + 1 :]
+    payload = memoryview(data)[data.find(b"\n") + 1 :]
     if data.startswith(_header(name, payload)):
         return decode(payload)
     value = build()

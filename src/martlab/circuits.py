@@ -8,7 +8,8 @@ projections and constants, then combine everything already reached through
 one more gate.  Combining two minimal subcircuits counts both operand
 trees, so census sizes are minima over tree-shaped circuits; an independent
 state-space enumeration over circuit DAGs (which can share gates) serves as
-the oracle at ``n = 2``, where the two notions provably coincide.
+the oracle at ``n = 2``, where the two notions provably coincide, and bounds
+tree sizes from below at ``n = 3`` up to 5 gates.
 
 On top of the census sit the minimum-circuit-size decision, the covering
 check for characteristic prefixes whose top length has a small circuit, and
@@ -231,10 +232,14 @@ def dag_minimum_sizes(n: int, max_size: int) -> dict[int, int]:
 
     A state is the set of tables some circuit DAG has computed; each step
     applies one more gate to anything already computed, so the first level a
-    table appears at is its true minimum circuit (not formula) size.
+    table appears at is its true minimum circuit (not formula) size.  The
+    states grow too fast past ``n = 2``; at ``n = 3`` the search runs up to
+    5 gates, the first size where shared gates beat trees.
     """
-    if n > 2:
-        raise CapExceeded("the DAG oracle is meant for n <= 2")
+    if n > 3 or (n == 3 and max_size > 5):
+        raise CapExceeded(
+            "the DAG oracle is meant for n <= 2, or n = 3 up to 5 gates"
+        )
     full = (1 << (1 << n)) - 1
     base = tuple(sorted({0, full, *(machine.projection_masks(n))}))
     minima = {m: 0 for m in base}

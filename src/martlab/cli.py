@@ -12,6 +12,7 @@ whose reader closes early ends the run with exit 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,7 +271,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_kolmogorov(args) -> int:
-    from .kolmogorov import cached_kt_table, k_rate
+    from .kolmogorov import NO_PROGRAM, cached_kt_table, k_rate
 
     length_cap = _nonnegative(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
@@ -288,11 +289,13 @@ def cmd_kolmogorov(args) -> int:
         print(f"highest ratio: {report.highest}")
     else:
         print(f"kt table: machine {table.machine_version}, budget {budget}, "
-              f"lengths to {table.length_cap}, {len(table.entries)} strings")
+              f"lengths to {table.length_cap}, {table.count()} strings")
         if args.format == "csv":
             print("string,kt")
-            for bits in sorted(table.entries, key=lambda b: (len(b), b)):
-                print(f"{bits},{table.entries[bits]}")
+            # bin(i + 1)[3:] is the i-th string, cantor.string_index(i)
+            print("".join(f"{bin(i + 1)[3:]},{value}\n"
+                          for i, value in enumerate(table.kts)
+                          if value != NO_PROGRAM), end="")
     return 0
 
 
@@ -300,7 +303,9 @@ def _add_config_arg(parser) -> None:
     parser.add_argument("--config", required=True, help="experiment JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="martlab",
         description="exact betting-martingale laboratory",

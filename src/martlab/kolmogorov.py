@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import cache
-from .cantor import BitString
+from .cantor import BitString, index_of
 from .constructions import condexp_martingale
 from .errors import CapExceeded, MartlabError
 from .machine import (
@@ -50,6 +50,7 @@ from .oracle import WitnessRelation
 __all__ = [
     "DEFAULT_LENGTH_CAP",
     "KtTable",
+    "NO_PROGRAM",
     "KRateReport",
     "build_kt_table",
     "cached_kt_table",
@@ -63,29 +64,40 @@ __all__ = [
 ]
 
 DEFAULT_LENGTH_CAP = 14
+NO_PROGRAM = 255  # the kt byte of a string no program within the cap prints
 
 
 @dataclass(frozen=True)
 class KtTable:
-    """Exhaustive ``kt`` values for every string up to ``length_cap``."""
+    """Exhaustive ``kt`` values for every string up to ``length_cap``.
+
+    Dense and indexed by the length-lexicographic enumeration: ``kts[i]`` is
+    the kt of ``cantor.string_index(i)`` for all ``2**(length_cap+1) - 1``
+    strings, or :data:`NO_PROGRAM` where no program within the cap prints it
+    in budget (every kt is at most ``length_cap + C_LIT``, so a byte holds it).
+    """
 
     budget: BudgetPoly
     length_cap: int
     machine_version: str
-    entries: dict  # bits str -> kt
+    kts: bytes
 
     def lookup(self, x: BitString) -> int:
         if len(x) > self.length_cap:
             raise CapExceeded(
                 f"table caps at length {self.length_cap}, got {len(x)}"
             )
-        bits = x.bits()
-        if bits not in self.entries:
+        value = self.kts[index_of(x)]
+        if value == NO_PROGRAM:
             raise MartlabError(
                 f"no program prints {x!r} within budget {self.budget}; "
                 "the budget is too tight for literal printing"
             )
-        return self.entries[bits]
+        return value
+
+    def count(self) -> int:
+        """How many strings some program prints within the budget."""
+        return len(self.kts) - self.kts.count(NO_PROGRAM)
 
 
 # the shortest term is the empty literal "001"
@@ -190,28 +202,26 @@ def build_kt_table(
         raise CapExceeded(
             f"length cap {length_cap} exceeds {DEFAULT_LENGTH_CAP}"
         )
-    entries: dict[str, int] = {}
+    first: dict[str, int] = {}
     terms = _term_counts(length_cap + C_LIT, length_cap, budget(length_cap))
     for length, level in enumerate(terms):  # lengths upward: first is min
         for out, steps in level:
-            if out not in entries and steps <= budget(len(out)):
-                entries[out] = length
-    return KtTable(budget, length_cap, MACHINE_VERSION, entries)
+            if out not in first and steps <= budget(len(out)):
+                first[out] = length
+    kts = bytearray([NO_PROGRAM]) * ((2 << length_cap) - 1)
+    for out, length in first.items():
+        kts[(1 << len(out)) - 1 + int(out or "0", 2)] = length  # index_of(out)
+    return KtTable(budget, length_cap, MACHINE_VERSION, bytes(kts))
 
 
 def save_kt_table(table: KtTable) -> bytes:
-    """The payload: one ``string,kt`` line per entry, shortest strings first."""
-    return "".join(
-        f"{bits},{table.entries[bits]}\n"
-        for bits in sorted(table.entries, key=lambda b: (len(b), b))
-    ).encode()
+    """The payload: the table's kt bytes as they are, in index order."""
+    return table.kts
 
 
 def load_kt_table(payload: bytes, budget: BudgetPoly, length_cap: int) -> KtTable:
     """Decode a :func:`save_kt_table` payload for the table it was keyed by."""
-    rows = (line.split(",") for line in payload.decode().splitlines())
-    entries = {bits: int(value) for bits, value in rows}
-    return KtTable(budget, length_cap, MACHINE_VERSION, entries)
+    return KtTable(budget, length_cap, MACHINE_VERSION, bytes(payload))
 
 
 def cached_kt_table(
@@ -220,7 +230,7 @@ def cached_kt_table(
     """Build or reload the table keyed by (machine version, budget, cap)."""
     return cache.fetch(
         cache_dir,
-        f"kt_{MACHINE_VERSION}_t{budget.key()}_L{length_cap}.csv",
+        f"kt_{MACHINE_VERSION}_t{budget.key()}_L{length_cap}.bin",
         lambda: build_kt_table(budget, length_cap),
         save_kt_table,
         lambda payload: load_kt_table(payload, budget, length_cap),

@@ -442,18 +442,20 @@ def test_criterion_08_circuit_census(census2, census3, census4):
 def test_criterion_09_kolmogorov(budget, kt_table_10, kt_table_pairing_10):
     import math
 
-    from martlab.kolmogorov import build_kt_table, kt_cover_martingale
+    from martlab.kolmogorov import NO_PROGRAM, build_kt_table, kt_cover_martingale
     from martlab.machine import BudgetPoly, C_LIT, C_PAIR
 
     with criterion(9, "kt laws at L=10; cover capital and leaf laws to n=10"):
         started = time.perf_counter()
 
-        for bits, value in kt_table_10.entries.items():
-            assert value <= len(bits) + C_LIT
+        # both tables are indexed by string_index, so index i is one string
+        for i, value in enumerate(kt_table_10.kts):
+            assert value <= len(string_index(i)) + C_LIT
 
         tighter = build_kt_table(BudgetPoly(3, 1, 8), 7)
-        for bits, value in tighter.entries.items():
-            assert value >= kt_table_10.entries[bits]
+        for i, value in enumerate(tighter.kts):
+            if value != NO_PROGRAM:
+                assert value >= kt_table_10.kts[i]
 
         for total in range(11):
             for split in range(total + 1):

@@ -3,13 +3,14 @@
 Each case writes a census or a kt table through its ``cached_*`` function,
 damages the cache directory, and then asks again: the answer must equal a
 fresh build, the damaged file must have cost exactly one rebuild, and the
-rewritten file must load without another.
+rewritten file must load without another.  Every damage changes the file.
 """
 
 import hashlib
 import os
 import pathlib
 import struct
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from martlab import circuits, kolmogorov
 from martlab.machine import MACHINE_VERSION, BudgetPoly
 
 import census_v2
+import kt_v3
 
 BUDGET = BudgetPoly(4, 1, 16)
 
@@ -46,32 +48,51 @@ def _v1(table) -> bytes:
         return b"".join([b"MLC1", struct.pack("<BBH", n, max_size, len(basis)),
                          basis, struct.pack("<I", len(sizes)),
                          census_v2.encode(sizes, witness)])
-    t = _fresh(table)
-    rows = "".join(f"{bits},{t.entries[bits]}\r\n"
-                   for bits in sorted(t.entries, key=lambda b: (len(b), b)))
-    return (f"# martlab kt table v1\n# machine={t.machine_version} "
-            f"budget={t.budget.key()} L={t.length_cap}\nstring,kt\r\n{rows}").encode()
+    budget, length_cap = TABLES[table][3]
+    rows = _kt_csv(table).decode().replace("\n", "\r\n")
+    return (f"# martlab kt table v1\n# machine={MACHINE_VERSION} "
+            f"budget={budget.key()} L={length_cap}\nstring,kt\r\n{rows}").encode()
+
+
+def _kt_csv(table) -> bytes:
+    """The kt table's ``string,kt`` lines, the payload of versions 1 to 3."""
+    return kt_v3.encode(kt_v3.build(*TABLES[table][3]))
+
+
+def _headed(version, name, payload) -> bytes:
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"martlab-cache v{version} {name} sha256={digest}\n".encode() + payload
 
 
 def _v2(table, name) -> bytes:
     """The file the version-2 writer produced for the table's key: a census
-    as 14-byte records, a kt table in the payload it still has."""
+    as 14-byte records, a kt table as ``string,kt`` lines."""
     if table == "census":
         payload = census_v2.encode(*census_v2.build(*TABLES[table][3]))
     else:
-        payload = kolmogorov.save_kt_table(_fresh(table))
-    digest = hashlib.sha256(payload).hexdigest()
-    return f"martlab-cache v2 {name} sha256={digest}\n".encode() + payload
+        payload = _kt_csv(table)
+    return _headed(2, name, payload)
+
+
+def _v3(table, name) -> bytes:
+    """The file the version-3 writer produced for the table's key: a census
+    in the dense payload it still has, a kt table as ``string,kt`` lines."""
+    if table == "census":
+        payload = circuits.save_census(_fresh(table))
+    else:
+        payload = _kt_csv(table)
+    return _headed(3, name, payload)
 
 
 def _damage(case, path, table, scratch):
     data = path.read_bytes()
-    lines, mid = data.split(b"\n"), data.count(b"\n") // 2
+    start = data.find(b"\n") + 1
+    mid = start + (len(data) - start) // 2  # a byte in the middle of the payload
     if case == "truncated":
         data = data[: len(data) // 2]
     elif case == "flipped-byte":
         # eight bytes from the end lies in the last record in every layout:
-        # the CONST witness of the all-ones table, or a bit of a kt string
+        # the CONST witness of the all-ones table, or the kt of a 5-bit string
         data = data[:-8] + bytes([data[-8] ^ 1]) + data[-7:]
     elif case in ("other-key", "other-table"):
         other = OTHER_TABLE[table] if case == "other-table" else table
@@ -83,28 +104,27 @@ def _damage(case, path, table, scratch):
         data = _v1(table)
     elif case == "v2-format":
         data = _v2(table, path.name)
+    elif case == "v3-format":
+        data = _v3(table, path.name)
     elif case == "leftover-tmp":
         # an earlier process with this pid died between writing and renaming
         path.with_name(f"{path.name}.{os.getpid()}.tmp").write_bytes(data[:-8])
         path.unlink()
         return
-    elif case == "duplicated-row":
-        lines[mid] = lines[mid + 1]
-    elif case == "missing-row":
-        del lines[mid]
-    elif case == "extra-row":
-        lines.insert(mid, b"000000,7")
-    if case in ROW_CASES:
-        data = b"\n".join(lines)
+    elif case == "duplicated-byte":
+        data = data[: mid + 1] + data[mid:]
+    elif case == "dropped-byte":
+        data = data[:mid] + data[mid + 1 :]
+    elif case == "inserted-byte":
+        data = data[:mid] + b"\x07" + data[mid:]
     path.write_bytes(data)
 
 
 OTHER_TABLE = {"census": "kt", "kt": "census"}
-ROW_CASES = ("duplicated-row", "missing-row", "extra-row")
 CASES = [(table, case) for table in TABLES
          for case in ("truncated", "flipped-byte", "other-key", "other-table",
-                      "v1-format", "v2-format", "leftover-tmp")]
-CASES += [("kt", case) for case in ROW_CASES]
+                      "v1-format", "v2-format", "v3-format", "leftover-tmp",
+                      "duplicated-byte", "dropped-byte", "inserted-byte")]
 
 
 @pytest.mark.parametrize("table, case", CASES)
@@ -113,15 +133,17 @@ def test_damaged_cache_is_rebuilt_once(tmp_path, monkeypatch, table, case):
     cache_dir = tmp_path / "cache"
     _cached(table, params, cache_dir)
     [path] = cache_dir.iterdir()
+    original = path.read_bytes()
     _damage(case, path, table, tmp_path / "scratch")
+    assert not path.exists() or path.read_bytes() != original
     fresh = _fresh(table)
 
     builds = []
-    original = getattr(module, build)
+    builder = getattr(module, build)
 
     def counted(*args):
         builds.append(args)
-        return original(*args)
+        return builder(*args)
 
     monkeypatch.setattr(module, build, counted)
     assert _cached(table, params, cache_dir) == fresh
@@ -138,8 +160,8 @@ def test_cache_names_spell_out_their_keys(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "census_n2_s3_and-or-not.bin",
         "census_n2_s4_and-or-not.bin",
-        f"kt_{MACHINE_VERSION}_t{BUDGET.key()}_L5.csv",
-        f"kt_{MACHINE_VERSION}_t{BUDGET.key()}_L6.csv",
+        f"kt_{MACHINE_VERSION}_t{BUDGET.key()}_L5.bin",
+        f"kt_{MACHINE_VERSION}_t{BUDGET.key()}_L6.bin",
     ]
 
 
@@ -158,3 +180,24 @@ def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, table):
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     assert _cached(table, params, tmp_path) == _fresh(table)
+
+
+@pytest.mark.parametrize(
+    "load, limit",
+    [
+        (lambda cache_dir: kolmogorov.cached_kt_table(BUDGET, 10, cache_dir), 64 << 10),
+        (lambda cache_dir: circuits.cached_census(4, 8, cache_dir), 1 << 20),
+    ],
+    ids=["kt-L10", "census-n4-s8"],
+)
+def test_warm_load_allocates_little_beyond_the_file(tmp_path, load, limit):
+    # the file is read once; the header is hashed and the payload decoded
+    # from a view of those bytes, not from a copy of them
+    expected = load(tmp_path)
+    tracemalloc.start()
+    try:
+        assert load(tmp_path) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit

@@ -75,6 +75,22 @@ def test_closure_equals_dag_oracle(census2):
         assert census2.min_size(TruthTable(2, mask)) == dag[mask]
 
 
+def test_dag_sizes_at_most_tree_sizes_at_three_inputs():
+    # census sizes are tree (formula) minima; at n = 3 shared gates first
+    # pay off at 5 gates, reaching 12 tables no 5-gate tree computes
+    dag = dag_minimum_sizes(3, 5)
+    census = build_census(3, 5)
+    tree = census.reached()
+    assert len(dag) == 203
+    assert len(tree) == 191
+    assert set(tree) <= set(dag)
+    for mask in tree:
+        assert census.min_size(TruthTable(3, mask)) == dag[mask]
+    for n, max_size in ((3, 6), (4, 1)):
+        with pytest.raises(CapExceeded):
+            dag_minimum_sizes(n, max_size)
+
+
 def test_xor_needs_four_gates(census2):
     assert census2.min_size(TruthTable(2, 0b0110)) == 4
     assert not mcsp(TruthTable.from_bits("0110"), 0, census2)

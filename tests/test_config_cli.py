@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from martlab.cli import main
+from martlab.cli import build_parser, main
 from martlab.config import (
     build_certify,
     build_construction,
@@ -587,3 +587,63 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _run(argv, capsys):
+    """``(exit code, stdout, stderr)`` of one in-process ``main`` call,
+    counting argparse's own exits (errors and ``--help``)."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_main_matches_a_fresh_parser(tmp_path, capsys):
+    figure1 = str(EXPERIMENTS / "figure1_cover.json")
+    geometric = str(EXPERIMENTS / "geometric_sum.json")
+    certify = write_config(tmp_path, CERTIFY_CONFIG)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    # every subcommand with options away from their defaults, then argparse's
+    # own exits, then every subcommand at its defaults
+    calls = [
+        ["kolmogorov", "--budget", "9", "1", "48", "--format", "csv", "-L", "4"],
+        ["kolmogorov", "-L", "5", "--sequence", "01101", *cache],
+        ["figures", "2", "--format", "csv"],
+        ["construct", "--config", figure1, "--depth", "2", "--format", "json"],
+        ["verify", "--config", figure1, "--depth", "6"],
+        ["success", "--config", figure1, "--sequence", "0110", "--s", "1/2"],
+        ["diagonalize", "--config", figure1, "-N", "3"],
+        ["sum", "--config", geometric, "-w", "01", "--precision", "4", "--seed", "3"],
+        ["census", "-n", "2", "-S", "3", "--alpha", "1/2", "--format", "json", *cache],
+        ["mcsp", "--table", "0110", "-s", "4", *cache],
+        ["certify", "--config", certify, "--seed", "5", *cache],
+        ["figures", "9"],
+        ["mcsp", "--table", "0110"],
+        ["kolmogorov", "--budget", "1", "2"],
+        ["--help"],
+        ["kolmogorov", "--help"],
+        ["kolmogorov"],
+        ["figures"],
+        ["construct", "--config", figure1],
+        ["verify", "--config", figure1],
+        ["success", "--config", figure1, "--sequence", "0110"],
+        ["diagonalize", "--config", figure1],
+        ["sum", "--config", geometric],
+        ["census", "-n", "2", "-S", "3"],
+        ["mcsp", "--table", "0110", "-s", "2"],
+        ["certify", "--config", certify],
+    ]
+    assert build_parser() is build_parser()
+    repeated = [_run(argv, capsys) for argv in calls]
+    assert {code for code, _, _ in repeated} == {0, 2}
+    for argv, seen in zip(calls, repeated):
+        build_parser.cache_clear()
+        assert _run(argv, capsys) == seen, argv
+        if seen[0] == 0 and "--help" not in argv:
+            # the namespace a reused parser gives equals a fresh parser's
+            fresh = build_parser.__wrapped__().parse_args(argv)
+            assert build_parser().parse_args(argv) == fresh
+    assert build_parser() is build_parser()

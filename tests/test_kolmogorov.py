@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from martlab import kolmogorov
-from martlab.cantor import BitString, all_strings
+from martlab.cantor import BitString, all_strings, string_index
+from martlab.cli import main
 from martlab.circuits import TruthTable, circuit_for, encode_circuit
 from martlab.dyadic import Dyadic, ONE
-from martlab.errors import CapExceeded
+from martlab.errors import CapExceeded, MartlabError
 from martlab.kolmogorov import (
     DEFAULT_LENGTH_CAP,
+    NO_PROGRAM,
     build_kt_table,
     cached_kt_table,
     k_rate,
@@ -22,6 +24,8 @@ from martlab.kolmogorov import (
 from martlab.machine import BudgetPoly, C_LIT, pairing_budget, run
 from martlab.martingale import verify_averaging
 from martlab.oracle import CountMode, count
+
+import kt_v3
 
 
 def _programs(max_len):
@@ -64,7 +68,7 @@ def brute_program_counts(n, max_program_len_exclusive, budget):
     ids=str,
 )
 def test_kt_table_matches_brute_force(budget):
-    assert build_kt_table(budget, 8).entries == brute_kt_entries(budget, 8)
+    assert kt_v3.lookups(build_kt_table(budget, 8)) == brute_kt_entries(budget, 8)
 
 
 @pytest.mark.parametrize(
@@ -85,22 +89,21 @@ def test_short_program_counts_match_brute_force(n, bound, budget):
 
 def test_kt_table_at_default_length_cap(budget):
     table = build_kt_table(budget, DEFAULT_LENGTH_CAP)
-    assert len(table.entries) == (1 << (DEFAULT_LENGTH_CAP + 1)) - 1
-    for bits, value in table.entries.items():
-        assert len(bits) <= DEFAULT_LENGTH_CAP
-        assert value <= len(bits) + C_LIT
+    assert table.count() == (1 << (DEFAULT_LENGTH_CAP + 1)) - 1
+    assert len(table.kts) == (1 << (DEFAULT_LENGTH_CAP + 1)) - 1
+    for i, value in enumerate(table.kts):
+        assert value <= len(string_index(i)) + C_LIT
 
 
 def test_literal_bound_holds_everywhere(kt_table_10):
-    for bits, value in kt_table_10.entries.items():
-        assert value <= len(bits) + C_LIT
+    for i, value in enumerate(kt_table_10.kts):
+        assert value <= len(string_index(i)) + C_LIT
 
 
 def test_every_string_has_an_entry(kt_table_10):
     for length in range(11):
-        for v in range(1 << length):
-            bits = format(v, f"0{length}b") if length else ""
-            assert bits in kt_table_10.entries
+        for x in all_strings(length):
+            assert kt_table_10.lookup(x) <= length + C_LIT
 
 
 def test_runs_compress(kt_table_10, budget):
@@ -126,12 +129,67 @@ def test_length_cap_enforced(kt_table_10, budget):
 def test_csv_roundtrip(budget):
     table = build_kt_table(budget, 5)
     payload = save_kt_table(table)
-    loaded = load_kt_table(payload, budget, 5)
-    assert loaded.entries == table.entries
+    loaded = load_kt_table(memoryview(payload), budget, 5)
+    assert loaded == table
     assert loaded.budget == table.budget
     assert loaded.length_cap == table.length_cap
     assert loaded.machine_version == table.machine_version
     assert save_kt_table(loaded) == payload
+
+
+def test_dense_payload_layout():
+    # one kt byte per string, in length-lexicographic order
+    table = build_kt_table(BudgetPoly(2, 1, 6), 4)
+    payload = save_kt_table(table)
+    assert len(payload) == 31
+    for i, value in enumerate(payload):
+        x = string_index(i)
+        if value == NO_PROGRAM:
+            with pytest.raises(MartlabError, match="no program prints"):
+                table.lookup(x)
+        else:
+            assert table.lookup(x) == value
+
+
+# every budget the tests above build a table for
+TWIN_BUDGETS = [
+    BudgetPoly(4, 1, 16),
+    pairing_budget(BudgetPoly(4, 1, 16)),
+    BudgetPoly(3, 1, 12),
+    BudgetPoly(4, 2, 64),
+    BudgetPoly(2, 1, 8),
+    BudgetPoly(3, 1, 8),
+    BudgetPoly(2, 1, 6),
+]
+
+
+@pytest.mark.parametrize("budget", TWIN_BUDGETS, ids=str)
+def test_dense_table_matches_dict_oracle(tmp_path, capsys, budget):
+    for length_cap in range(11):
+        # each side built, saved and loaded: the dict through its CSV codec,
+        # the dense table through its cache file
+        entries = kt_v3.decode(kt_v3.encode(kt_v3.build(budget, length_cap)))
+        built = cached_kt_table(budget, length_cap, tmp_path)
+        table = cached_kt_table(budget, length_cap, tmp_path)
+        assert table == built
+        for length in range(length_cap + 1):
+            for x in all_strings(length):
+                if x.bits() in entries:
+                    assert table.lookup(x) == entries[x.bits()]
+                else:
+                    with pytest.raises(MartlabError, match="no program prints"):
+                        table.lookup(x)
+        with pytest.raises(CapExceeded):
+            table.lookup(BitString("0" * (length_cap + 1)))
+        assert table.count() == len(entries)
+        capsys.readouterr()
+        argv = ["kolmogorov", "-L", str(length_cap), "--budget",
+                str(budget.a), str(budget.k), str(budget.b), "--format", "csv",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == kt_v3.csv_stdout(
+            entries, budget, length_cap
+        )
 
 
 def test_cached_table_reused(tmp_path, budget, monkeypatch):
