@@ -124,7 +124,6 @@ class CircuitCensus:
     """
 
     n: int
-    basis: str
     max_size: int
     sizes: bytes
     kinds: bytes
@@ -168,9 +167,7 @@ def _at_most(sizes: bytes, s: int) -> int:
     return len(sizes) - len(sizes.translate(None, bytes(range(s + 1))))
 
 
-def build_census(
-    n: int, max_size: int, basis: str = DEFAULT_BASIS
-) -> CircuitCensus:
+def build_census(n: int, max_size: int) -> CircuitCensus:
     """Breadth-first closure census; deterministic first-reached sizes.
 
     Each level offers its candidates in a fixed order (NOT of the previous
@@ -178,8 +175,6 @@ def build_census(
     mask); a table takes the first candidate that reaches it, from the grid
     cell that comes first in row-major order.
     """
-    if basis != DEFAULT_BASIS:
-        raise ValueError(f"unsupported basis {basis!r}")
     if not 1 <= n <= INPUT_CAP:
         raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
     if max_size > SIZE_CAP:
@@ -222,7 +217,7 @@ def build_census(
         by_size.append(np.sort(np.concatenate(new)))
 
     return CircuitCensus(
-        n, basis, max_size, sizes.tobytes(), kinds.tobytes(),
+        n, max_size, sizes.tobytes(), kinds.tobytes(),
         array("H", left.tobytes()), array("H", right.tobytes()),
     )
 
@@ -315,9 +310,7 @@ def measured_encoding_constant(census: CircuitCensus) -> int:
     return c0
 
 
-def mcsp_cover(
-    n: int, s: int, census: CircuitCensus, class_tag: str = "SpanP"
-) -> Cover:
+def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     """Cover of length ``2**(n+1) - 1`` characteristic prefixes whose top
     length has a circuit of at most ``s`` gates.
 
@@ -350,7 +343,7 @@ def mcsp_cover(
         level=level,
         contains=contains,
         ext_count=ext_count,
-        class_tag=class_tag,
+        class_tag="SpanP",
         name=f"mcsp(n={n},s={s})",
     )
 
@@ -621,9 +614,7 @@ def save_census(census: CircuitCensus) -> bytes:
     ))
 
 
-def load_census(
-    payload: bytes, n: int, max_size: int, basis: str = DEFAULT_BASIS
-) -> CircuitCensus:
+def load_census(payload: bytes, n: int, max_size: int) -> CircuitCensus:
     """Decode a :func:`save_census` payload for the census it was keyed by."""
     tables = 1 << (1 << n)
     view = memoryview(payload)
@@ -631,19 +622,17 @@ def load_census(
     left.frombytes(view[2 * tables : 4 * tables])
     right.frombytes(view[4 * tables : 6 * tables])
     return CircuitCensus(
-        n, basis, max_size, bytes(view[:tables]), bytes(view[tables : 2 * tables]),
+        n, max_size, bytes(view[:tables]), bytes(view[tables : 2 * tables]),
         _little_endian(left), _little_endian(right),
     )
 
 
-def cached_census(
-    n: int, max_size: int, cache_dir: Path | str | None, basis: str = DEFAULT_BASIS
-) -> CircuitCensus:
+def cached_census(n: int, max_size: int, cache_dir: Path | str | None) -> CircuitCensus:
     """Build or reload the census keyed by (n, basis, max_size)."""
     return cache.fetch(
         cache_dir,
-        f"census_n{n}_s{max_size}_{basis}.bin",
-        lambda: build_census(n, max_size, basis),
+        f"census_n{n}_s{max_size}_{DEFAULT_BASIS}.bin",
+        lambda: build_census(n, max_size),
         save_census,
-        lambda payload: load_census(payload, n, max_size, basis),
+        lambda payload: load_census(payload, n, max_size),
     )

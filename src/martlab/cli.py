@@ -196,7 +196,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .circuits import cached_census, mnp_cover_check
+    from .circuits import DEFAULT_BASIS, cached_census, mnp_cover_check
 
     if args.inputs < 1:
         raise ConfigError(f"must be at least 1, got {args.inputs}", field="--inputs")
@@ -205,7 +205,7 @@ def cmd_census(args) -> int:
     if args.format == "json":
         payload = {
             "inputs": census.n,
-            "basis": census.basis,
+            "basis": DEFAULT_BASIS,
             "max_size": census.max_size,
             "histogram": {str(k): v for k, v in census.histogram().items()},
             "reachable": census.count_at_most(census.max_size),

@@ -13,7 +13,6 @@ approximation of its numerator.
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -89,9 +88,7 @@ class ConvergenceModulus:
         return m
 
 
-def geometric_modulus(
-    delta: Dyadic, log2_scale: int = 0, name: str | None = None
-) -> ConvergenceModulus:
+def geometric_modulus(delta: Dyadic, log2_scale: int = 0) -> ConvergenceModulus:
     """A valid modulus for capitals bounded by ``2**(log2_scale - delta*n)``.
 
     Grouping the tail into blocks of ``e = ceil(1/delta)`` terms bounds it by
@@ -109,9 +106,7 @@ def geometric_modulus(
         # ceil(target / delta) with delta = p / 2**k
         return max(0, -((-target << delta.log_den) // delta.num))
 
-    return ConvergenceModulus(
-        fn, name or f"geometric(delta={delta}, scale=2**{log2_scale})"
-    )
+    return ConvergenceModulus(fn, f"geometric(delta={delta}, scale=2**{log2_scale})")
 
 
 def sum_finite(a: Martingale, b: Martingale) -> Martingale:
@@ -172,46 +167,27 @@ def _partial_sum(
     return total
 
 
-def _audit_tail(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    w: BitString,
-    i: int,
-    pad: int,
-) -> None:
-    """Check the modulus promise on a finite window past ``m(w, i)``."""
-    start = mod(w, i)
-    tail = _partial_sum(fam, w, start, start + pad)
-    if tail > Dyadic.pow2(-i):
-        raise ModulusViolation(
-            f"{mod.name}: tail from {start} at ({w!r}, {i}) already sums to "
-            f"{tail} > 2**-{i} within the audit window"
-        )
-
-
 def sum_family(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    w: BitString,
-    r: int,
-    audit_pad: int = DEFAULT_AUDIT_PAD,
-    validate: bool = True,
+    fam: MartingaleFamily, mod: ConvergenceModulus, w: BitString, r: int
 ) -> Dyadic:
     """Truncated family sum ``sum_{n < m(w, r)} d_n(w)``.
 
     Within ``2**-r`` of the full sum whenever the modulus promise holds; the
-    promise is audited on a finite window before summing.
+    promise is audited first, on the ``DEFAULT_AUDIT_PAD`` terms from
+    ``m(w, r)`` on.
     """
-    if validate:
-        _audit_tail(fam, mod, w, r, audit_pad)
-    return _partial_sum(fam, w, 0, mod(w, r))
+    start = mod(w, r)
+    tail = _partial_sum(fam, w, start, start + DEFAULT_AUDIT_PAD)
+    if tail > Dyadic.pow2(-r):
+        raise ModulusViolation(
+            f"{mod.name}: tail from {start} at ({w!r}, {r}) already sums to "
+            f"{tail} > 2**-{r} within the audit window"
+        )
+    return _partial_sum(fam, w, 0, start)
 
 
 def aggregate_martingale(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    class_tag: str = "family-sum",
-    audit_pad: int = DEFAULT_AUDIT_PAD,
+    fam: MartingaleFamily, mod: ConvergenceModulus, class_tag: str = "family-sum"
 ) -> Martingale:
     """The family sum as a martingale.
 
@@ -238,7 +214,7 @@ def aggregate_martingale(
         )
 
     def approx(w: BitString, r: int) -> Dyadic:
-        return sum_family(fam, mod, w, r, audit_pad=audit_pad)
+        return sum_family(fam, mod, w, r)
 
     root = approx(EMPTY, DEFAULT_ROOT_PRECISION)
     return Martingale(
@@ -256,10 +232,7 @@ def aggregate_martingale(
 
 
 def _audit_family(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    audit_levels: int,
-    audit_is: tuple[int, ...],
+    fam: MartingaleFamily, mod: ConvergenceModulus, audit_levels: int
 ) -> None:
     horizon = audit_levels
     if fam.support_end is not None:
@@ -280,7 +253,7 @@ def _audit_family(
             f"{fam.name}: every member up to {horizon} has zero capital"
         )
     # the declared capital series must survive its own modulus
-    for i in audit_is:
+    for i in (0, 4, 8):
         start = mod(EMPTY, i)
         stop = start + DEFAULT_AUDIT_PAD
         if fam.support_end is not None:
@@ -296,24 +269,15 @@ def _audit_family(
 
 
 def borel_cantelli_measure(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    audit_levels: int = 16,
-    audit_is: tuple[int, ...] = (0, 4, 8),
-    seed: int | None = None,
+    fam: MartingaleFamily, mod: ConvergenceModulus, audit_levels: int = 16
 ) -> Martingale:
     """Aggregate whose value is at least 1 wherever any member reaches 1.
 
-    Audits the declared capital bounds and the modulus before aggregating;
-    identically-zero families are rejected as degenerate.  A seed widens the
-    fixed audit set with reproducible random picks.
+    Audits the declared capital bounds and the modulus (its tail promise at
+    ``i = 0, 4, 8``) before aggregating; identically-zero families are
+    rejected as degenerate.
     """
-    if seed is not None:
-        rnd = _random.Random(seed)
-        audit_is = tuple(audit_is) + tuple(
-            rnd.randrange(0, 16) for _ in range(2)
-        )
-    _audit_family(fam, mod, audit_levels, audit_is)
+    _audit_family(fam, mod, audit_levels)
     return aggregate_martingale(fam, mod, class_tag="borel-cantelli")
 
 
@@ -328,11 +292,7 @@ class CoverageCertificate:
 
 
 def unit_certificate(
-    fam: MartingaleFamily,
-    mod: ConvergenceModulus,
-    n: int,
-    w: BitString,
-    r: int = DEFAULT_ROOT_PRECISION,
+    fam: MartingaleFamily, mod: ConvergenceModulus, n: int, w: BitString
 ) -> CoverageCertificate:
     """Certify ``d(w) >= 1`` from member ``n`` reaching 1 at ``w``.
 
@@ -340,7 +300,7 @@ def unit_certificate(
     exact lower-bound witness regardless of truncation.  This is
     :func:`dimension_certificate` of the unscaled family at ``t = 1``.
     """
-    return dimension_certificate(fam, fam, mod, ONE, n, w, r)
+    return dimension_certificate(fam, fam, mod, ONE, n, w)
 
 
 def borel_cantelli_dimension(
@@ -393,11 +353,11 @@ def dimension_certificate(
     t: Dyadic,
     n: int,
     w: BitString,
-    r: int = DEFAULT_ROOT_PRECISION,
 ) -> CoverageCertificate:
     """Certify aggregate value at least ``2**((1-t)n)`` at a covered node."""
     member_value = base_fam.member(n).value(w)
-    partial = _partial_sum(scaled_fam, w, 0, max(mod(w, r), n + 1))
+    stop = max(mod(w, DEFAULT_ROOT_PRECISION), n + 1)
+    partial = _partial_sum(scaled_fam, w, 0, stop)
     threshold = (ONE - t) * Dyadic(n)
     covered = member_value >= ONE and cmp_pow2(partial, threshold) >= 0
     return CoverageCertificate(n, w, member_value, partial, threshold, covered)
@@ -442,10 +402,7 @@ EXPORT_GRID_BITS = 32
 
 
 def approx_supermartingale(
-    form: RatioForm,
-    h: Callable[[BitString], int],
-    n: int,
-    class_tag: str = "approx",
+    form: RatioForm, h: Callable[[BitString], int], n: int
 ) -> ApproxSupermartingale:
     """Supermartingale from a multiplicative approximation of a numerator.
 
@@ -490,7 +447,7 @@ def approx_supermartingale(
         approx=approx,
         initial_capital=approx(EMPTY, EXPORT_GRID_BITS),
         freeze_depth=n,
-        class_tag=class_tag,
+        class_tag="approx",
         supermartingale=True,
         meta={
             "construction": "approx-supermartingale",

@@ -128,6 +128,13 @@ def _int(value: Any, path: str) -> int:
         raise ConfigError(f"not an integer: {value!r}", field=path) from exc
 
 
+def _natural(value: Any, path: str) -> int:
+    n = _int(value, path)
+    if n < 0:
+        raise ConfigError(f"must be nonnegative, got {n}", field=path)
+    return n
+
+
 def _int_map(spec: Any, path: str) -> dict[int, int]:
     return {
         _int(k, path): _int(v, f"{path}.{k}")
@@ -228,13 +235,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
                 f"decide must be exists/unique/gap, got {decide!r}",
                 field=f"{path}.decide",
             )
-        cover = Cover.from_relation(
-            rel,
-            level,
-            unique_witnesses=decide == "unique",
-            gap_language=decide == "gap",
-        )
-        return cover_martingale(cover)
+        return cover_martingale(Cover.from_relation(rel, level, decide))
     if kind == "condexp":
         level = _need(spec, "level", path, _int)
         values = _values(spec, path)
@@ -250,11 +251,11 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
             AcceptanceSpec.biased(
                 target,
                 correct=_need(spec, "correct", path, _int),
-                q=_need(spec, "q", path, _int),
+                q=_need(spec, "q", path, _natural),
             )
         )
     if kind == "acceptance-gap":
-        t = _need(spec, "t", path, _int)
+        t = _need(spec, "t", path, _natural)
         default = _int(spec.get("default", 0), f"{path}.default")
         values = _values(spec, path)
 

@@ -62,14 +62,12 @@ class Cover:
     class_tag: str = "unclassified"
     name: str = "cover"
 
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError(f"cover level {self.level} is negative")
+
     @classmethod
-    def from_members(
-        cls,
-        members: Iterable[BitString | str],
-        level: int,
-        class_tag: str = "explicit",
-        name: str = "explicit-cover",
-    ) -> "Cover":
+    def from_members(cls, members: Iterable[BitString | str], level: int) -> "Cover":
         member_set = frozenset(
             m if isinstance(m, BitString) else BitString(m) for m in members
         )
@@ -88,7 +86,7 @@ class Cover:
         def contains(x: BitString) -> bool:
             return len(x) == level and ext_count(x) == 1
 
-        return cls(level, contains, ext_count, class_tag, name)
+        return cls(level, contains, ext_count, "explicit", "explicit-cover")
 
     @classmethod
     def from_predicate(
@@ -107,41 +105,35 @@ class Cover:
 
     @classmethod
     def from_relation(
-        cls,
-        rel: WitnessRelation,
-        level: int,
-        unique_witnesses: bool = False,
-        gap_language: bool = False,
-        cap: int = LEVEL_CAP,
+        cls, rel: WitnessRelation, level: int, decide: str = "exists"
     ) -> "Cover":
-        """Cover decided by a witness relation.
+        """Cover decided by a witness relation in one of three modes.
 
-        Unique-witness membership (an accepting-path count stand-in) is
-        tagged ``#P``; plain nondeterministic membership is tagged ``SpanP``;
-        a gap relation promised to have gap 0 or 1 is tagged ``GapP`` and any
-        other gap raises :class:`~martlab.errors.GapViolation`.
+        ``exists`` (plain nondeterministic membership) is tagged ``SpanP``;
+        ``unique`` (an accepting-path count stand-in) is tagged ``#P``; and
+        ``gap``, for a relation promised to have gap 0 or 1, is tagged
+        ``GapP``, where any other gap raises
+        :class:`~martlab.errors.GapViolation`.
         """
-        if gap_language:
-            def contains(x: BitString) -> bool:
-                gap = count(rel, CountMode.ACCEPT_MINUS_REJECT, x, cap)
-                if gap not in (0, 1):
-                    raise GapViolation(
-                        f"{rel.name}: gap {gap} on {x!r} is not 0 or 1"
-                    )
-                return gap == 1
+        if decide not in _DECIDE:
+            raise ValueError(f"decide must be exists/unique/gap, got {decide!r}")
+        test, tag = _DECIDE[decide]
+        return cls.from_predicate(lambda x: test(rel, x), level, tag, rel.name)
 
-            tag = "GapP"
-        elif unique_witnesses:
-            def contains(x: BitString) -> bool:
-                return decide_unique(rel, x, cap)
 
-            tag = "#P"
-        else:
-            def contains(x: BitString) -> bool:
-                return exists(rel, x, cap)
+def _gap_member(rel: WitnessRelation, x: BitString) -> bool:
+    gap = count(rel, CountMode.ACCEPT_MINUS_REJECT, x)
+    if gap not in (0, 1):
+        raise GapViolation(f"{rel.name}: gap {gap} on {x!r} is not 0 or 1")
+    return gap == 1
 
-            tag = "SpanP"
-        return cls.from_predicate(contains, level, tag, rel.name)
+
+# the leaf test and the class tag of each Cover.from_relation mode
+_DECIDE = {
+    "exists": (exists, "SpanP"),
+    "unique": (decide_unique, "#P"),
+    "gap": (_gap_member, "GapP"),
+}
 
 
 def _subtree_sums(
@@ -192,20 +184,17 @@ def cover_martingale(cover: Cover) -> Martingale:
     return _leveled(cover.ext_count, n, cover.class_tag, meta)
 
 
-def condexp_martingale(
-    f: Callable[[BitString], int],
-    n: int,
-    class_tag: str = "#P",
-    cap: int = LEVEL_CAP,
-) -> Martingale:
+def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
     """Bet the conditional expectation of a counting function.
 
     The value at ``w`` is the average of ``f`` over uniform length-``n``
     extensions of ``w``; leaves take ``f`` itself.  Negative ``f`` values are
     rejected (gap-valued functions do not make betting values).
     """
-    if n > cap:
-        raise CapExceeded(f"level {n} exceeds enumeration cap {cap}")
+    if n < 0:
+        raise ValueError(f"level {n} is negative")
+    if n > LEVEL_CAP:
+        raise CapExceeded(f"level {n} exceeds enumeration cap {LEVEL_CAP}")
 
     def f_checked(x: BitString) -> int:
         v = f(x)
@@ -214,10 +203,10 @@ def condexp_martingale(
         return v
 
     meta = {"construction": "condexp", "level": n}
-    return _leveled(_subtree_sums(f_checked, n), n, class_tag, meta)
+    return _leveled(_subtree_sums(f_checked, n), n, "#P", meta)
 
 
-def subset_cover(B: LanguageView, n: int, class_tag: str = "SpanP") -> Cover:
+def subset_cover(B: LanguageView, n: int) -> Cover:
     """The cover of length-``n`` strings whose languages sit inside ``B``.
 
     A string qualifies when every 1 bit marks a member of ``B``.  The member
@@ -243,24 +232,22 @@ def subset_cover(B: LanguageView, n: int, class_tag: str = "SpanP") -> Cover:
         level=n,
         contains=consistent,
         ext_count=ext_count,
-        class_tag=class_tag,
+        class_tag="SpanP",
         name=f"subset({B.name or 'B'})",
     )
 
 
-def subset_martingale(
-    B: LanguageView, n: int, class_tag: str = "SpanP"
-) -> Martingale:
+def subset_martingale(B: LanguageView, n: int) -> Martingale:
     """Succeed on prefixes of subsets of ``B``.
 
     Root value ``2**(census(B, n) - n)``; value 1 exactly on the level-``n``
     strings consistent with ``B``.
     """
-    m = cover_martingale(subset_cover(B, n, class_tag))
+    m = cover_martingale(subset_cover(B, n))
     meta = dict(m.meta)
     meta["construction"] = "subset"
     meta["census"] = census(B, n)
-    return replace(m, class_tag=class_tag, meta=meta)
+    return replace(m, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -288,17 +275,14 @@ class AcceptanceSpec:
 
     @classmethod
     def from_gap(
-        cls,
-        g: Callable[[BitString], int],
-        t: Callable[[int], int],
-        name: str = "gap-acceptance",
+        cls, g: Callable[[BitString], int], t: Callable[[int], int]
     ) -> "AcceptanceSpec":
         """Gap-function form: ``f(x,1) = g(x)`` and ``f(x,0) = 2**t(|x|) - g(x)``."""
         return cls(
             f=lambda x, b: g(x) if b else (1 << t(len(x))) - g(x),
             q=t,
             class_tag="GapP",
-            name=name,
+            name="gap-acceptance",
         )
 
     @classmethod
@@ -380,9 +364,7 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     )
 
 
-def biimmunity_martingale(
-    A: LanguageView, class_tag: str = "#P"
-) -> Martingale:
+def biimmunity_martingale(A: LanguageView) -> Martingale:
     """Succeed on every language containing ``A``.
 
     Capital doubles on the 1 branch and dies on the 0 branch wherever the
@@ -400,6 +382,6 @@ def biimmunity_martingale(
     return Martingale.from_ratio(
         _prefix_memo(1, step),
         lambda w: 0,
-        class_tag=class_tag,
+        class_tag="#P",
         meta={"construction": "biimmunity", "language": A.name},
     )

@@ -26,11 +26,11 @@ __all__ = [
     "Dyadic",
     "ZERO",
     "ONE",
-    "HALF",
     "cmp_pow2",
     "pow_bit_length",
     "grid_floor_one_minus_log2_ratio",
     "grid_floor_log2_ratio",
+    "GRID_BITS",
 ]
 
 
@@ -188,7 +188,9 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
-HALF = Dyadic(1, 1)
+
+# the grid ``2**-GRID_BITS`` that reported log2 ratios are floored onto
+GRID_BITS = 10
 
 
 def _pow_bit_bound(m: int, e: int, t: int, up: bool) -> int:
@@ -256,7 +258,7 @@ def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
     return 0 if _is_pow2(m) else 1
 
 
-def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = 10) -> Dyadic:
+def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = GRID_BITS) -> Dyadic:
     """Largest grid multiple of ``2**-grid_bits`` at most ``log2(m) / n``.
 
     Exact: a grid index ``g`` qualifies iff ``m**(2**grid_bits) >= 2**(g*n)``,
@@ -270,7 +272,7 @@ def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = 10) -> Dyadic:
 
 
 def grid_floor_one_minus_log2_ratio(
-    value: Dyadic, n: int, grid_bits: int = 10
+    value: Dyadic, n: int, grid_bits: int = GRID_BITS
 ) -> Dyadic:
     """Largest grid multiple of ``2**-grid_bits`` at most ``1 - log2(value)/n``.
 

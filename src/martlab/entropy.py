@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from .cantor import EMPTY, BitString
 from .combinators import ConvergenceModulus, MartingaleFamily
 from .constructions import Cover, cover_martingale
-from .dyadic import Dyadic, ZERO, grid_floor_log2_ratio
+from .dyadic import GRID_BITS, Dyadic, ZERO, grid_floor_log2_ratio
 from .martingale import Martingale
 
 __all__ = [
@@ -68,20 +68,18 @@ class EntropyRateReport:
     max_ratio: Dyadic | None
 
 
-def entropy_rate(
-    fam: LevelFamily, horizon: int, grid_bits: int = 10
-) -> EntropyRateReport:
+def entropy_rate(fam: LevelFamily, horizon: int) -> EntropyRateReport:
     """Exact counts and grid-floored ``log2(count)/n`` up to the horizon."""
     counts = []
     ratios: list[Dyadic | None] = []
     for n in range(1, horizon + 1):
         c = level_count(fam, n)
         counts.append(c)
-        ratios.append(None if c == 0 else grid_floor_log2_ratio(c, n, grid_bits))
+        ratios.append(None if c == 0 else grid_floor_log2_ratio(c, n, GRID_BITS))
     finite = [r for r in ratios if r is not None]
     return EntropyRateReport(
         horizon,
-        grid_bits,
+        GRID_BITS,
         tuple(counts),
         tuple(ratios),
         max(finite) if finite else None,

@@ -289,7 +289,7 @@ def kt_cover_martingale(
     def pair_count(x: BitString) -> int:
         return counts.get(x.bits(), 0)
 
-    m = condexp_martingale(pair_count, n, class_tag="#P")
+    m = condexp_martingale(pair_count, n)
     meta = dict(m.meta)
     meta.update(
         construction="kt-cover",

@@ -39,7 +39,6 @@ __all__ = [
     "MACHINE_VERSION",
     "C_LIT",
     "C_PAIR",
-    "LITERAL_CONSTANT_RANGE",
     "BudgetPoly",
     "pairing_budget",
     "RunResult",
@@ -63,7 +62,6 @@ MACHINE_VERSION = "m1"
 
 # literal-print overhead: 2 opcode bits + gamma(L+1) <= 7 bits for L <= 14
 C_LIT = 9
-LITERAL_CONSTANT_RANGE = 14
 
 # pair overhead beyond 2*floor(log2 |first|): 2 opcode bits + 1 gamma stop bit
 C_PAIR = 3

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, TypeVar
 
 from .cantor import EMPTY, BitString
-from .dyadic import (
-    Dyadic,
-    ONE,
-    cmp_pow2,
-    grid_floor_one_minus_log2_ratio,
-)
+from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import NegativeValue
 
 T = TypeVar("T")
@@ -287,13 +282,11 @@ class DimensionReport:
         return any(v is None for v in self.levels)
 
 
-def empirical_dimension(
-    m: Martingale, S: BitString, grid_bits: int = 10
-) -> DimensionReport:
+def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
     """Finite-horizon dimension witnesses along ``S``.
 
     For ``1 <= n <= |S|`` the statistic ``1 - log2(d(S[:n]))/n`` is floored
-    onto the ``2**-grid_bits`` grid with exact comparisons; the min over
+    onto the ``2**-GRID_BITS`` grid with exact comparisons; the min over
     levels witnesses dimension, the max strong dimension, both relative to
     this horizon only.
     """
@@ -305,11 +298,11 @@ def empirical_dimension(
         if v.is_zero():
             levels.append(None)
         else:
-            levels.append(grid_floor_one_minus_log2_ratio(v, n, grid_bits))
+            levels.append(grid_floor_one_minus_log2_ratio(v, n, GRID_BITS))
     finite = [v for v in levels if v is not None]
     best = min(finite) if finite else None
     worst = max(finite) if len(finite) == len(levels) else None
-    return DimensionReport(grid_bits, tuple(levels), best, worst)
+    return DimensionReport(GRID_BITS, tuple(levels), best, worst)
 
 
 def tree_csv(m: Martingale, depth: int) -> str:

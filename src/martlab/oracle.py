@@ -5,8 +5,8 @@ computation paths are the full witness cube of a declared length, and the
 three counting modes read off the accepting-path count, the number of
 distinct emitted outputs, and the accepting-minus-rejecting gap.
 
-Enumeration is exhaustive and capped (default 22 witness bits) so every
-count stays exact and fast.
+Enumeration is exhaustive and capped at ``WITNESS_CAP`` witness bits, so
+every count stays exact and fast.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import CapExceeded, SpanModeUnavailable, UniquenessViolation
 __all__ = [
     "CountMode",
     "WitnessRelation",
-    "DEFAULT_WITNESS_CAP",
+    "WITNESS_CAP",
     "count",
     "decide_unique",
     "exists",
@@ -29,7 +29,7 @@ __all__ = [
     "sat_relation",
 ]
 
-DEFAULT_WITNESS_CAP = 22
+WITNESS_CAP = 22
 
 
 class CountMode(enum.Enum):
@@ -53,28 +53,23 @@ class WitnessRelation:
     emit: Callable[[BitString, BitString], BitString] | None = None
 
 
-def _witness_cube(rel: WitnessRelation, x: BitString, cap: int) -> tuple[int, range]:
+def _witness_cube(rel: WitnessRelation, x: BitString) -> tuple[int, range]:
     k = rel.witness_length(len(x))
     if k < 0:
         raise ValueError(f"{rel.name}: negative witness length {k}")
-    if k > cap:
+    if k > WITNESS_CAP:
         raise CapExceeded(
-            f"{rel.name}: witness length {k} exceeds cap {cap} on |x|={len(x)}"
+            f"{rel.name}: witness length {k} exceeds cap {WITNESS_CAP} on |x|={len(x)}"
         )
     return k, range(1 << k)
 
 
-def count(
-    rel: WitnessRelation,
-    mode: CountMode,
-    x: BitString,
-    cap: int = DEFAULT_WITNESS_CAP,
-) -> int:
+def count(rel: WitnessRelation, mode: CountMode, x: BitString) -> int:
     """Exact count over the witness cube in the requested mode.
 
     Only ACCEPT_MINUS_REJECT may return a negative number.
     """
-    k, cube = _witness_cube(rel, x, cap)
+    k, cube = _witness_cube(rel, x)
     if mode is CountMode.DISTINCT_OUTPUT_COUNT and rel.emit is None:
         raise SpanModeUnavailable(f"{rel.name} has no emit map")
 
@@ -94,23 +89,19 @@ def count(
     return 2 * accepts - (1 << k)
 
 
-def exists(
-    rel: WitnessRelation, x: BitString, cap: int = DEFAULT_WITNESS_CAP
-) -> bool:
+def exists(rel: WitnessRelation, x: BitString) -> bool:
     """``count(...) > 0``, stopping at the first accepting witness."""
-    k, cube = _witness_cube(rel, x, cap)
+    k, cube = _witness_cube(rel, x)
     return any(rel.verify(x, BitString.from_int(v, k)) for v in cube)
 
 
-def decide_unique(
-    rel: WitnessRelation, x: BitString, cap: int = DEFAULT_WITNESS_CAP
-) -> bool:
+def decide_unique(rel: WitnessRelation, x: BitString) -> bool:
     """Accept iff exactly one witness; reject iff none.
 
     More than one witness means the relation is not a valid unique-witness
     stand-in, which is an error rather than an answer.
     """
-    c = count(rel, CountMode.WITNESS_COUNT, x, cap)
+    c = count(rel, CountMode.WITNESS_COUNT, x)
     if c > 1:
         raise UniquenessViolation(f"{rel.name}: {c} witnesses on {x!r}")
     return c == 1

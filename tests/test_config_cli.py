@@ -336,6 +336,74 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "construction.level: not an integer: 'x'" in err
 
 
+NEGATIVE_LEVEL = {
+    "members": {"type": "cover", "level": -1, "members": []},
+    "relation": {"type": "cover", "level": -1,
+                 "relation": {"builtin": "sat", "vars": 1}},
+    "condexp": {"type": "condexp", "level": -1, "values": {}},
+    "kt-cover": {"type": "kt-cover", "level": -1, "gap": 0, "budget": [4, 1, 16]},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+@pytest.mark.parametrize("kind", NEGATIVE_LEVEL)
+def test_negative_construction_level_is_a_config_error(
+    tmp_path, capsys, command, kind
+):
+    config = write_config(
+        tmp_path, {"version": 1, "construction": NEGATIVE_LEVEL[kind]}
+    )
+    assert main([command, "--config", config, "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: construction: ")
+    assert captured.err.endswith("level -1 is negative\n")
+
+
+@pytest.mark.parametrize(
+    "config, argv, section",
+    [
+        ({"family": {"type": "covers", "levels": {"-2": []}},
+          "modulus": {"type": "affine", "slope": 1, "offset": 2}}, ["sum"], "family"),
+        ({"certify": {"family": {"type": "explicit-levels", "levels": {"-1": []}},
+                      "gap": {}, "modulus": {"type": "affine", "slope": 1,
+                                             "offset": 0}, "horizon": 3}},
+         ["certify"], "certify"),
+    ],
+    ids=["sum-covers", "certify-explicit-levels"],
+)
+def test_negative_family_level_is_a_config_error(
+    tmp_path, capsys, config, argv, section
+):
+    path = write_config(tmp_path, {"version": 1, **config})
+    assert main(argv + ["--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {section}: cover level -")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--depth", "2"],
+                                  ["construct", "--depth", "2"],
+                                  ["diagonalize", "-N", "2"]])
+@pytest.mark.parametrize(
+    "construction, field",
+    [
+        ({"type": "acceptance-gap", "t": -1, "values": {}}, "construction.t"),
+        ({"type": "acceptance", "q": -1, "correct": 0,
+          "target": {"indices": [1], "horizon": 16}}, "construction.q"),
+    ],
+    ids=["acceptance-gap-t", "acceptance-q"],
+)
+def test_negative_path_exponent_is_a_config_error(
+    tmp_path, capsys, argv, construction, field
+):
+    config = write_config(tmp_path, {"version": 1, "construction": construction})
+    assert main(argv + ["--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {field}: must be nonnegative, got -1\n"
+
+
 def _verify_construction(tmp_path, construction):
     config = write_config(tmp_path, {"version": 1, "construction": construction})
     return main(["verify", "--config", config, "--depth", "2"])

@@ -86,9 +86,25 @@ def test_cover_from_sat_relation():
 
 def test_cover_gap_language_validates():
     cheat = WitnessRelation("bad-gap", lambda n: 1, lambda x, y: True)
-    cover = Cover.from_relation(cheat, 2, gap_language=True)
+    cover = Cover.from_relation(cheat, 2, "gap")
     with pytest.raises(GapViolation):
         cover_martingale(cover).value(EMPTY)
+
+
+@pytest.mark.parametrize(
+    "decide, tag", [("exists", "SpanP"), ("unique", "#P"), ("gap", "GapP")]
+)
+def test_cover_decide_mode_picks_the_class(decide, tag):
+    # one accepting path out of one: a member in every mode, with gap 1
+    everything = WitnessRelation("all", lambda n: 0, lambda x, y: True)
+    m = cover_martingale(Cover.from_relation(everything, 2, decide))
+    assert m.class_tag == tag
+    assert m.value(EMPTY) == ONE
+
+
+def test_cover_rejects_an_unknown_decide_mode():
+    with pytest.raises(ValueError, match="exists/unique/gap, got 'maybe'"):
+        Cover.from_relation(sat_relation(2), 4, "maybe")
 
 
 def test_cover_root_law_randomized():

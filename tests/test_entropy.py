@@ -115,7 +115,7 @@ def _covers_to_level_8(census2):
         members = [BitString.from_int(v, n) for v in sorted(marks)]
         explicit = explicit_set_relation(f"explicit{n}", members)
         yield Cover.from_relation(explicit, n)
-        yield Cover.from_relation(explicit, n, unique_witnesses=True)
+        yield Cover.from_relation(explicit, n, "unique")
     for v in range(4):
         yield Cover.from_relation(sat_relation(v), 1 << v)
     for s in (0, 1):

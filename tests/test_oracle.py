@@ -148,7 +148,3 @@ def test_exists_checks_cap_before_verifying():
     with pytest.raises(CapExceeded):
         exists(rel, BitString("0"))
     assert seen == []
-    narrow = WitnessRelation("narrow", lambda n: 3, rel.verify)
-    with pytest.raises(CapExceeded):
-        exists(narrow, BitString("0"), cap=2)
-    assert seen == []
