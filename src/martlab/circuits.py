@@ -354,8 +354,9 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     A witness packs an op-count header, that many 2-bit opcodes, one ref
     per push opcode, and mandatory zero padding, so each small stack
     program is exactly one witness.  The input is the ``2**n``-bit truth
-    table itself.  Only tiny (n, s) fit under the witness cap; the relation
-    exists to cross-check the census, not to replace it.
+    table itself, and a witness's image is the table its program computes.
+    Only tiny (n, s) fit under the witness cap; the relation exists to
+    cross-check the census, not to replace it.
     """
     max_ops = 2 * s + 1
     max_push = s + 1
@@ -363,34 +364,31 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     width = machine.ref_width(n)
     total = header_bits + 2 * max_ops + width * max_push
 
-    def verify(x: BitString, y: BitString) -> bool:
-        if len(x) != 1 << n:
+    def image(rows: int, y: BitString) -> BitString | None:
+        if rows != 1 << n:
             raise ValueError(f"input must be a {1 << n}-bit table")
         bits = y.bits()
         k = int(bits[:header_bits], 2)
         if not 1 <= k <= max_ops:
-            return False
+            return None
         codes = [bits[i : i + 2] for i in range(header_bits, header_bits + 2 * k, 2)]
         pushes = codes.count(machine.PUSH)
         if pushes > max_push or k - pushes > s:
-            return False
+            return None
         refs_at = header_bits + 2 * k
         refs_end = refs_at + width * pushes
         if "1" in bits[refs_end:]:
-            return False
+            return None
         refs = (machine.push_op(n, int(bits[i : i + width], 2))
                 for i in range(refs_at, refs_end, width))
         ops = [machine.GATES.get(code) or next(refs) for code in codes]
         if None in ops:
-            return False
+            return None
         mask = machine.table_mask(n, ops)
-        return mask is not None and mask == TruthTable.from_bits(x).mask
+        return None if mask is None else TruthTable(n, mask).to_bits()
 
-    return WitnessRelation(
-        name=f"mcsp-witness(n={n},s={s})",
-        witness_length=lambda _: total,
-        verify=verify,
-        emit=lambda x, y: y,
+    return WitnessRelation.from_image(
+        f"mcsp-witness(n={n},s={s})", lambda _: total, image
     )
 
 

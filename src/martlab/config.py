@@ -25,6 +25,10 @@ Construction objects (field "type" selects one):
          | {"builtin": "explicit", "members": [...]}
          | {"builtin": "mcsp-witness", "inputs": n, "size": s}
          | {"builtin": "short-program", "max_len": m, "budget": [a, k, b]}
+      (v, n, s, m >= 0.  "decide": "gap" needs gap 2*accepts - 2**k in {0, 1}
+      over the 2**k witnesses, and that gap has the parity of 2**k, so a gap
+      cover is empty or fails on its first leaf unless k = 0 and every input
+      is a member.)
     LANG = {"indices": [1, 3], "horizon": 16}
          | {"members": ["0", "00"], "horizon": 16}
 
@@ -205,17 +209,18 @@ def build_relation(spec: dict, path: str = "relation"):
 
     builtin = _need(spec, "builtin", path)
     if builtin == "sat":
-        return oracle.sat_relation(_need(spec, "vars", path, _int))
+        return oracle.sat_relation(_need(spec, "vars", path, _natural))
     if builtin == "explicit":
         members = _need(spec, "members", path, _bits_list)
         return oracle.explicit_set_relation("explicit", members)
     if builtin == "mcsp-witness":
         return circuits.mcsp_witness_relation(
-            _need(spec, "inputs", path, _int), _need(spec, "size", path, _int)
+            _need(spec, "inputs", path, _natural),
+            _need(spec, "size", path, _natural),
         )
     if builtin == "short-program":
         return kolmogorov.kolmogorov_witness_relation(
-            _need(spec, "max_len", path, _int),
+            _need(spec, "max_len", path, _natural),
             _need(spec, "budget", path, _budget),
         )
     raise ConfigError(f"unknown builtin {builtin!r}", field=path)

@@ -23,9 +23,17 @@ from .errors import (
     GapViolation,
     NegativeValue,
     RowSumViolation,
+    UniquenessViolation,
 )
 from .martingale import Martingale
-from .oracle import CountMode, WitnessRelation, count, decide_unique, exists
+from .oracle import (
+    CountMode,
+    WitnessRelation,
+    count,
+    decide_unique,
+    exists,
+    level_counts,
+)
 
 __all__ = [
     "Cover",
@@ -113,26 +121,62 @@ class Cover:
         ``unique`` (an accepting-path count stand-in) is tagged ``#P``; and
         ``gap``, for a relation promised to have gap 0 or 1, is tagged
         ``GapP``, where any other gap raises
-        :class:`~martlab.errors.GapViolation`.
+        :class:`~martlab.errors.GapViolation`.  Over a full cube of ``2**k``
+        witnesses the gap ``2 * accepts - 2**k`` has the parity of ``2**k``,
+        so a ``gap`` cover has no members or raises, unless ``k = 0`` and
+        every input is a member.
+
+        A relation with an ``image`` gets every leaf's accepting count from
+        one sweep of its witness cube (:func:`~martlab.oracle.level_counts`);
+        any other relation is decided input by input.  Either way the first
+        ``ext_count`` query decides every leaf in index order, so an error
+        names the first bad leaf, and ``contains`` decides only the leaf it
+        is asked about.
         """
         if decide not in _DECIDE:
             raise ValueError(f"decide must be exists/unique/gap, got {decide!r}")
-        test, tag = _DECIDE[decide]
-        return cls.from_predicate(lambda x: test(rel, x), level, tag, rel.name)
+        test, count_test, tag = _DECIDE[decide]
+        if rel.image is None:
+            return cls.from_predicate(lambda x: test(rel, x), level, tag, rel.name)
+        sweep = lru_cache(maxsize=None)(
+            lambda: (level_counts(rel, level), rel.witness_length(level))
+        )
+
+        def member(x: BitString) -> bool:
+            if len(x) != level:
+                return False
+            counts, k = sweep()
+            return count_test(rel, x, counts[x.to_int()], k)
+
+        return cls.from_predicate(member, level, tag, rel.name)
 
 
-def _gap_member(rel: WitnessRelation, x: BitString) -> bool:
-    gap = count(rel, CountMode.ACCEPT_MINUS_REJECT, x)
+def _gap_verdict(rel: WitnessRelation, x: BitString, gap: int) -> bool:
     if gap not in (0, 1):
         raise GapViolation(f"{rel.name}: gap {gap} on {x!r} is not 0 or 1")
     return gap == 1
 
 
-# the leaf test and the class tag of each Cover.from_relation mode
+def _gap_member(rel: WitnessRelation, x: BitString) -> bool:
+    return _gap_verdict(rel, x, count(rel, CountMode.ACCEPT_MINUS_REJECT, x))
+
+
+def _gap_count(rel: WitnessRelation, x: BitString, accepts: int, k: int) -> bool:
+    return _gap_verdict(rel, x, 2 * accepts - (1 << k))
+
+
+def _unique_count(rel: WitnessRelation, x: BitString, accepts: int, k: int) -> bool:
+    if accepts > 1:
+        raise UniquenessViolation(f"{rel.name}: {accepts} witnesses on {x!r}")
+    return accepts == 1
+
+
+# each Cover.from_relation mode: its leaf test on one input, its leaf test on
+# an input's accepting count out of 2**k witnesses, and its class tag
 _DECIDE = {
-    "exists": (exists, "SpanP"),
-    "unique": (decide_unique, "#P"),
-    "gap": (_gap_member, "GapP"),
+    "exists": (exists, lambda rel, x, accepts, k: accepts > 0, "SpanP"),
+    "unique": (decide_unique, _unique_count, "#P"),
+    "gap": (_gap_member, _gap_count, "GapP"),
 }
 
 

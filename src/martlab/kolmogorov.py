@@ -334,25 +334,24 @@ def kolmogorov_witness_relation(
 
     A witness packs a length header and a zero-padded program, so each
     program of length up to the cap is exactly one witness; the count module
-    sees precisely the (input, program) pairs.
+    sees precisely the (input, program) pairs.  A witness's image at length
+    ``n`` is its program's output within ``budget(n)`` steps, if that output
+    has length ``n``.
     """
     header = max(1, max_program_len.bit_length())
     total = header + max_program_len
 
-    def verify(x: BitString, y: BitString) -> bool:
+    def image(n: int, y: BitString) -> BitString | None:
         bits = y.bits()
         length = int(bits[:header], 2)
         if not 1 <= length <= max_program_len:
-            return False
+            return None
         program = bits[header : header + length]
         if "1" in bits[header + length :]:
-            return False
-        result = run(program, budget(len(x)))
-        return result.output == x
+            return None
+        output = run(program, budget(n)).output
+        return output if output is not None and len(output) == n else None
 
-    return WitnessRelation(
-        name=f"short-program(<{max_program_len + 1} bits)",
-        witness_length=lambda _: total,
-        verify=verify,
-        emit=lambda x, y: y,
+    return WitnessRelation.from_image(
+        f"short-program(<{max_program_len + 1} bits)", lambda _: total, image
     )

@@ -404,6 +404,54 @@ def test_negative_path_exponent_is_a_config_error(
     assert captured.err == f"config error: {field}: must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "relation, field, value",
+    [
+        ({"builtin": "sat", "vars": -1}, "vars", -1),
+        ({"builtin": "mcsp-witness", "inputs": -1, "size": 0}, "inputs", -1),
+        ({"builtin": "mcsp-witness", "inputs": 1, "size": -1}, "size", -1),
+        ({"builtin": "short-program", "max_len": -3, "budget": [4, 1, 16]},
+         "max_len", -3),
+    ],
+    ids=["sat-vars", "mcsp-inputs", "mcsp-size", "short-program-max_len"],
+)
+def test_negative_relation_field_is_a_config_error(
+    tmp_path, capsys, relation, field, value
+):
+    construction = {"type": "cover", "level": 2, "relation": relation}
+    assert _verify_construction(tmp_path, construction) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: construction.relation.{field}: "
+        f"must be nonnegative, got {value}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "relation, level, message",
+    [
+        ({"builtin": "sat", "vars": 1}, 2, "sat-1: gap -2 on BitString('00')"),
+        ({"builtin": "explicit", "members": ["010"]}, 3,
+         "explicit: gap -1 on BitString('000')"),
+        ({"builtin": "mcsp-witness", "inputs": 1, "size": 0}, 2,
+         "mcsp-witness(n=1,s=0): gap -30 on BitString('00')"),
+    ],
+    ids=["sat", "explicit", "mcsp-witness"],
+)
+def test_gap_cover_over_a_full_cube_fails_on_its_first_leaf(
+    tmp_path, capsys, relation, level, message
+):
+    # a gap 2*accepts - 2**k has the parity of 2**k, so neither a k >= 1
+    # cube nor a k = 0 non-member can show the promised gap 0 or 1
+    construction = {"type": "cover", "level": level, "relation": relation,
+                    "decide": "gap"}
+    assert _verify_construction(tmp_path, construction) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"check failure: {message} is not 0 or 1\n"
+
+
 def _verify_construction(tmp_path, construction):
     config = write_config(tmp_path, {"version": 1, "construction": construction})
     return main(["verify", "--config", config, "--depth", "2"])
