@@ -328,6 +328,8 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     table_start = (1 << n) - 1  # strings of length n begin at this index
 
     def contains(x: BitString) -> bool:
+        if len(x) != level:
+            return False
         return census.sizes[TruthTable.from_bits(x[table_start:]).mask] <= s
 
     def ext_count(w: BitString) -> int:

@@ -356,19 +356,12 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
             for v in _need(fam_spec, "inputs", fam_path, _list)
         ]
         alpha = _dyadic(fam_spec.get("alpha", "0"), f"{fam_path}.alpha")
-        census_size = _int(fam_spec.get("census_size", 5), f"{fam_path}.census_size")
-        covers = {}
-        for n in inputs:
-            census = circuits.cached_census(n, census_size, cache_dir)
-            s_floor = circuits.lutz_size_bound_floor(n, alpha)
-            cover = circuits.mcsp_cover(n, min(s_floor, census_size), census)
-            covers[cover.level] = cover
-        family = LevelFamily(
-            lambda n: covers.get(n), name=f"mcsp(alpha={alpha})"
+        census_size = _natural(
+            fam_spec.get("census_size", 5), f"{fam_path}.census_size"
         )
+        covers = {}
     elif fam_kind == "explicit-levels":
         covers = _level_covers(fam_spec, fam_path)
-        family = LevelFamily(lambda n: covers.get(n), name="explicit-levels")
     else:
         raise ConfigError(f"unknown certify family {fam_kind!r}", field=fam_path)
 
@@ -401,6 +394,14 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
     else:
         raise ConfigError(f"unknown certify modulus {kind!r}", field=mod_path)
 
-    horizon = _need(spec, "horizon", path, _int)
+    horizon = _need(spec, "horizon", path, _natural)
     witnesses = _bits_list(spec.get("witnesses", []), f"{path}.witnesses")
+    if fam_kind == "mcsp":  # censuses are built and cached once the spec parses
+        for n in inputs:
+            census = circuits.cached_census(n, census_size, cache_dir)
+            s_floor = circuits.lutz_size_bound_floor(n, alpha)
+            cover = circuits.mcsp_cover(n, min(s_floor, census_size), census)
+            covers[cover.level] = cover
+    name = f"mcsp(alpha={alpha})" if fam_kind == "mcsp" else fam_kind
+    family = LevelFamily(lambda n: covers.get(n), name=name)
     return family, gap, modulus, horizon, witnesses

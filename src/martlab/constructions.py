@@ -26,14 +26,7 @@ from .errors import (
     UniquenessViolation,
 )
 from .martingale import Martingale
-from .oracle import (
-    CountMode,
-    WitnessRelation,
-    count,
-    decide_unique,
-    exists,
-    level_counts,
-)
+from .oracle import WitnessRelation, level_counts
 
 __all__ = [
     "Cover",
@@ -56,12 +49,13 @@ LEVEL_CAP = 22
 class Cover:
     """A set of length-``level`` strings the cover martingale bets on.
 
-    ``contains`` decides membership of length-``level`` strings and
-    ``ext_count`` returns the exact number of members extending a prefix, 0
-    for a prefix longer than ``level``.  :meth:`from_members` counts by
-    binary search, in ``O(log m)`` per prefix; :meth:`from_predicate` reads
-    each leaf once and sums pairwise; covers with product structure count in
-    closed form, past the enumeration cap.
+    ``contains`` decides membership, and is False on every string whose
+    length is not ``level``; ``ext_count`` returns the exact number of
+    members extending a prefix, 0 for a prefix longer than ``level``.
+    :meth:`from_members` counts by binary search, in ``O(log m)`` per
+    prefix; :meth:`from_predicate` reads each leaf once and sums pairwise;
+    covers with product structure count in closed form, past the
+    enumeration cap.
     """
 
     level: int
@@ -109,7 +103,11 @@ class Cover:
                 f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
             )
         ext_count = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
-        return cls(level, predicate, ext_count, class_tag, name)
+
+        def contains(x: BitString) -> bool:
+            return len(x) == level and predicate(x)
+
+        return cls(level, contains, ext_count, class_tag, name)
 
     @classmethod
     def from_relation(
@@ -126,57 +124,40 @@ class Cover:
         so a ``gap`` cover has no members or raises, unless ``k = 0`` and
         every input is a member.
 
-        A relation with an ``image`` gets every leaf's accepting count from
-        one sweep of its witness cube (:func:`~martlab.oracle.level_counts`);
-        any other relation is decided input by input.  Either way the first
-        ``ext_count`` query decides every leaf in index order, so an error
-        names the first bad leaf, and ``contains`` decides only the leaf it
-        is asked about.
+        Every leaf's accepting count comes from
+        :func:`~martlab.oracle.level_counts`, one sweep of the witness cube
+        for a relation with an ``image``.  The first query, ``ext_count`` or
+        ``contains``, counts the whole level; ``ext_count`` then decides
+        every leaf in index order, so an error names the first bad leaf.
         """
         if decide not in _DECIDE:
             raise ValueError(f"decide must be exists/unique/gap, got {decide!r}")
-        test, count_test, tag = _DECIDE[decide]
-        if rel.image is None:
-            return cls.from_predicate(lambda x: test(rel, x), level, tag, rel.name)
-        sweep = lru_cache(maxsize=None)(
-            lambda: (level_counts(rel, level), rel.witness_length(level))
+        test, tag = _DECIDE[decide]
+        counts = lru_cache(maxsize=None)(lambda: level_counts(rel, level))
+        return cls.from_predicate(
+            lambda x: test(rel, x, counts()[x.to_int()]), level, tag, rel.name
         )
 
-        def member(x: BitString) -> bool:
-            if len(x) != level:
-                return False
-            counts, k = sweep()
-            return count_test(rel, x, counts[x.to_int()], k)
 
-        return cls.from_predicate(member, level, tag, rel.name)
-
-
-def _gap_verdict(rel: WitnessRelation, x: BitString, gap: int) -> bool:
+def _gap_count(rel: WitnessRelation, x: BitString, accepts: int) -> bool:
+    gap = 2 * accepts - (1 << rel.witness_length(len(x)))
     if gap not in (0, 1):
         raise GapViolation(f"{rel.name}: gap {gap} on {x!r} is not 0 or 1")
     return gap == 1
 
 
-def _gap_member(rel: WitnessRelation, x: BitString) -> bool:
-    return _gap_verdict(rel, x, count(rel, CountMode.ACCEPT_MINUS_REJECT, x))
-
-
-def _gap_count(rel: WitnessRelation, x: BitString, accepts: int, k: int) -> bool:
-    return _gap_verdict(rel, x, 2 * accepts - (1 << k))
-
-
-def _unique_count(rel: WitnessRelation, x: BitString, accepts: int, k: int) -> bool:
+def _unique_count(rel: WitnessRelation, x: BitString, accepts: int) -> bool:
     if accepts > 1:
         raise UniquenessViolation(f"{rel.name}: {accepts} witnesses on {x!r}")
     return accepts == 1
 
 
-# each Cover.from_relation mode: its leaf test on one input, its leaf test on
-# an input's accepting count out of 2**k witnesses, and its class tag
+# each Cover.from_relation mode: its leaf test on an input's accepting count,
+# and its class tag
 _DECIDE = {
-    "exists": (exists, lambda rel, x, accepts, k: accepts > 0, "SpanP"),
-    "unique": (decide_unique, _unique_count, "#P"),
-    "gap": (_gap_member, _gap_count, "GapP"),
+    "exists": (lambda rel, x, accepts: accepts > 0, "SpanP"),
+    "unique": (_unique_count, "#P"),
+    "gap": (_gap_count, "GapP"),
 }
 
 
@@ -274,7 +255,7 @@ def subset_cover(B: LanguageView, n: int) -> Cover:
 
     return Cover(
         level=n,
-        contains=consistent,
+        contains=lambda x: len(x) == n and consistent(x),
         ext_count=ext_count,
         class_tag="SpanP",
         name=f"subset({B.name or 'B'})",

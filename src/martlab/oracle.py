@@ -5,8 +5,9 @@ computation paths are the full witness cube of a declared length, and the
 three counting modes read off the accepting-path count, the number of
 distinct emitted outputs, and the accepting-minus-rejecting gap.  A relation
 whose every witness accepts at most one input of each length can say which
-through an ``image`` map, and then :func:`level_counts` counts every input of
-a length from one pass over the cube.
+through an ``image`` map.  :func:`level_counts` gives every input of a
+length its accepting-path count: from one pass over the cube for a relation
+with an ``image``, input by input for any other.
 
 Enumeration is exhaustive and capped at ``WITNESS_CAP`` witness bits, so
 every count stays exact and fast.
@@ -18,16 +19,14 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .cantor import BitString
-from .errors import CapExceeded, SpanModeUnavailable, UniquenessViolation
+from .cantor import BitString, all_strings
+from .errors import CapExceeded, SpanModeUnavailable
 
 __all__ = [
     "CountMode",
     "WitnessRelation",
     "WITNESS_CAP",
     "count",
-    "decide_unique",
-    "exists",
     "explicit_set_relation",
     "level_counts",
     "sat_relation",
@@ -114,39 +113,24 @@ def count(rel: WitnessRelation, mode: CountMode, x: BitString) -> int:
     return 2 * accepts - (1 << k)
 
 
-def exists(rel: WitnessRelation, x: BitString) -> bool:
-    """``count(...) > 0``, stopping at the first accepting witness."""
-    k, cube = _witness_cube(rel, len(x))
-    return any(rel.verify(x, BitString.from_int(v, k)) for v in cube)
-
-
 def level_counts(rel: WitnessRelation, n: int) -> list[int]:
-    """The accepting-witness count of every length-``n`` input, in index
-    order, from one pass over the witness cube through ``rel.image``.
+    """``count(rel, CountMode.WITNESS_COUNT, x)`` for every length-``n``
+    input ``x``, in index order.
 
-    Equal to ``count(rel, CountMode.WITNESS_COUNT, x)`` for each ``x``, in
-    ``2**k`` image calls instead of ``2**n * 2**k`` verify calls.
+    A relation with an ``image`` is counted in one pass over its witness
+    cube, in ``2**k`` image calls instead of ``2**n * 2**k`` verify calls.
+    The cube's width is checked before the first ``image`` or ``verify``.
     """
     k, cube = _witness_cube(rel, n)
     image = rel.image
+    if image is None:
+        return [count(rel, CountMode.WITNESS_COUNT, x) for x in all_strings(n)]
     counts = [0] * (1 << n)
     for v in cube:
         x = image(n, BitString.from_int(v, k))
         if x is not None:
             counts[x.to_int()] += 1
     return counts
-
-
-def decide_unique(rel: WitnessRelation, x: BitString) -> bool:
-    """Accept iff exactly one witness; reject iff none.
-
-    More than one witness means the relation is not a valid unique-witness
-    stand-in, which is an error rather than an answer.
-    """
-    c = count(rel, CountMode.WITNESS_COUNT, x)
-    if c > 1:
-        raise UniquenessViolation(f"{rel.name}: {c} witnesses on {x!r}")
-    return c == 1
 
 
 def explicit_set_relation(

@@ -600,6 +600,30 @@ CERTIFY_CONFIG = {
 }
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("census_size", -1), ("horizon", -3)],
+)
+def test_cli_certify_negative_size_or_horizon_is_a_config_error(
+    tmp_path, capsys, field, value
+):
+    certify = json.loads(json.dumps(CERTIFY_CONFIG["certify"]))
+    if field == "horizon":
+        certify["horizon"] = value
+        path = "certify.horizon"
+    else:
+        certify["family"]["census_size"] = value
+        path = "certify.family.census_size"
+    config = write_config(tmp_path, {"version": 1, "certify": certify})
+    cache = tmp_path / "cache"
+    assert main(["certify", "--config", config, "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {path}: must be nonnegative, got {value}\n"
+    # nothing is built or cached for a config that does not parse
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", ["file", "below-file", "collision"])
 @pytest.mark.parametrize(
     "config, argv",

@@ -15,6 +15,7 @@ from martlab.cantor import (
     char_prefix,
     string_index,
 )
+from martlab.circuits import mcsp_cover, mcsp_witness_relation
 from martlab.constructions import (
     AcceptanceSpec,
     Cover,
@@ -105,6 +106,28 @@ def test_cover_decide_mode_picks_the_class(decide, tag):
 def test_cover_rejects_an_unknown_decide_mode():
     with pytest.raises(ValueError, match="exists/unique/gap, got 'maybe'"):
         Cover.from_relation(sat_relation(2), 4, "maybe")
+
+
+# one cover of each kind, each with members at its level
+COVER_KINDS = {
+    "members": lambda census2: Cover.from_members(["0001", "0110", "1111"], 4),
+    "predicate": lambda census2: Cover.from_predicate(lambda x: True, 3),
+    "predicate-level-0": lambda census2: Cover.from_predicate(lambda x: True, 0),
+    "relation": lambda census2: Cover.from_relation(sat_relation(2), 4),
+    "image-relation": lambda census2: Cover.from_relation(
+        mcsp_witness_relation(1, 1), 2
+    ),
+    "subset": lambda census2: subset_cover(LanguageView.from_indices(range(8), 8), 4),
+    "mcsp": lambda census2: mcsp_cover(2, 2, census2),
+}
+
+
+@pytest.mark.parametrize("kind", COVER_KINDS)
+def test_cover_contains_only_strings_of_its_level(kind, census2):
+    cover = COVER_KINDS[kind](census2)
+    assert any(cover.contains(x) for x in all_strings(cover.level))
+    for n in {0, cover.level - 1, cover.level + 1} - {cover.level, -1}:
+        assert not any(cover.contains(x) for x in all_strings(n)), n
 
 
 def test_cover_root_law_randomized():

@@ -3,14 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from martlab.cantor import BitString, all_strings
 from martlab.circuits import mcsp_witness_relation
+from martlab.constructions import Cover
 from martlab.errors import CapExceeded, SpanModeUnavailable, UniquenessViolation
 from martlab.oracle import (
     CountMode,
     WitnessRelation,
     count,
-    decide_unique,
-    exists,
     explicit_set_relation,
+    level_counts,
     sat_relation,
 )
 
@@ -55,16 +55,25 @@ def test_cap_enforced():
 
 
 def test_decide_unique():
-    members = explicit_set_relation("set", ["01", "10"])
-    assert decide_unique(members, BitString("01"))
-    assert not decide_unique(members, BitString("11"))
+    members = Cover.from_relation(
+        explicit_set_relation("set", ["01", "10"]), 2, "unique"
+    )
+    assert [members.contains(x) for x in all_strings(2)] == [
+        False, True, True, False
+    ]
+    assert members.ext_count(BitString("")) == 2
+    assert members.class_tag == "#P"
 
     doubled = WitnessRelation("two-witness", lambda n: 1, lambda x, y: True)
+    cover = Cover.from_relation(doubled, 1, "unique")
+    with pytest.raises(UniquenessViolation, match="two-witness: 2 witnesses on"):
+        cover.ext_count(BitString(""))
     with pytest.raises(UniquenessViolation):
-        decide_unique(doubled, BitString("0"))
+        cover.contains(BitString("0"))
 
-    empty = explicit_set_relation("empty", [])
-    assert not decide_unique(empty, BitString("0"))
+    empty = Cover.from_relation(explicit_set_relation("empty", []), 1, "unique")
+    assert not empty.contains(BitString("0"))
+    assert empty.ext_count(BitString("")) == 0
 
 
 @settings(max_examples=40)
@@ -99,7 +108,7 @@ def test_injective_emit_matches_witness_count():
     )
 
 
-# -- first-witness membership ------------------------------------------------
+# -- exists covers against per-input counts ----------------------------------
 
 
 def _relations():
@@ -108,43 +117,38 @@ def _relations():
 
     short = kolmogorov_witness_relation(4, BudgetPoly(4, 1, 16))
     return [
-        (sat_relation(2), [all_strings(4)]),
-        (sat_relation(3), [all_strings(8)]),
-        (mcsp_witness_relation(2, 1), [all_strings(4)]),
-        (mcsp_witness_relation(2, 0), [all_strings(4)]),
-        (short, [all_strings(n) for n in range(6)]),
+        (sat_relation(2), [4]),
+        (sat_relation(3), [8]),
+        (mcsp_witness_relation(2, 1), [4]),
+        (mcsp_witness_relation(2, 0), [4]),
+        (short, range(6)),
     ]
 
 
 def test_exists_matches_positive_count():
-    for rel, groups in _relations():
+    for rel, levels in _relations():
         answers = set()
-        for group in groups:
-            for x in group:
+        for n in levels:
+            cover = Cover.from_relation(rel, n, "exists")
+            for x in all_strings(n):
                 expected = count(rel, CountMode.WITNESS_COUNT, x) > 0
-                assert exists(rel, x) is expected
+                assert cover.contains(x) is expected
                 answers.add(expected)
         # every relation here has both members and non-members
         assert answers == {True, False}, rel.name
 
 
-def test_exists_stops_at_first_witness():
+def test_level_counts_check_cap_before_verifying():
     seen = []
 
     def verify(x, y):
-        seen.append(y.to_int())
-        return y.to_int() >= 5
+        seen.append(y)
+        return True
 
-    rel = WitnessRelation("from-five", lambda n: 4, verify)
-    assert exists(rel, BitString("0"))
-    assert seen == list(range(6))
-
-
-def test_exists_checks_cap_before_verifying():
-    seen = []
-    rel = WitnessRelation(
-        "wide", lambda n: 23, lambda x, y: seen.append(y) or True
-    )
-    with pytest.raises(CapExceeded):
-        exists(rel, BitString("0"))
+    wide = WitnessRelation("wide", lambda n: 23, verify)
+    with pytest.raises(CapExceeded, match="witness length 23 exceeds cap 22"):
+        level_counts(wide, 2)
+    negative = WitnessRelation("negative", lambda n: -1, verify)
+    with pytest.raises(ValueError, match="negative witness length -1"):
+        level_counts(negative, 2)
     assert seen == []

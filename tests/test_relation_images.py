@@ -1,5 +1,5 @@
-"""Relation images: the image contract, the one-sweep level counts, and the
-covers built on them, each against a per-input twin."""
+"""Relation images: the image contract, the level counts of every relation,
+and the image covers, each against a per-input twin."""
 
 import functools
 
@@ -11,7 +11,14 @@ from martlab.constructions import Cover
 from martlab.errors import CapExceeded, GapViolation, UniquenessViolation
 from martlab.kolmogorov import kolmogorov_witness_relation
 from martlab.machine import BudgetPoly
-from martlab.oracle import CountMode, WitnessRelation, count, level_counts
+from martlab.oracle import (
+    CountMode,
+    WitnessRelation,
+    count,
+    explicit_set_relation,
+    level_counts,
+    sat_relation,
+)
 
 import relations_v1
 
@@ -83,6 +90,17 @@ SHORT_LEVELS = [
 def test_level_counts_match_per_input_counts():
     for key, n in MCSP_LEVELS + SHORT_LEVELS:
         assert level_counts(_relation(*key), n) == _per_input_counts(key, n)
+    # relations with no image: a truth table has one satisfying assignment
+    # per 1 row, and an explicit member one empty witness
+    members = ["", "1", "01", "10", "11", "010", "111"]
+    explicit = explicit_set_relation("explicit", members)
+    cases = [(sat_relation(v), 1 << v, lambda x: x.bits().count("1")) for v in range(4)]
+    cases += [(explicit, n, lambda x: int(x.bits() in members)) for n in range(5)]
+    cases += [(explicit_set_relation("empty", []), 2, lambda x: 0)]
+    for rel, n, closed_form in cases:
+        per_input = [count(rel, CountMode.WITNESS_COUNT, x) for x in all_strings(n)]
+        expected = [closed_form(x) for x in all_strings(n)]
+        assert level_counts(rel, n) == per_input == expected, (rel.name, n)
 
 
 def test_level_counts_check_the_cube_before_any_image():
@@ -140,7 +158,7 @@ def test_image_cover_matches_per_input_twin(decide):
         for k in range(level + 2):
             for w in all_strings(k):
                 got = _outcome(cover.ext_count, w)
-                assert got == _outcome(twin.ext_count, w), (rel.name, level, w)
+                assert got == _outcome(twin.ext_count, w), (cover.name, level, w)
                 if isinstance(got, tuple):
                     raised.add(got[0])
         for x in all_strings(level):
