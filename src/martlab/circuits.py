@@ -327,27 +327,14 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     level = (1 << (n + 1)) - 1
     table_start = (1 << n) - 1  # strings of length n begin at this index
 
-    def contains(x: BitString) -> bool:
-        if len(x) != level:
-            return False
-        return census.sizes[TruthTable.from_bits(x[table_start:]).mask] <= s
-
-    def ext_count(w: BitString) -> int:
+    def count(w: BitString) -> int:
         # the tables whose low k rows are w's k table bits v: masks v + j 2**k
-        if len(w) > level:
-            return 0
         fixed = w[table_start:].bits()
         v = int(fixed[::-1], 2) if fixed else 0
-        count = _at_most(census.sizes[v :: 1 << len(fixed)], s)
-        return count << max(0, table_start - len(w))
+        tables = _at_most(census.sizes[v :: 1 << len(fixed)], s)
+        return tables << max(0, table_start - len(w))
 
-    return Cover(
-        level=level,
-        contains=contains,
-        ext_count=ext_count,
-        class_tag="SpanP",
-        name=f"mcsp(n={n},s={s})",
-    )
+    return Cover(level, count, "SpanP", f"mcsp(n={n},s={s})")
 
 
 def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:

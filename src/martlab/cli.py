@@ -22,13 +22,16 @@ from . import cache
 from .cantor import BitString
 from .combinators import sum_family
 from .config import (
+    _bits,
+    _dyadic,
+    _natural,
+    _positive,
     build_certify,
     build_construction,
     build_family,
     build_modulus,
     load_config,
 )
-from .dyadic import Dyadic
 from .errors import (
     CapExceeded,
     CensusUnavailable,
@@ -81,12 +84,6 @@ def _cache_dir(args) -> Path | None:
                           field="--cache-dir") from exc
 
 
-def _nonnegative(value: int, option: str) -> int:
-    if value < 0:
-        raise ConfigError(f"must be nonnegative, got {value}", field=option)
-    return value
-
-
 def cmd_figures(args) -> int:
     failed = False
     ids = [args.id] if args.id else list(figure_ids())
@@ -109,7 +106,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    depth = _nonnegative(args.depth, "--depth")
+    depth = _natural(args.depth, "--depth")
     m = _config_construction(args)
     export = {"csv": tree_csv, "dot": tree_dot, "json": tree_json}[args.format]
     _emit(export(m, depth), args.out)
@@ -117,7 +114,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    depth = _nonnegative(args.depth, "--depth")
+    depth = _natural(args.depth, "--depth")
     m = _config_construction(args)
     report = verify_averaging(m, depth)
     law = ">=" if report.supermartingale else "=="
@@ -147,8 +144,8 @@ def _parse_arg(parse, text: str, option: str):
 
 def cmd_success(args) -> int:
     m = _config_construction(args)
-    S = _parse_arg(BitString, args.sequence, "--sequence")
-    s = _parse_arg(Dyadic.parse, args.s, "--s")
+    S = _bits(args.sequence, "--sequence")
+    s = _dyadic(args.s, "--s")
     report = success_scan(m, S, s)
     print(f"success scan along {S} at s={s} (horizon {report.horizon})")
     for n, value in enumerate(report.values):
@@ -160,7 +157,7 @@ def cmd_success(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
-    length = _nonnegative(args.length, "--length")
+    length = _natural(args.length, "--length")
     m = _config_construction(args)
     w = diagonalize(m, length)
     print(f"diagonal prefix: {w or 'λ'}")
@@ -175,13 +172,13 @@ def cmd_diagonalize(args) -> int:
 def cmd_sum(args) -> int:
     import random
 
-    precision = _nonnegative(args.precision, "--precision")
+    precision = _natural(args.precision, "--precision")
     config = load_config(args.config)
     if "family" not in config or "modulus" not in config:
         raise ConfigError("sum needs family and modulus objects")
     family = _parse_arg(build_family, config["family"], "family")
     modulus = _parse_arg(build_modulus, config["modulus"], "modulus")
-    w = _parse_arg(BitString, args.w, "-w")
+    w = _bits(args.w, "-w")
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is not None:
         # widen the audit with reproducible random instances
@@ -198,10 +195,9 @@ def cmd_sum(args) -> int:
 def cmd_census(args) -> int:
     from .circuits import DEFAULT_BASIS, cached_census, mnp_cover_check
 
-    if args.inputs < 1:
-        raise ConfigError(f"must be at least 1, got {args.inputs}", field="--inputs")
-    size = _nonnegative(args.size, "--size")
-    census = cached_census(args.inputs, size, _cache_dir(args))
+    inputs = _positive(args.inputs, "--inputs")
+    size = _natural(args.size, "--size")
+    census = cached_census(inputs, size, _cache_dir(args))
     if args.format == "json":
         payload = {
             "inputs": census.n,
@@ -216,9 +212,7 @@ def cmd_census(args) -> int:
         for size, count in census.histogram().items():
             print(f"{size},{count}")
     if args.alpha is not None:
-        report = mnp_cover_check(
-            args.inputs, _parse_arg(Dyadic.parse, args.alpha, "--alpha"), census
-        )
+        report = mnp_cover_check(inputs, _dyadic(args.alpha, "--alpha"), census)
         print(f"size bound floor: {report.size_bound_floor}")
         print(f"tables within bound: {report.census_count}")
         print(
@@ -235,7 +229,7 @@ def cmd_mcsp(args) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
     tt = _parse_arg(lambda t: TruthTable.from_bits(BitString(t)), args.table, "--table")
-    bound = _nonnegative(args.size, "--size")
+    bound = _natural(args.size, "--size")
     census = cached_census(tt.n, bound, _cache_dir(args))
     verdict = mcsp(tt, bound, census)
     size = census.min_size(tt)
@@ -273,11 +267,11 @@ def cmd_certify(args) -> int:
 def cmd_kolmogorov(args) -> int:
     from .kolmogorov import NO_PROGRAM, cached_kt_table, k_rate
 
-    length_cap = _nonnegative(args.length_cap, "--length-cap")
+    length_cap = _natural(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
     table = cached_kt_table(budget, length_cap, _cache_dir(args))
     if args.sequence:
-        S = _parse_arg(BitString, args.sequence, "--sequence")
+        S = _bits(args.sequence, "--sequence")
         report = k_rate(S, budget, table=table)
         print(f"kt rates along {S} under budget {budget}")
         print("n,kt,ratio")

@@ -139,6 +139,13 @@ def _natural(value: Any, path: str) -> int:
     return n
 
 
+def _positive(value: Any, path: str) -> int:
+    n = _int(value, path)
+    if n < 1:
+        raise ConfigError(f"must be at least 1, got {n}", field=path)
+    return n
+
+
 def _int_map(spec: Any, path: str) -> dict[int, int]:
     return {
         _int(k, path): _int(v, f"{path}.{k}")
@@ -352,7 +359,7 @@ def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify
     fam_kind = _need(fam_spec, "type", fam_path)
     if fam_kind == "mcsp":
         inputs = [
-            _int(v, f"{fam_path}.inputs")
+            _positive(v, f"{fam_path}.inputs")
             for v in _need(fam_spec, "inputs", fam_path, _list)
         ]
         alpha = _dyadic(fam_spec.get("alpha", "0"), f"{fam_path}.alpha")

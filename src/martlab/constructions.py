@@ -49,9 +49,10 @@ LEVEL_CAP = 22
 class Cover:
     """A set of length-``level`` strings the cover martingale bets on.
 
-    ``contains`` decides membership, and is False on every string whose
-    length is not ``level``; ``ext_count`` returns the exact number of
-    members extending a prefix, 0 for a prefix longer than ``level``.
+    A cover kind supplies one function: ``count(w)``, the exact number of
+    members extending a prefix ``w`` with ``|w| <= level``.  Membership and
+    the count past the level are read off it, once, here: :meth:`contains`
+    is the count at the level, and :meth:`ext_count` is 0 past it.
     :meth:`from_members` counts by binary search, in ``O(log m)`` per
     prefix; :meth:`from_predicate` reads each leaf once and sums pairwise;
     covers with product structure count in closed form, past the
@@ -59,14 +60,21 @@ class Cover:
     """
 
     level: int
-    contains: Callable[[BitString], bool]
-    ext_count: Callable[[BitString], int]
+    count: Callable[[BitString], int]
     class_tag: str = "unclassified"
     name: str = "cover"
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"cover level {self.level} is negative")
+
+    def ext_count(self, w: BitString) -> int:
+        """The members extending ``w``, 0 for a prefix longer than the level."""
+        return self.count(w) if len(w) <= self.level else 0
+
+    def contains(self, x: BitString) -> bool:
+        """Membership: False on every string whose length is not the level."""
+        return len(x) == self.level and self.count(x) > 0
 
     @classmethod
     def from_members(cls, members: Iterable[BitString | str], level: int) -> "Cover":
@@ -78,17 +86,12 @@ class Cover:
                 raise ValueError(f"member {m} does not have length {level}")
         values = sorted(m.to_int() for m in member_set)
 
-        def ext_count(w: BitString) -> int:
+        def count(w: BitString) -> int:
             # the extensions of w read as the integers [v << free, (v+1) << free)
             free, v = level - len(w), w.to_int()
-            if free < 0:
-                return 0
             return bisect_left(values, v + 1 << free) - bisect_left(values, v << free)
 
-        def contains(x: BitString) -> bool:
-            return len(x) == level and ext_count(x) == 1
-
-        return cls(level, contains, ext_count, "explicit", "explicit-cover")
+        return cls(level, count, "explicit", "explicit-cover")
 
     @classmethod
     def from_predicate(
@@ -102,12 +105,8 @@ class Cover:
             raise CapExceeded(
                 f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
             )
-        ext_count = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
-
-        def contains(x: BitString) -> bool:
-            return len(x) == level and predicate(x)
-
-        return cls(level, contains, ext_count, class_tag, name)
+        count = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
+        return cls(level, count, class_tag, name)
 
     @classmethod
     def from_relation(
@@ -127,8 +126,9 @@ class Cover:
         Every leaf's accepting count comes from
         :func:`~martlab.oracle.level_counts`, one sweep of the witness cube
         for a relation with an ``image``.  The first query, ``ext_count`` or
-        ``contains``, counts the whole level; ``ext_count`` then decides
-        every leaf in index order, so an error names the first bad leaf.
+        ``contains``, counts the whole level and decides every leaf in index
+        order, so an error names the first bad leaf, whichever leaf was
+        asked about.
         """
         if decide not in _DECIDE:
             raise ValueError(f"decide must be exists/unique/gap, got {decide!r}")
@@ -164,8 +164,8 @@ _DECIDE = {
 def _subtree_sums(
     leaf: Callable[[BitString], int], n: int
 ) -> Callable[[BitString], int]:
-    """The sum of ``leaf`` over the length-``n`` extensions of a prefix, 0
-    for a prefix longer than ``n``.
+    """The sum of ``leaf`` over the length-``n`` extensions of a prefix of
+    length at most ``n``.
 
     The first query evaluates every leaf once, in lexicographic order;
     ``rows[k][v]`` sums the leaves below the length-``n - k`` prefix ``v``.
@@ -173,8 +173,6 @@ def _subtree_sums(
     rows: list[list[int]] = []
 
     def total(w: BitString) -> int:
-        if len(w) > n:
-            return 0
         if not rows:
             rows.append([leaf(x) for x in all_strings(n)])
             while len(row := rows[-1]) > 1:
@@ -206,7 +204,7 @@ def cover_martingale(cover: Cover) -> Martingale:
     """
     n = cover.level
     meta = {"construction": "cover", "level": n, "cover": cover.name}
-    return _leveled(cover.ext_count, n, cover.class_tag, meta)
+    return _leveled(cover.count, n, cover.class_tag, meta)
 
 
 def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
@@ -234,32 +232,24 @@ def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
 def subset_cover(B: LanguageView, n: int) -> Cover:
     """The cover of length-``n`` strings whose languages sit inside ``B``.
 
-    A string qualifies when every 1 bit marks a member of ``B``.  The member
-    count over any prefix has the closed form ``2**(free member positions)``,
-    so no enumeration is needed.
+    A string qualifies when every 1 bit marks a member of ``B``.  Bit
+    ``n - 1 - i`` of ``outside`` is set when the ``i``-th string is not in
+    ``B``, so a prefix is consistent when it shares no 1 bit with the top of
+    ``outside``, and its member count is ``2**(free member positions)``; no
+    enumeration is needed.
     """
-    member_bits = [B.contains_index(i) for i in range(n)]
-    ones_before = [0]
-    for bit in member_bits:
-        ones_before.append(ones_before[-1] + (1 if bit else 0))
+    outside = 0
+    for i in range(n):
+        if not B.contains_index(i):
+            outside |= 1 << (n - 1 - i)
 
-    def consistent(w: BitString) -> bool:
-        return all(
-            member_bits[i] for i, b in enumerate(w) if b
-        )
-
-    def ext_count(w: BitString) -> int:
-        if len(w) > n or not consistent(w):
+    def count(w: BitString) -> int:
+        free = n - len(w)
+        if w.to_int() & (outside >> free):
             return 0
-        return 1 << (ones_before[n] - ones_before[len(w)])
+        return 1 << (free - (outside & ((1 << free) - 1)).bit_count())
 
-    return Cover(
-        level=n,
-        contains=lambda x: len(x) == n and consistent(x),
-        ext_count=ext_count,
-        class_tag="SpanP",
-        name=f"subset({B.name or 'B'})",
-    )
+    return Cover(n, count, "SpanP", f"subset({B.name or 'B'})")
 
 
 def subset_martingale(B: LanguageView, n: int) -> Martingale:

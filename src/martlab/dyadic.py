@@ -63,10 +63,6 @@ class Dyadic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int) -> "Dyadic":
-        return cls(value, 0)
-
-    @classmethod
     def pow2(cls, exponent: int) -> "Dyadic":
         """Exact ``2**exponent`` for any integer exponent."""
         if exponent >= 0:
@@ -143,9 +139,6 @@ class Dyadic:
         if k >= 0:
             return Dyadic(self.num << k, self.log_den)
         return Dyadic(self.num, self.log_den - k)
-
-    def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.log_den + 1)
 
     # -- ordering ----------------------------------------------------------
 

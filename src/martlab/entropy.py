@@ -56,7 +56,7 @@ class LevelFamily:
 def level_count(fam: LevelFamily, n: int) -> int:
     """Exact ``|members at level n|``, as the cover counts itself."""
     cover = fam.cover_at(n)
-    return 0 if cover is None else cover.ext_count(EMPTY)
+    return 0 if cover is None else cover.count(EMPTY)
 
 
 @dataclass(frozen=True)

@@ -624,6 +624,33 @@ def test_cli_certify_negative_size_or_horizon_is_a_config_error(
     assert not cache.exists() or list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("inputs", [0, -1])
+def test_cli_certify_inputs_below_one_is_a_config_error(tmp_path, capsys, inputs):
+    # the census --inputs rule: an input count below 1 is a bad argument
+    certify = json.loads(json.dumps(CERTIFY_CONFIG["certify"]))
+    certify["family"]["inputs"] = [2, inputs]
+    config = write_config(tmp_path, {"version": 1, "certify": certify})
+    cache = tmp_path / "cache"
+    assert main(["certify", "--config", config, "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: certify.family.inputs: must be at least 1, got {inputs}\n"
+    )
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
+def test_cli_certify_inputs_past_the_census_is_a_resource_cap(tmp_path, capsys):
+    certify = json.loads(json.dumps(CERTIFY_CONFIG["certify"]))
+    certify["family"]["inputs"] = [5]
+    config = write_config(tmp_path, {"version": 1, "certify": certify})
+    cache = str(tmp_path / "cache")
+    assert main(["certify", "--config", config, "--cache-dir", cache]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: census supports 1 <= n <= 4, got 5\n"
+
+
 @pytest.mark.parametrize("case", ["file", "below-file", "collision"])
 @pytest.mark.parametrize(
     "config, argv",

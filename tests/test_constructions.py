@@ -15,7 +15,7 @@ from martlab.cantor import (
     char_prefix,
     string_index,
 )
-from martlab.circuits import mcsp_cover, mcsp_witness_relation
+from martlab.circuits import TruthTable, mcsp_cover, mcsp_witness_relation
 from martlab.constructions import (
     AcceptanceSpec,
     Cover,
@@ -35,7 +35,7 @@ from martlab.errors import (
     RowSumViolation,
 )
 from martlab.martingale import verify_averaging
-from martlab.oracle import WitnessRelation, sat_relation
+from martlab.oracle import CountMode, WitnessRelation, count, sat_relation
 
 
 def marked(horizon=16):
@@ -108,6 +108,13 @@ def test_cover_rejects_an_unknown_decide_mode():
         Cover.from_relation(sat_relation(2), 4, "maybe")
 
 
+def inside(B, x):
+    # brute-force twin of subset_cover's membership: every 1 bit marks B
+    return all(B.contains_index(i) for i, b in enumerate(x) if b)
+
+
+SUBSET_B = LanguageView.from_indices([0, 2, 3], 8)
+
 # one cover of each kind, each with members at its level
 COVER_KINDS = {
     "members": lambda census2: Cover.from_members(["0001", "0110", "1111"], 4),
@@ -117,8 +124,25 @@ COVER_KINDS = {
     "image-relation": lambda census2: Cover.from_relation(
         mcsp_witness_relation(1, 1), 2
     ),
-    "subset": lambda census2: subset_cover(LanguageView.from_indices(range(8), 8), 4),
+    "subset": lambda census2: subset_cover(SUBSET_B, 4),
     "mcsp": lambda census2: mcsp_cover(2, 2, census2),
+}
+
+# each cover kind's membership at its level, decided without the cover's count
+MEMBERSHIP_TWINS = {
+    "members": lambda census2: lambda x: str(x) in {"0001", "0110", "1111"},
+    "predicate": lambda census2: lambda x: True,
+    "predicate-level-0": lambda census2: lambda x: True,
+    "relation": lambda census2: lambda x: (
+        count(sat_relation(2), CountMode.WITNESS_COUNT, x) > 0
+    ),
+    "image-relation": lambda census2: lambda x: (
+        count(mcsp_witness_relation(1, 1), CountMode.WITNESS_COUNT, x) > 0
+    ),
+    "subset": lambda census2: lambda x: inside(SUBSET_B, x),
+    "mcsp": lambda census2: lambda x: (
+        census2.sizes[TruthTable.from_bits(x[3:]).mask] <= 2
+    ),
 }
 
 
@@ -128,6 +152,14 @@ def test_cover_contains_only_strings_of_its_level(kind, census2):
     assert any(cover.contains(x) for x in all_strings(cover.level))
     for n in {0, cover.level - 1, cover.level + 1} - {cover.level, -1}:
         assert not any(cover.contains(x) for x in all_strings(n)), n
+
+
+@pytest.mark.parametrize("kind", COVER_KINDS)
+def test_cover_contains_matches_an_independent_twin(kind, census2):
+    cover = COVER_KINDS[kind](census2)
+    member = MEMBERSHIP_TWINS[kind](census2)
+    leaves = list(all_strings(cover.level))
+    assert [cover.contains(x) for x in leaves] == [member(x) for x in leaves]
 
 
 def test_cover_root_law_randomized():
@@ -372,9 +404,29 @@ def test_subset_cover_counts_match_enumeration():
         brute = sum(
             1
             for v in range(1 << (5 - len(w)))
-            if cover.contains(w + BitString.from_int(v, 5 - len(w)))
+            if inside(B, w + BitString.from_int(v, 5 - len(w)))
         )
         assert cover.ext_count(w) == brute
+
+
+def test_subset_mask_count_matches_brute_force_randomized():
+    rnd = random.Random(41)
+    for n in range(9):
+        for _ in range(6):
+            B = LanguageView.from_indices(
+                [i for i in range(n) if rnd.random() < 0.6], horizon=n
+            )
+            cover = subset_cover(B, n)
+            for k in range(n + 2):
+                for w in all_strings(k):
+                    free = max(0, n - k)
+                    brute = sum(
+                        1
+                        for v in range(1 << free)
+                        if k <= n and inside(B, w + BitString.from_int(v, free))
+                    )
+                    assert cover.ext_count(w) == brute, (n, w)
+                    assert cover.contains(w) == (k == n and inside(B, w)), (n, w)
 
 
 # -- acceptance ------------------------------------------------------------

@@ -85,11 +85,7 @@ def test_union_rate_law():
 
 
 def test_level_count_uses_analytic_counter():
-    cover = Cover(
-        level=30,
-        contains=lambda x: False,
-        ext_count=lambda w: 7 if len(w) == 0 else 0,
-    )
+    cover = Cover(level=30, count=lambda w: 7 if len(w) == 0 else 0)
     fam = LevelFamily(lambda n: cover if n == 30 else None, "wide")
     assert level_count(fam, 30) == 7
 

@@ -1,9 +1,16 @@
-"""Every exported name has a user.
+"""Every exported name and every public method has a user.
 
 Each module under ``src/martlab`` lists its public names in ``__all__``.  A
 name listed there must be read somewhere: in its own module, elsewhere in
 the package, in the tests or in the benchmark.  The definition itself and
 the ``__all__`` entry do not count, so an export nothing reads fails here.
+The same holds for each public method or property of a class defined at a
+package module's top level, which must be read as an attribute, ``x.name``.
+
+The guard matches by name alone, not by the class an attribute is read
+from: a method counts as read when any source reads an attribute of that
+name.  So a dead method whose name another class's live method shares
+passes; a dead ``Dyadic.from_int`` would hide behind ``BitString.from_int``.
 """
 
 import ast
@@ -36,26 +43,61 @@ def _reads(tree: ast.AST) -> set[str]:
     return found
 
 
-def _dead_exports(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each export of a package module that no source reads."""
+def _attributes(tree: ast.AST) -> set[str]:
+    """Attribute names a module reads, as in ``x.name``: how a method is reached."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _methods(tree: ast.AST) -> list[str]:
+    """``Class.name`` for each public method or property of a module's classes."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+
+
+def _unread(sources: dict[str, str], defined, reads) -> list[str]:
+    """``module.name`` for each name ``defined`` finds in a package module
+    whose last dotted part is in no source's ``reads``."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    read = set().union(*map(_reads, trees.values()))
+    read = set().union(*map(reads, trees.values()))
     return sorted(
         f"{Path(path).stem}.{name}"
         for path, tree in trees.items()
         if Path(path).parent == PACKAGE
-        for name in _exports(tree)
-        if name not in read
+        for name in defined(tree)
+        if name.rpartition(".")[2] not in read
     )
 
 
-def test_every_export_is_read():
-    sources = {
+def _dead_exports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each export of a package module that no source reads."""
+    return _unread(sources, _exports, _reads)
+
+
+def _dead_methods(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` for each public method no source reads as an
+    attribute."""
+    return _unread(sources, _methods, _attributes)
+
+
+def _searched_sources() -> dict[str, str]:
+    return {
         str(path): path.read_text()
         for top in SEARCHED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    assert _dead_exports(sources) == []
+
+
+def test_every_export_is_read():
+    assert _dead_exports(_searched_sources()) == []
+
+
+def test_every_public_method_is_read():
+    assert _dead_methods(_searched_sources()) == []
 
 
 def test_guard_sees_a_dead_export():
@@ -66,3 +108,20 @@ def test_guard_sees_a_dead_export():
         str(ROOT / "tests" / "t.py"): "from martlab.m import called\n",
     }
     assert _dead_exports(sources) == ["m.dead"]
+
+
+def test_guard_sees_a_dead_method():
+    module = str(PACKAGE / "m.py")
+    sources = {
+        module: "class C:\n"
+                "    def used(self): return self._helper()\n"
+                "    def _helper(self): return 1\n"
+                "    @property\n"
+                "    def dead(self): return 2\n"
+                "    @classmethod\n"
+                "    def unused(cls): return cls()\n",
+        # a plain name is not a method read
+        str(ROOT / "tests" / "t.py"): "from martlab.m import C\nC().used()\n"
+                                      "dead = 1\nprint(dead)\n",
+    }
+    assert _dead_methods(sources) == ["m.C.dead", "m.C.unused"]
