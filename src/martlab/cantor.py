@@ -162,7 +162,7 @@ class LanguageView:
         for m in member_set:
             if index_of(m) >= horizon:
                 raise HorizonExceeded(
-                    f"member {m} has index {index_of(m)} >= horizon {horizon}"
+                    f"member {m or 'λ'} has index {index_of(m)} >= horizon {horizon}"
                 )
         return cls(lambda s: s in member_set, horizon, name)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .cantor import EMPTY, BitString
+from .cantor import EMPTY, BitString, all_strings
 from .dyadic import Dyadic, ONE, ZERO, cmp_pow2
 from .errors import (
     ApproximatorOutOfBand,
@@ -27,7 +27,7 @@ from .errors import (
     ModulusViolation,
     NegativeValue,
 )
-from .martingale import Martingale, RatioForm, averaging_report
+from .martingale import Martingale, RatioForm
 
 __all__ = [
     "MartingaleFamily",
@@ -383,7 +383,9 @@ class ApproxSupermartingale:
     Values are exact general rationals internally; the exported martingale
     floors them onto a ``2**-32`` grid (or finer when more precision is
     asked), which is where the recorded one-step error bound lives.  The
-    relaxed averaging law is checked on the rationals, never the floors.
+    relaxed averaging law is checked on the exact values, never the floors.
+    ``undamped`` is the band-checked approximation ``h(v) / 2**L(v)`` in
+    counting form, before the damping ``((n-1)/(n+1))**|v|``.
     """
 
     level: int
@@ -391,11 +393,33 @@ class ApproxSupermartingale:
     martingale: Martingale
     damping: Fraction
     guaranteed_gamma: Fraction
+    undamped: RatioForm
 
     def verify_averaging_exact(self, depth: int) -> list[BitString]:
-        """Nodes (if any) violating ``2 d(v) >= d(v0) + d(v1)``, in rationals."""
-        report = averaging_report(self.exact_value, depth, supermartingale=True)
-        return [violation.node for violation in report.violations]
+        """Nodes (if any) violating ``2 d(v) >= d(v0) + d(v1)``, in level then
+        lexicographic order, checked exactly in integers.
+
+        Below level ``n`` the damping cancels down to one factor
+        ``(n-1)/(n+1)``, so the law at a parent ``p`` with children ``c``
+        reads ``2 h_p (n+1) 2**L_c >= (h_0 + h_1) (n-1) 2**L_p``, the
+        children's counts over their common ``2**L_c``.  From level ``n`` on
+        every child repeats its parent, which meets the law with equality.
+        """
+        n = self.level
+        h, log_den = self.undamped.numerator, self.undamped.log_denominator
+        violations: list[BitString] = []
+        parents: list[tuple[BitString, int, int]] = []
+        for k in range(min(depth, n) + 1):
+            row = [(v, h(v), log_den(v)) for v in all_strings(k)]
+            for (p, hp, lp), (_, h0, l0), (_, h1, l1) in zip(
+                parents, row[0::2], row[1::2]
+            ):
+                lc = max(l0, l1)
+                children = (h0 << (lc - l0)) + (h1 << (lc - l1))
+                if (2 * hp * (n + 1)) << lc < (children * (n - 1)) << lp:
+                    violations.append(p)
+            parents = row
+        return violations
 
 
 EXPORT_GRID_BITS = 32
@@ -461,4 +485,5 @@ def approx_supermartingale(
         martingale=martingale,
         damping=ratio_power(n),
         guaranteed_gamma=worst_case_gamma(n),
+        undamped=RatioForm(band_checked, form.log_denominator),
     )

@@ -7,6 +7,12 @@ expectation, subset) freeze at their level; the acceptance and
 superset-tracking constructions grow without bound.  Leveled numerators come
 from a binary search over sorted members or from one pass over the ``2**n``
 leaves, summed pairwise up to the root.
+
+Each construction also supplies its counting form a level at a time, as the
+``row`` kernel that :func:`~martlab.martingale.levels` reads: per-level
+histograms of an explicit cover's members, the pairwise-summed leaf rows,
+a closed-form count per integer index, and for the growing constructions
+each level's parent row times that level's two betting factors.
 """
 
 from __future__ import annotations
@@ -56,13 +62,15 @@ class Cover:
     :meth:`from_members` counts by binary search, in ``O(log m)`` per
     prefix; :meth:`from_predicate` reads each leaf once and sums pairwise;
     covers with product structure count in closed form, past the
-    enumeration cap.
+    enumeration cap.  A kind may also supply ``row(k)``, the count of every
+    length-``k`` prefix in index order, which :meth:`level_row` reads.
     """
 
     level: int
     count: Callable[[BitString], int]
     class_tag: str = "unclassified"
     name: str = "cover"
+    row: Callable[[int], list[int]] | None = None
 
     def __post_init__(self):
         if self.level < 0:
@@ -75,6 +83,13 @@ class Cover:
     def contains(self, x: BitString) -> bool:
         """Membership: False on every string whose length is not the level."""
         return len(x) == self.level and self.count(x) > 0
+
+    def level_row(self, k: int) -> list[int]:
+        """``count`` of every length-``k`` prefix, ``k <= level``, in index
+        order: the kind's ``row`` when it has one, else ``count`` per prefix."""
+        if self.row is not None:
+            return self.row(k)
+        return [self.count(w) for w in all_strings(k)]
 
     @classmethod
     def from_members(cls, members: Iterable[BitString | str], level: int) -> "Cover":
@@ -91,7 +106,14 @@ class Cover:
             free, v = level - len(w), w.to_int()
             return bisect_left(values, v + 1 << free) - bisect_left(values, v << free)
 
-        return cls(level, count, "explicit", "explicit-cover")
+        def row(k: int) -> list[int]:
+            # one histogram: member v extends the length-k prefix v >> (level - k)
+            shift, counts = level - k, [0] * (1 << k)
+            for v in values:
+                counts[v >> shift] += 1
+            return counts
+
+        return cls(level, count, "explicit", "explicit-cover", row)
 
     @classmethod
     def from_predicate(
@@ -105,8 +127,8 @@ class Cover:
             raise CapExceeded(
                 f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
             )
-        count = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
-        return cls(level, count, class_tag, name)
+        row = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
+        return cls(level, _indexed(row), class_tag, name, row)
 
     @classmethod
     def from_relation(
@@ -163,35 +185,59 @@ _DECIDE = {
 
 def _subtree_sums(
     leaf: Callable[[BitString], int], n: int
-) -> Callable[[BitString], int]:
-    """The sum of ``leaf`` over the length-``n`` extensions of a prefix of
-    length at most ``n``.
+) -> Callable[[int], list[int]]:
+    """Row ``k <= n``: the sum of ``leaf`` over the length-``n`` extensions
+    of every length-``k`` prefix, in index order.
 
     The first query evaluates every leaf once, in lexicographic order;
-    ``rows[k][v]`` sums the leaves below the length-``n - k`` prefix ``v``.
+    ``rows[j][v]`` sums the leaves below the length-``n - j`` prefix ``v``.
     """
     rows: list[list[int]] = []
 
-    def total(w: BitString) -> int:
+    def row(k: int) -> list[int]:
         if not rows:
             rows.append([leaf(x) for x in all_strings(n)])
-            while len(row := rows[-1]) > 1:
-                rows.append(list(map(add, row[::2], row[1::2])))
-        return rows[n - len(w)][w.to_int()]
+            while len(last := rows[-1]) > 1:
+                rows.append(list(map(add, last[::2], last[1::2])))
+        return rows[n - k]
 
-    return total
+    return row
+
+
+def _indexed(row: Callable[[int], list[int]]) -> Callable[[BitString], int]:
+    """A row kernel read at one prefix: ``row(|w|)[w]``."""
+    return lambda w: row(len(w))[w.to_int()]
 
 
 def _leveled(
-    sums: Callable[[BitString], int], n: int, class_tag: str, meta: dict
+    count: Callable[[BitString], int],
+    row: Callable[[int], list[int]],
+    n: int,
+    class_tag: str,
+    meta: dict,
 ) -> Martingale:
-    """``sums(w[:n]) / 2**max(0, n - |w|)``, frozen at level ``n``."""
+    """``count(w[:n]) / 2**max(0, n - |w|)``, frozen at level ``n``.
+
+    ``row(k)`` is ``count`` on every length-``k`` prefix, ``k <= n``; past
+    level ``n`` each entry repeats once per extension, ``2**(k - n)`` times.
+    """
+
+    def level_row(k: int) -> tuple[list[int], int]:
+        if k <= n:
+            return row(k), n - k
+        top, copies = row(n), 1 << (k - n)
+        nums = [0] * (len(top) * copies)
+        for j in range(copies):
+            nums[j::copies] = top
+        return nums, 0
+
     return Martingale.from_ratio(
-        lambda w: sums(w.prefix(n)),
+        lambda w: count(w.prefix(n)),
         lambda w: max(0, n - len(w)),
         freeze_depth=n,
         class_tag=class_tag,
         meta=meta,
+        row=level_row,
     )
 
 
@@ -204,7 +250,7 @@ def cover_martingale(cover: Cover) -> Martingale:
     """
     n = cover.level
     meta = {"construction": "cover", "level": n, "cover": cover.name}
-    return _leveled(cover.count, n, cover.class_tag, meta)
+    return _leveled(cover.count, cover.level_row, n, cover.class_tag, meta)
 
 
 def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
@@ -226,7 +272,8 @@ def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
         return v
 
     meta = {"construction": "condexp", "level": n}
-    return _leveled(_subtree_sums(f_checked, n), n, "#P", meta)
+    row = _subtree_sums(f_checked, n)
+    return _leveled(_indexed(row), row, n, "#P", meta)
 
 
 def subset_cover(B: LanguageView, n: int) -> Cover:
@@ -243,13 +290,20 @@ def subset_cover(B: LanguageView, n: int) -> Cover:
         if not B.contains_index(i):
             outside |= 1 << (n - 1 - i)
 
-    def count(w: BitString) -> int:
-        free = n - len(w)
-        if w.to_int() & (outside >> free):
+    def count(v: int, k: int) -> int:
+        # the length-k prefix whose bits read v
+        free = n - k
+        if v & (outside >> free):
             return 0
         return 1 << (free - (outside & ((1 << free) - 1)).bit_count())
 
-    return Cover(n, count, "SpanP", f"subset({B.name or 'B'})")
+    return Cover(
+        n,
+        lambda w: count(w.to_int(), len(w)),
+        "SpanP",
+        f"subset({B.name or 'B'})",
+        lambda k: [count(v, k) for v in range(1 << k)],
+    )
 
 
 def subset_martingale(B: LanguageView, n: int) -> Martingale:
@@ -344,6 +398,30 @@ def _prefix_memo(
     return f
 
 
+def _products(
+    factors: Callable[[int], tuple[int, int]],
+) -> tuple[Callable[[BitString], int], Callable[[int], list[int]]]:
+    """``f(w) = factors(0)[w[0]] * ... * factors(|w| - 1)[w[-1]]``, per
+    node and per row.
+
+    The node form steps along the query path (:func:`_prefix_memo`).  Row
+    ``k`` holds ``f`` on every length-``k`` string in index order; each
+    level is the one above times that index's two factors, stepped on from
+    the last row asked for, the only row kept.
+    """
+    last = [0, [1]]  # the depth and row last asked for
+
+    def row(n: int) -> list[int]:
+        k, nums = last if n >= last[0] else (0, [1])
+        for i in range(k, n):
+            a0, a1 = factors(i)
+            nums = [x for v in nums for x in (v * a0, v * a1)]
+            last[:] = i + 1, nums
+        return nums
+
+    return _prefix_memo(1, lambda v, i, bit: v * factors(i)[bit]), row
+
+
 def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     """Double-or-scale capital by the declared odds along the enumeration.
 
@@ -353,29 +431,30 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     from .cantor import string_index
 
     @lru_cache(maxsize=None)
-    def row(i: int) -> tuple[int, int]:
+    def factors(i: int) -> tuple[int, int]:
         f0, f1 = spec.row(string_index(i))
         if f0 < 0 or f1 < 0:
             raise NegativeValue(
                 f"{spec.name}: negative path count at index {i}"
             )
-        return f0, f1
+        return 2 * f0, 2 * f1
 
-    numerator = _prefix_memo(1, lambda v, i, bit: 2 * v * row(i)[bit])
+    numerator, row = _products(factors)
 
     # q_sums[i] = q(|s_0|) + ... + q(|s_{i-1}|), one entry per index reached
     q_sums = [0]
 
-    def log_denominator(w: BitString) -> int:
-        for i in range(len(q_sums) - 1, len(w)):
+    def log_denominator(k: int) -> int:
+        for i in range(len(q_sums) - 1, k):
             q_sums.append(q_sums[i] + spec.q(len(string_index(i))))
-        return q_sums[len(w)]
+        return q_sums[k]
 
     return Martingale.from_ratio(
         numerator,
-        log_denominator,
+        lambda w: log_denominator(len(w)),
         class_tag=spec.class_tag,
         meta={"construction": "acceptance", "spec": spec.name},
+        row=lambda k: (row(k), log_denominator(k)),
     )
 
 
@@ -387,16 +466,13 @@ def biimmunity_martingale(A: LanguageView) -> Martingale:
     ``w`` is ``2**ones(A's prefix)`` as long as ``w`` dominates that prefix,
     else 0.
     """
-
-    def step(v: int, i: int, bit: int) -> int:
-        member = A.contains_index(i)
-        if bit:
-            return 2 * v if member else v
-        return 0 if member else v
-
+    numerator, row = _products(
+        lambda i: (0, 2) if A.contains_index(i) else (1, 1)
+    )
     return Martingale.from_ratio(
-        _prefix_memo(1, step),
+        numerator,
         lambda w: 0,
         class_tag="#P",
         meta={"construction": "biimmunity", "language": A.name},
+        row=lambda k: (row(k), 0),
     )

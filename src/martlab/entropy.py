@@ -55,7 +55,10 @@ class LevelFamily:
 
 def level_count(fam: LevelFamily, n: int) -> int:
     """Exact ``|members at level n|``, as the cover counts itself."""
-    cover = fam.cover_at(n)
+    return _size(fam.cover_at(n))
+
+
+def _size(cover: Cover | None) -> int:
     return 0 if cover is None else cover.count(EMPTY)
 
 
@@ -170,12 +173,16 @@ def mc_certificate(
     ``gap`` is the integer capital-gap function; level ``n`` passes when
     ``count < 2**(n - gap(n))`` (count 0 passes vacuously).  ``modulus``
     promises ``sum_{n >= modulus(i)} 2**-gap(n) <= 2**-i``, audited here over
-    levels up to the horizon.
+    levels up to the horizon.  Each level's cover is fetched once, for its
+    count and for the witnesses not yet covered, and dropped before the next.
     """
     levels = []
     failing = None
+    witnesses = tuple(witnesses)
+    covered_at: list[int | None] = [None] * len(witnesses)
     for n in range(1, horizon + 1):
-        c = level_count(fam, n)
+        cover = fam.cover_at(n)
+        c = _size(cover)
         g = gap(n)
         if c == 0:
             ok = True
@@ -186,16 +193,15 @@ def mc_certificate(
         levels.append(LevelVerdict(n, c, g, ok))
         if not ok and failing is None:
             failing = n
-
-    witness_verdicts = []
-    for w in witnesses:
-        covered_at = None
-        for n in range(1, min(len(w), horizon) + 1):
-            cover = fam.cover_at(n)
-            if cover is not None and cover.contains(w.prefix(n)):
-                covered_at = n
-                break
-        witness_verdicts.append(WitnessVerdict(w, covered_at))
+        for j, w in enumerate(witnesses):
+            if (
+                covered_at[j] is None
+                and len(w) >= n
+                and cover is not None
+                and cover.contains(w.prefix(n))
+            ):
+                covered_at[j] = n
+    witness_verdicts = list(map(WitnessVerdict, witnesses, covered_at))
 
     audits = []
     for i in audit_is:

@@ -18,6 +18,7 @@ from .constructions import (
     cover_martingale,
     subset_martingale,
 )
+from .dyadic import Dyadic
 from .martingale import Martingale, levels
 
 __all__ = [
@@ -65,12 +66,13 @@ def golden_mismatches(figure_id: int, m: Martingale) -> list[tuple]:
     """``(node, expected, actual)`` wherever ``m`` leaves the golden tree,
     in level order."""
     golden = GOLDEN_TREES[figure_id]
-    return [
-        (w, golden[w], str(v))
-        for nodes, values in levels(m.value, FIGURE_DEPTH)
-        for w, v in zip(nodes, values)
-        if str(v) != golden[w]
-    ]
+    found = []
+    for k, nums, log_den in levels(m, FIGURE_DEPTH):
+        for i, num in enumerate(nums):
+            w, actual = BitString.from_int(i, k), str(Dyadic(num, log_den))
+            if actual != golden[w]:
+                found.append((w, golden[w], actual))
+    return found
 
 
 def _tree(rows: str) -> dict[BitString, str]:

@@ -11,20 +11,21 @@ the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
 the bit-by-bit diagonalization that defeats a given martingale, and
 finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
 export over a whole prefix tree reads it through :func:`levels`, one
-level-order walk that evaluates each node once.
+level-order walk that yields each level as integer numerators over one
+shared power of two; ``BitString`` names and ``Dyadic`` text are built only
+for the findings and the dump lines.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, TypeVar
+from operator import add, lt
+from typing import Callable, Iterator, Mapping
 
-from .cantor import EMPTY, BitString
+from .cantor import EMPTY, BitString, all_strings
 from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import NegativeValue
-
-T = TypeVar("T")
 
 __all__ = [
     "Martingale",
@@ -34,7 +35,6 @@ __all__ = [
     "SuccessReport",
     "DimensionReport",
     "levels",
-    "averaging_report",
     "verify_averaging",
     "success_scan",
     "diagonalize",
@@ -51,11 +51,15 @@ class RatioForm:
 
     ``numerator(w) / 2**log_denominator(w)`` is the exact value; the
     numerator plays the counting-function role, the denominator the
-    polynomial-time power-of-two role.
+    polynomial-time power-of-two role.  ``row(k)``, when a construction
+    supplies it, is the same form on a whole level: the numerators of the
+    ``2**k`` strings of length ``k`` in index order, over one shared
+    log-denominator, as ``(numerators, log_den)``.
     """
 
     numerator: Callable[[BitString], int]
     log_denominator: Callable[[BitString], int]
+    row: Callable[[int], tuple[list[int], int]] | None = None
 
     def value(self, w: BitString) -> Dyadic:
         return Dyadic(self.numerator(w), self.log_denominator(w))
@@ -90,8 +94,9 @@ class Martingale:
         class_tag: str = "unclassified",
         supermartingale: bool = False,
         meta: Mapping | None = None,
+        row: Callable[[int], tuple[list[int], int]] | None = None,
     ) -> "Martingale":
-        ratio = RatioForm(numerator, log_denominator)
+        ratio = RatioForm(numerator, log_denominator, row)
 
         def approx(w: BitString, r: int) -> Dyadic:
             return ratio.value(w)
@@ -163,58 +168,97 @@ class AveragingReport:
         return not self.unfrozen
 
 
-def levels(
-    value: Callable[[BitString], T], depth: int
-) -> Iterator[tuple[list[BitString], list[T]]]:
-    """Level-order walk of the prefix tree: ``(nodes, values)`` per level.
+def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
+    """Level-order walk of the prefix tree: ``(k, numerators, log_den)``.
 
-    Levels ``0..depth`` come in order, each in index (lexicographic) order,
-    so the children of ``nodes[i]`` are ``2i`` and ``2i + 1`` of the next
-    level.  ``value`` (a ``Dyadic`` or ``Fraction`` evaluator) is called
-    exactly once per node.
+    Levels ``0..depth`` come in order.  ``numerators[i] / 2**log_den`` is the
+    value at the length-``k`` string whose bits read ``i``, so the children
+    of entry ``i`` are entries ``2i`` and ``2i + 1`` of the next level.  A
+    counting form with a ``row`` kernel is read a level at a time; any other
+    martingale is evaluated with ``value`` once per node and its row brought
+    to the level's largest log-denominator.  Either way a negative value
+    raises :class:`~martlab.errors.NegativeValue` at the first such node.
     """
-    nodes = [EMPTY]
+    row = None if m.ratio is None else m.ratio.row
     for k in range(depth + 1):
-        if k:
-            nodes = [w.append(b) for w in nodes for b in (0, 1)]
-        yield nodes, [value(w) for w in nodes]
+        if row is None:
+            values = [m.value(w) for w in all_strings(k)]
+            log_den = max(v.log_den for v in values)
+            nums = [v.num << (log_den - v.log_den) for v in values]
+        else:
+            nums, log_den = row(k)
+            if min(nums) < 0:
+                i = next(i for i, v in enumerate(nums) if v < 0)
+                w = BitString.from_int(i, k)
+                raise NegativeValue(
+                    f"negative value {Dyadic(nums[i], log_den)} at {w!r}"
+                )
+        yield k, nums, log_den
 
 
-def averaging_report(
-    value: Callable[[BitString], T],
-    depth: int,
-    supermartingale: bool = False,
-    freeze_depth: int | None = None,
-) -> AveragingReport:
+def _names(k: int) -> list[str]:
+    """The bits of every length-``k`` string, in index order."""
+    return [format(i, f"0{k}b") for i in range(1 << k)] if k else [""]
+
+
+def _texts(nums: list[int], log_den: int) -> list[str]:
+    """Each ``num / 2**log_den`` rendered as a :class:`Dyadic`, ``p/2**j``."""
+    text = {v: str(Dyadic(v, log_den)) for v in set(nums)}
+    return [text[v] for v in nums]
+
+
+def verify_averaging(m: Martingale, depth: int) -> AveragingReport:
     """Check ``2*d(w) == d(w0) + d(w1)`` for every ``w`` shorter than depth.
 
     Supermartingales are held to the relaxed ``>=`` law.  A ``freeze_depth``
     below ``depth`` is checked too: both children of each node at that level
-    must repeat its value.  One walk, values compared exactly; findings come
-    out in level, then lexicographic, order.
+    must repeat its value.  One :func:`levels` walk; each level is compared
+    with the one above as integers over a common power of two, and findings
+    come out in level, then lexicographic, order.
     """
-    if freeze_depth is not None and freeze_depth >= depth:
-        freeze_depth = None
+    freeze = m.freeze_depth
+    if freeze is not None and freeze >= depth:
+        freeze = None
     violations, unfrozen = [], []
-    parents, parent_values = [], []
-    for k, (nodes, values) in enumerate(levels(value, depth)):
-        children = zip(parents, parent_values, values[0::2], values[1::2])
-        for w, v, v0, v1 in children:
-            child_sum = v0 + v1
-            doubled = v + v
-            if doubled < child_sum if supermartingale else doubled != child_sum:
-                violations.append(AveragingViolation(w, v, child_sum))
-            if k - 1 == freeze_depth and (v0 != v or v1 != v):
-                unfrozen.append(w)
-        parents, parent_values = nodes, values
+    parents, parent_log_den = [], 0
+    for k, nums, log_den in levels(m, depth):
+        if k:
+            sums = list(map(add, nums[0::2], nums[1::2]))
+            # 2 p / 2**pl against s / 2**cl is p << (1 + cl - pl) against s
+            lhs, rhs = _common(parents, sums, 1 + log_den - parent_log_den)
+            if any(map(lt, lhs, rhs)) if m.supermartingale else lhs != rhs:
+                violations.extend(
+                    AveragingViolation(
+                        BitString.from_int(i, k - 1),
+                        Dyadic(parents[i], parent_log_den),
+                        Dyadic(sums[i], log_den),
+                    )
+                    for i, (a, b) in enumerate(zip(lhs, rhs))
+                    if (a < b if m.supermartingale else a != b)
+                )
+            if k - 1 == freeze:
+                top, zeros = _common(parents, nums[0::2], log_den - parent_log_den)
+                top, ones = _common(parents, nums[1::2], log_den - parent_log_den)
+                if top != zeros or top != ones:
+                    unfrozen.extend(
+                        BitString.from_int(i, k - 1)
+                        for i, (a, b0, b1) in enumerate(zip(top, zeros, ones))
+                        if a != b0 or a != b1
+                    )
+        parents, parent_log_den = nums, log_den
     return AveragingReport(
-        depth, supermartingale, tuple(violations), freeze_depth, tuple(unfrozen)
+        depth, m.supermartingale, tuple(violations), freeze, tuple(unfrozen)
     )
 
 
-def verify_averaging(m: Martingale, depth: int) -> AveragingReport:
-    """:func:`averaging_report` on ``m``'s exact values and freeze depth."""
-    return averaging_report(m.value, depth, m.supermartingale, m.freeze_depth)
+def _common(a: list[int], b: list[int], shift: int) -> tuple[list[int], list[int]]:
+    """``a << shift`` and ``b``, with a negative shift moved onto ``b``, so
+    the two rows compare entry by entry."""
+    if shift > 0:
+        return [x << shift for x in a], b
+    if shift < 0:
+        return a, [x << -shift for x in b]
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -308,16 +352,18 @@ def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
 def tree_csv(m: Martingale, depth: int) -> str:
     """Level-order ``node,value`` dump with values rendered ``p/2**k``."""
     lines = ["node,value"]
-    for nodes, values in levels(m.value, depth):
-        lines.extend(f"{w or 'λ'},{v}" for w, v in zip(nodes, values))
+    for k, nums, log_den in levels(m, depth):
+        lines.extend(
+            f"{w or 'λ'},{v}" for w, v in zip(_names(k), _texts(nums, log_den))
+        )
     return "\n".join(lines) + "\n"
 
 
 def tree_json(m: Martingale, depth: int) -> str:
     """``{node: value}`` as key-sorted JSON; the root's key is ``""``."""
     tree = {}
-    for nodes, values in levels(m.value, depth):
-        tree.update(zip(map(str, nodes), map(str, values)))
+    for k, nums, log_den in levels(m, depth):
+        tree.update(zip(_names(k), _texts(nums, log_den)))
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
@@ -328,11 +374,12 @@ def tree_dot(m: Martingale, depth: int) -> str:
         "  ordering=out;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for k, (nodes, values) in enumerate(levels(m.value, depth)):
-        for w, v in zip(nodes, values):
+    for k, nums, log_den in levels(m, depth):
+        one = 1 << log_den
+        for w, v, num in zip(_names(k), _texts(nums, log_den), nums):
             name = f'"{w or "λ"}"'
             attrs = f'label="{v}"'
-            if k == depth and v >= ONE:
+            if k == depth and num >= one:
                 attrs += ", style=filled, fillcolor=palegreen"
             lines.append(f"  {name} [{attrs}];")
             if k < depth:

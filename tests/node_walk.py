@@ -1,0 +1,100 @@
+"""The per-node prefix-tree walk, as martlab ran it before row kernels.
+
+Test-local oracles for :func:`martlab.martingale.levels` and everything that
+reads it.  Here every node is a ``BitString`` and every value is evaluated
+by a callable, once per node, as a ``Dyadic`` (or a ``Fraction``) compared
+exactly: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
+on ``Fraction`` values, of ``verify_averaging_exact``), and
+:func:`tree_csv`, :func:`tree_json` and :func:`tree_dot` are the twins of
+the dumps.  Pass ``m.value`` and ``m.freeze_depth`` of a martingale ``m``.
+"""
+
+import json
+from typing import Callable, Iterator, TypeVar
+
+from martlab.cantor import EMPTY, BitString
+from martlab.dyadic import ONE
+from martlab.martingale import AveragingReport, AveragingViolation
+
+T = TypeVar("T")
+
+
+def levels(
+    value: Callable[[BitString], T], depth: int
+) -> Iterator[tuple[list[BitString], list[T]]]:
+    """Level-order walk of the prefix tree: ``(nodes, values)`` per level.
+
+    Levels ``0..depth`` come in order, each in index (lexicographic) order,
+    so the children of ``nodes[i]`` are ``2i`` and ``2i + 1`` of the next
+    level.  ``value`` is called exactly once per node.
+    """
+    nodes = [EMPTY]
+    for k in range(depth + 1):
+        if k:
+            nodes = [w.append(b) for w in nodes for b in (0, 1)]
+        yield nodes, [value(w) for w in nodes]
+
+
+def averaging_report(
+    value: Callable[[BitString], T],
+    depth: int,
+    supermartingale: bool = False,
+    freeze_depth: int | None = None,
+) -> AveragingReport:
+    """Check ``2*d(w) == d(w0) + d(w1)`` for every ``w`` shorter than depth.
+
+    Supermartingales are held to the relaxed ``>=`` law.  A ``freeze_depth``
+    below ``depth`` is checked too: both children of each node at that level
+    must repeat its value.  Findings come out in level, then lexicographic,
+    order.
+    """
+    if freeze_depth is not None and freeze_depth >= depth:
+        freeze_depth = None
+    violations, unfrozen = [], []
+    parents, parent_values = [], []
+    for k, (nodes, values) in enumerate(levels(value, depth)):
+        children = zip(parents, parent_values, values[0::2], values[1::2])
+        for w, v, v0, v1 in children:
+            child_sum = v0 + v1
+            doubled = v + v
+            if doubled < child_sum if supermartingale else doubled != child_sum:
+                violations.append(AveragingViolation(w, v, child_sum))
+            if k - 1 == freeze_depth and (v0 != v or v1 != v):
+                unfrozen.append(w)
+        parents, parent_values = nodes, values
+    return AveragingReport(
+        depth, supermartingale, tuple(violations), freeze_depth, tuple(unfrozen)
+    )
+
+
+def tree_csv(value: Callable[[BitString], T], depth: int) -> str:
+    lines = ["node,value"]
+    for nodes, values in levels(value, depth):
+        lines.extend(f"{w or 'λ'},{v}" for w, v in zip(nodes, values))
+    return "\n".join(lines) + "\n"
+
+
+def tree_json(value: Callable[[BitString], T], depth: int) -> str:
+    tree = {}
+    for nodes, values in levels(value, depth):
+        tree.update(zip(map(str, nodes), map(str, values)))
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def tree_dot(value: Callable[[BitString], T], depth: int) -> str:
+    lines = [
+        "digraph martingale {",
+        "  ordering=out;",
+        '  node [shape=box, fontname="monospace"];',
+    ]
+    for k, (nodes, values) in enumerate(levels(value, depth)):
+        for w, v in zip(nodes, values):
+            name = f'"{w or "λ"}"'
+            attrs = f'label="{v}"'
+            if k == depth and v >= ONE:
+                attrs += ", style=filled, fillcolor=palegreen"
+            lines.append(f"  {name} [{attrs}];")
+            if k < depth:
+                lines.extend(f'  {name} -> "{w}{b}";' for b in "01")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

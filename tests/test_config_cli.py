@@ -589,6 +589,21 @@ def test_cli_query_past_horizon_is_a_config_error(tmp_path, capsys):
     assert "horizon" in captured.err
 
 
+@pytest.mark.parametrize(
+    "language", [{"members": [""], "horizon": 0}, {"indices": [0], "horizon": 0}]
+)
+def test_cli_empty_member_past_horizon_is_named_lambda(tmp_path, capsys, language):
+    config = write_config(
+        tmp_path,
+        {"version": 1,
+         "construction": {"type": "subset", "level": 0, "language": language}},
+    )
+    assert main(["verify", "--config", config, "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: member λ has index 0 >= horizon 0\n"
+
+
 CERTIFY_CONFIG = {
     "version": 1,
     "certify": {

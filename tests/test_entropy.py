@@ -213,6 +213,26 @@ def test_certificate_witness_not_covered():
     assert cert.witnesses[0].covered_at is None
 
 
+def test_certificate_reads_each_level_cover_once():
+    calls = []
+
+    def no_ones(x):
+        calls.append(x)
+        return x.count_ones() == 0
+
+    cert = mc_certificate(
+        LevelFamily.from_predicate(no_ones, "no-ones"),
+        gap=lambda n: n - 1,
+        modulus=lambda i: i + 17,
+        horizon=16,
+        witnesses=[BitString("1" * 16), BitString("01" * 8)],
+    )
+    assert [wv.covered_at for wv in cert.witnesses] == [None, 1]
+    assert [lv.count for lv in cert.levels] == [1] * 16
+    # one scan of each level's 2**n leaves, for its count and its witnesses
+    assert len(calls) == sum(1 << n for n in range(1, 17))
+
+
 def test_certificate_modulus_audit_fails():
     fam = LevelFamily(
         lambda n: Cover.from_members([BitString.from_int(0, n)], n),

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import node_walk
+
 from martlab.cantor import BitString, EMPTY, LanguageView
 from martlab.constructions import (
     AcceptanceSpec,
@@ -48,7 +50,7 @@ def test_averaging_pass_constant():
 def figure_cover_table() -> dict:
     return {
         str(w): v
-        for nodes, values in levels(figure_cover().value, 4)
+        for nodes, values in node_walk.levels(figure_cover().value, 4)
         for w, v in zip(nodes, values)
     }
 
@@ -60,7 +62,7 @@ def test_levels_index_order_and_single_evaluation():
         calls.append(w)
         return Fraction(len(w), 3)
 
-    walk = list(levels(value, 3))
+    walk = list(node_walk.levels(value, 3))
     assert [len(nodes) for nodes, _ in walk] == [1, 2, 4, 8]
     for k, (nodes, values) in enumerate(walk):
         assert [str(w) for w in nodes] == [
@@ -72,6 +74,22 @@ def test_levels_index_order_and_single_evaluation():
     for i, w in enumerate(parents):
         assert (children[2 * i], children[2 * i + 1]) == (w.append(0), w.append(1))
     assert len(calls) == len(set(calls)) == 15
+
+
+@pytest.mark.parametrize(
+    "build, depth",
+    [(figure_cover, 6), (lambda: table_martingale(figure_cover_table()), 4)],
+    ids=["row-kernel", "per-node"],
+)
+def test_levels_rows_hold_each_node_value_in_index_order(build, depth):
+    m = build()
+    rows = list(levels(m, depth))
+    assert [k for k, _, _ in rows] == list(range(depth + 1))
+    for k, nums, log_den in rows:
+        assert len(nums) == 1 << k
+        assert [Dyadic(num, log_den) for num in nums] == [
+            m.value(BitString.from_int(i, k)) for i in range(1 << k)
+        ]
 
 
 def test_averaging_localizes_corruption():

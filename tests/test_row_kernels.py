@@ -1,0 +1,275 @@
+"""Row kernels against the per-node walk they replaced.
+
+``verify_averaging`` and the tree dumps read each construction a level at a
+time, as integer rows (:func:`martlab.martingale.levels`).  Their twin in
+``node_walk`` evaluates ``m.value`` at every node as a ``Dyadic`` and
+compares values one node at a time.  For every construction kind, the two
+must give the same report (violations, unfrozen nodes), the same CSV, JSON
+and DOT text and the same golden-tree mismatches, on passing trees and on
+hand-corrupted ones.
+"""
+
+import random
+
+import pytest
+
+import node_walk
+from martlab.cantor import BitString, LanguageView, all_strings
+from martlab.circuits import mcsp_cover
+from martlab.combinators import (
+    MartingaleFamily,
+    aggregate_martingale,
+    approx_supermartingale,
+    geometric_modulus,
+    scale_pow2,
+    sum_finite,
+)
+from martlab.constructions import (
+    AcceptanceSpec,
+    Cover,
+    acceptance_martingale,
+    biimmunity_martingale,
+    condexp_martingale,
+    cover_martingale,
+    subset_martingale,
+)
+from martlab.dyadic import Dyadic, ONE
+from martlab.errors import NegativeValue
+from martlab.golden import (
+    FIGURE_DEPTH,
+    GOLDEN_TREES,
+    build_figure,
+    figure_ids,
+    golden_mismatches,
+)
+from martlab.kolmogorov import kt_cover_martingale
+from martlab.martingale import (
+    Martingale,
+    RatioForm,
+    tree_csv,
+    tree_dot,
+    tree_json,
+    verify_averaging,
+)
+from martlab.oracle import explicit_set_relation, sat_relation
+
+
+def twin_report(m: Martingale, depth: int):
+    return node_walk.averaging_report(
+        m.value, depth, m.supermartingale, m.freeze_depth
+    )
+
+
+def assert_same_as_twin(m: Martingale, depth: int):
+    report = verify_averaging(m, depth)
+    assert report == twin_report(m, depth)
+    assert tree_csv(m, depth) == node_walk.tree_csv(m.value, depth)
+    assert tree_json(m, depth) == node_walk.tree_json(m.value, depth)
+    assert tree_dot(m, depth) == node_walk.tree_dot(m.value, depth)
+    return report
+
+
+def _language(rnd: random.Random, horizon: int) -> LanguageView:
+    members = [i for i in range(horizon) if rnd.random() < 0.4]
+    return LanguageView.from_indices(members, horizon)
+
+
+def _members(rnd: random.Random, n: int) -> list[BitString]:
+    return [BitString.from_int(v, n) for v in range(1 << n) if rnd.random() < 0.3]
+
+
+def _cover_sum(rnd):
+    a = cover_martingale(Cover.from_members(_members(rnd, 3), 3))
+    b = condexp_martingale(lambda x: x.count_ones(), 4)
+    return sum_finite(a, scale_pow2(b, -2))
+
+
+def _family_sum(rnd):
+    covers = [Cover.from_members(_members(rnd, n), n) for n in range(4)]
+    fam = MartingaleFamily(
+        lambda n: cover_martingale(covers[n]),
+        lambda n: ONE,
+        "covers",
+        support_end=4,
+    )
+    return aggregate_martingale(fam, geometric_modulus(ONE))
+
+
+def _gap_spec(rnd):
+    t = rnd.randrange(0, 3)
+    table = {}
+
+    def g(x):
+        key = str(x)
+        if key not in table:
+            table[key] = rnd.randrange((1 << t) + 1)
+        return table[key]
+
+    return AcceptanceSpec.from_gap(g, lambda n: t)
+
+
+# kind -> (construction, depths): each builder takes (rnd, census2, budget)
+KINDS = {
+    "explicit": (lambda rnd, c, b: cover_martingale(
+        Cover.from_members(_members(rnd, 5), 5)), (0, 3, 5, 8)),
+    "explicit-level-0": (lambda rnd, c, b: cover_martingale(
+        Cover.from_members([""], 0)), (0, 2)),
+    "predicate": (lambda rnd, c, b: cover_martingale(
+        Cover.from_predicate(lambda x: x.count_ones() % 3 == 1, 5)), (4, 7)),
+    "relation-exists": (lambda rnd, c, b: cover_martingale(
+        Cover.from_relation(sat_relation(2), 4, "exists")), (4, 6)),
+    "relation-unique": (lambda rnd, c, b: cover_martingale(
+        Cover.from_relation(
+            explicit_set_relation("set", _members(rnd, 4)), 4, "unique"
+        )), (4, 6)),
+    "condexp": (lambda rnd, c, b: condexp_martingale(
+        lambda x: (x.to_int() * 7) % 5, 5), (2, 5, 7)),
+    "subset": (lambda rnd, c, b: subset_martingale(_language(rnd, 6), 6), (6, 8)),
+    "mcsp": (lambda rnd, c, b: cover_martingale(mcsp_cover(2, 2, c)), (7, 8)),
+    "kt-cover": (lambda rnd, c, b: kt_cover_martingale(6, 1, b), (6, 8)),
+    "acceptance": (lambda rnd, c, b: acceptance_martingale(
+        AcceptanceSpec.biased(_language(rnd, 64), 3, 2)), (0, 6)),
+    "gap-acceptance": (lambda rnd, c, b: acceptance_martingale(
+        _gap_spec(rnd)), (6,)),
+    "biimmunity": (lambda rnd, c, b: biimmunity_martingale(
+        _language(rnd, 64)), (6,)),
+    "sum-scale": (lambda rnd, c, b: _cover_sum(rnd), (3, 6)),
+    "family-sum": (lambda rnd, c, b: _family_sum(rnd), (5,)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_match_the_per_node_walk(kind, census2, budget):
+    build, depths = KINDS[kind]
+    for seed in range(3):
+        m = build(random.Random(seed), census2, budget)
+        for depth in depths:
+            report = assert_same_as_twin(m, depth)
+            assert report.passed and report.frozen, (kind, seed, depth)
+
+
+def _tabled(rows, log_dens, freeze_depth=None, supermartingale=False):
+    """A martingale read from a table of rows, per node and per row."""
+    return Martingale.from_ratio(
+        lambda w: rows[len(w)][w.to_int()],
+        lambda w: log_dens[len(w)],
+        freeze_depth=freeze_depth,
+        supermartingale=supermartingale,
+        row=lambda k: (rows[k], log_dens[k]),
+    )
+
+
+def _figure_rows():
+    members = [0b0001, 0b0010, 0b0011, 0b0110, 0b1101]
+    return [
+        [sum(1 for v in members if v >> (4 - k) == i) for i in range(1 << k)]
+        for k in range(5)
+    ]
+
+
+def test_violations_on_two_levels_match_the_twin():
+    rows = _figure_rows()
+    rows[1][1] += 1  # the root and node 1 now disagree with their children
+    rows[3][5] += 2  # node 10 and node 101
+    report = assert_same_as_twin(_tabled(rows, [4, 3, 2, 1, 0]), 4)
+    assert [str(v.node) for v in report.violations] == ["", "1", "10", "101"]
+    assert report.violations[1].parent_value == Dyadic(2, 3)
+    assert report.violations[1].child_sum == Dyadic(1, 2)
+
+
+def test_supermartingale_violations_match_the_twin():
+    rows = _figure_rows()
+    rows[1][0] += 1  # node 0 now exceeds its children (allowed), the root's half not
+    rows[4][13] += 1  # leaf 1101 pushes node 110's children past it
+    m = _tabled(rows, [4, 3, 2, 1, 0], supermartingale=True)
+    report = assert_same_as_twin(m, 4)
+    assert [str(v.node) for v in report.violations] == ["", "110"]
+
+
+def test_freeze_violation_matches_the_twin():
+    rows = _figure_rows() + [None]
+    rows[5] = [c for c in rows[4] for _ in range(2)]
+    rows[5][6] = 0  # leaf 0011 gives one child 0, which breaks the law there too
+    m = _tabled(rows, [4, 3, 2, 1, 0, 0], freeze_depth=4)
+    report = assert_same_as_twin(m, 5)
+    assert [str(v.node) for v in report.violations] == ["0011"]
+    assert [str(w) for w in report.unfrozen] == ["0011"]
+
+
+def test_negative_numerator_raises_the_same_message():
+    rows = _figure_rows()
+    rows[3][6] = -2
+    m = _tabled(rows, [4, 3, 2, 1, 0])
+    with pytest.raises(NegativeValue) as twin:
+        twin_report(m, 4)
+    for check in (verify_averaging, tree_csv, tree_json, tree_dot):
+        with pytest.raises(NegativeValue) as rows_error:
+            check(m, 4)
+        assert str(rows_error.value) == str(twin.value)
+    assert str(twin.value) == "negative value -1 at BitString('110')"
+
+
+def test_random_tables_match_the_twin():
+    rnd = random.Random(16)
+    for _ in range(300):
+        depth = rnd.randrange(0, 6)
+        log_dens = [rnd.randrange(0, 6) for _ in range(depth + 2)]
+        rows = [[rnd.randrange(4) for _ in range(1 << k)] for k in range(depth + 2)]
+        freeze = rnd.choice([None, rnd.randrange(depth + 2)])
+        m = _tabled(rows, log_dens, freeze, rnd.random() < 0.5)
+        assert_same_as_twin(m, depth)
+
+
+def test_random_per_node_values_match_the_twin():
+    """The fallback brings a level's mixed denominators to its largest."""
+    rnd = random.Random(61)
+    for _ in range(100):
+        depth = rnd.randrange(0, 5)
+        table = {
+            str(w): Dyadic(rnd.randrange(6), rnd.randrange(4))
+            for k in range(depth + 1)
+            for w in all_strings(k)
+        }
+        m = Martingale.from_exact(lambda w, t=table: t[str(w)])
+        assert_same_as_twin(m, depth)
+
+
+def _sup_twin(sup, depth: int) -> list[BitString]:
+    report = node_walk.averaging_report(sup.exact_value, depth, supermartingale=True)
+    return [violation.node for violation in report.violations]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_approx_verify_matches_the_rational_twin(n):
+    rnd = random.Random(n)
+    for trial in range(20):
+        if trial % 2:
+            # a cover's counts: a martingale, so the transform keeps the law
+            members = _members(rnd, n)
+            form = cover_martingale(Cover.from_members(members, n)).ratio
+        else:
+            # arbitrary counts: the relaxed law fails somewhere
+            table = {str(w): rnd.randrange(8) for k in range(n + 1)
+                     for w in all_strings(k)}
+            form = RatioForm(lambda w, t=table: t[str(w)], lambda w: n - len(w))
+
+        def h(x, f=form.numerator):
+            fx = f(x)
+            return fx + rnd.choice([-1, 0, 1]) * (fx // n)
+
+        sup = approx_supermartingale(form, h, n)
+        for depth in (n - 1, n, n + 2):
+            assert sup.verify_averaging_exact(depth) == _sup_twin(sup, depth)
+
+
+@pytest.mark.parametrize("fid", figure_ids())
+def test_golden_mismatches_match_per_node_values(fid):
+    assert golden_mismatches(fid, build_figure(fid)) == []
+    other = build_figure(fid % 5 + 1)  # the next figure's tree, in this slot
+    expected = [
+        (w, GOLDEN_TREES[fid][w], str(v))
+        for nodes, values in node_walk.levels(other.value, FIGURE_DEPTH)
+        for w, v in zip(nodes, values)
+        if str(v) != GOLDEN_TREES[fid][w]
+    ]
+    assert expected and golden_mismatches(fid, other) == expected
