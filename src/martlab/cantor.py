@@ -13,9 +13,9 @@ answered silently.  All objects are immutable.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import HorizonExceeded
+from .errors import CapExceeded, HorizonExceeded
 
 __all__ = [
     "BitString",
@@ -108,6 +108,8 @@ class BitString:
 
 EMPTY = BitString("")
 
+MASK_CAP = 1 << 24  # a language mask holds one bit per string to its last member
+
 
 def string_index(i: int) -> BitString:
     """The ``i``-th string in the length-lexicographic enumeration."""
@@ -130,22 +132,18 @@ def all_strings(length: int) -> Iterator[BitString]:
 
 
 class LanguageView:
-    """A decidable language restricted to the first ``horizon`` strings.
+    """A language restricted to its first ``horizon`` strings.
 
-    ``membership`` decides membership of :func:`string_index`-indexed strings;
-    queries with index at or past the horizon raise
+    The view is its first ``horizon`` characteristic bits held as one int:
+    bit ``i`` of the mask is set when :func:`string_index` ``(i)`` is a
+    member.  Queries with index at or past the horizon raise
     :class:`~martlab.errors.HorizonExceeded`.
     """
 
-    __slots__ = ("_membership", "horizon", "name")
+    __slots__ = ("_mask", "horizon", "name")
 
-    def __init__(
-        self,
-        membership: Callable[[BitString], bool],
-        horizon: int,
-        name: str = "",
-    ):
-        object.__setattr__(self, "_membership", membership)
+    def __init__(self, mask: int, horizon: int, name: str = ""):
+        object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "name", name)
 
@@ -156,41 +154,52 @@ class LanguageView:
     def from_members(
         cls, members: Iterable[BitString | str], horizon: int, name: str = ""
     ) -> "LanguageView":
-        member_set = frozenset(
-            m if isinstance(m, BitString) else BitString(m) for m in members
+        return cls.from_indices(
+            [index_of(BitString(m) if isinstance(m, str) else m) for m in members],
+            horizon, name,
         )
-        for m in member_set:
-            if index_of(m) >= horizon:
-                raise HorizonExceeded(
-                    f"member {m or 'λ'} has index {index_of(m)} >= horizon {horizon}"
-                )
-        return cls(lambda s: s in member_set, horizon, name)
 
     @classmethod
     def from_indices(
         cls, indices: Iterable[int], horizon: int, name: str = ""
     ) -> "LanguageView":
-        return cls.from_members(
-            [string_index(i) for i in indices], horizon, name
-        )
+        """A negative index raises ``ValueError``; else the first index at or
+        past the horizon, in input order, ``HorizonExceeded``, and a member
+        at or past ``MASK_CAP`` ``CapExceeded``."""
+        inside, past = [], None
+        for i in indices:
+            if i < 0:
+                raise ValueError("index must be nonnegative")
+            if i < horizon:
+                inside.append(i)
+            elif past is None:
+                past = i
+        if past is not None:
+            raise HorizonExceeded(
+                f"member {string_index(past) or 'λ'} has index {past} >= horizon {horizon}"
+            )
+        top = max(inside, default=-1)
+        if top >= MASK_CAP:
+            raise CapExceeded(f"member index {top} exceeds mask cap {MASK_CAP}")
+        bits = bytearray(top // 8 + 1)
+        for i in inside:
+            bits[i >> 3] |= 1 << (i & 7)
+        return cls(int.from_bytes(bits, "little"), horizon, name)
 
     def contains(self, s: BitString) -> bool:
-        if index_of(s) >= self.horizon:
-            raise HorizonExceeded(
-                f"query {s!r} (index {index_of(s)}) is past horizon {self.horizon}"
-            )
-        return bool(self._membership(s))
+        return self.contains_index(index_of(s))
 
     def contains_index(self, i: int) -> bool:
-        return self.contains(string_index(i))
+        if not 0 <= i < self.horizon:  # string_index rejects a negative i
+            raise HorizonExceeded(
+                f"query {string_index(i)!r} (index {i}) is past horizon {self.horizon}"
+            )
+        return self._mask >> i & 1 == 1
 
     def members(self) -> list[BitString]:
-        """All members, in enumeration order (full horizon scan)."""
-        return [
-            string_index(i)
-            for i in range(self.horizon)
-            if self._membership(string_index(i))
-        ]
+        """All members, in enumeration order."""
+        bits = format(self._mask, "b")[::-1]
+        return [string_index(i) for i, c in enumerate(bits) if c == "1"]
 
 
 def census(language: LanguageView, n: int) -> int:
@@ -201,19 +210,12 @@ def census(language: LanguageView, n: int) -> int:
         raise HorizonExceeded(
             f"census at {n} is past horizon {language.horizon}"
         )
-    return sum(
-        1 for i in range(n) if language.contains(string_index(i))
-    )
+    return (language._mask & ((1 << n) - 1)).bit_count()
 
 
 def language_of(w: BitString) -> LanguageView:
     """The finite language whose characteristic prefix is ``w``."""
-    bits = w.bits()
-
-    def membership(s: BitString) -> bool:
-        return bits[index_of(s)] == "1"
-
-    return LanguageView(membership, len(w), name=f"L({w})")
+    return LanguageView(int(w.bits()[::-1] or "0", 2), len(w), name=f"L({w})")
 
 
 def char_prefix(language: LanguageView, n: int) -> BitString:
@@ -222,9 +224,6 @@ def char_prefix(language: LanguageView, n: int) -> BitString:
         raise HorizonExceeded(
             f"prefix of length {n} is past horizon {language.horizon}"
         )
-    return BitString(
-        "".join(
-            "1" if language.contains(string_index(i)) else "0"
-            for i in range(n)
-        )
-    )
+    # the bit above the first n keeps their leading zeros; dropped on reversal
+    top = 1 << max(n, 0)
+    return BitString(format(language._mask & (top - 1) | top, "b")[:0:-1])

@@ -56,7 +56,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .cantor import BitString, LanguageView
+from .cantor import BitString, LanguageView, index_of
 from .combinators import ConvergenceModulus, MartingaleFamily, geometric_modulus
 from .constructions import (
     AcceptanceSpec,
@@ -163,10 +163,10 @@ def _bits_list(value: Any, path: str) -> list[BitString]:
     return [_bits(m, path) for m in _list(value, path)]
 
 
-def _values(spec: Any, path: str) -> dict[str, int]:
+def _values(spec: Any, path: str) -> dict[BitString, int]:
     """``spec.values``: bit string -> integer."""
     return {
-        str(_bits(k, f"{path}.values")): _int(v, f"{path}.values.{k}")
+        _bits(k, f"{path}.values"): _int(v, f"{path}.values.{k}")
         for k, v in _need(spec, "values", path, _object).items()
     }
 
@@ -203,7 +203,7 @@ def build_language(spec: dict, path: str = "language") -> LanguageView:
     if "indices" in spec:
         indices = _list(spec["indices"], f"{path}.indices")
         return LanguageView.from_indices(
-            [_int(i, f"{path}.indices") for i in indices], horizon
+            [_natural(i, f"{path}.indices") for i in indices], horizon
         )
     if "members" in spec:
         members = _bits_list(spec["members"], f"{path}.members")
@@ -251,7 +251,7 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
     if kind == "condexp":
         level = _need(spec, "level", path, _int)
         values = _values(spec, path)
-        return condexp_martingale(lambda x: values.get(str(x), 0), level)
+        return condexp_martingale(lambda x: values.get(x, 0), level)
     if kind == "subset":
         return subset_martingale(
             build_language(_need(spec, "language", path), f"{path}.language"),
@@ -269,12 +269,10 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
     if kind == "acceptance-gap":
         t = _need(spec, "t", path, _natural)
         default = _int(spec.get("default", 0), f"{path}.default")
-        values = _values(spec, path)
-
-        def g(x: BitString) -> int:
-            return values.get(str(x), default)
-
-        return acceptance_martingale(AcceptanceSpec.from_gap(g, lambda n: t))
+        g = {index_of(x): v for x, v in _values(spec, path).items()}
+        return acceptance_martingale(
+            AcceptanceSpec.from_gap(lambda i: g.get(i, default), lambda n: t)
+        )
     if kind == "biimmunity":
         return biimmunity_martingale(
             build_language(_need(spec, "language", path), f"{path}.language")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, TypeVar
 
-from .cantor import BitString, LanguageView, all_strings, census
+from .cantor import BitString, LanguageView, all_strings, census, char_prefix, string_index
 from .errors import (
     CapExceeded,
     GapViolation,
@@ -281,14 +281,16 @@ def subset_cover(B: LanguageView, n: int) -> Cover:
 
     A string qualifies when every 1 bit marks a member of ``B``.  Bit
     ``n - 1 - i`` of ``outside`` is set when the ``i``-th string is not in
-    ``B``, so a prefix is consistent when it shares no 1 bit with the top of
-    ``outside``, and its member count is ``2**(free member positions)``; no
-    enumeration is needed.
+    ``B``, the complement of ``B``'s characteristic prefix, so a prefix is
+    consistent when it shares no 1 bit with the top of ``outside``, and its
+    member count is ``2**(free member positions)``; no enumeration is
+    needed.
     """
-    outside = 0
-    for i in range(n):
-        if not B.contains_index(i):
-            outside |= 1 << (n - 1 - i)
+    first = max(B.horizon, 0)
+    if n > first:  # the first string past the horizon is named as a query
+        B.contains_index(first)
+    prefix = char_prefix(B, n)
+    outside = prefix.to_int() ^ ((1 << len(prefix)) - 1)
 
     def count(v: int, k: int) -> int:
         # the length-k prefix whose bits read v
@@ -323,32 +325,34 @@ def subset_martingale(B: LanguageView, n: int) -> Martingale:
 class AcceptanceSpec:
     """Per-string betting odds derived from acceptance-path counts.
 
-    ``f(x, b)`` is the number of computation paths answering ``b`` on input
-    ``x`` out of ``2**q(|x|)`` total; the row-sum identity is re-checked on
+    ``f(i, b)`` is the number of computation paths answering ``b`` on the
+    ``i``-th string ``s_i`` out of ``2**q(|s_i|)`` total, where ``|s_i|`` is
+    ``(i + 1).bit_length() - 1``; the row-sum identity is re-checked on
     every query.
     """
 
-    f: Callable[[BitString, int], int]
+    f: Callable[[int, int], int]
     q: Callable[[int], int]
     class_tag: str = "#P"
     name: str = "acceptance"
 
-    def row(self, x: BitString) -> tuple[int, int]:
-        f0, f1 = self.f(x, 0), self.f(x, 1)
-        total = 1 << self.q(len(x))
-        if f0 + f1 != total:
+    def row(self, i: int) -> tuple[int, int]:
+        f0, f1 = self.f(i, 0), self.f(i, 1)
+        q = self.q((i + 1).bit_length() - 1)
+        if f0 + f1 != 1 << q:
+            x = string_index(i)
             raise RowSumViolation(
-                f"{self.name}: f({x!r},0)+f({x!r},1) = {f0}+{f1} != 2**{self.q(len(x))}"
+                f"{self.name}: f({x!r},0)+f({x!r},1) = {f0}+{f1} != 2**{q}"
             )
         return f0, f1
 
     @classmethod
     def from_gap(
-        cls, g: Callable[[BitString], int], t: Callable[[int], int]
+        cls, g: Callable[[int], int], t: Callable[[int], int]
     ) -> "AcceptanceSpec":
-        """Gap-function form: ``f(x,1) = g(x)`` and ``f(x,0) = 2**t(|x|) - g(x)``."""
+        """Gap-function form: ``f(i,1) = g(i)``, ``f(i,0) = 2**t(|s_i|) - g(i)``."""
         return cls(
-            f=lambda x, b: g(x) if b else (1 << t(len(x))) - g(x),
+            f=lambda i, b: g(i) if b else (1 << t((i + 1).bit_length() - 1)) - g(i),
             q=t,
             class_tag="GapP",
             name="gap-acceptance",
@@ -362,9 +366,8 @@ class AcceptanceSpec:
         if not 0 <= correct <= (1 << q):
             raise ValueError(f"correct count {correct} not in [0, 2**{q}]")
 
-        def f(x: BitString, b: int) -> int:
-            member = target.contains(x)
-            return correct if b == int(member) else (1 << q) - correct
+        def f(i: int, b: int) -> int:
+            return correct if b == target.contains_index(i) else (1 << q) - correct
 
         return cls(f=f, q=lambda n: q, name=f"biased({correct}/{1 << q})")
 
@@ -428,11 +431,9 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     The value at ``w`` is ``2**|w|`` times the product of chosen-row
     probabilities ``f(s_i, w[i]) / 2**q(|s_i|)``.  Never freezes.
     """
-    from .cantor import string_index
-
     @lru_cache(maxsize=None)
     def factors(i: int) -> tuple[int, int]:
-        f0, f1 = spec.row(string_index(i))
+        f0, f1 = spec.row(i)
         if f0 < 0 or f1 < 0:
             raise NegativeValue(
                 f"{spec.name}: negative path count at index {i}"
@@ -446,7 +447,7 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
 
     def log_denominator(k: int) -> int:
         for i in range(len(q_sums) - 1, k):
-            q_sums.append(q_sums[i] + spec.q(len(string_index(i))))
+            q_sums.append(q_sums[i] + spec.q((i + 1).bit_length() - 1))
         return q_sums[k]
 
     return Martingale.from_ratio(

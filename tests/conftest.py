@@ -46,3 +46,11 @@ def census4(cache_dir):
     from martlab.circuits import cached_census
 
     return cached_census(4, 5, cache_dir)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-corpus",
+        action="store_true",
+        help="rewrite tests/error_corpus.json from the current CLI's behaviour",
+    )

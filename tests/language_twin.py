@@ -1,0 +1,75 @@
+"""A language as a frozenset of member strings, as martlab held it before masks.
+
+Test-local oracle for :class:`martlab.cantor.LanguageView` and the functions
+beside it.  Every member is a ``BitString`` in a frozenset, and every query
+maps its index to a string with :func:`~martlab.cantor.string_index` and
+asks the set, so :class:`Language`, :func:`census`, :func:`char_prefix` and
+:func:`language_of` are the brute-force twins of the mask.  Errors are
+raised with the same types and messages: a negative index is a
+``ValueError``, and past the horizon the first offending member, in input
+order, or the query is named.
+"""
+
+from typing import Iterable
+
+from martlab.cantor import BitString, index_of, string_index
+from martlab.errors import HorizonExceeded
+
+
+class Language:
+    def __init__(self, members: Iterable[BitString], horizon: int, name: str = ""):
+        self.member_set = frozenset(members)
+        self.horizon = horizon
+        self.name = name
+
+    @classmethod
+    def from_members(cls, members, horizon: int, name: str = "") -> "Language":
+        strings = [m if isinstance(m, BitString) else BitString(m) for m in members]
+        for m in strings:
+            if index_of(m) >= horizon:
+                raise HorizonExceeded(
+                    f"member {m or 'λ'} has index {index_of(m)} >= horizon {horizon}"
+                )
+        return cls(strings, horizon, name)
+
+    @classmethod
+    def from_indices(cls, indices, horizon: int, name: str = "") -> "Language":
+        return cls.from_members([string_index(i) for i in indices], horizon, name)
+
+    def contains(self, s: BitString) -> bool:
+        if index_of(s) >= self.horizon:
+            raise HorizonExceeded(
+                f"query {s!r} (index {index_of(s)}) is past horizon {self.horizon}"
+            )
+        return s in self.member_set
+
+    def contains_index(self, i: int) -> bool:
+        return self.contains(string_index(i))
+
+    def members(self) -> list[BitString]:
+        return [string_index(i) for i in range(self.horizon)
+                if string_index(i) in self.member_set]
+
+
+def census(language: Language, n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > language.horizon:
+        raise HorizonExceeded(f"census at {n} is past horizon {language.horizon}")
+    return sum(1 for i in range(n) if language.contains_index(i))
+
+
+def language_of(w: BitString) -> Language:
+    return Language(
+        [string_index(i) for i, bit in enumerate(w) if bit], len(w), name=f"L({w})"
+    )
+
+
+def char_prefix(language: Language, n: int) -> BitString:
+    if n > language.horizon:
+        raise HorizonExceeded(
+            f"prefix of length {n} is past horizon {language.horizon}"
+        )
+    return BitString("".join(
+        "1" if language.contains_index(i) else "0" for i in range(n)
+    ))

@@ -104,12 +104,11 @@ def _random_acceptance(rnd):
     q = rnd.randrange(1, 4)
     rows = {}
 
-    def f(x, b):
-        key = str(x)
-        if key not in rows:
+    def f(i, b):
+        if i not in rows:
             ones = rnd.randrange(0, (1 << q) + 1)
-            rows[key] = ((1 << q) - ones, ones)
-        return rows[key][b]
+            rows[i] = ((1 << q) - ones, ones)
+        return rows[i][b]
 
     return AcceptanceSpec(f=f, q=lambda n: q)
 
@@ -209,7 +208,7 @@ def test_criterion_03_construction_laws():
                     for i in range(n):
                         x = string_index(i)
                         product *= Fraction(
-                            spec.f(x, w[i]), 1 << spec.q(len(x))
+                            spec.f(i, w[i]), 1 << spec.q(len(x))
                         )
                     assert as_fraction(acc.value(w)) == 2**n * product
 

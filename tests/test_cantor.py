@@ -57,7 +57,7 @@ def test_census_examples():
     B = LanguageView.from_indices([1, 3], horizon=8)
     assert census(B, 4) == 2
     assert census(B, 0) == 0
-    everything = LanguageView(lambda s: True, horizon=16)
+    everything = LanguageView.from_indices(range(16), 16)
     assert census(everything, 7) == 7
 
 

@@ -604,6 +604,45 @@ def test_cli_empty_member_past_horizon_is_named_lambda(tmp_path, capsys, languag
     assert captured.err == "config error: member λ has index 0 >= horizon 0\n"
 
 
+@pytest.mark.parametrize(
+    "kind, field", [("subset", "language"), ("biimmunity", "language"),
+                    ("acceptance", "target")]
+)
+def test_cli_negative_language_index_names_its_field(tmp_path, capsys, kind, field):
+    spec = {"type": kind, "level": 2, "q": 2, "correct": 3,
+            field: {"indices": [1, -3], "horizon": 4}}
+    config = write_config(tmp_path, {"version": 1, "construction": spec})
+    assert main(["verify", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: construction.{field}.indices: must be nonnegative, got -3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "language, named",
+    [({"indices": [2000, 3000, 4000], "horizon": 10}, "member 1111010001 has index 2000"),
+     ({"members": ["00", "110", "0001", "101"], "horizon": 4}, "member 110 has index 13")],
+)
+def test_cli_past_horizon_member_error_is_the_first_in_input_order(
+    tmp_path, language, named
+):
+    # the member named must not depend on the string hash seed
+    config = write_config(
+        tmp_path, {"version": 1, "construction": {"type": "biimmunity", "language": language}}
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for seed in ("3", "6"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "martlab.cli", "verify", "--config", config],
+            capture_output=True, text=True, env=dict(env, PYTHONHASHSEED=seed), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"config error: {named} >= horizon {language['horizon']}\n"
+
+
 CERTIFY_CONFIG = {
     "version": 1,
     "certify": {

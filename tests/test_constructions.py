@@ -373,7 +373,7 @@ def test_subset_figure_values():
 
 
 def test_subset_full_and_empty():
-    everything = LanguageView(lambda s: True, horizon=16)
+    everything = LanguageView.from_indices(range(16), 16)
     m = subset_martingale(everything, 4)
     for w in ("", "0", "10", "111"):
         assert m.value(BitString(w)) == ONE
@@ -442,7 +442,7 @@ def test_acceptance_figure_path():
 
 
 def test_acceptance_fair_coin():
-    spec = AcceptanceSpec(f=lambda x, b: 2, q=lambda n: 2)
+    spec = AcceptanceSpec(f=lambda i, b: 2, q=lambda n: 2)
     m = acceptance_martingale(spec)
     for w in ("", "0", "01", "110", "0101"):
         assert m.value(BitString(w)) == ONE
@@ -451,8 +451,8 @@ def test_acceptance_fair_coin():
 def test_acceptance_gap_error_free_machine():
     target = marked()
 
-    def g(x):
-        return 4 if target.contains(x) else 0
+    def g(i):
+        return 4 if target.contains_index(i) else 0
 
     m = acceptance_martingale(AcceptanceSpec.from_gap(g, lambda n: 2))
     assert m.class_tag == "GapP"
@@ -464,13 +464,13 @@ def test_acceptance_gap_error_free_machine():
 
 
 def test_acceptance_row_sum_checked():
-    spec = AcceptanceSpec(f=lambda x, b: 1, q=lambda n: 2)
+    spec = AcceptanceSpec(f=lambda i, b: 1, q=lambda n: 2)
     with pytest.raises(RowSumViolation):
         acceptance_martingale(spec).value(BitString("0"))
 
 
 def test_acceptance_gap_negative_rejected():
-    spec = AcceptanceSpec.from_gap(lambda x: 5, lambda n: 2)
+    spec = AcceptanceSpec.from_gap(lambda i: 5, lambda n: 2)
     with pytest.raises(NegativeValue):
         acceptance_martingale(spec).value(BitString("0"))
 
@@ -481,18 +481,17 @@ def test_acceptance_product_law_randomized():
         q = rnd.randrange(1, 4)
         rows = {}
 
-        def f(x, b, q=q, rows=rows):
-            key = str(x)
-            if key not in rows:
+        def f(i, b, q=q, rows=rows):
+            if i not in rows:
                 f1 = rnd.randrange(0, (1 << q) + 1)
-                rows[key] = ((1 << q) - f1, f1)
-            return rows[key][b]
+                rows[i] = ((1 << q) - f1, f1)
+            return rows[i][b]
 
         m = acceptance_martingale(AcceptanceSpec(f=f, q=lambda n: q))
         for w in all_strings(6):
             product = Fraction(1)
             for i in range(6):
-                product *= Fraction(f(string_index(i), w[i]), 1 << q)
+                product *= Fraction(f(i, w[i]), 1 << q)
             expected = Fraction(2) ** 6 * product
             got = m.value(w)
             assert Fraction(got.num, 1 << got.log_den) == expected
@@ -502,10 +501,10 @@ def test_acceptance_growth_bound():
     # correctness 1 - 2^-q(k) with q(k) = 2k (the k = 0 row degenerates to 0)
     target = marked()
 
-    def f(x, b):
-        k = len(x)
+    def f(i, b):
+        k = len(string_index(i))
         correct = (1 << (2 * k)) - 1
-        return correct if b == int(target.contains(x)) else 1
+        return correct if b == int(target.contains_index(i)) else 1
 
     spec = AcceptanceSpec(f=f, q=lambda k: 2 * k)
     m = acceptance_martingale(spec)
@@ -523,7 +522,7 @@ def test_acceptance_log_denominator_matches_resum():
     def q(k):
         return k % 3 + 1
 
-    m = acceptance_martingale(AcceptanceSpec.from_gap(lambda x: 1, q))
+    m = acceptance_martingale(AcceptanceSpec.from_gap(lambda i: 1, q))
     rnd = random.Random(23)
     for n in (40, 7, 0, 41, 13, 100, 99):
         w = BitString.from_int(rnd.getrandbits(n), n) if n else EMPTY
@@ -620,7 +619,7 @@ def test_biimmunity_empty_language():
 
 
 def test_biimmunity_everything():
-    m = biimmunity_martingale(LanguageView(lambda s: True, horizon=16))
+    m = biimmunity_martingale(LanguageView.from_indices(range(16), 16))
     assert m.value(BitString("1111")) == Dyadic(16, 0)
     assert m.value(BitString("1110")) == ZERO
     assert m.value(BitString("0111")) == ZERO

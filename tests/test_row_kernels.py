@@ -99,11 +99,10 @@ def _gap_spec(rnd):
     t = rnd.randrange(0, 3)
     table = {}
 
-    def g(x):
-        key = str(x)
-        if key not in table:
-            table[key] = rnd.randrange((1 << t) + 1)
-        return table[key]
+    def g(i):
+        if i not in table:
+            table[i] = rnd.randrange((1 << t) + 1)
+        return table[i]
 
     return AcceptanceSpec.from_gap(g, lambda n: t)
 
