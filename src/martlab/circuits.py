@@ -22,10 +22,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 from pathlib import Path
-
-import numpy as np
 
 from . import cache, machine
 from .cantor import BitString
@@ -65,6 +64,8 @@ DEFAULT_BASIS = "and-or-not"
 SIZE_CAP = 8
 INPUT_CAP = 4
 UNREACHED = 255  # the size byte of a table no circuit within the cap computes
+# size byte -> 1 if the table is reached, 0 if not, for bytes.translate
+_IS_REACHED = bytes(size != UNREACHED for size in range(256))
 _WKIND = ("VAR", "CONST", "NOT", "AND", "OR")
 _WKIND_CODE = {name: code for code, name in enumerate(_WKIND)}
 
@@ -147,8 +148,8 @@ class CircuitCensus:
 
     def reached(self) -> list[int]:
         """The reached masks, in increasing order."""
-        sizes = np.frombuffer(self.sizes, dtype=np.uint8)
-        return np.flatnonzero(sizes != UNREACHED).tolist()
+        flags = self.sizes.translate(_IS_REACHED)
+        return list(compress(range(len(flags)), flags))
 
     def count_at_most(self, s: int) -> int:
         if s > self.max_size:
@@ -179,6 +180,7 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
         raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
     if max_size > SIZE_CAP:
         raise CapExceeded(f"census caps at {SIZE_CAP} gates, got {max_size}")
+    import numpy as np  # only a cold build pays for numpy; warm paths read bytes
 
     tables = 1 << (1 << n)
     full = tables - 1

@@ -31,6 +31,8 @@ Construction objects (field "type" selects one):
       is a member.)
     LANG = {"indices": [1, 3], "horizon": 16}
          | {"members": ["0", "00"], "horizon": 16}
+      (horizon >= 0.  An acceptance-gap value or default g counts accepting
+      paths out of 2**t, so 0 <= g <= 2**t.)
 
 Family objects:
 
@@ -163,10 +165,10 @@ def _bits_list(value: Any, path: str) -> list[BitString]:
     return [_bits(m, path) for m in _list(value, path)]
 
 
-def _values(spec: Any, path: str) -> dict[BitString, int]:
-    """``spec.values``: bit string -> integer."""
+def _values(spec: Any, path: str, convert=_int) -> dict[BitString, int]:
+    """``spec.values``: bit string -> integer, each passed through ``convert``."""
     return {
-        _bits(k, f"{path}.values"): _int(v, f"{path}.values.{k}")
+        _bits(k, f"{path}.values"): convert(v, f"{path}.values.{k}")
         for k, v in _need(spec, "values", path, _object).items()
     }
 
@@ -199,7 +201,7 @@ def _budget(value: Any, path: str) -> BudgetPoly:
 
 
 def build_language(spec: dict, path: str = "language") -> LanguageView:
-    horizon = _need(spec, "horizon", path, _int)
+    horizon = _need(spec, "horizon", path, _natural)
     if "indices" in spec:
         indices = _list(spec["indices"], f"{path}.indices")
         return LanguageView.from_indices(
@@ -268,8 +270,17 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
         )
     if kind == "acceptance-gap":
         t = _need(spec, "t", path, _natural)
-        default = _int(spec.get("default", 0), f"{path}.default")
-        g = {index_of(x): v for x, v in _values(spec, path).items()}
+
+        def gap(value: Any, field: str) -> int:
+            # g(i) and 2**t - g(i) count accepting and rejecting paths; the
+            # bound is read from bit lengths, so a large t allocates nothing
+            paths = _int(value, field)
+            if paths < 0 or paths > 0 and (paths - 1).bit_length() > t:
+                raise ConfigError(f"must be in [0, 2**{t}], got {paths}", field=field)
+            return paths
+
+        default = gap(spec.get("default", 0), f"{path}.default")
+        g = {index_of(x): v for x, v in _values(spec, path, gap).items()}
         return acceptance_martingale(
             AcceptanceSpec.from_gap(lambda i: g.get(i, default), lambda n: t)
         )

@@ -93,13 +93,11 @@ class Cover:
 
     @classmethod
     def from_members(cls, members: Iterable[BitString | str], level: int) -> "Cover":
-        member_set = frozenset(
-            m if isinstance(m, BitString) else BitString(m) for m in members
-        )
-        for m in member_set:
+        members = [m if isinstance(m, BitString) else BitString(m) for m in members]
+        for m in members:  # in input order, so the member named is always the first
             if len(m) != level:
                 raise ValueError(f"member {m} does not have length {level}")
-        values = sorted(m.to_int() for m in member_set)
+        values = sorted({m.to_int() for m in members})
 
         def count(w: BitString) -> int:
             # the extensions of w read as the integers [v << free, (v+1) << free)

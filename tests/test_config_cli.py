@@ -306,7 +306,16 @@ def test_cli_exit_codes(tmp_path, capsys):
             },
         },
     )
-    assert main(["verify", "--config", bad_row, "--depth", "2"]) == 1
+    # a gap row outside [0, 2**t] is refused when the config is built
+    assert main(["verify", "--config", bad_row, "--depth", "2"]) == 2
+    # a failed check is exit 1: a gap cover cannot show gap 0 or 1 on a cube
+    gap_cover = write_config(
+        tmp_path,
+        {"version": 1, "construction": {"type": "cover", "level": 2, "decide": "gap",
+                                        "relation": {"builtin": "sat", "vars": 1}}},
+        name="gap_cover.json",
+    )
+    assert main(["verify", "--config", gap_cover, "--depth", "2"]) == 1
     # unparsable values are configuration errors, not tracebacks
     acceptance = write_config(
         tmp_path,
@@ -632,15 +641,77 @@ def test_cli_past_horizon_member_error_is_the_first_in_input_order(
     config = write_config(
         tmp_path, {"version": 1, "construction": {"type": "biimmunity", "language": language}}
     )
+    _assert_verify_fails_alike(
+        config, ("3", "6"), f"config error: {named} >= horizon {language['horizon']}\n"
+    )
+
+
+def test_cli_cover_member_length_error_is_the_first_in_input_order(tmp_path):
+    members = ["00", "0", "111", "1", "0000"]
+    config = write_config(tmp_path, {"version": 1, "construction": {
+        "type": "cover", "level": 2, "members": members}})
+    _assert_verify_fails_alike(
+        config, ("1", "2"), "config error: construction: member 0 does not have length 2\n"
+    )
+
+
+def _assert_verify_fails_alike(config: str, seeds, stderr: str) -> None:
+    """``verify`` exits 2 with ``stderr`` under each string hash seed."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for seed in ("3", "6"):
+    for seed in seeds:
         proc = subprocess.run(
             [sys.executable, "-m", "martlab.cli", "verify", "--config", config],
             capture_output=True, text=True, env=dict(env, PYTHONHASHSEED=seed), timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == f"config error: {named} >= horizon {language['horizon']}\n"
+        assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("subset", "language"), ("biimmunity", "language"),
+                    ("acceptance", "target")]
+)
+def test_cli_negative_language_horizon_names_its_field(tmp_path, capsys, kind, field):
+    spec = {"type": kind, "level": 0, "q": 2, "correct": 3,
+            field: {"indices": [], "horizon": -5}}
+    config = write_config(tmp_path, {"version": 1, "construction": spec})
+    # depth 0 asks no query past the horizon, so only the config check can fail
+    assert main(["verify", "--config", config, "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: construction.{field}.horizon: must be nonnegative, got -5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "gaps, field, value",
+    [({"values": {"0": 4, "01": 5}}, "values.01", 5),
+     ({"values": {"1": 0}, "default": -2}, "default", -2)],
+    ids=["row", "default"],
+)
+def test_cli_gap_value_out_of_range_is_a_config_error(tmp_path, capsys, gaps, field, value):
+    # g(i) and 2**t - g(i) count paths, so each must lie in [0, 2**t]; the
+    # check runs at build time, before any query reaches the row
+    config = write_config(tmp_path, {"version": 1, "construction": {
+        "type": "acceptance-gap", "t": 2, **gaps}})
+    assert main(["verify", "--config", config, "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: construction.{field}: must be in [0, 2**2], got {value}\n"
+    )
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_gap_value_bounds_are_exact(t):
+    for paths in (0, 1, (1 << t) - 1, 1 << t):
+        build_construction({"type": "acceptance-gap", "t": t, "values": {"0": paths}})
+        build_construction({"type": "acceptance-gap", "t": t, "values": {}, "default": paths})
+    for paths in (-1, (1 << t) + 1, 1 << (t + 1)):
+        with pytest.raises(ConfigError, match=rf"must be in \[0, 2\*\*{t}\], got {paths}"):
+            build_construction({"type": "acceptance-gap", "t": t, "values": {"0": paths}})
 
 
 CERTIFY_CONFIG = {

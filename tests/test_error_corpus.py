@@ -89,6 +89,8 @@ CASES = [
     # negative levels and relation fields
     ("cover members level -1", VERIFY,
      _construction({"type": "cover", "level": -1, "members": []})),
+    ("cover member lengths in input order", VERIFY,
+     _construction({"type": "cover", "level": 2, "members": ["00", "0", "111", "1", "0000"]})),
     ("cover relation level -1", VERIFY, _cover(-1, {"builtin": "sat", "vars": 1})),
     ("cover level past the cap", VERIFY, _cover(23, {"builtin": "sat", "vars": 1})),
     ("condexp level -1", VERIFY,
