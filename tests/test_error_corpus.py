@@ -108,6 +108,15 @@ CASES = [
      _cover(2, {"builtin": "mcsp-witness", "inputs": 1, "size": -1})),
     ("short-program max_len -1", VERIFY,
      _cover(2, {"builtin": "short-program", "max_len": -1, "budget": BUDGET})),
+    # relations at a level they do not describe, or past the witness cap
+    ("sat cover at the wrong level", VERIFY, _cover(3, {"builtin": "sat", "vars": 2})),
+    ("mcsp-witness cover at the wrong level", VERIFY,
+     _cover(3, {"builtin": "mcsp-witness", "inputs": 1, "size": 1})),
+    ("explicit members of other lengths",
+     ["construct", "--config", "{config}", "--depth", "2"],
+     _cover(2, {"builtin": "explicit", "members": ["", "1", "01", "111"]}, "unique")),
+    ("mcsp-witness past the witness cap", VERIFY,
+     _cover(4, {"builtin": "mcsp-witness", "inputs": 2, "size": 3})),
     ("certify inputs 0", ["certify", "--config", "{config}"], _certify(inputs=[0])),
     ("certify census_size -1", ["certify", "--config", "{config}"],
      _certify(census_size=-1)),
