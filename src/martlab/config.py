@@ -13,7 +13,7 @@ One file describes one experiment.  Top-level shape:
 Construction objects (field "type" selects one):
 
     {"type": "cover", "level": n, "members": ["0001", ...]}
-    {"type": "cover", "level": n, "relation": REL, "decide": "exists|unique|gap"}
+    {"type": "cover", "level": n, "relation": REL, "decide": "exists|unique"}
     {"type": "condexp", "level": n, "values": {"0001": 2, ...}}
     {"type": "subset", "level": n, "language": LANG}
     {"type": "acceptance", "q": 2, "correct": 3, "target": LANG}
@@ -25,10 +25,11 @@ Construction objects (field "type" selects one):
          | {"builtin": "explicit", "members": [...]}
          | {"builtin": "mcsp-witness", "inputs": n, "size": s}
          | {"builtin": "short-program", "max_len": m, "budget": [a, k, b]}
-      (v, n, s, m >= 0.  "decide": "gap" needs gap 2*accepts - 2**k in {0, 1}
-      over the 2**k witnesses, and that gap has the parity of 2**k, so a gap
-      cover is empty or fails on its first leaf unless k = 0 and every input
-      is a member.)
+      (v, n, s, m >= 0.  A relation's witness y accepts a set of inputs:
+      sat every table whose row y is 1, explicit its members of the level
+      for the empty witness, mcsp-witness and short-program the one table or
+      string its program computes, if any.  "decide": "gap" is refused: a
+      gap 2*accepts - 2**k over 2**k witnesses has the parity of 2**k.)
     LANG = {"indices": [1, 3], "horizon": 16}
          | {"members": ["0", "00"], "horizon": 16}
       (horizon >= 0.  An acceptance-gap value or default g counts accepting
@@ -85,6 +86,12 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
+
+_GAP_REFUSED = (
+    "gap cannot decide a cover: the gap 2*accepts - 2**k over 2**k witnesses "
+    "has the parity of 2**k, so it is 0 or 1 on every input only when k = 0 "
+    "and every input is a member; use exists/unique"
+)
 
 
 def load_config(path: Path | str) -> dict:
@@ -244,9 +251,11 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
             return cover_martingale(Cover.from_members(members, level))
         rel = build_relation(_need(spec, "relation", path), f"{path}.relation")
         decide = spec.get("decide", "exists")
-        if decide not in ("exists", "unique", "gap"):
+        if decide == "gap":
+            raise ConfigError(_GAP_REFUSED, field=f"{path}.decide")
+        if decide not in ("exists", "unique"):
             raise ConfigError(
-                f"decide must be exists/unique/gap, got {decide!r}",
+                f"decide must be exists/unique, got {decide!r}",
                 field=f"{path}.decide",
             )
         return cover_martingale(Cover.from_relation(rel, level, decide))

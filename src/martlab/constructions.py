@@ -26,7 +26,6 @@ from typing import Callable, Iterable, TypeVar
 from .cantor import BitString, LanguageView, all_strings, census, char_prefix, string_index
 from .errors import (
     CapExceeded,
-    GapViolation,
     NegativeValue,
     RowSumViolation,
     UniquenessViolation,
@@ -121,80 +120,77 @@ class Cover:
         class_tag: str = "unclassified",
         name: str = "predicate-cover",
     ) -> "Cover":
-        if level > LEVEL_CAP:
-            raise CapExceeded(
-                f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
-            )
-        row = _subtree_sums(lambda x: 1 if predicate(x) else 0, level)
-        return cls(level, _indexed(row), class_tag, name, row)
+        return cls._from_leaves(
+            lambda: [1 if predicate(x) else 0 for x in all_strings(level)],
+            level, class_tag, name,
+        )
 
     @classmethod
     def from_relation(
         cls, rel: WitnessRelation, level: int, decide: str = "exists"
     ) -> "Cover":
-        """Cover decided by a witness relation in one of three modes.
+        """Cover decided by a witness relation in one of two modes.
 
         ``exists`` (plain nondeterministic membership) is tagged ``SpanP``;
-        ``unique`` (an accepting-path count stand-in) is tagged ``#P``; and
-        ``gap``, for a relation promised to have gap 0 or 1, is tagged
-        ``GapP``, where any other gap raises
-        :class:`~martlab.errors.GapViolation`.  Over a full cube of ``2**k``
-        witnesses the gap ``2 * accepts - 2**k`` has the parity of ``2**k``,
-        so a ``gap`` cover has no members or raises, unless ``k = 0`` and
-        every input is a member.
+        ``unique`` (an accepting-path count stand-in) is tagged ``#P``, and
+        an input with more than one accepting path raises
+        :class:`~martlab.errors.UniquenessViolation`.
 
         Every leaf's accepting count comes from
-        :func:`~martlab.oracle.level_counts`, one sweep of the witness cube
-        for a relation with an ``image``.  The first query, ``ext_count`` or
-        ``contains``, counts the whole level and decides every leaf in index
-        order, so an error names the first bad leaf, whichever leaf was
-        asked about.
+        :func:`~martlab.oracle.level_counts`, one sweep of the witness cube.
+        The first query, ``ext_count`` or ``contains``, counts the whole
+        level and decides every leaf in index order, so an error names the
+        first bad leaf, whichever leaf was asked about.
         """
-        if decide not in _DECIDE:
-            raise ValueError(f"decide must be exists/unique/gap, got {decide!r}")
-        test, tag = _DECIDE[decide]
-        counts = lru_cache(maxsize=None)(lambda: level_counts(rel, level))
-        return cls.from_predicate(
-            lambda x: test(rel, x, counts()[x.to_int()]), level, tag, rel.name
-        )
+        if decide not in _CLASS_TAG:
+            raise ValueError(f"decide must be exists/unique, got {decide!r}")
+
+        def leaves() -> list[int]:
+            counts = level_counts(rel, level)
+            if decide == "unique":
+                for i, accepts in enumerate(counts):
+                    if accepts > 1:
+                        x = BitString.from_int(i, level)
+                        raise UniquenessViolation(
+                            f"{rel.name}: {accepts} witnesses on {x!r}"
+                        )
+            return [min(accepts, 1) for accepts in counts]
+
+        return cls._from_leaves(leaves, level, _CLASS_TAG[decide], rel.name)
+
+    @classmethod
+    def _from_leaves(
+        cls, leaves: Callable[[], list[int]], level: int, class_tag: str, name: str
+    ) -> "Cover":
+        """The cover whose leaf row, 0 or 1 per length-``level`` string in
+        index order, ``leaves()`` gives at the first query."""
+        if level > LEVEL_CAP:
+            raise CapExceeded(
+                f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
+            )
+        row = _subtree_sums(leaves, level)
+        return cls(level, _indexed(row), class_tag, name, row)
 
 
-def _gap_count(rel: WitnessRelation, x: BitString, accepts: int) -> bool:
-    gap = 2 * accepts - (1 << rel.witness_length(len(x)))
-    if gap not in (0, 1):
-        raise GapViolation(f"{rel.name}: gap {gap} on {x!r} is not 0 or 1")
-    return gap == 1
-
-
-def _unique_count(rel: WitnessRelation, x: BitString, accepts: int) -> bool:
-    if accepts > 1:
-        raise UniquenessViolation(f"{rel.name}: {accepts} witnesses on {x!r}")
-    return accepts == 1
-
-
-# each Cover.from_relation mode: its leaf test on an input's accepting count,
-# and its class tag
-_DECIDE = {
-    "exists": (lambda rel, x, accepts: accepts > 0, "SpanP"),
-    "unique": (_unique_count, "#P"),
-    "gap": (_gap_count, "GapP"),
-}
+# each Cover.from_relation mode's class tag
+_CLASS_TAG = {"exists": "SpanP", "unique": "#P"}
 
 
 def _subtree_sums(
-    leaf: Callable[[BitString], int], n: int
+    leaves: Callable[[], list[int]], n: int
 ) -> Callable[[int], list[int]]:
-    """Row ``k <= n``: the sum of ``leaf`` over the length-``n`` extensions
-    of every length-``k`` prefix, in index order.
+    """Row ``k <= n``: the sum of the leaf row ``leaves()``, one entry per
+    length-``n`` string in index order, over the extensions of every
+    length-``k`` prefix, in index order.
 
-    The first query evaluates every leaf once, in lexicographic order;
-    ``rows[j][v]`` sums the leaves below the length-``n - j`` prefix ``v``.
+    The first query reads ``leaves()`` once; ``rows[j][v]`` sums the leaves
+    below the length-``n - j`` prefix ``v``.
     """
     rows: list[list[int]] = []
 
     def row(k: int) -> list[int]:
         if not rows:
-            rows.append([leaf(x) for x in all_strings(n)])
+            rows.append(leaves())
             while len(last := rows[-1]) > 1:
                 rows.append(list(map(add, last[::2], last[1::2])))
         return rows[n - k]
@@ -270,7 +266,7 @@ def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
         return v
 
     meta = {"construction": "condexp", "level": n}
-    row = _subtree_sums(f_checked, n)
+    row = _subtree_sums(lambda: [f_checked(x) for x in all_strings(n)], n)
     return _leveled(_indexed(row), row, n, "#P", meta)
 
 

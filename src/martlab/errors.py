@@ -17,14 +17,6 @@ class UniquenessViolation(MartlabError):
     """A relation claimed to have unique witnesses produced more than one."""
 
 
-class GapViolation(MartlabError):
-    """A gap relation promised to have gap 0 or 1 produced something else."""
-
-
-class SpanModeUnavailable(MartlabError):
-    """Distinct-output counting requested on a relation without an emit map."""
-
-
 class RowSumViolation(MartlabError):
     """An acceptance table row does not sum to its declared power of two."""
 

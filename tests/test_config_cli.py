@@ -308,14 +308,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     # a gap row outside [0, 2**t] is refused when the config is built
     assert main(["verify", "--config", bad_row, "--depth", "2"]) == 2
-    # a failed check is exit 1: a gap cover cannot show gap 0 or 1 on a cube
-    gap_cover = write_config(
+    # a failed check is exit 1: a truth table with two 1 rows has two witnesses
+    unique_cover = write_config(
         tmp_path,
-        {"version": 1, "construction": {"type": "cover", "level": 2, "decide": "gap",
-                                        "relation": {"builtin": "sat", "vars": 1}}},
-        name="gap_cover.json",
+        {"version": 1, "construction": {"type": "cover", "level": 4, "decide": "unique",
+                                        "relation": {"builtin": "sat", "vars": 2}}},
+        name="unique_cover.json",
     )
-    assert main(["verify", "--config", gap_cover, "--depth", "2"]) == 1
+    assert main(["verify", "--config", unique_cover, "--depth", "4"]) == 1
     # unparsable values are configuration errors, not tracebacks
     acceptance = write_config(
         tmp_path,
@@ -438,27 +438,27 @@ def test_negative_relation_field_is_a_config_error(
 
 
 @pytest.mark.parametrize(
-    "relation, level, message",
+    "relation, level",
     [
-        ({"builtin": "sat", "vars": 1}, 2, "sat-1: gap -2 on BitString('00')"),
-        ({"builtin": "explicit", "members": ["010"]}, 3,
-         "explicit: gap -1 on BitString('000')"),
-        ({"builtin": "mcsp-witness", "inputs": 1, "size": 0}, 2,
-         "mcsp-witness(n=1,s=0): gap -30 on BitString('00')"),
+        ({"builtin": "sat", "vars": 1}, 2),
+        ({"builtin": "explicit", "members": ["00", "01", "10", "11"]}, 2),
+        ({"builtin": "mcsp-witness", "inputs": 1, "size": 0}, 2),
     ],
     ids=["sat", "explicit", "mcsp-witness"],
 )
-def test_gap_cover_over_a_full_cube_fails_on_its_first_leaf(
-    tmp_path, capsys, relation, level, message
-):
+def test_gap_cover_is_a_config_error(tmp_path, capsys, relation, level):
     # a gap 2*accepts - 2**k has the parity of 2**k, so neither a k >= 1
-    # cube nor a k = 0 non-member can show the promised gap 0 or 1
+    # cube nor a k = 0 non-member can show a promised gap 0 or 1; even the
+    # one cover that could, every string a member, is refused
     construction = {"type": "cover", "level": level, "relation": relation,
                     "decide": "gap"}
-    assert _verify_construction(tmp_path, construction) == 1
+    assert _verify_construction(tmp_path, construction) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"check failure: {message} is not 0 or 1\n"
+    assert captured.err.startswith(
+        "config error: construction.decide: gap cannot decide a cover: "
+        "the gap 2*accepts - 2**k over 2**k witnesses has the parity of 2**k"
+    )
 
 
 def _verify_construction(tmp_path, construction):

@@ -30,12 +30,14 @@ from martlab.constructions import (
 from martlab.dyadic import Dyadic, ONE, ZERO
 from martlab.errors import (
     CapExceeded,
-    GapViolation,
     NegativeValue,
     RowSumViolation,
 )
 from martlab.martingale import verify_averaging
-from martlab.oracle import CountMode, WitnessRelation, count, sat_relation
+from martlab.oracle import WitnessRelation, sat_relation
+
+import relations_v1
+from relations_v1 import CountMode
 
 
 def marked(horizon=16):
@@ -86,25 +88,24 @@ def test_cover_from_sat_relation():
 
 
 def test_cover_gap_language_validates():
-    cheat = WitnessRelation("bad-gap", lambda n: 1, lambda x, y: True)
-    cover = Cover.from_relation(cheat, 2, "gap")
-    with pytest.raises(GapViolation):
-        cover_martingale(cover).value(EMPTY)
+    # a gap 2*accepts - 2**k has the parity of 2**k, so no relation over a
+    # full witness cube keeps a promise of gap 0 or 1: the mode is refused
+    cheat = WitnessRelation("bad-gap", lambda n: 1, lambda n, y: range(1 << n))
+    with pytest.raises(ValueError, match="exists/unique, got 'gap'"):
+        Cover.from_relation(cheat, 2, "gap")
 
 
-@pytest.mark.parametrize(
-    "decide, tag", [("exists", "SpanP"), ("unique", "#P"), ("gap", "GapP")]
-)
+@pytest.mark.parametrize("decide, tag", [("exists", "SpanP"), ("unique", "#P")])
 def test_cover_decide_mode_picks_the_class(decide, tag):
-    # one accepting path out of one: a member in every mode, with gap 1
-    everything = WitnessRelation("all", lambda n: 0, lambda x, y: True)
+    # one accepting path out of one: a member in both modes
+    everything = WitnessRelation("all", lambda n: 0, lambda n, y: range(1 << n))
     m = cover_martingale(Cover.from_relation(everything, 2, decide))
     assert m.class_tag == tag
     assert m.value(EMPTY) == ONE
 
 
 def test_cover_rejects_an_unknown_decide_mode():
-    with pytest.raises(ValueError, match="exists/unique/gap, got 'maybe'"):
+    with pytest.raises(ValueError, match="exists/unique, got 'maybe'"):
         Cover.from_relation(sat_relation(2), 4, "maybe")
 
 
@@ -128,16 +129,19 @@ COVER_KINDS = {
     "mcsp": lambda census2: mcsp_cover(2, 2, census2),
 }
 
+SAT2_TWIN = relations_v1.twin(sat_relation(2), relations_v1.sat_verify(2))
+MCSP11_TWIN = relations_v1.twin(mcsp_witness_relation(1, 1), relations_v1.mcsp_verify(1, 1))
+
 # each cover kind's membership at its level, decided without the cover's count
 MEMBERSHIP_TWINS = {
     "members": lambda census2: lambda x: str(x) in {"0001", "0110", "1111"},
     "predicate": lambda census2: lambda x: True,
     "predicate-level-0": lambda census2: lambda x: True,
     "relation": lambda census2: lambda x: (
-        count(sat_relation(2), CountMode.WITNESS_COUNT, x) > 0
+        relations_v1.count(SAT2_TWIN, CountMode.WITNESS_COUNT, x) > 0
     ),
     "image-relation": lambda census2: lambda x: (
-        count(mcsp_witness_relation(1, 1), CountMode.WITNESS_COUNT, x) > 0
+        relations_v1.count(MCSP11_TWIN, CountMode.WITNESS_COUNT, x) > 0
     ),
     "subset": lambda census2: lambda x: inside(SUBSET_B, x),
     "mcsp": lambda census2: lambda x: (

@@ -23,7 +23,7 @@ from martlab.kolmogorov import (
 )
 from martlab.machine import BudgetPoly, C_LIT, pairing_budget, run
 from martlab.martingale import verify_averaging
-from martlab.oracle import CountMode, count
+from martlab.oracle import count
 
 import kt_v3
 
@@ -278,5 +278,5 @@ def test_witness_relation_counts_pairs(budget):
         for v in range(1 << length)
         if run(format(v, f"0{length}b"), budget(4)).output == x
     )
-    assert count(rel, CountMode.WITNESS_COUNT, x) == expected
+    assert count(rel, x) == expected
     assert expected >= 1

@@ -1,5 +1,6 @@
-"""Relation images: the image contract, the level counts of every relation,
-and the image covers, each against a per-input twin."""
+"""Relations and what their witnesses accept: the image contract, the level
+counts of every built-in relation and the covers they decide, each against
+the per-input twin in ``relations_v1``."""
 
 import functools
 
@@ -8,11 +9,10 @@ import pytest
 from martlab.cantor import BitString, all_strings
 from martlab.circuits import mcsp_witness_relation
 from martlab.constructions import Cover
-from martlab.errors import CapExceeded, GapViolation, UniquenessViolation
+from martlab.errors import CapExceeded, UniquenessViolation
 from martlab.kolmogorov import kolmogorov_witness_relation
 from martlab.machine import BudgetPoly
 from martlab.oracle import (
-    CountMode,
     WitnessRelation,
     count,
     explicit_set_relation,
@@ -26,11 +26,22 @@ BUDGETS = (BudgetPoly(4, 1, 16), BudgetPoly(9, 1, 48), BudgetPoly(5, 1, 20))
 # the short-program relations of the tree-audit bench workload
 SHORT_PROGRAMS = list(zip((4, 5, 6), BUDGETS)) + [(0, BUDGETS[0]), (2, BUDGETS[1])]
 MCSP_SIZES = [(1, 0), (1, 1), (2, 0), (2, 1)]
+# explicit member sets: members of several lengths, the empty member alone,
+# and no member
+EXPLICIT_SETS = [("", "1", "01", "10", "11", "010", "111"), ("",), ()]
 
 
 def _witnesses(rel, n):
     k = rel.witness_length(n)
     return [BitString.from_int(v, k) for v in range(1 << k)]
+
+
+def _accepted(rel, n, y) -> list[int]:
+    """The inputs ``y`` accepts, checked to be distinct indices of the level."""
+    accepted = list(rel.accepts(n, y))
+    assert len(set(accepted)) == len(accepted)
+    assert all(0 <= i < 1 << n for i in accepted)
+    return accepted
 
 
 @pytest.mark.parametrize("n, s", MCSP_SIZES)
@@ -39,9 +50,10 @@ def test_mcsp_image_matches_the_verify_it_replaced(n, s):
     verify_v1 = relations_v1.mcsp_verify(n, s)
     tables = list(all_strings(1 << n))
     for y in _witnesses(rel, 1 << n):
-        image = rel.image(1 << n, y)
+        accepted = _accepted(rel, 1 << n, y)
+        assert len(accepted) <= 1
         for x in tables:
-            assert verify_v1(x, y) == (image == x), (x, y)
+            assert verify_v1(x, y) == (x.to_int() in accepted), (x, y)
 
 
 @pytest.mark.parametrize("max_len, budget", SHORT_PROGRAMS, ids=str)
@@ -51,34 +63,51 @@ def test_short_program_image_matches_the_verify_it_replaced(max_len, budget):
     for n in range(7):
         strings = list(all_strings(n))
         for y in _witnesses(rel, n):
-            image = rel.image(n, y)
-            assert image is None or len(image) == n
+            accepted = _accepted(rel, n, y)
+            assert len(accepted) <= 1
             for x in strings:
-                assert verify_v1(x, y) == (image == x), (x, y)
+                assert verify_v1(x, y) == (x.to_int() in accepted), (x, y)
 
 
 def test_mcsp_image_rejects_a_wrong_length():
     rel = mcsp_witness_relation(1, 0)
     y = BitString.from_int(0, rel.witness_length(2))
     with pytest.raises(ValueError, match="input must be a 2-bit table"):
-        rel.image(3, y)
+        rel.accepts(3, y)
     with pytest.raises(ValueError, match="input must be a 2-bit table"):
-        rel.verify(BitString("010"), y)
+        count(rel, BitString("010"))
 
 
 @functools.cache
 def _relation(kind: str, *params) -> WitnessRelation:
+    if kind == "sat":
+        return sat_relation(*params)
+    if kind == "explicit":
+        return explicit_set_relation("explicit", params)
     if kind == "mcsp":
         return mcsp_witness_relation(*params)
     return kolmogorov_witness_relation(*params)
 
 
+_VERIFY = {
+    "sat": relations_v1.sat_verify,
+    "explicit": lambda *members: relations_v1.explicit_verify(members),
+    "mcsp": relations_v1.mcsp_verify,
+    "short": relations_v1.short_program_verify,
+}
+
+
 @functools.cache
 def _per_input_counts(key: tuple, n: int) -> list[int]:
-    rel = _relation(*key)
-    return [count(rel, CountMode.WITNESS_COUNT, x) for x in all_strings(n)]
+    """The twin's accepting-path count of every length-``n`` input."""
+    twin = relations_v1.twin(_relation(*key), _VERIFY[key[0]](*key[1:]))
+    return [relations_v1.count(twin, relations_v1.CountMode.WITNESS_COUNT, x)
+            for x in all_strings(n)]
 
 
+SAT_LEVELS = [(("sat", v), 1 << v) for v in range(4)]
+EXPLICIT_LEVELS = [(("explicit", *members), n) for members in EXPLICIT_SETS
+                   for n in range(4)]
 MCSP_LEVELS = [(("mcsp", n, s), 1 << n) for n, s in MCSP_SIZES]
 SHORT_LEVELS = [
     (("short", max_len, budget), n)
@@ -87,20 +116,27 @@ SHORT_LEVELS = [
 ]
 
 
+def test_sat_and_explicit_accepts_match_the_verify_they_replaced():
+    for key, n in SAT_LEVELS + EXPLICIT_LEVELS:
+        rel = _relation(*key)
+        verify_v1 = _VERIFY[key[0]](*key[1:])
+        for y in _witnesses(rel, n):
+            accepted = _accepted(rel, n, y)
+            for x in all_strings(n):
+                assert verify_v1(x, y) == (x.to_int() in accepted), (key, x, y)
+
+
 def test_level_counts_match_per_input_counts():
-    for key, n in MCSP_LEVELS + SHORT_LEVELS:
-        assert level_counts(_relation(*key), n) == _per_input_counts(key, n)
-    # relations with no image: a truth table has one satisfying assignment
-    # per 1 row, and an explicit member one empty witness
-    members = ["", "1", "01", "10", "11", "010", "111"]
-    explicit = explicit_set_relation("explicit", members)
-    cases = [(sat_relation(v), 1 << v, lambda x: x.bits().count("1")) for v in range(4)]
-    cases += [(explicit, n, lambda x: int(x.bits() in members)) for n in range(5)]
-    cases += [(explicit_set_relation("empty", []), 2, lambda x: 0)]
-    for rel, n, closed_form in cases:
-        per_input = [count(rel, CountMode.WITNESS_COUNT, x) for x in all_strings(n)]
-        expected = [closed_form(x) for x in all_strings(n)]
-        assert level_counts(rel, n) == per_input == expected, (rel.name, n)
+    for key, n in SAT_LEVELS + EXPLICIT_LEVELS + MCSP_LEVELS + SHORT_LEVELS:
+        assert level_counts(_relation(*key), n) == _per_input_counts(key, n), (key, n)
+    # in closed form: a truth table has one satisfying assignment per 1 row,
+    # and an explicit member one empty witness
+    for key, n in SAT_LEVELS:
+        expected = [x.bits().count("1") for x in all_strings(n)]
+        assert level_counts(_relation(*key), n) == expected
+    for key, n in EXPLICIT_LEVELS:
+        expected = [int(x.bits() in key[1:]) for x in all_strings(n)]
+        assert level_counts(_relation(*key), n) == expected
 
 
 def test_level_counts_check_the_cube_before_any_image():
@@ -122,7 +158,7 @@ def test_level_counts_check_the_cube_before_any_image():
 def _outcome(f, *args):
     try:
         return f(*args)
-    except (ValueError, UniquenessViolation, GapViolation) as exc:
+    except (ValueError, UniquenessViolation) as exc:
         return type(exc), str(exc)
 
 
@@ -134,22 +170,19 @@ def _per_input_twin(key: tuple, level: int, decide: str) -> Cover:
         accepts = _per_input_counts(key, level)[x.to_int()]
         if decide == "unique" and accepts > 1:
             raise UniquenessViolation(f"{rel.name}: {accepts} witnesses on {x!r}")
-        if decide == "gap":
-            gap = 2 * accepts - (1 << rel.witness_length(level))
-            if gap not in (0, 1):
-                raise GapViolation(f"{rel.name}: gap {gap} on {x!r} is not 0 or 1")
-            return gap == 1
         return accepts > 0
 
     return Cover.from_predicate(member, level)
 
 
-# each mcsp size at its level and one below, which is the wrong table length
-SWEEP_CASES = MCSP_LEVELS + [(key, n - 1) for key, n in MCSP_LEVELS]
+# every built-in relation at its levels; sat and mcsp also one below and one
+# above, each the wrong table length
+SWEEP_CASES = SAT_LEVELS + EXPLICIT_LEVELS + MCSP_LEVELS
+SWEEP_CASES += [(key, n + d) for key, n in SAT_LEVELS + MCSP_LEVELS for d in (-1, 1)]
 SWEEP_CASES += [(key, n) for key, n in SHORT_LEVELS if n in (0, 2, key[1])]
 
 
-@pytest.mark.parametrize("decide", ["exists", "unique", "gap"])
+@pytest.mark.parametrize("decide", ["exists", "unique"])
 def test_image_cover_matches_per_input_twin(decide):
     raised = set()
     for key, level in SWEEP_CASES:
@@ -163,10 +196,8 @@ def test_image_cover_matches_per_input_twin(decide):
                     raised.add(got[0])
         for x in all_strings(level):
             assert _outcome(cover.contains, x) == _outcome(twin.contains, x)
-    # every mode meets the wrong-level error, and each checking mode its own
-    expected = {ValueError}
-    expected |= {"exists": set(), "unique": {UniquenessViolation},
-                 "gap": {GapViolation}}[decide]
+    # both modes meet the wrong-level error, and unique its own
+    expected = {ValueError} | ({UniquenessViolation} if decide == "unique" else set())
     assert raised == expected
 
 
@@ -187,3 +218,26 @@ def test_image_cover_sweeps_the_cube_once_at_its_first_query():
     assert not cover.contains(BitString("01"))
     assert not cover.contains(BitString("0101"))
     assert len(calls) == 16
+
+
+def test_level_counts_ask_each_witness_once():
+    # one sweep of the cube for every built-in, with no per-input pass
+    for key, n in [(("sat", 3), 8), (("explicit", "01", "10"), 2), (("mcsp", 1, 1), 2),
+                   (("short", 2, BUDGETS[1]), 2)]:
+        rel = _relation(*key)
+        asked = []
+
+        def accepts(n, y, rel=rel):
+            asked.append(y)
+            return rel.accepts(n, y)
+
+        counted = WitnessRelation(rel.name, rel.witness_length, accepts)
+        assert level_counts(counted, n) == level_counts(rel, n)
+        assert asked == _witnesses(rel, n), key
+
+
+def test_explicit_relation_counts_a_repeated_member_once():
+    rel = explicit_set_relation("repeated", ["01", BitString("01"), "01", "1"])
+    assert level_counts(rel, 2) == [0, 1, 0, 0]
+    assert level_counts(rel, 1) == [0, 1]
+    assert count(rel, BitString("01")) == 1
