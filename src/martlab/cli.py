@@ -272,7 +272,7 @@ def cmd_kolmogorov(args) -> int:
     table = cached_kt_table(budget, length_cap, _cache_dir(args))
     if args.sequence:
         S = _bits(args.sequence, "--sequence")
-        report = k_rate(S, budget, table=table)
+        report = k_rate(S, table)
         print(f"kt rates along {S} under budget {budget}")
         print("n,kt,ratio")
         for n, (value, ratio) in enumerate(

@@ -65,7 +65,7 @@ class MartingaleFamily:
     capital_bound: Callable[[int], Dyadic]
     name: str = "family"
     support_end: int | None = None
-    _members: dict = field(default_factory=dict, repr=False, compare=False)
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def member(self, n: int) -> Martingale:
         # cached so member-level memoization survives across queries
@@ -136,7 +136,7 @@ def sum_finite(a: Martingale, b: Martingale) -> Martingale:
         freeze_depth=freeze,
         class_tag=tag,
         supermartingale=a.supermartingale or b.supermartingale,
-        meta={"construction": "sum", "parts": (a.meta, b.meta)},
+        meta={"construction": "sum"},
     )
 
 
@@ -151,7 +151,7 @@ def scale_pow2(m: Martingale, k: int) -> Martingale:
         freeze_depth=m.freeze_depth,
         class_tag=m.class_tag,
         supermartingale=m.supermartingale,
-        meta={**dict(m.meta), "scaled_by_log2": k},
+        meta=m.meta,
     )
 
 
@@ -192,7 +192,8 @@ def aggregate_martingale(
     """The family sum as a martingale.
 
     Families with finite support sum exactly; otherwise only the truncated
-    approximate evaluator exists and the metadata records the modulus.
+    approximate evaluator exists, and the initial capital is the root sum at
+    precision ``DEFAULT_ROOT_PRECISION``.
     """
     if fam.support_end is not None:
         end = fam.support_end
@@ -205,12 +206,7 @@ def aggregate_martingale(
             evaluate,
             freeze_depth=None,
             class_tag=class_tag,
-            meta={
-                "construction": "family-sum",
-                "family": fam.name,
-                "support_end": end,
-                "modulus": mod.name,
-            },
+            meta={"construction": "family-sum"},
         )
 
     def approx(w: BitString, r: int) -> Dyadic:
@@ -222,12 +218,7 @@ def aggregate_martingale(
         initial_capital=root,
         freeze_depth=None,
         class_tag=class_tag,
-        meta={
-            "construction": "family-sum",
-            "family": fam.name,
-            "modulus": mod.name,
-            "initial_capital_precision": DEFAULT_ROOT_PRECISION,
-        },
+        meta={"construction": "family-sum"},
     )
 
 
@@ -473,11 +464,7 @@ def approx_supermartingale(
         freeze_depth=n,
         class_tag="approx",
         supermartingale=True,
-        meta={
-            "construction": "approx-supermartingale",
-            "level": n,
-            "export_grid_bits": EXPORT_GRID_BITS,
-        },
+        meta={"construction": "approx-supermartingale"},
     )
     return ApproxSupermartingale(
         level=n,

@@ -207,7 +207,7 @@ def _budget(value: Any, path: str) -> BudgetPoly:
         raise ConfigError(str(exc), field=path) from exc
 
 
-def build_language(spec: dict, path: str = "language") -> LanguageView:
+def build_language(spec: dict, path: str) -> LanguageView:
     horizon = _need(spec, "horizon", path, _natural)
     if "indices" in spec:
         indices = _list(spec["indices"], f"{path}.indices")
@@ -220,7 +220,7 @@ def build_language(spec: dict, path: str = "language") -> LanguageView:
     raise ConfigError("needs indices or members", field=path)
 
 
-def build_relation(spec: dict, path: str = "relation"):
+def build_relation(spec: dict, path: str):
     from . import circuits, kolmogorov, oracle
 
     builtin = _need(spec, "builtin", path)
@@ -242,7 +242,8 @@ def build_relation(spec: dict, path: str = "relation"):
     raise ConfigError(f"unknown builtin {builtin!r}", field=path)
 
 
-def build_construction(spec: dict, path: str = "construction") -> Martingale:
+def build_construction(spec: dict) -> Martingale:
+    path = "construction"
     kind = _need(spec, "type", path)
     if kind == "cover":
         level = _need(spec, "level", path, _int)
@@ -308,7 +309,8 @@ def build_construction(spec: dict, path: str = "construction") -> Martingale:
     raise ConfigError(f"unknown construction type {kind!r}", field=path)
 
 
-def build_modulus(spec: dict, path: str = "modulus") -> ConvergenceModulus:
+def build_modulus(spec: dict) -> ConvergenceModulus:
+    path = "modulus"
     kind = _need(spec, "type", path)
     if kind == "geometric":
         return geometric_modulus(
@@ -325,7 +327,8 @@ def build_modulus(spec: dict, path: str = "modulus") -> ConvergenceModulus:
     raise ConfigError(f"unknown modulus type {kind!r}", field=path)
 
 
-def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
+def build_family(spec: dict) -> MartingaleFamily:
+    path = "family"
     kind = _need(spec, "type", path)
     if kind == "geometric-constants":
         return MartingaleFamily(
@@ -367,11 +370,12 @@ def build_family(spec: dict, path: str = "family") -> MartingaleFamily:
     raise ConfigError(f"unknown family type {kind!r}", field=path)
 
 
-def build_certify(spec: dict, cache_dir: Path | str | None, path: str = "certify"):
+def build_certify(spec: dict, cache_dir: Path | str | None):
     """Assemble (family, gap, modulus, horizon, witnesses) for certification."""
     from . import circuits
     from .entropy import LevelFamily
 
+    path = "certify"
     fam_spec = _need(spec, "family", path)
     fam_path = f"{path}.family"
     fam_kind = _need(fam_spec, "type", fam_path)

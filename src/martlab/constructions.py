@@ -23,14 +23,14 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, TypeVar
 
-from .cantor import BitString, LanguageView, all_strings, census, char_prefix, string_index
+from .cantor import BitString, LanguageView, all_strings, char_prefix, string_index
 from .errors import (
     CapExceeded,
     NegativeValue,
     RowSumViolation,
     UniquenessViolation,
 )
-from .martingale import Martingale
+from .martingale import LEVEL_CAP, Martingale
 from .oracle import WitnessRelation, level_counts
 
 __all__ = [
@@ -41,13 +41,9 @@ __all__ = [
     "subset_martingale",
     "acceptance_martingale",
     "biimmunity_martingale",
-    "LEVEL_CAP",
 ]
 
 T = TypeVar("T")
-
-# generic covers and conditional expectations evaluate all 2**level leaves
-LEVEL_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,11 @@ class Cover:
         cls,
         predicate: Callable[[BitString], bool],
         level: int,
-        class_tag: str = "unclassified",
         name: str = "predicate-cover",
     ) -> "Cover":
         return cls._from_leaves(
             lambda: [1 if predicate(x) else 0 for x in all_strings(level)],
-            level, class_tag, name,
+            level, "unclassified", name,
         )
 
     @classmethod
@@ -208,7 +203,7 @@ def _leveled(
     row: Callable[[int], list[int]],
     n: int,
     class_tag: str,
-    meta: dict,
+    kind: str,
 ) -> Martingale:
     """``count(w[:n]) / 2**max(0, n - |w|)``, frozen at level ``n``.
 
@@ -230,7 +225,7 @@ def _leveled(
         lambda w: max(0, n - len(w)),
         freeze_depth=n,
         class_tag=class_tag,
-        meta=meta,
+        meta={"construction": kind},
         row=level_row,
     )
 
@@ -243,8 +238,7 @@ def cover_martingale(cover: Cover) -> Martingale:
     length-``level`` prefix value.
     """
     n = cover.level
-    meta = {"construction": "cover", "level": n, "cover": cover.name}
-    return _leveled(cover.count, cover.level_row, n, cover.class_tag, meta)
+    return _leveled(cover.count, cover.level_row, n, cover.class_tag, "cover")
 
 
 def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
@@ -265,9 +259,8 @@ def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
             raise NegativeValue(f"f({x!r}) = {v} is negative")
         return v
 
-    meta = {"construction": "condexp", "level": n}
     row = _subtree_sums(lambda: [f_checked(x) for x in all_strings(n)], n)
-    return _leveled(_indexed(row), row, n, "#P", meta)
+    return _leveled(_indexed(row), row, n, "#P", "condexp")
 
 
 def subset_cover(B: LanguageView, n: int) -> Cover:
@@ -309,10 +302,7 @@ def subset_martingale(B: LanguageView, n: int) -> Martingale:
     strings consistent with ``B``.
     """
     m = cover_martingale(subset_cover(B, n))
-    meta = dict(m.meta)
-    meta["construction"] = "subset"
-    meta["census"] = census(B, n)
-    return replace(m, meta=meta)
+    return replace(m, meta={"construction": "subset"})
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,7 @@ class AcceptanceSpec:
         def f(i: int, b: int) -> int:
             return correct if b == target.contains_index(i) else (1 << q) - correct
 
-        return cls(f=f, q=lambda n: q, name=f"biased({correct}/{1 << q})")
+        return cls(f=f, q=lambda n: q, name=f"biased({correct}/2**{q})")
 
 
 def _prefix_memo(
@@ -448,7 +438,7 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
         numerator,
         lambda w: log_denominator(len(w)),
         class_tag=spec.class_tag,
-        meta={"construction": "acceptance", "spec": spec.name},
+        meta={"construction": "acceptance"},
         row=lambda k: (row(k), log_denominator(k)),
     )
 
@@ -468,6 +458,6 @@ def biimmunity_martingale(A: LanguageView) -> Martingale:
         numerator,
         lambda w: 0,
         class_tag="#P",
-        meta={"construction": "biimmunity", "language": A.name},
+        meta={"construction": "biimmunity"},
         row=lambda k: (row(k), 0),
     )

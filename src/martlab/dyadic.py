@@ -22,6 +22,10 @@ exact full power is the fallback.  No floating point is involved.
 
 from __future__ import annotations
 
+import sys
+
+from .errors import CapExceeded
+
 __all__ = [
     "Dyadic",
     "ZERO",
@@ -171,9 +175,16 @@ class Dyadic:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.log_den == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.log_den}"
+        try:
+            if self.log_den == 0:
+                return str(self.num)
+            return f"{self.num}/{1 << self.log_den}"
+        except ValueError as exc:  # past the interpreter's int-to-text limit
+            raise CapExceeded(
+                f"value with a {self.num.bit_length()}-bit numerator over "
+                f"2**{self.log_den} exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit print cap"
+            ) from exc
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.log_den})"

@@ -45,7 +45,7 @@ class LevelFamily:
 
     @classmethod
     def from_predicate(
-        cls, predicate: Callable[[BitString], bool], name: str = "family"
+        cls, predicate: Callable[[BitString], bool], name: str
     ) -> "LevelFamily":
         def cover_at(n: int) -> Cover:
             return Cover.from_predicate(predicate, n, name=f"{name}@{n}")

@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import cache
 from .cantor import BitString, index_of
@@ -56,7 +55,6 @@ __all__ = [
     "cached_kt_table",
     "save_kt_table",
     "load_kt_table",
-    "kt",
     "short_program_counts",
     "kt_cover_martingale",
     "k_rate",
@@ -83,6 +81,7 @@ class KtTable:
     kts: bytes
 
     def lookup(self, x: BitString) -> int:
+        """``kt(x)``: the shortest program printing ``x`` within the budget."""
         if len(x) > self.length_cap:
             raise CapExceeded(
                 f"table caps at length {self.length_cap}, got {len(x)}"
@@ -193,9 +192,7 @@ def _term_counts(max_len: int, out_cap: int, step_cap: int) -> list:
     return D
 
 
-def build_kt_table(
-    budget: BudgetPoly, length_cap: int = DEFAULT_LENGTH_CAP
-) -> KtTable:
+def build_kt_table(budget: BudgetPoly, length_cap: int) -> KtTable:
     """kt of every string up to ``length_cap``, over programs of length up
     to ``length_cap + C_LIT``."""
     if length_cap > DEFAULT_LENGTH_CAP:
@@ -237,18 +234,6 @@ def cached_kt_table(
     )
 
 
-def kt(
-    x: BitString,
-    budget: BudgetPoly,
-    table: KtTable | None = None,
-    cache_dir: Path | str | None = None,
-) -> int:
-    """Shortest program length printing ``x`` within ``budget(|x|)`` steps."""
-    if table is None:
-        table = cached_kt_table(budget, max(len(x), 1), cache_dir)
-    return table.lookup(x)
-
-
 def short_program_counts(
     n: int, max_program_len_exclusive: int, budget: BudgetPoly
 ) -> dict:
@@ -269,35 +254,21 @@ def short_program_counts(
     return counts
 
 
-def kt_cover_martingale(
-    n: int,
-    gap: Callable[[int], int] | int,
-    budget: BudgetPoly,
-) -> Martingale:
-    """Bet on strings compressible below ``n - gap(n)`` bits.
+def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
+    """Bet on strings compressible below ``n - gap`` bits.
 
     The numerator counts (extension, program) pairs, so the root value is at
-    most ``2**-gap(n)`` by the sheer count of short programs, and every
+    most ``2**-gap`` by the sheer count of short programs, and every
     length-``n`` string with ``kt`` below the bound gets value at least 1.
     """
-    gap_fn = gap if callable(gap) else (lambda _: gap)
-    bound = n - gap_fn(n)
-    counts = (
-        short_program_counts(n, bound, budget) if bound >= 1 else {}
-    )
+    bound = n - gap
+    counts = short_program_counts(n, bound, budget) if bound >= 1 else {}
 
     def pair_count(x: BitString) -> int:
         return counts.get(x.bits(), 0)
 
     m = condexp_martingale(pair_count, n)
-    meta = dict(m.meta)
-    meta.update(
-        construction="kt-cover",
-        level=n,
-        gap=gap_fn(n),
-        budget=str(budget),
-    )
-    return replace(m, meta=meta)
+    return replace(m, meta={"construction": "kt-cover"})
 
 
 @dataclass(frozen=True)
@@ -311,20 +282,13 @@ class KRateReport:
     highest: Fraction
 
 
-def k_rate(
-    S: BitString,
-    budget: BudgetPoly,
-    table: KtTable | None = None,
-    cache_dir: Path | str | None = None,
-) -> KRateReport:
+def k_rate(S: BitString, table: KtTable) -> KRateReport:
     """Finite-horizon surrogate of the liminf/limsup compression rates."""
     if len(S) < 1:
         raise ValueError("needs a nonempty prefix")
-    if table is None:
-        table = cached_kt_table(budget, len(S), cache_dir)
     values = tuple(table.lookup(S.prefix(n)) for n in range(1, len(S) + 1))
     ratios = tuple(Fraction(v, n) for n, v in enumerate(values, start=1))
-    return KRateReport(budget, values, ratios, min(ratios), max(ratios))
+    return KRateReport(table.budget, values, ratios, min(ratios), max(ratios))
 
 
 def kolmogorov_witness_relation(

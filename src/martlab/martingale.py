@@ -25,9 +25,14 @@ from typing import Callable, Iterator, Mapping
 
 from .cantor import EMPTY, BitString, all_strings
 from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
-from .errors import NegativeValue
+from .errors import CapExceeded, NegativeValue
+
+# a tree walk, a generic cover or a conditional expectation enumerates all
+# 2**level strings of its deepest level
+LEVEL_CAP = 22
 
 __all__ = [
+    "LEVEL_CAP",
     "Martingale",
     "RatioForm",
     "AveragingViolation",
@@ -74,7 +79,9 @@ class Martingale:
     approximation-only martingales (aggregates of infinite families), whose
     ``approx(w, r)`` must be within ``2**-r`` of the true value.
     ``freeze_depth = n`` declares that strings longer than ``n`` take the
-    value of their length-``n`` prefix.
+    value of their length-``n`` prefix.  ``meta`` carries the construction
+    kind, as ``{"construction": kind}``; nothing in the package reads it,
+    and the benchmark's traced spans name each ``value`` call after it.
     """
 
     approx: Callable[[BitString, int], Dyadic]
@@ -177,8 +184,12 @@ def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
     counting form with a ``row`` kernel is read a level at a time; any other
     martingale is evaluated with ``value`` once per node and its row brought
     to the level's largest log-denominator.  Either way a negative value
-    raises :class:`~martlab.errors.NegativeValue` at the first such node.
+    raises :class:`~martlab.errors.NegativeValue` at the first such node.  A
+    depth past :data:`LEVEL_CAP` raises :class:`~martlab.errors.CapExceeded`
+    before any level is read.
     """
+    if depth > LEVEL_CAP:
+        raise CapExceeded(f"depth {depth} exceeds enumeration cap {LEVEL_CAP}")
     row = None if m.ratio is None else m.ratio.row
     for k in range(depth + 1):
         if row is None:

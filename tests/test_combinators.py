@@ -5,6 +5,7 @@ import pytest
 
 from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.combinators import (
+    DEFAULT_ROOT_PRECISION,
     ApproxSupermartingale,
     ConvergenceModulus,
     MartingaleFamily,
@@ -218,6 +219,18 @@ def test_borel_cantelli_single_member_family():
     agg = borel_cantelli_measure(fam, ConvergenceModulus(lambda w, i: 1))
     for w in all_strings(4):
         assert agg.value(w) == m.value(w)
+
+
+def test_borel_cantelli_measure_of_an_infinite_family():
+    # no support_end: only the truncated evaluator exists
+    fam, mod = geometric_family(), plus_two_modulus()
+    agg = borel_cantelli_measure(fam, mod)
+    for w in (EMPTY, BitString("0"), BitString("101")):
+        for r in (0, 3, 8):
+            assert agg.approx(w, r) == sum_family(fam, mod, w, r)
+    assert agg.initial_capital == sum_family(fam, mod, EMPTY, DEFAULT_ROOT_PRECISION)
+    with pytest.raises(ValueError, match="no exact evaluator"):
+        agg.value(EMPTY)
 
 
 def test_borel_cantelli_dimension_guarantee():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from martlab.dyadic import (
     grid_floor_one_minus_log2_ratio,
     pow_bit_length,
 )
+from martlab.errors import CapExceeded
 
 dyadics = st.builds(
     Dyadic,
@@ -79,6 +81,17 @@ def test_order_matches_fractions(a, b):
 @given(dyadics)
 def test_render_parse_roundtrip(d):
     assert Dyadic.parse(str(d)) == d
+
+
+def test_text_past_the_digit_limit_is_a_resource_cap():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter prints integers of any length")
+    # 2**(3 * limit) has about 0.9 * limit digits, 2**(4 * limit) about 1.2 * limit
+    assert str(Dyadic(1, 3 * limit)) == f"1/{1 << 3 * limit}"
+    for value in (Dyadic(1, 4 * limit), Dyadic(1 << 4 * limit), Dyadic(-3 << 4 * limit, 1)):
+        with pytest.raises(CapExceeded, match=f"exceeds the {limit}-digit print cap"):
+            str(value)
 
 
 @given(dyadics, st.integers(min_value=-30, max_value=30))

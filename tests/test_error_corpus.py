@@ -199,6 +199,16 @@ CASES = [
      _language("biimmunity", {"indices": [0, 2, 5, 6], "horizon": 8})),
     ("subset construct", ["construct", "--config", "{config}", "--format", "json"],
      _language("subset", {"members": ["0", "01", "11"], "horizon": 7}, level=3)),
+    # resource caps: a tree deeper than martingale.LEVEL_CAP, and values whose
+    # text passes the interpreter's 4300-digit limit (lines printed before stay)
+    ("verify --depth past the level cap", ["verify", "--config", "{config}", "--depth", "40"],
+     _construction({"type": "cover", "level": 3, "members": ["001", "110"]})),
+    ("construct --depth one past the level cap",
+     ["construct", "--config", FIG1, "--depth", "23"], None),
+    ("sum past the print cap", ["sum", "--config", GEOMETRIC, "--precision", "15000"], None),
+    ("success past the print cap", ["success", "--config", "{config}", "--sequence", "01"],
+     _construction({"type": "acceptance", "q": 15000, "correct": 1,
+                    "target": {"indices": [], "horizon": 8}})),
 ]
 
 

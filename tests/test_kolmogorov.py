@@ -15,7 +15,6 @@ from martlab.kolmogorov import (
     cached_kt_table,
     k_rate,
     kolmogorov_witness_relation,
-    kt,
     kt_cover_martingale,
     load_kt_table,
     save_kt_table,
@@ -106,9 +105,9 @@ def test_every_string_has_an_entry(kt_table_10):
             assert kt_table_10.lookup(x) <= length + C_LIT
 
 
-def test_runs_compress(kt_table_10, budget):
-    assert kt(BitString("0" * 10), budget, table=kt_table_10) < 10 + C_LIT
-    assert kt(BitString("0" * 10), budget, table=kt_table_10) == 8
+def test_runs_compress(kt_table_10):
+    assert kt_table_10.lookup(BitString("0" * 10)) < 10 + C_LIT
+    assert kt_table_10.lookup(BitString("0" * 10)) == 8
 
 
 def test_budget_monotonicity(kt_table_10, budget):
@@ -121,9 +120,9 @@ def test_budget_monotonicity(kt_table_10, budget):
             assert tight_table.lookup(x) >= kt_table_10.lookup(x)
 
 
-def test_length_cap_enforced(kt_table_10, budget):
+def test_length_cap_enforced(kt_table_10):
     with pytest.raises(CapExceeded):
-        kt(BitString("0" * 11), budget, table=kt_table_10)
+        kt_table_10.lookup(BitString("0" * 11))
 
 
 def test_csv_roundtrip(budget):
@@ -229,8 +228,8 @@ def test_kt_cover_leaf_counts_programs(kt_table_10, budget):
         assert m.value(BitString(bits)) == Dyadic(expected)
 
 
-def test_k_rate_on_zeros(kt_table_10, budget):
-    report = k_rate(BitString("0" * 10), budget, table=kt_table_10)
+def test_k_rate_on_zeros(kt_table_10):
+    report = k_rate(BitString("0" * 10), kt_table_10)
     assert all(
         a >= b for a, b in zip(report.ratios, report.ratios[1:])
     )
@@ -238,17 +237,17 @@ def test_k_rate_on_zeros(kt_table_10, budget):
     assert report.lowest < 1
 
 
-def test_k_rate_single_bit(kt_table_10, budget):
-    report = k_rate(BitString("1"), budget, table=kt_table_10)
+def test_k_rate_single_bit(kt_table_10):
+    report = k_rate(BitString("1"), kt_table_10)
     assert len(report.values) == 1
     assert report.lowest == report.highest
 
 
-def test_k_rate_incompressible_floor(kt_table_10, budget):
+def test_k_rate_incompressible_floor(kt_table_10):
     # nothing beats the literal bound from below arbitrarily: every ratio
     # is at least (kt >= 3) / n, and for strings with no structure the
     # table value stays near the literal cost
-    report = k_rate(BitString("1001101011"), budget, table=kt_table_10)
+    report = k_rate(BitString("1001101011"), kt_table_10)
     for n, value in enumerate(report.values, start=1):
         assert value >= 3
 

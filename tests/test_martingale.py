@@ -12,8 +12,9 @@ from martlab.constructions import (
     cover_martingale,
 )
 from martlab.dyadic import Dyadic, ONE, ZERO
-from martlab.errors import NegativeValue
+from martlab.errors import CapExceeded, NegativeValue
 from martlab.martingale import (
+    LEVEL_CAP,
     Martingale,
     diagonalize,
     empirical_dimension,
@@ -90,6 +91,16 @@ def test_levels_rows_hold_each_node_value_in_index_order(build, depth):
         assert [Dyadic(num, log_den) for num in nums] == [
             m.value(BitString.from_int(i, k)) for i in range(1 << k)
         ]
+
+
+def test_levels_refuse_a_depth_past_the_cap():
+    m = figure_cover()
+    assert next(levels(m, LEVEL_CAP))[0] == 0
+    for depth, walk in ((LEVEL_CAP + 1, lambda d: next(levels(m, d))),
+                        (LEVEL_CAP + 1, lambda d: verify_averaging(m, d)),
+                        (40, lambda d: tree_csv(m, d))):
+        with pytest.raises(CapExceeded, match=f"^depth {depth} exceeds enumeration cap 22"):
+            walk(depth)
 
 
 def test_averaging_localizes_corruption():

@@ -147,6 +147,26 @@ def test_rows_match_the_per_node_walk(kind, census2, budget):
             assert report.passed and report.frozen, (kind, seed, depth)
 
 
+# what each kind's meta names: bench/spans.py reads meta["construction"] to
+# name the span of every value call, and meta holds nothing else
+META_KIND = {"explicit": "cover", "explicit-level-0": "cover", "predicate": "cover",
+             "relation-exists": "cover", "relation-unique": "cover", "mcsp": "cover",
+             "gap-acceptance": "acceptance", "sum-scale": "sum"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_meta_is_the_construction_kind(kind, census2, budget):
+    m = KINDS[kind][0](random.Random(0), census2, budget)
+    assert m.meta == {"construction": META_KIND.get(kind, kind)}
+
+
+def test_meta_of_the_scaled_and_approximate_forms():
+    m = condexp_martingale(lambda x: x.count_ones(), 4)
+    assert scale_pow2(m, 3).meta == {"construction": "condexp"}
+    approx = approx_supermartingale(m.ratio, m.ratio.numerator, 4)
+    assert approx.martingale.meta == {"construction": "approx-supermartingale"}
+
+
 def _tabled(rows, log_dens, freeze_depth=None, supermartingale=False):
     """A martingale read from a table of rows, per node and per row."""
     return Martingale.from_ratio(
