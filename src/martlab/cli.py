@@ -32,6 +32,7 @@ from .config import (
     build_modulus,
     load_config,
 )
+from .dyadic import Dyadic
 from .errors import (
     CapExceeded,
     CensusUnavailable,
@@ -161,7 +162,7 @@ def cmd_diagonalize(args) -> int:
     m = _config_construction(args)
     w = diagonalize(m, length)
     print(f"diagonal prefix: {w or 'λ'}")
-    trace = [m.value(w.prefix(k)) for k in range(len(w) + 1)]
+    trace = [Dyadic(num, log_den) for num, log_den in m.path(w)]
     for k, value in enumerate(trace):
         print(f"  n={k}: d={value}")
     monotone = all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))

@@ -12,7 +12,12 @@ Each construction also supplies its counting form a level at a time, as the
 ``row`` kernel that :func:`~martlab.martingale.levels` reads: per-level
 histograms of an explicit cover's members, the pairwise-summed leaf rows,
 a closed-form count per integer index, and for the growing constructions
-each level's parent row times that level's two betting factors.
+each level's parent row times that level's two betting factors.  It
+supplies the form along one path too, as the ``path`` kernel that
+:meth:`~martlab.martingale.Martingale.path` and
+:func:`~martlab.martingale.diagonalize` read: a leveled construction counts
+both children of each prefix up to its level, and a growing one multiplies
+its running product by each position's two factors.
 """
 
 from __future__ import annotations
@@ -21,16 +26,16 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator
 
-from .cantor import BitString, LanguageView, all_strings, char_prefix, string_index
+from .cantor import EMPTY, BitString, LanguageView, all_strings, char_prefix, string_index
 from .errors import (
     CapExceeded,
     NegativeValue,
     RowSumViolation,
     UniquenessViolation,
 )
-from .martingale import LEVEL_CAP, Martingale
+from .martingale import LEVEL_CAP, Martingale, Pick
 from .oracle import WitnessRelation, level_counts
 
 __all__ = [
@@ -42,8 +47,6 @@ __all__ = [
     "acceptance_martingale",
     "biimmunity_martingale",
 ]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,21 @@ def _leveled(
 
     ``row(k)`` is ``count`` on every length-``k`` prefix, ``k <= n``; past
     level ``n`` each entry repeats once per extension, ``2**(k - n)`` times.
+    Along a path, both children of each prefix shorter than ``n`` are
+    counted, and past level ``n`` the value stands.
     """
+
+    def path(length: int, pick: Pick) -> Iterator[tuple[int, int]]:
+        w, num = EMPTY, count(EMPTY)
+        yield num, n
+        for k in range(length):
+            if k < n:
+                zero, one = count(w.append(0)), count(w.append(1))
+                bit = pick(zero, one)
+                w, num = w.append(bit), one if bit else zero
+            else:
+                pick(num, num)
+            yield num, max(0, n - k - 1)
 
     def level_row(k: int) -> tuple[list[int], int]:
         if k <= n:
@@ -227,6 +244,7 @@ def _leveled(
         class_tag=class_tag,
         meta={"construction": kind},
         row=level_row,
+        path=path,
     )
 
 
@@ -356,57 +374,51 @@ class AcceptanceSpec:
         return cls(f=f, q=lambda n: q, name=f"biased({correct}/2**{q})")
 
 
-def _prefix_memo(
-    root: T, step: Callable[[T, int, int], T]
-) -> Callable[[BitString], T]:
-    """``f(EMPTY) = root`` and ``f(w + b) = step(f(w), len(w), b)``.
-
-    Only the last query's path is kept, so memory is linear in the depth; a
-    query steps forward from its common prefix with the last, so no length
-    reaches the recursion limit and a left-to-right scan costs one ``step``.
-    """
-    last = ""
-    values = [root]
-
-    def f(w: BitString) -> T:
-        nonlocal last
-        bits = w.bits()
-        k = len(last)
-        if not bits.startswith(last):  # k = the common prefix length
-            k = min(k, len(bits))
-            k -= (int("0" + last[:k], 2) ^ int("0" + bits[:k], 2)).bit_length()
-        del values[k + 1 :]
-        last = bits[:k]  # what values still holds if a step below fails
-        for i in range(k, len(bits)):
-            values.append(step(values[i], i, int(bits[i])))
-        last = bits
-        return values[-1]
-
-    return f
-
-
 def _products(
     factors: Callable[[int], tuple[int, int]],
-) -> tuple[Callable[[BitString], int], Callable[[int], list[int]]]:
-    """``f(w) = factors(0)[w[0]] * ... * factors(|w| - 1)[w[-1]]``, per
-    node and per row.
+    log_denominator: Callable[[int], int],
+    **kwargs,
+) -> Martingale:
+    """``f(w) / 2**log_denominator(|w|)``, never frozen, where
+    ``f(w) = factors(0)[w[0]] * ... * factors(|w| - 1)[w[-1]]``.
 
-    The node form steps along the query path (:func:`_prefix_memo`).  Row
-    ``k`` holds ``f`` on every length-``k`` string in index order; each
-    level is the one above times that index's two factors, stepped on from
-    the last row asked for, the only row kept.
+    The node form multiplies along ``w``.  Row ``k`` holds ``f`` on every
+    length-``k`` string in index order; each level is the one above times
+    that index's two factors, stepped on from the last row asked for, the
+    only row kept.  A path keeps only its running product.
     """
     last = [0, [1]]  # the depth and row last asked for
 
-    def row(n: int) -> list[int]:
+    def numerator(w: BitString) -> int:
+        v = 1
+        for i, bit in enumerate(w):
+            v *= factors(i)[bit]
+        return v
+
+    def row(n: int) -> tuple[list[int], int]:
         k, nums = last if n >= last[0] else (0, [1])
         for i in range(k, n):
             a0, a1 = factors(i)
             nums = [x for v in nums for x in (v * a0, v * a1)]
             last[:] = i + 1, nums
-        return nums
+        return nums, log_denominator(n)
 
-    return _prefix_memo(1, lambda v, i, bit: v * factors(i)[bit]), row
+    def path(length: int, pick: Pick) -> Iterator[tuple[int, int]]:
+        v = 1
+        yield v, log_denominator(0)
+        for i in range(length):
+            a0, a1 = factors(i)
+            zero, one = v * a0, v * a1
+            v = one if pick(zero, one) else zero
+            yield v, log_denominator(i + 1)
+
+    return Martingale.from_ratio(
+        numerator,
+        lambda w: log_denominator(len(w)),
+        row=row,
+        path=path,
+        **kwargs,
+    )
 
 
 def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
@@ -424,8 +436,6 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
             )
         return 2 * f0, 2 * f1
 
-    numerator, row = _products(factors)
-
     # q_sums[i] = q(|s_0|) + ... + q(|s_{i-1}|), one entry per index reached
     q_sums = [0]
 
@@ -434,12 +444,11 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
             q_sums.append(q_sums[i] + spec.q((i + 1).bit_length() - 1))
         return q_sums[k]
 
-    return Martingale.from_ratio(
-        numerator,
-        lambda w: log_denominator(len(w)),
+    return _products(
+        factors,
+        log_denominator,
         class_tag=spec.class_tag,
         meta={"construction": "acceptance"},
-        row=lambda k: (row(k), log_denominator(k)),
     )
 
 
@@ -451,13 +460,9 @@ def biimmunity_martingale(A: LanguageView) -> Martingale:
     ``w`` is ``2**ones(A's prefix)`` as long as ``w`` dominates that prefix,
     else 0.
     """
-    numerator, row = _products(
-        lambda i: (0, 2) if A.contains_index(i) else (1, 1)
-    )
-    return Martingale.from_ratio(
-        numerator,
-        lambda w: 0,
+    return _products(
+        lambda i: (0, 2) if A.contains_index(i) else (1, 1),
+        lambda k: 0,
         class_tag="#P",
         meta={"construction": "biimmunity"},
-        row=lambda k: (row(k), 0),
     )

@@ -13,7 +13,13 @@ finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
 export over a whole prefix tree reads it through :func:`levels`, one
 level-order walk that yields each level as integer numerators over one
 shared power of two; ``BitString`` names and ``Dyadic`` text are built only
-for the findings and the dump lines.
+for the findings and the dump lines.  Every check along one path (the
+success scan, the dimension statistics, diagonalization and its trace)
+reads it through :meth:`Martingale.path`, one pass that yields each prefix
+as an integer numerator over its power of two, from the ``RatioForm`` path
+kernel that the acceptance, gap-acceptance and bi-immunity products and the
+leveled covers, conditional expectations, subsets and kt-covers supply; a
+``Dyadic`` is built only for each reported value.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ __all__ = [
 ]
 
 
+# a walk's next bit, from the numerators of the two children of the prefix
+# it has reached, over their shared log-denominator
+Pick = Callable[[int, int], int]
+
+
 @dataclass(frozen=True)
 class RatioForm:
     """A martingale written as integer numerator over a power of two.
@@ -60,11 +71,23 @@ class RatioForm:
     supplies it, is the same form on a whole level: the numerators of the
     ``2**k`` strings of length ``k`` in index order, over one shared
     log-denominator, as ``(numerators, log_den)``.
+
+    ``path(n, pick)``, when a construction supplies it, is the same form
+    along one length-``n`` path from the root, in one pass: it yields
+    ``(numerator, log_den)`` at each of the path's ``n + 1`` prefixes in
+    order, and after yielding the length-``k`` prefix, ``k < n``, it extends
+    that prefix by the bit ``pick(zero, one)``, where ``zero`` and ``one``
+    are the numerators of its two children over the log-denominator they
+    share.  The products (acceptance, gap-acceptance, bi-immunity) step
+    their betting factors; the leveled forms (covers, conditional
+    expectation, subset, kt-cover) count the children up to their level and
+    repeat that level's value past it.
     """
 
     numerator: Callable[[BitString], int]
     log_denominator: Callable[[BitString], int]
     row: Callable[[int], tuple[list[int], int]] | None = None
+    path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None
 
     def value(self, w: BitString) -> Dyadic:
         return Dyadic(self.numerator(w), self.log_denominator(w))
@@ -102,8 +125,9 @@ class Martingale:
         supermartingale: bool = False,
         meta: Mapping | None = None,
         row: Callable[[int], tuple[list[int], int]] | None = None,
+        path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None,
     ) -> "Martingale":
-        ratio = RatioForm(numerator, log_denominator, row)
+        ratio = RatioForm(numerator, log_denominator, row, path)
 
         def approx(w: BitString, r: int) -> Dyadic:
             return ratio.value(w)
@@ -146,6 +170,26 @@ class Martingale:
         if v.is_negative():
             raise NegativeValue(f"negative value {v} at {w!r}")
         return v
+
+    def path(self, S: BitString) -> Iterator[tuple[int, int]]:
+        """``value(S.prefix(n))`` as ``(numerator, log_den)``, for ``n`` from
+        0 to ``|S|`` in order: one pass of the form's path kernel, or
+        ``value`` once per prefix for a form without one.  The numerator
+        need not be in lowest terms; a negative value raises as ``value``
+        does, at the same prefix."""
+        kernel = None if self.ratio is None else self.ratio.path
+        if kernel is None:
+            for n in range(len(S) + 1):
+                v = self.value(S.prefix(n))
+                yield v.num, v.log_den
+            return
+        bits = iter(S)
+        for n, (num, log_den) in enumerate(kernel(len(S), lambda zero, one: next(bits))):
+            if num < 0:
+                raise NegativeValue(
+                    f"negative value {Dyadic(num, log_den)} at {S.prefix(n)!r}"
+                )
+            yield num, log_den
 
 
 @dataclass(frozen=True)
@@ -293,13 +337,13 @@ def success_scan(m: Martingale, S: BitString, s: Dyadic) -> SuccessReport:
     levels = set()
     unitary = None
     one_minus_s = ONE - s
-    for n in range(len(S) + 1):
-        v = m.value(S.prefix(n))
+    for n, (num, log_den) in enumerate(m.path(S)):
+        v = Dyadic(num, log_den)
         values.append(v)
-        exponent = one_minus_s * Dyadic(n)
+        exponent = Dyadic(one_minus_s.num * n, one_minus_s.log_den)
         if cmp_pow2(v, exponent) >= 0:
             levels.add(n)
-        if unitary is None and v >= ONE:
+        if unitary is None and num >= 1 << log_den:
             unitary = n
     return SuccessReport(len(S), s, tuple(values), frozenset(levels), unitary)
 
@@ -308,14 +352,28 @@ def diagonalize(m: Martingale, N: int) -> BitString:
     """The length-``N`` prefix that the martingale cannot grow on.
 
     Each next bit is 1 exactly when the 1-child value is strictly smaller;
-    ties go to 0.  The value trace along the result is non-increasing.
+    ties go to 0.  The value trace along the result is non-increasing.  A
+    form with a path kernel is walked once, each bit picked by comparing
+    the two children's numerators; any other is evaluated at both children
+    of every prefix.
     """
-    w = EMPTY
-    for _ in range(N):
-        zero_value = m.value(w.append(0))
-        one_value = m.value(w.append(1))
-        w = w.append(1 if one_value < zero_value else 0)
-    return w
+    kernel = None if m.ratio is None else m.ratio.path
+    if kernel is None:
+        w = EMPTY
+        for _ in range(N):
+            zero_value = m.value(w.append(0))
+            one_value = m.value(w.append(1))
+            w = w.append(1 if one_value < zero_value else 0)
+        return w
+    bits = []
+
+    def pick(zero: int, one: int) -> int:
+        bits.append(1 if one < zero else 0)
+        return bits[-1]
+
+    for _ in kernel(N, pick):
+        pass
+    return BitString(bits)
 
 
 @dataclass(frozen=True)
@@ -348,11 +406,13 @@ def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
     if len(S) < 1:
         raise ValueError("needs a prefix of length at least 1")
     levels: list[Dyadic | None] = []
-    for n in range(1, len(S) + 1):
-        v = m.value(S.prefix(n))
-        if v.is_zero():
+    path = m.path(S)
+    next(path)  # the root is no level
+    for n, (num, log_den) in enumerate(path, 1):
+        if num == 0:
             levels.append(None)
         else:
+            v = Dyadic(num, log_den)
             levels.append(grid_floor_one_minus_log2_ratio(v, n, GRID_BITS))
     finite = [v for v in levels if v is not None]
     best = min(finite) if finite else None

@@ -7,14 +7,32 @@ exactly: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
 on ``Fraction`` values, of ``verify_averaging_exact``), and
 :func:`tree_csv`, :func:`tree_json` and :func:`tree_dot` are the twins of
 the dumps.  Pass ``m.value`` and ``m.freeze_depth`` of a martingale ``m``.
+
+The scans along one path, as martlab ran them before path kernels, are here
+too: every prefix is a ``BitString`` evaluated by ``value`` as a ``Dyadic``,
+and thresholds are ``Dyadic`` exponents.  :func:`success_scan`,
+:func:`empirical_dimension` and :func:`diagonalize` (with the value trace
+along its result) are the twins of ``martingale``'s functions of those
+names and of ``cmd_diagonalize``'s trace.
 """
 
 import json
 from typing import Callable, Iterator, TypeVar
 
 from martlab.cantor import EMPTY, BitString
-from martlab.dyadic import ONE
-from martlab.martingale import AveragingReport, AveragingViolation
+from martlab.dyadic import (
+    GRID_BITS,
+    ONE,
+    Dyadic,
+    cmp_pow2,
+    grid_floor_one_minus_log2_ratio,
+)
+from martlab.martingale import (
+    AveragingReport,
+    AveragingViolation,
+    DimensionReport,
+    SuccessReport,
+)
 
 T = TypeVar("T")
 
@@ -98,3 +116,45 @@ def tree_dot(value: Callable[[BitString], T], depth: int) -> str:
                 lines.extend(f'  {name} -> "{w}{b}";' for b in "01")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def success_scan(
+    value: Callable[[BitString], Dyadic], S: BitString, s: Dyadic
+) -> SuccessReport:
+    """``d(S[:n]) >= 2**((1-s)*n)`` at every level, ``value`` per prefix."""
+    values, levels, unitary = [], set(), None
+    for n in range(len(S) + 1):
+        v = value(S.prefix(n))
+        values.append(v)
+        if cmp_pow2(v, (ONE - s) * Dyadic(n)) >= 0:
+            levels.add(n)
+        if unitary is None and v >= ONE:
+            unitary = n
+    return SuccessReport(len(S), s, tuple(values), frozenset(levels), unitary)
+
+
+def empirical_dimension(
+    value: Callable[[BitString], Dyadic], S: BitString
+) -> DimensionReport:
+    """``1 - log2(d(S[:n]))/n`` on the grid for ``1 <= n <= |S|``."""
+    levels = []
+    for n in range(1, len(S) + 1):
+        v = value(S.prefix(n))
+        levels.append(
+            None if v.is_zero() else grid_floor_one_minus_log2_ratio(v, n, GRID_BITS)
+        )
+    finite = [v for v in levels if v is not None]
+    best = min(finite) if finite else None
+    worst = max(finite) if len(finite) == len(levels) else None
+    return DimensionReport(GRID_BITS, tuple(levels), best, worst)
+
+
+def diagonalize(
+    value: Callable[[BitString], Dyadic], N: int
+) -> tuple[BitString, list[Dyadic]]:
+    """The length-``N`` prefix that takes the strictly smaller child, ties
+    to 0, and the values along it from the root."""
+    w = EMPTY
+    for _ in range(N):
+        w = w.append(1 if value(w.append(1)) < value(w.append(0)) else 0)
+    return w, [value(w.prefix(k)) for k in range(N + 1)]

@@ -19,7 +19,6 @@ from martlab.circuits import TruthTable, mcsp_cover, mcsp_witness_relation
 from martlab.constructions import (
     AcceptanceSpec,
     Cover,
-    _prefix_memo,
     acceptance_martingale,
     biimmunity_martingale,
     condexp_martingale,
@@ -548,8 +547,15 @@ def test_acceptance_deep_cold_prefix():
     assert m.value(w.append(0)) == expected * Dyadic(3, 1)
 
 
+def _last(path):
+    for last in path:
+        pass
+    return Dyadic(*last)
+
+
 def test_deep_cold_prefix_memory_is_linear():
-    # only the values along one path are kept, a few MiB of numerators here
+    # a value and a path scan each keep one running product, not the path's
+    # values: a few MiB of numerators here, past the default recursion limit
     n = 5000
     target = LanguageView.from_indices(range(0, n, 3), horizon=n + 1)
     w = BitString("1" * n)
@@ -557,13 +563,15 @@ def test_deep_cold_prefix_memory_is_linear():
         acceptance_martingale(AcceptanceSpec.biased(target, 3, 2)),
         biimmunity_martingale(target),
     ):
-        tracemalloc.start()
-        try:
-            m.value(w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
+        for walk in (m.value, lambda w: _last(m.path(w))):
+            tracemalloc.start()
+            try:
+                value = walk(w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20
+            assert value == m.ratio.value(w)
 
 
 def test_cover_verify_retains_little_memory():
@@ -578,32 +586,6 @@ def test_cover_verify_retains_little_memory():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
-
-
-def test_prefix_memo_path_survives_failed_step_and_jumps():
-    # f(w) = int("1" + w, 2); a step fails once, on a query that left the
-    # last path at index 5 and already stepped twice along its own
-    armed = []
-
-    def step(v, i, bit):
-        if i == 7 and armed:
-            armed.pop()
-            raise RuntimeError("transient")
-        return 2 * v + bit
-
-    f = _prefix_memo(1, step)
-    assert f(BitString("0000000000")) == 1 << 10
-    armed.append(True)
-    with pytest.raises(RuntimeError):
-        f(BitString("0000011111"))
-    rnd = random.Random(41)
-    queries = ["0000000000", "0000011111", "0110", "", "011010111", "1"]
-    queries += [
-        format(rnd.getrandbits(n), f"0{n}b") if n else ""
-        for n in (rnd.randrange(12) for _ in range(200))
-    ]
-    for bits in queries:
-        assert f(BitString(bits)) == int("1" + bits, 2)
 
 
 # -- bi-immunity -----------------------------------------------------------
