@@ -74,6 +74,7 @@ def fetch(
     try:
         tmp.write_bytes(_header(name, payload) + payload)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
     return value

@@ -174,7 +174,11 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
     Each level offers its candidates in a fixed order (NOT of the previous
     level, then AND and OR of every size split, each grid by increasing
     mask); a table takes the first candidate that reaches it, from the grid
-    cell that comes first in row-major order.
+    cell that comes first in row-major order.  A grid cell drops the tables
+    already reached before it dedupes, so only unreached tables are sorted;
+    every entry of one table is equally fresh, so its first-reached witness
+    is the same.  Once every table is reached the closure stops, as every
+    later level would be empty (``n = 1`` at 1 gate, ``n = 2`` at 4).
     """
     if not 1 <= n <= INPUT_CAP:
         raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
@@ -185,38 +189,49 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
     tables = 1 << (1 << n)
     full = tables - 1
     sizes = np.full(tables, UNREACHED, dtype=np.uint8)
+    unreached = np.ones(tables, dtype=bool)
     kinds = np.zeros(tables, dtype=np.uint8)
     left = np.zeros(tables, dtype=np.uint16)
     right = np.zeros(tables, dtype=np.uint16)
 
     def reach(s: int, kind: str, masks, a, b=None) -> np.ndarray:
-        """Give size ``s`` to the distinct ``masks`` not reached yet."""
-        fresh = sizes[masks] == UNREACHED
-        masks = masks[fresh]
+        """Give size ``s`` to ``masks``, which are distinct and unreached."""
+        unreached[masks] = False
         sizes[masks] = s
         kinds[masks] = _WKIND_CODE[kind]
-        left[masks] = a[fresh]
+        left[masks] = a
         if b is not None:
-            right[masks] = b[fresh]
+            right[masks] = b
         return masks
 
-    projections = np.array(machine.projection_masks(n), dtype=np.uint16)
+    # masks are intp, so they index the tables with no conversion per lookup
+    projections = np.array(machine.projection_masks(n), dtype=np.intp)
     by_size = [np.sort(np.concatenate([
-        reach(0, "CONST", np.array([0, full], dtype=np.uint16), np.array([0, 1])),
+        reach(0, "CONST", np.array([0, full], dtype=np.intp), np.array([0, 1])),
         reach(0, "VAR", projections, np.arange(n)),
     ]))]
+    todo = tables - len(by_size[0])
     for s in range(1, max_size + 1):
+        if todo == 0:
+            break
         prev = by_size[s - 1]
-        new = [reach(s, "NOT", full ^ prev, prev)]
+        negated = full ^ prev  # distinct, as complement is a bijection
+        keep = unreached[negated]
+        new = [reach(s, "NOT", negated[keep], prev[keep])]
         for i in range((s + 1) // 2):
             lo, hi = by_size[i], by_size[s - 1 - i]
             if len(lo) == 0 or len(hi) == 0:
                 continue
             for kind, ufunc in (("AND", np.bitwise_and), ("OR", np.bitwise_or)):
-                uniq, first = np.unique(ufunc.outer(lo, hi), return_index=True)
-                row, col = np.divmod(first, len(hi))
+                product = ufunc.outer(lo, hi).ravel()
+                kept = np.flatnonzero(unreached[product])
+                if len(kept) == 0:
+                    continue
+                uniq, first = np.unique(product[kept], return_index=True)
+                row, col = np.divmod(kept[first], len(hi))
                 new.append(reach(s, kind, uniq, lo[row], hi[col]))
         by_size.append(np.sort(np.concatenate(new)))
+        todo -= len(by_size[s])
 
     return CircuitCensus(
         n, max_size, sizes.tobytes(), kinds.tobytes(),

@@ -211,9 +211,10 @@ def build_language(spec: dict, path: str) -> LanguageView:
     horizon = _need(spec, "horizon", path, _natural)
     if "indices" in spec:
         indices = _list(spec["indices"], f"{path}.indices")
-        return LanguageView.from_indices(
-            [_natural(i, f"{path}.indices") for i in indices], horizon
-        )
+        if not all(type(i) is int and i >= 0 for i in indices):
+            # the slow pass converts, and names the first bad index
+            indices = [_natural(i, f"{path}.indices") for i in indices]
+        return LanguageView.from_indices(indices, horizon)
     if "members" in spec:
         members = _bits_list(spec["members"], f"{path}.members")
         return LanguageView.from_members(members, horizon)

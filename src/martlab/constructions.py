@@ -440,6 +440,8 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     q_sums = [0]
 
     def log_denominator(k: int) -> int:
+        if k < len(q_sums):
+            return q_sums[k]
         for i in range(len(q_sums) - 1, k):
             q_sums.append(q_sums[i] + spec.q((i + 1).bit_length() - 1))
         return q_sums[k]

@@ -214,11 +214,32 @@ def test_cached_census_reuses_file(tmp_path, monkeypatch):
     assert second == first
 
 
-def test_witness_circuits_evaluate_to_their_tables(census3):
-    for mask, size in sizes_of(census3).items():
-        circuit = circuit_for(census3, TruthTable(3, mask))
-        assert circuit.table().mask == mask
-        assert circuit.size() == size
+def test_witness_circuits_evaluate_to_their_tables():
+    for n in (2, 3, 4):
+        census = build_census(n, circuits.SIZE_CAP)
+        sizes = sizes_of(census)
+        for mask, size in sizes.items():
+            kind, *operands = census.witness(mask)
+            if kind in ("VAR", "CONST"):
+                assert size == 0
+            else:
+                # the operands are reached, and the gate adds one to their sizes
+                assert all(a in sizes for a in operands)
+                assert sum(sizes[a] for a in operands) == size - 1
+            circuit = circuit_for(census, TruthTable(n, mask))
+            assert circuit.table().mask == mask
+            assert circuit.size() == size
+
+
+@pytest.mark.parametrize("n, saturated_at", [(1, 1), (2, 4)])
+def test_closure_stops_once_every_table_is_reached(n, saturated_at):
+    saturated = build_census(n, saturated_at)
+    assert saturated.count_at_most(saturated_at) == 1 << (1 << n)
+    assert build_census(n, saturated_at - 1).count_at_most(saturated_at - 1) < 1 << (1 << n)
+    for S in range(saturated_at, circuits.SIZE_CAP + 1):
+        census = build_census(n, S)
+        assert census.max_size == S
+        assert save_census(census) == save_census(saturated)
 
 
 def test_encode_circuit_decodes_on_machine(census2, census3):
