@@ -34,7 +34,8 @@ T = TypeVar("T")
 def directory(cache_dir: Path | str) -> Path:
     """The cache directory, created if missing; ``OSError`` if it cannot be."""
     path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    if not path.is_dir():
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -52,12 +53,13 @@ def fetch(
 ) -> T:
     """Decode the cached ``name``, or build it and store its encoding.
 
-    Without a cache directory the value is built and nothing is stored.  A
-    name that cannot be read as a file, such as a directory, is a ``ConfigError``.
+    Without a cache directory the value is built and nothing is stored; the
+    directory is created, if missing, only to store a value.  A name that
+    cannot be read as a file, such as a directory, is a ``ConfigError``.
     """
     if cache_dir is None:
         return build()
-    path = directory(cache_dir) / name
+    path = Path(cache_dir) / name
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -70,6 +72,7 @@ def fetch(
         return decode(payload)
     value = build()
     payload = encode(value)
+    directory(cache_dir)
     tmp = path.with_name(f"{name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(_header(name, payload) + payload)

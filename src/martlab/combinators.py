@@ -1,6 +1,9 @@
 """Aggregation machinery for families of exact martingales.
 
-Finite sums are pointwise and exact.  Infinite sums are truncated through a
+Finite sums are pointwise and exact: a sum, a ``2**k`` scaling and a
+finitely supported family sum are counting forms again, each row (and each
+node) the members' numerators added over their largest log-denominator, or
+shifted.  Infinite sums are truncated through a
 declared convergence modulus: ``m(w, i)`` promises that the tail from index
 ``m(w, i)`` onward is at most ``2**-i``, and every query audits that promise
 on a finite window (a necessary check; no finite artifact can verify the
@@ -8,7 +11,8 @@ infinite claim).  On top of the truncated sums sit the two covering
 aggregates — one certifying unit value on covered prefixes, one certifying
 ``2**((1-t)n)`` growth — and the approximate-counting transform that trades
 an exact martingale for a supermartingale evaluable from a multiplicative
-approximation of its numerator.
+approximation of its numerator, whose relaxed averaging law is checked on
+one integer row form.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable
 
 from .cantor import EMPTY, BitString, all_strings
@@ -27,7 +32,7 @@ from .errors import (
     ModulusViolation,
     NegativeValue,
 )
-from .martingale import Martingale, RatioForm
+from .martingale import Martingale, RatioForm, verify_averaging
 
 __all__ = [
     "MartingaleFamily",
@@ -109,31 +114,39 @@ def geometric_modulus(delta: Dyadic, log2_scale: int = 0) -> ConvergenceModulus:
     return ConvergenceModulus(fn, f"geometric(delta={delta}, scale=2**{log2_scale})")
 
 
-def sum_finite(a: Martingale, b: Martingale) -> Martingale:
-    """Exact pointwise sum over the common power of two; capitals add."""
-    if a.ratio is None or b.ratio is None:
+def _aligned_sum(members: list[Martingale], **kwargs) -> Martingale:
+    """The exact pointwise sum of ``members``: at each node, and on each
+    row, every member's numerator is brought to the members' largest
+    log-denominator and the numerators add.  No members sum to 0."""
+    if any(m.ratio is None for m in members):
         raise ValueError("finite sums need exact evaluators")
-    ra, rb = a.ratio, b.ratio
-
-    def numerator(w: BitString) -> int:
-        la, lb = ra.log_denominator(w), rb.log_denominator(w)
-        common = max(la, lb)
-        return (ra.numerator(w) << (common - la)) + (
-            rb.numerator(w) << (common - lb)
-        )
+    forms = [m.ratio for m in members]
 
     def log_denominator(w: BitString) -> int:
-        return max(ra.log_denominator(w), rb.log_denominator(w))
+        return max((r.log_denominator(w) for r in forms), default=0)
 
-    if a.freeze_depth is not None and b.freeze_depth is not None:
-        freeze = max(a.freeze_depth, b.freeze_depth)
-    else:
-        freeze = None
+    def numerator(w: BitString) -> int:
+        common = log_denominator(w)
+        return sum(r.numerator(w) << (common - r.log_denominator(w)) for r in forms)
+
+    def row(k: int) -> tuple[list[int], int]:
+        rows = [r.row(k) for r in forms]
+        common = max((log_den for _, log_den in rows), default=0)
+        total = [0] * (1 << k)
+        for nums, log_den in rows:
+            total = list(map(add, total, [v << (common - log_den) for v in nums]))
+        return total, common
+
+    return Martingale.from_ratio(numerator, log_denominator, row, **kwargs)
+
+
+def sum_finite(a: Martingale, b: Martingale) -> Martingale:
+    """Exact pointwise sum over the common power of two; capitals add."""
+    freezes = (a.freeze_depth, b.freeze_depth)
     tag = a.class_tag if a.class_tag == b.class_tag else "mixed"
-    return Martingale.from_ratio(
-        numerator,
-        log_denominator,
-        freeze_depth=freeze,
+    return _aligned_sum(
+        [a, b],
+        freeze_depth=None if None in freezes else max(freezes),
         class_tag=tag,
         supermartingale=a.supermartingale or b.supermartingale,
         meta={"construction": "sum"},
@@ -145,9 +158,15 @@ def scale_pow2(m: Martingale, k: int) -> Martingale:
     if m.ratio is None:
         raise ValueError("scaling needs an exact evaluator")
     r, up, down = m.ratio, max(k, 0), max(-k, 0)
+
+    def row(n: int) -> tuple[list[int], int]:
+        nums, log_den = r.row(n)
+        return [v << up for v in nums], log_den + down
+
     return Martingale.from_ratio(
         lambda w: r.numerator(w) << up,
         lambda w: r.log_denominator(w) + down,
+        row,
         freeze_depth=m.freeze_depth,
         class_tag=m.class_tag,
         supermartingale=m.supermartingale,
@@ -196,15 +215,8 @@ def aggregate_martingale(
     precision ``DEFAULT_ROOT_PRECISION``.
     """
     if fam.support_end is not None:
-        end = fam.support_end
-
-        @lru_cache(maxsize=None)
-        def evaluate(w: BitString) -> Dyadic:
-            return _partial_sum(fam, w, 0, end)
-
-        return Martingale.from_exact(
-            evaluate,
-            freeze_depth=None,
+        return _aligned_sum(
+            [fam.member(n) for n in range(fam.support_end)],
             class_tag=class_tag,
             meta={"construction": "family-sum"},
         )
@@ -375,8 +387,10 @@ class ApproxSupermartingale:
     floors them onto a ``2**-32`` grid (or finer when more precision is
     asked), which is where the recorded one-step error bound lives.  The
     relaxed averaging law is checked on the exact values, never the floors.
-    ``undamped`` is the band-checked approximation ``h(v) / 2**L(v)`` in
-    counting form, before the damping ``((n-1)/(n+1))**|v|``.
+    ``scaled`` is the exact value times the constant ``(n+1)**n``, in
+    counting form: at a length-``k`` string, ``k <= n``, the band-checked
+    approximation ``h`` times ``(n-1)**k (n+1)**(n-k)``, over the base
+    form's ``2**L``; past level ``n`` it repeats level ``n``.
     """
 
     level: int
@@ -384,33 +398,20 @@ class ApproxSupermartingale:
     martingale: Martingale
     damping: Fraction
     guaranteed_gamma: Fraction
-    undamped: RatioForm
+    scaled: Martingale
 
     def verify_averaging_exact(self, depth: int) -> list[BitString]:
         """Nodes (if any) violating ``2 d(v) >= d(v0) + d(v1)``, in level then
-        lexicographic order, checked exactly in integers.
+        lexicographic order: :func:`~martlab.martingale.verify_averaging` of
+        ``scaled``, whose constant factor leaves the law unchanged.
 
-        Below level ``n`` the damping cancels down to one factor
-        ``(n-1)/(n+1)``, so the law at a parent ``p`` with children ``c``
-        reads ``2 h_p (n+1) 2**L_c >= (h_0 + h_1) (n-1) 2**L_p``, the
-        children's counts over their common ``2**L_c``.  From level ``n`` on
-        every child repeats its parent, which meets the law with equality.
+        Below level ``n`` the law at a parent ``p`` with children ``c``
+        reads ``2 h_p (n+1) 2**L_c >= (h_0 + h_1) (n-1) 2**L_p``.  From level
+        ``n`` on every child repeats its parent, which meets the law with
+        equality, so levels past ``n`` are not read.
         """
-        n = self.level
-        h, log_den = self.undamped.numerator, self.undamped.log_denominator
-        violations: list[BitString] = []
-        parents: list[tuple[BitString, int, int]] = []
-        for k in range(min(depth, n) + 1):
-            row = [(v, h(v), log_den(v)) for v in all_strings(k)]
-            for (p, hp, lp), (_, h0, l0), (_, h1, l1) in zip(
-                parents, row[0::2], row[1::2]
-            ):
-                lc = max(l0, l1)
-                children = (h0 << (lc - l0)) + (h1 << (lc - l1))
-                if (2 * hp * (n + 1)) << lc < (children * (n - 1)) << lp:
-                    violations.append(p)
-            parents = row
-        return violations
+        report = verify_averaging(self.scaled, min(depth, self.level))
+        return [v.node for v in report.violations]
 
 
 EXPORT_GRID_BITS = 32
@@ -422,20 +423,20 @@ def approx_supermartingale(
     """Supermartingale from a multiplicative approximation of a numerator.
 
     ``h`` must stay within a ``1/n`` relative band of the true numerator on
-    every queried string (checked exactly: ``(n-1) f <= n h <= (n+1) f``).
-    The value at ``v`` is ``h(v)/g(v)`` damped by ``((n-1)/(n+1))**|v|``,
-    frozen at level ``n``; damping the deeper nodes harder is what turns the
-    approximation error into a supermartingale instead of breaking the
-    averaging law.
+    every queried string (checked exactly: ``(n-1) f <= n h <= (n+1) f``),
+    and is called once per string.  The value at ``v`` is ``h(v)/g(v)``
+    damped by ``((n-1)/(n+1))**|v|``, frozen at level ``n``; damping the
+    deeper nodes harder is what turns the approximation error into a
+    supermartingale instead of breaking the averaging law.
     """
     if n < 2:
         raise ValueError("transform needs level n >= 2")
-    rho = Fraction(n - 1, n + 1)
+    approximation = lru_cache(maxsize=None)(h)
+    weight = [(n - 1) ** k * (n + 1) ** (n - k) for k in range(n + 1)]
 
-    @lru_cache(maxsize=None)
-    def band_checked(x: BitString) -> int:
-        fx = form.numerator(x)
-        hx = h(x)
+    def checked(x: BitString, fx: int) -> int:
+        """``h(x)``, checked against the band around ``f(x) = fx``."""
+        hx = approximation(x)
         if fx < 0 or hx < 0:
             raise NegativeValue(
                 f"approximation transform needs nonnegative counts at {x!r}"
@@ -447,11 +448,25 @@ def approx_supermartingale(
             )
         return hx
 
-    @lru_cache(maxsize=None)
+    def numerator(w: BitString) -> int:
+        x = w.prefix(n)
+        return checked(x, form.numerator(x)) * weight[len(x)]
+
+    def log_denominator(w: BitString) -> int:
+        return form.log_denominator(w.prefix(n))
+
+    def row(k: int) -> tuple[list[int], int]:
+        top = min(k, n)
+        fs, log_den = form.row(top)
+        nums = [checked(x, fx) * weight[top] for x, fx in zip(all_strings(top), fs)]
+        return [v for v in nums for _ in range(1 << (k - top))], log_den
+
+    scaled = Martingale.from_ratio(
+        numerator, log_denominator, row, freeze_depth=n, supermartingale=True
+    )
+
     def exact_value(v: BitString) -> Fraction:
-        v = v.prefix(n)
-        hv = band_checked(v)
-        return Fraction(hv, 1 << form.log_denominator(v)) * rho ** len(v)
+        return Fraction(numerator(v), (n + 1) ** n << log_denominator(v))
 
     def approx(v: BitString, r: int) -> Dyadic:
         grid = max(r, EXPORT_GRID_BITS)
@@ -472,5 +487,5 @@ def approx_supermartingale(
         martingale=martingale,
         damping=ratio_power(n),
         guaranteed_gamma=worst_case_gamma(n),
-        undamped=RatioForm(band_checked, form.log_denominator),
+        scaled=scaled,
     )

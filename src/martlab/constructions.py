@@ -15,9 +15,10 @@ a closed-form count per integer index, and for the growing constructions
 each level's parent row times that level's two betting factors.  It
 supplies the form along one path too, as the ``path`` kernel that
 :meth:`~martlab.martingale.Martingale.path` and
-:func:`~martlab.martingale.diagonalize` read: a leveled construction counts
-both children of each prefix up to its level, and a growing one multiplies
-its running product by each position's two factors.
+:func:`~martlab.martingale.diagonalize` read: a growing construction
+multiplies its running product by each position's two factors, and a
+leveled one takes the node kernel, which counts both children of each
+prefix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .cantor import EMPTY, BitString, LanguageView, all_strings, char_prefix, string_index
+from .cantor import BitString, LanguageView, all_strings, char_prefix, string_index
 from .errors import (
     CapExceeded,
     NegativeValue,
@@ -212,21 +213,8 @@ def _leveled(
 
     ``row(k)`` is ``count`` on every length-``k`` prefix, ``k <= n``; past
     level ``n`` each entry repeats once per extension, ``2**(k - n)`` times.
-    Along a path, both children of each prefix shorter than ``n`` are
-    counted, and past level ``n`` the value stands.
+    Along a path, the node form counts both children of each prefix.
     """
-
-    def path(length: int, pick: Pick) -> Iterator[tuple[int, int]]:
-        w, num = EMPTY, count(EMPTY)
-        yield num, n
-        for k in range(length):
-            if k < n:
-                zero, one = count(w.append(0)), count(w.append(1))
-                bit = pick(zero, one)
-                w, num = w.append(bit), one if bit else zero
-            else:
-                pick(num, num)
-            yield num, max(0, n - k - 1)
 
     def level_row(k: int) -> tuple[list[int], int]:
         if k <= n:
@@ -240,11 +228,10 @@ def _leveled(
     return Martingale.from_ratio(
         lambda w: count(w.prefix(n)),
         lambda w: max(0, n - len(w)),
+        level_row,
         freeze_depth=n,
         class_tag=class_tag,
         meta={"construction": kind},
-        row=level_row,
-        path=path,
     )
 
 

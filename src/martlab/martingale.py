@@ -10,26 +10,24 @@ The operations here are the generic checks every construction must survive:
 the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
 the bit-by-bit diagonalization that defeats a given martingale, and
 finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
-export over a whole prefix tree reads it through :func:`levels`, one
-level-order walk that yields each level as integer numerators over one
-shared power of two; ``BitString`` names and ``Dyadic`` text are built only
-for the findings and the dump lines.  Every check along one path (the
-success scan, the dimension statistics, diagonalization and its trace)
-reads it through :meth:`Martingale.path`, one pass that yields each prefix
-as an integer numerator over its power of two, from the ``RatioForm`` path
-kernel that the acceptance, gap-acceptance and bi-immunity products and the
-leveled covers, conditional expectations, subsets and kt-covers supply; a
-``Dyadic`` is built only for each reported value.
+export over a whole prefix tree reads the ``RatioForm`` rows through
+:func:`levels`, integer numerators over one power of two per level;
+``BitString`` names and ``Dyadic`` text are built only for the findings and
+the dump lines.  Every check along one path (the success scan, the dimension
+statistics, diagonalization and its trace) reads the ``RatioForm`` path
+kernel through :meth:`Martingale.path`; a ``Dyadic`` is built only for each
+reported value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from operator import add, lt
 from typing import Callable, Iterator, Mapping
 
-from .cantor import EMPTY, BitString, all_strings
+from .cantor import EMPTY, BitString
 from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import CapExceeded, NegativeValue
 
@@ -67,30 +65,52 @@ class RatioForm:
 
     ``numerator(w) / 2**log_denominator(w)`` is the exact value; the
     numerator plays the counting-function role, the denominator the
-    polynomial-time power-of-two role.  ``row(k)``, when a construction
-    supplies it, is the same form on a whole level: the numerators of the
-    ``2**k`` strings of length ``k`` in index order, over one shared
-    log-denominator, as ``(numerators, log_den)``.
+    polynomial-time power-of-two role.  ``row(k)`` is the same form on a
+    whole level: the numerators of the ``2**k`` strings of length ``k`` in
+    index order, over one shared log-denominator, as ``(numerators,
+    log_den)``.  Every form supplies it, and it agrees with the node form
+    entry by entry: ``log_den`` is ``log_denominator`` of every string of
+    the level, and entry ``i`` is ``numerator`` of the ``i``-th.
 
-    ``path(n, pick)``, when a construction supplies it, is the same form
-    along one length-``n`` path from the root, in one pass: it yields
-    ``(numerator, log_den)`` at each of the path's ``n + 1`` prefixes in
-    order, and after yielding the length-``k`` prefix, ``k < n``, it extends
-    that prefix by the bit ``pick(zero, one)``, where ``zero`` and ``one``
-    are the numerators of its two children over the log-denominator they
-    share.  The products (acceptance, gap-acceptance, bi-immunity) step
-    their betting factors; the leveled forms (covers, conditional
-    expectation, subset, kt-cover) count the children up to their level and
-    repeat that level's value past it.
+    ``path(n, pick)`` is the same form along one length-``n`` path from the
+    root, in one pass: it yields ``(numerator, log_den)`` at each of the
+    path's ``n + 1`` prefixes in order, and after yielding the length-``k``
+    prefix, ``k < n``, it extends that prefix by the bit ``pick(zero,
+    one)``, where ``zero`` and ``one`` are the numerators of its two
+    children over the log-denominator they share.  The products
+    (acceptance, gap-acceptance, bi-immunity) step their betting factors;
+    for every other form :meth:`Martingale.from_ratio` supplies a kernel
+    that evaluates the node form at both children of each prefix.
     """
 
     numerator: Callable[[BitString], int]
     log_denominator: Callable[[BitString], int]
-    row: Callable[[int], tuple[list[int], int]] | None = None
+    row: Callable[[int], tuple[list[int], int]]
     path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None
 
     def value(self, w: BitString) -> Dyadic:
         return Dyadic(self.numerator(w), self.log_denominator(w))
+
+
+def _node_path(
+    numerator: Callable[[BitString], int],
+    log_denominator: Callable[[BitString], int],
+    n: int,
+    pick: Pick,
+) -> Iterator[tuple[int, int]]:
+    """The path kernel of a node form: both children of each prefix are
+    evaluated and brought to their larger log-denominator."""
+    w = EMPTY
+    yield numerator(w), log_denominator(w)
+    for _ in range(n):
+        w0, w1 = w.append(0), w.append(1)
+        l0, l1 = log_denominator(w0), log_denominator(w1)
+        log_den = max(l0, l1)
+        zero = numerator(w0) << (log_den - l0)
+        one = numerator(w1) << (log_den - l1)
+        bit = pick(zero, one)
+        w = w1 if bit else w0
+        yield (one if bit else zero), log_den
 
 
 @dataclass(frozen=True)
@@ -120,13 +140,14 @@ class Martingale:
         cls,
         numerator: Callable[[BitString], int],
         log_denominator: Callable[[BitString], int],
+        row: Callable[[int], tuple[list[int], int]],
         freeze_depth: int | None = None,
         class_tag: str = "unclassified",
         supermartingale: bool = False,
         meta: Mapping | None = None,
-        row: Callable[[int], tuple[list[int], int]] | None = None,
         path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None,
     ) -> "Martingale":
+        path = path or partial(_node_path, numerator, log_denominator)
         ratio = RatioForm(numerator, log_denominator, row, path)
 
         def approx(w: BitString, r: int) -> Dyadic:
@@ -143,53 +164,43 @@ class Martingale:
         )
 
     @classmethod
-    def from_exact(
-        cls, evaluate: Callable[[BitString], Dyadic], **kwargs
-    ) -> "Martingale":
-        """:meth:`from_ratio` reading each ``Dyadic`` value as its own
-        ``num / 2**log_den``."""
-        return cls.from_ratio(
-            lambda w: evaluate(w).num, lambda w: evaluate(w).log_den, **kwargs
-        )
-
-    @classmethod
     def constant(cls, value: Dyadic) -> "Martingale":
         if value.is_negative():
             raise NegativeValue(f"constant martingale value {value}")
         return cls.from_ratio(
             lambda w: value.num,
             lambda w: value.log_den,
+            lambda k: ([value.num] * (1 << k), value.log_den),
             freeze_depth=0,
             class_tag="constant",
         )
 
     def value(self, w: BitString) -> Dyadic:
-        if self.ratio is None:
-            raise ValueError("martingale has no exact evaluator")
-        v = self.ratio.value(w)
+        v = _exact(self).value(w)
         if v.is_negative():
             raise NegativeValue(f"negative value {v} at {w!r}")
         return v
 
     def path(self, S: BitString) -> Iterator[tuple[int, int]]:
         """``value(S.prefix(n))`` as ``(numerator, log_den)``, for ``n`` from
-        0 to ``|S|`` in order: one pass of the form's path kernel, or
-        ``value`` once per prefix for a form without one.  The numerator
-        need not be in lowest terms; a negative value raises as ``value``
-        does, at the same prefix."""
-        kernel = None if self.ratio is None else self.ratio.path
-        if kernel is None:
-            for n in range(len(S) + 1):
-                v = self.value(S.prefix(n))
-                yield v.num, v.log_den
-            return
+        0 to ``|S|`` in order: one pass of the form's path kernel.  The
+        numerator need not be in lowest terms; a negative value raises as
+        ``value`` does, at the same prefix."""
         bits = iter(S)
-        for n, (num, log_den) in enumerate(kernel(len(S), lambda zero, one: next(bits))):
+        for n, (num, log_den) in enumerate(
+            _exact(self).path(len(S), lambda zero, one: next(bits))
+        ):
             if num < 0:
                 raise NegativeValue(
                     f"negative value {Dyadic(num, log_den)} at {S.prefix(n)!r}"
                 )
             yield num, log_den
+
+
+def _exact(m: Martingale) -> RatioForm:
+    if m.ratio is None:
+        raise ValueError("martingale has no exact evaluator")
+    return m.ratio
 
 
 @dataclass(frozen=True)
@@ -222,32 +233,23 @@ class AveragingReport:
 def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
     """Level-order walk of the prefix tree: ``(k, numerators, log_den)``.
 
-    Levels ``0..depth`` come in order.  ``numerators[i] / 2**log_den`` is the
-    value at the length-``k`` string whose bits read ``i``, so the children
-    of entry ``i`` are entries ``2i`` and ``2i + 1`` of the next level.  A
-    counting form with a ``row`` kernel is read a level at a time; any other
-    martingale is evaluated with ``value`` once per node and its row brought
-    to the level's largest log-denominator.  Either way a negative value
-    raises :class:`~martlab.errors.NegativeValue` at the first such node.  A
-    depth past :data:`LEVEL_CAP` raises :class:`~martlab.errors.CapExceeded`
-    before any level is read.
+    Levels ``0..depth`` come in order, each read from the counting form's
+    ``row``.  ``numerators[i] / 2**log_den`` is the value at the length-``k``
+    string whose bits read ``i``, so the children of entry ``i`` are entries
+    ``2i`` and ``2i + 1`` of the next level.  A negative value raises
+    :class:`~martlab.errors.NegativeValue` at the first such node.  A depth
+    past :data:`LEVEL_CAP` raises :class:`~martlab.errors.CapExceeded` before
+    any level is read.
     """
     if depth > LEVEL_CAP:
         raise CapExceeded(f"depth {depth} exceeds enumeration cap {LEVEL_CAP}")
-    row = None if m.ratio is None else m.ratio.row
+    row = _exact(m).row
     for k in range(depth + 1):
-        if row is None:
-            values = [m.value(w) for w in all_strings(k)]
-            log_den = max(v.log_den for v in values)
-            nums = [v.num << (log_den - v.log_den) for v in values]
-        else:
-            nums, log_den = row(k)
-            if min(nums) < 0:
-                i = next(i for i, v in enumerate(nums) if v < 0)
-                w = BitString.from_int(i, k)
-                raise NegativeValue(
-                    f"negative value {Dyadic(nums[i], log_den)} at {w!r}"
-                )
+        nums, log_den = row(k)
+        if min(nums) < 0:
+            i = next(i for i, v in enumerate(nums) if v < 0)
+            w = BitString.from_int(i, k)
+            raise NegativeValue(f"negative value {Dyadic(nums[i], log_den)} at {w!r}")
         yield k, nums, log_den
 
 
@@ -352,26 +354,17 @@ def diagonalize(m: Martingale, N: int) -> BitString:
     """The length-``N`` prefix that the martingale cannot grow on.
 
     Each next bit is 1 exactly when the 1-child value is strictly smaller;
-    ties go to 0.  The value trace along the result is non-increasing.  A
-    form with a path kernel is walked once, each bit picked by comparing
-    the two children's numerators; any other is evaluated at both children
-    of every prefix.
+    ties go to 0.  The value trace along the result is non-increasing.  The
+    form's path kernel is walked once, each bit picked by comparing the two
+    children's numerators.
     """
-    kernel = None if m.ratio is None else m.ratio.path
-    if kernel is None:
-        w = EMPTY
-        for _ in range(N):
-            zero_value = m.value(w.append(0))
-            one_value = m.value(w.append(1))
-            w = w.append(1 if one_value < zero_value else 0)
-        return w
     bits = []
 
     def pick(zero: int, one: int) -> int:
         bits.append(1 if one < zero else 0)
         return bits[-1]
 
-    for _ in kernel(N, pick):
+    for _ in _exact(m).path(N, pick):
         pass
     return BitString(bits)
 

@@ -31,6 +31,7 @@ from martlab.martingale import (
     AveragingReport,
     AveragingViolation,
     DimensionReport,
+    Martingale,
     SuccessReport,
 )
 
@@ -51,6 +52,23 @@ def levels(
         if k:
             nodes = [w.append(b) for w in nodes for b in (0, 1)]
         yield nodes, [value(w) for w in nodes]
+
+
+def tabled(value: Callable[[BitString], Dyadic], depth: int, **kwargs) -> Martingale:
+    """The martingale taking ``value(w)`` at every string ``w`` of length at
+    most ``depth``, read from a table of rows: level ``k`` holds each value
+    over the level's largest log-denominator.  ``kwargs`` go to
+    ``Martingale.from_ratio``."""
+    rows = []
+    for _, values in levels(value, depth):
+        log_den = max(v.log_den for v in values)
+        rows.append(([v.num << (log_den - v.log_den) for v in values], log_den))
+    return Martingale.from_ratio(
+        lambda w: rows[len(w)][0][w.to_int()],
+        lambda w: rows[len(w)][1],
+        rows.__getitem__,
+        **kwargs,
+    )
 
 
 def averaging_report(

@@ -166,6 +166,25 @@ def test_cache_names_spell_out_their_keys(tmp_path):
 
 
 @pytest.mark.parametrize("table", TABLES)
+def test_only_a_miss_creates_the_directory(tmp_path, monkeypatch, table):
+    params = TABLES[table][3]
+    cache_dir = tmp_path / "cache"
+    made = []
+    real_mkdir = pathlib.Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "mkdir", counted)
+    assert _cached(table, params, cache_dir) == _fresh(table)
+    assert made == [cache_dir]
+    made.clear()
+    assert _cached(table, params, cache_dir) == _fresh(table)
+    assert made == []
+
+
+@pytest.mark.parametrize("table", TABLES)
 def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, table):
     params = TABLES[table][3]
     real_write = pathlib.Path.write_bytes

@@ -30,9 +30,10 @@ from martlab.errors import (
     CapitalBoundViolation,
     DegenerateFamily,
     ModulusViolation,
+    NegativeValue,
 )
 from martlab.golden import build_figure
-from martlab.martingale import Martingale, verify_averaging
+from martlab.martingale import Martingale, RatioForm, verify_averaging
 
 
 def geometric_family():
@@ -366,6 +367,84 @@ def test_transform_out_of_band_raises():
 
     with pytest.raises(ApproximatorOutOfBand):
         approx_supermartingale(m.ratio, h, 3).exact_value(EMPTY)
+
+
+def _table_form(table: dict, n: int) -> RatioForm:
+    """The counting form ``table[w] / 2**(n - |w|)`` to level ``n``."""
+    return RatioForm(
+        lambda w: table[str(w)],
+        lambda w: n - len(w),
+        lambda k: ([table[str(w)] for w in all_strings(k)], n - k),
+    )
+
+
+def _out_of_band(f):
+    return lambda x: 3 * f(x) + 1 if str(x) in ("1", "01") else f(x)
+
+
+def _negative_h(f):
+    return lambda x: -1 if str(x) in ("10", "011") else f(x)
+
+
+# (form, h from the form's numerator, first bad node, error, message)
+TRANSFORM_FAILURES = {
+    "out-of-band": (
+        lambda: exact_subset_form(3, seed=5).ratio, _out_of_band, "1",
+        ApproximatorOutOfBand, "h(BitString('1')) = {h} outside "
+        "[(1-1/3) f, (1+1/3) f] for f = {f}",
+    ),
+    "negative-h": (
+        lambda: exact_subset_form(3, seed=5).ratio, _negative_h, "10",
+        NegativeValue, "approximation transform needs nonnegative counts "
+        "at BitString('10')",
+    ),
+    "negative-f": (
+        lambda: _table_form({str(w): 1 - 2 * (str(w) == "01")
+                             for k in range(4) for w in all_strings(k)}, 3),
+        lambda f: lambda x: 1, "01",
+        NegativeValue, "approximation transform needs nonnegative counts "
+        "at BitString('01')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRANSFORM_FAILURES)
+def test_transform_fails_at_its_first_bad_node(case):
+    build, approximator, bad, error, message = TRANSFORM_FAILURES[case]
+    form = build()
+    calls = []
+
+    def h(x):
+        calls.append(str(x))
+        return approximator(form.numerator)(x)
+
+    result = approx_supermartingale(form, h, 3)
+    with pytest.raises(error) as raised:
+        result.verify_averaging_exact(5)
+    x = BitString(bad)
+    hx = approximator(form.numerator)(x)
+    assert str(raised.value) == message.format(h=hx, f=form.numerator(x))
+    # h was asked about each node in level then index order, up to the bad one
+    order = [str(w) for k in range(4) for w in all_strings(k)]
+    assert calls == order[: order.index(bad) + 1]
+
+
+@pytest.mark.parametrize("depth", [0, 2, 3, 5])
+def test_transform_calls_h_once_per_node(depth):
+    m = exact_subset_form(3, seed=7)
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return m.ratio.numerator(x)
+
+    result = approx_supermartingale(m.ratio, h, 3)
+    assert result.verify_averaging_exact(depth) == []
+    nodes = [w for k in range(min(depth, 3) + 1) for w in all_strings(k)]
+    assert calls == nodes
+    for w in nodes:  # the exact values read the same approximations
+        result.exact_value(w)
+    assert calls == nodes
 
 
 def test_transform_export_floor_grid():

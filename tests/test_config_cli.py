@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import node_walk
 from martlab.cli import build_parser, main
 from martlab.config import (
     build_certify,
@@ -15,7 +16,6 @@ from martlab.config import (
 )
 from martlab.dyadic import ONE, Dyadic
 from martlab.errors import ConfigError
-from martlab.martingale import Martingale
 
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -127,7 +127,7 @@ def test_cli_verify_reports_freeze_violation(monkeypatch, capsys):
 
     values = {"": ONE, "0": ONE, "1": ONE, "00": Dyadic(1, 1),
               "01": Dyadic(3, 1), "10": ONE, "11": ONE}
-    unfrozen = Martingale.from_exact(lambda w: values[str(w)], freeze_depth=1)
+    unfrozen = node_walk.tabled(lambda w: values[str(w)], 2, freeze_depth=1)
     monkeypatch.setattr(cli, "_config_construction", lambda args: unfrozen)
     assert main(["verify", "--config", "unused.json", "--depth", "2"]) == 1
     out = capsys.readouterr().out

@@ -36,8 +36,9 @@ def marked():
     return LanguageView.from_indices([1, 3], horizon=16)
 
 
-def table_martingale(values: dict) -> Martingale:
-    return Martingale.from_exact(lambda w: values[str(w)])
+def table_martingale(values: dict, **kwargs) -> Martingale:
+    depth = max(map(len, values))
+    return node_walk.tabled(lambda w: values[str(w)], depth, **kwargs)
 
 
 def test_averaging_pass_on_figure_cover():
@@ -122,7 +123,7 @@ def test_averaging_violations_in_level_then_lex_order():
 def test_freeze_violation_reported():
     values = {"": ONE, "0": ONE, "1": ONE, "00": Dyadic(1, 1),
               "01": Dyadic(3, 1), "10": ONE, "11": ONE}
-    m = Martingale.from_exact(lambda w: values[str(w)], freeze_depth=1)
+    m = table_martingale(values, freeze_depth=1)
     report = verify_averaging(m, 2)
     assert report.passed  # the averaging law itself holds
     assert report.freeze_depth == 1
@@ -133,18 +134,17 @@ def test_freeze_violation_reported():
 
 
 def test_supermartingale_relaxation():
-    strict = Martingale.from_exact(
-        lambda w: Dyadic.pow2(-len(w)), supermartingale=True
-    )
+    def halving(w):
+        return Dyadic.pow2(-len(w))
+
+    strict = node_walk.tabled(halving, 4, supermartingale=True)
     assert verify_averaging(strict, 4).passed
-    as_martingale = Martingale.from_exact(lambda w: Dyadic.pow2(-len(w)))
+    as_martingale = node_walk.tabled(halving, 4)
     assert not verify_averaging(as_martingale, 4).passed
 
 
 def test_negative_value_rejected():
-    bad = Martingale.from_exact(
-        lambda w: Dyadic(-1) if len(w) == 2 else ONE
-    )
+    bad = node_walk.tabled(lambda w: Dyadic(-1) if len(w) == 2 else ONE, 2)
     with pytest.raises(NegativeValue):
         bad.value(BitString("00"))
 

@@ -10,11 +10,12 @@ the same message after the same prefixes.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import node_walk
-from martlab.cantor import BitString, LanguageView
+from martlab.cantor import BitString, LanguageView, all_strings
 from martlab.constructions import (
     AcceptanceSpec,
     acceptance_martingale,
@@ -34,9 +35,6 @@ from martlab.martingale import (
     success_scan,
 )
 from test_row_kernels import KINDS, _language
-
-# the kinds that sum or scale other martingales have no path kernel
-FALLBACK_KINDS = {"sum-scale", "family-sum"}
 
 # the acceptance and bi-immunity languages stop at index 64
 LENGTHS = (0, 1, 9, 33, 64)
@@ -62,7 +60,6 @@ def test_path_matches_value_per_prefix(kind, census2, budget):
     for seed in range(3):
         rnd = random.Random(seed)
         m = KINDS[kind][0](rnd, census2, budget)
-        assert (m.ratio.path is None) == (kind in FALLBACK_KINDS)
         for n in LENGTHS:  # past every kind's freeze depth
             S = _sequence(rnd, n)
             expected = [m.value(S.prefix(k)) for k in range(n + 1)]
@@ -179,7 +176,10 @@ def test_negative_kernel_value_raises_as_value_does():
                 pick(0, 0)
 
     m = Martingale.from_ratio(
-        lambda w: nums[len(w)], lambda w: len(w), path=path
+        lambda w: nums[len(w)],
+        lambda w: len(w),
+        lambda k: ([nums[k]] * (1 << k), k),
+        path=path,
     )
     S = BitString("111")
     twin = _until_raised(m.value(S.prefix(n)) for n in range(4))
@@ -187,28 +187,46 @@ def test_negative_kernel_value_raises_as_value_does():
     assert _until_raised(Dyadic(*p) for p in m.path(S)) == twin
 
 
-# a path kernel may evaluate a few nodes through value; the per-prefix
-# fallback evaluates every prefix, 65 here
-FEW_VALUE_CALLS = 2
+def test_node_kernel_compares_children_over_their_larger_denominator():
+    """A node form kept in lowest terms gives the two children of a prefix
+    different log-denominators; the node kernel brings them to the larger
+    before it picks."""
+    rnd = random.Random(61)
+    for _ in range(50):
+        table = {str(w): Dyadic(rnd.randrange(6), rnd.randrange(4))
+                 for k in range(6) for w in all_strings(k)}
+
+        def value(w, t=table):
+            return t[str(w)]
+
+        m = Martingale.from_ratio(
+            lambda w: value(w).num,
+            lambda w: value(w).log_den,
+            node_walk.tabled(value, 5).ratio.row,
+        )
+        assert _diagonal_trace(m, 5) == node_walk.diagonalize(m.value, 5)
 
 
-def _counted_value(monkeypatch) -> list:
-    calls = []
-    value = Martingale.value
+# a path kernel may evaluate a few nodes through the node form; the node
+# kernel evaluates every prefix, 65 here, and each prefix's sibling
+FEW_NODE_CALLS = 2
 
-    def counted(self, w):
+
+def _counted_nodes(m: Martingale, calls: list) -> Martingale:
+    """``m`` with its kernels, but a node form that records each string."""
+
+    def numerator(w):
         calls.append(w)
-        return value(self, w)
+        return m.ratio.numerator(w)
 
-    monkeypatch.setattr(Martingale, "value", counted)
-    return calls
+    return replace(m, ratio=replace(m.ratio, numerator=numerator))
 
 
 @pytest.mark.parametrize("kind", ["acceptance", "gap-acceptance", "biimmunity"])
-def test_product_scans_do_not_fall_back_to_value(kind, monkeypatch):
-    m = KINDS[kind][0](random.Random(0), None, None)
+def test_product_scans_do_not_fall_back_to_value(kind):
+    calls = []
+    m = _counted_nodes(KINDS[kind][0](random.Random(0), None, None), calls)
     S = _sequence(random.Random(1), 64)
-    calls = _counted_value(monkeypatch)
     for scan in (
         lambda: success_scan(m, S, Dyadic(1, 1)),
         lambda: empirical_dimension(m, S),
@@ -216,9 +234,9 @@ def test_product_scans_do_not_fall_back_to_value(kind, monkeypatch):
     ):
         calls.clear()
         scan()
-        assert len(calls) <= FEW_VALUE_CALLS, (kind, len(calls))
+        assert len(calls) <= FEW_NODE_CALLS, (kind, len(calls))
     # the guard sees a form whose kernel is gone
-    bare = Martingale.from_ratio(m.ratio.numerator, m.ratio.log_denominator)
+    bare = Martingale.from_ratio(m.ratio.numerator, m.ratio.log_denominator, m.ratio.row)
     calls.clear()
     success_scan(bare, S, Dyadic(1, 1))
-    assert len(calls) == len(S) + 1
+    assert len([w for w in calls if w.is_prefix_of(S)]) == len(S) + 1

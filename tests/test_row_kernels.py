@@ -160,6 +160,37 @@ def test_meta_is_the_construction_kind(kind, census2, budget):
     assert m.meta == {"construction": META_KIND.get(kind, kind)}
 
 
+# KINDS and the package's other producers of a counting form: a constant,
+# a scaling up (sum-scale scales down) and the transform's scaled form
+FORMS = {
+    **{kind: build for kind, (build, _) in KINDS.items()},
+    "constant": lambda rnd, c, b: Martingale.constant(Dyadic(5, 3)),
+    "scale-up": lambda rnd, c, b: scale_pow2(
+        condexp_martingale(lambda x: x.count_ones(), 3), 2),
+    "approx": lambda rnd, c, b: _approx_scaled(rnd),
+}
+
+
+def _approx_scaled(rnd) -> Martingale:
+    form = cover_martingale(Cover.from_members(_members(rnd, 4), 4)).ratio
+
+    def h(x):
+        return form.numerator(x) + rnd.choice([-1, 0, 1]) * (form.numerator(x) // 4)
+
+    return approx_supermartingale(form, h, 4).scaled
+
+
+@pytest.mark.parametrize("kind", FORMS)
+def test_row_entries_are_the_node_form(kind, census2, budget):
+    """Row ``k`` holds ``numerator`` of each length-``k`` string in index
+    order, over every such string's ``log_denominator``."""
+    m = FORMS[kind](random.Random(0), census2, budget)
+    for k in range(7):
+        nums, log_den = m.ratio.row(k)
+        assert nums == [m.ratio.numerator(w) for w in all_strings(k)], (kind, k)
+        assert {m.ratio.log_denominator(w) for w in all_strings(k)} == {log_den}
+
+
 def test_meta_of_the_scaled_and_approximate_forms():
     m = condexp_martingale(lambda x: x.count_ones(), 4)
     assert scale_pow2(m, 3).meta == {"construction": "condexp"}
@@ -167,14 +198,13 @@ def test_meta_of_the_scaled_and_approximate_forms():
     assert approx.martingale.meta == {"construction": "approx-supermartingale"}
 
 
-def _tabled(rows, log_dens, freeze_depth=None, supermartingale=False):
-    """A martingale read from a table of rows, per node and per row."""
-    return Martingale.from_ratio(
-        lambda w: rows[len(w)][w.to_int()],
-        lambda w: log_dens[len(w)],
-        freeze_depth=freeze_depth,
-        supermartingale=supermartingale,
-        row=lambda k: (rows[k], log_dens[k]),
+def _tabled(rows, log_dens, **kwargs):
+    """The martingale taking ``rows[k][i] / 2**log_dens[k]`` at the ``i``-th
+    length-``k`` string."""
+    return node_walk.tabled(
+        lambda w: Dyadic(rows[len(w)][w.to_int()], log_dens[len(w)]),
+        len(rows) - 1,
+        **kwargs,
     )
 
 
@@ -235,22 +265,35 @@ def test_random_tables_match_the_twin():
         log_dens = [rnd.randrange(0, 6) for _ in range(depth + 2)]
         rows = [[rnd.randrange(4) for _ in range(1 << k)] for k in range(depth + 2)]
         freeze = rnd.choice([None, rnd.randrange(depth + 2)])
-        m = _tabled(rows, log_dens, freeze, rnd.random() < 0.5)
+        m = _tabled(
+            rows, log_dens, freeze_depth=freeze, supermartingale=rnd.random() < 0.5
+        )
         assert_same_as_twin(m, depth)
 
 
-def test_random_per_node_values_match_the_twin():
-    """The fallback brings a level's mixed denominators to its largest."""
+def test_sums_of_mixed_denominators_match_the_twin():
+    """Sums and scalings bring their members' rows to the largest
+    log-denominator: a level-3 cover's ``2**(3-k)`` against a ``q = 2``
+    acceptance martingale's ``2**(2k)``."""
     rnd = random.Random(61)
-    for _ in range(100):
-        depth = rnd.randrange(0, 5)
-        table = {
-            str(w): Dyadic(rnd.randrange(6), rnd.randrange(4))
-            for k in range(depth + 1)
-            for w in all_strings(k)
-        }
-        m = Martingale.from_exact(lambda w, t=table: t[str(w)])
-        assert_same_as_twin(m, depth)
+    for _ in range(10):
+        cover = cover_martingale(Cover.from_members(_members(rnd, 3), 3))
+        spec = AcceptanceSpec.biased(_language(rnd, 64), rnd.randrange(5), 2)
+        accept = acceptance_martingale(spec)
+        k = rnd.randrange(-3, 4)
+        fam = MartingaleFamily(
+            [cover, accept, scale_pow2(accept, k)].__getitem__,
+            lambda n: ONE,
+            "mixed",
+            support_end=3,
+        )
+        for m in (
+            sum_finite(cover, accept),
+            sum_finite(scale_pow2(accept, k), scale_pow2(cover, -k)),
+            scale_pow2(sum_finite(accept, cover), k),
+            aggregate_martingale(fam, geometric_modulus(ONE)),
+        ):
+            assert_same_as_twin(m, 5)
 
 
 def _sup_twin(sup, depth: int) -> list[BitString]:
@@ -270,7 +313,11 @@ def test_approx_verify_matches_the_rational_twin(n):
             # arbitrary counts: the relaxed law fails somewhere
             table = {str(w): rnd.randrange(8) for k in range(n + 1)
                      for w in all_strings(k)}
-            form = RatioForm(lambda w, t=table: t[str(w)], lambda w: n - len(w))
+            form = RatioForm(
+                lambda w, t=table: t[str(w)],
+                lambda w: n - len(w),
+                lambda k, t=table: ([t[str(w)] for w in all_strings(k)], n - k),
+            )
 
         def h(x, f=form.numerator):
             fx = f(x)
