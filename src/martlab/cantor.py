@@ -2,9 +2,10 @@
 
 Strings are ordered by length then lexicographically: the enumeration starts
 with the empty string, then ``0``, ``1``, ``00``, ``01``, and so on.  A
-language is identified with its characteristic sequence under this
-enumeration, so a length-``n`` bit string doubles as the first ``n``
-characteristic bits of a language.
+string is held as its enumeration code ``int("1" + bits, 2)``, its index
+plus one, and text is built only for output.  A language is identified with
+its characteristic sequence under this enumeration, so a length-``n`` bit
+string doubles as the first ``n`` characteristic bits of a language.
 
 Every language here carries an explicit horizon: queries at or past the
 horizon raise :class:`~martlab.errors.HorizonExceeded` instead of being
@@ -31,20 +32,15 @@ __all__ = [
 
 
 class BitString:
-    """An immutable finite sequence of bits."""
+    """An immutable finite sequence of bits, held as its enumeration code."""
 
-    __slots__ = ("_bits",)
-
-    _bits: str
+    __slots__ = ("_code",)
 
     def __init__(self, bits: str | Iterable[int] = ""):
-        if isinstance(bits, str):
-            text = bits
-        else:
-            text = "".join("1" if b else "0" for b in bits)
+        text = bits if isinstance(bits, str) else "".join("1" if b else "0" for b in bits)
         if text.strip("01"):
             raise ValueError(f"not a bit string: {bits!r}")
-        object.__setattr__(self, "_bits", text)
+        _set_code(self, int("1" + text, 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
@@ -52,61 +48,72 @@ class BitString:
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
         """The ``length``-bit string whose bits are ``value`` in binary."""
-        if length == 0:
-            return EMPTY
-        return cls(format(value, f"0{length}b"))
+        if value < 0 or value >> length:
+            raise ValueError(f"{value} is not a {length}-bit value")
+        return _of(1 << length | value)
 
     def to_int(self) -> int:
         """The bits read as a binary number (empty string reads as 0)."""
-        return int(self._bits, 2) if self._bits else 0
+        return self._code ^ (1 << (self._code.bit_length() - 1))
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._code.bit_length() - 1
 
     def __getitem__(self, index) -> int | "BitString":
         if isinstance(index, slice):
-            return BitString(self._bits[index])
-        return int(self._bits[index])
+            return BitString(self.bits()[index])
+        return int(self.bits()[index])
 
     def __iter__(self) -> Iterator[int]:
-        return (int(c) for c in self._bits)
+        return map(int, self.bits())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return self._bits == other._bits
+        return self._code == other._code if isinstance(other, BitString) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._bits)
-
-    def __str__(self) -> str:
-        return self._bits
+        return hash(self._code)
 
     def __repr__(self) -> str:
-        return f"BitString({self._bits!r})"
+        return f"BitString({self.bits()!r})"
 
     def append(self, bit: int) -> "BitString":
-        return BitString(self._bits + ("1" if bit else "0"))
+        return _of(self._code << 1 | (1 if bit else 0))
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString(self._bits + other._bits)
+        return _of(((self._code - 1) << len(other)) + other._code)
 
     def prefix(self, n: int) -> "BitString":
-        return BitString(self._bits[:n])
+        """The first ``n`` bits: the string itself when ``n >= len``."""
+        if n < 0:
+            raise ValueError(f"prefix length {n} is negative")
+        drop = len(self) - n
+        return self if drop <= 0 else _of(self._code >> drop)
 
     def is_prefix_of(self, other: "BitString") -> bool:
-        return other._bits.startswith(self._bits)
+        drop = len(other) - len(self)
+        return drop >= 0 and other._code >> drop == self._code
 
     def count_ones(self) -> int:
-        return self._bits.count("1")
+        return self._code.bit_count() - 1
 
     def bits(self) -> str:
-        return self._bits
+        return format(self._code, "b")[1:]
+
+    __str__ = bits
 
 
-EMPTY = BitString("")
+_new, _set_code = object.__new__, BitString._code.__set__  # __setattr__ refuses writes
+
+
+def _of(code: int) -> BitString:
+    s = _new(BitString)  # code is positive: the string's index plus one
+    _set_code(s, code)
+    return s
+
+
+EMPTY = _of(1)
 
 MASK_CAP = 1 << 24  # a language mask holds one bit per string to its last member
 
@@ -115,20 +122,17 @@ def string_index(i: int) -> BitString:
     """The ``i``-th string in the length-lexicographic enumeration."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    length = (i + 1).bit_length() - 1
-    offset = i + 1 - (1 << length)
-    return BitString.from_int(offset, length)
+    return _of(i + 1)
 
 
 def index_of(s: BitString) -> int:
     """Inverse of :func:`string_index`."""
-    return (1 << len(s)) - 1 + s.to_int()
+    return s._code - 1
 
 
 def all_strings(length: int) -> Iterator[BitString]:
     """All bit strings of exactly the given length, lexicographically."""
-    for v in range(1 << length):
-        yield BitString.from_int(v, length)
+    return map(_of, range(1 << length, 2 << length))
 
 
 class LanguageView:
@@ -207,9 +211,7 @@ def census(language: LanguageView, n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > language.horizon:
-        raise HorizonExceeded(
-            f"census at {n} is past horizon {language.horizon}"
-        )
+        raise HorizonExceeded(f"census at {n} is past horizon {language.horizon}")
     return (language._mask & ((1 << n) - 1)).bit_count()
 
 
@@ -221,9 +223,7 @@ def language_of(w: BitString) -> LanguageView:
 def char_prefix(language: LanguageView, n: int) -> BitString:
     """First ``n`` bits of the language's characteristic sequence."""
     if n > language.horizon:
-        raise HorizonExceeded(
-            f"prefix of length {n} is past horizon {language.horizon}"
-        )
+        raise HorizonExceeded(f"prefix of length {n} is past horizon {language.horizon}")
     # the bit above the first n keeps their leading zeros; dropped on reversal
     top = 1 << max(n, 0)
     return BitString(format(language._mask & (top - 1) | top, "b")[:0:-1])

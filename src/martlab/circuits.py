@@ -346,7 +346,7 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
 
     def count(w: BitString) -> int:
         # the tables whose low k rows are w's k table bits v: masks v + j 2**k
-        fixed = w[table_start:].bits()
+        fixed = w.bits()[table_start:]
         v = int(fixed[::-1], 2) if fixed else 0
         tables = _at_most(census.sizes[v :: 1 << len(fixed)], s)
         return tables << max(0, table_start - len(w))
@@ -357,10 +357,12 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
 def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     """Witness-cube form of the circuit-size decision.
 
-    A witness packs an op-count header, that many 2-bit opcodes, one ref
-    per push opcode, and mandatory zero padding, so each small stack
-    program is exactly one witness.  The input is the ``2**n``-bit truth
-    table itself, and a witness's image is the table its program computes.
+    A witness packs, most significant bit first, an op-count header, that
+    many 2-bit opcodes, one ref per push opcode, and mandatory zero
+    padding, so each small stack program is exactly one witness; it is
+    decoded by shifts and masks.  The input is the ``2**n``-bit truth table
+    itself, and a witness's image is the index of the table its program
+    computes.
     Only tiny (n, s) fit under the witness cap; the relation exists to
     cross-check the census, not to replace it.
     """
@@ -370,28 +372,32 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     width = machine.ref_width(n)
     total = header_bits + 2 * max_ops + width * max_push
 
-    def image(rows: int, y: BitString) -> BitString | None:
+    body = total - header_bits
+    push = int(machine.PUSH, 2)
+    gates = {int(code, 2): op for code, op in machine.GATES.items()}
+
+    def image(rows: int, y: int) -> int | None:
         if rows != 1 << n:
             raise ValueError(f"input must be a {1 << n}-bit table")
-        bits = y.bits()
-        k = int(bits[:header_bits], 2)
+        k = y >> body
         if not 1 <= k <= max_ops:
             return None
-        codes = [bits[i : i + 2] for i in range(header_bits, header_bits + 2 * k, 2)]
-        pushes = codes.count(machine.PUSH)
+        after_codes = body - 2 * k
+        codes = [y >> (after_codes + 2 * j) & 3 for j in reversed(range(k))]
+        pushes = codes.count(push)
         if pushes > max_push or k - pushes > s:
             return None
-        refs_at = header_bits + 2 * k
-        refs_end = refs_at + width * pushes
-        if "1" in bits[refs_end:]:
+        padding = after_codes - width * pushes
+        if y & ((1 << padding) - 1):
             return None
-        refs = (machine.push_op(n, int(bits[i : i + width], 2))
-                for i in range(refs_at, refs_end, width))
-        ops = [machine.GATES.get(code) or next(refs) for code in codes]
+        refs = (machine.push_op(n, y >> (padding + width * j) & ((1 << width) - 1))
+                for j in reversed(range(pushes)))
+        ops = [gates.get(code) or next(refs) for code in codes]
         if None in ops:
             return None
         mask = machine.table_mask(n, ops)
-        return None if mask is None else TruthTable(n, mask).to_bits()
+        # the input's first bit is row 0, the mask's lowest
+        return None if mask is None else int(format(mask, f"0{rows}b")[::-1], 2)
 
     return WitnessRelation.from_image(
         f"mcsp-witness(n={n},s={s})", lambda _: total, image

@@ -167,8 +167,8 @@ def _term_counts(max_len: int, out_cap: int, step_cap: int) -> list:
     D = [Counter() for _ in range(max(max_len, 0) + 1)]
     for program in _leaves(max_len, out_cap, step_cap):
         result = run(program, step_cap)
-        if result.output is not None:
-            D[len(program)][result.output.bits(), result.steps] += 1
+        if result.text is not None:
+            D[len(program)][result.text, result.steps] += 1
     for length in range(_MIN_TERM, max_len + 1):
         terms = D[length]
         # repeat: 011 gamma(k) body, printing the body k times
@@ -240,7 +240,8 @@ def short_program_counts(
     """How many programs shorter than the bound print each length-``n`` string.
 
     Counts the programs by term length once with budget ``budget(n)``; the
-    result maps bit strings to pair counts (strings absent map to zero).
+    result maps each :class:`BitString` printed to its program count
+    (strings absent map to zero).
     """
     if max_program_len_exclusive - 1 > n + C_LIT:
         raise CapExceeded(
@@ -251,7 +252,7 @@ def short_program_counts(
         for (out, _), count in level.items():
             if len(out) == n:
                 counts[out] = counts.get(out, 0) + count
-    return counts
+    return {BitString(out): count for out, count in counts.items()}
 
 
 def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
@@ -264,10 +265,7 @@ def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
     bound = n - gap
     counts = short_program_counts(n, bound, budget) if bound >= 1 else {}
 
-    def pair_count(x: BitString) -> int:
-        return counts.get(x.bits(), 0)
-
-    m = condexp_martingale(pair_count, n)
+    m = condexp_martingale(lambda x: counts.get(x, 0), n)
     return replace(m, meta={"construction": "kt-cover"})
 
 
@@ -305,16 +303,18 @@ def kolmogorov_witness_relation(
     header = max(1, max_program_len.bit_length())
     total = header + max_program_len
 
-    def image(n: int, y: BitString) -> BitString | None:
-        bits = y.bits()
-        length = int(bits[:header], 2)
+    def image(n: int, y: int) -> int | None:
+        length = y >> max_program_len  # the header
         if not 1 <= length <= max_program_len:
             return None
-        program = bits[header : header + length]
-        if "1" in bits[header + length :]:
+        pad = max_program_len - length
+        if y & ((1 << pad) - 1):
             return None
-        output = run(program, budget(n)).output
-        return output if output is not None and len(output) == n else None
+        program = format(y >> pad & ((1 << length) - 1), f"0{length}b")
+        output = run(program, budget(n)).text
+        if output is None or len(output) != n:
+            return None
+        return int(output, 2) if n else 0
 
     return WitnessRelation.from_image(
         f"short-program(<{max_program_len + 1} bits)", lambda _: total, image

@@ -104,12 +104,18 @@ def pairing_budget(t: BudgetPoly) -> BudgetPoly:
 
 @dataclass(frozen=True)
 class RunResult:
-    output: BitString | None
+    """A run's printed bits as text, ``None`` when it diverged, and its steps."""
+
+    text: str | None
     steps: int
 
     @property
+    def output(self) -> BitString | None:
+        return None if self.text is None else BitString(self.text)
+
+    @property
     def diverged(self) -> bool:
-        return self.output is None
+        return self.text is None
 
 
 class _Diverge(Exception):
@@ -229,7 +235,7 @@ def run(program: BitString | str, budget: int) -> RunResult:
             return RunResult(None, runner.steps)
     except _Diverge:
         return RunResult(None, min(runner.steps, budget))
-    return RunResult(BitString("".join(runner.out)), runner.steps)
+    return RunResult("".join(runner.out), runner.steps)
 
 
 def gamma_bits(m: int) -> str:

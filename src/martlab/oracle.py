@@ -1,11 +1,14 @@
 """Desk-scale counting oracles: witness relations evaluated by enumeration.
 
 A :class:`WitnessRelation` stands in for a nondeterministic machine: its
-computation paths are the full witness cube of a declared length, and
+computation paths are the full witness cube of a declared width ``k``, and
 ``accepts(n, y)`` names the length-``n`` inputs that witness ``y`` accepts.
-:func:`level_counts` gives every input of a length its accepting-path count
-from one pass over the cube; every relation cover decides its leaves from
-those counts.
+A witness is its ``k``-bit int and an input its index among the strings of
+its length, both read most significant bit first, which is their text
+order.  :func:`level_counts` gives every input of a length its
+accepting-path count from one pass over the cube, building no
+:class:`~martlab.cantor.BitString`; every relation cover decides its leaves
+from those counts.
 
 Enumeration is exhaustive and capped at ``WITNESS_CAP`` witness bits, so
 every count stays exact and fast.
@@ -35,29 +38,30 @@ WITNESS_CAP = 22
 class WitnessRelation:
     """A finitely described witness relation.
 
-    ``witness_length`` maps input length to the witness-cube width;
-    ``accepts(n, y)`` gives the indices of the length-``n`` inputs the
-    witness ``y`` accepts, each once, and must be deterministic and total on
-    its domain.
+    ``witness_length`` maps input length to the witness-cube width ``k``;
+    ``accepts(n, y)`` takes the witness as its ``k``-bit int ``y``, most
+    significant bit first, and gives the indices of the length-``n`` inputs
+    it accepts, each once.  It must be deterministic and total on its
+    domain.
     """
 
     name: str
     witness_length: Callable[[int], int]
-    accepts: Callable[[int, BitString], Iterable[int]]
+    accepts: Callable[[int, int], Iterable[int]]
 
     @classmethod
     def from_image(
         cls,
         name: str,
         witness_length: Callable[[int], int],
-        image: Callable[[int, BitString], BitString | None],
+        image: Callable[[int, int], int | None],
     ) -> "WitnessRelation":
         """The relation whose witness ``y`` accepts the one length-``n``
-        input ``image(n, y)``, or none where that is ``None``."""
+        input of index ``image(n, y)``, or none where that is ``None``."""
 
-        def accepts(n: int, y: BitString) -> tuple[int, ...]:
+        def accepts(n: int, y: int) -> tuple[int, ...]:
             x = image(n, y)
-            return () if x is None else (x.to_int(),)
+            return () if x is None else (x,)
 
         return cls(name, witness_length, accepts)
 
@@ -75,9 +79,9 @@ def level_counts(rel: WitnessRelation, n: int) -> list[int]:
         raise CapExceeded(
             f"{rel.name}: witness length {k} exceeds cap {WITNESS_CAP} on |x|={n}"
         )
-    counts = [0] * (1 << n)
-    for v in range(1 << k):
-        for i in rel.accepts(n, BitString.from_int(v, k)):
+    counts, accepts = [0] * (1 << n), rel.accepts
+    for y in range(1 << k):
+        for i in accepts(n, y):
             counts[i] += 1
     return counts
 
@@ -114,10 +118,10 @@ def sat_relation(num_vars: int) -> WitnessRelation:
     """
     rows = 1 << num_vars
 
-    def accepts(n: int, y: BitString) -> list[int]:
+    def accepts(n: int, y: int) -> list[int]:
         if n != rows:
             raise ValueError(f"input length {n} != 2**{num_vars} truth-table rows")
-        bit = 1 << (rows - 1 - y.to_int())  # row y is the table's y-th bit
+        bit = 1 << (rows - 1 - y)  # row y is the table's y-th bit
         return [i for i in range(1 << rows) if i & bit]
 
     return WitnessRelation(

@@ -51,7 +51,7 @@ def brute_program_counts(n, max_program_len_exclusive, budget):
     for program in _programs(max_program_len_exclusive - 1):
         out = run(program, budget(n)).output
         if out is not None and len(out) == n:
-            counts[out.bits()] = counts.get(out.bits(), 0) + 1
+            counts[out] = counts.get(out, 0) + 1
     return counts
 
 
@@ -224,8 +224,8 @@ def test_kt_cover_leaf_counts_programs(kt_table_10, budget):
     n = 10
     counts = short_program_counts(n, n, budget)
     m = kt_cover_martingale(n, 0, budget)
-    for bits, expected in counts.items():
-        assert m.value(BitString(bits)) == Dyadic(expected)
+    for x, expected in counts.items():
+        assert m.value(x) == Dyadic(expected)
 
 
 def test_k_rate_on_zeros(kt_table_10):

@@ -116,7 +116,7 @@ def test_mode_laws(table_bits, x_val):
     # the oracle's form of the same relation: every witness whose table bit
     # is set accepts every input
     accepts = WitnessRelation("table", lambda n: 3,
-                              lambda n, y: range(1 << n) if table[y.to_int()] else ())
+                              lambda n, y: range(1 << n) if table[y] else ())
     assert count(accepts, x) == witnesses
 
 

@@ -1,11 +1,13 @@
 """Relations and what their witnesses accept: the image contract, the level
 counts of every built-in relation and the covers they decide, each against
-the per-input twin in ``relations_v1``."""
+the per-input twin in ``relations_v1``.  A relation takes each witness as
+its int; the twin's verifiers take it as a ``BitString``, converted here."""
 
 import functools
 
 import pytest
 
+from martlab import cantor
 from martlab.cantor import BitString, all_strings
 from martlab.circuits import mcsp_witness_relation
 from martlab.constructions import Cover
@@ -32,8 +34,10 @@ EXPLICIT_SETS = [("", "1", "01", "10", "11", "010", "111"), ("",), ()]
 
 
 def _witnesses(rel, n):
+    """Each witness of the level's cube: its int, and its ``BitString`` for
+    the twin's verifiers."""
     k = rel.witness_length(n)
-    return [BitString.from_int(v, k) for v in range(1 << k)]
+    return [(y, BitString.from_int(y, k)) for y in range(1 << k)]
 
 
 def _accepted(rel, n, y) -> list[int]:
@@ -49,11 +53,11 @@ def test_mcsp_image_matches_the_verify_it_replaced(n, s):
     rel = mcsp_witness_relation(n, s)
     verify_v1 = relations_v1.mcsp_verify(n, s)
     tables = list(all_strings(1 << n))
-    for y in _witnesses(rel, 1 << n):
+    for y, y_bits in _witnesses(rel, 1 << n):
         accepted = _accepted(rel, 1 << n, y)
         assert len(accepted) <= 1
         for x in tables:
-            assert verify_v1(x, y) == (x.to_int() in accepted), (x, y)
+            assert verify_v1(x, y_bits) == (x.to_int() in accepted), (x, y_bits)
 
 
 @pytest.mark.parametrize("max_len, budget", SHORT_PROGRAMS, ids=str)
@@ -62,18 +66,17 @@ def test_short_program_image_matches_the_verify_it_replaced(max_len, budget):
     verify_v1 = relations_v1.short_program_verify(max_len, budget)
     for n in range(7):
         strings = list(all_strings(n))
-        for y in _witnesses(rel, n):
+        for y, y_bits in _witnesses(rel, n):
             accepted = _accepted(rel, n, y)
             assert len(accepted) <= 1
             for x in strings:
-                assert verify_v1(x, y) == (x.to_int() in accepted), (x, y)
+                assert verify_v1(x, y_bits) == (x.to_int() in accepted), (x, y_bits)
 
 
 def test_mcsp_image_rejects_a_wrong_length():
     rel = mcsp_witness_relation(1, 0)
-    y = BitString.from_int(0, rel.witness_length(2))
     with pytest.raises(ValueError, match="input must be a 2-bit table"):
-        rel.accepts(3, y)
+        rel.accepts(3, 0)
     with pytest.raises(ValueError, match="input must be a 2-bit table"):
         count(rel, BitString("010"))
 
@@ -120,10 +123,10 @@ def test_sat_and_explicit_accepts_match_the_verify_they_replaced():
     for key, n in SAT_LEVELS + EXPLICIT_LEVELS:
         rel = _relation(*key)
         verify_v1 = _VERIFY[key[0]](*key[1:])
-        for y in _witnesses(rel, n):
+        for y, y_bits in _witnesses(rel, n):
             accepted = _accepted(rel, n, y)
             for x in all_strings(n):
-                assert verify_v1(x, y) == (x.to_int() in accepted), (key, x, y)
+                assert verify_v1(x, y_bits) == (x.to_int() in accepted), (key, x, y_bits)
 
 
 def test_level_counts_match_per_input_counts():
@@ -204,9 +207,9 @@ def test_image_cover_matches_per_input_twin(decide):
 def test_image_cover_sweeps_the_cube_once_at_its_first_query():
     calls = []
 
-    def image(n, y):  # witness v accepts the input v mod 2**n
+    def image(n, y):  # witness y accepts the input y mod 2**n
         calls.append(y)
-        return BitString.from_int(y.to_int() % (1 << n), n)
+        return y % (1 << n)
 
     rel = WitnessRelation.from_image("mod", lambda n: n + 1, image)
     cover = Cover.from_relation(rel, 3)
@@ -233,7 +236,28 @@ def test_level_counts_ask_each_witness_once():
 
         counted = WitnessRelation(rel.name, rel.witness_length, accepts)
         assert level_counts(counted, n) == level_counts(rel, n)
-        assert asked == _witnesses(rel, n), key
+        assert asked == list(range(1 << rel.witness_length(n))), key
+
+
+def test_level_counts_build_no_bitstring(monkeypatch):
+    # every BitString, from text or from its code, gets its code set once
+    relations = [_relation(*key) for key in (("sat", 3), ("explicit", "01", "10"),
+                                             ("mcsp", 2, 1), ("short", 6, BUDGETS[2]))]
+    built = []
+    set_code = cantor._set_code
+
+    def counting(s, code):
+        built.append(code)
+        set_code(s, code)
+
+    monkeypatch.setattr(cantor, "_set_code", counting)
+    assert [BitString("01"), cantor.string_index(4), BitString.from_int(1, 2)] == [
+        BitString.from_int(1, 2)] * 3
+    assert len(built) == 4
+    built.clear()
+    for rel, n in zip(relations, (8, 2, 4, 1)):
+        assert sum(level_counts(rel, n)) > 0, rel.name
+    assert built == []
 
 
 def test_explicit_relation_counts_a_repeated_member_once():
