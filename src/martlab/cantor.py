@@ -14,7 +14,8 @@ answered silently.  All objects are immutable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, HorizonExceeded
 
@@ -25,6 +26,7 @@ __all__ = [
     "string_index",
     "index_of",
     "all_strings",
+    "level_names",
     "census",
     "language_of",
     "char_prefix",
@@ -133,6 +135,32 @@ def index_of(s: BitString) -> int:
 def all_strings(length: int) -> Iterator[BitString]:
     """All bit strings of exactly the given length, lexicographically."""
     return map(_of, range(1 << length, 2 << length))
+
+
+# a level past this many bits is named in slices of 2**SLICE_BITS strings
+SLICE_BITS = 12
+
+
+@functools.cache
+def _names(k: int) -> tuple[str, ...]:
+    """The bits of every length-``k`` string, ``k <= SLICE_BITS``."""
+    return tuple([w + b for w in _names(k - 1) for b in "01"]) if k else ("",)
+
+
+def level_names(k: int) -> Iterator[Sequence[str]]:
+    """The bits of every length-``k`` string as text, in index order.
+
+    The names come in slices of at most ``2**SLICE_BITS`` strings, so a deep
+    level is never held whole: past ``SLICE_BITS`` bits each slice shares one
+    prefix, concatenated onto every ``SLICE_BITS``-bit suffix.  The names of
+    the levels up to ``SLICE_BITS`` are built once per process.
+    """
+    if k <= SLICE_BITS:
+        yield _names(k)
+        return
+    suffixes = _names(SLICE_BITS)
+    for p in _names(k - SLICE_BITS):
+        yield [p + s for s in suffixes]
 
 
 class LanguageView:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import cache
-from .cantor import BitString
+from .cantor import BitString, level_names
 from .combinators import sum_family
 from .config import (
     _bits,
@@ -65,7 +65,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {out} ({exc.strerror})", field="--out") from exc
 
@@ -287,9 +287,10 @@ def cmd_kolmogorov(args) -> int:
               f"lengths to {table.length_cap}, {table.count()} strings")
         if args.format == "csv":
             print("string,kt")
-            # bin(i + 1)[3:] is the i-th string, cantor.string_index(i)
-            print("".join(f"{bin(i + 1)[3:]},{value}\n"
-                          for i, value in enumerate(table.kts)
+            # kts is indexed by the enumeration: every level in index order
+            names = (w for k in range(table.length_cap + 1)
+                     for level in level_names(k) for w in level)
+            print("".join(f"{w},{value}\n" for w, value in zip(names, table.kts)
                           if value != NO_PROGRAM), end="")
     return 0
 

@@ -13,7 +13,12 @@ finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
 export over a whole prefix tree reads the ``RatioForm`` rows through
 :func:`levels`, integer numerators over one power of two per level;
 ``BitString`` names and ``Dyadic`` text are built only for the findings and
-the dump lines.  Every check along one path (the success scan, the dimension
+the dump lines.  The CSV, JSON and DOT dumps render a level a slice at a
+time: node names come from :func:`~martlab.cantor.level_names`, at most
+``2**SLICE_BITS`` per slice, each distinct numerator is rendered once, and a
+slice's lines are joined into one string, so no whole deep level of names or
+lines is held.  The JSON dump sorts its rendered lines as text, which is the
+key order of ``json.dumps(..., sort_keys=True)``.  Every check along one path (the success scan, the dimension
 statistics, diagonalization and its trace) reads the ``RatioForm`` path
 kernel through :meth:`Martingale.path`; a ``Dyadic`` is built only for each
 reported value.
@@ -21,13 +26,12 @@ reported value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from operator import add, lt
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .cantor import EMPTY, BitString
+from .cantor import EMPTY, BitString, level_names
 from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import CapExceeded, NegativeValue
 
@@ -253,15 +257,23 @@ def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
         yield k, nums, log_den
 
 
-def _names(k: int) -> list[str]:
-    """The bits of every length-``k`` string, in index order."""
-    return [format(i, f"0{k}b") for i in range(1 << k)] if k else [""]
+def _slices(
+    m: Martingale, depth: int
+) -> Iterator[tuple[int, Sequence[str], list[int], int]]:
+    """Every level of :func:`levels` cut into the slices of
+    :func:`~martlab.cantor.level_names`: ``(k, names, numerators, log_den)``,
+    the numerators of the named strings in index order."""
+    for k, nums, log_den in levels(m, depth):
+        start = 0
+        for names in level_names(k):
+            yield k, names, nums[start:start + len(names)], log_den
+            start += len(names)
 
 
-def _texts(nums: list[int], log_den: int) -> list[str]:
-    """Each ``num / 2**log_den`` rendered as a :class:`Dyadic`, ``p/2**j``."""
-    text = {v: str(Dyadic(v, log_den)) for v in set(nums)}
-    return [text[v] for v in nums]
+def _texts(nums: list[int], render: Callable[[int], str]) -> list[str]:
+    """``render(v)`` for each numerator ``v``, called once per distinct value."""
+    text = {v: render(v) for v in set(nums)}
+    return list(map(text.__getitem__, nums))
 
 
 def verify_averaging(m: Martingale, depth: int) -> AveragingReport:
@@ -415,38 +427,47 @@ def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
 
 def tree_csv(m: Martingale, depth: int) -> str:
     """Level-order ``node,value`` dump with values rendered ``p/2**k``."""
-    lines = ["node,value"]
-    for k, nums, log_den in levels(m, depth):
-        lines.extend(
-            f"{w or 'λ'},{v}" for w, v in zip(_names(k), _texts(nums, log_den))
-        )
-    return "\n".join(lines) + "\n"
+    parts = ["node,value\n"]
+    for k, names, nums, log_den in _slices(m, depth):
+        tails = _texts(nums, lambda v: f",{Dyadic(v, log_den)}\n")
+        parts.append("".join(map(add, names if k else ("λ",), tails)))
+    return "".join(parts)
 
 
 def tree_json(m: Martingale, depth: int) -> str:
-    """``{node: value}`` as key-sorted JSON; the root's key is ``""``."""
-    tree = {}
-    for k, nums, log_den in levels(m, depth):
-        tree.update(zip(_names(k), _texts(nums, log_den)))
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    """``{node: value}`` as key-sorted JSON; the root's key is ``""``.
+
+    The text is ``json.dumps(..., indent=2, sort_keys=True)``'s, rendered
+    line by line: sorting the ``w": "v"`` lines as text sorts them by key,
+    since keys are distinct and ``"`` sorts before ``0`` and ``1``, so a
+    key's line comes before its extensions'.  Nothing needs escaping.
+    """
+    lines = []
+    for k, names, nums, log_den in _slices(m, depth):
+        lines += map(add, names, _texts(nums, lambda v: f'": "{Dyadic(v, log_den)}"'))
+    lines.sort()
+    return '{\n  "' + ',\n  "'.join(lines) + '\n}\n' if lines else "{}\n"
 
 
 def tree_dot(m: Martingale, depth: int) -> str:
     """DOT rendering, root on top, 0-child left, value-1 leaves highlighted."""
-    lines = [
-        "digraph martingale {",
-        "  ordering=out;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
-    for k, nums, log_den in levels(m, depth):
+    parts = ['digraph martingale {\n  ordering=out;\n'
+             '  node [shape=box, fontname="monospace"];\n']
+    for k, names, nums, log_den in _slices(m, depth):
         one = 1 << log_den
-        for w, v, num in zip(_names(k), _texts(nums, log_den), nums):
-            name = f'"{w or "λ"}"'
-            attrs = f'label="{v}"'
-            if k == depth and num >= one:
-                attrs += ", style=filled, fillcolor=palegreen"
-            lines.append(f"  {name} [{attrs}];")
-            if k < depth:
-                lines.extend(f'  {name} -> "{w}{b}";' for b in "01")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+        def tail(v: int) -> str:
+            lit = ", style=filled, fillcolor=palegreen" if k == depth and v >= one else ""
+            return f'" [label="{Dyadic(v, log_den)}"{lit}];\n'
+
+        shown, tails = names if k else ("λ",), _texts(nums, tail)
+        # a name is spelled five times on an inner node's lines: one f-string
+        # per node builds them faster than a chain of concatenations
+        if k < depth:
+            lines = [f'  "{s}{t}  "{s}" -> "{w}0";\n  "{s}" -> "{w}1";\n'
+                     for s, w, t in zip(shown, names, tails)]
+        else:
+            lines = [f'  "{s}{t}' for s, t in zip(shown, tails)]
+        parts.append("".join(lines))
+    parts.append("}\n")
+    return "".join(parts)

@@ -89,6 +89,20 @@ def test_cli_figure_single_with_dot(tmp_path, capsys):
     assert "digraph" in out_file.read_text()
 
 
+def test_cli_out_is_utf8_under_an_ascii_locale(tmp_path, capsys):
+    argv = ["construct", "--config", str(EXPERIMENTS / "figure1_cover.json"),
+            "--depth", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX")
+    out = tmp_path / "f.csv"
+    proc = subprocess.run([sys.executable, "-m", "martlab.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(argv) == 0
+    assert out.read_bytes().decode("utf-8") == capsys.readouterr().out
+    assert out.read_bytes().startswith("node,value\nλ,".encode())
+
+
 def test_cli_figure_csv_goes_to_stdout(capsys):
     assert main(["figures", "1", "--format", "csv"]) == 0
     figure = capsys.readouterr().out
