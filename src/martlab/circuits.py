@@ -334,7 +334,9 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     Membership depends only on the trailing ``2**n`` truth-table bits, so
     extension counts factorize: free prefix bits contribute a power of two
     and the table bits a census count, and no enumeration over the
-    ``2**(2**(n+1)-1)`` strings ever happens.
+    ``2**(2**(n+1)-1)`` strings ever happens.  The count at ``w`` is a SpanP
+    function: the distinct extensions ``y`` whose trailing truth table has a
+    circuit witness of at most ``s`` gates.
     """
     if census.n != n or s > census.max_size:
         raise CensusUnavailable(
@@ -351,7 +353,7 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
         tables = _at_most(census.sizes[v :: 1 << len(fixed)], s)
         return tables << max(0, table_start - len(w))
 
-    return Cover(level, count, "SpanP", f"mcsp(n={n},s={s})")
+    return Cover(level, count, f"mcsp(n={n},s={s})")
 
 
 def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:

@@ -143,11 +143,9 @@ def _aligned_sum(members: list[Martingale], **kwargs) -> Martingale:
 def sum_finite(a: Martingale, b: Martingale) -> Martingale:
     """Exact pointwise sum over the common power of two; capitals add."""
     freezes = (a.freeze_depth, b.freeze_depth)
-    tag = a.class_tag if a.class_tag == b.class_tag else "mixed"
     return _aligned_sum(
         [a, b],
         freeze_depth=None if None in freezes else max(freezes),
-        class_tag=tag,
         supermartingale=a.supermartingale or b.supermartingale,
         meta={"construction": "sum"},
     )
@@ -168,7 +166,6 @@ def scale_pow2(m: Martingale, k: int) -> Martingale:
         lambda w: r.log_denominator(w) + down,
         row,
         freeze_depth=m.freeze_depth,
-        class_tag=m.class_tag,
         supermartingale=m.supermartingale,
         meta=m.meta,
     )
@@ -205,9 +202,7 @@ def sum_family(
     return _partial_sum(fam, w, 0, start)
 
 
-def aggregate_martingale(
-    fam: MartingaleFamily, mod: ConvergenceModulus, class_tag: str = "family-sum"
-) -> Martingale:
+def aggregate_martingale(fam: MartingaleFamily, mod: ConvergenceModulus) -> Martingale:
     """The family sum as a martingale.
 
     Families with finite support sum exactly; otherwise only the truncated
@@ -217,7 +212,6 @@ def aggregate_martingale(
     if fam.support_end is not None:
         return _aligned_sum(
             [fam.member(n) for n in range(fam.support_end)],
-            class_tag=class_tag,
             meta={"construction": "family-sum"},
         )
 
@@ -229,7 +223,6 @@ def aggregate_martingale(
         approx=approx,
         initial_capital=root,
         freeze_depth=None,
-        class_tag=class_tag,
         meta={"construction": "family-sum"},
     )
 
@@ -281,16 +274,14 @@ def borel_cantelli_measure(
     rejected as degenerate.
     """
     _audit_family(fam, mod, audit_levels)
-    return aggregate_martingale(fam, mod, class_tag="borel-cantelli")
+    return aggregate_martingale(fam, mod)
 
 
 @dataclass(frozen=True)
 class CoverageCertificate:
     level: int
     node: BitString
-    member_value: Dyadic
     partial_sum: Dyadic
-    threshold_log2: Dyadic
     covered: bool
 
 
@@ -345,7 +336,7 @@ def borel_cantelli_dimension(
         support_end=fam.support_end,
     )
     mod = geometric_modulus(t - s, log2_scale=1)
-    agg = aggregate_martingale(scaled, mod, class_tag="borel-cantelli-dim")
+    agg = aggregate_martingale(scaled, mod)
     return scaled, mod, agg
 
 
@@ -363,7 +354,7 @@ def dimension_certificate(
     partial = _partial_sum(scaled_fam, w, 0, stop)
     threshold = (ONE - t) * Dyadic(n)
     covered = member_value >= ONE and cmp_pow2(partial, threshold) >= 0
-    return CoverageCertificate(n, w, member_value, partial, threshold, covered)
+    return CoverageCertificate(n, w, partial, covered)
 
 
 def ratio_power(n: int) -> Fraction:
@@ -397,7 +388,6 @@ class ApproxSupermartingale:
     exact_value: Callable[[BitString], Fraction]
     martingale: Martingale
     damping: Fraction
-    guaranteed_gamma: Fraction
     scaled: Martingale
 
     def verify_averaging_exact(self, depth: int) -> list[BitString]:
@@ -477,7 +467,6 @@ def approx_supermartingale(
         approx=approx,
         initial_capital=approx(EMPTY, EXPORT_GRID_BITS),
         freeze_depth=n,
-        class_tag="approx",
         supermartingale=True,
         meta={"construction": "approx-supermartingale"},
     )
@@ -486,6 +475,5 @@ def approx_supermartingale(
         exact_value=exact_value,
         martingale=martingale,
         damping=ratio_power(n),
-        guaranteed_gamma=worst_case_gamma(n),
         scaled=scaled,
     )

@@ -62,12 +62,13 @@ class Cover:
     prefix; :meth:`from_predicate` reads each leaf once and sums pairwise;
     covers with product structure count in closed form, past the
     enumeration cap.  A kind may also supply ``row(k)``, the count of every
-    length-``k`` prefix in index order, which :meth:`level_row` reads.
+    length-``k`` prefix in index order, which :meth:`level_row` reads.  A
+    cover records no counting class: the relation, subset and mcsp kinds
+    name theirs in their docstrings.
     """
 
     level: int
     count: Callable[[BitString], int]
-    class_tag: str = "unclassified"
     name: str = "cover"
     row: Callable[[int], list[int]] | None = None
 
@@ -110,7 +111,7 @@ class Cover:
                 counts[v >> shift] += 1
             return counts
 
-        return cls(level, count, "explicit", "explicit-cover", row)
+        return cls(level, count, "explicit-cover", row)
 
     @classmethod
     def from_predicate(
@@ -121,7 +122,7 @@ class Cover:
     ) -> "Cover":
         return cls._from_leaves(
             lambda: [1 if predicate(x) else 0 for x in all_strings(level)],
-            level, "unclassified", name,
+            level, name,
         )
 
     @classmethod
@@ -130,9 +131,12 @@ class Cover:
     ) -> "Cover":
         """Cover decided by a witness relation in one of two modes.
 
-        ``exists`` (plain nondeterministic membership) is tagged ``SpanP``;
-        ``unique`` (an accepting-path count stand-in) is tagged ``#P``, and
-        an input with more than one accepting path raises
+        ``exists`` makes every input with an accepting witness a member, so
+        the count at a prefix ``w`` is a SpanP function: the number of
+        distinct extensions ``y`` emitted by the accepting pairs ``(y, z)``,
+        ``z`` a witness on ``wy``.  ``unique`` makes the count at ``w`` a #P
+        function, the number of those accepting pairs, by refusing an input
+        with more than one accepting witness:
         :class:`~martlab.errors.UniquenessViolation`.
 
         Every leaf's accepting count comes from
@@ -141,7 +145,7 @@ class Cover:
         level and decides every leaf in index order, so an error names the
         first bad leaf, whichever leaf was asked about.
         """
-        if decide not in _CLASS_TAG:
+        if decide not in ("exists", "unique"):
             raise ValueError(f"decide must be exists/unique, got {decide!r}")
 
         def leaves() -> list[int]:
@@ -155,11 +159,11 @@ class Cover:
                         )
             return [min(accepts, 1) for accepts in counts]
 
-        return cls._from_leaves(leaves, level, _CLASS_TAG[decide], rel.name)
+        return cls._from_leaves(leaves, level, rel.name)
 
     @classmethod
     def _from_leaves(
-        cls, leaves: Callable[[], list[int]], level: int, class_tag: str, name: str
+        cls, leaves: Callable[[], list[int]], level: int, name: str
     ) -> "Cover":
         """The cover whose leaf row, 0 or 1 per length-``level`` string in
         index order, ``leaves()`` gives at the first query."""
@@ -168,11 +172,7 @@ class Cover:
                 f"cover level {level} exceeds enumeration cap {LEVEL_CAP}"
             )
         row = _subtree_sums(leaves, level)
-        return cls(level, _indexed(row), class_tag, name, row)
-
-
-# each Cover.from_relation mode's class tag
-_CLASS_TAG = {"exists": "SpanP", "unique": "#P"}
+        return cls(level, _indexed(row), name, row)
 
 
 def _subtree_sums(
@@ -206,7 +206,6 @@ def _leveled(
     count: Callable[[BitString], int],
     row: Callable[[int], list[int]],
     n: int,
-    class_tag: str,
     kind: str,
 ) -> Martingale:
     """``count(w[:n]) / 2**max(0, n - |w|)``, frozen at level ``n``.
@@ -230,7 +229,6 @@ def _leveled(
         lambda w: max(0, n - len(w)),
         level_row,
         freeze_depth=n,
-        class_tag=class_tag,
         meta={"construction": kind},
     )
 
@@ -243,7 +241,7 @@ def cover_martingale(cover: Cover) -> Martingale:
     length-``level`` prefix value.
     """
     n = cover.level
-    return _leveled(cover.count, cover.level_row, n, cover.class_tag, "cover")
+    return _leveled(cover.count, cover.level_row, n, "cover")
 
 
 def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
@@ -265,13 +263,15 @@ def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
         return v
 
     row = _subtree_sums(lambda: [f_checked(x) for x in all_strings(n)], n)
-    return _leveled(_indexed(row), row, n, "#P", "condexp")
+    return _leveled(_indexed(row), row, n, "condexp")
 
 
 def subset_cover(B: LanguageView, n: int) -> Cover:
     """The cover of length-``n`` strings whose languages sit inside ``B``.
 
-    A string qualifies when every 1 bit marks a member of ``B``.  Bit
+    A string qualifies when every 1 bit marks a member of ``B``, so the
+    count at ``w`` is a SpanP function: the distinct extensions ``y`` with
+    ``wy`` inside ``B``.  Bit
     ``n - 1 - i`` of ``outside`` is set when the ``i``-th string is not in
     ``B``, the complement of ``B``'s characteristic prefix, so a prefix is
     consistent when it shares no 1 bit with the top of ``outside``, and its
@@ -294,7 +294,6 @@ def subset_cover(B: LanguageView, n: int) -> Cover:
     return Cover(
         n,
         lambda w: count(w.to_int(), len(w)),
-        "SpanP",
         f"subset({B.name or 'B'})",
         lambda k: [count(v, k) for v in range(1 << k)],
     )
@@ -322,7 +321,6 @@ class AcceptanceSpec:
 
     f: Callable[[int, int], int]
     q: Callable[[int], int]
-    class_tag: str = "#P"
     name: str = "acceptance"
 
     def row(self, i: int) -> tuple[int, int]:
@@ -343,7 +341,6 @@ class AcceptanceSpec:
         return cls(
             f=lambda i, b: g(i) if b else (1 << t((i + 1).bit_length() - 1)) - g(i),
             q=t,
-            class_tag="GapP",
             name="gap-acceptance",
         )
 
@@ -412,7 +409,10 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     """Double-or-scale capital by the declared odds along the enumeration.
 
     The value at ``w`` is ``2**|w|`` times the product of chosen-row
-    probabilities ``f(s_i, w[i]) / 2**q(|s_i|)``.  Never freezes.
+    probabilities ``f(s_i, w[i]) / 2**q(|s_i|)``.  Never freezes.  The
+    numerator is #P: the tuples of a coin and a path answering ``w[i]``, one
+    per string ``s_i``, ``i < |w|``.  From a gap spec it is GapP: the product
+    of ``2**t ± gap(i)`` as ``w[i]`` is 1 or 0, ``gap(i) = 2 g(i) - 2**t``.
     """
     @lru_cache(maxsize=None)
     def factors(i: int) -> tuple[int, int]:
@@ -436,7 +436,6 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     return _products(
         factors,
         log_denominator,
-        class_tag=spec.class_tag,
         meta={"construction": "acceptance"},
     )
 
@@ -447,11 +446,12 @@ def biimmunity_martingale(A: LanguageView) -> Martingale:
     Capital doubles on the 1 branch and dies on the 0 branch wherever the
     enumerated string is in ``A``; elsewhere it stands pat.  The value at
     ``w`` is ``2**ones(A's prefix)`` as long as ``w`` dominates that prefix,
-    else 0.
+    else 0.  The numerator is #P: the tuples of one-bit paths answering
+    ``w``, where both paths on a member of ``A`` answer 1 and elsewhere
+    path ``p`` answers ``p``.
     """
     return _products(
         lambda i: (0, 2) if A.contains_index(i) else (1, 1),
         lambda k: 0,
-        class_tag="#P",
         meta={"construction": "biimmunity"},
     )

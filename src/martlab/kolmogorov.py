@@ -43,7 +43,7 @@ from .machine import (
     ref_width,
     run,
 )
-from .martingale import Martingale
+from .martingale import LEVEL_CAP, Martingale
 from .oracle import WitnessRelation
 
 __all__ = [
@@ -258,10 +258,13 @@ def short_program_counts(
 def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
     """Bet on strings compressible below ``n - gap`` bits.
 
-    The numerator counts (extension, program) pairs, so the root value is at
-    most ``2**-gap`` by the sheer count of short programs, and every
-    length-``n`` string with ``kt`` below the bound gets value at least 1.
+    The numerator is #P: it counts (extension, program) pairs, so the root
+    value is at most ``2**-gap`` by the sheer count of short programs, and
+    every length-``n`` string with ``kt`` below the bound gets value at
+    least 1.  The level cap is decided before the program sweep.
     """
+    if n > LEVEL_CAP:
+        raise CapExceeded(f"level {n} exceeds enumeration cap {LEVEL_CAP}")
     bound = n - gap
     counts = short_program_counts(n, bound, budget) if bound >= 1 else {}
 

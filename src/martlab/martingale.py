@@ -2,9 +2,9 @@
 
 A :class:`Martingale` bundles an exact evaluator in counting form (when one
 exists), a precision-``r`` approximate evaluator, the value at the empty
-string, an optional freeze depth past which values repeat, and a metadata
-tag recording the counting class the construction claims (recorded, never
-proved).
+string and an optional freeze depth past which values repeat.  The class a
+numerator is counted in is stated by its construction's docstring and
+checked by ``tests/test_counting_classes.py``, never recorded here.
 
 The operations here are the generic checks every construction must survive:
 the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
@@ -124,7 +124,8 @@ class Martingale:
     ``ratio`` is the one exact evaluator, the counting form
     ``numerator(w) / 2**log_denominator(w)``; it is None for
     approximation-only martingales (aggregates of infinite families), whose
-    ``approx(w, r)`` must be within ``2**-r`` of the true value.
+    ``approx(w, r)`` must be within ``2**-r`` of the true value; whether its
+    numerator is #P, SpanP or GapP is the construction's claim, not a field.
     ``freeze_depth = n`` declares that strings longer than ``n`` take the
     value of their length-``n`` prefix.  ``meta`` carries the construction
     kind, as ``{"construction": kind}``; nothing in the package reads it,
@@ -134,7 +135,6 @@ class Martingale:
     approx: Callable[[BitString, int], Dyadic]
     initial_capital: Dyadic
     freeze_depth: int | None = None
-    class_tag: str = "unclassified"
     supermartingale: bool = False
     ratio: RatioForm | None = None
     meta: Mapping = field(default_factory=dict)
@@ -146,7 +146,6 @@ class Martingale:
         log_denominator: Callable[[BitString], int],
         row: Callable[[int], tuple[list[int], int]],
         freeze_depth: int | None = None,
-        class_tag: str = "unclassified",
         supermartingale: bool = False,
         meta: Mapping | None = None,
         path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None,
@@ -161,7 +160,6 @@ class Martingale:
             approx=approx,
             initial_capital=ratio.value(EMPTY),
             freeze_depth=freeze_depth,
-            class_tag=class_tag,
             supermartingale=supermartingale,
             ratio=ratio,
             meta=dict(meta or {}),
@@ -176,7 +174,6 @@ class Martingale:
             lambda w: value.log_den,
             lambda k: ([value.num] * (1 << k), value.log_den),
             freeze_depth=0,
-            class_tag="constant",
         )
 
     def value(self, w: BitString) -> Dyadic:

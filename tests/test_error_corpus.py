@@ -101,6 +101,8 @@ CASES = [
      _construction({"type": "kt-cover", "level": -1, "gap": 1, "budget": BUDGET})),
     ("kt-cover budget -1", VERIFY,
      _construction({"type": "kt-cover", "level": 2, "gap": 1, "budget": [-1, 1, 16]})),
+    ("kt-cover level past the cap", ["verify", "--config", "{config}", "--depth", "1"],
+     _construction({"type": "kt-cover", "level": 40, "gap": 0, "budget": BUDGET})),
     ("sat vars -1", VERIFY, _cover(2, {"builtin": "sat", "vars": -1})),
     ("mcsp-witness inputs -1", VERIFY,
      _cover(2, {"builtin": "mcsp-witness", "inputs": -1, "size": 1})),

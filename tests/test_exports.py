@@ -1,19 +1,22 @@
-"""Every exported name and every public method has a user.
+"""Every exported name, public method and dataclass field has a user.
 
 Each module under ``src/martlab`` lists its public names in ``__all__``.  A
 name listed there must be read somewhere: in its own module, elsewhere in
 the package, in the tests or in the benchmark.  The definition itself and
 the ``__all__`` entry do not count, so an export nothing reads fails here.
 The same holds for each public method or property of a class defined at a
-package module's top level, which must be read as an attribute, ``x.name``.
+package module's top level, which must be read as an attribute, ``x.name``,
+and for each field of such a class made with ``dataclass``: a field that is
+only ever passed at construction fails.
 
 The guard matches by name alone, not by the class an attribute is read
-from: a method counts as read when any source reads an attribute of that
-name.  So a dead method whose name another class's live method shares
+from: a method or field counts as read when any source reads an attribute
+of that name.  So a dead method whose name another class's live method shares
 passes; a dead ``Dyadic.from_int`` would hide behind ``BitString.from_int``.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,10 +62,27 @@ def _methods(tree: ast.AST) -> list[str]:
     ]
 
 
+# each guard reads the same sources: parse each text once
+_parse = cache(ast.parse)
+
+
+def _fields(tree: ast.AST) -> list[str]:
+    """``Class.name`` for each field of a module's dataclasses."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        )
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
 def _unread(sources: dict[str, str], defined, reads) -> list[str]:
     """``module.name`` for each name ``defined`` finds in a package module
     whose last dotted part is in no source's ``reads``."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
+    trees = {path: _parse(text) for path, text in sources.items()}
     read = set().union(*map(reads, trees.values()))
     return sorted(
         f"{Path(path).stem}.{name}"
@@ -84,6 +104,12 @@ def _dead_methods(sources: dict[str, str]) -> list[str]:
     return _unread(sources, _methods, _attributes)
 
 
+def _dead_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` for each dataclass field no source reads as an
+    attribute."""
+    return _unread(sources, _fields, _attributes)
+
+
 def _searched_sources() -> dict[str, str]:
     return {
         str(path): path.read_text()
@@ -98,6 +124,10 @@ def test_every_export_is_read():
 
 def test_every_public_method_is_read():
     assert _dead_methods(_searched_sources()) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert _dead_fields(_searched_sources()) == []
 
 
 def test_guard_sees_a_dead_export():
@@ -125,3 +155,20 @@ def test_guard_sees_a_dead_method():
                                       "dead = 1\nprint(dead)\n",
     }
     assert _dead_methods(sources) == ["m.C.dead", "m.C.unused"]
+
+
+def test_guard_sees_a_dead_field():
+    module = str(PACKAGE / "m.py")
+    sources = {
+        module: "from dataclasses import dataclass\n"
+                "@dataclass(frozen=True)\n"
+                "class R:\n"
+                "    used: int\n"
+                "    dead: int = 0\n"
+                "    def total(self): return self.used\n"
+                "class Plain:\n"
+                "    note: str = ''\n",
+        # a keyword at construction is not a read
+        str(ROOT / "tests" / "t.py"): "from martlab.m import R\nR(used=1, dead=2).total()\n",
+    }
+    assert _dead_fields(sources) == ["m.R.dead"]

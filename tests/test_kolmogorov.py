@@ -228,6 +228,15 @@ def test_kt_cover_leaf_counts_programs(kt_table_10, budget):
         assert m.value(x) == Dyadic(expected)
 
 
+def test_kt_cover_decides_the_level_cap_before_the_sweep(budget, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the program sweep ran past the level cap")
+
+    monkeypatch.setattr(kolmogorov, "_term_counts", sweep)
+    with pytest.raises(CapExceeded, match="level 23 exceeds enumeration cap 22"):
+        kt_cover_martingale(23, 0, budget)
+
+
 def test_k_rate_on_zeros(kt_table_10):
     report = k_rate(BitString("0" * 10), kt_table_10)
     assert all(

@@ -153,7 +153,6 @@ def test_gap_odds_by_index_match_the_string_twin(rows, shift, w):
     m = acceptance_martingale(
         AcceptanceSpec.from_gap(lambda i: g_of(string_index(i)), t)
     )
-    assert m.class_tag == "GapP"
     for k in range(len(w) + 1):
         v = w.prefix(k)
         assert as_fraction(m.value(v)) == string_product(f, t, v)

@@ -77,7 +77,6 @@ def test_decide_unique():
         False, True, True, False
     ]
     assert members.ext_count(BitString("")) == 2
-    assert members.class_tag == "#P"
 
     doubled = WitnessRelation("two-witness", lambda n: 1, lambda n, y: range(1 << n))
     cover = Cover.from_relation(doubled, 1, "unique")
