@@ -1,6 +1,6 @@
 """The one persistence path for cached tables (censuses and kt tables).
 
-A cache file is one header line, ``martlab-cache v4 <file name>
+A cache file is one header line, ``martlab-cache v5 <file name>
 sha256=<payload digest>``, followed by the payload.  The file name spells out
 every parameter the contents depend on, so the header carries the key.  A
 load trusts the payload only when the whole header matches; anything else (an
@@ -25,8 +25,9 @@ __all__ = ["FORMAT_VERSION", "directory", "fetch"]
 
 # version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV;
 # version 2 stored a census as one 14-byte record per reached table; versions
-# 2 and 3 stored a kt table as ``string,kt`` CSV lines
-FORMAT_VERSION = 4
+# 2 and 3 stored a kt table as ``string,kt`` CSV lines; versions 3 and 4
+# stored a census's witness kinds and operands after its size bytes
+FORMAT_VERSION = 5
 
 T = TypeVar("T")
 

@@ -18,10 +18,10 @@ the translation of census witnesses into stack programs for the toy machine.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from typing import Callable
 from pathlib import Path
@@ -118,18 +118,16 @@ class CircuitCensus:
     """Minimum gate counts for every table reachable within ``max_size``.
 
     Dense and indexed by mask: ``sizes[mask]`` is the table's minimum size,
-    or :data:`UNREACHED`, and its first-reached witness is ``("VAR", i)``,
-    ``("CONST", b)``, ``("NOT", a)``, ``("AND", a, b)`` or ``("OR", a, b)``,
-    stored as ``kinds[mask]`` (an index into the kind names), ``left[mask]``
-    and ``right[mask]`` (0 for one-field witnesses).
+    or :data:`UNREACHED`.  The fields are what the cache stores, so equality
+    compares exactly that.  A table's first-reached witness is ``("VAR",
+    i)``, ``("CONST", b)``, ``("NOT", a)``, ``("AND", a, b)`` or ``("OR", a,
+    b)``, held apart from the fields as kind bytes (indices into the kind
+    names) and two u16 operand arrays (0 for one-field witnesses).
     """
 
     n: int
     max_size: int
     sizes: bytes
-    kinds: bytes
-    left: array  # u16
-    right: array  # u16
 
     def min_size(self, tt: TruthTable) -> int | None:
         if tt.n != self.n:
@@ -137,14 +135,26 @@ class CircuitCensus:
         size = self.sizes[tt.mask]
         return None if size == UNREACHED else size
 
+    @cached_property
+    def _witnesses(self) -> tuple[bytes, array, array]:
+        """``(kinds, left, right)``; :func:`build_census` fills them, and a
+        census read from the cache reruns the closure for them once."""
+        built = build_census(self.n, self.max_size)
+        if built.sizes != self.sizes:
+            raise CensusUnavailable(
+                f"census n={self.n} s={self.max_size} disagrees with its rebuild"
+            )
+        return built._witnesses
+
     def witness(self, mask: int) -> tuple | None:
         """The table's first-reached witness; ``None`` if it is unreached."""
         if self.sizes[mask] == UNREACHED:
             return None
-        kind = _WKIND[self.kinds[mask]]
+        kinds, left, right = self._witnesses
+        kind = _WKIND[kinds[mask]]
         if kind in ("AND", "OR"):
-            return kind, self.left[mask], self.right[mask]
-        return kind, self.left[mask]
+            return kind, left[mask], right[mask]
+        return kind, left[mask]
 
     def reached(self) -> list[int]:
         """The reached masks, in increasing order."""
@@ -233,10 +243,12 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
         by_size.append(np.sort(np.concatenate(new)))
         todo -= len(by_size[s])
 
-    return CircuitCensus(
-        n, max_size, sizes.tobytes(), kinds.tobytes(),
-        array("H", left.tobytes()), array("H", right.tobytes()),
+    census = CircuitCensus(n, max_size, sizes.tobytes())
+    # the slot ``cached_property`` fills, so this census never rebuilds them
+    vars(census)["_witnesses"] = (
+        kinds.tobytes(), array("H", left.tobytes()), array("H", right.tobytes())
     )
+    return census
 
 
 def dag_minimum_sizes(n: int, max_size: int) -> dict[int, int]:
@@ -603,40 +615,22 @@ def mnp_cover_check(
 # -- cache payload -------------------------------------------------------
 
 
-def _little_endian(values: array) -> array:
-    """u16 ``values`` between this machine's byte order and little-endian:
-    a byte-swapped copy on a big-endian machine, else ``values`` itself."""
-    if sys.byteorder == "big":
-        values = array("H", values)
-        values.byteswap()
-    return values
-
-
 def save_census(census: CircuitCensus) -> bytes:
     """The census payload; ``martlab.cache`` stores it under its key.
 
-    Dense, for ``T = 2**(2**n)`` tables: ``T`` size bytes, ``T`` kind bytes,
-    then the left and the right witness fields as ``T`` little-endian u16 each.
+    The ``T = 2**(2**n)`` size bytes, indexed by mask.  Witnesses are not
+    stored: a loaded census rebuilds them on its first :meth:`witness` call.
     """
-    return b"".join((
-        census.sizes,
-        census.kinds,
-        _little_endian(census.left).tobytes(),
-        _little_endian(census.right).tobytes(),
-    ))
+    return bytes(census.sizes)
 
 
 def load_census(payload: bytes, n: int, max_size: int) -> CircuitCensus:
     """Decode a :func:`save_census` payload for the census it was keyed by."""
-    tables = 1 << (1 << n)
-    view = memoryview(payload)
-    left, right = array("H"), array("H")
-    left.frombytes(view[2 * tables : 4 * tables])
-    right.frombytes(view[4 * tables : 6 * tables])
-    return CircuitCensus(
-        n, max_size, bytes(view[:tables]), bytes(view[tables : 2 * tables]),
-        _little_endian(left), _little_endian(right),
-    )
+    if len(payload) != 1 << (1 << n):
+        raise CensusUnavailable(
+            f"census payload holds {len(payload)} bytes, n={n} needs {1 << (1 << n)}"
+        )
+    return CircuitCensus(n, max_size, bytes(payload))
 
 
 def cached_census(n: int, max_size: int, cache_dir: Path | str | None) -> CircuitCensus:

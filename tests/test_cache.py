@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 from martlab import circuits, kolmogorov
+from martlab.cantor import all_strings
 from martlab.machine import MACHINE_VERSION, BudgetPoly
 
 import census_v2
@@ -74,14 +75,43 @@ def _v2(table, name) -> bytes:
     return _headed(2, name, payload)
 
 
+def _dense_census(table) -> bytes:
+    """The census payload of versions 3 and 4, from the dict oracle: for all
+    ``T`` tables, ``T`` size bytes, ``T`` witness-kind bytes, then the left
+    and the right witness fields as ``T`` little-endian u16 each."""
+    n, max_size = TABLES[table][3]
+    sizes, witness = census_v2.build(n, max_size)
+    tables = range(1 << (1 << n))
+    rows = [witness.get(m, ("VAR", 0)) for m in tables]
+    return b"".join([
+        bytes(sizes.get(m, circuits.UNREACHED) for m in tables),
+        bytes(census_v2.KINDS.index(kind) for kind, *_ in rows),
+        b"".join(a.to_bytes(2, "little") for _, a, *_ in rows),
+        b"".join((b[0] if b else 0).to_bytes(2, "little") for _, _, *b in rows),
+    ])
+
+
+def _dense_kt(table) -> bytes:
+    """The kt payload of versions 4 and 5, from the dict oracle: one byte
+    per string up to the cap, shortest first, 255 where no program prints it."""
+    entries = kt_v3.build(*TABLES[table][3])
+    length_cap = TABLES[table][3][1]
+    return bytes(entries.get(x.bits(), 255)
+                 for k in range(length_cap + 1) for x in all_strings(k))
+
+
 def _v3(table, name) -> bytes:
     """The file the version-3 writer produced for the table's key: a census
-    in the dense payload it still has, a kt table as ``string,kt`` lines."""
-    if table == "census":
-        payload = circuits.save_census(_fresh(table))
-    else:
-        payload = _kt_csv(table)
+    with its witnesses, a kt table as ``string,kt`` lines."""
+    payload = _dense_census(table) if table == "census" else _kt_csv(table)
     return _headed(3, name, payload)
+
+
+def _v4(table, name) -> bytes:
+    """The file the version-4 writer produced for the table's key: a census
+    with its witnesses, a kt table in the dense payload it still has."""
+    payload = _dense_census(table) if table == "census" else _dense_kt(table)
+    return _headed(4, name, payload)
 
 
 def _damage(case, path, table, scratch):
@@ -91,8 +121,8 @@ def _damage(case, path, table, scratch):
     if case == "truncated":
         data = data[: len(data) // 2]
     elif case == "flipped-byte":
-        # eight bytes from the end lies in the last record in every layout:
-        # the CONST witness of the all-ones table, or the kt of a 5-bit string
+        # eight bytes from the end is a size byte of one of the last eight
+        # tables, or the kt of a 5-bit string
         data = data[:-8] + bytes([data[-8] ^ 1]) + data[-7:]
     elif case in ("other-key", "other-table"):
         other = OTHER_TABLE[table] if case == "other-table" else table
@@ -106,6 +136,8 @@ def _damage(case, path, table, scratch):
         data = _v2(table, path.name)
     elif case == "v3-format":
         data = _v3(table, path.name)
+    elif case == "v4-format":
+        data = _v4(table, path.name)
     elif case == "leftover-tmp":
         # an earlier process with this pid died between writing and renaming
         path.with_name(f"{path.name}.{os.getpid()}.tmp").write_bytes(data[:-8])
@@ -123,8 +155,18 @@ def _damage(case, path, table, scratch):
 OTHER_TABLE = {"census": "kt", "kt": "census"}
 CASES = [(table, case) for table in TABLES
          for case in ("truncated", "flipped-byte", "other-key", "other-table",
-                      "v1-format", "v2-format", "v3-format", "leftover-tmp",
-                      "duplicated-byte", "dropped-byte", "inserted-byte")]
+                      "v1-format", "v2-format", "v3-format", "v4-format",
+                      "leftover-tmp", "duplicated-byte", "dropped-byte",
+                      "inserted-byte")]
+
+
+def test_v4_payloads_begin_with_the_v5_payload():
+    # a v4 census is its size bytes, the whole v5 payload, then its
+    # witnesses; a v4 kt table differs from a v5 one only in its header
+    sizes = circuits.save_census(_fresh("census"))
+    dense = _dense_census("census")
+    assert dense[: len(sizes)] == sizes and len(dense) == 6 * len(sizes)
+    assert _dense_kt("kt") == kolmogorov.save_kt_table(_fresh("kt"))
 
 
 @pytest.mark.parametrize("table, case", CASES)
@@ -205,13 +247,15 @@ def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, table):
     "load, limit",
     [
         (lambda cache_dir: kolmogorov.cached_kt_table(BUDGET, 10, cache_dir), 64 << 10),
-        (lambda cache_dir: circuits.cached_census(4, 8, cache_dir), 1 << 20),
+        # the file (a 64 KiB payload under its header) and one copy of the payload
+        (lambda cache_dir: circuits.cached_census(4, 8, cache_dir),
+         2 * (64 << 10) + (8 << 10)),
     ],
     ids=["kt-L10", "census-n4-s8"],
 )
 def test_warm_load_allocates_little_beyond_the_file(tmp_path, load, limit):
     # the file is read once; the header is hashed and the payload decoded
-    # from a view of those bytes, not from a copy of them
+    # from a view of those bytes, and the decoded table is its one copy
     expected = load(tmp_path)
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -179,18 +180,43 @@ def test_dense_census_matches_dict_oracle(n):
 def test_dense_payload_layout():
     census = build_census(2, 4)
     payload = save_census(census)
-    assert len(payload) == 6 * 16
-    assert payload[:16] == bytes(
+    # one size byte per table, indexed by mask; no witnesses
+    assert payload == bytes(
         UNREACHED if size is None else size
         for size in (census.min_size(TruthTable(2, m)) for m in range(16))
     )
-    # then the kind byte and little-endian u16 fields of each witness
-    xor = 0b0110
-    kind, a, b = census.witness(xor)
-    assert payload[xor] == 4 and kind in ("AND", "OR")
-    assert payload[16 + xor] == census_v2.KINDS.index(kind)
-    assert payload[32 + 2 * xor : 34 + 2 * xor] == a.to_bytes(2, "little")
-    assert payload[64 + 2 * xor : 66 + 2 * xor] == b.to_bytes(2, "little")
+    assert payload[0b0110] == 4  # xor
+    assert len(save_census(build_census(4, 8))) == 1 << 16
+
+
+@pytest.mark.parametrize(
+    "n, S", [(n, S) for n in (1, 2, 3) for S in range(circuits.SIZE_CAP + 1)] + [(4, 8)]
+)
+def test_loaded_census_rebuilds_the_same_witnesses(n, S):
+    census = build_census(n, S)
+    loaded = load_census(save_census(census), n, S)
+    assert "_witnesses" not in vars(loaded)
+    masks = range(1 << (1 << n))
+    assert [loaded.witness(m) for m in masks] == [census.witness(m) for m in masks]
+    for m in census.reached():
+        tt = TruthTable(n, m)
+        assert circuit_for(loaded, tt) == circuit_for(census, tt)
+
+
+def test_loaded_census_that_disagrees_with_its_rebuild_raises():
+    payload = bytearray(save_census(build_census(2, 4)))
+    payload[0b0110] = 3  # xor takes 4 gates
+    loaded = load_census(bytes(payload), 2, 4)
+    with pytest.raises(CensusUnavailable, match="disagrees with its rebuild"):
+        loaded.witness(0b0110)
+    with pytest.raises(CensusUnavailable, match="disagrees with its rebuild"):
+        circuit_for(loaded, TruthTable(2, 0))
+
+
+def test_load_census_checks_the_payload_length():
+    payload = save_census(build_census(2, 4))
+    with pytest.raises(CensusUnavailable, match="17 bytes, n=2 needs 16"):
+        load_census(payload + b"\0", 2, 4)
 
 
 def test_cache_roundtrip(census3):
@@ -212,6 +238,35 @@ def test_cached_census_reuses_file(tmp_path, monkeypatch):
     monkeypatch.setattr(circuits, "build_census", rebuild)
     second = cached_census(2, 4, tmp_path)
     assert second == first
+
+
+CERTIFICATE = Path(__file__).resolve().parent.parent / "experiments" / "mcsp_certificate.json"
+# every CLI path that reads a census: mcsp at n = 2, 3 and 4, the covering
+# report and the certificate audit
+WARM_CENSUS_COMMANDS = [
+    ["mcsp", "--table", "0110", "-s", "3"],
+    ["mcsp", "--table", "01101001", "-s", "6"],
+    ["mcsp", "--table", "0110100110010110", "-s", "8"],
+    ["census", "-n", "4", "-S", "5", "--alpha", "1/2"],
+    ["certify", "--config", str(CERTIFICATE)],
+]
+
+
+def test_warm_cli_paths_never_rebuild_a_census(tmp_path, monkeypatch, capsys):
+    # a command that read witnesses would turn every warm load into a build
+    cache = ["--cache-dir", str(tmp_path)]
+    cold = []
+    for argv in WARM_CENSUS_COMMANDS:
+        assert main(argv + cache) == 0
+        cold.append(capsys.readouterr().out)
+
+    def rebuild(*args):
+        raise AssertionError(f"census {args} rebuilt on a warm path")
+
+    monkeypatch.setattr(circuits, "build_census", rebuild)
+    for argv, out in zip(WARM_CENSUS_COMMANDS, cold):
+        assert main(argv + cache) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_witness_circuits_evaluate_to_their_tables():
@@ -240,6 +295,8 @@ def test_closure_stops_once_every_table_is_reached(n, saturated_at):
         census = build_census(n, S)
         assert census.max_size == S
         assert save_census(census) == save_census(saturated)
+        masks = range(1 << (1 << n))
+        assert [census.witness(m) for m in masks] == [saturated.witness(m) for m in masks]
 
 
 def test_encode_circuit_decodes_on_machine(census2, census3):
