@@ -357,13 +357,14 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
         )
     level = (1 << (n + 1)) - 1
     table_start = (1 << n) - 1  # strings of length n begin at this index
+    tables = _at_most(census.sizes, s)
 
     def count(w: BitString) -> int:
+        if len(w) <= table_start:  # every table, under each free prefix bit
+            return tables << (table_start - len(w))
         # the tables whose low k rows are w's k table bits v: masks v + j 2**k
         fixed = w.bits()[table_start:]
-        v = int(fixed[::-1], 2) if fixed else 0
-        tables = _at_most(census.sizes[v :: 1 << len(fixed)], s)
-        return tables << max(0, table_start - len(w))
+        return _at_most(census.sizes[int(fixed[::-1], 2) :: 1 << len(fixed)], s)
 
     return Cover(level, count, f"mcsp(n={n},s={s})")
 

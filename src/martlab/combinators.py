@@ -1,9 +1,9 @@
 """Aggregation machinery for families of exact martingales.
 
 Finite sums are pointwise and exact: a sum, a ``2**k`` scaling and a
-finitely supported family sum are counting forms again, each row (and each
-node) the members' numerators added over their largest log-denominator, or
-shifted.  Infinite sums are truncated through a
+finitely supported family sum are counting forms again, each row and each
+kernel step the members' numerators added over their largest
+log-denominator, or shifted.  Infinite sums are truncated through a
 declared convergence modulus: ``m(w, i)`` promises that the tail from index
 ``m(w, i)`` onward is at most ``2**-i``, and every query audits that promise
 on a finite window (a necessary check; no finite artifact can verify the
@@ -32,7 +32,7 @@ from .errors import (
     ModulusViolation,
     NegativeValue,
 )
-from .martingale import Martingale, RatioForm, verify_averaging
+from .martingale import Kernel, Martingale, RatioForm, _repeat, verify_averaging
 
 __all__ = [
     "MartingaleFamily",
@@ -114,37 +114,45 @@ def geometric_modulus(delta: Dyadic, log2_scale: int = 0) -> ConvergenceModulus:
     return ConvergenceModulus(fn, f"geometric(delta={delta}, scale=2**{log2_scale})")
 
 
-def _aligned_sum(members: list[Martingale], **kwargs) -> Martingale:
-    """The exact pointwise sum of ``members``: at each node, and on each
-    row, every member's numerator is brought to the members' largest
-    log-denominator and the numerators add.  No members sum to 0."""
-    if any(m.ratio is None for m in members):
-        raise ValueError("finite sums need exact evaluators")
-    forms = [m.ratio for m in members]
+def _aligned_sum(terms: list[tuple[Martingale, int]], **kwargs) -> Martingale:
+    """The exact pointwise sum of ``2**k`` times ``m`` over the pairs ``(m,
+    k)`` of ``terms``: on each row, and at each step of the kernel, every
+    term's numerators are brought to the terms' largest log-denominator
+    (at least 0), and they add.  No terms sum to 0."""
+    if any(m.ratio is None for m, _ in terms):
+        raise ValueError("finite sums and scalings need exact evaluators")
+    forms = [(m.ratio, k) for m, k in terms]
 
-    def log_denominator(w: BitString) -> int:
-        return max((r.log_denominator(w) for r in forms), default=0)
-
-    def numerator(w: BitString) -> int:
-        common = log_denominator(w)
-        return sum(r.numerator(w) << (common - r.log_denominator(w)) for r in forms)
-
-    def row(k: int) -> tuple[list[int], int]:
-        rows = [r.row(k) for r in forms]
-        common = max((log_den for _, log_den in rows), default=0)
-        total = [0] * (1 << k)
-        for nums, log_den in rows:
-            total = list(map(add, total, [v << (common - log_den) for v in nums]))
+    def row(n: int) -> tuple[list[int], int]:
+        rows = [(*r.row(n), k) for r, k in forms]
+        common = max([0] + [log_den - k for _, log_den, k in rows])
+        total = [0] * (1 << n)
+        for nums, log_den, k in rows:
+            total = list(map(add, total, [v << (common - log_den + k) for v in nums]))
         return total, common
 
-    return Martingale.from_ratio(numerator, log_denominator, row, **kwargs)
+    def kernel() -> Kernel:
+        kernels, bit = [(r.kernel(), k) for r, k in forms], None
+        while True:
+            zero = one = common = 0
+            for member, k in kernels:
+                z, o, log_den = member.send(bit)
+                log_den -= k
+                if log_den > common:  # bring the sum so far to the new denominator
+                    up, common = log_den - common, log_den
+                    zero, one = zero << up, one << up
+                zero += z << (common - log_den)
+                one += o << (common - log_den)
+            bit = yield zero, one, common
+
+    return Martingale.from_ratio(row, kernel, **kwargs)
 
 
 def sum_finite(a: Martingale, b: Martingale) -> Martingale:
     """Exact pointwise sum over the common power of two; capitals add."""
     freezes = (a.freeze_depth, b.freeze_depth)
     return _aligned_sum(
-        [a, b],
+        [(a, 0), (b, 0)],
         freeze_depth=None if None in freezes else max(freezes),
         supermartingale=a.supermartingale or b.supermartingale,
         meta={"construction": "sum"},
@@ -152,19 +160,10 @@ def sum_finite(a: Martingale, b: Martingale) -> Martingale:
 
 
 def scale_pow2(m: Martingale, k: int) -> Martingale:
-    """Exact scaling by ``2**k`` (martingale law is scale-invariant)."""
-    if m.ratio is None:
-        raise ValueError("scaling needs an exact evaluator")
-    r, up, down = m.ratio, max(k, 0), max(-k, 0)
-
-    def row(n: int) -> tuple[list[int], int]:
-        nums, log_den = r.row(n)
-        return [v << up for v in nums], log_den + down
-
-    return Martingale.from_ratio(
-        lambda w: r.numerator(w) << up,
-        lambda w: r.log_denominator(w) + down,
-        row,
+    """Exact scaling by ``2**k`` (martingale law is scale-invariant): the
+    sum of one term."""
+    return _aligned_sum(
+        [(m, k)],
         freeze_depth=m.freeze_depth,
         supermartingale=m.supermartingale,
         meta=m.meta,
@@ -211,7 +210,7 @@ def aggregate_martingale(fam: MartingaleFamily, mod: ConvergenceModulus) -> Mart
     """
     if fam.support_end is not None:
         return _aligned_sum(
-            [fam.member(n) for n in range(fam.support_end)],
+            [(fam.member(n), 0) for n in range(fam.support_end)],
             meta={"construction": "family-sum"},
         )
 
@@ -438,25 +437,27 @@ def approx_supermartingale(
             )
         return hx
 
-    def numerator(w: BitString) -> int:
-        x = w.prefix(n)
-        return checked(x, form.numerator(x)) * weight[len(x)]
-
-    def log_denominator(w: BitString) -> int:
-        return form.log_denominator(w.prefix(n))
-
     def row(k: int) -> tuple[list[int], int]:
         top = min(k, n)
         fs, log_den = form.row(top)
         nums = [checked(x, fx) * weight[top] for x, fx in zip(all_strings(top), fs)]
         return [v for v in nums for _ in range(1 << (k - top))], log_den
 
-    scaled = Martingale.from_ratio(
-        numerator, log_denominator, row, freeze_depth=n, supermartingale=True
-    )
+    def kernel() -> Kernel:
+        base, w, bit = form.kernel(), EMPTY, None
+        for k in range(1, n + 1):
+            f0, f1, log_den = base.send(bit)
+            w0, w1 = w.append(0), w.append(1)
+            zero, one = checked(w0, f0) * weight[k], checked(w1, f1) * weight[k]
+            bit = yield zero, one, log_den
+            w, num = (w1, one) if bit else (w0, zero)
+        yield from _repeat(num, log_den)
+
+    scaled = Martingale.from_ratio(row, kernel, freeze_depth=n, supermartingale=True)
 
     def exact_value(v: BitString) -> Fraction:
-        return Fraction(numerator(v), (n + 1) ** n << log_denominator(v))
+        d = scaled.value(v)
+        return Fraction(d.num, (n + 1) ** n << d.log_den)
 
     def approx(v: BitString, r: int) -> Dyadic:
         grid = max(r, EXPORT_GRID_BITS)

@@ -13,12 +13,11 @@ Each construction also supplies its counting form a level at a time, as the
 histograms of an explicit cover's members, the pairwise-summed leaf rows,
 a closed-form count per integer index, and for the growing constructions
 each level's parent row times that level's two betting factors.  It
-supplies the form along one path too, as the ``path`` kernel that
-:meth:`~martlab.martingale.Martingale.path` and
-:func:`~martlab.martingale.diagonalize` read: a growing construction
-multiplies its running product by each position's two factors, and a
-leveled one takes the node kernel, which counts both children of each
-prefix.
+supplies the form along one path too, as the generator kernel that every
+read along a path walks: a growing construction multiplies its running
+product by each position's two factors, and a leveled one counts both
+children of each prefix up to its level.  A leveled form alone keeps a
+count per string, ``numerator``, for an approximation that reads it.
 """
 
 from __future__ import annotations
@@ -27,16 +26,16 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .cantor import BitString, LanguageView, all_strings, char_prefix, string_index
+from .cantor import EMPTY, BitString, LanguageView, all_strings, char_prefix, string_index
 from .errors import (
     CapExceeded,
     NegativeValue,
     RowSumViolation,
     UniquenessViolation,
 )
-from .martingale import LEVEL_CAP, Martingale, Pick
+from .martingale import LEVEL_CAP, Kernel, Martingale, _repeat
 from .oracle import WitnessRelation, level_counts
 
 __all__ = [
@@ -212,7 +211,8 @@ def _leveled(
 
     ``row(k)`` is ``count`` on every length-``k`` prefix, ``k <= n``; past
     level ``n`` each entry repeats once per extension, ``2**(k - n)`` times.
-    Along a path, the node form counts both children of each prefix.
+    The kernel counts both children of each prefix up to the level, and
+    then repeats the count there.  ``numerator`` is one count per string.
     """
 
     def level_row(k: int) -> tuple[list[int], int]:
@@ -224,12 +224,19 @@ def _leveled(
             nums[j::copies] = top
         return nums, 0
 
+    def kernel() -> Kernel:
+        w = EMPTY
+        for free in reversed(range(n)):
+            w0, w1 = w.append(0), w.append(1)
+            w = w1 if (yield count(w0), count(w1), free) else w0
+        yield from _repeat(count(w), 0)
+
     return Martingale.from_ratio(
-        lambda w: count(w.prefix(n)),
-        lambda w: max(0, n - len(w)),
         level_row,
+        kernel,
         freeze_depth=n,
         meta={"construction": kind},
+        numerator=lambda w: count(w.prefix(n)),
     )
 
 
@@ -366,18 +373,12 @@ def _products(
     """``f(w) / 2**log_denominator(|w|)``, never frozen, where
     ``f(w) = factors(0)[w[0]] * ... * factors(|w| - 1)[w[-1]]``.
 
-    The node form multiplies along ``w``.  Row ``k`` holds ``f`` on every
-    length-``k`` string in index order; each level is the one above times
-    that index's two factors, stepped on from the last row asked for, the
-    only row kept.  A path keeps only its running product.
+    Row ``k`` holds ``f`` on every length-``k`` string in index order; each
+    level is the one above times that index's two factors, stepped on from
+    the last row asked for, the only row kept.  The kernel keeps only its
+    running product.
     """
     last = [0, [1]]  # the depth and row last asked for
-
-    def numerator(w: BitString) -> int:
-        v = 1
-        for i, bit in enumerate(w):
-            v *= factors(i)[bit]
-        return v
 
     def row(n: int) -> tuple[list[int], int]:
         k, nums = last if n >= last[0] else (0, [1])
@@ -387,22 +388,15 @@ def _products(
             last[:] = i + 1, nums
         return nums, log_denominator(n)
 
-    def path(length: int, pick: Pick) -> Iterator[tuple[int, int]]:
-        v = 1
-        yield v, log_denominator(0)
-        for i in range(length):
+    def kernel() -> Kernel:
+        v, i = 1, 0
+        while True:
             a0, a1 = factors(i)
+            i += 1
             zero, one = v * a0, v * a1
-            v = one if pick(zero, one) else zero
-            yield v, log_denominator(i + 1)
+            v = one if (yield zero, one, log_denominator(i)) else zero
 
-    return Martingale.from_ratio(
-        numerator,
-        lambda w: log_denominator(len(w)),
-        row=row,
-        path=path,
-        **kwargs,
-    )
+    return Martingale.from_ratio(row, kernel, **kwargs)
 
 
 def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:

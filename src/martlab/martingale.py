@@ -18,10 +18,10 @@ time: node names come from :func:`~martlab.cantor.level_names`, at most
 ``2**SLICE_BITS`` per slice, each distinct numerator is rendered once, and a
 slice's lines are joined into one string, so no whole deep level of names or
 lines is held.  The JSON dump sorts its rendered lines as text, which is the
-key order of ``json.dumps(..., sort_keys=True)``.  Every check along one path (the success scan, the dimension
-statistics, diagonalization and its trace) reads the ``RatioForm`` path
-kernel through :meth:`Martingale.path`; a ``Dyadic`` is built only for each
-reported value.
+key order of ``json.dumps(..., sort_keys=True)``.  Every read along one
+path (the success scan, the dimension statistics, diagonalization and its
+trace, a node's value) steps the ``RatioForm`` kernel through one checked
+walker; a ``Dyadic`` is built only for each reported value.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import add, lt
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterator, Mapping, Sequence
 
-from .cantor import EMPTY, BitString, level_names
+from .cantor import BitString, level_names
 from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import CapExceeded, NegativeValue
 
@@ -58,78 +58,45 @@ __all__ = [
 ]
 
 
-# a walk's next bit, from the numerators of the two children of the prefix
-# it has reached, over their shared log-denominator
-Pick = Callable[[int, int], int]
+Kernel = Generator[tuple[int, int, int], int | None, None]
 
 
 @dataclass(frozen=True)
 class RatioForm:
-    """A martingale written as integer numerator over a power of two.
+    """A martingale as integer numerators, the counting functions, over
+    powers of two.
 
-    ``numerator(w) / 2**log_denominator(w)`` is the exact value; the
-    numerator plays the counting-function role, the denominator the
-    polynomial-time power-of-two role.  ``row(k)`` is the same form on a
-    whole level: the numerators of the ``2**k`` strings of length ``k`` in
-    index order, over one shared log-denominator, as ``(numerators,
-    log_den)``.  Every form supplies it, and it agrees with the node form
-    entry by entry: ``log_den`` is ``log_denominator`` of every string of
-    the level, and entry ``i`` is ``numerator`` of the ``i``-th.
-
-    ``path(n, pick)`` is the same form along one length-``n`` path from the
-    root, in one pass: it yields ``(numerator, log_den)`` at each of the
-    path's ``n + 1`` prefixes in order, and after yielding the length-``k``
-    prefix, ``k < n``, it extends that prefix by the bit ``pick(zero,
-    one)``, where ``zero`` and ``one`` are the numerators of its two
-    children over the log-denominator they share.  The products
-    (acceptance, gap-acceptance, bi-immunity) step their betting factors;
-    for every other form :meth:`Martingale.from_ratio` supplies a kernel
-    that evaluates the node form at both children of each prefix.
+    ``row(k)`` is the form on a whole level: the numerators of the ``2**k``
+    strings of length ``k`` in index order, over one shared log-denominator,
+    as ``(numerators, log_den)``.  ``kernel()`` is the form along one path:
+    a fresh generator at the root that yields the numerators of the two
+    children of the prefix it has reached over their shared log-denominator,
+    ``(zero, one, log_den)``, and is sent the chosen bit (None first); it may
+    be stepped forever, as a frozen form's children repeat it.  The two
+    agree: the children at the ``i``-th length-``k`` string are entries
+    ``2i`` and ``2i + 1`` of row ``k + 1``.  Kernels compose: a sum steps
+    its members' kernels.  Only a leveled form, frozen at its level ``n``,
+    supplies ``numerator(w)``: its count at ``w.prefix(n)``, over
+    ``2**max(0, n - |w|)``.
     """
 
-    numerator: Callable[[BitString], int]
-    log_denominator: Callable[[BitString], int]
     row: Callable[[int], tuple[list[int], int]]
-    path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None
-
-    def value(self, w: BitString) -> Dyadic:
-        return Dyadic(self.numerator(w), self.log_denominator(w))
-
-
-def _node_path(
-    numerator: Callable[[BitString], int],
-    log_denominator: Callable[[BitString], int],
-    n: int,
-    pick: Pick,
-) -> Iterator[tuple[int, int]]:
-    """The path kernel of a node form: both children of each prefix are
-    evaluated and brought to their larger log-denominator."""
-    w = EMPTY
-    yield numerator(w), log_denominator(w)
-    for _ in range(n):
-        w0, w1 = w.append(0), w.append(1)
-        l0, l1 = log_denominator(w0), log_denominator(w1)
-        log_den = max(l0, l1)
-        zero = numerator(w0) << (log_den - l0)
-        one = numerator(w1) << (log_den - l1)
-        bit = pick(zero, one)
-        w = w1 if bit else w0
-        yield (one if bit else zero), log_den
+    kernel: Callable[[], Kernel]
+    numerator: Callable[[BitString], int] | None = None
 
 
 @dataclass(frozen=True)
 class Martingale:
     """An evaluable betting function.
 
-    ``ratio`` is the one exact evaluator, the counting form
-    ``numerator(w) / 2**log_denominator(w)``; it is None for
-    approximation-only martingales (aggregates of infinite families), whose
-    ``approx(w, r)`` must be within ``2**-r`` of the true value; whether its
-    numerator is #P, SpanP or GapP is the construction's claim, not a field.
-    ``freeze_depth = n`` declares that strings longer than ``n`` take the
-    value of their length-``n`` prefix.  ``meta`` carries the construction
-    kind, as ``{"construction": kind}``; nothing in the package reads it,
-    and the benchmark's traced spans name each ``value`` call after it.
+    ``ratio`` is the one exact evaluator, a :class:`RatioForm`; it is None
+    for approximation-only martingales (aggregates of infinite families),
+    whose ``approx(w, r)`` must be within ``2**-r`` of the true value; whether
+    its numerator is #P, SpanP or GapP is the construction's claim, not a
+    field.  ``freeze_depth = n`` declares that strings longer than ``n`` take
+    the value of their length-``n`` prefix.  ``meta`` carries the kind, as
+    ``{"construction": kind}``; nothing in the package reads it, and the
+    benchmark's traced spans name each ``value`` call after it.
     """
 
     approx: Callable[[BitString, int], Dyadic]
@@ -142,23 +109,19 @@ class Martingale:
     @classmethod
     def from_ratio(
         cls,
-        numerator: Callable[[BitString], int],
-        log_denominator: Callable[[BitString], int],
         row: Callable[[int], tuple[list[int], int]],
+        kernel: Callable[[], Kernel],
         freeze_depth: int | None = None,
         supermartingale: bool = False,
         meta: Mapping | None = None,
-        path: Callable[[int, Pick], Iterator[tuple[int, int]]] | None = None,
+        numerator: Callable[[BitString], int] | None = None,
     ) -> "Martingale":
-        path = path or partial(_node_path, numerator, log_denominator)
-        ratio = RatioForm(numerator, log_denominator, row, path)
-
-        def approx(w: BitString, r: int) -> Dyadic:
-            return ratio.value(w)
-
+        """The martingale of a counting form; its capital is ``row(0)``'s."""
+        (root,), log_den = row(0)
+        ratio, capital = RatioForm(row, kernel, numerator), Dyadic(root, log_den)
         return cls(
-            approx=approx,
-            initial_capital=ratio.value(EMPTY),
+            approx=lambda w, r: _node(ratio, capital, freeze_depth, w),
+            initial_capital=capital,
             freeze_depth=freeze_depth,
             supermartingale=supermartingale,
             ratio=ratio,
@@ -169,39 +132,78 @@ class Martingale:
     def constant(cls, value: Dyadic) -> "Martingale":
         if value.is_negative():
             raise NegativeValue(f"constant martingale value {value}")
+        num, log_den = value.num, value.log_den
         return cls.from_ratio(
-            lambda w: value.num,
-            lambda w: value.log_den,
-            lambda k: ([value.num] * (1 << k), value.log_den),
+            lambda k: ([num] * (1 << k), log_den),
+            partial(_repeat, num, log_den),
             freeze_depth=0,
         )
 
     def value(self, w: BitString) -> Dyadic:
-        v = _exact(self).value(w)
-        if v.is_negative():
-            raise NegativeValue(f"negative value {v} at {w!r}")
-        return v
+        return _node(_exact(self), self.initial_capital, self.freeze_depth, w)
 
     def path(self, S: BitString) -> Iterator[tuple[int, int]]:
         """``value(S.prefix(n))`` as ``(numerator, log_den)``, for ``n`` from
-        0 to ``|S|`` in order: one pass of the form's path kernel.  The
+        0 to ``|S|`` in order: one walk of the form's kernel.  The
         numerator need not be in lowest terms; a negative value raises as
         ``value`` does, at the same prefix."""
         bits = iter(S)
-        for n, (num, log_den) in enumerate(
-            _exact(self).path(len(S), lambda zero, one: next(bits))
-        ):
-            if num < 0:
-                raise NegativeValue(
-                    f"negative value {Dyadic(num, log_den)} at {S.prefix(n)!r}"
-                )
-            yield num, log_den
+        return _walk(
+            _exact(self), self.initial_capital, len(S), lambda zero, one: next(bits)
+        )
+
+
+def _repeat(num: int, log_den: int) -> Kernel:
+    """The kernel past a freeze: both children repeat the prefix."""
+    while True:
+        yield num, num, log_den
 
 
 def _exact(m: Martingale) -> RatioForm:
     if m.ratio is None:
         raise ValueError("martingale has no exact evaluator")
     return m.ratio
+
+
+def _walk(
+    form: RatioForm, root: Dyadic, n: int, pick: Callable[[int, int], int]
+) -> Iterator[tuple[int, int]]:
+    """The value at each of the ``n + 1`` prefixes of one path, in order,
+    as ``(numerator, log_den)``: the capital ``root``, then one kernel step
+    per bit, each prefix extended by the bit ``pick(zero, one)`` of its two
+    children's numerators.  A negative value raises
+    :class:`~martlab.errors.NegativeValue` at its prefix."""
+    num, log_den, bits = root.num, root.log_den, []
+    kernel, bit = form.kernel(), None
+    while True:
+        if num < 0:
+            w = BitString(bits)
+            raise NegativeValue(f"negative value {Dyadic(num, log_den)} at {w!r}")
+        yield num, log_den
+        if len(bits) == n:
+            return
+        zero, one, log_den = kernel.send(bit)
+        bit = pick(zero, one)
+        bits.append(bit)
+        num = one if bit else zero
+
+
+def _node(
+    form: RatioForm, root: Dyadic, freeze_depth: int | None, w: BitString
+) -> Dyadic:
+    """The value at ``w``, read no deeper than the freeze depth: the walk
+    along ``w``, except that the root is the capital (a constant takes no
+    kernel step) and a leveled form counts once."""
+    n = len(w) if freeze_depth is None else min(len(w), freeze_depth)
+    if n and form.numerator is None:
+        bits = iter(w)
+        for num, log_den in _walk(form, root, n, lambda zero, one: next(bits)):
+            pass
+        return Dyadic(num, log_den)
+    v = Dyadic(form.numerator(w), freeze_depth - n) if n else root
+    if v.is_negative():
+        raise NegativeValue(f"negative value {v} at {w.prefix(n)!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -364,8 +366,9 @@ def diagonalize(m: Martingale, N: int) -> BitString:
 
     Each next bit is 1 exactly when the 1-child value is strictly smaller;
     ties go to 0.  The value trace along the result is non-increasing.  The
-    form's path kernel is walked once, each bit picked by comparing the two
-    children's numerators.
+    form's kernel is walked once, each bit picked by comparing the two
+    children's numerators; a negative value raises as in
+    :meth:`Martingale.path`.
     """
     bits = []
 
@@ -373,7 +376,7 @@ def diagonalize(m: Martingale, N: int) -> BitString:
         bits.append(1 if one < zero else 0)
         return bits[-1]
 
-    for _ in _exact(m).path(N, pick):
+    for _ in _walk(_exact(m), m.initial_capital, N, pick):
         pass
     return BitString(bits)
 

@@ -17,9 +17,11 @@ names and of ``cmd_diagonalize``'s trace.
 """
 
 import json
+from dataclasses import replace
 from typing import Callable, Iterator, TypeVar
 
-from martlab.cantor import EMPTY, BitString
+from martlab.cantor import EMPTY, BitString, all_strings
+from martlab.constructions import _leveled
 from martlab.dyadic import (
     GRID_BITS,
     ONE,
@@ -32,6 +34,7 @@ from martlab.martingale import (
     AveragingViolation,
     DimensionReport,
     Martingale,
+    RatioForm,
     SuccessReport,
 )
 
@@ -57,18 +60,45 @@ def levels(
 def tabled(value: Callable[[BitString], Dyadic], depth: int, **kwargs) -> Martingale:
     """The martingale taking ``value(w)`` at every string ``w`` of length at
     most ``depth``, read from a table of rows: level ``k`` holds each value
-    over the level's largest log-denominator.  ``kwargs`` go to
+    over the level's largest log-denominator, and the kernel reads the two
+    children of each prefix off the next row.  ``kwargs`` go to
     ``Martingale.from_ratio``."""
     rows = []
     for _, values in levels(value, depth):
         log_den = max(v.log_den for v in values)
         rows.append(([v.num << (log_den - v.log_den) for v in values], log_den))
-    return Martingale.from_ratio(
-        lambda w: rows[len(w)][0][w.to_int()],
-        lambda w: rows[len(w)][1],
-        rows.__getitem__,
-        **kwargs,
-    )
+
+    def kernel():
+        i, bit = 0, None  # the prefix reached reads i in row k
+        for nums, log_den in rows[1:]:
+            bit = yield nums[2 * i], nums[2 * i + 1], log_den
+            i = 2 * i + bit
+
+    return Martingale.from_ratio(rows.__getitem__, kernel, **kwargs)
+
+
+def table_form(table: dict[str, int], n: int) -> RatioForm:
+    """The leveled counting form ``table[w] / 2**(n - |w|)`` to level ``n``,
+    whose ``numerator`` reads the table: counts that need not add up."""
+    return _leveled(
+        lambda w: table[str(w)],
+        lambda k: [table[str(w)] for w in all_strings(k)],
+        n,
+        "table",
+    ).ratio
+
+
+def stepped(m: Martingale, steps: list) -> Martingale:
+    """``m`` with a kernel that records the bit sent at each step."""
+    kernel = m.ratio.kernel
+
+    def recorded():
+        inner, bit = kernel(), None
+        while True:
+            steps.append(bit)
+            bit = yield inner.send(bit)
+
+    return replace(m, ratio=replace(m.ratio, kernel=recorded))
 
 
 def averaging_report(

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import node_walk
+
 from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.combinators import (
     DEFAULT_ROOT_PRECISION,
@@ -33,7 +35,7 @@ from martlab.errors import (
     NegativeValue,
 )
 from martlab.golden import build_figure
-from martlab.martingale import Martingale, RatioForm, verify_averaging
+from martlab.martingale import Martingale, verify_averaging
 
 
 def geometric_family():
@@ -90,9 +92,12 @@ def test_sum_commutes_and_associates():
 def test_sum_ratio_form_uses_common_power_of_two():
     a, b = build_figure(1), build_figure(2)
     total = sum_finite(a, b)
+    kernel = total.ratio.kernel()
+    kernel.send(None)
+    zero, one, log_den = kernel.send(0)  # the children of 0
+    assert log_den == max(a.ratio.row(2)[1], b.ratio.row(2)[1])
     w = BitString("01")
-    assert total.ratio is not None
-    assert total.ratio.value(w) == total.value(w)
+    assert Dyadic(one, log_den) == total.value(w) == a.value(w) + b.value(w)
 
 
 def test_scale_pow2():
@@ -369,15 +374,6 @@ def test_transform_out_of_band_raises():
         approx_supermartingale(m.ratio, h, 3).exact_value(EMPTY)
 
 
-def _table_form(table: dict, n: int) -> RatioForm:
-    """The counting form ``table[w] / 2**(n - |w|)`` to level ``n``."""
-    return RatioForm(
-        lambda w: table[str(w)],
-        lambda w: n - len(w),
-        lambda k: ([table[str(w)] for w in all_strings(k)], n - k),
-    )
-
-
 def _out_of_band(f):
     return lambda x: 3 * f(x) + 1 if str(x) in ("1", "01") else f(x)
 
@@ -399,7 +395,7 @@ TRANSFORM_FAILURES = {
         "at BitString('10')",
     ),
     "negative-f": (
-        lambda: _table_form({str(w): 1 - 2 * (str(w) == "01")
+        lambda: node_walk.table_form({str(w): 1 - 2 * (str(w) == "01")
                              for k in range(4) for w in all_strings(k)}, 3),
         lambda f: lambda x: 1, "01",
         NegativeValue, "approximation transform needs nonnegative counts "

@@ -73,6 +73,26 @@ def test_cover_freeze():
     assert m.value(BitString("0000")) == ZERO
 
 
+def test_cover_numerator_and_value_count_once():
+    # the approximate-counting check reads the numerator once per string
+    members = Cover.from_members(["0001", "0110", "1101"], 4)
+    calls = []
+
+    def count(w):
+        calls.append(str(w))
+        return members.count(w)
+
+    m = cover_martingale(Cover(4, count))
+    for x in ("", "0", "011", "0110", "01101"):
+        x = BitString(x)
+        calls.clear()
+        assert m.ratio.numerator(x) == members.count(x.prefix(4))
+        assert calls == [str(x.prefix(4))]
+        calls.clear()
+        assert m.value(x) == Dyadic(members.count(x.prefix(4)), max(0, 4 - len(x)))
+        assert calls == ([str(x.prefix(4))] if x else [])  # the root is the capital
+
+
 def test_cover_level_cap():
     with pytest.raises(CapExceeded):
         cover_martingale(Cover.from_predicate(lambda x: True, 23))
@@ -528,8 +548,10 @@ def test_acceptance_log_denominator_matches_resum():
     for n in (40, 7, 0, 41, 13, 100, 99):
         w = BitString.from_int(rnd.getrandbits(n), n) if n else EMPTY
         resum = sum(q(len(string_index(i))) for i in range(n))
-        assert m.ratio.log_denominator(w) == resum
-        assert m.ratio.value(w) == m.value(w)
+        *_, (num, log_den) = m.path(w)
+        assert log_den == resum
+        assert Dyadic(num, log_den) == m.value(w)
+    assert m.ratio.row(9)[1] == sum(q(len(string_index(i))) for i in range(9))
 
 
 def test_acceptance_deep_cold_prefix():
@@ -569,7 +591,7 @@ def test_deep_cold_prefix_memory_is_linear():
             finally:
                 tracemalloc.stop()
             assert peak < 8 << 20
-            assert value == m.ratio.value(w)
+            assert value == m.value(w) == _last(m.path(w))
 
 
 def test_cover_verify_retains_little_memory():

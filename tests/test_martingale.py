@@ -149,6 +149,16 @@ def test_negative_value_rejected():
         bad.value(BitString("00"))
 
 
+def test_constant_value_takes_no_kernel_step():
+    steps = []
+    m = node_walk.stepped(Martingale.constant(Dyadic(5, 3)), steps)
+    for w in ("", "0", "0110" * 8):
+        assert m.value(BitString(w)) == Dyadic(5, 3)
+    assert steps == []
+    assert [Dyadic(*p) for p in m.path(BitString("01"))] == [Dyadic(5, 3)] * 3
+    assert steps == [None, 0]
+
+
 def test_success_scan_constant_one():
     m = Martingale.constant(ONE)
     S = BitString("010101")

@@ -1,25 +1,31 @@
 """Path kernels against the per-prefix evaluation they replaced.
 
 ``success_scan``, ``empirical_dimension``, ``diagonalize`` and the
-diagonalize trace read a martingale along one path, in one pass of its
-``RatioForm`` path kernel (:meth:`martlab.martingale.Martingale.path`).
-Their twins in ``node_walk`` evaluate ``m.value`` at every prefix as a
+diagonalize trace read a martingale along one path, in one walk of its
+``RatioForm`` kernel (:meth:`martlab.martingale.Martingale.path`).  Their
+twins in ``node_walk`` evaluate ``m.value`` at every prefix as a
 ``Dyadic``.  For every construction kind the two must give the same values
 and the same reports, and where evaluation fails, the same exception with
-the same message after the same prefixes.
+the same message after the same prefixes.  Kernels compose: a scan over a
+sum steps each member's kernel once per bit, so its cost is linear in the
+scan's length.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 import node_walk
 from martlab.cantor import BitString, LanguageView, all_strings
+from martlab.circuits import mcsp_cover
+from martlab.combinators import scale_pow2, sum_finite
 from martlab.constructions import (
     AcceptanceSpec,
+    Cover,
+    _products,
     acceptance_martingale,
     biimmunity_martingale,
+    cover_martingale,
 )
 from martlab.dyadic import Dyadic
 from martlab.errors import (
@@ -98,6 +104,29 @@ def test_exact_ties_are_hits():
     assert empirical_dimension(m, S) == node_walk.empirical_dimension(m.value, S)
 
 
+def test_covers_past_the_enumeration_cap_scan_from_their_counts(census3):
+    """An explicit cover at level 30 and an mcsp cover at level 15 have no
+    row to read at their level; their scans count each prefix, as the twin
+    does, and keep the level's value past it."""
+    rnd = random.Random(30)
+    members = [BitString.from_int(rnd.getrandbits(30), 30) for _ in range(40)]
+    for cover, member in (
+        (Cover.from_members(members, 30), members[0]),
+        (mcsp_cover(3, 4, census3), BitString("0" * 15)),  # a constant table
+    ):
+        m, level = cover_martingale(cover), cover.level
+        assert cover.contains(member)
+
+        def value(w, cover=cover, level=level):
+            return Dyadic(cover.count(w.prefix(level)), max(0, level - len(w)))
+
+        N = level + 4
+        assert _diagonal_trace(m, N) == node_walk.diagonalize(value, N)
+        for S in (_sequence(rnd, N), member + _sequence(rnd, 4)):
+            for s in EXPONENTS:
+                assert success_scan(m, S, s) == node_walk.success_scan(value, S, s)
+
+
 def _negative_gap(i: int) -> int:
     return 9 if i == 5 else 3  # 9 > 2**3 makes f(i, 0) negative
 
@@ -167,76 +196,105 @@ def test_failures_raise_at_the_same_prefix(case):
 
 
 def test_negative_kernel_value_raises_as_value_does():
-    nums = [4, 2, -2, 6]  # along the all-ones path, one numerator per prefix
+    nums = [4, 2, -2, 6]  # one numerator per level, over 2**k at level k
 
-    def path(n, pick):
-        for k in range(n + 1):
-            yield nums[k], k
-            if k < n:
-                pick(0, 0)
+    def kernel():
+        for k in range(1, 4):
+            yield nums[k], nums[k], k
 
-    m = Martingale.from_ratio(
-        lambda w: nums[len(w)],
-        lambda w: len(w),
-        lambda k: ([nums[k]] * (1 << k), k),
-        path=path,
-    )
+    m = Martingale.from_ratio(lambda k: ([nums[k]] * (1 << k), k), kernel)
     S = BitString("111")
     twin = _until_raised(m.value(S.prefix(n)) for n in range(4))
     assert twin[1] == "NegativeValue: negative value -1/2 at BitString('11')"
     assert _until_raised(Dyadic(*p) for p in m.path(S)) == twin
 
 
-def test_node_kernel_compares_children_over_their_larger_denominator():
-    """A node form kept in lowest terms gives the two children of a prefix
-    different log-denominators; the node kernel brings them to the larger
-    before it picks."""
+def test_diagonalize_raises_where_path_and_value_do():
+    # the 1-child is the smaller, and negative: the walk to it must raise
+    values = {"": Dyadic(2), "0": Dyadic(5), "1": Dyadic(-1)}
+    m = node_walk.tabled(lambda w: values[str(w)], 1)
+    for read in (
+        lambda: m.value(BitString("1")),
+        lambda: list(m.path(BitString("1"))),
+        lambda: diagonalize(m, 1),
+    ):
+        with pytest.raises(NegativeValue) as raised:
+            read()
+        assert str(raised.value) == "negative value -1 at BitString('1')"
+
+
+def test_sum_kernel_compares_children_over_their_larger_denominator():
+    """Tables in lowest terms give each level, and each summand, its own
+    log-denominator; a sum's kernel brings the members' children to the
+    larger before the diagonal picks between them."""
     rnd = random.Random(61)
     for _ in range(50):
-        table = {str(w): Dyadic(rnd.randrange(6), rnd.randrange(4))
-                 for k in range(6) for w in all_strings(k)}
+        tables = [
+            {str(w): Dyadic(rnd.randrange(6), rnd.randrange(4))
+             for k in range(6) for w in all_strings(k)}
+            for _ in range(2)
+        ]
+        a, b = (node_walk.tabled(lambda w, t=t: t[str(w)], 5) for t in tables)
+        k = rnd.randrange(-2, 3)
+        m = sum_finite(a, scale_pow2(b, k))
 
-        def value(w, t=table):
-            return t[str(w)]
+        def value(w):
+            return tables[0][str(w)] + tables[1][str(w)].scale2(k)
 
-        m = Martingale.from_ratio(
-            lambda w: value(w).num,
-            lambda w: value(w).log_den,
-            node_walk.tabled(value, 5).ratio.row,
+        assert _diagonal_trace(m, 5) == node_walk.diagonalize(value, 5)
+        S = _sequence(rnd, 5)
+        assert success_scan(m, S, Dyadic(1, 1)) == node_walk.success_scan(
+            value, S, Dyadic(1, 1)
         )
-        assert _diagonal_trace(m, 5) == node_walk.diagonalize(m.value, 5)
-
-
-# a path kernel may evaluate a few nodes through the node form; the node
-# kernel evaluates every prefix, 65 here, and each prefix's sibling
-FEW_NODE_CALLS = 2
-
-
-def _counted_nodes(m: Martingale, calls: list) -> Martingale:
-    """``m`` with its kernels, but a node form that records each string."""
-
-    def numerator(w):
-        calls.append(w)
-        return m.ratio.numerator(w)
-
-    return replace(m, ratio=replace(m.ratio, numerator=numerator))
 
 
 @pytest.mark.parametrize("kind", ["acceptance", "gap-acceptance", "biimmunity"])
 def test_product_scans_do_not_fall_back_to_value(kind):
-    calls = []
-    m = _counted_nodes(KINDS[kind][0](random.Random(0), None, None), calls)
+    """Each scan steps the kernel once per bit, in one walk (the diagonal
+    trace in two); a value read at each prefix would walk from the root
+    every time."""
+    steps = []
+    m = node_walk.stepped(KINDS[kind][0](random.Random(0), None, None), steps)
     S = _sequence(random.Random(1), 64)
+    for scan, walks in (
+        (lambda: success_scan(m, S, Dyadic(1, 1)), 1),
+        (lambda: empirical_dimension(m, S), 1),
+        (lambda: _diagonal_trace(m, 64), 2),
+    ):
+        steps.clear()
+        scan()
+        assert len(steps) == 64 * walks, kind
+    steps.clear()
+    m.value(S)
+    assert len(steps) == 64
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_scans_over_a_composed_form_are_linear(n):
+    """A scan over a sum of products, one of them scaled, asks each product
+    for a constant number of factor pairs per bit; a kernel that evaluated
+    both children's node forms at each prefix would ask for ``n**2 / 2``."""
+    calls = {"a": [], "b": []}
+
+    def factors(name, odds):
+        def counted(i):
+            calls[name].append(i)
+            return odds
+
+        return counted
+
+    a = _products(factors("a", (3, 5)), lambda k: 2 * k)
+    b = _products(factors("b", (1, 3)), lambda k: k)
+    m = sum_finite(a, scale_pow2(b, 1))
+    S = _sequence(random.Random(n), n)
     for scan in (
         lambda: success_scan(m, S, Dyadic(1, 1)),
+        lambda: diagonalize(m, n),
         lambda: empirical_dimension(m, S),
-        lambda: _diagonal_trace(m, 64),
     ):
-        calls.clear()
+        for member in calls.values():
+            member.clear()
         scan()
-        assert len(calls) <= FEW_NODE_CALLS, (kind, len(calls))
-    # the guard sees a form whose kernel is gone
-    bare = Martingale.from_ratio(m.ratio.numerator, m.ratio.log_denominator, m.ratio.row)
-    calls.clear()
-    success_scan(bare, S, Dyadic(1, 1))
-    assert len([w for w in calls if w.is_prefix_of(S)]) == len(S) + 1
+        assert all(len(member) <= 2 * n for member in calls.values()), (
+            n, {name: len(member) for name, member in calls.items()}
+        )

@@ -45,7 +45,6 @@ from martlab.golden import (
 from martlab.kolmogorov import kt_cover_martingale
 from martlab.martingale import (
     Martingale,
-    RatioForm,
     tree_csv,
     tree_dot,
     tree_json,
@@ -54,18 +53,22 @@ from martlab.martingale import (
 from martlab.oracle import explicit_set_relation, sat_relation
 
 
-def twin_report(m: Martingale, depth: int):
+def twin_report(m: Martingale, depth: int, value=None):
     return node_walk.averaging_report(
-        m.value, depth, m.supermartingale, m.freeze_depth
+        value or m.value, depth, m.supermartingale, m.freeze_depth
     )
 
 
-def assert_same_as_twin(m: Martingale, depth: int):
+def assert_same_as_twin(m: Martingale, depth: int, value=None):
+    """The row walks of ``m`` against the twins that read ``value`` at
+    every node, ``m.value`` unless a table that breaks its declared freeze
+    gives its own: ``m.value`` stops at the freeze depth."""
+    value = value or m.value
     report = verify_averaging(m, depth)
-    assert report == twin_report(m, depth)
-    assert tree_csv(m, depth) == node_walk.tree_csv(m.value, depth)
-    assert tree_json(m, depth) == node_walk.tree_json(m.value, depth)
-    assert tree_dot(m, depth) == node_walk.tree_dot(m.value, depth)
+    assert report == twin_report(m, depth, value)
+    assert tree_csv(m, depth) == node_walk.tree_csv(value, depth)
+    assert tree_json(m, depth) == node_walk.tree_json(value, depth)
+    assert tree_dot(m, depth) == node_walk.tree_dot(value, depth)
     return report
 
 
@@ -182,13 +185,23 @@ def _approx_scaled(rnd) -> Martingale:
 
 @pytest.mark.parametrize("kind", FORMS)
 def test_row_entries_are_the_node_form(kind, census2, budget):
-    """Row ``k`` holds ``numerator`` of each length-``k`` string in index
-    order, over every such string's ``log_denominator``."""
+    """Entry ``i`` of row ``k``, over the row's log-denominator, is where
+    the kernel's walk to the ``i``-th length-``k`` string ends (the root is
+    the capital, in lowest terms) and the value there; a leveled form's
+    count there is the entry itself."""
     m = FORMS[kind](random.Random(0), census2, budget)
     for k in range(7):
         nums, log_den = m.ratio.row(k)
-        assert nums == [m.ratio.numerator(w) for w in all_strings(k)], (kind, k)
-        assert {m.ratio.log_denominator(w) for w in all_strings(k)} == {log_den}
+        for w, num in zip(all_strings(k), nums):
+            *_, walked = m.path(w)
+            assert Dyadic(*walked) == Dyadic(num, log_den) == m.value(w), (kind, w)
+            assert not k or walked == (num, log_den), (kind, w)
+            if m.ratio.numerator is not None:
+                assert m.ratio.numerator(w) == num, (kind, w)
+    leveled = {kind for kind in FORMS if FORMS[kind](random.Random(0), census2, budget)
+               .ratio.numerator is not None}
+    assert leveled == set(KINDS) - {"acceptance", "gap-acceptance", "biimmunity",
+                                    "sum-scale", "family-sum"}
 
 
 def test_meta_of_the_scaled_and_approximate_forms():
@@ -198,14 +211,14 @@ def test_meta_of_the_scaled_and_approximate_forms():
     assert approx.martingale.meta == {"construction": "approx-supermartingale"}
 
 
+def _table_value(rows, log_dens):
+    """``rows[k][i] / 2**log_dens[k]`` at the ``i``-th length-``k`` string."""
+    return lambda w: Dyadic(rows[len(w)][w.to_int()], log_dens[len(w)])
+
+
 def _tabled(rows, log_dens, **kwargs):
-    """The martingale taking ``rows[k][i] / 2**log_dens[k]`` at the ``i``-th
-    length-``k`` string."""
-    return node_walk.tabled(
-        lambda w: Dyadic(rows[len(w)][w.to_int()], log_dens[len(w)]),
-        len(rows) - 1,
-        **kwargs,
-    )
+    """The martingale taking :func:`_table_value` at every string."""
+    return node_walk.tabled(_table_value(rows, log_dens), len(rows) - 1, **kwargs)
 
 
 def _figure_rows():
@@ -240,7 +253,7 @@ def test_freeze_violation_matches_the_twin():
     rows[5] = [c for c in rows[4] for _ in range(2)]
     rows[5][6] = 0  # leaf 0011 gives one child 0, which breaks the law there too
     m = _tabled(rows, [4, 3, 2, 1, 0, 0], freeze_depth=4)
-    report = assert_same_as_twin(m, 5)
+    report = assert_same_as_twin(m, 5, _table_value(rows, [4, 3, 2, 1, 0, 0]))
     assert [str(v.node) for v in report.violations] == ["0011"]
     assert [str(w) for w in report.unfrozen] == ["0011"]
 
@@ -268,7 +281,7 @@ def test_random_tables_match_the_twin():
         m = _tabled(
             rows, log_dens, freeze_depth=freeze, supermartingale=rnd.random() < 0.5
         )
-        assert_same_as_twin(m, depth)
+        assert_same_as_twin(m, depth, _table_value(rows, log_dens))
 
 
 def test_sums_of_mixed_denominators_match_the_twin():
@@ -313,11 +326,7 @@ def test_approx_verify_matches_the_rational_twin(n):
             # arbitrary counts: the relaxed law fails somewhere
             table = {str(w): rnd.randrange(8) for k in range(n + 1)
                      for w in all_strings(k)}
-            form = RatioForm(
-                lambda w, t=table: t[str(w)],
-                lambda w: n - len(w),
-                lambda k, t=table: ([t[str(w)] for w in all_strings(k)], n - k),
-            )
+            form = node_walk.table_form(table, n)
 
         def h(x, f=form.numerator):
             fx = f(x)
