@@ -30,6 +30,7 @@ __all__ = [
     "census",
     "language_of",
     "char_prefix",
+    "mirror",
 ]
 
 
@@ -137,6 +138,11 @@ def all_strings(length: int) -> Iterator[BitString]:
     return map(_of, range(1 << length, 2 << length))
 
 
+def mirror(value: int, width: int) -> int:
+    """The ``width``-bit ``value`` reversed: mask bit ``i`` is string character ``i``."""
+    return int(format(value, f"0{width}b")[::-1], 2) if width else 0
+
+
 # a level past this many bits is named in slices of 2**SLICE_BITS strings
 SLICE_BITS = 12
 
@@ -230,7 +236,8 @@ class LanguageView:
 
     def members(self) -> list[BitString]:
         """All members, in enumeration order."""
-        bits = format(self._mask, "b")[::-1]
+        width = self._mask.bit_length()
+        bits = format(mirror(self._mask, width), f"0{width}b")
         return [string_index(i) for i, c in enumerate(bits) if c == "1"]
 
 
@@ -245,13 +252,12 @@ def census(language: LanguageView, n: int) -> int:
 
 def language_of(w: BitString) -> LanguageView:
     """The finite language whose characteristic prefix is ``w``."""
-    return LanguageView(int(w.bits()[::-1] or "0", 2), len(w), name=f"L({w})")
+    return LanguageView(mirror(w.to_int(), len(w)), len(w), name=f"L({w})")
 
 
 def char_prefix(language: LanguageView, n: int) -> BitString:
     """First ``n`` bits of the language's characteristic sequence."""
     if n > language.horizon:
         raise HorizonExceeded(f"prefix of length {n} is past horizon {language.horizon}")
-    # the bit above the first n keeps their leading zeros; dropped on reversal
-    top = 1 << max(n, 0)
-    return BitString(format(language._mask & (top - 1) | top, "b")[:0:-1])
+    n = max(n, 0)
+    return BitString.from_int(mirror(language._mask & ((1 << n) - 1), n), n)

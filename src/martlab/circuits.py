@@ -27,7 +27,7 @@ from typing import Callable
 from pathlib import Path
 
 from . import cache, machine
-from .cantor import BitString
+from .cantor import BitString, mirror
 from .constructions import Cover
 from .dyadic import Dyadic, grid_floor_log2_ratio
 from .errors import (
@@ -82,15 +82,14 @@ class TruthTable:
             raise ValueError(f"mask {self.mask} too wide for n={self.n}")
 
     @classmethod
-    def from_bits(cls, bits: BitString | str) -> "TruthTable":
-        text = bits.bits() if isinstance(bits, BitString) else bits
-        rows = len(text)
+    def from_bits(cls, bits: BitString) -> "TruthTable":
+        rows = len(bits)
         if rows < 1 or rows & (rows - 1):
             raise ValueError(f"table length {rows} is not a power of two")
-        return cls(rows.bit_length() - 1, int(text[::-1], 2))
+        return cls(rows.bit_length() - 1, mirror(bits.to_int(), rows))
 
     def to_bits(self) -> BitString:
-        return BitString(format(self.mask, f"0{1 << self.n}b")[::-1])
+        return BitString.from_int(mirror(self.mask, 1 << self.n), 1 << self.n)
 
     def __str__(self) -> str:
         return str(self.to_bits())
@@ -363,8 +362,8 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
         if len(w) <= table_start:  # every table, under each free prefix bit
             return tables << (table_start - len(w))
         # the tables whose low k rows are w's k table bits v: masks v + j 2**k
-        fixed = w.bits()[table_start:]
-        return _at_most(census.sizes[int(fixed[::-1], 2) :: 1 << len(fixed)], s)
+        k = len(w) - table_start
+        return _at_most(census.sizes[mirror(w.to_int() & ((1 << k) - 1), k) :: 1 << k], s)
 
     return Cover(level, count, f"mcsp(n={n},s={s})")
 
@@ -388,8 +387,7 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     total = header_bits + 2 * max_ops + width * max_push
 
     body = total - header_bits
-    push = int(machine.PUSH, 2)
-    gates = {int(code, 2): op for code, op in machine.GATES.items()}
+    push, gates = machine.PUSH, machine.GATES
 
     def image(rows: int, y: int) -> int | None:
         if rows != 1 << n:
@@ -412,7 +410,7 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
             return None
         mask = machine.table_mask(n, ops)
         # the input's first bit is row 0, the mask's lowest
-        return None if mask is None else int(format(mask, f"0{rows}b")[::-1], 2)
+        return None if mask is None else mirror(mask, rows)
 
     return WitnessRelation.from_image(
         f"mcsp-witness(n={n},s={s})", lambda _: total, image

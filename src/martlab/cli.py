@@ -230,6 +230,8 @@ def cmd_mcsp(args) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
     tt = _parse_arg(lambda t: TruthTable.from_bits(BitString(t)), args.table, "--table")
+    if tt.n < 1:  # as census -n 0: an input count below 1 is a config error
+        raise ConfigError("a table needs at least 2 rows, got 1", field="--table")
     bound = _natural(args.size, "--size")
     census = cached_census(tt.n, bound, _cache_dir(args))
     verdict = mcsp(tt, bound, census)
@@ -271,9 +273,9 @@ def cmd_kolmogorov(args) -> int:
     length_cap = _natural(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
     table = cached_kt_table(budget, length_cap, _cache_dir(args))
-    if args.sequence:
+    if args.sequence is not None:
         S = _bits(args.sequence, "--sequence")
-        report = k_rate(S, table)
+        report = _parse_arg(lambda w: k_rate(w, table), S, "--sequence")
         print(f"kt rates along {S} under budget {budget}")
         print("n,kt,ratio")
         for n, (value, ratio) in enumerate(

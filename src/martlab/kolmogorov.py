@@ -8,6 +8,7 @@ subterms, so one dynamic program over term length replaces running every bit
 string: ``D[l]`` counts the terms of exactly ``l`` bits by (output, steps).
 Leaves (literal, run, table) are run on the machine itself, the only
 definition of their semantics; repeat and pair terms combine shorter entries.
+Programs and outputs are held as codes (a string's index plus one), not text.
 Outputs longer than the cap and steps above the run budget are pruned, which
 is sound because both only grow under composition.  One pass fills the table
 for every string up to the length cap at once, and tables persist through
@@ -26,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cache
-from .cantor import BitString, index_of
+from .cantor import BitString, all_strings, index_of, string_index
 from .constructions import condexp_martingale
 from .errors import CapExceeded, MartlabError
 from .machine import (
@@ -38,10 +39,12 @@ from .machine import (
     encode_literal,
     encode_run,
     encode_table,
-    gamma_bits,
+    gamma_length,
     push_op,
     ref_width,
+    repeated,
     run,
+    run_code,
 )
 from .martingale import LEVEL_CAP, Martingale
 from .oracle import WitnessRelation
@@ -133,10 +136,9 @@ def _leaves(max_len: int, out_cap: int, step_cap: int):
     """Every literal, run and table term that fits in ``max_len`` bits and
     could print at most ``out_cap`` bits within ``step_cap`` steps."""
     for length in range(out_cap + 1):
-        if 2 + len(gamma_bits(length + 1)) + length > max_len:
+        if 2 + gamma_length(length + 1) + length > max_len:
             break
-        for value in range(1 << length):
-            yield encode_literal(format(value, f"0{length}b") if length else "")
+        yield from map(encode_literal, all_strings(length))
     if max_len >= 8:  # every run term is 8 bits
         for k in range(1, min(out_cap, 16) + 1):
             for bit in (0, 1):
@@ -146,7 +148,7 @@ def _leaves(max_len: int, out_cap: int, step_cap: int):
         rows = 1 << n
         m = 1
         while True:
-            head = 2 + len(gamma_bits(n + 1)) + len(gamma_bits(m + 1))
+            head = 2 + gamma_length(n + 1) + gamma_length(m + 1)
             # the cheapest table reads 2m op bits, runs m ops per row and
             # prints every row; both bounds only grow with m
             if head + 2 * m > max_len or head + 2 * m + rows * (m + 1) > step_cap:
@@ -158,7 +160,7 @@ def _leaves(max_len: int, out_cap: int, step_cap: int):
 
 
 def _term_counts(max_len: int, out_cap: int, step_cap: int) -> list:
-    """``D[l]`` counts the terms of exactly ``l`` bits by (output, steps).
+    """``D[l]`` counts the terms of exactly ``l`` bits by (output code, steps).
 
     Only terms printing at most ``out_cap`` bits within ``step_cap`` steps
     are kept.  A top-level program is one term, so ``D[l]`` also describes
@@ -167,27 +169,31 @@ def _term_counts(max_len: int, out_cap: int, step_cap: int) -> list:
     D = [Counter() for _ in range(max(max_len, 0) + 1)]
     for program in _leaves(max_len, out_cap, step_cap):
         result = run(program, step_cap)
-        if result.text is not None:
-            D[len(program)][result.text, result.steps] += 1
+        if result.output is not None:
+            D[len(program)][index_of(result.output) + 1, result.steps] += 1
     for length in range(_MIN_TERM, max_len + 1):
         terms = D[length]
         # repeat: 011 gamma(k) body, printing the body k times
         k = 1
-        while (head := 3 + len(gamma_bits(k))) + _MIN_TERM <= length:
-            for (out, steps), count in D[length - head].items():
-                total = head + steps + k * len(out)
-                if len(out) * k <= out_cap and total <= step_cap:
-                    terms[out * k, total] += count
+        while (head := 3 + gamma_length(k)) + _MIN_TERM <= length:
+            for (code, steps), count in D[length - head].items():
+                size = code.bit_length() - 1
+                total = head + steps + k * size
+                if size * k <= out_cap and total <= step_cap:
+                    body = repeated(code - (1 << size), size, k)
+                    terms[(1 << size * k) | body, total] += count
             k += 1
         # pair: 10 gamma(L1) left right, the left term exactly L1 bits long
         first = _MIN_TERM
-        while (head := 2 + len(gamma_bits(first))) + first + _MIN_TERM <= length:
+        while (head := 2 + gamma_length(first)) + first + _MIN_TERM <= length:
             right = D[length - head - first]
-            for (lout, lsteps), lcount in D[first].items():
-                for (rout, rsteps), rcount in right.items():
+            for (lcode, lsteps), lcount in D[first].items():
+                room = out_cap + 1 - lcode.bit_length()  # output bits left for the right
+                for (rcode, rsteps), rcount in right.items():
+                    size = rcode.bit_length() - 1
                     total = head + lsteps + rsteps
-                    if len(lout) + len(rout) <= out_cap and total <= step_cap:
-                        terms[lout + rout, total] += lcount * rcount
+                    if size <= room and total <= step_cap:
+                        terms[((lcode - 1) << size) + rcode, total] += lcount * rcount
             first += 1
     return D
 
@@ -199,15 +205,12 @@ def build_kt_table(budget: BudgetPoly, length_cap: int) -> KtTable:
         raise CapExceeded(
             f"length cap {length_cap} exceeds {DEFAULT_LENGTH_CAP}"
         )
-    first: dict[str, int] = {}
+    kts = bytearray([NO_PROGRAM]) * ((2 << length_cap) - 1)
     terms = _term_counts(length_cap + C_LIT, length_cap, budget(length_cap))
     for length, level in enumerate(terms):  # lengths upward: first is min
-        for out, steps in level:
-            if out not in first and steps <= budget(len(out)):
-                first[out] = length
-    kts = bytearray([NO_PROGRAM]) * ((2 << length_cap) - 1)
-    for out, length in first.items():
-        kts[(1 << len(out)) - 1 + int(out or "0", 2)] = length  # index_of(out)
+        for code, steps in level:
+            if kts[code - 1] == NO_PROGRAM and steps <= budget(code.bit_length() - 1):
+                kts[code - 1] = length
     return KtTable(budget, length_cap, MACHINE_VERSION, bytes(kts))
 
 
@@ -247,12 +250,12 @@ def short_program_counts(
         raise CapExceeded(
             "program bound exceeds the literal-print search space"
         )
-    counts: dict[str, int] = {}
+    counts: dict[int, int] = {}
     for level in _term_counts(max_program_len_exclusive - 1, n, budget(n)):
-        for (out, _), count in level.items():
-            if len(out) == n:
-                counts[out] = counts.get(out, 0) + count
-    return {BitString(out): count for out, count in counts.items()}
+        for (code, _), count in level.items():
+            if code.bit_length() == n + 1:
+                counts[code] = counts.get(code, 0) + count
+    return {string_index(code - 1): count for code, count in counts.items()}
 
 
 def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
@@ -313,11 +316,8 @@ def kolmogorov_witness_relation(
         pad = max_program_len - length
         if y & ((1 << pad) - 1):
             return None
-        program = format(y >> pad & ((1 << length) - 1), f"0{length}b")
-        output = run(program, budget(n)).text
-        if output is None or len(output) != n:
-            return None
-        return int(output, 2) if n else 0
+        output, _ = run_code(1 << length | y >> pad & ((1 << length) - 1), budget(n))
+        return output[0] if output is not None and output[1] == n else None
 
     return WitnessRelation.from_image(
         f"short-program(<{max_program_len + 1} bits)", lambda _: total, image

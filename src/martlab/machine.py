@@ -1,6 +1,6 @@
 """A pinned toy universal machine with step budgets.
 
-Programs are bit strings.  A program is one self-delimiting term:
+Programs are bit strings held as codes.  A program is one self-delimiting term:
 
     term := 00 gamma(L+1) <L raw bits>            literal: print the bits
           | 01 0 <b> <k-1: 4 bits>                run: print bit b, k times
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cantor import BitString
+from .cantor import BitString, index_of, mirror
 
 __all__ = [
     "MACHINE_VERSION",
@@ -43,7 +43,9 @@ __all__ = [
     "pairing_budget",
     "RunResult",
     "run",
-    "gamma_bits",
+    "run_code",
+    "repeated",
+    "gamma_length",
     "encode_literal",
     "encode_run",
     "encode_repeat",
@@ -104,18 +106,14 @@ def pairing_budget(t: BudgetPoly) -> BudgetPoly:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's printed bits as text, ``None`` when it diverged, and its steps."""
+    """A run's printed string, ``None`` when it diverged, and its steps."""
 
-    text: str | None
+    output: BitString | None
     steps: int
 
     @property
-    def output(self) -> BitString | None:
-        return None if self.text is None else BitString(self.text)
-
-    @property
     def diverged(self) -> bool:
-        return self.text is None
+        return self.output is None
 
 
 class _Diverge(Exception):
@@ -123,74 +121,63 @@ class _Diverge(Exception):
 
 
 class _Runner:
-    __slots__ = ("bits", "pos", "steps", "budget", "out")
+    __slots__ = ("value", "left", "steps", "budget")
 
-    def __init__(self, bits: str, budget: int):
-        self.bits = bits
-        self.pos = 0
+    def __init__(self, code: int, budget: int):
+        self.left = code.bit_length() - 1  # bits not yet read
+        self.value = code ^ (1 << self.left)
         self.steps = 0
         self.budget = budget
-        self.out: list[str] = []
 
-    def read(self, k: int) -> str:
-        if self.pos + k > len(self.bits):
+    def read(self, k: int) -> int:
+        if k > self.left:
             raise _Diverge
         self.steps += k
         if self.steps > self.budget:
             raise _Diverge
-        chunk = self.bits[self.pos : self.pos + k]
-        self.pos += k
-        return chunk
+        self.left -= k
+        return self.value >> self.left & ((1 << k) - 1)
 
     def read_gamma(self) -> int:
-        zeros = 0
-        while True:
-            bit = self.read(1)
-            if bit == "1":
-                break
-            zeros += 1
-            if zeros > 64:
-                raise _Diverge
-        if zeros == 0:
-            return 1
-        rest = self.read(zeros)
-        return (1 << zeros) | int(rest, 2)
+        # the zeros and the stop bit are read at once, each costing a step
+        zeros = self.left - (self.value & ((1 << self.left) - 1)).bit_length()
+        if zeros > 64 or zeros == self.left:  # no stop bit within reach
+            self.read(min(zeros, 65))
+            raise _Diverge
+        self.read(zeros + 1)
+        return (1 << zeros) | self.read(zeros)
 
-    def emit(self, chunk: str) -> None:
-        self.steps += len(chunk)
+    def emit(self, length: int) -> None:
+        self.steps += length
         if self.steps > self.budget:
             raise _Diverge
-        self.out.append(chunk)
 
-    def term(self) -> str:
+    def term(self) -> tuple[int, int]:
+        """The term's output as ``(value, length)``."""
         opcode = self.read(2)
-        if opcode == "00":  # literal
+        if opcode == 0:  # literal
             length = self.read_gamma() - 1
             body = self.read(length)
-            self.emit(body)
-            return body
-        if opcode == "01":  # run / repeat
-            if self.read(1) == "0":
+            self.emit(length)
+            return body, length
+        if opcode == 1:  # run / repeat
+            if self.read(1) == 0:
                 bit = self.read(1)
-                k = int(self.read(4), 2) + 1
-                self.emit(bit * k)
-                return bit * k
+                k = self.read(4) + 1
+                self.emit(k)
+                return bit * ((1 << k) - 1), k
             k = self.read_gamma()
-            mark = len(self.out)
-            body = self.term()
-            del self.out[mark:]
-            piece = body
-            for _ in range(k):
-                self.emit(piece)
-            return piece * k
-        if opcode == "10":  # pair
+            body, length = self.term()  # printed once, then k more times
+            self.emit(k * length)
+            return repeated(body, length, k), k * length
+        if opcode == 2:  # pair
             first_len = self.read_gamma()
-            stop = self.pos + first_len
-            left = self.term()
-            if self.pos != stop:
+            stop = self.left - first_len
+            left, left_len = self.term()
+            if self.left != stop:
                 raise _Diverge
-            right = self.term()
-            return left + right
+            right, right_len = self.term()
+            return left << right_len | right, left_len + right_len
         # table
         n = self.read_gamma() - 1
         if n < 1:
@@ -202,7 +189,7 @@ class _Runner:
         ops, depth, low = [], 0, 0
         for _ in range(m):
             code = self.read(2)
-            op = GATES.get(code) or push_op(n, int(self.read(width), 2))
+            op = GATES.get(code) or push_op(n, self.read(width))
             if op is None:
                 raise _Diverge
             ops.append(op)
@@ -216,58 +203,65 @@ class _Runner:
         self.steps += m << min(n, self.budget.bit_length())
         if self.steps > self.budget:
             raise _Diverge
-        body = format(table_mask(n, ops), f"0{1 << n}b")[::-1]
-        self.emit(body)
-        return body
+        rows = 1 << n
+        self.emit(rows)
+        return mirror(table_mask(n, ops), rows), rows
 
 
-def run(program: BitString | str, budget: int) -> RunResult:
+def run(program: BitString, budget: int) -> RunResult:
     """Execute a program under a step budget; divergence is a value."""
-    bits = program.bits() if isinstance(program, BitString) else program
-    if bits.strip("01"):
-        raise ValueError(f"not a bit string: {program!r}")
-    runner = _Runner(bits, budget)
-    if not bits:
-        return RunResult(None, 0)
+    output, steps = run_code(index_of(program) + 1, budget)
+    return RunResult(None if output is None else BitString.from_int(*output), steps)
+
+
+def run_code(code: int, budget: int) -> tuple:
+    """:func:`run` on a program's code: ``((value, length) or None, steps)``."""
+    runner = _Runner(code, budget)
     try:
-        runner.term()
-        if runner.pos != len(bits):
-            return RunResult(None, runner.steps)
+        output = runner.term()
     except _Diverge:
-        return RunResult(None, min(runner.steps, budget))
-    return RunResult("".join(runner.out), runner.steps)
+        return None, min(runner.steps, budget)
+    return (None if runner.left else output), runner.steps  # trailing bits diverge
 
 
-def gamma_bits(m: int) -> str:
-    """Elias code of a positive integer."""
+def repeated(value: int, width: int, k: int) -> int:
+    """``k`` copies of the ``width``-bit number ``value``, end to end."""
+    return value * ((1 << width * k) - 1) // ((1 << width) - 1) if width else 0
+
+
+def gamma_length(m: int) -> int:
+    """Bits in the Elias code of ``m >= 1``, which is ``m`` in that many bits."""
     if m < 1:
         raise ValueError("gamma codes positive integers only")
-    binary = format(m, "b")
-    return "0" * (len(binary) - 1) + binary
+    return 2 * m.bit_length() - 1
 
 
-def encode_literal(x: BitString | str) -> BitString:
-    bits = x.bits() if isinstance(x, BitString) else x
-    return BitString("00" + gamma_bits(len(bits) + 1) + bits)
+def _head(opcode: int, width: int, m: int) -> BitString:
+    """A ``width``-bit opcode, then the gamma code of ``m``."""
+    return BitString.from_int(opcode << gamma_length(m) | m, width + gamma_length(m))
+
+
+def encode_literal(x: BitString) -> BitString:
+    return _head(0b00, 2, len(x) + 1) + x
 
 
 def encode_run(bit: int, k: int) -> BitString:
     """The 8-bit run form; counts above 16 need nesting or general repeat."""
     if not 1 <= k <= 16:
         raise ValueError("run counts 1..16 only")
-    return BitString("010" + ("1" if bit else "0") + format(k - 1, "04b"))
+    return BitString.from_int(0b010 << 5 | (1 if bit else 0) << 4 | k - 1, 8)
 
 
 def encode_repeat(k: int, body: BitString) -> BitString:
     if k < 1:
         raise ValueError("repeat count must be positive")
-    return BitString("011" + gamma_bits(k) + body.bits())
+    return _head(0b011, 3, k) + body
 
 
 def encode_pair(first: BitString, second: BitString) -> BitString:
     if len(first) < 1:
         raise ValueError("first part must be nonempty")
-    return BitString("10" + gamma_bits(len(first)) + first.bits() + second.bits())
+    return _head(0b10, 2, len(first)) + first + second
 
 
 def encode_table(n: int, ops: tuple) -> BitString:
@@ -279,15 +273,14 @@ def encode_table(n: int, ops: tuple) -> BitString:
     if n < 1:
         raise ValueError("table needs at least one variable")
     width = ref_width(n)
-    pieces = ["11", gamma_bits(n + 1), gamma_bits(len(ops) + 1)]
+    program = _head(0b11, 2, n + 1) + _head(0, 0, len(ops) + 1)
     for op in ops:
         if op[0] not in TABLE_OPS:
             raise ValueError(f"unknown op {op!r}")
-        pieces.append(TABLE_OPS[op[0]][0])
+        program += BitString.from_int(TABLE_OPS[op[0]][0], 2)
         if op[0] in ("VAR", "CONST"):
-            ref = op[1] if op[0] == "VAR" else n + op[1]
-            pieces.append(format(ref, f"0{width}b"))
-    return BitString("".join(pieces))
+            program += BitString.from_int(op[1] if op[0] == "VAR" else n + op[1], width)
+    return program
 
 
 # -- stack programs over truth-table masks ---------------------------------
@@ -295,13 +288,13 @@ def encode_table(n: int, ops: tuple) -> BitString:
 # ``(j >> i) & 1``, so one bitwise op runs a gate on every row at once.
 
 # op -> (2-bit opcode, operands popped); VAR and CONST share the push opcode
-PUSH = "00"
+PUSH = 0b00
 TABLE_OPS = {
     "VAR": (PUSH, 0),
     "CONST": (PUSH, 0),
-    "NOT": ("01", 1),
-    "AND": ("10", 2),
-    "OR": ("11", 2),
+    "NOT": (0b01, 1),
+    "AND": (0b10, 2),
+    "OR": (0b11, 2),
 }
 GATES = {code: (op,) for op, (code, pops) in TABLE_OPS.items() if pops}
 

@@ -2,12 +2,13 @@
 
 Test-local oracles for the dense kt table: :func:`build` keeps the first
 (shortest) program length of every string the term sweep prints within
-budget, in a bits -> kt dict; :func:`encode` and :func:`decode` are the CSV
-payload, one ``string,kt`` line per string, shortest strings first, that
-cache files held under a ``martlab-cache v2`` or ``v3`` header.
+budget, in a bits -> kt dict (the sweep's output codes decoded to text);
+:func:`encode` and :func:`decode` are the CSV payload, one ``string,kt``
+line per string, shortest strings first, that cache files held under a
+``martlab-cache v2`` or ``v3`` header.
 """
 
-from martlab.cantor import all_strings
+from martlab.cantor import all_strings, string_index
 from martlab.errors import MartlabError
 from martlab.kolmogorov import _term_counts
 from martlab.machine import C_LIT, MACHINE_VERSION
@@ -17,7 +18,8 @@ def build(budget, length_cap: int) -> dict:
     entries: dict[str, int] = {}
     terms = _term_counts(length_cap + C_LIT, length_cap, budget(length_cap))
     for length, level in enumerate(terms):  # lengths upward: first is min
-        for out, steps in level:
+        for code, steps in level:
+            out = string_index(code - 1).bits()
             if out not in entries and steps <= budget(len(out)):
                 entries[out] = length
     return entries

@@ -101,7 +101,7 @@ def mcsp_verify(n: int, s: int):
         k = int(bits[:header_bits], 2)
         if not 1 <= k <= max_ops:
             return False
-        codes = [bits[i : i + 2] for i in range(header_bits, header_bits + 2 * k, 2)]
+        codes = [int(bits[i : i + 2], 2) for i in range(header_bits, header_bits + 2 * k, 2)]
         pushes = codes.count(machine.PUSH)
         if pushes > max_push or k - pushes > s:
             return False
@@ -131,7 +131,7 @@ def short_program_verify(max_program_len: int, budget):
         program = bits[header : header + length]
         if "1" in bits[header + length :]:
             return False
-        result = run(program, budget(len(x)))
+        result = run(BitString(program), budget(len(x)))
         return result.output == x
 
     return verify

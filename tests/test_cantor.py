@@ -10,6 +10,7 @@ from martlab.cantor import (
     char_prefix,
     index_of,
     language_of,
+    mirror,
     string_index,
 )
 from martlab.errors import HorizonExceeded
@@ -93,6 +94,25 @@ def test_language_char_prefix_roundtrip(indices):
     for i in range(31):
         assert L.contains_index(i) == A.contains_index(i)
     assert census(A, 31) == w.count_ones()
+
+
+def _reversed_text(v: int, n: int) -> int:
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+def test_mirror_reverses_every_short_value():
+    for n in range(11):
+        assert [mirror(v, n) for v in range(1 << n)] == [
+            _reversed_text(v, n) for v in range(1 << n)
+        ]
+
+
+@given(st.integers(0, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mirror_reverses_wide_values(case):
+    n, v = case
+    assert mirror(v, n) == _reversed_text(v, n)
+    assert mirror(mirror(v, n), n) == v
 
 
 def test_all_strings():

@@ -51,12 +51,12 @@ def sizes_of(census) -> dict:
 
 
 def test_truth_table_roundtrip():
-    tt = TruthTable.from_bits("0110")
+    tt = TruthTable.from_bits(BitString("0110"))
     assert tt.n == 2 and tt.mask == 0b0110
     assert str(tt.to_bits()) == "0110"
     for bad in ("011", ""):
         with pytest.raises(ValueError, match="is not a power of two"):
-            TruthTable.from_bits(bad)
+            TruthTable.from_bits(BitString(bad))
 
 
 def test_seeds_present_at_size_zero(census2):
@@ -94,13 +94,13 @@ def test_dag_sizes_at_most_tree_sizes_at_three_inputs():
 
 def test_xor_needs_four_gates(census2):
     assert census2.min_size(TruthTable(2, 0b0110)) == 4
-    assert not mcsp(TruthTable.from_bits("0110"), 0, census2)
-    assert not mcsp(TruthTable.from_bits("0110"), 3, census2)
-    assert mcsp(TruthTable.from_bits("0110"), 4, census2)
+    assert not mcsp(TruthTable.from_bits(BitString("0110")), 0, census2)
+    assert not mcsp(TruthTable.from_bits(BitString("0110")), 3, census2)
+    assert mcsp(TruthTable.from_bits(BitString("0110")), 4, census2)
 
 
 def test_constant_accepted_at_zero(census2):
-    assert mcsp(TruthTable.from_bits("0000"), 0, census2)
+    assert mcsp(TruthTable.from_bits(BitString("0000")), 0, census2)
 
 
 def test_rejected_below_minimum(census3):
@@ -117,7 +117,7 @@ def test_parity3_beyond_tree_cap():
     # three-input parity has no tree-shaped circuit within the size cap, so
     # the census rejects it at every queryable size
     census = build_census(3, 8)
-    parity = TruthTable.from_bits("01101001")
+    parity = TruthTable.from_bits(BitString("01101001"))
     assert census.min_size(parity) is None
     for s in range(9):
         assert not mcsp(parity, s, census)
@@ -154,7 +154,7 @@ def test_census_caps():
     with pytest.raises(CapExceeded):
         build_census(2, 9)
     with pytest.raises(CensusUnavailable):
-        mcsp(TruthTable.from_bits("0110"), 7, build_census(2, 4))
+        mcsp(TruthTable.from_bits(BitString("0110")), 7, build_census(2, 4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -322,7 +322,7 @@ def test_encoding_length_bound(census2, census3):
 
 def test_single_not_example():
     census = build_census(1, 2)
-    circuit = circuit_for(census, TruthTable.from_bits("10"))
+    circuit = circuit_for(census, TruthTable.from_bits(BitString("10")))
     program = encode_circuit(circuit)
     assert run(program, 1000).output == BitString("10")
 

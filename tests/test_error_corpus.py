@@ -77,7 +77,9 @@ CASES = [
     ("kolmogorov -L -1", ["kolmogorov", "-L", "-1"], None),
     ("kolmogorov --budget -1 1 16", ["kolmogorov", "-L", "2", "--budget", "-1", "1", "16"],
      None),
+    ("kolmogorov --sequence ''", ["kolmogorov", "-L", "3", "--sequence", ""], None),
     ("mcsp --table 011", ["mcsp", "--table", "011", "-s", "2"], None),
+    ("mcsp --table 1", ["mcsp", "--table", "1", "-s", "2"], None),
     ("mcsp -s -1", ["mcsp", "--table", "0110", "-s", "-1"], None),
     ("verify without --config", ["verify"], None),
     ("construct --depth x", ["construct", "--config", FIG1, "--depth", "x"], None),

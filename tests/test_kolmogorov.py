@@ -29,8 +29,7 @@ import kt_v3
 
 def _programs(max_len):
     for length in range(1, max_len + 1):
-        for value in range(1 << length):
-            yield format(value, f"0{length}b")
+        yield from all_strings(length)
 
 
 def brute_kt_entries(budget, length_cap):
@@ -284,7 +283,7 @@ def test_witness_relation_counts_pairs(budget):
         1
         for length in range(1, 9)
         for v in range(1 << length)
-        if run(format(v, f"0{length}b"), budget(4)).output == x
+        if run(BitString.from_int(v, length), budget(4)).output == x
     )
     assert count(rel, x) == expected
     assert expected >= 1

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from martlab import kolmogorov, machine
-from martlab.cantor import BitString
+from martlab import kolmogorov
+from martlab.cantor import EMPTY, BitString
+from martlab.kolmogorov import DEFAULT_LENGTH_CAP
 from martlab.machine import (
     BudgetPoly,
     C_LIT,
@@ -15,11 +16,13 @@ from martlab.machine import (
     encode_repeat,
     encode_run,
     encode_table,
-    gamma_bits,
+    gamma_length,
     pairing_budget,
     run,
     table_mask,
 )
+
+import machine_v1
 
 
 def out(program, budget=10_000):
@@ -28,26 +31,29 @@ def out(program, budget=10_000):
 
 def test_literal_prints_itself():
     for text in ("", "0", "0101", "1" * 14):
-        assert out(encode_literal(text)) == BitString(text)
+        assert out(encode_literal(BitString(text))) == BitString(text)
 
 
 def test_literal_overhead_within_constant():
-    for length in range(15):
-        program = encode_literal("1" * length)
+    # every string the kt table holds has its literal within C_LIT bits, so a
+    # longer length cap needs a larger constant (and a new machine version)
+    for length in range(DEFAULT_LENGTH_CAP + 1):
+        assert 2 + gamma_length(length + 1) <= C_LIT
+        program = encode_literal(BitString("1" * length))
         assert len(program) <= length + C_LIT
 
 
 def test_empty_program_diverges():
-    assert run("", 100).diverged
+    assert run(EMPTY, 100).diverged
 
 
 def test_trailing_bits_diverge():
-    program = encode_literal("01").bits() + "1"
+    program = encode_literal(BitString("01")).append(1)
     assert run(program, 100).diverged
 
 
 def test_pair_concatenates():
-    p = encode_pair(encode_literal("01"), encode_literal("10"))
+    p = encode_pair(encode_literal(BitString("01")), encode_literal(BitString("10")))
     assert out(p) == BitString("0110")
 
 
@@ -55,9 +61,9 @@ def test_pair_overhead_law():
     rnd = random.Random(1)
     for _ in range(50):
         first = encode_literal(
-            format(rnd.getrandbits(8), "08b")[: rnd.randrange(1, 9)]
+            BitString(format(rnd.getrandbits(8), "08b")[: rnd.randrange(1, 9)])
         )
-        second = encode_literal("1" * rnd.randrange(5))
+        second = encode_literal(BitString("1" * rnd.randrange(5)))
         paired = encode_pair(first, second)
         assert out(paired) == out(first) + out(second)
         bound = len(first) + len(second) + 2 * math.floor(
@@ -75,12 +81,12 @@ def test_run_op():
 
 
 def test_repeat_general_body():
-    p = encode_repeat(3, encode_literal("011"))
+    p = encode_repeat(3, encode_literal(BitString("011")))
     assert out(p) == BitString("011011011")
 
 
 def test_nested_terms():
-    inner = encode_pair(encode_run(1, 2), encode_literal("0"))
+    inner = encode_pair(encode_run(1, 2), encode_literal(BitString("0")))
     p = encode_repeat(2, inner)
     assert out(p) == BitString("110110")
 
@@ -119,7 +125,7 @@ def test_table_stack_indiscipline_diverges():
 def test_determinism():
     rnd = random.Random(2)
     for _ in range(200):
-        bits = format(rnd.getrandbits(16), "016b")
+        bits = BitString.from_int(rnd.getrandbits(16), 16)
         first = run(bits, 500)
         second = run(bits, 500)
         assert first.output == second.output and first.steps == second.steps
@@ -151,12 +157,17 @@ def test_budget_poly_rejects_negative_coefficients(coefficients):
 def test_gamma_roundtrip_via_machine():
     # gamma codes drive every header; spot the values through repeat counts
     for k in (1, 2, 3, 7, 12, 40):
-        program = encode_repeat(k, encode_literal("1"))
+        program = encode_repeat(k, encode_literal(BitString("1")))
         assert out(program) == BitString("1" * k)
-        assert len(gamma_bits(k)) == 2 * (k.bit_length() - 1) + 1
+        assert gamma_length(k) == len(_gamma_text(k))
 
 
-class _RowRunner(machine._Runner):
+def _gamma_text(m: int) -> str:
+    """The Elias code of ``m`` as text: a zero per bit after the first."""
+    return "0" * (m.bit_length() - 1) + format(m, "b")
+
+
+class _RowRunner(machine_v1.Runner):
     """The machine with its table op run row by row, one stack per row: the
     reference the mask-level table op is checked against."""
 
@@ -166,10 +177,10 @@ class _RowRunner(machine._Runner):
         self.read(2)
         n = self.read_gamma() - 1
         if n < 1:
-            raise machine._Diverge
+            raise machine_v1.Diverge
         m = self.read_gamma() - 1
         if m < 1:
-            raise machine._Diverge
+            raise machine_v1.Diverge
         ref_width = max(1, (n + 1).bit_length())
         ops: list[tuple[int, int]] = []
         for _ in range(m):
@@ -177,7 +188,7 @@ class _RowRunner(machine._Runner):
             if code == "00":
                 ref = int(self.read(ref_width), 2)
                 if ref >= n + 2:
-                    raise machine._Diverge
+                    raise machine_v1.Diverge
                 ops.append((0, ref))
             else:
                 ops.append((int(code, 2), 0))
@@ -187,20 +198,20 @@ class _RowRunner(machine._Runner):
                 depth += 1
             elif kind == 1:
                 if depth < 1:
-                    raise machine._Diverge
+                    raise machine_v1.Diverge
             else:
                 if depth < 2:
-                    raise machine._Diverge
+                    raise machine_v1.Diverge
                 depth -= 1
         if depth != 1:
-            raise machine._Diverge
+            raise machine_v1.Diverge
         rows = []
         for row in range(1 << n):
             stack: list[int] = []
             for kind, ref in ops:
                 self.steps += 1
                 if self.steps > self.budget:
-                    raise machine._Diverge
+                    raise machine_v1.Diverge
                 if kind == 0:
                     stack.append((row >> ref) & 1 if ref < n else ref - n)
                 elif kind == 1:
@@ -216,21 +227,13 @@ class _RowRunner(machine._Runner):
 
 
 def run_rowwise(bits: str, budget: int) -> tuple:
-    runner = _RowRunner(bits, budget)
-    if not bits:
-        return None, 0
-    try:
-        runner.term()
-        if runner.pos != len(bits):
-            return None, runner.steps
-    except machine._Diverge:
-        return None, min(runner.steps, budget)
-    return BitString("".join(runner.out)), runner.steps
+    return machine_v1.finish(_RowRunner(bits, budget))
 
 
 def _result(bits: str, budget: int) -> tuple:
-    result = run(bits, budget)
-    return result.output, result.steps
+    """``run`` on the program text ``bits``, as ``(text or None, steps)``."""
+    result = run(BitString(bits), budget)
+    return None if result.diverged else result.output.bits(), result.steps
 
 
 @pytest.mark.parametrize("budget", [5, 30, 200, 5000])
@@ -239,27 +242,44 @@ def test_run_matches_rowwise_tables_on_every_short_program(budget):
     for length in range(15):
         for value in range(1 << length):
             bits = format(value, f"0{length}b") if length else ""
-            assert _result(bits, budget) == run_rowwise(bits, budget), bits
+            expected = machine_v1.run(bits, budget)
+            assert _result(bits, budget) == expected == run_rowwise(bits, budget), bits
 
 
 def test_run_matches_rowwise_tables_on_kt_table_leaves():
     leaves = [p.bits() for p in kolmogorov._leaves(23, 14, 5000)]
-    tables = [bits for bits in leaves if bits.startswith("11")]
+    tables = {bits for bits in leaves if bits.startswith("11")}
     assert len(tables) == 255
-    for bits in tables:
-        steps = run_rowwise(bits, 5000)[1]
+    for bits in leaves:
+        steps = machine_v1.run(bits, 5000)[1]
         # a tight budget (t(14) under 4n+16), an ample one, and both sides of
         # the program's own step count
         for budget in (72, 5000, steps, steps - 1):
-            assert _result(bits, budget) == run_rowwise(bits, budget), (bits, budget)
+            expected = machine_v1.run(bits, budget)
+            assert _result(bits, budget) == expected, (bits, budget)
+            if bits in tables:
+                assert expected == run_rowwise(bits, budget), (bits, budget)
+
+
+def test_run_matches_the_twin_on_long_gamma_codes():
+    # a gamma code opens with at most 64 zeros; tails stay short, so no
+    # repeat count can make the twin loop for long
+    rnd = random.Random(3)
+    for zeros in range(60, 70):
+        for _ in range(20):
+            tail = format(rnd.getrandbits(16), "016b")[: rnd.randrange(17)]
+            for head in ("00", "011", "10", "11", "11010"):
+                bits = head + "0" * zeros + "1" + tail
+                for budget in (40, 80, 10_000):
+                    assert _result(bits, budget) == machine_v1.run(bits, budget), bits
 
 
 def test_huge_declared_table_diverges_at_the_budget():
     # one push of x0 over 40 variables: the 2**40-bit masks are never built
-    program = "11" + gamma_bits(41) + gamma_bits(2) + "00" + "0" * 6
+    program = "11" + _gamma_text(41) + _gamma_text(2) + "00" + "0" * 6
     assert _result(program, 10_000) == run_rowwise(program, 10_000) == (None, 10_000)
     # over 2**40 - 1 variables even the row count is too wide to build
-    program = "11" + gamma_bits(1 << 40) + gamma_bits(2) + "00" + "0" * 41
+    program = "11" + _gamma_text(1 << 40) + _gamma_text(2) + "00" + "0" * 41
     assert _result(program, 10_000) == (None, 10_000)
 
 
