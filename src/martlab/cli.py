@@ -162,10 +162,12 @@ def cmd_diagonalize(args) -> int:
     m = _config_construction(args)
     w = diagonalize(m, length)
     print(f"diagonal prefix: {w or 'λ'}")
-    trace = [Dyadic(num, log_den) for num, log_den in m.path(w)]
-    for k, value in enumerate(trace):
-        print(f"  n={k}: d={value}")
-    monotone = all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
+    trace = list(m.path(w))
+    for k, (num, log_den) in enumerate(trace):
+        print(f"  n={k}: d={Dyadic(num, log_den)}")
+    # b / 2**bd <= a / 2**ad, both sides over their larger denominator
+    monotone = all(b << max(0, ad - bd) <= a << max(0, bd - ad)
+                   for (a, ad), (b, bd) in zip(trace, trace[1:]))
     print(f"non-increasing: {'PASS' if monotone else 'FAIL'}")
     return 0 if monotone else 1
 
@@ -272,9 +274,11 @@ def cmd_kolmogorov(args) -> int:
 
     length_cap = _natural(args.length_cap, "--length-cap")
     budget = _parse_arg(lambda v: BudgetPoly(*v), args.budget, "--budget")
+    S = None if args.sequence is None else _bits(args.sequence, "--sequence")
+    if S is not None and not S:  # k_rate's check, made before the table is fetched
+        raise ConfigError("needs a nonempty prefix", field="--sequence")
     table = cached_kt_table(budget, length_cap, _cache_dir(args))
-    if args.sequence is not None:
-        S = _bits(args.sequence, "--sequence")
+    if S is not None:
         report = _parse_arg(lambda w: k_rate(w, table), S, "--sequence")
         print(f"kt rates along {S} under budget {budget}")
         print("n,kt,ratio")

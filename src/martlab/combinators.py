@@ -317,7 +317,8 @@ def borel_cantelli_dimension(
     for n in range(horizon):
         capital = fam.member(n).initial_capital
         # d_n(root) <= 2**((s-1)n), compared without evaluating the power
-        if cmp_pow2(capital, -(one_minus_s * Dyadic(n))) > 0:
+        if cmp_pow2(capital.num, capital.log_den, -one_minus_s.num * n,
+                    one_minus_s.log_den) > 0:
             raise CapitalBoundViolation(
                 f"{fam.name}: member {n} capital {capital} exceeds "
                 f"2**((s-1)*{n}) for s={s}"
@@ -351,8 +352,10 @@ def dimension_certificate(
     member_value = base_fam.member(n).value(w)
     stop = max(mod(w, DEFAULT_ROOT_PRECISION), n + 1)
     partial = _partial_sum(scaled_fam, w, 0, stop)
-    threshold = (ONE - t) * Dyadic(n)
-    covered = member_value >= ONE and cmp_pow2(partial, threshold) >= 0
+    one_minus_t = ONE - t
+    covered = member_value >= ONE and cmp_pow2(
+        partial.num, partial.log_den, one_minus_t.num * n, one_minus_t.log_den
+    ) >= 0
     return CoverageCertificate(n, w, partial, covered)
 
 

@@ -15,8 +15,9 @@ a closed-form count per integer index, and for the growing constructions
 each level's parent row times that level's two betting factors.  It
 supplies the form along one path too, as the generator kernel that every
 read along a path walks: a growing construction multiplies its running
-product by each position's two factors, and a leveled one counts both
-children of each prefix up to its level.  A leveled form alone keeps a
+product by each position's two factors and adds the position's
+log-denominator to a running sum, and a leveled one counts both children
+of each prefix up to its level.  A leveled form alone keeps a
 count per string, ``numerator``, for an approximation that reads it.
 """
 
@@ -330,7 +331,8 @@ class AcceptanceSpec:
     q: Callable[[int], int]
     name: str = "acceptance"
 
-    def row(self, i: int) -> tuple[int, int]:
+    def row(self, i: int) -> tuple[int, int, int]:
+        """``(f(i, 0), f(i, 1), q(|s_i|))``, the row-sum identity checked."""
         f0, f1 = self.f(i, 0), self.f(i, 1)
         q = self.q((i + 1).bit_length() - 1)
         if f0 + f1 != 1 << q:
@@ -338,7 +340,7 @@ class AcceptanceSpec:
             raise RowSumViolation(
                 f"{self.name}: f({x!r},0)+f({x!r},1) = {f0}+{f1} != 2**{q}"
             )
-        return f0, f1
+        return f0, f1, q
 
     @classmethod
     def from_gap(
@@ -365,36 +367,35 @@ class AcceptanceSpec:
         return cls(f=f, q=lambda n: q, name=f"biased({correct}/2**{q})")
 
 
-def _products(
-    factors: Callable[[int], tuple[int, int]],
-    log_denominator: Callable[[int], int],
-    **kwargs,
-) -> Martingale:
-    """``f(w) / 2**log_denominator(|w|)``, never frozen, where
+def _products(factors: Callable[[int], tuple[int, int, int]], **kwargs) -> Martingale:
+    """``f(w) / 2**(q_0 + ... + q_{|w|-1})``, never frozen, where
+    ``factors(i) = (a0, a1, q_i)`` and
     ``f(w) = factors(0)[w[0]] * ... * factors(|w| - 1)[w[-1]]``.
 
     Row ``k`` holds ``f`` on every length-``k`` string in index order; each
     level is the one above times that index's two factors, stepped on from
     the last row asked for, the only row kept.  The kernel keeps only its
-    running product.
+    running product and log-denominator; each adds ``q_i`` as it steps.
     """
-    last = [0, [1]]  # the depth and row last asked for
+    last = [0, [1], 0]  # the depth, row and log-denominator last asked for
 
     def row(n: int) -> tuple[list[int], int]:
-        k, nums = last if n >= last[0] else (0, [1])
+        k, nums, log_den = last if n >= last[0] else (0, [1], 0)
         for i in range(k, n):
-            a0, a1 = factors(i)
+            a0, a1, q = factors(i)
             nums = [x for v in nums for x in (v * a0, v * a1)]
-            last[:] = i + 1, nums
-        return nums, log_denominator(n)
+            log_den += q
+            last[:] = i + 1, nums, log_den
+        return nums, log_den
 
     def kernel() -> Kernel:
-        v, i = 1, 0
+        v, log_den, i = 1, 0, 0
         while True:
-            a0, a1 = factors(i)
+            a0, a1, q = factors(i)
             i += 1
+            log_den += q
             zero, one = v * a0, v * a1
-            v = one if (yield zero, one, log_denominator(i)) else zero
+            v = one if (yield zero, one, log_den) else zero
 
     return Martingale.from_ratio(row, kernel, **kwargs)
 
@@ -409,29 +410,15 @@ def acceptance_martingale(spec: AcceptanceSpec) -> Martingale:
     of ``2**t ± gap(i)`` as ``w[i]`` is 1 or 0, ``gap(i) = 2 g(i) - 2**t``.
     """
     @lru_cache(maxsize=None)
-    def factors(i: int) -> tuple[int, int]:
-        f0, f1 = spec.row(i)
+    def factors(i: int) -> tuple[int, int, int]:
+        f0, f1, q = spec.row(i)
         if f0 < 0 or f1 < 0:
             raise NegativeValue(
                 f"{spec.name}: negative path count at index {i}"
             )
-        return 2 * f0, 2 * f1
+        return 2 * f0, 2 * f1, q
 
-    # q_sums[i] = q(|s_0|) + ... + q(|s_{i-1}|), one entry per index reached
-    q_sums = [0]
-
-    def log_denominator(k: int) -> int:
-        if k < len(q_sums):
-            return q_sums[k]
-        for i in range(len(q_sums) - 1, k):
-            q_sums.append(q_sums[i] + spec.q((i + 1).bit_length() - 1))
-        return q_sums[k]
-
-    return _products(
-        factors,
-        log_denominator,
-        meta={"construction": "acceptance"},
-    )
+    return _products(factors, meta={"construction": "acceptance"})
 
 
 def biimmunity_martingale(A: LanguageView) -> Martingale:
@@ -445,7 +432,6 @@ def biimmunity_martingale(A: LanguageView) -> Martingale:
     path ``p`` answers ``p``.
     """
     return _products(
-        lambda i: (0, 2) if A.contains_index(i) else (1, 1),
-        lambda k: 0,
+        lambda i: (0, 2, 0) if A.contains_index(i) else (1, 1, 0),
         meta={"construction": "biimmunity"},
     )

@@ -11,13 +11,18 @@ produced, not here.
 
 The module also houses the exact-logarithm helpers used for success
 thresholds (compare a value against ``2**(p/2**k)``) and for quantizing
-``log2`` ratios onto a fixed dyadic grid.  Both reduce to the bit length of
-``m**(2**k)`` for an integer ``m``, which :func:`pow_bit_length` finds
-without building the power.  It brackets ``m**e`` between two powers
-computed from ``m``'s leading ``t`` bits, one rounded down after every
-multiplication and one rounded up, and doubles ``t`` while the two ends'
-bit lengths differ.  Once ``t`` covers ``m**e`` nothing is rounded, so the
-exact full power is the fallback.  No floating point is involved.
+``log2`` ratios onto a fixed dyadic grid.  They take integer pairs, the
+value as ``(m, j)`` for ``m / 2**j`` and the exponent as ``(p, k)`` for
+``p / 2**k``, in any terms, so a scan along a path compares its walk's
+numerators without building a ``Dyadic`` per prefix; only a reported grid
+floor is one.  Both reduce to the bit length of ``m**(2**k)`` for an
+integer ``m``, which :func:`pow_bit_length` finds without building the
+power.  It brackets ``m**e`` between two ends computed from the leading
+``t`` bits in one square-and-multiply, one end rounded down after every
+multiplication and one rounded up over a shared shift, and doubles ``t``
+while the two ends' bit lengths differ.  Once ``t`` covers ``m**e`` nothing
+is rounded, so the exact full power is the fallback.  No floating point is
+involved.
 """
 
 from __future__ import annotations
@@ -49,15 +54,14 @@ class Dyadic:
     def __init__(self, num: int, log_den: int = 0):
         if log_den < 0:
             raise ValueError("log_den must be nonnegative")
-        if num == 0:
-            log_den = 0
-        else:
-            # strip common factors of two; (num & -num) isolates the low set bit
-            tz = (num & -num).bit_length() - 1
-            shift = min(tz, log_den)
-            if shift:
-                num >>= shift
-                log_den -= shift
+        if log_den and not num & 1:
+            # strip common factors of two; (num & -num) isolates the low set
+            # bit, and a zero numerator strips the whole denominator
+            shift = (num & -num).bit_length() - 1 if num else log_den
+            if shift > log_den:
+                shift = log_den
+            num >>= shift
+            log_den -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "log_den", log_den)
 
@@ -197,21 +201,29 @@ ONE = Dyadic(1)
 GRID_BITS = 10
 
 
-def _pow_bit_bound(m: int, e: int, t: int, up: bool) -> int:
-    """A lower (or, ``up``, an upper) bound on ``(m**e).bit_length()``:
-    square-and-multiply with every partial result rounded to its leading
-    ``t`` bits, down (or up)."""
-    r, shift = 1, 0
+def _pow_bit_bounds(m: int, e: int, t: int) -> tuple[int, int]:
+    """A lower and an upper bound on ``(m**e).bit_length()``: one
+    square-and-multiply of two ends ``lo <= hi`` over one shared ``shift``,
+    with ``lo * 2**shift <= m**f <= hi * 2**shift`` for each partial power
+    ``m**f``.  Each step drops ``hi``'s bits past the leading ``t`` from
+    both ends, ``lo`` rounded down and ``hi`` up, which keeps the bracket.
+    The lower bound reads ``lo``, which may round to 0; then it is below
+    the upper bound and decides nothing."""
+    lo = hi = 1
+    shift = 0
     for bit in bin(e)[2:]:
-        r *= r
+        lo *= lo
+        hi *= hi
         shift *= 2
         if bit == "1":
-            r *= m
-        drop = r.bit_length() - t
+            lo *= m
+            hi *= m
+        drop = hi.bit_length() - t
         if drop > 0:
-            r = -(-r >> drop) if up else r >> drop
+            lo >>= drop
+            hi = -(-hi >> drop)
             shift += drop
-    return r.bit_length() + shift
+    return lo.bit_length() + shift, hi.bit_length() + shift
 
 
 def pow_bit_length(m: int, e: int) -> int:
@@ -221,8 +233,8 @@ def pow_bit_length(m: int, e: int) -> int:
         raise ValueError("requires m >= 1 and e >= 0")
     t = 64
     while True:
-        lower = _pow_bit_bound(m, e, t, up=False)
-        if lower == _pow_bit_bound(m, e, t, up=True):
+        lower, upper = _pow_bit_bounds(m, e, t)
+        if lower == upper:
             return lower
         t *= 2
 
@@ -231,26 +243,32 @@ def _is_pow2(m: int) -> bool:
     return m & (m - 1) == 0
 
 
-def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
-    """Exact three-way comparison of ``value`` against ``2**exponent``.
+def cmp_pow2(m: int, j: int, p: int, k: int) -> int:
+    """Exact three-way comparison of ``m / 2**j`` against ``2**(p / 2**k)``.
 
-    ``exponent = p / 2**k`` is dyadic, so ``2**exponent`` is irrational in
-    general.  Raising both sides to the power ``q = 2**k`` clears it: for
-    ``value = m / 2**j > 0``,
+    The value and the exponent come as integer pairs, ``j, k >= 0``, in
+    any terms: a scan passes its walk's numerator and log-denominator, and
+    the exponent of level ``n`` as the unreduced ``(p * n, k)``.
+    ``2**(p / 2**k)`` is irrational in general; raising both sides to the
+    power ``q = 2**k`` clears it, so the exponent's common twos are
+    stripped first to keep ``q`` small.  For ``m > 0``,
 
-        value >= 2**(p / 2**k)   iff   m**q >= 2**(p + j*q).
+        m / 2**j >= 2**(p / 2**k)   iff   m**q >= 2**(p + j*q).
 
     ``m``'s bit length ``b`` puts ``m**q`` in ``[2**((b-1)q), 2**(bq))``,
     which decides every target outside that band; inside it,
     ``floor(log2(m**q))`` comes from :func:`pow_bit_length`, and equality
     holds exactly when ``m`` is a power of two.  Returns -1, 0, or +1.
     """
-    m = value.num
     if m <= 0:
-        # 2**exponent is strictly positive
+        # 2**(p / 2**k) is strictly positive
         return -1
-    k = exponent.log_den
-    target = exponent.num + (value.log_den << k)
+    twos = (p & -p).bit_length() - 1 if p else k
+    if twos > k:
+        twos = k
+    p >>= twos
+    k -= twos
+    target = p + (j << k)
     b = m.bit_length()
     if target < (b - 1) << k:
         return 1
@@ -276,21 +294,22 @@ def grid_floor_log2_ratio(m: int, n: int, grid_bits: int = GRID_BITS) -> Dyadic:
 
 
 def grid_floor_one_minus_log2_ratio(
-    value: Dyadic, n: int, grid_bits: int = GRID_BITS
+    m: int, j: int, n: int, grid_bits: int = GRID_BITS
 ) -> Dyadic:
-    """Largest grid multiple of ``2**-grid_bits`` at most ``1 - log2(value)/n``.
+    """Largest grid multiple of ``2**-grid_bits`` at most
+    ``1 - log2(m / 2**j)/n``, for the value ``m / 2**j`` as an integer pair
+    in any terms.
 
-    Exact for positive ``value = m / 2**j``:  the target equals
-    ``(n + j - log2(m)) / n`` and a grid index ``g`` qualifies iff
-    ``2**(scale*(n + j) - g*n) >= m**scale``, that is iff
-    ``g*n <= scale*(n + j) - ceil(log2(m**scale))``.  The ceiling is the
-    power's bit length, less one when ``m`` is a power of two.
+    Exact for ``m > 0``:  the target equals ``(n + j - log2(m)) / n`` and a
+    grid index ``g`` qualifies iff ``2**(scale*(n + j) - g*n) >= m**scale``,
+    that is iff ``g*n <= scale*(n + j) - ceil(log2(m**scale))``.  The
+    ceiling is the power's bit length, less one when ``m`` is a power of
+    two.
     """
-    if value.num <= 0:
+    if m <= 0:
         raise ValueError("requires a positive value")
     if n < 1:
         raise ValueError("requires n >= 1")
-    m, j = value.num, value.log_den
     scale = 1 << grid_bits
     ceil_log = pow_bit_length(m, scale) - _is_pow2(m)
     return Dyadic((scale * (n + j) - ceil_log) // n, grid_bits)

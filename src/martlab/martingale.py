@@ -21,7 +21,11 @@ lines is held.  The JSON dump sorts its rendered lines as text, which is the
 key order of ``json.dumps(..., sort_keys=True)``.  Every read along one
 path (the success scan, the dimension statistics, diagonalization and its
 trace, a node's value) steps the ``RatioForm`` kernel through one checked
-walker; a ``Dyadic`` is built only for each reported value.
+walker, which yields integer pairs ``(numerator, log_den)``.  The success
+thresholds and the dimension grid floors read those pairs as they come,
+through :func:`~martlab.dyadic.cmp_pow2` and
+:func:`~martlab.dyadic.grid_floor_one_minus_log2_ratio`; a ``Dyadic`` is
+built only for each reported value.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from operator import add, lt
 from typing import Callable, Generator, Iterator, Mapping, Sequence
 
 from .cantor import BitString, level_names
-from .dyadic import GRID_BITS, Dyadic, ONE, cmp_pow2, grid_floor_one_minus_log2_ratio
+from .dyadic import GRID_BITS, Dyadic, cmp_pow2, grid_floor_one_minus_log2_ratio
 from .errors import CapExceeded, NegativeValue
 
 # a tree walk, a generic cover or a conditional expectation enumerates all
@@ -346,19 +350,15 @@ def success_scan(m: Martingale, S: BitString, s: Dyadic) -> SuccessReport:
     At ``s == 1`` the threshold is constant 1, the finite surrogate of
     unbounded success at this horizon.
     """
-    values = []
-    levels = set()
-    unitary = None
-    one_minus_s = ONE - s
-    for n, (num, log_den) in enumerate(m.path(S)):
-        v = Dyadic(num, log_den)
-        values.append(v)
-        exponent = Dyadic(one_minus_s.num * n, one_minus_s.log_den)
-        if cmp_pow2(v, exponent) >= 0:
-            levels.add(n)
-        if unitary is None and num >= 1 << log_den:
-            unitary = n
-    return SuccessReport(len(S), s, tuple(values), frozenset(levels), unitary)
+    pairs = list(m.path(S))
+    # the threshold exponent at level n is (1 - s) * n = p * n / 2**k
+    p, k = (1 << s.log_den) - s.num, s.log_den
+    levels = frozenset(
+        n for n, (num, log_den) in enumerate(pairs) if cmp_pow2(num, log_den, p * n, k) >= 0
+    )
+    unitary = next((n for n, (num, log_den) in enumerate(pairs) if num >> log_den), None)
+    values = tuple(Dyadic(num, log_den) for num, log_den in pairs)
+    return SuccessReport(len(S), s, values, levels, unitary)
 
 
 def diagonalize(m: Martingale, N: int) -> BitString:
@@ -414,11 +414,9 @@ def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
     path = m.path(S)
     next(path)  # the root is no level
     for n, (num, log_den) in enumerate(path, 1):
-        if num == 0:
-            levels.append(None)
-        else:
-            v = Dyadic(num, log_den)
-            levels.append(grid_floor_one_minus_log2_ratio(v, n, GRID_BITS))
+        levels.append(
+            grid_floor_one_minus_log2_ratio(num, log_den, n, GRID_BITS) if num else None
+        )
     finite = [v for v in levels if v is not None]
     best = min(finite) if finite else None
     worst = max(finite) if len(finite) == len(levels) else None

@@ -10,7 +10,9 @@ the dumps.  Pass ``m.value`` and ``m.freeze_depth`` of a martingale ``m``.
 
 The scans along one path, as martlab ran them before path kernels, are here
 too: every prefix is a ``BitString`` evaluated by ``value`` as a ``Dyadic``,
-and thresholds are ``Dyadic`` exponents.  :func:`success_scan`,
+and thresholds are ``Dyadic`` exponents, compared by :func:`cmp_pow2`, the
+``Dyadic`` form of ``martlab.dyadic.cmp_pow2`` before it took integer
+pairs.  :func:`success_scan`,
 :func:`empirical_dimension` and :func:`diagonalize` (with the value trace
 along its result) are the twins of ``martingale``'s functions of those
 names and of ``cmd_diagonalize``'s trace.
@@ -26,8 +28,8 @@ from martlab.dyadic import (
     GRID_BITS,
     ONE,
     Dyadic,
-    cmp_pow2,
     grid_floor_one_minus_log2_ratio,
+    pow_bit_length,
 )
 from martlab.martingale import (
     AveragingReport,
@@ -166,6 +168,28 @@ def tree_dot(value: Callable[[BitString], T], depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
+    """Exact three-way comparison of ``value`` against ``2**exponent``, both
+    canonical ``Dyadic``s: for ``value = m / 2**j > 0`` and ``exponent =
+    p / 2**k``, ``m**(2**k)`` against ``2**(p + j * 2**k)``, outside
+    ``m``'s bit-length band from the bit length alone, inside it from
+    :func:`~martlab.dyadic.pow_bit_length`."""
+    m = value.num
+    if m <= 0:
+        return -1
+    k = exponent.log_den
+    target = exponent.num + (value.log_den << k)
+    b = m.bit_length()
+    if target < (b - 1) << k:
+        return 1
+    if target >= b << k:
+        return -1
+    floor_log = pow_bit_length(m, 1 << k) - 1
+    if target != floor_log:
+        return 1 if target < floor_log else -1
+    return 0 if m & (m - 1) == 0 else 1
+
+
 def success_scan(
     value: Callable[[BitString], Dyadic], S: BitString, s: Dyadic
 ) -> SuccessReport:
@@ -189,7 +213,8 @@ def empirical_dimension(
     for n in range(1, len(S) + 1):
         v = value(S.prefix(n))
         levels.append(
-            None if v.is_zero() else grid_floor_one_minus_log2_ratio(v, n, GRID_BITS)
+            None if v.is_zero()
+            else grid_floor_one_minus_log2_ratio(v.num, v.log_den, n, GRID_BITS)
         )
     finite = [v for v in levels if v is not None]
     best = min(finite) if finite else None

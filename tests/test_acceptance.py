@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import node_walk
 from martlab.cantor import (
     BitString,
     EMPTY,
@@ -45,7 +46,7 @@ from martlab.constructions import (
     subset_cover,
     subset_martingale,
 )
-from martlab.dyadic import Dyadic, ONE, ZERO, cmp_pow2
+from martlab.dyadic import Dyadic, ONE, ZERO
 from martlab.golden import GOLDEN_TREES, build_figure, figure_ids
 from martlab.martingale import Martingale, diagonalize, verify_averaging
 
@@ -311,7 +312,7 @@ def test_criterion_05_borel_cantelli():
                     scaled, fam, dim_mod, t, n, x
                 )
                 assert dim_cert.covered
-                assert cmp_pow2(dim_cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
+                assert node_walk.cmp_pow2(dim_cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
 
 
 # -- 6: diagonalization -------------------------------------------------------

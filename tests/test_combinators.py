@@ -26,7 +26,7 @@ from martlab.combinators import (
 )
 from martlab.constructions import Cover, cover_martingale, subset_cover
 from martlab.cantor import LanguageView
-from martlab.dyadic import Dyadic, ONE, ZERO, cmp_pow2
+from martlab.dyadic import Dyadic, ONE, ZERO
 from martlab.errors import (
     ApproximatorOutOfBand,
     CapitalBoundViolation,
@@ -267,7 +267,7 @@ def test_borel_cantelli_dimension_guarantee():
             if covers[n].contains(x):
                 cert = dimension_certificate(scaled, base, mod, t, n, x)
                 assert cert.covered
-                assert cmp_pow2(cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
+                assert node_walk.cmp_pow2(cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
 
 
 def test_borel_cantelli_dimension_requires_t_above_s():

@@ -304,6 +304,18 @@ def test_cli_kolmogorov(tmp_path, capsys):
     assert "lowest ratio:" in out
 
 
+@pytest.mark.parametrize("sequence", ["", "01x"])
+def test_refused_kolmogorov_sequence_leaves_the_cache_empty(tmp_path, capsys, sequence):
+    """A bad ``--sequence`` is refused before the kt table is fetched: no
+    sweep runs and nothing is written to the cache directory."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert main(["kolmogorov", "-L", "12", "--cache-dir", str(cache),
+                 "--sequence", sequence]) == 2
+    assert list(cache.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "missing.json"),
                  "--depth", "2"]) == 2

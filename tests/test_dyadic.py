@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import node_walk
 from martlab.dyadic import (
     Dyadic,
     ONE,
@@ -29,6 +30,11 @@ nonneg_dyadics = st.builds(
 
 def as_fraction(d: Dyadic) -> Fraction:
     return Fraction(d.num, 1 << d.log_den)
+
+
+def cmp_dyadics(value: Dyadic, exponent: Dyadic) -> int:
+    """``cmp_pow2`` on the canonical pairs of two ``Dyadic``s."""
+    return cmp_pow2(value.num, value.log_den, exponent.num, exponent.log_den)
 
 
 def test_add_identity():
@@ -111,7 +117,7 @@ def test_cmp_pow2_integer_exponents_agree(v, e):
     direct = (
         (v > Dyadic.pow2(e)) - (v < Dyadic.pow2(e))
     )
-    assert cmp_pow2(v, Dyadic(e)) == direct
+    assert cmp_pow2(v.num, v.log_den, e, 0) == direct
 
 
 @given(
@@ -133,13 +139,13 @@ def test_grid_floor_log2_ratio_brackets(m, n):
 )
 def test_grid_floor_one_minus_log2_brackets(num, log_den, n):
     v = Dyadic(num, log_den)
-    g = grid_floor_one_minus_log2_ratio(v, n)
+    g = grid_floor_one_minus_log2_ratio(v.num, v.log_den, n)
     # verify with the other exact mechanism: v <= 2^(n(1 - g/2^10)) etc.
     lo = g.num << (10 - g.log_den) if g.log_den < 10 else g.num
     threshold_lo = Dyadic(n) - Dyadic(n) * Dyadic(lo, 10)
     threshold_hi = Dyadic(n) - Dyadic(n) * Dyadic(lo + 1, 10)
-    assert cmp_pow2(v, threshold_lo) <= 0
-    assert cmp_pow2(v, threshold_hi) > 0
+    assert cmp_dyadics(v, threshold_lo) <= 0
+    assert cmp_dyadics(v, threshold_hi) > 0
     # and with the raw formula: 2**(1024*(n + j) - g*n) >= num**1024
     powered = v.num**1024
 
@@ -241,7 +247,7 @@ def test_pow_bit_length_rejects_bad_arguments():
 def test_cmp_pow2_matches_full_power_in_the_band(m, log_den, k, offset):
     value = Dyadic(m, log_den)
     exponent = band_exponent(value, k, offset)
-    assert cmp_pow2(value, exponent) == full_power_cmp_pow2(value, exponent)
+    assert cmp_dyadics(value, exponent) == full_power_cmp_pow2(value, exponent)
 
 
 @settings(deadline=None)
@@ -253,7 +259,7 @@ def test_cmp_pow2_matches_full_power_in_the_band(m, log_den, k, offset):
 )
 def test_cmp_pow2_matches_full_power_anywhere(num, log_den, p, k):
     value, exponent = Dyadic(num, log_den), Dyadic(p, k)
-    assert cmp_pow2(value, exponent) == full_power_cmp_pow2(value, exponent)
+    assert cmp_dyadics(value, exponent) == full_power_cmp_pow2(value, exponent)
 
 
 @pytest.mark.parametrize("b", [1, 2, 63, 64, 65, 200, 2000])
@@ -263,23 +269,23 @@ def test_cmp_pow2_powers_of_two_and_all_ones(b, k, log_den):
     q = 1 << k
     power = Dyadic(1 << b, log_den)  # exactly 2**(b - log_den)
     exact = Dyadic((b - log_den) * q, k)
-    assert cmp_pow2(power, exact) == 0
+    assert cmp_dyadics(power, exact) == 0
     below = Dyadic((b - log_den) * q + 1, k)
     above = Dyadic((b - log_den) * q - 1, k)
     for exponent in (exact, below, above):
-        assert cmp_pow2(power, exponent) == full_power_cmp_pow2(power, exponent)
+        assert cmp_dyadics(power, exponent) == full_power_cmp_pow2(power, exponent)
     ones = Dyadic((1 << b) - 1, log_den)
     for exponent in (exact, below, above, band_exponent(ones, k, q - 1)):
-        assert cmp_pow2(ones, exponent) == full_power_cmp_pow2(ones, exponent)
+        assert cmp_dyadics(ones, exponent) == full_power_cmp_pow2(ones, exponent)
 
 
 def test_cmp_pow2_negative_exponents():
-    assert cmp_pow2(Dyadic(1, 3), Dyadic(-3)) == 0
-    assert cmp_pow2(Dyadic(1, 3), Dyadic(-5, 1)) == -1
-    assert cmp_pow2(Dyadic(1, 3), Dyadic(-7, 1)) == 1
-    assert cmp_pow2(Dyadic(3, 10), Dyadic(-8)) == -1
-    assert cmp_pow2(Dyadic(3, 10), Dyadic(-9)) == 1
-    assert cmp_pow2(ZERO, Dyadic(-8)) == -1
+    assert cmp_pow2(1, 3, -3, 0) == 0
+    assert cmp_pow2(1, 3, -5, 1) == -1
+    assert cmp_pow2(1, 3, -7, 1) == 1
+    assert cmp_pow2(3, 10, -8, 0) == -1
+    assert cmp_pow2(3, 10, -9, 0) == 1
+    assert cmp_pow2(0, 0, -8, 0) == -1
 
 
 @slow
@@ -305,4 +311,64 @@ def test_grid_floor_log2_ratio_matches_search(m, n, grid_bits):
 def test_grid_floor_one_minus_matches_search(m, log_den, n, grid_bits):
     v = Dyadic(m, log_den)
     expected = search_grid_floor_one_minus(v, n, grid_bits)
-    assert grid_floor_one_minus_log2_ratio(v, n, grid_bits) == expected
+    assert grid_floor_one_minus_log2_ratio(v.num, v.log_den, n, grid_bits) == expected
+    # the same value in other terms: m over 2**log_den, not reduced
+    assert grid_floor_one_minus_log2_ratio(m, log_den, n, grid_bits) == expected
+
+
+# -- the pair comparison against its Dyadic twin -------------------------------
+
+
+@slow
+@given(
+    numerators,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=2**10),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+def test_cmp_pow2_matches_the_dyadic_twin_in_the_band(m, log_den, k, offset, zeros, extra):
+    """Inside the band, on the value with ``zeros`` trailing zeros added to
+    its numerator and on the exponent with ``extra`` common twos added."""
+    value = Dyadic(m, log_den)
+    exponent = band_exponent(value, k, offset)
+    expected = node_walk.cmp_pow2(value, exponent)
+    assert cmp_dyadics(value, exponent) == expected
+    assert cmp_pow2(
+        value.num << zeros, value.log_den + zeros,
+        exponent.num << extra, exponent.log_den + extra,
+    ) == expected
+
+
+@pytest.mark.parametrize("b", [1, 2, 63, 64, 65, 200, 2000])
+@pytest.mark.parametrize("k", [0, 1, 5, 10])
+@pytest.mark.parametrize("zeros", [0, 3])
+def test_cmp_pow2_matches_the_dyadic_twin_at_powers_of_two(b, k, zeros):
+    """``2**b`` over ``2**zeros`` against ``(b - zeros) * 2**k / 2**k`` and
+    its two neighbours, in the lowest terms of neither side."""
+    q = 1 << k
+    for p in ((b - zeros) * q, (b - zeros) * q + 1, (b - zeros) * q - 1):
+        expected = node_walk.cmp_pow2(Dyadic(1 << b, zeros), Dyadic(p, k))
+        assert cmp_pow2(1 << b, zeros, p, k) == expected
+        assert cmp_pow2(1 << b + 5, zeros + 5, p << 3, k + 3) == expected
+    assert cmp_pow2(1 << b, zeros, (b - zeros) * q, k) == 0
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=2**12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=400),
+)
+def test_cmp_pow2_matches_the_dyadic_twin_on_scan_thresholds(num, log_den, s_num, s_log, n):
+    """The exponent as a scan passes it, ``(1 - s) * n`` as the unreduced
+    ``(p * n, k)`` with ``p = 2**k - s.num``, against the twin's
+    ``(ONE - s) * Dyadic(n)``; ``num`` need not be in lowest terms."""
+    s = Dyadic(s_num, s_log)
+    p, k = (1 << s.log_den) - s.num, s.log_den
+    expected = node_walk.cmp_pow2(Dyadic(num, log_den), (ONE - s) * Dyadic(n))
+    assert cmp_pow2(num, log_den, p * n, k) == expected
+    assert cmp_pow2(num, log_den, (p * n) << 4, k + 4) == expected

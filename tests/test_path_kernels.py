@@ -283,8 +283,8 @@ def test_scans_over_a_composed_form_are_linear(n):
 
         return counted
 
-    a = _products(factors("a", (3, 5)), lambda k: 2 * k)
-    b = _products(factors("b", (1, 3)), lambda k: k)
+    a = _products(factors("a", (3, 5, 2)))
+    b = _products(factors("b", (1, 3, 1)))
     m = sum_finite(a, scale_pow2(b, 1))
     S = _sequence(random.Random(n), n)
     for scan in (
@@ -298,3 +298,29 @@ def test_scans_over_a_composed_form_are_linear(n):
         assert all(len(member) <= 2 * n for member in calls.values()), (
             n, {name: len(member) for name, member in calls.items()}
         )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scans_build_a_dyadic_only_per_reported_value(kind, census2, budget, monkeypatch):
+    """A success scan builds one ``Dyadic`` per reported value, ``|S| + 1``,
+    and a dimension report at most one per grid floor, ``|S|``: the walk,
+    the threshold comparisons and the floors read integer pairs."""
+    rnd = random.Random(5)
+    m = KINDS[kind][0](rnd, census2, budget)
+    S = _sequence(rnd, 40)
+    success_scan(m, S, Dyadic(1, 1))  # fills the form's lazy tables first
+    built = []
+    init = Dyadic.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Dyadic, "__init__", counted)
+    for s in EXPONENTS:
+        built.clear()
+        success_scan(m, S, s)
+        assert len(built) == len(S) + 1, (kind, s)
+    built.clear()
+    empirical_dimension(m, S)
+    assert len(built) <= len(S), kind
