@@ -6,10 +6,14 @@ minimum gate count over the fixed basis (fan-in-2 AND/OR, fan-in-1 NOT;
 inputs and constants are free), built by breadth-first closure: seed with
 projections and constants, then combine everything already reached through
 one more gate.  Combining two minimal subcircuits counts both operand
-trees, so census sizes are minima over tree-shaped circuits; an independent
-state-space enumeration over circuit DAGs (which can share gates) serves as
-the oracle at ``n = 2``, where the two notions provably coincide, and bounds
-tree sizes from below at ``n = 3`` up to 5 gates.
+trees, so census sizes are minima over tree-shaped circuits; the tests check
+them against a state-space enumeration over circuit DAGs (which can share
+gates) at ``n = 2``, where the two notions provably coincide, and bound
+them from below with it at ``n = 3`` up to 5 gates.
+
+A build computes sizes only.  Any census, built or read from the cache,
+names each table's first-reached witness from its sizes on first use, and
+that pass checks the sizes against the closure as it goes.
 
 On top of the census sit the minimum-circuit-size decision, the covering
 check for characteristic prefixes whose top length has a small circuit, and
@@ -18,7 +22,6 @@ the translation of census witnesses into stack programs for the toy machine.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,7 +49,6 @@ __all__ = [
     "SIZE_CAP",
     "UNREACHED",
     "build_census",
-    "dag_minimum_sizes",
     "mcsp",
     "circuit_for",
     "encode_circuit",
@@ -120,8 +122,8 @@ class CircuitCensus:
     or :data:`UNREACHED`.  The fields are what the cache stores, so equality
     compares exactly that.  A table's first-reached witness is ``("VAR",
     i)``, ``("CONST", b)``, ``("NOT", a)``, ``("AND", a, b)`` or ``("OR", a,
-    b)``, held apart from the fields as kind bytes (indices into the kind
-    names) and two u16 operand arrays (0 for one-field witnesses).
+    b)``; every census, built or loaded, names them from its sizes on first
+    use, checking that the sizes are the closure's.
     """
 
     n: int
@@ -135,15 +137,76 @@ class CircuitCensus:
         return None if size == UNREACHED else size
 
     @cached_property
-    def _witnesses(self) -> tuple[bytes, array, array]:
-        """``(kinds, left, right)``; :func:`build_census` fills them, and a
-        census read from the cache reruns the closure for them once."""
-        built = build_census(self.n, self.max_size)
-        if built.sizes != self.sizes:
+    def _witnesses(self) -> tuple[bytes, memoryview, memoryview]:
+        """``(kinds, left, right)``: kind bytes (indices into the kind names)
+        and two u16 operand views (0 for one-field witnesses).
+
+        One pass offers each level's candidates in the closure's order, and a
+        table of that size takes the first cell that holds it, at its first
+        entry in row-major order.  The pass raises if a candidate lands on a
+        table stored larger than its level, or if a table is left unnamed at
+        its size; by induction on the level, the sizes are then the closure.
+        """
+        import numpy as np  # only naming witnesses pays for numpy here
+
+        where = f"census n={self.n} s={self.max_size} is not its closure"
+        levels = bytes([*range(self.max_size + 1), UNREACHED])
+        stray = self.sizes.translate(None, levels)
+        if stray:
+            raise CensusUnavailable(f"{where}: size byte {stray[0]} is past the cap")
+        sizes = np.frombuffer(self.sizes, dtype=np.uint8)
+        tables = len(sizes)
+        kinds = np.zeros(tables, dtype=np.uint8)
+        left = np.zeros(tables, dtype=np.uint16)
+        right = np.zeros(tables, dtype=np.uint16)
+        seeds = {0: ("CONST", 0), tables - 1: ("CONST", 1)}
+        seeds |= {m: ("VAR", i) for i, m in enumerate(machine.projection_masks(self.n))}
+        by_size = [np.flatnonzero(sizes == 0)]
+        if by_size[0].tolist() != sorted(seeds):
             raise CensusUnavailable(
-                f"census n={self.n} s={self.max_size} disagrees with its rebuild"
+                f"{where}: its size-0 tables are not the inputs and constants"
             )
-        return built._witnesses
+        for mask, (kind, a) in seeds.items():
+            kinds[mask], left[mask] = _WKIND_CODE[kind], a
+        first = np.empty(tables, dtype=np.intp)  # a table's first entry in its cell
+        todo = tables - len(seeds)
+        for s in range(1, self.max_size + 1):
+            if todo == 0:
+                break
+            by_size.append(np.flatnonzero(sizes == s))
+            unnamed = len(by_size[s])
+            unsettled = sizes >= s  # unnamed at size s, or stored larger
+            for kind, lo, hi, grid in _cells(by_size, s, tables - 1):
+                flat = grid.ravel()
+                hit = np.flatnonzero(unsettled[flat])
+                targets = flat[hit]
+                over = targets[sizes[targets] > s]
+                if len(over):
+                    raise CensusUnavailable(
+                        f"{where}: a {s}-gate candidate reaches table {over[0]}, "
+                        f"stored at size {sizes[over[0]]}"
+                    )
+                # each table hit here is named here, at its first entry
+                first[targets] = hit
+                np.minimum.at(first, targets, hit)
+                keep = first[targets] == hit
+                named, at_first = targets[keep], hit[keep]
+                unsettled[named] = False
+                kinds[named] = _WKIND_CODE[kind]
+                if hi is None:
+                    left[named] = lo[at_first]
+                else:
+                    row, col = np.divmod(at_first, len(hi))
+                    left[named], right[named] = lo[row], hi[col]
+                unnamed -= len(named)
+            if unnamed:
+                mask = np.flatnonzero(unsettled & (sizes == s))[0]
+                raise CensusUnavailable(
+                    f"{where}: table {mask} is stored at size {s}, "
+                    f"and no {s}-gate candidate reaches it"
+                )
+            todo -= len(by_size[s])
+        return kinds.tobytes(), left.data, right.data
 
     def witness(self, mask: int) -> tuple | None:
         """The table's first-reached witness; ``None`` if it is unreached."""
@@ -177,17 +240,28 @@ def _at_most(sizes: bytes, s: int) -> int:
     return len(sizes) - len(sizes.translate(None, bytes(range(s + 1))))
 
 
-def build_census(n: int, max_size: int) -> CircuitCensus:
-    """Breadth-first closure census; deterministic first-reached sizes.
+def _cells(by_size: list, s: int, full: int):
+    """Level ``s``'s candidates as ``(kind, lo, hi, grid)`` cells, in the
+    closure's order: NOT of every level ``s - 1`` table (``hi`` is ``None``),
+    then AND and OR of every size split, ``grid[r, c] = lo[r] op hi[c]``."""
+    prev = by_size[s - 1]
+    yield "NOT", prev, None, full ^ prev
+    for i in range((s + 1) // 2):
+        lo, hi = by_size[i], by_size[s - 1 - i]
+        if len(lo) and len(hi):
+            yield "AND", lo, hi, lo[:, None] & hi
+            yield "OR", lo, hi, lo[:, None] | hi
 
-    Each level offers its candidates in a fixed order (NOT of the previous
-    level, then AND and OR of every size split, each grid by increasing
-    mask); a table takes the first candidate that reaches it, from the grid
-    cell that comes first in row-major order.  A grid cell drops the tables
-    already reached before it dedupes, so only unreached tables are sorted;
-    every entry of one table is equally fresh, so its first-reached witness
-    is the same.  Once every table is reached the closure stops, as every
-    later level would be empty (``n = 1`` at 1 gate, ``n = 2`` at 4).
+
+def build_census(n: int, max_size: int) -> CircuitCensus:
+    """Breadth-first closure census: every table's minimum size, nothing else.
+
+    Level ``s`` marks every candidate of :func:`_cells` (NOT of the previous
+    level, AND and OR of every size split), and the marked tables no earlier
+    level reached take size ``s``.  No witness is found here: the census
+    names them from its sizes on first use.  Once every table is reached the
+    closure stops, as every later level would be empty (``n = 1`` at 1
+    gate, ``n = 2`` at 4).
     """
     if not 1 <= n <= INPUT_CAP:
         raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
@@ -196,98 +270,21 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
     import numpy as np  # only a cold build pays for numpy; warm paths read bytes
 
     tables = 1 << (1 << n)
-    full = tables - 1
     sizes = np.full(tables, UNREACHED, dtype=np.uint8)
-    unreached = np.ones(tables, dtype=bool)
-    kinds = np.zeros(tables, dtype=np.uint8)
-    left = np.zeros(tables, dtype=np.uint16)
-    right = np.zeros(tables, dtype=np.uint16)
-
-    def reach(s: int, kind: str, masks, a, b=None) -> np.ndarray:
-        """Give size ``s`` to ``masks``, which are distinct and unreached."""
-        unreached[masks] = False
-        sizes[masks] = s
-        kinds[masks] = _WKIND_CODE[kind]
-        left[masks] = a
-        if b is not None:
-            right[masks] = b
-        return masks
-
-    # masks are intp, so they index the tables with no conversion per lookup
-    projections = np.array(machine.projection_masks(n), dtype=np.intp)
-    by_size = [np.sort(np.concatenate([
-        reach(0, "CONST", np.array([0, full], dtype=np.intp), np.array([0, 1])),
-        reach(0, "VAR", projections, np.arange(n)),
-    ]))]
+    sizes[[0, tables - 1, *machine.projection_masks(n)]] = 0
+    # sorted intp masks, which index the tables with no conversion per lookup
+    by_size = [np.flatnonzero(sizes == 0)]
     todo = tables - len(by_size[0])
     for s in range(1, max_size + 1):
         if todo == 0:
             break
-        prev = by_size[s - 1]
-        negated = full ^ prev  # distinct, as complement is a bijection
-        keep = unreached[negated]
-        new = [reach(s, "NOT", negated[keep], prev[keep])]
-        for i in range((s + 1) // 2):
-            lo, hi = by_size[i], by_size[s - 1 - i]
-            if len(lo) == 0 or len(hi) == 0:
-                continue
-            for kind, ufunc in (("AND", np.bitwise_and), ("OR", np.bitwise_or)):
-                product = ufunc.outer(lo, hi).ravel()
-                kept = np.flatnonzero(unreached[product])
-                if len(kept) == 0:
-                    continue
-                uniq, first = np.unique(product[kept], return_index=True)
-                row, col = np.divmod(kept[first], len(hi))
-                new.append(reach(s, kind, uniq, lo[row], hi[col]))
-        by_size.append(np.sort(np.concatenate(new)))
+        hit = np.zeros(tables, dtype=bool)
+        for _, _, _, grid in _cells(by_size, s, tables - 1):
+            hit[grid] = True
+        by_size.append(np.flatnonzero(hit & (sizes == UNREACHED)))
+        sizes[by_size[s]] = s
         todo -= len(by_size[s])
-
-    census = CircuitCensus(n, max_size, sizes.tobytes())
-    # the slot ``cached_property`` fills, so this census never rebuilds them
-    vars(census)["_witnesses"] = (
-        kinds.tobytes(), array("H", left.tobytes()), array("H", right.tobytes())
-    )
-    return census
-
-
-def dag_minimum_sizes(n: int, max_size: int) -> dict[int, int]:
-    """Independent oracle: breadth-first search over sets of computed tables.
-
-    A state is the set of tables some circuit DAG has computed; each step
-    applies one more gate to anything already computed, so the first level a
-    table appears at is its true minimum circuit (not formula) size.  The
-    states grow too fast past ``n = 2``; at ``n = 3`` the search runs up to
-    5 gates, the first size where shared gates beat trees.
-    """
-    if n > 3 or (n == 3 and max_size > 5):
-        raise CapExceeded(
-            "the DAG oracle is meant for n <= 2, or n = 3 up to 5 gates"
-        )
-    full = (1 << (1 << n)) - 1
-    base = tuple(sorted({0, full, *(machine.projection_masks(n))}))
-    minima = {m: 0 for m in base}
-    states = {base}
-    for s in range(1, max_size + 1):
-        next_states = set()
-        for state in states:
-            values = state
-            candidates = set()
-            for a in values:
-                candidates.add(full & ~a)
-            for ai in range(len(values)):
-                for bi in range(ai, len(values)):
-                    candidates.add(values[ai] & values[bi])
-                    candidates.add(values[ai] | values[bi])
-            for mask in candidates:
-                if mask in state:
-                    continue
-                if mask not in minima:
-                    minima[mask] = s
-                next_states.add(tuple(sorted(set(state) | {mask})))
-        states = next_states
-        if not states:
-            break
-    return minima
+    return CircuitCensus(n, max_size, sizes.tobytes())
 
 
 def mcsp(tt: TruthTable, s: int, census: CircuitCensus) -> bool:
@@ -618,7 +615,8 @@ def save_census(census: CircuitCensus) -> bytes:
     """The census payload; ``martlab.cache`` stores it under its key.
 
     The ``T = 2**(2**n)`` size bytes, indexed by mask.  Witnesses are not
-    stored: a loaded census rebuilds them on its first :meth:`witness` call.
+    stored: a loaded census names them from its sizes on its first
+    :meth:`witness` call, as a built one does.
     """
     return bytes(census.sizes)
 

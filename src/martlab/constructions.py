@@ -321,19 +321,19 @@ def subset_martingale(B: LanguageView, n: int) -> Martingale:
 class AcceptanceSpec:
     """Per-string betting odds derived from acceptance-path counts.
 
-    ``f(i, b)`` is the number of computation paths answering ``b`` on the
-    ``i``-th string ``s_i`` out of ``2**q(|s_i|)`` total, where ``|s_i|`` is
-    ``(i + 1).bit_length() - 1``; the row-sum identity is re-checked on
-    every query.
+    ``counts(i) = (f(i, 0), f(i, 1))``, where ``f(i, b)`` is the number of
+    computation paths answering ``b`` on the ``i``-th string ``s_i`` out of
+    ``2**q(|s_i|)`` total, and ``|s_i|`` is ``(i + 1).bit_length() - 1``;
+    the row-sum identity is re-checked on every query.
     """
 
-    f: Callable[[int, int], int]
+    counts: Callable[[int], tuple[int, int]]
     q: Callable[[int], int]
     name: str = "acceptance"
 
     def row(self, i: int) -> tuple[int, int, int]:
         """``(f(i, 0), f(i, 1), q(|s_i|))``, the row-sum identity checked."""
-        f0, f1 = self.f(i, 0), self.f(i, 1)
+        f0, f1 = self.counts(i)
         q = self.q((i + 1).bit_length() - 1)
         if f0 + f1 != 1 << q:
             x = string_index(i)
@@ -347,11 +347,12 @@ class AcceptanceSpec:
         cls, g: Callable[[int], int], t: Callable[[int], int]
     ) -> "AcceptanceSpec":
         """Gap-function form: ``f(i,1) = g(i)``, ``f(i,0) = 2**t(|s_i|) - g(i)``."""
-        return cls(
-            f=lambda i, b: g(i) if b else (1 << t((i + 1).bit_length() - 1)) - g(i),
-            q=t,
-            name="gap-acceptance",
-        )
+
+        def counts(i: int) -> tuple[int, int]:
+            one = g(i)
+            return (1 << t((i + 1).bit_length() - 1)) - one, one
+
+        return cls(counts=counts, q=t, name="gap-acceptance")
 
     @classmethod
     def biased(
@@ -360,11 +361,12 @@ class AcceptanceSpec:
         """Odds ``correct / 2**q`` of answering the target's bit on every string."""
         if not 0 <= correct <= (1 << q):
             raise ValueError(f"correct count {correct} not in [0, 2**{q}]")
+        wrong = (1 << q) - correct
 
-        def f(i: int, b: int) -> int:
-            return correct if b == target.contains_index(i) else (1 << q) - correct
+        def counts(i: int) -> tuple[int, int]:
+            return (wrong, correct) if target.contains_index(i) else (correct, wrong)
 
-        return cls(f=f, q=lambda n: q, name=f"biased({correct}/2**{q})")
+        return cls(counts=counts, q=lambda n: q, name=f"biased({correct}/2**{q})")
 
 
 def _products(factors: Callable[[int], tuple[int, int, int]], **kwargs) -> Martingale:

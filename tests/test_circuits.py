@@ -18,7 +18,6 @@ from martlab.circuits import (
     build_census,
     cached_census,
     circuit_for,
-    dag_minimum_sizes,
     encode_circuit,
     load_census,
     lutz_size_bound_floor,
@@ -42,6 +41,7 @@ from martlab.machine import run
 from martlab.martingale import verify_averaging
 from martlab.oracle import level_counts
 
+import census_dag
 import census_v2
 
 
@@ -70,7 +70,7 @@ def test_not_gate_reached_at_one():
 
 
 def test_closure_equals_dag_oracle(census2):
-    dag = dag_minimum_sizes(2, 6)
+    dag = census_dag.minimum_sizes(2, 6)
     assert census2.reached() == sorted(dag)
     for mask in range(16):
         assert census2.min_size(TruthTable(2, mask)) == dag[mask]
@@ -79,7 +79,7 @@ def test_closure_equals_dag_oracle(census2):
 def test_dag_sizes_at_most_tree_sizes_at_three_inputs():
     # census sizes are tree (formula) minima; at n = 3 shared gates first
     # pay off at 5 gates, reaching 12 tables no 5-gate tree computes
-    dag = dag_minimum_sizes(3, 5)
+    dag = census_dag.minimum_sizes(3, 5)
     census = build_census(3, 5)
     tree = census.reached()
     assert len(dag) == 203
@@ -89,7 +89,7 @@ def test_dag_sizes_at_most_tree_sizes_at_three_inputs():
         assert census.min_size(TruthTable(3, mask)) == dag[mask]
     for n, max_size in ((3, 6), (4, 1)):
         with pytest.raises(CapExceeded):
-            dag_minimum_sizes(n, max_size)
+            census_dag.minimum_sizes(n, max_size)
 
 
 def test_xor_needs_four_gates(census2):
@@ -204,13 +204,35 @@ def test_loaded_census_rebuilds_the_same_witnesses(n, S):
 
 
 def test_loaded_census_that_disagrees_with_its_rebuild_raises():
+    # a payload that is not the closure raises on its first witness, in
+    # either direction: a size stored too small, then one stored too large
+    closure = save_census(build_census(2, 4))
+    cases = [
+        (0b0110, 3, "table 6 is stored at size 3, and no 3-gate candidate reaches it"),
+        (0b1000, 2, "a 1-gate candidate reaches table 8, stored at size 2"),
+    ]
+    for mask, size, why in cases:
+        payload = bytearray(closure)
+        payload[mask] = size  # xor takes 4 gates; x0 AND x1 takes 1
+        loaded = load_census(bytes(payload), 2, 4)
+        message = f"census n=2 s=4 is not its closure: {why}"
+        with pytest.raises(CensusUnavailable, match=message):
+            loaded.witness(mask)
+        with pytest.raises(CensusUnavailable, match=message):
+            circuit_for(loaded, TruthTable(2, 0))
+
+
+@pytest.mark.parametrize("mask, size, why", [
+    (0b0110, UNREACHED, "a 4-gate candidate reaches table 6, stored at size 255"),
+    (0b0110, 9, "size byte 9 is past the cap"),
+    (0b0110, 0, "its size-0 tables are not the inputs and constants"),
+    (0b1010, 1, "its size-0 tables are not the inputs and constants"),
+])
+def test_naming_pass_refuses_sizes_that_are_not_the_closure(mask, size, why):
     payload = bytearray(save_census(build_census(2, 4)))
-    payload[0b0110] = 3  # xor takes 4 gates
-    loaded = load_census(bytes(payload), 2, 4)
-    with pytest.raises(CensusUnavailable, match="disagrees with its rebuild"):
-        loaded.witness(0b0110)
-    with pytest.raises(CensusUnavailable, match="disagrees with its rebuild"):
-        circuit_for(loaded, TruthTable(2, 0))
+    payload[mask] = size
+    with pytest.raises(CensusUnavailable, match=f"not its closure: {why}"):
+        load_census(bytes(payload), 2, 4).witness(0)
 
 
 def test_load_census_checks_the_payload_length():
@@ -267,6 +289,21 @@ def test_warm_cli_paths_never_rebuild_a_census(tmp_path, monkeypatch, capsys):
     for argv, out in zip(WARM_CENSUS_COMMANDS, cold):
         assert main(argv + cache) == 0
         assert capsys.readouterr().out == out
+
+
+def test_cold_cli_paths_name_no_witnesses(tmp_path, monkeypatch):
+    # the cold twin of the test above: a build computes sizes only, and no
+    # command reads a witness, so none pays for the naming pass
+    assert "_witnesses" not in vars(build_census(4, 8))
+
+    def name(census):
+        raise AssertionError(f"census n={census.n} s={census.max_size} named its witnesses")
+
+    monkeypatch.setattr(circuits.CircuitCensus, "_witnesses", property(name))
+    for k, argv in enumerate(WARM_CENSUS_COMMANDS):
+        cache_dir = tmp_path / str(k)
+        assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+        assert list(cache_dir.glob("census_*.bin")), f"{argv} built no census"
 
 
 def test_witness_circuits_evaluate_to_their_tables():

@@ -464,7 +464,7 @@ def test_acceptance_figure_path():
 
 
 def test_acceptance_fair_coin():
-    spec = AcceptanceSpec(f=lambda i, b: 2, q=lambda n: 2)
+    spec = AcceptanceSpec(counts=lambda i: (2, 2), q=lambda n: 2)
     m = acceptance_martingale(spec)
     for w in ("", "0", "01", "110", "0101"):
         assert m.value(BitString(w)) == ONE
@@ -485,9 +485,30 @@ def test_acceptance_gap_error_free_machine():
 
 
 def test_acceptance_row_sum_checked():
-    spec = AcceptanceSpec(f=lambda i, b: 1, q=lambda n: 2)
+    spec = AcceptanceSpec(counts=lambda i: (1, 1), q=lambda n: 2)
     with pytest.raises(RowSumViolation):
         acceptance_martingale(spec).value(BitString("0"))
+
+
+def test_acceptance_rows_read_each_membership_once():
+    # one membership (or gap) query decides both path counts of a row
+    class Counted:
+        def __init__(self, view):
+            self.view, self.calls = view, 0
+
+        def contains_index(self, i):
+            self.calls += 1
+            return self.view.contains_index(i)
+
+    target = Counted(marked())
+    spec = AcceptanceSpec.biased(target, 3, 2)
+    for i in range(15):
+        assert spec.row(i) == ((1, 3, 2) if target.view.contains_index(i) else (3, 1, 2))
+        assert target.calls == i + 1
+    gaps = []
+    spec = AcceptanceSpec.from_gap(lambda i: gaps.append(i) or 1, lambda n: 1)
+    assert [spec.row(i) for i in range(7)] == [(1, 1, 1)] * 7
+    assert gaps == list(range(7))
 
 
 def test_acceptance_gap_negative_rejected():
@@ -508,7 +529,9 @@ def test_acceptance_product_law_randomized():
                 rows[i] = ((1 << q) - f1, f1)
             return rows[i][b]
 
-        m = acceptance_martingale(AcceptanceSpec(f=f, q=lambda n: q))
+        m = acceptance_martingale(
+            AcceptanceSpec(counts=lambda i: (f(i, 0), f(i, 1)), q=lambda n: q)
+        )
         for w in all_strings(6):
             product = Fraction(1)
             for i in range(6):
@@ -527,7 +550,7 @@ def test_acceptance_growth_bound():
         correct = (1 << (2 * k)) - 1
         return correct if b == int(target.contains_index(i)) else 1
 
-    spec = AcceptanceSpec(f=f, q=lambda k: 2 * k)
+    spec = AcceptanceSpec(counts=lambda i: (f(i, 0), f(i, 1)), q=lambda k: 2 * k)
     m = acceptance_martingale(spec)
     for n in range(1, 7):
         S = char_prefix(target, n)

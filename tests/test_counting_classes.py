@@ -211,12 +211,12 @@ def test_acceptance_counts_tuples_of_paths(seed):
 
     ones = [rnd.randrange((1 << q(len(string_index(i)))) + 1) for i in range(4)]
     spec = AcceptanceSpec(
-        f=lambda i, b: ones[i] if b else (1 << q(len(string_index(i)))) - ones[i],
+        counts=lambda i: ((1 << q(len(string_index(i)))) - ones[i], ones[i]),
         q=q,
     )
     rel = path_tuples(
         lambda i: 1 + q(len(string_index(i))),
-        lambda i, p: int(p >> 1 < spec.f(i, 1)),
+        lambda i, p: int(p >> 1 < spec.counts(i)[1]),
     )
     m = acceptance_martingale(spec)
     assert mismatches(m, prefixes(4), counted(WITNESS, lambda k: rel)) == []

@@ -161,7 +161,7 @@ def test_gap_odds_by_index_match_the_string_twin(rows, shift, w):
 
 
 def test_row_sum_violation_names_the_string():
-    spec = AcceptanceSpec(f=lambda i, b: 1 + b, q=lambda n: n, name="bad")
+    spec = AcceptanceSpec(counts=lambda i: (1, 2), q=lambda n: n, name="bad")
     with pytest.raises(RowSumViolation) as err:
         acceptance_martingale(spec).value(BitString("0000"))
     assert str(err.value) == "bad: f(BitString(''),0)+f(BitString(''),1) = 1+2 != 2**0"

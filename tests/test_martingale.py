@@ -208,9 +208,7 @@ def test_diagonalize_figure_cover():
 def test_empirical_dimension_doubler():
     # capital 2^n along the all-ones path: both statistics 0
     always_right = acceptance_martingale(
-        AcceptanceSpec(
-            f=lambda i, b: 4 if b == 1 else 0, q=lambda n: 2
-        )
+        AcceptanceSpec(counts=lambda i: (0, 4), q=lambda n: 2)
     )
     report = empirical_dimension(always_right, BitString("1111"))
     assert report.best == ZERO and report.worst == ZERO

@@ -131,8 +131,8 @@ def _negative_gap(i: int) -> int:
     return 9 if i == 5 else 3  # 9 > 2**3 makes f(i, 0) negative
 
 
-def _row_sum_break(i: int, b: int) -> int:
-    return 3 if i == 7 else 2  # rows of 2**2, except 3 + 3 at index 7
+def _row_sum_break(i: int) -> tuple[int, int]:
+    return (3, 3) if i == 7 else (2, 2)  # rows of 2**2, except 3 + 3 at index 7
 
 
 # each case builds a fresh martingale and the sequence it fails along
