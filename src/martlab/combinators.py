@@ -7,8 +7,9 @@ log-denominator, or shifted.  Infinite sums are truncated through a
 declared convergence modulus: ``m(w, i)`` promises that the tail from index
 ``m(w, i)`` onward is at most ``2**-i``, and every query audits that promise
 on a finite window (a necessary check; no finite artifact can verify the
-infinite claim).  On top of the truncated sums sit the two covering
-aggregates — one certifying unit value on covered prefixes, one certifying
+infinite claim); the sum of an infinite family is an :class:`Approximation`,
+known only to a requested precision.  On top of the truncated sums sit the
+two covering certificates — one of unit value on covered prefixes, one of
 ``2**((1-t)n)`` growth — and the approximate-counting transform that trades
 an exact martingale for a supermartingale evaluable from a multiplicative
 approximation of its numerator, whose relaxed averaging law is checked on
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 from typing import Callable
 
@@ -35,6 +36,7 @@ from .errors import (
 from .martingale import Kernel, Martingale, RatioForm, _repeat, verify_averaging
 
 __all__ = [
+    "Approximation",
     "MartingaleFamily",
     "ConvergenceModulus",
     "ApproxSupermartingale",
@@ -56,6 +58,19 @@ __all__ = [
 
 DEFAULT_AUDIT_PAD = 8
 DEFAULT_ROOT_PRECISION = 20
+
+
+@dataclass(frozen=True)
+class Approximation:
+    """A value known only to a precision: ``approx(w, r)`` is within
+    ``2**-r`` of the true value at ``w``, and ``initial_capital`` is one such
+    value at the root.  The sum of an infinite family and the transform's
+    grid export are the two; neither has a counting form, so neither is a
+    :class:`~martlab.martingale.Martingale`."""
+
+    approx: Callable[[BitString, int], Dyadic]
+    initial_capital: Dyadic
+    supermartingale: bool
 
 
 @dataclass(frozen=True)
@@ -119,8 +134,6 @@ def _aligned_sum(terms: list[tuple[Martingale, int]], **kwargs) -> Martingale:
     k)`` of ``terms``: on each row, and at each step of the kernel, every
     term's numerators are brought to the terms' largest log-denominator
     (at least 0), and they add.  No terms sum to 0."""
-    if any(m.ratio is None for m, _ in terms):
-        raise ValueError("finite sums and scalings need exact evaluators")
     forms = [(m.ratio, k) for m, k in terms]
 
     def row(n: int) -> tuple[list[int], int]:
@@ -201,11 +214,14 @@ def sum_family(
     return _partial_sum(fam, w, 0, start)
 
 
-def aggregate_martingale(fam: MartingaleFamily, mod: ConvergenceModulus) -> Martingale:
-    """The family sum as a martingale.
+def aggregate_martingale(
+    fam: MartingaleFamily, mod: ConvergenceModulus
+) -> Martingale | Approximation:
+    """The family sum.
 
-    Families with finite support sum exactly; otherwise only the truncated
-    approximate evaluator exists, and the initial capital is the root sum at
+    A family with finite support sums exactly, to a martingale.  Otherwise
+    the sum is an :class:`Approximation`: ``approx`` is :func:`sum_family`,
+    truncated by the modulus, and the initial capital is the root sum at
     precision ``DEFAULT_ROOT_PRECISION``.
     """
     if fam.support_end is not None:
@@ -213,17 +229,9 @@ def aggregate_martingale(fam: MartingaleFamily, mod: ConvergenceModulus) -> Mart
             [(fam.member(n), 0) for n in range(fam.support_end)],
             meta={"construction": "family-sum"},
         )
-
-    def approx(w: BitString, r: int) -> Dyadic:
-        return sum_family(fam, mod, w, r)
-
-    root = approx(EMPTY, DEFAULT_ROOT_PRECISION)
-    return Martingale(
-        approx=approx,
-        initial_capital=root,
-        freeze_depth=None,
-        meta={"construction": "family-sum"},
-    )
+    approx = partial(sum_family, fam, mod)
+    return Approximation(approx, approx(EMPTY, DEFAULT_ROOT_PRECISION),
+                         supermartingale=False)
 
 
 def _audit_family(
@@ -265,7 +273,7 @@ def _audit_family(
 
 def borel_cantelli_measure(
     fam: MartingaleFamily, mod: ConvergenceModulus, audit_levels: int = 16
-) -> Martingale:
+) -> Martingale | Approximation:
     """Aggregate whose value is at least 1 wherever any member reaches 1.
 
     Audits the declared capital bounds and the modulus (its tail promise at
@@ -301,12 +309,13 @@ def borel_cantelli_dimension(
     s: Dyadic,
     t: Dyadic,
     audit_levels: int = 16,
-) -> tuple[MartingaleFamily, ConvergenceModulus, Martingale]:
-    """Scale family members by ``2**ceil((1-t)n)`` and aggregate.
+) -> tuple[MartingaleFamily, ConvergenceModulus]:
+    """Scale family members by ``2**ceil((1-t)n)``.
 
     Requires ``t > s`` and audited capitals ``d_n(root) <= 2**((s-1)n)``.
     The scaled capitals are geometric with ratio ``2**-(t-s)``, which yields
-    the modulus.  Returns the scaled family, its modulus, and the aggregate.
+    the modulus.  Returns the scaled family and its modulus, the inputs of
+    :func:`dimension_certificate`.
     """
     if not t > s:
         raise ValueError(f"needs t > s, got s={s}, t={t}")
@@ -335,9 +344,7 @@ def borel_cantelli_dimension(
         name=f"{fam.name}*2^ceil((1-t)n)",
         support_end=fam.support_end,
     )
-    mod = geometric_modulus(t - s, log2_scale=1)
-    agg = aggregate_martingale(scaled, mod)
-    return scaled, mod, agg
+    return scaled, geometric_modulus(t - s, log2_scale=1)
 
 
 def dimension_certificate(
@@ -376,9 +383,10 @@ def worst_case_gamma(n: int) -> Fraction:
 class ApproxSupermartingale:
     """Result of the approximate-counting transform at one level.
 
-    Values are exact general rationals internally; the exported martingale
-    floors them onto a ``2**-32`` grid (or finer when more precision is
-    asked), which is where the recorded one-step error bound lives.  The
+    Values are exact general rationals internally; the exported
+    approximation ``martingale`` floors them onto a ``2**-32`` grid (or
+    finer when more precision is asked), which is where the recorded
+    one-step error bound lives.  The
     relaxed averaging law is checked on the exact values, never the floors.
     ``scaled`` is the exact value times the constant ``(n+1)**n``, in
     counting form: at a length-``k`` string, ``k <= n``, the band-checked
@@ -388,7 +396,7 @@ class ApproxSupermartingale:
 
     level: int
     exact_value: Callable[[BitString], Fraction]
-    martingale: Martingale
+    martingale: Approximation
     damping: Fraction
     scaled: Martingale
 
@@ -467,17 +475,12 @@ def approx_supermartingale(
         fr = exact_value(v)
         return Dyadic((fr.numerator << grid) // fr.denominator, grid)
 
-    martingale = Martingale(
-        approx=approx,
-        initial_capital=approx(EMPTY, EXPORT_GRID_BITS),
-        freeze_depth=n,
-        supermartingale=True,
-        meta={"construction": "approx-supermartingale"},
-    )
     return ApproxSupermartingale(
         level=n,
         exact_value=exact_value,
-        martingale=martingale,
+        martingale=Approximation(
+            approx, approx(EMPTY, EXPORT_GRID_BITS), supermartingale=True
+        ),
         damping=ratio_power(n),
         scaled=scaled,
     )

@@ -1,10 +1,11 @@
 """Evaluable betting functions on binary prefixes.
 
-A :class:`Martingale` bundles an exact evaluator in counting form (when one
-exists), a precision-``r`` approximate evaluator, the value at the empty
-string and an optional freeze depth past which values repeat.  The class a
-numerator is counted in is stated by its construction's docstring and
-checked by ``tests/test_counting_classes.py``, never recorded here.
+A :class:`Martingale` is exact: it bundles its counting form, the value at
+the empty string and an optional freeze depth past which values repeat.  A
+value known only to a precision is a
+:class:`~martlab.combinators.Approximation`, never a ``Martingale``.  The
+class a numerator is counted in is stated by its construction's docstring
+and checked by ``tests/test_counting_classes.py``, never recorded here.
 
 The operations here are the generic checks every construction must survive:
 the exact averaging law, success scans against ``2**((1-s)*n)`` thresholds,
@@ -30,7 +31,7 @@ built only for each reported value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import add, lt
 from typing import Callable, Generator, Iterator, Mapping, Sequence
@@ -91,24 +92,22 @@ class RatioForm:
 
 @dataclass(frozen=True)
 class Martingale:
-    """An evaluable betting function.
+    """An evaluable betting function, exact by type.
 
-    ``ratio`` is the one exact evaluator, a :class:`RatioForm`; it is None
-    for approximation-only martingales (aggregates of infinite families),
-    whose ``approx(w, r)`` must be within ``2**-r`` of the true value; whether
-    its numerator is #P, SpanP or GapP is the construction's claim, not a
-    field.  ``freeze_depth = n`` declares that strings longer than ``n`` take
-    the value of their length-``n`` prefix.  ``meta`` carries the kind, as
-    ``{"construction": kind}``; nothing in the package reads it, and the
-    benchmark's traced spans name each ``value`` call after it.
+    ``ratio`` is its counting form, a :class:`RatioForm`, and
+    ``initial_capital`` is the value ``row(0)`` gives the empty string;
+    whether the numerator is #P, SpanP or GapP is the construction's claim,
+    not a field.  ``freeze_depth = n`` declares that strings longer than
+    ``n`` take the value of their length-``n`` prefix.  ``meta`` carries the
+    kind, as ``{"construction": kind}``; nothing in the package reads it,
+    and the benchmark's traced spans name each ``value`` call after it.
     """
 
-    approx: Callable[[BitString, int], Dyadic]
+    ratio: RatioForm
     initial_capital: Dyadic
-    freeze_depth: int | None = None
-    supermartingale: bool = False
-    ratio: RatioForm | None = None
-    meta: Mapping = field(default_factory=dict)
+    freeze_depth: int | None
+    supermartingale: bool
+    meta: Mapping
 
     @classmethod
     def from_ratio(
@@ -122,13 +121,11 @@ class Martingale:
     ) -> "Martingale":
         """The martingale of a counting form; its capital is ``row(0)``'s."""
         (root,), log_den = row(0)
-        ratio, capital = RatioForm(row, kernel, numerator), Dyadic(root, log_den)
         return cls(
-            approx=lambda w, r: _node(ratio, capital, freeze_depth, w),
-            initial_capital=capital,
+            ratio=RatioForm(row, kernel, numerator),
+            initial_capital=Dyadic(root, log_den),
             freeze_depth=freeze_depth,
             supermartingale=supermartingale,
-            ratio=ratio,
             meta=dict(meta or {}),
         )
 
@@ -144,7 +141,20 @@ class Martingale:
         )
 
     def value(self, w: BitString) -> Dyadic:
-        return _node(_exact(self), self.initial_capital, self.freeze_depth, w)
+        """The value at ``w``, read no deeper than the freeze depth: the walk
+        along ``w``, except that the root is the capital (a constant takes no
+        kernel step) and a leveled form counts once."""
+        freeze = self.freeze_depth
+        n = len(w) if freeze is None else min(len(w), freeze)
+        if n and self.ratio.numerator is None:
+            bits = iter(w)
+            for num, log_den in _walk(self, n, lambda zero, one: next(bits)):
+                pass
+            return Dyadic(num, log_den)
+        v = Dyadic(self.ratio.numerator(w), freeze - n) if n else self.initial_capital
+        if v.is_negative():
+            raise NegativeValue(f"negative value {v} at {w.prefix(n)!r}")
+        return v
 
     def path(self, S: BitString) -> Iterator[tuple[int, int]]:
         """``value(S.prefix(n))`` as ``(numerator, log_den)``, for ``n`` from
@@ -152,9 +162,7 @@ class Martingale:
         numerator need not be in lowest terms; a negative value raises as
         ``value`` does, at the same prefix."""
         bits = iter(S)
-        return _walk(
-            _exact(self), self.initial_capital, len(S), lambda zero, one: next(bits)
-        )
+        return _walk(self, len(S), lambda zero, one: next(bits))
 
 
 def _repeat(num: int, log_den: int) -> Kernel:
@@ -163,22 +171,16 @@ def _repeat(num: int, log_den: int) -> Kernel:
         yield num, num, log_den
 
 
-def _exact(m: Martingale) -> RatioForm:
-    if m.ratio is None:
-        raise ValueError("martingale has no exact evaluator")
-    return m.ratio
-
-
 def _walk(
-    form: RatioForm, root: Dyadic, n: int, pick: Callable[[int, int], int]
+    m: Martingale, n: int, pick: Callable[[int, int], int]
 ) -> Iterator[tuple[int, int]]:
     """The value at each of the ``n + 1`` prefixes of one path, in order,
-    as ``(numerator, log_den)``: the capital ``root``, then one kernel step
-    per bit, each prefix extended by the bit ``pick(zero, one)`` of its two
+    as ``(numerator, log_den)``: the capital, then one kernel step per bit,
+    each prefix extended by the bit ``pick(zero, one)`` of its two
     children's numerators.  A negative value raises
     :class:`~martlab.errors.NegativeValue` at its prefix."""
-    num, log_den, bits = root.num, root.log_den, []
-    kernel, bit = form.kernel(), None
+    num, log_den, bits = m.initial_capital.num, m.initial_capital.log_den, []
+    kernel, bit = m.ratio.kernel(), None
     while True:
         if num < 0:
             w = BitString(bits)
@@ -190,24 +192,6 @@ def _walk(
         bit = pick(zero, one)
         bits.append(bit)
         num = one if bit else zero
-
-
-def _node(
-    form: RatioForm, root: Dyadic, freeze_depth: int | None, w: BitString
-) -> Dyadic:
-    """The value at ``w``, read no deeper than the freeze depth: the walk
-    along ``w``, except that the root is the capital (a constant takes no
-    kernel step) and a leveled form counts once."""
-    n = len(w) if freeze_depth is None else min(len(w), freeze_depth)
-    if n and form.numerator is None:
-        bits = iter(w)
-        for num, log_den in _walk(form, root, n, lambda zero, one: next(bits)):
-            pass
-        return Dyadic(num, log_den)
-    v = Dyadic(form.numerator(w), freeze_depth - n) if n else root
-    if v.is_negative():
-        raise NegativeValue(f"negative value {v} at {w.prefix(n)!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -250,7 +234,7 @@ def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
     """
     if depth > LEVEL_CAP:
         raise CapExceeded(f"depth {depth} exceeds enumeration cap {LEVEL_CAP}")
-    row = _exact(m).row
+    row = m.ratio.row
     for k in range(depth + 1):
         nums, log_den = row(k)
         if min(nums) < 0:
@@ -376,7 +360,7 @@ def diagonalize(m: Martingale, N: int) -> BitString:
         bits.append(1 if one < zero else 0)
         return bits[-1]
 
-    for _ in _walk(_exact(m), m.initial_capital, N, pick):
+    for _ in _walk(m, N, pick):
         pass
     return BitString(bits)
 

@@ -300,7 +300,7 @@ def test_criterion_05_borel_cantelli():
         )
         aggregate = borel_cantelli_measure(fam, mod, audit_levels=13)
         s, t = Dyadic(1, 1), Dyadic(3, 2)
-        scaled, dim_mod, _ = borel_cantelli_dimension(fam, s, t, audit_levels=13)
+        scaled, dim_mod = borel_cantelli_dimension(fam, s, t, audit_levels=13)
         one_minus_t = ONE - t
         for n, cover in covers.items():
             for x in all_strings(n):

@@ -9,6 +9,7 @@ from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.combinators import (
     DEFAULT_ROOT_PRECISION,
     ApproxSupermartingale,
+    Approximation,
     ConvergenceModulus,
     MartingaleFamily,
     aggregate_martingale,
@@ -227,16 +228,30 @@ def test_borel_cantelli_single_member_family():
         assert agg.value(w) == m.value(w)
 
 
+def test_a_finitely_supported_aggregate_is_a_martingale():
+    members = [build_figure(i) for i in (1, 2, 3)]
+    fam = MartingaleFamily(
+        generator=members.__getitem__,
+        capital_bound=lambda n: members[n].initial_capital,
+        support_end=3,
+    )
+    agg = aggregate_martingale(fam, plus_two_modulus())
+    assert isinstance(agg, Martingale)
+    total = sum_finite(agg, members[0])
+    for w in all_strings(5):
+        assert total.value(w) == sum((m.value(w) for m in members), members[0].value(w))
+
+
 def test_borel_cantelli_measure_of_an_infinite_family():
-    # no support_end: only the truncated evaluator exists
+    # no support_end: the sum is only a truncated approximation
     fam, mod = geometric_family(), plus_two_modulus()
     agg = borel_cantelli_measure(fam, mod)
+    assert isinstance(agg, Approximation)
+    assert not hasattr(agg, "value") and not hasattr(agg, "ratio")
     for w in (EMPTY, BitString("0"), BitString("101")):
         for r in (0, 3, 8):
             assert agg.approx(w, r) == sum_family(fam, mod, w, r)
     assert agg.initial_capital == sum_family(fam, mod, EMPTY, DEFAULT_ROOT_PRECISION)
-    with pytest.raises(ValueError, match="no exact evaluator"):
-        agg.value(EMPTY)
 
 
 def test_borel_cantelli_dimension_guarantee():
@@ -259,7 +274,7 @@ def test_borel_cantelli_dimension_guarantee():
         support_end=13,
     )
     s, t = Dyadic(1, 1), Dyadic(3, 2)
-    scaled, mod, _ = borel_cantelli_dimension(base, s, t, audit_levels=13)
+    scaled, mod = borel_cantelli_dimension(base, s, t, audit_levels=13)
     one_minus_t = ONE - t
     for n in (1, 4, 7, 12):
         for v in rnd.sample(range(1 << n), min(8, 1 << n)):
@@ -283,7 +298,7 @@ def test_borel_cantelli_dimension_t_one_reduces_to_measure():
         name="scaled-figs",
         support_end=6,
     )
-    scaled, _, _ = borel_cantelli_dimension(fam, Dyadic(0), ONE, audit_levels=6)
+    scaled, _ = borel_cantelli_dimension(fam, Dyadic(0), ONE, audit_levels=6)
     for n in range(6):
         for w in ("", "01", "0010"):
             w = BitString(w)

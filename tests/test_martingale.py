@@ -251,9 +251,3 @@ def test_tree_dot_highlights_unit_leaves():
     text = tree_dot(figure_cover(), 4)
     assert '"0001" [label="1", style=filled' in text
     assert '"0000" [label="0"]' in text
-
-
-def test_approx_consistency_default():
-    m = figure_cover()
-    for r in (0, 5, 30):
-        assert m.approx(BitString("01"), r) == m.value(BitString("01"))

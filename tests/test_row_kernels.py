@@ -207,8 +207,9 @@ def test_row_entries_are_the_node_form(kind, census2, budget):
 def test_meta_of_the_scaled_and_approximate_forms():
     m = condexp_martingale(lambda x: x.count_ones(), 4)
     assert scale_pow2(m, 3).meta == {"construction": "condexp"}
+    # the transform's export is an approximation, which names no construction
     approx = approx_supermartingale(m.ratio, m.ratio.numerator, 4)
-    assert approx.martingale.meta == {"construction": "approx-supermartingale"}
+    assert not hasattr(approx.martingale, "meta")
 
 
 def _table_value(rows, log_dens):
