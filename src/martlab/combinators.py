@@ -3,17 +3,18 @@
 Finite sums are pointwise and exact: a sum, a ``2**k`` scaling and a
 finitely supported family sum are counting forms again, each row and each
 kernel step the members' numerators added over their largest
-log-denominator, or shifted.  Infinite sums are truncated through a
-declared convergence modulus: ``m(w, i)`` promises that the tail from index
-``m(w, i)`` onward is at most ``2**-i``, and every query audits that promise
-on a finite window (a necessary check; no finite artifact can verify the
-infinite claim); the sum of an infinite family is an :class:`Approximation`,
-known only to a requested precision.  On top of the truncated sums sit the
-two covering certificates — one of unit value on covered prefixes, one of
-``2**((1-t)n)`` growth — and the approximate-counting transform that trades
-an exact martingale for a supermartingale evaluable from a multiplicative
-approximation of its numerator, whose relaxed averaging law is checked on
-one integer row form.
+log-denominator, or shifted.  A finite family is its support: members off
+it are zero, so they are never built, audited or summed.  Infinite sums are
+truncated through a declared convergence modulus: ``m(w, i)`` promises that
+the tail from index ``m(w, i)`` onward is at most ``2**-i``, and every query
+audits that promise on a finite window (a necessary check; no finite
+artifact can verify the infinite claim); the sum of an infinite family is an
+:class:`Approximation`, known only to a requested precision.  On top of
+the truncated sums sit the two covering certificates — one of unit value on
+covered prefixes, one of ``2**((1-t)n)`` growth — and the
+approximate-counting transform that trades an exact martingale for a
+supermartingale evaluable from a multiplicative approximation of its
+numerator, whose relaxed averaging law is checked on one integer row form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import add
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cantor import EMPTY, BitString, all_strings
 from .dyadic import Dyadic, ONE, ZERO, cmp_pow2
@@ -73,21 +74,30 @@ class Approximation:
     supermartingale: bool
 
 
+_ZERO_MEMBER = Martingale.constant(ZERO)
+
+
 @dataclass(frozen=True)
 class MartingaleFamily:
     """A generated family ``n -> martingale`` with declared root capitals.
 
-    ``support_end``, when set, promises the zero martingale from that index
-    on; aggregates over such families are finite sums and stay exact.
+    ``support``, when set, lists in increasing order the only indices whose
+    members may be nonzero.  Every other member is the zero martingale: the
+    generator is never asked for it, and no audit or sum reads it, so
+    ``capital_bound`` too is read only on the support (a zero member adds
+    nothing to a tail).  Aggregates over such families are finite sums and
+    stay exact.
     """
 
     generator: Callable[[int], Martingale]
     capital_bound: Callable[[int], Dyadic]
     name: str = "family"
-    support_end: int | None = None
+    support: tuple[int, ...] | None = None
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def member(self, n: int) -> Martingale:
+        if self.support is not None and n not in self.support:
+            return _ZERO_MEMBER
         # cached so member-level memoization survives across queries
         if n not in self._members:
             self._members[n] = self.generator(n)
@@ -183,14 +193,20 @@ def scale_pow2(m: Martingale, k: int) -> Martingale:
     )
 
 
+def _indices(fam: MartingaleFamily, start: int, stop: int) -> Iterable[int]:
+    """The indices in ``[start, stop)`` whose members may be nonzero: the
+    support's, for a finite family."""
+    if fam.support is None:
+        return range(start, stop)
+    return [n for n in fam.support if start <= n < stop]
+
+
 def _partial_sum(
     fam: MartingaleFamily, w: BitString, start: int, stop: int
 ) -> Dyadic:
-    """``sum_{start <= n < stop} d_n(w)``, cut off at the family's support."""
-    if fam.support_end is not None:
-        stop = min(stop, fam.support_end)
+    """``sum_{start <= n < stop} d_n(w)``, over the support's indices only."""
     total = ZERO
-    for n in range(start, stop):
+    for n in _indices(fam, start, stop):
         total = total + fam.member(n).value(w)
     return total
 
@@ -219,14 +235,15 @@ def aggregate_martingale(
 ) -> Martingale | Approximation:
     """The family sum.
 
-    A family with finite support sums exactly, to a martingale.  Otherwise
-    the sum is an :class:`Approximation`: ``approx`` is :func:`sum_family`,
+    A family with finite support sums exactly, to a martingale whose rows
+    and kernel steps are its support members' and no others.  Otherwise the
+    sum is an :class:`Approximation`: ``approx`` is :func:`sum_family`,
     truncated by the modulus, and the initial capital is the root sum at
     precision ``DEFAULT_ROOT_PRECISION``.
     """
-    if fam.support_end is not None:
+    if fam.support is not None:
         return _aligned_sum(
-            [(fam.member(n), 0) for n in range(fam.support_end)],
+            [(fam.member(n), 0) for n in fam.support],
             meta={"construction": "family-sum"},
         )
     approx = partial(sum_family, fam, mod)
@@ -237,11 +254,8 @@ def aggregate_martingale(
 def _audit_family(
     fam: MartingaleFamily, mod: ConvergenceModulus, audit_levels: int
 ) -> None:
-    horizon = audit_levels
-    if fam.support_end is not None:
-        horizon = min(horizon, fam.support_end)
     degenerate = True
-    for n in range(horizon):
+    for n in _indices(fam, 0, audit_levels):
         member = fam.member(n)
         bound = fam.capital_bound(n)
         if member.initial_capital > bound:
@@ -253,16 +267,13 @@ def _audit_family(
             degenerate = False
     if degenerate:
         raise DegenerateFamily(
-            f"{fam.name}: every member up to {horizon} has zero capital"
+            f"{fam.name}: every member below {audit_levels} has zero capital"
         )
     # the declared capital series must survive its own modulus
     for i in (0, 4, 8):
         start = mod(EMPTY, i)
-        stop = start + DEFAULT_AUDIT_PAD
-        if fam.support_end is not None:
-            stop = min(stop, fam.support_end)
         tail = ZERO
-        for n in range(start, stop):
+        for n in _indices(fam, start, start + DEFAULT_AUDIT_PAD):
             tail = tail + fam.capital_bound(n)
         if tail > Dyadic.pow2(-i):
             raise ModulusViolation(
@@ -319,11 +330,8 @@ def borel_cantelli_dimension(
     """
     if not t > s:
         raise ValueError(f"needs t > s, got s={s}, t={t}")
-    horizon = audit_levels
-    if fam.support_end is not None:
-        horizon = min(horizon, fam.support_end)
     one_minus_s = ONE - s
-    for n in range(horizon):
+    for n in _indices(fam, 0, audit_levels):
         capital = fam.member(n).initial_capital
         # d_n(root) <= 2**((s-1)n), compared without evaluating the power
         if cmp_pow2(capital.num, capital.log_den, -one_minus_s.num * n,
@@ -342,7 +350,7 @@ def borel_cantelli_dimension(
         generator=lambda n: scale_pow2(fam.member(n), shift(n)),
         capital_bound=lambda n: fam.capital_bound(n).scale2(shift(n)),
         name=f"{fam.name}*2^ceil((1-t)n)",
-        support_end=fam.support_end,
+        support=fam.support,
     )
     return scaled, geometric_modulus(t - s, log2_scale=1)
 

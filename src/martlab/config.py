@@ -44,6 +44,7 @@ Modulus objects:
 
     {"type": "geometric", "delta": "1/2", "scale": 0}
     {"type": "affine", "slope": 1, "offset": 2}          # m(w,i) = slope*i + offset + |w|
+      (slope, offset >= 0, so m is never negative.)
 
 Certify objects:
 
@@ -319,8 +320,8 @@ def build_modulus(spec: dict) -> ConvergenceModulus:
             _int(spec.get("scale", 0), f"{path}.scale"),
         )
     if kind == "affine":
-        slope = _need(spec, "slope", path, _int)
-        offset = _need(spec, "offset", path, _int)
+        slope = _need(spec, "slope", path, _natural)
+        offset = _need(spec, "offset", path, _natural)
         return ConvergenceModulus(
             lambda w, i: slope * i + offset + len(w),
             name=f"affine({slope}i+{offset}+|w|)",
@@ -339,34 +340,15 @@ def build_family(spec: dict) -> MartingaleFamily:
         )
     if kind == "covers":
         covers = _level_covers(spec, path)
-        end = max(covers) + 1 if covers else 0
 
         def generator(n: int) -> Martingale:
-            if n in covers:
-                return cover_martingale(covers[n])
-            return Martingale.constant(Dyadic(0))
-
-        bounds = {}
-        bounds_spec = _object(
-            spec.get("capital_bounds", {}), f"{path}.capital_bounds"
-        )
-        for key, text in bounds_spec.items():
-            bounds[_int(key, f"{path}.capital_bounds")] = _dyadic(
-                text, f"{path}.capital_bounds.{key}"
-            )
-
-        def capital_bound(n: int) -> Dyadic:
-            if n in bounds:
-                return bounds[n]
-            if n in covers:
-                return generator(n).initial_capital
-            return Dyadic(0)
+            return cover_martingale(covers[n])
 
         return MartingaleFamily(
             generator=generator,
-            capital_bound=capital_bound,
+            capital_bound=lambda n: generator(n).initial_capital,
             name="explicit-covers",
-            support_end=end,
+            support=tuple(sorted(covers)),
         )
     raise ConfigError(f"unknown family type {kind!r}", field=path)
 

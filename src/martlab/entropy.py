@@ -23,7 +23,6 @@ from .cantor import EMPTY, BitString
 from .combinators import ConvergenceModulus, MartingaleFamily
 from .constructions import Cover, cover_martingale
 from .dyadic import GRID_BITS, Dyadic, ZERO, grid_floor_log2_ratio
-from .martingale import Martingale
 
 __all__ = [
     "LevelFamily",
@@ -236,33 +235,24 @@ def certificate_family(
 ) -> tuple[MartingaleFamily, ConvergenceModulus]:
     """The certified cover family as summable martingales.
 
-    Member ``n`` is the cover martingale at level ``n`` (zero when the level
-    is empty or past the horizon); capitals are bounded by ``2**-gap(n)``
-    thanks to the certified count gap, and the certificate's modulus lifts to
-    the family by the usual ``2**|w|`` shift.
+    Member ``n`` is the cover martingale at level ``n``; its support is the
+    levels ``1..horizon`` with a cover, and every other member is zero.
+    Capitals are bounded by ``2**-gap(n)`` thanks to the certified count
+    gap, and the certificate's modulus lifts to the family by the usual
+    ``2**|w|`` shift.
     """
     if not cert.valid:
         raise ValueError("refusing to aggregate an invalid certificate")
-    horizon = cert.horizon
-
-    def generator(n: int) -> Martingale:
-        if n < 1 or n > horizon:
-            return Martingale.constant(ZERO)
-        cover = fam.cover_at(n)
-        if cover is None:
-            return Martingale.constant(ZERO)
-        return cover_martingale(cover)
-
-    def capital_bound(n: int) -> Dyadic:
-        if n < 1 or n > horizon:
-            return ZERO
-        return Dyadic.pow2(-gap(n))
-
+    covers = {
+        n: cover
+        for n in range(1, cert.horizon + 1)
+        if (cover := fam.cover_at(n)) is not None
+    }
     family = MartingaleFamily(
-        generator=generator,
-        capital_bound=capital_bound,
+        generator=lambda n: cover_martingale(covers[n]),
+        capital_bound=lambda n: Dyadic.pow2(-gap(n)),
         name=f"covers({fam.name})",
-        support_end=horizon + 1,
+        support=tuple(covers),
     )
     lifted = ConvergenceModulus(
         lambda w, i: modulus(i + len(w)),

@@ -277,16 +277,10 @@ def _half_density_family(rnd, top):
             [BitString.from_int(v, n) for v in members], n
         )
     fam = MartingaleFamily(
-        generator=lambda n: (
-            cover_martingale(covers[n])
-            if n in covers
-            else Martingale.constant(ZERO)
-        ),
-        capital_bound=lambda n: (
-            Dyadic(1 << (n // 2), n) if n in covers else ZERO
-        ),
+        generator=lambda n: cover_martingale(covers[n]),
+        capital_bound=lambda n: Dyadic(1 << (n // 2), n),
         name="half-density",
-        support_end=top + 1,
+        support=tuple(covers),
     )
     return covers, fam
 
@@ -517,6 +511,7 @@ def test_criterion_10_entropy_bridge(census2, census3, census4, cache_dir):
         assert cert.valid
 
         family, lifted = certificate_family(family_levels, cert, gap, modulus)
+        assert family.support == (7, 15, 31)
         aggregate = borel_cantelli_measure(
             family, lifted, audit_levels=32
         )

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,9 +125,9 @@ def test_sum_family_geometric_example():
 
 def test_sum_family_single_member():
     fam = MartingaleFamily(
-        generator=lambda n: build_figure(1) if n == 0 else Martingale.constant(ZERO),
-        capital_bound=lambda n: Dyadic(5, 4) if n == 0 else ZERO,
-        support_end=1,
+        generator=lambda n: build_figure(1),
+        capital_bound=lambda n: Dyadic(5, 4),
+        support=(0,),
     )
     mod = ConvergenceModulus(lambda w, i: 1)
     for r in (0, 10):
@@ -176,14 +177,10 @@ def test_borel_cantelli_measure_covers_members():
             [BitString.from_int(v, n) for v in members], n
         )
     fam = MartingaleFamily(
-        generator=lambda n: (
-            cover_martingale(covers[n]) if n in covers else Martingale.constant(ZERO)
-        ),
-        capital_bound=lambda n: (
-            Dyadic(1 << (n // 2), n) if n in covers else ZERO
-        ),
+        generator=lambda n: cover_martingale(covers[n]),
+        capital_bound=lambda n: Dyadic(1 << (n // 2), n),
         name="sparse-covers",
-        support_end=9,
+        support=tuple(covers),
     )
     # capitals are 2^-ceil(n/2); tails past 2(i+|w|)+6 fit under 2^-i
     mod = ConvergenceModulus(lambda w, i: min(9, 2 * (i + len(w)) + 6))
@@ -219,9 +216,9 @@ def test_borel_cantelli_rejects_capital_cheat():
 def test_borel_cantelli_single_member_family():
     m = build_figure(1)
     fam = MartingaleFamily(
-        generator=lambda n: m if n == 0 else Martingale.constant(ZERO),
-        capital_bound=lambda n: m.initial_capital if n == 0 else ZERO,
-        support_end=1,
+        generator=lambda n: m,
+        capital_bound=lambda n: m.initial_capital,
+        support=(0,),
     )
     agg = borel_cantelli_measure(fam, ConvergenceModulus(lambda w, i: 1))
     for w in all_strings(4):
@@ -233,7 +230,7 @@ def test_a_finitely_supported_aggregate_is_a_martingale():
     fam = MartingaleFamily(
         generator=members.__getitem__,
         capital_bound=lambda n: members[n].initial_capital,
-        support_end=3,
+        support=(0, 1, 2),
     )
     agg = aggregate_martingale(fam, plus_two_modulus())
     assert isinstance(agg, Martingale)
@@ -242,8 +239,46 @@ def test_a_finitely_supported_aggregate_is_a_martingale():
         assert total.value(w) == sum((m.value(w) for m in members), members[0].value(w))
 
 
+def _counted_family(support):
+    """A family of one-string covers on ``support``, with the indices its
+    generator is asked for and the member kernels it creates, in order."""
+    asked, kernels = [], []
+
+    def generator(n):
+        asked.append(n)
+        m = cover_martingale(Cover.from_members([BitString("0" * n)], n))
+
+        def kernel():
+            kernels.append(n)
+            return m.ratio.kernel()
+
+        return replace(m, ratio=replace(m.ratio, kernel=kernel))
+
+    fam = MartingaleFamily(
+        generator, lambda n: Dyadic.pow2(-n), "counted", support=support
+    )
+    return fam, asked, kernels
+
+
+def test_a_finite_sum_steps_only_its_support():
+    support = (7, 15, 31)
+    w = BitString("0" * 31)
+    mod = ConvergenceModulus(lambda w, i: 32)
+    fam, asked, kernels = _counted_family(support)
+    assert sum_family(fam, mod, w, 0) == Dyadic(3)
+    assert asked == list(support)
+    fam, asked, kernels = _counted_family(support)
+    agg = aggregate_martingale(fam, mod)
+    assert asked == list(support)
+    assert kernels == []
+    assert agg.value(w) == Dyadic(3)
+    assert kernels == list(support)
+    assert fam.member(8) is fam.member(40) and fam.member(8).initial_capital == ZERO
+    assert asked == list(support)
+
+
 def test_borel_cantelli_measure_of_an_infinite_family():
-    # no support_end: the sum is only a truncated approximation
+    # no support: the sum is only a truncated approximation
     fam, mod = geometric_family(), plus_two_modulus()
     agg = borel_cantelli_measure(fam, mod)
     assert isinstance(agg, Approximation)
@@ -264,14 +299,10 @@ def test_borel_cantelli_dimension_guarantee():
             [BitString.from_int(v, n) for v in members], n
         )
     base = MartingaleFamily(
-        generator=lambda n: (
-            cover_martingale(covers[n]) if n in covers else Martingale.constant(ZERO)
-        ),
-        capital_bound=lambda n: (
-            Dyadic(1 << (n // 2), n) if n in covers else ZERO
-        ),
+        generator=lambda n: cover_martingale(covers[n]),
+        capital_bound=lambda n: Dyadic(1 << (n // 2), n),
         name="half-density",
-        support_end=13,
+        support=tuple(covers),
     )
     s, t = Dyadic(1, 1), Dyadic(3, 2)
     scaled, mod = borel_cantelli_dimension(base, s, t, audit_levels=13)
@@ -296,7 +327,7 @@ def test_borel_cantelli_dimension_t_one_reduces_to_measure():
         generator=lambda n: scale_pow2(build_figure(1), -n),
         capital_bound=lambda n: Dyadic(5, 4).scale2(-n),
         name="scaled-figs",
-        support_end=6,
+        support=tuple(range(6)),
     )
     scaled, _ = borel_cantelli_dimension(fam, Dyadic(0), ONE, audit_levels=6)
     for n in range(6):

@@ -517,8 +517,9 @@ def test_config_language_indices_not_integers(tmp_path, capsys):
         (build_family, {"type": "covers", "levels": ["001"]}, "family.levels"),
         (build_family, {"type": "covers", "levels": {"3": "001"}},
          "family.levels.3"),
-        (build_family, {"type": "covers", "levels": {}, "capital_bounds": 1},
-         "family.capital_bounds"),
+        (lambda spec: build_certify(spec, None),
+         {"family": {"type": "explicit-levels", "levels": {}}, "gap": 1},
+         "certify.gap"),
         (build_construction, {"type": "cover", "level": 3, "members": "001"},
          "construction.members"),
         (lambda spec: build_certify(spec, None),

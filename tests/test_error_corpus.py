@@ -3,9 +3,9 @@
 ``tests/error_corpus.json`` holds one entry per case below: its argv and
 config, and what ``martlab.cli.main`` did with them, its exit code, the
 sha256 of its stdout and its stderr text.  The cases cover the option
-errors, negative levels and relation fields, unusable ``--cache-dir`` and
-``--out`` paths, every ``decide`` mode and the language errors, so a change
-to any message, exit code or output fails here.
+errors, negative affine moduli, negative levels and relation fields,
+unusable ``--cache-dir`` and ``--out`` paths, every ``decide`` mode and the
+language errors, so a change to any message, exit code or output fails here.
 
 In argv, ``{config}`` is the case's config written to a file, ``{tmp}`` a
 fresh directory holding a regular file ``plain``, and ``{experiments}`` the
@@ -88,6 +88,13 @@ CASES = [
     ("config not JSON", VERIFY, "{\"version\": 1,"),
     ("config version 2", VERIFY, {"version": 2}),
     ("config without construction", VERIFY, {"version": 1}),
+    # negative affine moduli
+    ("sum affine slope -5", ["sum", "--config", "{config}"],
+     {"version": 1, "family": {"type": "covers", "levels": {"3": ["001"]}},
+      "modulus": {"type": "affine", "slope": -5, "offset": 2}}),
+    ("sum affine offset -3", ["sum", "--config", "{config}", "--precision", "0"],
+     {"version": 1, "family": {"type": "geometric-constants"},
+      "modulus": {"type": "affine", "slope": 1, "offset": -3}}),
     # negative levels and relation fields
     ("cover members level -1", VERIFY,
      _construction({"type": "cover", "level": -1, "members": []})),

@@ -93,7 +93,7 @@ def _family_sum(rnd):
         lambda n: cover_martingale(covers[n]),
         lambda n: ONE,
         "covers",
-        support_end=4,
+        support=tuple(range(4)),
     )
     return aggregate_martingale(fam, geometric_modulus(ONE))
 
@@ -299,7 +299,7 @@ def test_sums_of_mixed_denominators_match_the_twin():
             [cover, accept, scale_pow2(accept, k)].__getitem__,
             lambda n: ONE,
             "mixed",
-            support_end=3,
+            support=tuple(range(3)),
         )
         for m in (
             sum_finite(cover, accept),
