@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
 from typing import Callable
 from pathlib import Path
 
@@ -373,7 +373,8 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     padding, so each small stack program is exactly one witness; it is
     decoded by shifts and masks.  The input is the ``2**n``-bit truth table
     itself, and a witness's image is the index of the table its program
-    computes.
+    computes.  A sweep asks only the witnesses that encode a program within
+    the size bound, so it is far smaller than the cube.
     Only tiny (n, s) fit under the witness cap; the relation exists to
     cross-check the census, not to replace it.
     """
@@ -409,8 +410,26 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
         # the input's first bit is row 0, the mask's lowest
         return None if mask is None else mirror(mask, rows)
 
+    def well_formed(_: int):
+        """Every witness with a header in ``1..max_ops``, at most ``s`` gates
+        and ``max_push`` pushes, refs below ``n + 2`` and zero padding, in
+        increasing order: each other witness has no image."""
+        for k in range(1, max_ops + 1):
+            for codes in product(range(4), repeat=k):
+                pushes = codes.count(push)
+                if pushes > max_push or k - pushes > s:
+                    continue
+                head = k
+                for code in codes:
+                    head = head << 2 | code
+                for refs in product(range(n + 2), repeat=pushes):
+                    y = head
+                    for ref in refs:
+                        y = y << width | ref
+                    yield y << body - 2 * k - width * pushes
+
     return WitnessRelation.from_image(
-        f"mcsp-witness(n={n},s={s})", lambda _: total, image
+        f"mcsp-witness(n={n},s={s})", lambda _: total, image, well_formed
     )
 
 

@@ -410,6 +410,9 @@ def main(argv=None) -> int:
     except (CapExceeded, CensusUnavailable) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return 3
     except MartlabError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1

@@ -140,7 +140,10 @@ class Cover:
         :class:`~martlab.errors.UniquenessViolation`.
 
         Every leaf's accepting count comes from
-        :func:`~martlab.oracle.level_counts`, one sweep of the witness cube.
+        :func:`~martlab.oracle.level_counts`, one sweep of the relation's
+        witnesses: its well-formed ones where it names them, else the whole
+        cube.  The skipped witnesses accept nothing, so each count is the
+        cube's.
         The first query, ``ext_count`` or ``contains``, counts the whole
         level and decides every leaf in index order, so an error names the
         first bad leaf, whichever leaf was asked about.

@@ -302,9 +302,9 @@ def kolmogorov_witness_relation(
 
     A witness packs a length header and a zero-padded program, so each
     program of length up to the cap is exactly one witness; the count module
-    sees precisely the (input, program) pairs.  A witness's image at length
-    ``n`` is its program's output within ``budget(n)`` steps, if that output
-    has length ``n``.
+    sees precisely the (input, program) pairs, and a sweep asks only those
+    witnesses.  A witness's image at length ``n`` is its program's output
+    within ``budget(n)`` steps, if that output has length ``n``.
     """
     header = max(1, max_program_len.bit_length())
     total = header + max_program_len
@@ -319,6 +319,15 @@ def kolmogorov_witness_relation(
         output, _ = run_code(1 << length | y >> pad & ((1 << length) - 1), budget(n))
         return output[0] if output is not None and output[1] == n else None
 
+    def well_formed(_: int):
+        """Every zero-padded program of length ``1..max_program_len`` under
+        its header, in increasing order: each other witness has no image."""
+        for length in range(1, max_program_len + 1):
+            pad = max_program_len - length
+            yield from range(length << max_program_len,
+                             (length + 1) << max_program_len, 1 << pad)
+
     return WitnessRelation.from_image(
-        f"short-program(<{max_program_len + 1} bits)", lambda _: total, image
+        f"short-program(<{max_program_len + 1} bits)", lambda _: total, image,
+        well_formed,
     )

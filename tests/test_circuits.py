@@ -372,6 +372,17 @@ def test_mcsp_witness_relation_agrees_with_census(census2):
         assert witnessed == mcsp(tt, 1, census2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_mcsp_witness_relation_agrees_with_census_at_two_gates(n):
+    # the relation's sweep asks 3,471 (n = 1) and 7,764 (n = 2) of the
+    # cube's 524,288 witnesses
+    census = build_census(n, 2)
+    counts = level_counts(mcsp_witness_relation(n, 2), 1 << n)
+    for mask in range(1 << (1 << n)):
+        tt = TruthTable(n, mask)
+        assert (counts[tt.to_bits().to_int()] > 0) == mcsp(tt, 2, census), tt
+
+
 def test_mcsp_cover_counts_factorize(census2):
     cover = mcsp_cover(2, 2, census2)
     m = cover_martingale(cover)

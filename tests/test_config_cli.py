@@ -150,6 +150,19 @@ def test_cli_verify_reports_freeze_violation(monkeypatch, capsys):
     assert "freeze at depth 1: FAIL" in out
 
 
+def test_cli_ends_out_of_memory_as_a_resource_cap(monkeypatch, capsys):
+    import martlab.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_config_construction", exhausted)
+    assert main(["construct", "--config", "unused.json", "--depth", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource cap: out of memory\n"
+    assert captured.out == ""
+
+
 def test_cli_construct_deterministic(tmp_path, capsys):
     config = write_config(tmp_path, FIGURE1)
     main(["construct", "--config", config, "--depth", "4"])

@@ -4,6 +4,7 @@ the per-input twin in ``relations_v1``.  A relation takes each witness as
 its int; the twin's verifiers take it as a ``BitString``, converted here."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -149,13 +150,21 @@ def test_level_counts_check_the_cube_before_any_image():
         seen.append(y)
         return None
 
-    wide = WitnessRelation.from_image("wide", lambda n: 23, image)
-    with pytest.raises(CapExceeded, match="witness length 23 exceeds cap 22"):
-        level_counts(wide, 2)
-    negative = WitnessRelation.from_image("negative", lambda n: -1, image)
-    with pytest.raises(ValueError, match="negative witness length -1"):
-        level_counts(negative, 2)
+    started = []
+
+    def well_formed(n):  # records its call, not only its first witness
+        started.append(n)
+        return iter(range(4))
+
+    for sweep in (None, well_formed):
+        wide = WitnessRelation.from_image("wide", lambda n: 23, image, sweep)
+        with pytest.raises(CapExceeded, match="witness length 23 exceeds cap 22"):
+            level_counts(wide, 2)
+        negative = WitnessRelation.from_image("negative", lambda n: -1, image, sweep)
+        with pytest.raises(ValueError, match="negative witness length -1"):
+            level_counts(negative, 2)
     assert seen == []
+    assert started == []
 
 
 def _outcome(f, *args):
@@ -224,9 +233,11 @@ def test_image_cover_sweeps_the_cube_once_at_its_first_query():
 
 
 def test_level_counts_ask_each_witness_once():
-    # one sweep of the cube for every built-in, with no per-input pass
-    for key, n in [(("sat", 3), 8), (("explicit", "01", "10"), 2), (("mcsp", 1, 1), 2),
-                   (("short", 2, BUDGETS[1]), 2)]:
+    # one pass over the relation's sweep for every built-in, with no per-input
+    # pass: the whole cube for sat and explicit, the well-formed witnesses of
+    # a cube of 4,096 and of 16 for mcsp and short-program
+    for key, n, swept in [(("sat", 3), 8, 8), (("explicit", "01", "10"), 2, 1),
+                          (("mcsp", 1, 1), 2, 114), (("short", 2, BUDGETS[1]), 2, 6)]:
         rel = _relation(*key)
         asked = []
 
@@ -234,9 +245,35 @@ def test_level_counts_ask_each_witness_once():
             asked.append(y)
             return rel.accepts(n, y)
 
-        counted = WitnessRelation(rel.name, rel.witness_length, accepts)
+        counted = replace(rel, accepts=accepts)  # keeps the relation's sweep
         assert level_counts(counted, n) == level_counts(rel, n)
-        assert asked == list(range(1 << rel.witness_length(n))), key
+        assert asked == list(rel.witnesses(n)), key
+        assert len(asked) == swept, key
+
+
+def test_sweeps_skip_only_witnesses_that_accept_nothing():
+    # each built-in at every length the cover tests read, MCSP_LEVELS among them
+    for key, n in SWEEP_CASES:
+        rel = _relation(*key)
+        cube = range(1 << rel.witness_length(n))
+        swept = list(rel.witnesses(n))
+        assert all(a < b for a, b in zip(swept, swept[1:])), (key, n)
+        assert set(swept) <= set(cube), (key, n)
+        for y in sorted(set(cube) - set(swept)):
+            # a skipped witness accepts nothing, or meets the same refusal of
+            # a wrong table length as the swept ones
+            got = _outcome(_accepted, rel, n, y)
+            assert got == [] or isinstance(got, tuple) and got == _outcome(
+                _accepted, rel, n, swept[0]), (key, n, y)
+        # the same counts, or the same error, as a sweep of the whole cube
+        assert _outcome(level_counts, rel, n) == _outcome(
+            level_counts, replace(rel, well_formed=None), n), (key, n)
+    # the image relations sweep a small part of their cubes
+    for key, n, swept, cube in [(("mcsp", 2, 1), 4, 191, 4096),
+                                (("short", 6, BUDGETS[2]), 3, 126, 512)]:
+        rel = _relation(*key)
+        assert (len(list(rel.witnesses(n))), 1 << rel.witness_length(n)) == (
+            swept, cube), key
 
 
 def test_level_counts_build_no_bitstring(monkeypatch):
