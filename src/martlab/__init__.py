@@ -7,7 +7,7 @@ checked against embedded golden trees, invariants against independent brute
 force.
 """
 
-from .cantor import BitString, LanguageView, census, char_prefix, language_of, string_index
+from .cantor import BitString, LanguageView, char_prefix, string_index
 from .dyadic import Dyadic
 from .martingale import Martingale, diagonalize, success_scan, verify_averaging
 
@@ -16,10 +16,8 @@ __all__ = [
     "Dyadic",
     "LanguageView",
     "Martingale",
-    "census",
     "char_prefix",
     "diagonalize",
-    "language_of",
     "string_index",
     "success_scan",
     "verify_averaging",

@@ -27,8 +27,6 @@ __all__ = [
     "index_of",
     "all_strings",
     "level_names",
-    "census",
-    "language_of",
     "char_prefix",
     "mirror",
 ]
@@ -62,11 +60,6 @@ class BitString:
     def __len__(self) -> int:
         return self._code.bit_length() - 1
 
-    def __getitem__(self, index) -> int | "BitString":
-        if isinstance(index, slice):
-            return BitString(self.bits()[index])
-        return int(self.bits()[index])
-
     def __iter__(self) -> Iterator[int]:
         return map(int, self.bits())
 
@@ -93,13 +86,6 @@ class BitString:
             raise ValueError(f"prefix length {n} is negative")
         drop = len(self) - n
         return self if drop <= 0 else _of(self._code >> drop)
-
-    def is_prefix_of(self, other: "BitString") -> bool:
-        drop = len(other) - len(self)
-        return drop >= 0 and other._code >> drop == self._code
-
-    def count_ones(self) -> int:
-        return self._code.bit_count() - 1
 
     def bits(self) -> str:
         return format(self._code, "b")[1:]
@@ -233,26 +219,6 @@ class LanguageView:
                 f"query {string_index(i)!r} (index {i}) is past horizon {self.horizon}"
             )
         return self._mask >> i & 1 == 1
-
-    def members(self) -> list[BitString]:
-        """All members, in enumeration order."""
-        width = self._mask.bit_length()
-        bits = format(mirror(self._mask, width), f"0{width}b")
-        return [string_index(i) for i, c in enumerate(bits) if c == "1"]
-
-
-def census(language: LanguageView, n: int) -> int:
-    """How many of the first ``n`` strings belong to the language."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > language.horizon:
-        raise HorizonExceeded(f"census at {n} is past horizon {language.horizon}")
-    return (language._mask & ((1 << n) - 1)).bit_count()
-
-
-def language_of(w: BitString) -> LanguageView:
-    """The finite language whose characteristic prefix is ``w``."""
-    return LanguageView(mirror(w.to_int(), len(w)), len(w), name=f"L({w})")
 
 
 def char_prefix(language: LanguageView, n: int) -> BitString:

@@ -11,21 +11,20 @@ them against a state-space enumeration over circuit DAGs (which can share
 gates) at ``n = 2``, where the two notions provably coincide, and bound
 them from below with it at ``n = 3`` up to 5 gates.
 
-A build computes sizes only.  Any census, built or read from the cache,
-names each table's first-reached witness from its sizes on first use, and
-that pass checks the sizes against the closure as it goes.
+A census holds sizes only: the paper's circuit lower bound needs only how
+many tables have small circuits, so no witness circuit is named or stored.
 
 On top of the census sit the minimum-circuit-size decision, the covering
 check for characteristic prefixes whose top length has a small circuit, and
-the translation of census witnesses into stack programs for the toy machine.
+the witness relation that decides circuit size from stack programs run by
+the toy machine's table evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from typing import Callable
 from pathlib import Path
 
@@ -43,18 +42,16 @@ from .oracle import WitnessRelation
 
 __all__ = [
     "TruthTable",
-    "Circuit",
     "CircuitCensus",
     "DEFAULT_BASIS",
     "SIZE_CAP",
     "UNREACHED",
     "build_census",
     "mcsp",
-    "circuit_for",
-    "encode_circuit",
     "mcsp_cover",
     "mcsp_witness_relation",
     "mnp_cover_check",
+    "mnp_size_bound_floor",
     "MnpCoverReport",
     "save_census",
     "load_census",
@@ -66,10 +63,6 @@ DEFAULT_BASIS = "and-or-not"
 SIZE_CAP = 8
 INPUT_CAP = 4
 UNREACHED = 255  # the size byte of a table no circuit within the cap computes
-# size byte -> 1 if the table is reached, 0 if not, for bytes.translate
-_IS_REACHED = bytes(size != UNREACHED for size in range(256))
-_WKIND = ("VAR", "CONST", "NOT", "AND", "OR")
-_WKIND_CODE = {name: code for code, name in enumerate(_WKIND)}
 
 
 @dataclass(frozen=True)
@@ -90,29 +83,6 @@ class TruthTable:
             raise ValueError(f"table length {rows} is not a power of two")
         return cls(rows.bit_length() - 1, mirror(bits.to_int(), rows))
 
-    def to_bits(self) -> BitString:
-        return BitString.from_int(mirror(self.mask, 1 << self.n), 1 << self.n)
-
-    def __str__(self) -> str:
-        return str(self.to_bits())
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A postfix stack program over the basis; size counts gate ops only."""
-
-    n: int
-    ops: tuple
-
-    def size(self) -> int:
-        return sum(1 for op in self.ops if op[0] in ("NOT", "AND", "OR"))
-
-    def table(self) -> TruthTable:
-        mask = machine.table_mask(self.n, self.ops)
-        if mask is None:
-            raise ValueError("stack program does not leave one value")
-        return TruthTable(self.n, mask)
-
 
 @dataclass(frozen=True)
 class CircuitCensus:
@@ -120,10 +90,8 @@ class CircuitCensus:
 
     Dense and indexed by mask: ``sizes[mask]`` is the table's minimum size,
     or :data:`UNREACHED`.  The fields are what the cache stores, so equality
-    compares exactly that.  A table's first-reached witness is ``("VAR",
-    i)``, ``("CONST", b)``, ``("NOT", a)``, ``("AND", a, b)`` or ``("OR", a,
-    b)``; every census, built or loaded, names them from its sizes on first
-    use, checking that the sizes are the closure's.
+    compares exactly that.  No witness circuit is kept: ``mcsp``, the
+    covers and the covering report read sizes only.
     """
 
     n: int
@@ -135,93 +103,6 @@ class CircuitCensus:
             raise ValueError(f"table has {tt.n} inputs, census has {self.n}")
         size = self.sizes[tt.mask]
         return None if size == UNREACHED else size
-
-    @cached_property
-    def _witnesses(self) -> tuple[bytes, memoryview, memoryview]:
-        """``(kinds, left, right)``: kind bytes (indices into the kind names)
-        and two u16 operand views (0 for one-field witnesses).
-
-        One pass offers each level's candidates in the closure's order, and a
-        table of that size takes the first cell that holds it, at its first
-        entry in row-major order.  The pass raises if a candidate lands on a
-        table stored larger than its level, or if a table is left unnamed at
-        its size; by induction on the level, the sizes are then the closure.
-        """
-        import numpy as np  # only naming witnesses pays for numpy here
-
-        where = f"census n={self.n} s={self.max_size} is not its closure"
-        levels = bytes([*range(self.max_size + 1), UNREACHED])
-        stray = self.sizes.translate(None, levels)
-        if stray:
-            raise CensusUnavailable(f"{where}: size byte {stray[0]} is past the cap")
-        sizes = np.frombuffer(self.sizes, dtype=np.uint8)
-        tables = len(sizes)
-        kinds = np.zeros(tables, dtype=np.uint8)
-        left = np.zeros(tables, dtype=np.uint16)
-        right = np.zeros(tables, dtype=np.uint16)
-        seeds = {0: ("CONST", 0), tables - 1: ("CONST", 1)}
-        seeds |= {m: ("VAR", i) for i, m in enumerate(machine.projection_masks(self.n))}
-        by_size = [np.flatnonzero(sizes == 0)]
-        if by_size[0].tolist() != sorted(seeds):
-            raise CensusUnavailable(
-                f"{where}: its size-0 tables are not the inputs and constants"
-            )
-        for mask, (kind, a) in seeds.items():
-            kinds[mask], left[mask] = _WKIND_CODE[kind], a
-        first = np.empty(tables, dtype=np.intp)  # a table's first entry in its cell
-        todo = tables - len(seeds)
-        for s in range(1, self.max_size + 1):
-            if todo == 0:
-                break
-            by_size.append(np.flatnonzero(sizes == s))
-            unnamed = len(by_size[s])
-            unsettled = sizes >= s  # unnamed at size s, or stored larger
-            for kind, lo, hi, grid in _cells(by_size, s, tables - 1):
-                flat = grid.ravel()
-                hit = np.flatnonzero(unsettled[flat])
-                targets = flat[hit]
-                over = targets[sizes[targets] > s]
-                if len(over):
-                    raise CensusUnavailable(
-                        f"{where}: a {s}-gate candidate reaches table {over[0]}, "
-                        f"stored at size {sizes[over[0]]}"
-                    )
-                # each table hit here is named here, at its first entry
-                first[targets] = hit
-                np.minimum.at(first, targets, hit)
-                keep = first[targets] == hit
-                named, at_first = targets[keep], hit[keep]
-                unsettled[named] = False
-                kinds[named] = _WKIND_CODE[kind]
-                if hi is None:
-                    left[named] = lo[at_first]
-                else:
-                    row, col = np.divmod(at_first, len(hi))
-                    left[named], right[named] = lo[row], hi[col]
-                unnamed -= len(named)
-            if unnamed:
-                mask = np.flatnonzero(unsettled & (sizes == s))[0]
-                raise CensusUnavailable(
-                    f"{where}: table {mask} is stored at size {s}, "
-                    f"and no {s}-gate candidate reaches it"
-                )
-            todo -= len(by_size[s])
-        return kinds.tobytes(), left.data, right.data
-
-    def witness(self, mask: int) -> tuple | None:
-        """The table's first-reached witness; ``None`` if it is unreached."""
-        if self.sizes[mask] == UNREACHED:
-            return None
-        kinds, left, right = self._witnesses
-        kind = _WKIND[kinds[mask]]
-        if kind in ("AND", "OR"):
-            return kind, left[mask], right[mask]
-        return kind, left[mask]
-
-    def reached(self) -> list[int]:
-        """The reached masks, in increasing order."""
-        flags = self.sizes.translate(_IS_REACHED)
-        return list(compress(range(len(flags)), flags))
 
     def count_at_most(self, s: int) -> int:
         if s > self.max_size:
@@ -241,16 +122,23 @@ def _at_most(sizes: bytes, s: int) -> int:
 
 
 def _cells(by_size: list, s: int, full: int):
-    """Level ``s``'s candidates as ``(kind, lo, hi, grid)`` cells, in the
-    closure's order: NOT of every level ``s - 1`` table (``hi`` is ``None``),
-    then AND and OR of every size split, ``grid[r, c] = lo[r] op hi[c]``."""
+    """Level ``s``'s candidate tables as grids: NOT of every level ``s - 1``
+    table, then AND and OR of every size split, ``grid[r, c] = lo[r] op
+    hi[c]``."""
     prev = by_size[s - 1]
-    yield "NOT", prev, None, full ^ prev
+    yield full ^ prev
     for i in range((s + 1) // 2):
         lo, hi = by_size[i], by_size[s - 1 - i]
         if len(lo) and len(hi):
-            yield "AND", lo, hi, lo[:, None] & hi
-            yield "OR", lo, hi, lo[:, None] | hi
+            yield lo[:, None] & hi
+            yield lo[:, None] | hi
+
+
+def _check_caps(n: int, max_size: int) -> None:
+    if not 1 <= n <= INPUT_CAP:
+        raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
+    if max_size > SIZE_CAP:
+        raise CapExceeded(f"census caps at {SIZE_CAP} gates, got {max_size}")
 
 
 def build_census(n: int, max_size: int) -> CircuitCensus:
@@ -258,15 +146,11 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
 
     Level ``s`` marks every candidate of :func:`_cells` (NOT of the previous
     level, AND and OR of every size split), and the marked tables no earlier
-    level reached take size ``s``.  No witness is found here: the census
-    names them from its sizes on first use.  Once every table is reached the
-    closure stops, as every later level would be empty (``n = 1`` at 1
-    gate, ``n = 2`` at 4).
+    level reached take size ``s``.  No witness is found here, as no caller
+    reads one.  Once every table is reached the closure stops, as every
+    later level would be empty (``n = 1`` at 1 gate, ``n = 2`` at 4).
     """
-    if not 1 <= n <= INPUT_CAP:
-        raise CapExceeded(f"census supports 1 <= n <= {INPUT_CAP}, got {n}")
-    if max_size > SIZE_CAP:
-        raise CapExceeded(f"census caps at {SIZE_CAP} gates, got {max_size}")
+    _check_caps(n, max_size)
     import numpy as np  # only a cold build pays for numpy; warm paths read bytes
 
     tables = 1 << (1 << n)
@@ -279,7 +163,7 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
         if todo == 0:
             break
         hit = np.zeros(tables, dtype=bool)
-        for _, _, _, grid in _cells(by_size, s, tables - 1):
+        for grid in _cells(by_size, s, tables - 1):
             hit[grid] = True
         by_size.append(np.flatnonzero(hit & (sizes == UNREACHED)))
         sizes[by_size[s]] = s
@@ -299,40 +183,6 @@ def mcsp(tt: TruthTable, s: int, census: CircuitCensus) -> bool:
         )
     size = census.min_size(tt)
     return size is not None and size <= s
-
-
-def circuit_for(census: CircuitCensus, tt: TruthTable) -> Circuit:
-    """Reconstruct the census's first-reached circuit as a stack program."""
-    if census.min_size(tt) is None:
-        raise CensusUnavailable(f"table {tt} not reached within the census")
-
-    def expand(mask: int) -> tuple:
-        how = census.witness(mask)
-        if how[0] in ("VAR", "CONST"):
-            return (how,)
-        return sum(map(expand, how[1:]), ()) + ((how[0],),)
-
-    return Circuit(census.n, expand(tt.mask))
-
-
-def encode_circuit(circuit: Circuit) -> BitString:
-    """A toy-machine program printing the circuit's truth table."""
-    return machine.encode_table(circuit.n, circuit.ops)
-
-
-def measured_encoding_constant(census: CircuitCensus) -> int:
-    """Smallest ``c0`` making every census circuit's encoding fit
-    ``(size+1) * (c0 + ceil(log2(n + size)))`` bits."""
-    c0 = 0
-    n = census.n
-    for mask in census.reached():
-        circuit = circuit_for(census, TruthTable(n, mask))
-        s = circuit.size()
-        width = (n + s - 1).bit_length() if n + s > 1 else 0  # ceil(log2(n+s))
-        length = len(encode_circuit(circuit))
-        needed = -(-length // (s + 1)) - width  # ceil division
-        c0 = max(c0, needed)
-    return c0
 
 
 def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
@@ -570,6 +420,23 @@ def _log2_below(count: int, n: int, Q: Fraction, target: Fraction) -> bool:
     return _refine(below, f"log2({count}) + {Q} log2({n}) < {target}")
 
 
+def mnp_size_bound_floor(n: int, alpha: Dyadic, max_size: int) -> int:
+    """The size bound floor the covering report counts to, once the
+    refusals that depend only on the arguments pass: a census ``(n,
+    max_size)`` past the caps, ``n = 1``, and a floor past ``max_size``."""
+    _check_caps(n, max_size)
+    if n < 2:
+        raise DegenerateParameter(
+            "n = 1 degenerates (log2(1) = 0 divides the formulas)"
+        )
+    s_floor = lutz_size_bound_floor(n, alpha)
+    if s_floor > max_size:
+        raise CensusUnavailable(
+            f"size bound floor {s_floor} beyond census max {max_size}"
+        )
+    return s_floor
+
+
 def mnp_cover_check(
     n: int, alpha: Dyadic, census: CircuitCensus
 ) -> MnpCoverReport:
@@ -582,17 +449,7 @@ def mnp_cover_check(
     this basis at this ``n``.  The two verdicts are independent; neither is
     inferred from the other.
     """
-    if n < 2:
-        raise DegenerateParameter(
-            "n = 1 degenerates (log2(1) = 0 divides the formulas)"
-        )
-    if not 2 <= n <= INPUT_CAP:
-        raise CapExceeded(f"supported n: 2..{INPUT_CAP}")
-    s_floor = lutz_size_bound_floor(n, alpha)
-    if s_floor > census.max_size:
-        raise CensusUnavailable(
-            f"size bound floor {s_floor} beyond census max {census.max_size}"
-        )
+    s_floor = mnp_size_bound_floor(n, alpha, census.max_size)
     count = census.count_at_most(s_floor)
     rows = 1 << n
     N = (1 << (n + 1)) - 1
@@ -633,9 +490,8 @@ def mnp_cover_check(
 def save_census(census: CircuitCensus) -> bytes:
     """The census payload; ``martlab.cache`` stores it under its key.
 
-    The ``T = 2**(2**n)`` size bytes, indexed by mask.  Witnesses are not
-    stored: a loaded census names them from its sizes on its first
-    :meth:`witness` call, as a built one does.
+    The ``T = 2**(2**n)`` size bytes, indexed by mask, and nothing else:
+    no command reads a witness circuit, so none is stored.
     """
     return bytes(census.sizes)
 

@@ -196,10 +196,13 @@ def cmd_sum(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .circuits import DEFAULT_BASIS, cached_census, mnp_cover_check
+    from .circuits import DEFAULT_BASIS, cached_census, mnp_cover_check, mnp_size_bound_floor
 
     inputs = _positive(args.inputs, "--inputs")
     size = _natural(args.size, "--size")
+    alpha = None if args.alpha is None else _dyadic(args.alpha, "--alpha")
+    if alpha is not None:  # refuse what the arguments alone decide, before any build
+        mnp_size_bound_floor(inputs, alpha, size)
     census = cached_census(inputs, size, _cache_dir(args))
     if args.format == "json":
         payload = {
@@ -214,8 +217,8 @@ def cmd_census(args) -> int:
         print("size,count")
         for size, count in census.histogram().items():
             print(f"{size},{count}")
-    if args.alpha is not None:
-        report = mnp_cover_check(inputs, _dyadic(args.alpha, "--alpha"), census)
+    if alpha is not None:
+        report = mnp_cover_check(inputs, alpha, census)
         print(f"size bound floor: {report.size_bound_floor}")
         print(f"tables within bound: {report.census_count}")
         print(

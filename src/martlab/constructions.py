@@ -55,9 +55,8 @@ class Cover:
     """A set of length-``level`` strings the cover martingale bets on.
 
     A cover kind supplies one function: ``count(w)``, the exact number of
-    members extending a prefix ``w`` with ``|w| <= level``.  Membership and
-    the count past the level are read off it, once, here: :meth:`contains`
-    is the count at the level, and :meth:`ext_count` is 0 past it.
+    members extending a prefix ``w`` with ``|w| <= level``.  Membership is
+    read off it, once, here: :meth:`contains` is the count at the level.
     :meth:`from_members` counts by binary search, in ``O(log m)`` per
     prefix; :meth:`from_predicate` reads each leaf once and sums pairwise;
     covers with product structure count in closed form, past the
@@ -75,10 +74,6 @@ class Cover:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"cover level {self.level} is negative")
-
-    def ext_count(self, w: BitString) -> int:
-        """The members extending ``w``, 0 for a prefix longer than the level."""
-        return self.count(w) if len(w) <= self.level else 0
 
     def contains(self, x: BitString) -> bool:
         """Membership: False on every string whose length is not the level."""
@@ -144,7 +139,7 @@ class Cover:
         witnesses: its well-formed ones where it names them, else the whole
         cube.  The skipped witnesses accept nothing, so each count is the
         cube's.
-        The first query, ``ext_count`` or ``contains``, counts the whole
+        The first query, ``count`` or ``contains``, counts the whole
         level and decides every leaf in index order, so an error names the
         first bad leaf, whichever leaf was asked about.
         """

@@ -44,7 +44,8 @@ __all__ = [
 
 
 class Dyadic:
-    """An exact rational with a power-of-two denominator."""
+    """An exact rational with a power-of-two denominator, compared by value
+    and not hashable."""
 
     __slots__ = ("num", "log_den")
 
@@ -102,10 +103,6 @@ class Dyadic:
     def is_negative(self) -> bool:
         return self.num < 0
 
-    def floor(self) -> int:
-        # Python's >> floors toward -inf, which is what floor needs
-        return self.num >> self.log_den
-
     def ceil(self) -> int:
         return -((-self.num) >> self.log_den)
 
@@ -129,18 +126,10 @@ class Dyadic:
             return NotImplemented
         return self + Dyadic(-other.num, other.log_den)
 
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.log_den)
-
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         if not isinstance(other, Dyadic):
             return NotImplemented
         return Dyadic(self.num * other.num, self.log_den + other.log_den)
-
-    def __pow__(self, exponent: int) -> "Dyadic":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are exact")
-        return Dyadic(self.num**exponent, self.log_den * exponent)
 
     def scale2(self, k: int) -> "Dyadic":
         """Exact multiplication by ``2**k`` (``k`` may be negative)."""
@@ -173,9 +162,6 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return self._cmp(other) >= 0
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.log_den))
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -190,8 +176,7 @@ class Dyadic:
                 f"{sys.get_int_max_str_digits()}-digit print cap"
             ) from exc
 
-    def __repr__(self) -> str:
-        return f"Dyadic({self.num}, {self.log_den})"
+    __repr__ = __str__
 
 
 ZERO = Dyadic(0)

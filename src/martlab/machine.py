@@ -40,7 +40,6 @@ __all__ = [
     "C_LIT",
     "C_PAIR",
     "BudgetPoly",
-    "pairing_budget",
     "RunResult",
     "run",
     "run_code",
@@ -48,8 +47,6 @@ __all__ = [
     "gamma_length",
     "encode_literal",
     "encode_run",
-    "encode_repeat",
-    "encode_pair",
     "encode_table",
     "PUSH",
     "TABLE_OPS",
@@ -99,21 +96,12 @@ class BudgetPoly:
         return f"{self.a}*n^{self.k}+{self.b}"
 
 
-def pairing_budget(t: BudgetPoly) -> BudgetPoly:
-    """A budget ample enough to run two ``t``-budget halves plus the header."""
-    return BudgetPoly(2 * t.a + 1, t.k, 2 * t.b + 16)
-
-
 @dataclass(frozen=True)
 class RunResult:
     """A run's printed string, ``None`` when it diverged, and its steps."""
 
     output: BitString | None
     steps: int
-
-    @property
-    def diverged(self) -> bool:
-        return self.output is None
 
 
 class _Diverge(Exception):
@@ -252,18 +240,6 @@ def encode_run(bit: int, k: int) -> BitString:
     return BitString.from_int(0b010 << 5 | (1 if bit else 0) << 4 | k - 1, 8)
 
 
-def encode_repeat(k: int, body: BitString) -> BitString:
-    if k < 1:
-        raise ValueError("repeat count must be positive")
-    return _head(0b011, 3, k) + body
-
-
-def encode_pair(first: BitString, second: BitString) -> BitString:
-    if len(first) < 1:
-        raise ValueError("first part must be nonempty")
-    return _head(0b10, 2, len(first)) + first + second
-
-
 def encode_table(n: int, ops: tuple) -> BitString:
     """Encode a postfix stack program over ``n`` variables.
 
@@ -323,7 +299,9 @@ def table_mask(n: int, ops) -> int | None:
     """The table a postfix stack program computes, as a ``2**n``-bit mask.
 
     ``None`` when an op finds too few operands or the program does not leave
-    exactly one value; ``ValueError`` on an unknown op or variable.
+    exactly one value; ``ValueError`` on an unknown op or variable.  The
+    machine's table op and the ``mcsp-witness`` relation run their programs
+    here, and the tests check census witness circuits with it.
     """
     full = (1 << (1 << n)) - 1
     var = projection_masks(n)

@@ -379,10 +379,6 @@ class DimensionReport:
     best: Dyadic | None
     worst: Dyadic | None
 
-    @property
-    def has_infinite_level(self) -> bool:
-        return any(v is None for v in self.levels)
-
 
 def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
     """Finite-horizon dimension witnesses along ``S``.

@@ -44,11 +44,6 @@ class BitString:
     def __len__(self) -> int:
         return len(self._bits)
 
-    def __getitem__(self, index) -> int | "BitString":
-        if isinstance(index, slice):
-            return BitString(self._bits[index])
-        return int(self._bits[index])
-
     def __iter__(self) -> Iterator[int]:
         return (int(c) for c in self._bits)
 
@@ -76,12 +71,6 @@ class BitString:
 
     def prefix(self, n: int) -> "BitString":
         return BitString(self._bits[:n])
-
-    def is_prefix_of(self, other: "BitString") -> bool:
-        return other._bits.startswith(self._bits)
-
-    def count_ones(self) -> int:
-        return self._bits.count("1")
 
     def bits(self) -> str:
         return self._bits

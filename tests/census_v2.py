@@ -5,21 +5,32 @@ closure that filled a mask -> size dict and a mask -> witness dict, one table
 at a time; :func:`encode` and :func:`decode` are the ``<IBBII`` record payload
 (u32 mask, u8 size, u8 kind, u32 a, u32 b, sorted by mask) that cache files
 held under a ``martlab-cache v2`` header.
+
+The witness dict is the one source of census circuits: :func:`circuit_ops`
+expands a table's witness into a stack program for
+:func:`martlab.machine.encode_table` and :func:`martlab.machine.table_mask`.
+:func:`reached` and :func:`table_bits` read a dense census's sizes and a
+table's text for the tests that compare the two.
 """
 
 import struct
+from functools import cache
 
 import numpy as np
 
 from martlab import machine
+from martlab.cantor import BitString, mirror
+from martlab.circuits import UNREACHED
 
 RECORD = struct.Struct("<IBBII")
 KINDS = ("VAR", "CONST", "NOT", "AND", "OR")
 
 
+@cache
 def build(n: int, max_size: int) -> tuple[dict, dict]:
     """``(sizes, witness)``: minimum size and first-reached witness of every
-    table reached within ``max_size`` gates."""
+    table reached within ``max_size`` gates.  Cached, so callers only read
+    the dicts."""
     full = (1 << (1 << n)) - 1
     sizes: dict[int, int] = {}
     witness: dict[int, tuple] = {}
@@ -82,8 +93,24 @@ def decode(payload: bytes) -> tuple[dict, dict]:
 
 
 def circuit_ops(witness: dict, mask: int) -> tuple:
-    """The stack program ``circuit_for`` expands from the witness dict."""
+    """The table's stack program: its witness's operands' programs, then the
+    witness's gate."""
     how = witness[mask]
     if how[0] in ("VAR", "CONST"):
         return (how,)
     return sum((circuit_ops(witness, m) for m in how[1:]), ()) + ((how[0],),)
+
+
+def gates(ops: tuple) -> int:
+    """The gate ops of a stack program, the size a census counts."""
+    return sum(op[0] in ("NOT", "AND", "OR") for op in ops)
+
+
+def reached(census) -> list[int]:
+    """The masks a dense census reaches, in increasing order."""
+    return [mask for mask, size in enumerate(census.sizes) if size != UNREACHED]
+
+
+def table_bits(n: int, mask: int) -> BitString:
+    """The table as text, row 0 first."""
+    return BitString.from_int(mirror(mask, 1 << n), 1 << n)

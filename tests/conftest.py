@@ -1,6 +1,8 @@
 import pytest
 
-from martlab.machine import BudgetPoly, pairing_budget
+from martlab.machine import BudgetPoly
+
+from machine_v1 import pairing_budget
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,21 @@
 """A language as a frozenset of member strings, as martlab held it before masks.
 
-Test-local oracle for :class:`martlab.cantor.LanguageView` and the functions
-beside it.  Every member is a ``BitString`` in a frozenset, and every query
-maps its index to a string with :func:`~martlab.cantor.string_index` and
-asks the set, so :class:`Language`, :func:`census`, :func:`char_prefix` and
-:func:`language_of` are the brute-force twins of the mask.  Errors are
-raised with the same types and messages: a negative index is a
-``ValueError``, and past the horizon the first offending member, in input
-order, or the query is named.
+Test-local oracle for :class:`martlab.cantor.LanguageView` and
+:func:`~martlab.cantor.char_prefix`.  Every member is a ``BitString`` in a
+frozenset, and every query maps its index to a string with
+:func:`~martlab.cantor.string_index` and asks the set.  Errors are raised
+with the same types and messages: a negative index is a ``ValueError``, and
+past the horizon the first offending member, in input order, or the query
+is named.
+
+:func:`census` counts the members among a language's first strings, and
+:func:`language_of` reads a characteristic prefix back into a language; the
+tests use both as oracles, on a :class:`Language` or a ``LanguageView``.
 """
 
 from typing import Iterable
 
-from martlab.cantor import BitString, index_of, string_index
+from martlab.cantor import BitString, LanguageView, index_of, string_index
 from martlab.errors import HorizonExceeded
 
 
@@ -46,12 +49,8 @@ class Language:
     def contains_index(self, i: int) -> bool:
         return self.contains(string_index(i))
 
-    def members(self) -> list[BitString]:
-        return [string_index(i) for i in range(self.horizon)
-                if string_index(i) in self.member_set]
 
-
-def census(language: Language, n: int) -> int:
+def census(language: Language | LanguageView, n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > language.horizon:

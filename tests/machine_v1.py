@@ -5,9 +5,14 @@ coding and step accounting, read character by character off a ``str`` of
 ``0``/``1`` and printing text.  :func:`run` returns ``(text, steps)``, with
 ``None`` for the text of a diverged run.  The table op's mask evaluator is
 the machine's own, checked apart against a row-by-row evaluation.
+
+The program encoders and the budget that only the tests use live here too:
+:func:`encode_repeat` and :func:`encode_pair` write the repeat and pair
+terms, and :func:`pairing_budget` runs two halves of a pair.
 """
 
-from martlab.machine import push_op, ref_width, table_mask
+from martlab.cantor import BitString
+from martlab.machine import BudgetPoly, push_op, ref_width, table_mask
 
 # 2-bit opcode -> gate, and op kind -> operands popped
 GATES = {"01": ("NOT",), "10": ("AND",), "11": ("OR",)}
@@ -132,3 +137,25 @@ def run(bits: str, budget: int) -> tuple:
     if bits.strip("01"):
         raise ValueError(f"not a bit string: {bits!r}")
     return finish(Runner(bits, budget))
+
+
+def _head(opcode: str, m: int) -> BitString:
+    """An opcode, then the Elias gamma code of ``m >= 1``."""
+    return BitString(opcode + "0" * (m.bit_length() - 1) + format(m, "b"))
+
+
+def encode_repeat(k: int, body: BitString) -> BitString:
+    if k < 1:
+        raise ValueError("repeat count must be positive")
+    return _head("011", k) + body
+
+
+def encode_pair(first: BitString, second: BitString) -> BitString:
+    if len(first) < 1:
+        raise ValueError("first part must be nonempty")
+    return _head("10", len(first)) + first + second
+
+
+def pairing_budget(t: BudgetPoly) -> BudgetPoly:
+    """A budget ample enough to run two ``t``-budget halves plus the header."""
+    return BudgetPoly(2 * t.a + 1, t.k, 2 * t.b + 16)

@@ -76,7 +76,7 @@ def sat_verify(num_vars: int):
             raise ValueError(
                 f"input length {len(x)} != 2**{num_vars} truth-table rows"
             )
-        return x[y.to_int()] == 1
+        return x.bits()[y.to_int()] == "1"
 
     return verify
 

@@ -13,18 +13,14 @@ from martlab import circuits
 from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.circuits import (
     UNREACHED,
-    Circuit,
     TruthTable,
     build_census,
     cached_census,
-    circuit_for,
-    encode_circuit,
     load_census,
     lutz_size_bound_floor,
     mcsp,
     mcsp_cover,
     mcsp_witness_relation,
-    measured_encoding_constant,
     mnp_cover_check,
     save_census,
 )
@@ -37,7 +33,7 @@ from martlab.errors import (
     DegenerateParameter,
     IndeterminateComparison,
 )
-from martlab.machine import run
+from martlab.machine import encode_table, run, table_mask
 from martlab.martingale import verify_averaging
 from martlab.oracle import level_counts
 
@@ -47,13 +43,13 @@ import census_v2
 
 def sizes_of(census) -> dict:
     """mask -> minimum size over the reached tables, read through ``min_size``."""
-    return {m: census.min_size(TruthTable(census.n, m)) for m in census.reached()}
+    return {m: census.min_size(TruthTable(census.n, m)) for m in census_v2.reached(census)}
 
 
 def test_truth_table_roundtrip():
     tt = TruthTable.from_bits(BitString("0110"))
     assert tt.n == 2 and tt.mask == 0b0110
-    assert str(tt.to_bits()) == "0110"
+    assert str(census_v2.table_bits(tt.n, tt.mask)) == "0110"
     for bad in ("011", ""):
         with pytest.raises(ValueError, match="is not a power of two"):
             TruthTable.from_bits(BitString(bad))
@@ -71,7 +67,7 @@ def test_not_gate_reached_at_one():
 
 def test_closure_equals_dag_oracle(census2):
     dag = census_dag.minimum_sizes(2, 6)
-    assert census2.reached() == sorted(dag)
+    assert census_v2.reached(census2) == sorted(dag)
     for mask in range(16):
         assert census2.min_size(TruthTable(2, mask)) == dag[mask]
 
@@ -81,7 +77,7 @@ def test_dag_sizes_at_most_tree_sizes_at_three_inputs():
     # pay off at 5 gates, reaching 12 tables no 5-gate tree computes
     dag = census_dag.minimum_sizes(3, 5)
     census = build_census(3, 5)
-    tree = census.reached()
+    tree = census_v2.reached(census)
     assert len(dag) == 203
     assert len(tree) == 191
     assert set(tree) <= set(dag)
@@ -125,7 +121,7 @@ def test_parity3_beyond_tree_cap():
 
 def test_size_zero_has_only_projections_and_constants():
     census = build_census(2, 0)
-    assert census.reached() == sorted(
+    assert census_v2.reached(census) == sorted(
         {0b0000, 0b1111, 0b1010, 0b1100}
     )
 
@@ -161,20 +157,17 @@ def test_census_caps():
 def test_dense_census_matches_dict_oracle(n):
     tables = range(1 << (1 << n))
     for S in range(circuits.SIZE_CAP + 1):
-        sizes, witness = census_v2.build(n, S)
+        sizes, _ = census_v2.build(n, S)
         census = build_census(n, S)
         assert load_census(save_census(census), n, S) == census
         assert [census.min_size(TruthTable(n, m)) for m in tables] == [
             sizes.get(m) for m in tables
         ]
-        assert [census.witness(m) for m in tables] == [witness.get(m) for m in tables]
-        assert census.reached() == sorted(sizes)
+        assert census_v2.reached(census) == sorted(sizes)
         assert census.histogram() == dict(sorted(Counter(sizes.values()).items()))
         for s in range(S + 1):
             assert census.count_at_most(s) == sum(v <= s for v in sizes.values())
         assert census.count_at_most(S) == len(sizes)
-        for m in sizes:
-            assert circuit_for(census, TruthTable(n, m)).ops == census_v2.circuit_ops(witness, m)
 
 
 def test_dense_payload_layout():
@@ -187,52 +180,6 @@ def test_dense_payload_layout():
     )
     assert payload[0b0110] == 4  # xor
     assert len(save_census(build_census(4, 8))) == 1 << 16
-
-
-@pytest.mark.parametrize(
-    "n, S", [(n, S) for n in (1, 2, 3) for S in range(circuits.SIZE_CAP + 1)] + [(4, 8)]
-)
-def test_loaded_census_rebuilds_the_same_witnesses(n, S):
-    census = build_census(n, S)
-    loaded = load_census(save_census(census), n, S)
-    assert "_witnesses" not in vars(loaded)
-    masks = range(1 << (1 << n))
-    assert [loaded.witness(m) for m in masks] == [census.witness(m) for m in masks]
-    for m in census.reached():
-        tt = TruthTable(n, m)
-        assert circuit_for(loaded, tt) == circuit_for(census, tt)
-
-
-def test_loaded_census_that_disagrees_with_its_rebuild_raises():
-    # a payload that is not the closure raises on its first witness, in
-    # either direction: a size stored too small, then one stored too large
-    closure = save_census(build_census(2, 4))
-    cases = [
-        (0b0110, 3, "table 6 is stored at size 3, and no 3-gate candidate reaches it"),
-        (0b1000, 2, "a 1-gate candidate reaches table 8, stored at size 2"),
-    ]
-    for mask, size, why in cases:
-        payload = bytearray(closure)
-        payload[mask] = size  # xor takes 4 gates; x0 AND x1 takes 1
-        loaded = load_census(bytes(payload), 2, 4)
-        message = f"census n=2 s=4 is not its closure: {why}"
-        with pytest.raises(CensusUnavailable, match=message):
-            loaded.witness(mask)
-        with pytest.raises(CensusUnavailable, match=message):
-            circuit_for(loaded, TruthTable(2, 0))
-
-
-@pytest.mark.parametrize("mask, size, why", [
-    (0b0110, UNREACHED, "a 4-gate candidate reaches table 6, stored at size 255"),
-    (0b0110, 9, "size byte 9 is past the cap"),
-    (0b0110, 0, "its size-0 tables are not the inputs and constants"),
-    (0b1010, 1, "its size-0 tables are not the inputs and constants"),
-])
-def test_naming_pass_refuses_sizes_that_are_not_the_closure(mask, size, why):
-    payload = bytearray(save_census(build_census(2, 4)))
-    payload[mask] = size
-    with pytest.raises(CensusUnavailable, match=f"not its closure: {why}"):
-        load_census(bytes(payload), 2, 4).witness(0)
 
 
 def test_load_census_checks_the_payload_length():
@@ -291,36 +238,23 @@ def test_warm_cli_paths_never_rebuild_a_census(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == out
 
 
-def test_cold_cli_paths_name_no_witnesses(tmp_path, monkeypatch):
-    # the cold twin of the test above: a build computes sizes only, and no
-    # command reads a witness, so none pays for the naming pass
-    assert "_witnesses" not in vars(build_census(4, 8))
-
-    def name(census):
-        raise AssertionError(f"census n={census.n} s={census.max_size} named its witnesses")
-
-    monkeypatch.setattr(circuits.CircuitCensus, "_witnesses", property(name))
-    for k, argv in enumerate(WARM_CENSUS_COMMANDS):
-        cache_dir = tmp_path / str(k)
-        assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
-        assert list(cache_dir.glob("census_*.bin")), f"{argv} built no census"
-
-
 def test_witness_circuits_evaluate_to_their_tables():
+    # the dict census's witnesses reach every dense census size
     for n in (2, 3, 4):
         census = build_census(n, circuits.SIZE_CAP)
         sizes = sizes_of(census)
+        _, witness = census_v2.build(n, circuits.SIZE_CAP)
         for mask, size in sizes.items():
-            kind, *operands = census.witness(mask)
+            kind, *operands = witness[mask]
             if kind in ("VAR", "CONST"):
                 assert size == 0
             else:
                 # the operands are reached, and the gate adds one to their sizes
                 assert all(a in sizes for a in operands)
                 assert sum(sizes[a] for a in operands) == size - 1
-            circuit = circuit_for(census, TruthTable(n, mask))
-            assert circuit.table().mask == mask
-            assert circuit.size() == size
+            ops = census_v2.circuit_ops(witness, mask)
+            assert table_mask(n, ops) == mask
+            assert census_v2.gates(ops) == size
 
 
 @pytest.mark.parametrize("n, saturated_at", [(1, 1), (2, 4)])
@@ -332,35 +266,46 @@ def test_closure_stops_once_every_table_is_reached(n, saturated_at):
         census = build_census(n, S)
         assert census.max_size == S
         assert save_census(census) == save_census(saturated)
-        masks = range(1 << (1 << n))
-        assert [census.witness(m) for m in masks] == [saturated.witness(m) for m in masks]
 
 
-def test_encode_circuit_decodes_on_machine(census2, census3):
-    for census in (census2, census3):
-        for mask in census.reached():
-            tt = TruthTable(census.n, mask)
-            program = encode_circuit(circuit_for(census, tt))
+def test_encode_circuit_decodes_on_machine():
+    for n in (2, 3):
+        _, witness = census_v2.build(n, 6)
+        for mask in sorted(witness):
+            program = encode_table(n, census_v2.circuit_ops(witness, mask))
             result = run(program, 10_000)
-            assert result.output == tt.to_bits()
+            assert result.output == census_v2.table_bits(n, mask)
 
 
-def test_encoding_length_bound(census2, census3):
-    for census in (census2, census3):
-        c0 = measured_encoding_constant(census)
+def measured_encoding_constant(n: int, witness: dict) -> int:
+    """Smallest ``c0`` making every census circuit's encoding fit
+    ``(size+1) * (c0 + ceil(log2(n + size)))`` bits."""
+    c0 = 0
+    for mask in sorted(witness):
+        ops = census_v2.circuit_ops(witness, mask)
+        s = census_v2.gates(ops)
+        width = (n + s - 1).bit_length() if n + s > 1 else 0  # ceil(log2(n+s))
+        needed = -(-len(encode_table(n, ops)) // (s + 1)) - width  # ceil division
+        c0 = max(c0, needed)
+    return c0
+
+
+def test_encoding_length_bound():
+    for n in (2, 3):
+        _, witness = census_v2.build(n, 6)
+        c0 = measured_encoding_constant(n, witness)
         assert c0 <= 24  # the bound must not be vacuous
-        n = census.n
-        for mask in census.reached():
-            circuit = circuit_for(census, TruthTable(n, mask))
-            s = circuit.size()
+        for mask in sorted(witness):
+            ops = census_v2.circuit_ops(witness, mask)
+            s = census_v2.gates(ops)
             width = (n + s - 1).bit_length() if n + s > 1 else 0
-            assert len(encode_circuit(circuit)) <= (s + 1) * (c0 + width)
+            assert len(encode_table(n, ops)) <= (s + 1) * (c0 + width)
 
 
 def test_single_not_example():
-    census = build_census(1, 2)
-    circuit = circuit_for(census, TruthTable.from_bits(BitString("10")))
-    program = encode_circuit(circuit)
+    _, witness = census_v2.build(1, 2)
+    mask = TruthTable.from_bits(BitString("10")).mask
+    program = encode_table(1, census_v2.circuit_ops(witness, mask))
     assert run(program, 1000).output == BitString("10")
 
 
@@ -368,7 +313,7 @@ def test_mcsp_witness_relation_agrees_with_census(census2):
     counts = level_counts(mcsp_witness_relation(2, 1), 4)
     for mask in range(16):
         tt = TruthTable(2, mask)
-        witnessed = counts[tt.to_bits().to_int()] > 0
+        witnessed = counts[census_v2.table_bits(2, mask).to_int()] > 0
         assert witnessed == mcsp(tt, 1, census2)
 
 
@@ -380,7 +325,7 @@ def test_mcsp_witness_relation_agrees_with_census_at_two_gates(n):
     counts = level_counts(mcsp_witness_relation(n, 2), 1 << n)
     for mask in range(1 << (1 << n)):
         tt = TruthTable(n, mask)
-        assert (counts[tt.to_bits().to_int()] > 0) == mcsp(tt, 2, census), tt
+        assert (counts[census_v2.table_bits(n, mask).to_int()] > 0) == mcsp(tt, 2, census), tt
 
 
 def test_mcsp_cover_counts_factorize(census2):
@@ -391,20 +336,20 @@ def test_mcsp_cover_counts_factorize(census2):
     assert verify_averaging(m, 5).passed
     # leaf law: membership is decided by the trailing table bits
     for mask in range(16):
-        x = BitString("010") + TruthTable(2, mask).to_bits()
+        x = BitString("010") + census_v2.table_bits(2, mask)
         size = census2.min_size(TruthTable(2, mask))
         expected = ONE if size is not None and size <= 2 else ZERO
         assert m.value(x) == expected
 
 
 def frozenset_mcsp_cover(n: int, s: int, sizes: dict):
-    """``mcsp_cover``'s (contains, ext_count) as they read a mask -> size
+    """``mcsp_cover``'s (contains, count) as they read a mask -> size
     dict: a frozenset of qualifying masks, counted per fixed table bits."""
     table_start = (1 << n) - 1
     qualifying = frozenset(mask for mask, size in sizes.items() if size <= s)
 
     def contains(x: BitString) -> bool:
-        return TruthTable.from_bits(x[table_start:]).mask in qualifying
+        return TruthTable.from_bits(BitString(x.bits()[table_start:])).mask in qualifying
 
     @lru_cache(maxsize=None)
     def count_with_fixed(fixed_bits: str) -> int:
@@ -415,7 +360,7 @@ def frozenset_mcsp_cover(n: int, s: int, sizes: dict):
 
     def ext_count(w: BitString) -> int:
         free_prefix = max(0, table_start - len(w))
-        fixed_table = w[table_start:].bits() if len(w) > table_start else ""
+        fixed_table = w.bits()[table_start:]
         return (1 << free_prefix) * count_with_fixed(fixed_table)
 
     return contains, ext_count
@@ -430,7 +375,7 @@ def test_mcsp_cover_matches_frozenset_twin_on_every_prefix(n, bounds):
         contains, ext_count = frozenset_mcsp_cover(n, s, sizes)
         for k in range(cover.level + 1):
             for w in all_strings(k):
-                assert cover.ext_count(w) == ext_count(w), (s, w)
+                assert cover.count(w) == ext_count(w), (s, w)
         for x in all_strings(cover.level):
             assert cover.contains(x) == contains(x), (s, x)
 
@@ -445,7 +390,7 @@ def test_mcsp_cover_matches_frozenset_twin_at_four_inputs():
         for k in range(32):
             for _ in range(20):
                 w = BitString.from_int(rnd.getrandbits(k) if k else 0, k)
-                assert cover.ext_count(w) == ext_count(w), (s, w)
+                assert cover.count(w) == ext_count(w), (s, w)
         for _ in range(200):
             x = BitString.from_int(rnd.getrandbits(31), 31)
             assert cover.contains(x) == contains(x), (s, x)
@@ -460,7 +405,7 @@ def test_mcsp_cover_against_enumeration(census2):
             for v in range(1 << (7 - len(w)))
             if cover.contains(w + BitString.from_int(v, 7 - len(w)))
         )
-        assert cover.ext_count(w) == brute
+        assert cover.count(w) == brute
 
 
 def test_size_bound_floor_values():
@@ -721,17 +666,19 @@ def test_mnp_cover_check_needs_complete_census():
 
 def test_circuit_direct_construction():
     ops = (("VAR", 0), ("CONST", 1), ("AND",))
-    circuit = Circuit(1, ops)
-    assert circuit.size() == 1
-    assert circuit.table().to_bits() == BitString("01")
+    assert census_v2.gates(ops) == 1
+    assert census_v2.table_bits(1, table_mask(1, ops)) == BitString("01")
     for bad in (
         (("NOT",),),  # underflow
         (("VAR", 0), ("CONST", 1)),  # two values left
+    ):
+        assert table_mask(1, bad) is None
+    for bad in (
         (("VAR", 0), ("XOR",)),  # outside the basis
         (("VAR", 1),),  # no such variable
     ):
         with pytest.raises(ValueError):
-            Circuit(1, bad).table()
+            table_mask(1, bad)
 
 
 def _reference_witness_verify(n: int, s: int):

@@ -268,6 +268,22 @@ def test_cli_census_negative_alpha_exact_floor(tmp_path, capsys, n, alpha, floor
         assert "analytic (48*e*s)^s bound: holds\n" in out
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["-n", "2", "-S", "2", "--alpha=1/3"], 2,
+     "config error: --alpha: denominator 3 is not a power of two\n"),
+    (["-n", "1", "-S", "2", "--alpha=1/2"], 1,
+     "check failure: n = 1 degenerates (log2(1) = 0 divides the formulas)\n"),
+    (["-n", "4", "-S", "8", "--alpha=1000000"], 3,
+     "resource cap: size bound floor 2000004 beyond census max 8\n"),
+], ids=["alpha-not-dyadic", "one-input", "floor-past-size"])
+def test_cli_census_refuses_its_alpha_before_any_build(tmp_path, capsys, argv, code, err):
+    # what the arguments alone decide is refused with nothing printed or cached
+    cache = tmp_path / "cache"
+    assert main(["census", *argv, "--cache-dir", str(cache)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
 def test_cli_certify_negative_alpha_has_empty_covers(tmp_path, capsys):
     # the size bound floor is negative at n = 2 and n = 3, so both covers are empty
     family = {"type": "mcsp", "inputs": [2, 3], "alpha": "-8", "census_size": 4}

@@ -91,8 +91,8 @@ def extensions(level: int, width: int, accepts):
         return VerifyRelation(
             f"extensions to {level}",
             lambda _: free + width,
-            lambda w, yz: accepts(w + yz[:free], yz[free:]),
-            emit=lambda w, yz: yz[:free],
+            lambda w, yz: accepts(w + yz.prefix(free), BitString(yz.bits()[free:])),
+            emit=lambda w, yz: yz.prefix(free),
         )
 
     return relation
@@ -175,7 +175,7 @@ def test_mcsp_cover_counts_distinct_extensions_with_a_small_circuit():
     verify = relations_v1.mcsp_verify(1, 0)
     relation = extensions(
         level, mcsp_witness_relation(1, 0).witness_length(2),
-        lambda x, z: verify(x[1:], z),
+        lambda x, z: verify(BitString(x.bits()[1:]), z),
     )
     m = cover_martingale(mcsp_cover(1, 0, census))
     assert m.ratio.row(0)[0] == [6]

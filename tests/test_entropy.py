@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from martlab.cantor import BitString, EMPTY, LanguageView, all_strings
+from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.circuits import mcsp_cover, mcsp_witness_relation
 from martlab.cli import main
 from martlab.combinators import borel_cantelli_measure, unit_certificate
-from martlab.constructions import Cover, subset_cover
+from martlab.constructions import Cover
 from martlab.dyadic import Dyadic, grid_floor_log2_ratio
 from martlab.entropy import (
     LevelFamily,
@@ -32,7 +32,7 @@ def test_rate_of_everything_is_one():
 
 
 def test_rate_of_singletons_is_zero():
-    fam = constant_family(lambda x: x.count_ones() == 0, "zeros")
+    fam = constant_family(lambda x: x.to_int().bit_count() == 0, "zeros")
     report = entropy_rate(fam, 8)
     assert all(c == 1 for c in report.counts)
     assert report.max_ratio == Dyadic(0)
@@ -40,7 +40,7 @@ def test_rate_of_singletons_is_zero():
 
 def test_rate_trend_toward_quarter_entropy():
     fam = constant_family(
-        lambda x: 4 * x.count_ones() <= len(x), "light-strings"
+        lambda x: 4 * x.to_int().bit_count() <= len(x), "light-strings"
     )
     report = entropy_rate(fam, 16)
     # exact binomial counts are the oracle
@@ -63,12 +63,12 @@ def test_empty_levels_skipped():
 
 
 def test_union_rate_law():
-    left = constant_family(lambda x: x.count_ones() == 0, "zeros")
+    left = constant_family(lambda x: x.to_int().bit_count() == 0, "zeros")
     right = constant_family(
-        lambda x: x.count_ones() == len(x), "ones"
+        lambda x: x.to_int().bit_count() == len(x), "ones"
     )
     union = constant_family(
-        lambda x: x.count_ones() in (0, len(x)), "either"
+        lambda x: x.to_int().bit_count() in (0, len(x)), "either"
     )
     horizon = 10
     rl = entropy_rate(left, horizon)
@@ -127,26 +127,10 @@ def test_cover_counts_match_leaf_enumeration(census2):
         assert level_count(fam, n) == enumerated_count(cover)
         for k in range(n + 1):
             for w in all_strings(k):
-                assert cover.ext_count(w) == enumerated_count(cover, w), (cover.name, w)
+                assert cover.count(w) == enumerated_count(cover, w), (cover.name, w)
         names.append(cover.name)
     assert len(names) == 35
     assert {"sat-3", "mcsp-witness(n=2,s=1)", "mcsp(n=2,s=1)"} <= set(names)
-
-
-def test_ext_count_is_zero_past_the_level(census2):
-    B = LanguageView.from_indices([1, 3, 4], horizon=16)
-    covers = [
-        *_covers_to_level_8(census2),
-        Cover.from_members(["000", "001", "010"], 3),
-        Cover.from_predicate(lambda x: True, 3),
-        subset_cover(B, 3),
-        subset_cover(B, 6),
-        mcsp_cover(2, 4, census2),
-    ]
-    for cover in covers:
-        for k in (cover.level + 1, cover.level + 2):
-            for w in all_strings(k):
-                assert cover.ext_count(w) == 0, (cover.name, w)
 
 
 def test_enumeration_cap_still_refuses_level_23():
@@ -218,7 +202,7 @@ def test_certificate_reads_each_level_cover_once():
 
     def no_ones(x):
         calls.append(x)
-        return x.count_ones() == 0
+        return x.to_int().bit_count() == 0
 
     cert = mc_certificate(
         LevelFamily.from_predicate(no_ones, "no-ones"),

@@ -71,6 +71,9 @@ CASES = [
     ("sum -w 2", ["sum", "--config", GEOMETRIC, "-w", "2"], None),
     ("sum --precision -1", ["sum", "--config", GEOMETRIC, "--precision", "-1"], None),
     ("census --alpha=1/3", ["census", "-n", "2", "-S", "2", "--alpha=1/3"], None),
+    ("census -n 1 --alpha", ["census", "-n", "1", "-S", "2", "--alpha=1/2"], None),
+    ("census --alpha past the size cap",
+     ["census", "-n", "4", "-S", "8", "--alpha=1000000"], None),
     ("census -n 0", ["census", "-n", "0", "-S", "2"], None),
     ("census -S -1", ["census", "-n", "2", "-S", "-1"], None),
     ("diagonalize -N -2", ["diagonalize", "--config", FIG1, "-N", "-2"], None),

@@ -13,6 +13,11 @@ The guard matches by name alone, not by the class an attribute is read
 from: a method or field counts as read when any source reads an attribute
 of that name.  So a dead method whose name another class's live method shares
 passes; a dead ``Dyadic.from_int`` would hide behind ``BitString.from_int``.
+
+A read here is not a use: a helper that only its own test reads passes this
+guard.  ``tests/test_reach.py`` is the guard for that: every def must be
+called by a command, or be listed there with the paper check, benchmark
+name or safety refusal that keeps it.
 """
 
 import ast

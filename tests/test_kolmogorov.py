@@ -5,7 +5,6 @@ import pytest
 from martlab import kolmogorov
 from martlab.cantor import BitString, all_strings, string_index
 from martlab.cli import main
-from martlab.circuits import TruthTable, circuit_for, encode_circuit
 from martlab.dyadic import Dyadic, ONE
 from martlab.errors import CapExceeded, MartlabError
 from martlab.kolmogorov import (
@@ -20,11 +19,13 @@ from martlab.kolmogorov import (
     save_kt_table,
     short_program_counts,
 )
-from martlab.machine import BudgetPoly, C_LIT, pairing_budget, run
+from martlab.machine import BudgetPoly, C_LIT, encode_table, run
 from martlab.martingale import verify_averaging
 from martlab.oracle import count
 
+import census_v2
 import kt_v3
+from machine_v1 import pairing_budget
 
 
 def _programs(max_len):
@@ -260,20 +261,19 @@ def test_k_rate_incompressible_floor(kt_table_10):
         assert value >= 3
 
 
-def test_circuit_link(census2, census3, budget):
+def test_circuit_link(budget):
     # census circuits give runnable programs, and the table value never
     # exceeds what the circuit encoding (or the literal fallback) provides
     generous = BudgetPoly(4, 2, 64)
     table = build_kt_table(generous, 8)
-    for census in (census2, census3):
-        rows = 1 << census.n
-        for mask in census.reached():
-            tt = TruthTable(census.n, mask)
-            program = encode_circuit(circuit_for(census, tt))
-            assert run(program, generous(rows)).output == tt.to_bits()
-            assert table.lookup(tt.to_bits()) <= max(
-                len(program), rows + C_LIT
-            )
+    for n in (2, 3):
+        _, witness = census_v2.build(n, 6)
+        rows = 1 << n
+        for mask in sorted(witness):
+            program = encode_table(n, census_v2.circuit_ops(witness, mask))
+            bits = census_v2.table_bits(n, mask)
+            assert run(program, generous(rows)).output == bits
+            assert table.lookup(bits) <= max(len(program), rows + C_LIT)
 
 
 def test_witness_relation_counts_pairs(budget):

@@ -12,17 +12,15 @@ from martlab.machine import (
     C_LIT,
     C_PAIR,
     encode_literal,
-    encode_pair,
-    encode_repeat,
     encode_run,
     encode_table,
     gamma_length,
-    pairing_budget,
     run,
     table_mask,
 )
 
 import machine_v1
+from machine_v1 import encode_pair, encode_repeat, pairing_budget
 
 
 def out(program, budget=10_000):
@@ -44,12 +42,12 @@ def test_literal_overhead_within_constant():
 
 
 def test_empty_program_diverges():
-    assert run(EMPTY, 100).diverged
+    assert run(EMPTY, 100).output is None
 
 
 def test_trailing_bits_diverge():
     program = encode_literal(BitString("01")).append(1)
-    assert run(program, 100).diverged
+    assert run(program, 100).output is None
 
 
 def test_pair_concatenates():
@@ -117,9 +115,9 @@ def test_table_constants():
 
 def test_table_stack_indiscipline_diverges():
     bad = encode_table(2, (("VAR", 0), ("VAR", 1)))  # ends with stack size 2
-    assert run(bad, 1000).diverged
+    assert run(bad, 1000).output is None
     underflow = encode_table(2, (("NOT",),))
-    assert run(underflow, 1000).diverged
+    assert run(underflow, 1000).output is None
 
 
 def test_determinism():
@@ -134,9 +132,9 @@ def test_determinism():
 def test_budget_exhaustion_is_divergence():
     p = encode_run(1, 16)
     full = run(p, 10_000)
-    assert not full.diverged
-    assert run(p, full.steps - 1).diverged
-    assert not run(p, full.steps).diverged
+    assert full.output is not None
+    assert run(p, full.steps - 1).output is None
+    assert not run(p, full.steps).output is None
 
 
 def test_budget_poly():
@@ -233,7 +231,7 @@ def run_rowwise(bits: str, budget: int) -> tuple:
 def _result(bits: str, budget: int) -> tuple:
     """``run`` on the program text ``bits``, as ``(text or None, steps)``."""
     result = run(BitString(bits), budget)
-    return None if result.diverged else result.output.bits(), result.steps
+    return None if result.output is None else result.output.bits(), result.steps
 
 
 @pytest.mark.parametrize("budget", [5, 30, 200, 5000])

@@ -234,7 +234,6 @@ def test_empirical_dimension_zero_sentinel():
     m = figure_cover()
     report = empirical_dimension(m, BitString("1000"))
     assert report.levels[-1] is None  # dead branch
-    assert report.has_infinite_level
     assert report.worst is None
     assert report.best is not None
 

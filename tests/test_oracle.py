@@ -76,18 +76,18 @@ def test_decide_unique():
     assert [members.contains(x) for x in all_strings(2)] == [
         False, True, True, False
     ]
-    assert members.ext_count(BitString("")) == 2
+    assert members.count(BitString("")) == 2
 
     doubled = WitnessRelation("two-witness", lambda n: 1, lambda n, y: range(1 << n))
     cover = Cover.from_relation(doubled, 1, "unique")
     with pytest.raises(UniquenessViolation, match="two-witness: 2 witnesses on"):
-        cover.ext_count(BitString(""))
+        cover.count(BitString(""))
     with pytest.raises(UniquenessViolation):
         cover.contains(BitString("0"))
 
     empty = Cover.from_relation(explicit_set_relation("empty", []), 1, "unique")
     assert not empty.contains(BitString("0"))
-    assert empty.ext_count(BitString("")) == 0
+    assert empty.count(BitString("")) == 0
 
 
 @settings(max_examples=40)

@@ -83,7 +83,7 @@ def _members(rnd: random.Random, n: int) -> list[BitString]:
 
 def _cover_sum(rnd):
     a = cover_martingale(Cover.from_members(_members(rnd, 3), 3))
-    b = condexp_martingale(lambda x: x.count_ones(), 4)
+    b = condexp_martingale(lambda x: x.to_int().bit_count(), 4)
     return sum_finite(a, scale_pow2(b, -2))
 
 
@@ -117,7 +117,7 @@ KINDS = {
     "explicit-level-0": (lambda rnd, c, b: cover_martingale(
         Cover.from_members([""], 0)), (0, 2)),
     "predicate": (lambda rnd, c, b: cover_martingale(
-        Cover.from_predicate(lambda x: x.count_ones() % 3 == 1, 5)), (4, 7)),
+        Cover.from_predicate(lambda x: x.to_int().bit_count() % 3 == 1, 5)), (4, 7)),
     "relation-exists": (lambda rnd, c, b: cover_martingale(
         Cover.from_relation(sat_relation(2), 4, "exists")), (4, 6)),
     "relation-unique": (lambda rnd, c, b: cover_martingale(
@@ -169,7 +169,7 @@ FORMS = {
     **{kind: build for kind, (build, _) in KINDS.items()},
     "constant": lambda rnd, c, b: Martingale.constant(Dyadic(5, 3)),
     "scale-up": lambda rnd, c, b: scale_pow2(
-        condexp_martingale(lambda x: x.count_ones(), 3), 2),
+        condexp_martingale(lambda x: x.to_int().bit_count(), 3), 2),
     "approx": lambda rnd, c, b: _approx_scaled(rnd),
 }
 
@@ -205,7 +205,7 @@ def test_row_entries_are_the_node_form(kind, census2, budget):
 
 
 def test_meta_of_the_scaled_and_approximate_forms():
-    m = condexp_martingale(lambda x: x.count_ones(), 4)
+    m = condexp_martingale(lambda x: x.to_int().bit_count(), 4)
     assert scale_pow2(m, 3).meta == {"construction": "condexp"}
     # the transform's export is an approximation, which names no construction
     approx = approx_supermartingale(m.ratio, m.ratio.numerator, 4)
