@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 from pathlib import Path
 
@@ -171,16 +170,18 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
     return CircuitCensus(n, max_size, sizes.tobytes())
 
 
+def _check_census(census: CircuitCensus, n: int, s: int) -> None:
+    """Refuse a census of another ``n``, or one that stops below size ``s``."""
+    if census.n != n or s > census.max_size:
+        raise CensusUnavailable(
+            f"need a census for n={n} up to size {s}, "
+            f"have n={census.n} up to {census.max_size}"
+        )
+
+
 def mcsp(tt: TruthTable, s: int, census: CircuitCensus) -> bool:
     """Accept iff some circuit of at most ``s`` gates computes the table."""
-    if census.n != tt.n:
-        raise CensusUnavailable(
-            f"census covers n={census.n}, table has n={tt.n}"
-        )
-    if s > census.max_size:
-        raise CensusUnavailable(
-            f"census covers sizes up to {census.max_size}, asked {s}"
-        )
+    _check_census(census, tt.n, s)
     size = census.min_size(tt)
     return size is not None and size <= s
 
@@ -196,11 +197,7 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     function: the distinct extensions ``y`` whose trailing truth table has a
     circuit witness of at most ``s`` gates.
     """
-    if census.n != n or s > census.max_size:
-        raise CensusUnavailable(
-            f"need a census for n={n} up to size {s}, "
-            f"have n={census.n} up to {census.max_size}"
-        )
+    _check_census(census, n, s)
     level = (1 << (n + 1)) - 1
     table_start = (1 << n) - 1  # strings of length n begin at this index
     tables = _at_most(census.sizes, s)
@@ -219,67 +216,42 @@ def mcsp_witness_relation(n: int, s: int) -> WitnessRelation:
     """Witness-cube form of the circuit-size decision.
 
     A witness packs, most significant bit first, an op-count header, that
-    many 2-bit opcodes, one ref per push opcode, and mandatory zero
-    padding, so each small stack program is exactly one witness; it is
-    decoded by shifts and masks.  The input is the ``2**n``-bit truth table
-    itself, and a witness's image is the index of the table its program
-    computes.  A sweep asks only the witnesses that encode a program within
-    the size bound, so it is far smaller than the cube.
-    Only tiny (n, s) fit under the witness cap; the relation exists to
-    cross-check the census, not to replace it.
+    many ops as the machine's table term writes them, and zero padding, so
+    each small stack program is exactly one witness, read and written by
+    ``machine`` alone.  The input is the ``2**n``-bit truth table itself,
+    and a witness's image is the index of the table its program computes.
+    A sweep asks only the programs within the size bound, a small part of
+    the cube.  Only tiny (n, s) fit under the witness cap; the relation
+    exists to cross-check the census, not to replace it.
     """
     max_ops = 2 * s + 1
-    max_push = s + 1
     header_bits = max(1, max_ops.bit_length())
-    width = machine.ref_width(n)
-    total = header_bits + 2 * max_ops + width * max_push
-
-    body = total - header_bits
-    push, gates = machine.PUSH, machine.GATES
+    # the longest program within s gates: s + 1 pushes joined by s binary gates
+    body = machine.write_ops(n, [("CONST", 0)] * (s + 1) + [("AND",)] * s)[1]
 
     def image(rows: int, y: int) -> int | None:
         if rows != 1 << n:
             raise ValueError(f"input must be a {1 << n}-bit table")
-        k = y >> body
-        if not 1 <= k <= max_ops:
+        ops, used = machine.read_ops(n, y >> body, y, body)
+        if ops is None or y & ((1 << body - used) - 1):  # padding is zero
             return None
-        after_codes = body - 2 * k
-        codes = [y >> (after_codes + 2 * j) & 3 for j in reversed(range(k))]
-        pushes = codes.count(push)
-        if pushes > max_push or k - pushes > s:
+        # a gate names no operand; past 2s + 1 ops, a program has more gates
+        if sum(len(op) == 1 for op in ops) > s:
             return None
-        padding = after_codes - width * pushes
-        if y & ((1 << padding) - 1):
-            return None
-        refs = (machine.push_op(n, y >> (padding + width * j) & ((1 << width) - 1))
-                for j in reversed(range(pushes)))
-        ops = [gates.get(code) or next(refs) for code in codes]
-        if None in ops:
-            return None
-        mask = machine.table_mask(n, ops)
         # the input's first bit is row 0, the mask's lowest
-        return None if mask is None else mirror(mask, rows)
+        return mirror(machine.table_mask(n, ops), rows)
 
     def well_formed(_: int):
-        """Every witness with a header in ``1..max_ops``, at most ``s`` gates
-        and ``max_push`` pushes, refs below ``n + 2`` and zero padding, in
-        increasing order: each other witness has no image."""
+        """Every program of ``1..max_ops`` ops with at most ``s`` gates,
+        under its header and zero padded, in increasing order: each other
+        witness has no image."""
         for k in range(1, max_ops + 1):
-            for codes in product(range(4), repeat=k):
-                pushes = codes.count(push)
-                if pushes > max_push or k - pushes > s:
-                    continue
-                head = k
-                for code in codes:
-                    head = head << 2 | code
-                for refs in product(range(n + 2), repeat=pushes):
-                    y = head
-                    for ref in refs:
-                        y = y << width | ref
-                    yield y << body - 2 * k - width * pushes
+            for ops in machine.stack_programs(n, k, body, s):
+                bits, length = machine.write_ops(n, ops)
+                yield (k << length | bits) << body - length
 
     return WitnessRelation.from_image(
-        f"mcsp-witness(n={n},s={s})", lambda _: total, image, well_formed
+        f"mcsp-witness(n={n},s={s})", lambda _: header_bits + body, image, well_formed
     )
 
 
@@ -450,7 +422,8 @@ def mnp_cover_check(
     inferred from the other.
     """
     s_floor = mnp_size_bound_floor(n, alpha, census.max_size)
-    count = census.count_at_most(s_floor)
+    _check_census(census, n, s_floor)
+    count = _at_most(census.sizes, s_floor)
     rows = 1 << n
     N = (1 << (n + 1)) - 1
     cover_count = (1 << (N - rows)) * count

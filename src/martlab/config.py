@@ -48,10 +48,16 @@ Modulus objects:
 
 Certify objects:
 
-    {"family": {"type": "mcsp", "inputs": [2, 3], "alpha": "1/2", "census_size": 4},
-     "gap": {"7": 2, "15": 3}, "gap_default": 1,
-     "modulus": {"type": "affine", "slope": 1, "offset": 0},
-     "horizon": 15, "witnesses": ["000000000000000"]}
+    {"family": FAM, "gap": {"7": 2, "15": 3}, "gap_default": 1,
+     "modulus": MOD, "horizon": 15, "witnesses": ["000000000000000"]}
+
+    FAM = {"type": "mcsp", "inputs": [2, 3], "alpha": "1/2", "census_size": 4}
+        | {"type": "explicit-levels", "levels": {"3": ["001", ...]}}
+    MOD = {"type": "affine", "slope": 1, "offset": 0}         # m(i) = slope*i + offset
+        | {"type": "table", "values": {"0": 8}, "default": 16}  # m(i) = values[i], else default
+      (A level off the gap table takes gap_default, or its own length n for
+      "gap_default": "n".  Unlike the sum modulus, affine here has no |w|
+      term; every modulus field is >= 0.)
 """
 
 from __future__ import annotations
@@ -390,15 +396,18 @@ def build_certify(spec: dict, cache_dir: Path | str | None):
     mod_path = f"{path}.modulus"
     kind = _need(modulus_spec, "type", mod_path)
     if kind == "affine":
-        slope = _need(modulus_spec, "slope", mod_path, _int)
-        offset = _need(modulus_spec, "offset", mod_path, _int)
+        slope = _need(modulus_spec, "slope", mod_path, _natural)
+        offset = _need(modulus_spec, "offset", mod_path, _natural)
 
         def modulus(i: int) -> int:
             return slope * i + offset
 
     elif kind == "table":
-        table = _need(modulus_spec, "values", mod_path, _int_map)
-        default = _int(modulus_spec.get("default", 0), f"{mod_path}.default")
+        table = {
+            i: _natural(start, f"{mod_path}.values.{i}")
+            for i, start in _need(modulus_spec, "values", mod_path, _int_map).items()
+        }
+        default = _natural(modulus_spec.get("default", 0), f"{mod_path}.default")
 
         def modulus(i: int) -> int:
             return table.get(i, default)

@@ -6,8 +6,9 @@ literal-print bound caps the useful search space).  Programs are
 self-delimiting terms whose output and step count build up from their
 subterms, so one dynamic program over term length replaces running every bit
 string: ``D[l]`` counts the terms of exactly ``l`` bits by (output, steps).
-Leaves (literal, run, table) are run on the machine itself, the only
-definition of their semantics; repeat and pair terms combine shorter entries.
+Leaves (literal, run, table, the last from ``machine.stack_programs``) run
+on the machine itself, the only definition of their semantics; repeat and
+pair terms combine shorter entries.
 Programs and outputs are held as codes (a string's index plus one), not text.
 Outputs longer than the cap and steps above the run budget are pruned, which
 is sound because both only grow under composition.  One pass fills the table
@@ -33,18 +34,15 @@ from .errors import CapExceeded, MartlabError
 from .machine import (
     BudgetPoly,
     C_LIT,
-    GATES,
     MACHINE_VERSION,
-    TABLE_OPS,
     encode_literal,
     encode_run,
     encode_table,
     gamma_length,
-    push_op,
-    ref_width,
     repeated,
     run,
     run_code,
+    stack_programs,
 )
 from .martingale import LEVEL_CAP, Martingale
 from .oracle import WitnessRelation
@@ -106,32 +104,6 @@ class KtTable:
 _MIN_TERM = 3
 
 
-def _table_ops(n: int, m: int, room: int):
-    """Postfix programs of ``m`` ops over ``n`` variables in ``room`` bits.
-
-    Only sequences the machine's dry run accepts (no underflow, one value
-    left) are yielded; every other one diverges before printing.
-    """
-    push_bits = 2 + ref_width(n)
-    choices = [push_op(n, ref) for ref in range(n + 2)] + list(GATES.values())
-
-    def extend(ops: tuple, depth: int, bits: int):
-        left = m - len(ops)
-        if left == 0:
-            if depth == 1:
-                yield ops
-            return
-        if depth - 1 > left or bits + 2 * left > room:
-            return
-        for op in choices:
-            pops = TABLE_OPS[op[0]][1]
-            cost = 2 if pops else push_bits
-            if depth >= pops and bits + cost + 2 * (left - 1) <= room:
-                yield from extend(ops + (op,), depth + 1 - pops, bits + cost)
-
-    return extend((), 0, 0)
-
-
 def _leaves(max_len: int, out_cap: int, step_cap: int):
     """Every literal, run and table term that fits in ``max_len`` bits and
     could print at most ``out_cap`` bits within ``step_cap`` steps."""
@@ -153,7 +125,7 @@ def _leaves(max_len: int, out_cap: int, step_cap: int):
             # prints every row; both bounds only grow with m
             if head + 2 * m > max_len or head + 2 * m + rows * (m + 1) > step_cap:
                 break
-            for ops in _table_ops(n, m, max_len - head):
+            for ops in stack_programs(n, m, max_len - head, m):
                 yield encode_table(n, ops)
             m += 1
         n += 1

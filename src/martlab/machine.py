@@ -24,6 +24,10 @@ stack indiscipline, trailing bits, empty program) diverges.  Running costs
 one step per bit read, per bit emitted, and per stack op per table row; a
 program that exceeds its step budget diverges.
 
+A table term's ops are read by :func:`read_ops`, written by :func:`write_ops`
+and enumerated by :func:`stack_programs`; the kt leaves and the ``mcsp-witness``
+relation use those three, so no other module knows an op's bits.
+
 The instruction coding above is frozen; changing it invalidates every stored
 complexity table, so the version string below must be bumped with any change.
 """
@@ -48,11 +52,9 @@ __all__ = [
     "encode_literal",
     "encode_run",
     "encode_table",
-    "PUSH",
-    "TABLE_OPS",
-    "GATES",
-    "ref_width",
-    "push_op",
+    "read_ops",
+    "write_ops",
+    "stack_programs",
     "projection_masks",
     "table_mask",
 ]
@@ -171,20 +173,9 @@ class _Runner:
         if n < 1:
             raise _Diverge
         m = self.read_gamma() - 1
-        if m < 1:
-            raise _Diverge
-        width = ref_width(n)
-        ops, depth, low = [], 0, 0
-        for _ in range(m):
-            code = self.read(2)
-            op = GATES.get(code) or push_op(n, self.read(width))
-            if op is None:
-                raise _Diverge
-            ops.append(op)
-            pops = TABLE_OPS[op[0]][1]
-            low, depth = min(low, depth - pops), depth + 1 - pops
-        # stack discipline decides an ill-formed program before rows are paid
-        if low < 0 or depth != 1:
+        ops, used = read_ops(n, m, self.value, self.left)
+        self.read(used)
+        if ops is None:  # an empty program too; decided before any row is paid
             raise _Diverge
         # every op runs once per row; a budget below 2**b steps is already
         # exceeded by 2**b rows, so the shift stops at b bits
@@ -248,15 +239,8 @@ def encode_table(n: int, ops: tuple) -> BitString:
     """
     if n < 1:
         raise ValueError("table needs at least one variable")
-    width = ref_width(n)
-    program = _head(0b11, 2, n + 1) + _head(0, 0, len(ops) + 1)
-    for op in ops:
-        if op[0] not in TABLE_OPS:
-            raise ValueError(f"unknown op {op!r}")
-        program += BitString.from_int(TABLE_OPS[op[0]][0], 2)
-        if op[0] in ("VAR", "CONST"):
-            program += BitString.from_int(op[1] if op[0] == "VAR" else n + op[1], width)
-    return program
+    head = _head(0b11, 2, n + 1) + _head(0, 0, len(ops) + 1)
+    return head + BitString.from_int(*write_ops(n, ops))
 
 
 # -- stack programs over truth-table masks ---------------------------------
@@ -264,10 +248,9 @@ def encode_table(n: int, ops: tuple) -> BitString:
 # ``(j >> i) & 1``, so one bitwise op runs a gate on every row at once.
 
 # op -> (2-bit opcode, operands popped); VAR and CONST share the push opcode
-PUSH = 0b00
 TABLE_OPS = {
-    "VAR": (PUSH, 0),
-    "CONST": (PUSH, 0),
+    "VAR": (0b00, 0),
+    "CONST": (0b00, 0),
     "NOT": (0b01, 1),
     "AND": (0b10, 2),
     "OR": (0b11, 2),
@@ -280,11 +263,73 @@ def ref_width(n: int) -> int:
     return max(1, (n + 1).bit_length())
 
 
-def push_op(n: int, ref: int) -> tuple | None:
-    """The push a ref names, or ``None`` for a ref past both constants."""
-    if ref < n:
-        return ("VAR", ref)
-    return ("CONST", ref - n) if ref < n + 2 else None
+def read_ops(n: int, m: int, value: int, left: int) -> tuple:
+    """``(ops, used)``: the ``m`` ops at the top of ``value``'s low ``left``
+    bits, and the bits read.  ``ops`` is ``None`` when the bits run out
+    (``used`` stops before that read), a ref is past both constants, or the
+    stack underflows or ends with other than one value."""
+    width = ref_width(n)
+    ops, depth, low, used = [], 0, 0, 0
+    for _ in range(m):
+        if used + 2 > left:
+            return None, used
+        used += 2
+        op = GATES.get(value >> left - used & 3)
+        if op is None:
+            if used + width > left:
+                return None, used
+            used += width
+            ref = value >> left - used & (1 << width) - 1
+            if ref >= n + 2:
+                return None, used
+            op = ("VAR", ref) if ref < n else ("CONST", ref - n)
+        ops.append(op)
+        pops = TABLE_OPS[op[0]][1]
+        low, depth = min(low, depth - pops), depth + 1 - pops
+    return (ops if low >= 0 and depth == 1 else None), used
+
+
+def write_ops(n: int, ops) -> tuple[int, int]:
+    """The bits of ``ops`` over ``n`` variables as ``(value, length)``: each
+    op's 2-bit opcode, then a push's ref.  :func:`read_ops` reads them back."""
+    width = ref_width(n)
+    value = length = 0
+    for op in ops:
+        if op[0] not in TABLE_OPS:
+            raise ValueError(f"unknown op {op!r}")
+        code, pops = TABLE_OPS[op[0]]
+        value, length = value << 2 | code, length + 2
+        if not pops:  # a push's ref: a variable, then the constants 0 and 1
+            ref = op[1] if op[0] == "VAR" else n + op[1]
+            value, length = value << width | ref, length + width
+    return value, length
+
+
+def stack_programs(n: int, m: int, room: int, max_gates: int):
+    """Every program of ``m`` ops over ``n`` variables, at most ``max_gates``
+    of them gates, that :func:`read_ops` accepts from ``room`` bits, in
+    increasing order of their :func:`write_ops` bits: ops are tried in
+    opcode-then-ref order, and no op's bits are a prefix of another's."""
+    push_bits = 2 + ref_width(n)
+    choices = [("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1), *GATES.values()]
+
+    def extend(ops: tuple, depth: int, bits: int, gates: int):
+        left = m - len(ops)
+        if left == 0:
+            if depth == 1:
+                yield ops
+            return
+        if depth - 1 > left:  # too few ops left to join the stack into one
+            return
+        for op in choices:
+            pops = TABLE_OPS[op[0]][1]
+            cost, gate = (2, 1) if pops else (push_bits, 0)
+            # each of the left - 1 later ops takes 2 bits or more
+            if depth >= pops and gates + gate <= max_gates and (
+                    bits + cost + 2 * (left - 1) <= room):
+                yield from extend(ops + (op,), depth + 1 - pops, bits + cost, gates + gate)
+
+    return extend((), 0, 0, 0)
 
 
 @lru_cache(maxsize=None)

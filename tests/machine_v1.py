@@ -12,11 +12,18 @@ terms, and :func:`pairing_budget` runs two halves of a pair.
 """
 
 from martlab.cantor import BitString
-from martlab.machine import BudgetPoly, push_op, ref_width, table_mask
+from martlab.machine import BudgetPoly, table_mask
 
 # 2-bit opcode -> gate, and op kind -> operands popped
 GATES = {"01": ("NOT",), "10": ("AND",), "11": ("OR",)}
 POPS = {"VAR": 0, "CONST": 0, "NOT": 1, "AND": 2, "OR": 2}
+
+
+def push_op(n: int, ref: int) -> tuple | None:
+    """A push ref names variable ``ref < n``, then the constants 0 and 1."""
+    if ref < n:
+        return ("VAR", ref)
+    return ("CONST", ref - n) if ref < n + 2 else None
 
 
 class Diverge(Exception):
@@ -99,7 +106,7 @@ class Runner:
         m = self.read_gamma() - 1
         if m < 1:
             raise Diverge
-        width = ref_width(n)
+        width = len(format(n + 1, "b"))  # ceil(log2(n + 2))
         ops, depth, low = [], 0, 0
         for _ in range(m):
             code = self.read(2)

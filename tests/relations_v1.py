@@ -90,9 +90,9 @@ def explicit_verify(members):
 
 def mcsp_verify(n: int, s: int):
     max_ops = 2 * s + 1
-    max_push = s + 1
     header_bits = max(1, max_ops.bit_length())
-    width = machine.ref_width(n)
+    width = max(1, (n + 1).bit_length())
+    gates = {"01": ("NOT",), "10": ("AND",), "11": ("OR",)}
 
     def verify(x: BitString, y: BitString) -> bool:
         if len(x) != 1 << n:
@@ -101,18 +101,23 @@ def mcsp_verify(n: int, s: int):
         k = int(bits[:header_bits], 2)
         if not 1 <= k <= max_ops:
             return False
-        codes = [int(bits[i : i + 2], 2) for i in range(header_bits, header_bits + 2 * k, 2)]
-        pushes = codes.count(machine.PUSH)
-        if pushes > max_push or k - pushes > s:
-            return False
-        refs_at = header_bits + 2 * k
-        refs_end = refs_at + width * pushes
-        if "1" in bits[refs_end:]:
-            return False
-        refs = (machine.push_op(n, int(bits[i : i + width], 2))
-                for i in range(refs_at, refs_end, width))
-        ops = [machine.GATES.get(code) or next(refs) for code in codes]
-        if None in ops:
+        # k ops follow the header, each a 2-bit code and, for a push, a ref
+        ops, at = [], header_bits
+        for _ in range(k):
+            code = bits[at : at + 2]
+            if code in gates:
+                ops.append(gates[code])
+                at += 2
+                continue
+            ref = bits[at + 2 : at + 2 + width]
+            if len(code + ref) < 2 + width:  # the witness ends inside the op
+                return False
+            ref = int(ref, 2)
+            if ref >= n + 2:
+                return False
+            ops.append(("VAR", ref) if ref < n else ("CONST", ref - n))
+            at += 2 + width
+        if "1" in bits[at:] or sum(op in gates.values() for op in ops) > s:
             return False
         mask = machine.table_mask(n, ops)
         return mask is not None and mask == TruthTable.from_bits(x).mask

@@ -664,6 +664,13 @@ def test_mnp_cover_check_needs_complete_census():
         mnp_cover_check(4, Dyadic(0), small)
 
 
+def test_mnp_cover_check_needs_a_census_of_its_n(census2):
+    # the n = 2 census counts 14 tables within the n = 3 floor; it is refused
+    assert census2.count_at_most(lutz_size_bound_floor(3, Dyadic(1, 1))) == 14
+    with pytest.raises(CensusUnavailable, match="need a census for n=3 up to size 3, have n=2"):
+        mnp_cover_check(3, Dyadic(1, 1), census2)
+
+
 def test_circuit_direct_construction():
     ops = (("VAR", 0), ("CONST", 1), ("AND",))
     assert census_v2.gates(ops) == 1
@@ -685,7 +692,6 @@ def _reference_witness_verify(n: int, s: int):
     """The witness check with its own stack loop over table masks: the
     reference the shared evaluator is checked against."""
     max_ops = 2 * s + 1
-    max_push = s + 1
     header_bits = max(1, max_ops.bit_length())
     ref_width = max(1, (n + 1).bit_length())
     var_masks = [sum(1 << j for j in range(1 << n) if (j >> i) & 1) for i in range(n)]
@@ -696,28 +702,23 @@ def _reference_witness_verify(n: int, s: int):
         k = int(bits[:header_bits], 2)
         if not 1 <= k <= max_ops:
             return False
-        codes = [bits[header_bits + 2 * i : header_bits + 2 * i + 2] for i in range(k)]
-        pushes = sum(1 for c in codes if c == "00")
-        if pushes > max_push:
-            return False
-        refs_at = header_bits + 2 * k
-        refs = [
-            int(bits[refs_at + ref_width * i : refs_at + ref_width * (i + 1)], 2)
-            for i in range(pushes)
-        ]
-        if "1" in bits[refs_at + ref_width * pushes :]:
-            return False
         stack: list[int] = []
         gates = 0
-        next_ref = 0
-        for code in codes:
+        at = header_bits  # each op: its 2-bit code, then a push's ref
+        for _ in range(k):
+            code = bits[at : at + 2]
+            at += 2
             if code == "00":
-                ref = refs[next_ref]
-                next_ref += 1
+                if at + ref_width > len(bits):
+                    return False
+                ref = int(bits[at : at + ref_width], 2)
+                at += ref_width
                 if ref >= n + 2:
                     return False
                 stack.append(var_masks[ref] if ref < n else (full if ref == n + 1 else 0))
                 continue
+            if len(code) < 2:
+                return False
             gates += 1
             if code == "01":
                 if not stack:
@@ -728,7 +729,7 @@ def _reference_witness_verify(n: int, s: int):
                     return False
                 a, b = stack.pop(), stack.pop()
                 stack.append(a & b if code == "10" else a | b)
-        if len(stack) != 1 or gates > s:
+        if "1" in bits[at:] or len(stack) != 1 or gates > s:
             return False
         return stack[0] == TruthTable.from_bits(x).mask
 

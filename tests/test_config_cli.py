@@ -324,6 +324,22 @@ def test_cli_certify(tmp_path, capsys):
     assert "VALID" in out and "covered at level 7" in out
 
 
+def test_cli_certify_table_modulus_keeps_the_gap_default(tmp_path, capsys):
+    # a level off the gap table takes gap_default, never the modulus default
+    config = write_config(tmp_path, {"version": 1, "certify": {
+        **CERTIFY_CONFIG["certify"], "gap": {"7": 2}, "gap_default": 1,
+        "modulus": {"type": "table", "values": {"0": 8}, "default": 16}}})
+    assert main(["certify", "--config", config,
+                 "--cache-dir", str(tmp_path / "cache")]) == 1
+    out = capsys.readouterr().out
+    gaps = [line.strip() for line in out.splitlines() if line.startswith("  n=")]
+    assert gaps == [f"n={n}: count=0 < 2^({n}-1)" for n in range(1, 7)] + [
+        "n=7: count=112 >= 2^(7-2)"
+    ]
+    assert "i=0: tail from 8 sums to 0 <= 2^-0" in out
+    assert "i=2: tail from 16 sums to 0 <= 2^-2" in out
+
+
 def test_cli_kolmogorov(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ["kolmogorov", "-L", "6", "--budget", "4", "1", "16",

@@ -3,7 +3,7 @@
 ``tests/error_corpus.json`` holds one entry per case below: its argv and
 config, and what ``martlab.cli.main`` did with them, its exit code, the
 sha256 of its stdout and its stderr text.  The cases cover the option
-errors, negative affine moduli, negative levels and relation fields,
+errors, negative affine and table moduli, negative levels and relation fields,
 unusable ``--cache-dir`` and ``--out`` paths, every ``decide`` mode and the
 language errors, so a change to any message, exit code or output fails here.
 
@@ -46,6 +46,12 @@ def _cover(level, relation, decide="exists") -> dict:
 def _certify(**family) -> dict:
     spec = json.loads((EXPERIMENTS / "mcsp_certificate.json").read_text())
     spec["certify"]["family"].update(family)
+    return spec
+
+
+def _certify_modulus(modulus: dict) -> dict:
+    spec = _certify()
+    spec["certify"]["modulus"] = modulus
     return spec
 
 
@@ -134,6 +140,15 @@ CASES = [
     ("certify inputs 0", ["certify", "--config", "{config}"], _certify(inputs=[0])),
     ("certify census_size -1", ["certify", "--config", "{config}"],
      _certify(census_size=-1)),
+    # negative certify moduli, affine and table
+    ("certify affine slope -1", ["certify", "--config", "{config}"],
+     _certify_modulus({"type": "affine", "slope": -1, "offset": -3})),
+    ("certify affine offset -3", ["certify", "--config", "{config}"],
+     _certify_modulus({"type": "affine", "slope": 1, "offset": -3})),
+    ("certify table value -1", ["certify", "--config", "{config}"],
+     _certify_modulus({"type": "table", "values": {"0": 8, "2": -1}, "default": 16})),
+    ("certify table default -2", ["certify", "--config", "{config}"],
+     _certify_modulus({"type": "table", "values": {"0": 8}, "default": -2})),
     # unusable --cache-dir and --out
     ("census --cache-dir a file", ["census", "-n", "2", "-S", "2", "--cache-dir", "{tmp}/plain"],
      None),

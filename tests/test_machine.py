@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from martlab import kolmogorov
+from martlab import kolmogorov, machine
 from martlab.cantor import EMPTY, BitString
 from martlab.kolmogorov import DEFAULT_LENGTH_CAP
 from martlab.machine import (
@@ -257,6 +258,27 @@ def test_run_matches_rowwise_tables_on_kt_table_leaves():
             assert _result(bits, budget) == expected, (bits, budget)
             if bits in tables:
                 assert expected == run_rowwise(bits, budget), (bits, budget)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_programs_are_the_valid_programs_in_bit_order(n):
+    gates = [("NOT",), ("AND",), ("OR",)]
+    alphabet = [("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1)] + gates
+    width = (n + 1).bit_length()
+    for m in range(1, 6):
+        for max_gates, room in [(m, 99), (1, 99), (m, 2 * m + 3)]:
+            # every sequence the stack accepts, within the gate cap and room
+            expected = {
+                ops for ops in product(alphabet, repeat=m)
+                if table_mask(n, ops) is not None
+                and sum(op in gates for op in ops) <= max_gates
+                and sum(2 if op in gates else 2 + width for op in ops) <= room
+            }
+            got = list(machine.stack_programs(n, m, room, max_gates))
+            assert set(got) == expected, (m, max_gates, room)
+            # same header, and no op's bits a prefix of another's: text order
+            written = [encode_table(n, ops).bits() for ops in got]
+            assert all(a < b for a, b in zip(written, written[1:])), (m, max_gates, room)
 
 
 def test_run_matches_the_twin_on_long_gamma_codes():

@@ -5,6 +5,7 @@ its int; the twin's verifiers take it as a ``BitString``, converted here."""
 
 import functools
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from martlab.circuits import mcsp_witness_relation
 from martlab.constructions import Cover
 from martlab.errors import CapExceeded, UniquenessViolation
 from martlab.kolmogorov import kolmogorov_witness_relation
-from martlab.machine import BudgetPoly
+from martlab.machine import BudgetPoly, table_mask
 from martlab.oracle import (
     WitnessRelation,
     count,
@@ -72,6 +73,24 @@ def test_short_program_image_matches_the_verify_it_replaced(max_len, budget):
             assert len(accepted) <= 1
             for x in strings:
                 assert verify_v1(x, y_bits) == (x.to_int() in accepted), (x, y_bits)
+
+
+@pytest.mark.parametrize("n, s", MCSP_SIZES)
+def test_mcsp_counts_are_the_programs_computing_each_table(n, s):
+    # every op sequence of 1..2s+1 ops with at most s gates, whatever its
+    # witness layout; a sequence the stack rejects computes no table
+    rows = 1 << n
+    pushes = [("VAR", i) for i in range(n)] + [("CONST", 0), ("CONST", 1)]
+    gates = [("NOT",), ("AND",), ("OR",)]
+    programs = [0] * (1 << rows)
+    for k in range(1, 2 * s + 2):
+        for ops in product(pushes + gates, repeat=k):
+            mask = table_mask(n, ops)
+            if mask is not None and sum(op in gates for op in ops) <= s:
+                programs[int(format(mask, f"0{rows}b")[::-1], 2)] += 1  # row 0 first
+    rel = mcsp_witness_relation(n, s)
+    assert level_counts(rel, rows) == programs
+    assert len(list(rel.witnesses(rows))) == sum(programs)
 
 
 def test_mcsp_image_rejects_a_wrong_length():
@@ -237,7 +256,7 @@ def test_level_counts_ask_each_witness_once():
     # pass: the whole cube for sat and explicit, the well-formed witnesses of
     # a cube of 4,096 and of 16 for mcsp and short-program
     for key, n, swept in [(("sat", 3), 8, 8), (("explicit", "01", "10"), 2, 1),
-                          (("mcsp", 1, 1), 2, 114), (("short", 2, BUDGETS[1]), 2, 6)]:
+                          (("mcsp", 1, 1), 2, 24), (("short", 2, BUDGETS[1]), 2, 6)]:
         rel = _relation(*key)
         asked = []
 
@@ -269,7 +288,7 @@ def test_sweeps_skip_only_witnesses_that_accept_nothing():
         assert _outcome(level_counts, rel, n) == _outcome(
             level_counts, replace(rel, well_formed=None), n), (key, n)
     # the image relations sweep a small part of their cubes
-    for key, n, swept, cube in [(("mcsp", 2, 1), 4, 191, 4096),
+    for key, n, swept, cube in [(("mcsp", 2, 1), 4, 40, 4096),
                                 (("short", 6, BUDGETS[2]), 3, 126, 512)]:
         rel = _relation(*key)
         assert (len(list(rel.witnesses(n))), 1 << rel.witness_length(n)) == (
