@@ -189,26 +189,28 @@ class LanguageView:
     ) -> "LanguageView":
         """A negative index raises ``ValueError``; else the first index at or
         past the horizon, in input order, ``HorizonExceeded``, and a member
-        at or past ``MASK_CAP`` ``CapExceeded``."""
-        inside, past = [], None
-        for i in indices:
-            if i < 0:
-                raise ValueError("index must be nonnegative")
-            if i < horizon:
-                inside.append(i)
-            elif past is None:
-                past = i
-        if past is not None:
+        at or past ``MASK_CAP`` ``CapExceeded``.
+
+        The least and the greatest index decide every error, and the mask
+        is one string of binary digits, a ``1`` at each member, read by
+        ``int(..., 2)``."""
+        indices = list(indices)
+        if not indices:
+            return cls(0, horizon, name)
+        top = max(indices)
+        if min(indices) < 0:
+            raise ValueError("index must be nonnegative")
+        if top >= horizon:
+            past = next(i for i in indices if i >= horizon)
             raise HorizonExceeded(
                 f"member {string_index(past) or 'λ'} has index {past} >= horizon {horizon}"
             )
-        top = max(inside, default=-1)
         if top >= MASK_CAP:
             raise CapExceeded(f"member index {top} exceeds mask cap {MASK_CAP}")
-        bits = bytearray(top // 8 + 1)
-        for i in inside:
-            bits[i >> 3] |= 1 << (i & 7)
-        return cls(int.from_bytes(bits, "little"), horizon, name)
+        digits = bytearray(b"0") * (top + 1)  # bit i is digit top - i
+        for i in indices:
+            digits[top - i] = 49  # ord("1")
+        return cls(int(digits, 2), horizon, name)
 
     def contains(self, s: BitString) -> bool:
         return self.contains_index(index_of(s))

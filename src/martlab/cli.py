@@ -7,6 +7,8 @@ the seed, where one applies), so runs are diffable.
 Exit codes: 0 pass, 1 check failure, 2 configuration error (a query past a
 language's declared horizon counts as one), 3 resource cap.  A stdout
 whose reader closes early ends the run with exit 1 and no traceback.
+``success`` and ``diagonalize`` render every line of a path's values
+before one write, so a value past the print cap leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .config import (
     build_modulus,
     load_config,
 )
-from .dyadic import Dyadic
+from .dyadic import texts
 from .errors import (
     CapExceeded,
     CensusUnavailable,
@@ -148,12 +150,13 @@ def cmd_success(args) -> int:
     S = _bits(args.sequence, "--sequence")
     s = _dyadic(args.s, "--s")
     report = success_scan(m, S, s)
-    print(f"success scan along {S} at s={s} (horizon {report.horizon})")
-    for n, value in enumerate(report.values):
-        mark = "  hit" if n in report.success_levels else ""
-        print(f"  n={n}: d={value}{mark}")
-    print(f"levels passing: {sorted(report.success_levels)}")
-    print(f"first unit-capital level: {report.unitary_hit}")
+    hits = report.success_levels
+    lines = [f"success scan along {S} at s={s} (horizon {report.horizon})\n"]
+    lines += [f"  n={n}: d={value}{'  hit' if n in hits else ''}\n"
+              for n, value in enumerate(texts(report.values))]
+    lines.append(f"levels passing: {sorted(hits)}\n"
+                 f"first unit-capital level: {report.unitary_hit}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -161,14 +164,14 @@ def cmd_diagonalize(args) -> int:
     length = _natural(args.length, "--length")
     m = _config_construction(args)
     w = diagonalize(m, length)
-    print(f"diagonal prefix: {w or 'λ'}")
-    trace = list(m.path(w))
-    for k, (num, log_den) in enumerate(trace):
-        print(f"  n={k}: d={Dyadic(num, log_den)}")
+    trace = tuple(m.path(w))
     # b / 2**bd <= a / 2**ad, both sides over their larger denominator
     monotone = all(b << max(0, ad - bd) <= a << max(0, bd - ad)
                    for (a, ad), (b, bd) in zip(trace, trace[1:]))
-    print(f"non-increasing: {'PASS' if monotone else 'FAIL'}")
+    lines = [f"diagonal prefix: {w or 'λ'}\n"]
+    lines += [f"  n={k}: d={value}\n" for k, value in enumerate(texts(trace))]
+    lines.append(f"non-increasing: {'PASS' if monotone else 'FAIL'}\n")
+    sys.stdout.write("".join(lines))
     return 0 if monotone else 1
 
 

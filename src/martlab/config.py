@@ -218,7 +218,7 @@ def build_language(spec: dict, path: str) -> LanguageView:
     horizon = _need(spec, "horizon", path, _natural)
     if "indices" in spec:
         indices = _list(spec["indices"], f"{path}.indices")
-        if not all(type(i) is int and i >= 0 for i in indices):
+        if set(map(type, indices)) - {int} or min(indices, default=0) < 0:
             # the slow pass converts, and names the first bad index
             indices = [_natural(i, f"{path}.indices") for i in indices]
         return LanguageView.from_indices(indices, horizon)

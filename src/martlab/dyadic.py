@@ -9,6 +9,12 @@ Signed numerators are permitted because accept-minus-reject counting can go
 negative; betting values proper are checked for nonnegativity where they are
 produced, not here.
 
+:func:`text` is the one rendering of a value, ``p`` or ``p/d`` in lowest
+terms, and it takes the value as an integer pair in any terms, so a path
+prints its walk's pairs without a ``Dyadic`` per line; :func:`texts`
+renders a list of pairs and decides the interpreter's print cap on the
+whole list before it renders any.
+
 The module also houses the exact-logarithm helpers used for success
 thresholds (compare a value against ``2**(p/2**k)``) and for quantizing
 ``log2`` ratios onto a fixed dyadic grid.  They take integer pairs, the
@@ -35,6 +41,8 @@ __all__ = [
     "Dyadic",
     "ZERO",
     "ONE",
+    "text",
+    "texts",
     "cmp_pow2",
     "pow_bit_length",
     "grid_floor_one_minus_log2_ratio",
@@ -56,13 +64,7 @@ class Dyadic:
         if log_den < 0:
             raise ValueError("log_den must be nonnegative")
         if log_den and not num & 1:
-            # strip common factors of two; (num & -num) isolates the low set
-            # bit, and a zero numerator strips the whole denominator
-            shift = (num & -num).bit_length() - 1 if num else log_den
-            if shift > log_den:
-                shift = log_den
-            num >>= shift
-            log_den -= shift
+            num, log_den = _lowest(num, log_den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "log_den", log_den)
 
@@ -165,16 +167,7 @@ class Dyadic:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        try:
-            if self.log_den == 0:
-                return str(self.num)
-            return f"{self.num}/{1 << self.log_den}"
-        except ValueError as exc:  # past the interpreter's int-to-text limit
-            raise CapExceeded(
-                f"value with a {self.num.bit_length()}-bit numerator over "
-                f"2**{self.log_den} exceeds the "
-                f"{sys.get_int_max_str_digits()}-digit print cap"
-            ) from exc
+        return text(self.num, self.log_den)
 
     __repr__ = __str__
 
@@ -184,6 +177,56 @@ ONE = Dyadic(1)
 
 # the grid ``2**-GRID_BITS`` that reported log2 ratios are floored onto
 GRID_BITS = 10
+
+
+def _lowest(num: int, log_den: int) -> tuple[int, int]:
+    """``num / 2**log_den`` with its common factors of two stripped."""
+    # (num & -num) isolates the low set bit, and a zero numerator strips the
+    # whole denominator
+    shift = (num & -num).bit_length() - 1 if num else log_den
+    if shift > log_den:
+        shift = log_den
+    return num >> shift, log_den - shift
+
+
+def text(num: int, log_den: int) -> str:
+    """The value ``num / 2**log_den``, a pair in any terms, as ``p`` or
+    ``p/d`` in lowest terms: the one rendering of a value.  A numerator or
+    denominator past the interpreter's int-to-text limit raises
+    :class:`~martlab.errors.CapExceeded`."""
+    if log_den and not num & 1:
+        num, log_den = _lowest(num, log_den)
+    try:
+        return f"{num}/{1 << log_den}" if log_den else str(num)
+    except ValueError as exc:  # past the interpreter's int-to-text limit
+        raise CapExceeded(
+            f"value with a {num.bit_length()}-bit numerator over "
+            f"2**{log_den} exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit print cap"
+        ) from exc
+
+
+def texts(pairs: tuple[tuple[int, int], ...]) -> list[str]:
+    """:func:`text` of each ``(num, log_den)`` pair, in order.
+
+    The print cap is decided on the pairs first, so the first value past it
+    raises before any text is built.  ``str`` refuses an integer of more
+    than ``limit`` digits, that is one at least ``10**limit``; as
+    ``2**(3 * limit) < 10**limit``, a pair with fewer bits prints.  A longer
+    pair is compared in lowest terms with ``10**limit``, and only a value
+    past it is rendered, which raises.
+    """
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    bits = 3 * limit
+    if limit and any(d >= bits or n.bit_length() >= bits for n, d in pairs):
+        cap = 10**limit
+        den_bits = (cap - 1).bit_length()  # 2**log_den >= cap from here on
+        for num, log_den in pairs:
+            if log_den and not num & 1:
+                num, log_den = _lowest(num, log_den)
+            if log_den >= den_bits or not -cap < num < cap:
+                text(num, log_den)
+    return [text(num, log_den) for num, log_den in pairs]
 
 
 def _pow_bit_bounds(m: int, e: int, t: int) -> tuple[int, int]:

@@ -172,8 +172,9 @@ def mc_certificate(
     ``gap`` is the integer capital-gap function; level ``n`` passes when
     ``count < 2**(n - gap(n))`` (count 0 passes vacuously).  ``modulus``
     promises ``sum_{n >= modulus(i)} 2**-gap(n) <= 2**-i``, audited here over
-    levels up to the horizon.  Each level's cover is fetched once, for its
-    count and for the witnesses not yet covered, and dropped before the next.
+    the family's levels, 1 to the horizon.  Each level's cover is fetched
+    once, for its count and for the witnesses not yet covered, and dropped
+    before the next.
     """
     levels = []
     failing = None
@@ -206,7 +207,7 @@ def mc_certificate(
     for i in audit_is:
         start = modulus(i)
         tail = ZERO
-        for n in range(start, horizon + 1):
+        for n in range(max(start, 1), horizon + 1):
             tail = tail + Dyadic.pow2(-gap(n))
         ok = tail <= Dyadic.pow2(-i)
         audits.append(ModulusVerdict(i, start, tail, ok))

@@ -18,7 +18,7 @@ from .constructions import (
     cover_martingale,
     subset_martingale,
 )
-from .dyadic import Dyadic
+from .dyadic import text
 from .martingale import Martingale, levels
 
 __all__ = [
@@ -69,7 +69,7 @@ def golden_mismatches(figure_id: int, m: Martingale) -> list[tuple]:
     found = []
     for k, nums, log_den in levels(m, FIGURE_DEPTH):
         for i, num in enumerate(nums):
-            w, actual = BitString.from_int(i, k), str(Dyadic(num, log_den))
+            w, actual = BitString.from_int(i, k), text(num, log_den)
             if actual != golden[w]:
                 found.append((w, golden[w], actual))
     return found

@@ -13,8 +13,8 @@ the bit-by-bit diagonalization that defeats a given martingale, and
 finite-horizon dimension statistics on a fixed dyadic grid.  Every check or
 export over a whole prefix tree reads the ``RatioForm`` rows through
 :func:`levels`, integer numerators over one power of two per level;
-``BitString`` names and ``Dyadic`` text are built only for the findings and
-the dump lines.  The CSV, JSON and DOT dumps render a level a slice at a
+``BitString`` names and value text are built only for the findings and the
+dump lines.  The CSV, JSON and DOT dumps render a level a slice at a
 time: node names come from :func:`~martlab.cantor.level_names`, at most
 ``2**SLICE_BITS`` per slice, each distinct numerator is rendered once, and a
 slice's lines are joined into one string, so no whole deep level of names or
@@ -25,8 +25,9 @@ trace, a node's value) steps the ``RatioForm`` kernel through one checked
 walker, which yields integer pairs ``(numerator, log_den)``.  The success
 thresholds and the dimension grid floors read those pairs as they come,
 through :func:`~martlab.dyadic.cmp_pow2` and
-:func:`~martlab.dyadic.grid_floor_one_minus_log2_ratio`; a ``Dyadic`` is
-built only for each reported value.
+:func:`~martlab.dyadic.grid_floor_one_minus_log2_ratio`, and a success
+scan reports the pairs themselves, which :func:`~martlab.dyadic.text`
+renders; a ``Dyadic`` is built only for each reported grid floor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from operator import add, lt
 from typing import Callable, Generator, Iterator, Mapping, Sequence
 
 from .cantor import BitString, level_names
-from .dyadic import GRID_BITS, Dyadic, cmp_pow2, grid_floor_one_minus_log2_ratio
+from .dyadic import (
+    GRID_BITS,
+    Dyadic,
+    cmp_pow2,
+    grid_floor_one_minus_log2_ratio,
+    text,
+)
 from .errors import CapExceeded, NegativeValue
 
 # a tree walk, a generic cover or a conditional expectation enumerates all
@@ -184,7 +191,7 @@ def _walk(
     while True:
         if num < 0:
             w = BitString(bits)
-            raise NegativeValue(f"negative value {Dyadic(num, log_den)} at {w!r}")
+            raise NegativeValue(f"negative value {text(num, log_den)} at {w!r}")
         yield num, log_den
         if len(bits) == n:
             return
@@ -240,7 +247,7 @@ def levels(m: Martingale, depth: int) -> Iterator[tuple[int, list[int], int]]:
         if min(nums) < 0:
             i = next(i for i, v in enumerate(nums) if v < 0)
             w = BitString.from_int(i, k)
-            raise NegativeValue(f"negative value {Dyadic(nums[i], log_den)} at {w!r}")
+            raise NegativeValue(f"negative value {text(nums[i], log_den)} at {w!r}")
         yield k, nums, log_den
 
 
@@ -259,8 +266,8 @@ def _slices(
 
 def _texts(nums: list[int], render: Callable[[int], str]) -> list[str]:
     """``render(v)`` for each numerator ``v``, called once per distinct value."""
-    text = {v: render(v) for v in set(nums)}
-    return list(map(text.__getitem__, nums))
+    rendered = {v: render(v) for v in set(nums)}
+    return list(map(rendered.__getitem__, nums))
 
 
 def verify_averaging(m: Martingale, depth: int) -> AveragingReport:
@@ -319,11 +326,14 @@ def _common(a: list[int], b: list[int], shift: int) -> tuple[list[int], list[int
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """Threshold crossings of a martingale along one prefix sequence."""
+    """Threshold crossings of a martingale along one prefix sequence.
+
+    ``values`` holds the value at each prefix as the walk's integer pair
+    ``(numerator, log_den)``, in any terms."""
 
     horizon: int
     s: Dyadic
-    values: tuple[Dyadic, ...]
+    values: tuple[tuple[int, int], ...]
     success_levels: frozenset[int]
     unitary_hit: int | None
 
@@ -334,15 +344,14 @@ def success_scan(m: Martingale, S: BitString, s: Dyadic) -> SuccessReport:
     At ``s == 1`` the threshold is constant 1, the finite surrogate of
     unbounded success at this horizon.
     """
-    pairs = list(m.path(S))
+    pairs = tuple(m.path(S))
     # the threshold exponent at level n is (1 - s) * n = p * n / 2**k
     p, k = (1 << s.log_den) - s.num, s.log_den
     levels = frozenset(
         n for n, (num, log_den) in enumerate(pairs) if cmp_pow2(num, log_den, p * n, k) >= 0
     )
     unitary = next((n for n, (num, log_den) in enumerate(pairs) if num >> log_den), None)
-    values = tuple(Dyadic(num, log_den) for num, log_den in pairs)
-    return SuccessReport(len(S), s, values, levels, unitary)
+    return SuccessReport(len(S), s, pairs, levels, unitary)
 
 
 def diagonalize(m: Martingale, N: int) -> BitString:
@@ -407,7 +416,7 @@ def tree_csv(m: Martingale, depth: int) -> str:
     """Level-order ``node,value`` dump with values rendered ``p/2**k``."""
     parts = ["node,value\n"]
     for k, names, nums, log_den in _slices(m, depth):
-        tails = _texts(nums, lambda v: f",{Dyadic(v, log_den)}\n")
+        tails = _texts(nums, lambda v: f",{text(v, log_den)}\n")
         parts.append("".join(map(add, names if k else ("λ",), tails)))
     return "".join(parts)
 
@@ -422,7 +431,7 @@ def tree_json(m: Martingale, depth: int) -> str:
     """
     lines = []
     for k, names, nums, log_den in _slices(m, depth):
-        lines += map(add, names, _texts(nums, lambda v: f'": "{Dyadic(v, log_den)}"'))
+        lines += map(add, names, _texts(nums, lambda v: f'": "{text(v, log_den)}"'))
     lines.sort()
     return '{\n  "' + ',\n  "'.join(lines) + '\n}\n' if lines else "{}\n"
 
@@ -436,7 +445,7 @@ def tree_dot(m: Martingale, depth: int) -> str:
 
         def tail(v: int) -> str:
             lit = ", style=filled, fillcolor=palegreen" if k == depth and v >= one else ""
-            return f'" [label="{Dyadic(v, log_den)}"{lit}];\n'
+            return f'" [label="{text(v, log_den)}"{lit}];\n'
 
         shown, tails = names if k else ("λ",), _texts(nums, tail)
         # a name is spelled five times on an inner node's lines: one f-string

@@ -11,12 +11,16 @@ is named.
 :func:`census` counts the members among a language's first strings, and
 :func:`language_of` reads a characteristic prefix back into a language; the
 tests use both as oracles, on a :class:`Language` or a ``LanguageView``.
+
+:func:`mask_from_indices` is ``LanguageView.from_indices`` as it was built
+before it read its errors off the least and greatest index: one loop that
+checks each index in input order and sets its bit in a byte array.
 """
 
 from typing import Iterable
 
-from martlab.cantor import BitString, LanguageView, index_of, string_index
-from martlab.errors import HorizonExceeded
+from martlab.cantor import MASK_CAP, BitString, LanguageView, index_of, string_index
+from martlab.errors import CapExceeded, HorizonExceeded
 
 
 class Language:
@@ -72,3 +76,27 @@ def char_prefix(language: Language, n: int) -> BitString:
     return BitString("".join(
         "1" if language.contains_index(i) else "0" for i in range(n)
     ))
+
+
+def mask_from_indices(indices, horizon: int) -> int:
+    """The mask with bit ``i`` set for each index ``i``, raising as
+    ``LanguageView.from_indices`` does."""
+    inside, past = [], None
+    for i in indices:
+        if i < 0:
+            raise ValueError("index must be nonnegative")
+        if i < horizon:
+            inside.append(i)
+        elif past is None:
+            past = i
+    if past is not None:
+        raise HorizonExceeded(
+            f"member {string_index(past) or 'λ'} has index {past} >= horizon {horizon}"
+        )
+    top = max(inside, default=-1)
+    if top >= MASK_CAP:
+        raise CapExceeded(f"member index {top} exceeds mask cap {MASK_CAP}")
+    bits = bytearray(top // 8 + 1)
+    for i in inside:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import node_walk
+from martlab import dyadic
 from martlab.dyadic import (
     Dyadic,
     ONE,
@@ -13,6 +14,8 @@ from martlab.dyadic import (
     grid_floor_log2_ratio,
     grid_floor_one_minus_log2_ratio,
     pow_bit_length,
+    text,
+    texts,
 )
 from martlab.errors import CapExceeded
 
@@ -103,6 +106,97 @@ def test_text_past_the_digit_limit_is_a_resource_cap():
     for value in (Dyadic(1, 4 * limit), Dyadic(1 << 4 * limit), Dyadic(-3 << 4 * limit, 1)):
         with pytest.raises(CapExceeded, match=f"exceeds the {limit}-digit print cap"):
             str(value)
+
+
+def fraction_text(num: int, log_den: int) -> str:
+    """``num / 2**log_den`` in lowest terms by ``Fraction``, as ``p`` or ``p/d``."""
+    f = Fraction(num, 1 << log_den)
+    return f"{f.numerator}/{f.denominator}" if f.denominator > 1 else str(f.numerator)
+
+
+def rendered(render, *args):
+    """``render(*args)``, or the type and message of what it raised."""
+    try:
+        return "ok", render(*args)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+# a value in any terms: an integer times a power of two, over a power of two,
+# so zero, negatives, powers of two and non-canonical pairs all come up
+pairs = st.builds(
+    lambda m, t, log_den: (m << t, log_den),
+    st.integers(min_value=-(2**40), max_value=2**40) | st.sampled_from([0, 1, -1, 3]),
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=0, max_value=60),
+)
+# pairs about the print cap: numerators and denominators of 3 to 4 * LIMIT
+# bits, whose lowest terms may or may not print
+long_pairs = st.builds(
+    lambda m, t, log_den: (m << t, log_den),
+    st.sampled_from([0, 1, -1, 3, -5]),
+    st.sampled_from([0, 3 * LIMIT, 4 * LIMIT, 4 * LIMIT + 3]),
+    st.sampled_from([0, 5, 3 * LIMIT, 4 * LIMIT, 4 * LIMIT + 7]),
+)
+
+
+@given(pairs)
+@example((0, 30))
+@example((1 << 45, 40))
+@example((-(3 << 12), 12))
+def test_text_matches_the_dyadic_and_the_fraction(pair):
+    assert text(*pair) == str(Dyadic(*pair)) == fraction_text(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_pairs)
+def test_text_about_the_print_cap_matches_the_dyadic(pair):
+    assert rendered(text, *pair) == rendered(lambda: str(Dyadic(*pair)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(pairs | long_pairs, max_size=6))
+def test_texts_match_the_line_by_line_rendering(values):
+    """The list renders as its pairs one by one, and a list with a value
+    past the cap raises the first such value's error."""
+    assert rendered(texts, tuple(values)) == rendered(
+        lambda: [str(Dyadic(*p)) for p in values]
+    )
+
+
+def test_texts_decide_the_cap_exactly():
+    if not LIMIT:
+        pytest.skip("the interpreter prints integers of any length")
+    cap = 10**LIMIT  # the least integer of LIMIT + 1 digits
+    den_bits = (cap - 1).bit_length()  # the least 2**k >= cap
+    for pair in ((cap - 1, 0), (1 - cap, 0), (1, den_bits - 1), (cap, 3 * LIMIT)):
+        assert texts(((1, 1), pair)) == ["1/2", str(Dyadic(*pair))]
+    for pair in ((cap, 0), (-cap, 0), (1, den_bits), (cap << 1, 1)):
+        assert rendered(texts, ((1, 1), pair, (1, 4 * LIMIT))) == rendered(
+            lambda: str(Dyadic(*pair))
+        )
+
+
+def test_texts_render_nothing_before_a_value_past_the_cap(monkeypatch):
+    """The cap is decided on the pairs in lowest terms, so a list holding a
+    value past it renders only that value, whose text raises; a long pair
+    whose lowest terms print is not rendered first."""
+    if not LIMIT:
+        pytest.skip("the interpreter prints integers of any length")
+    calls = []
+
+    def counted(num, log_den):
+        calls.append((num, log_den))
+        return text(num, log_den)
+
+    monkeypatch.setattr(dyadic, "text", counted)
+    for past in ((1, 4 * LIMIT), (10**LIMIT + 1, 2), (-1 << 4 * LIMIT, 0)):
+        calls.clear()
+        with pytest.raises(CapExceeded):
+            dyadic.texts(((1, 1), (1 << 4 * LIMIT, 4 * LIMIT), past, (5, 0)))
+        assert calls == [past]
 
 
 @given(dyadics, st.integers(min_value=-30, max_value=30))

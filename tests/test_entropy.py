@@ -231,6 +231,23 @@ def test_certificate_modulus_audit_fails():
     assert not cert.valid
 
 
+def test_modulus_tails_start_at_level_one():
+    """Levels run 1..horizon, so a modulus start of 0 sums the same tail as
+    a start of 1, 15/16 here, and the audit still prints the start it was
+    given; that tail meets 2**-0 and not 2**-1."""
+    cert = mc_certificate(
+        LevelFamily(lambda n: None, name="empty"),
+        gap=lambda n: n,
+        modulus=lambda i: i,
+        horizon=4,
+        audit_is=(0, 1),
+    )
+    zero, one = cert.modulus_audits
+    assert (zero.start, zero.tail, zero.ok) == (0, Dyadic(15, 4), True)
+    assert (one.start, one.tail, one.ok) == (1, Dyadic(15, 4), False)
+    assert "  i=0: tail from 0 sums to 15/16 <= 2^-0\n" in cert.to_text()
+
+
 def test_certificate_bridge_to_covering_martingale():
     fam = LevelFamily(
         lambda n: Cover.from_members(

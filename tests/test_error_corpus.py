@@ -238,6 +238,9 @@ CASES = [
     ("success past the print cap", ["success", "--config", "{config}", "--sequence", "01"],
      _construction({"type": "acceptance", "q": 15000, "correct": 1,
                     "target": {"indices": [], "horizon": 8}})),
+    ("diagonalize past the print cap", ["diagonalize", "--config", "{config}", "-N", "2"],
+     _construction({"type": "acceptance", "q": 15000, "correct": 1,
+                    "target": {"indices": [], "horizon": 8}})),
 ]
 
 

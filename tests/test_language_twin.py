@@ -4,13 +4,13 @@ acceptance odds against string-keyed products."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import language_twin as twin
 from martlab import cantor
 from martlab.cantor import BitString, LanguageView, string_index
 from martlab.constructions import AcceptanceSpec, acceptance_martingale
-from martlab.errors import CapExceeded, HorizonExceeded, RowSumViolation
+from martlab.errors import CapExceeded, HorizonExceeded, MartlabError, RowSumViolation
 
 
 def outcome(fn, *args):
@@ -73,6 +73,40 @@ def test_construction_errors_match_the_twin(language):
             same_language(got[1], want[1])
         else:
             assert got == want
+
+
+def masked(build, indices, horizon):
+    """The mask ``build`` makes, or the type and message of what it raised."""
+    try:
+        return "ok", build(indices, horizon)
+    except (ValueError, MartlabError) as exc:
+        return type(exc), str(exc)
+
+
+def view_mask(indices, horizon) -> int:
+    return LanguageView.from_indices(indices, horizon)._mask
+
+
+# small indices, negatives and members past the mask cap, under horizons
+# from negative to past the cap
+TOP = cantor.MASK_CAP
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 70) | st.sampled_from([TOP, TOP + 9]), max_size=10),
+    st.integers(-3, 72) | st.sampled_from([TOP, TOP + 10]),
+)
+@example([], -2)
+@example([5, -1, 80], 10)
+@example([80, TOP], TOP + 10)
+@example([TOP + 9, -2], 3)
+def test_masks_match_the_loop_twin(indices, horizon):
+    """The mask, and which error comes first: a negative index, then the
+    first index past the horizon in input order, then the mask cap."""
+    assert masked(view_mask, iter(indices), horizon) == masked(
+        twin.mask_from_indices, indices, horizon
+    )
 
 
 def test_a_member_past_the_mask_cap_is_a_resource_cap():

@@ -12,6 +12,7 @@ scan's length.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,7 @@ from martlab.errors import (
 )
 from martlab.martingale import (
     Martingale,
+    SuccessReport,
     diagonalize,
     empirical_dimension,
     success_scan,
@@ -61,6 +63,13 @@ def _diagonal_trace(m: Martingale, N: int) -> tuple[BitString, list[Dyadic]]:
     return w, _path_values(m, w)
 
 
+def _scan(m: Martingale, S: BitString, s: Dyadic) -> SuccessReport:
+    """``success_scan``'s report with each value pair as a ``Dyadic``, as the
+    twin reports it."""
+    report = success_scan(m, S, s)
+    return replace(report, values=tuple(Dyadic(*p) for p in report.values))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_path_matches_value_per_prefix(kind, census2, budget):
     for seed in range(3):
@@ -80,7 +89,7 @@ def test_scans_match_the_per_prefix_twin(kind, census2, budget):
         for n in LENGTHS:
             S = _sequence(rnd, n)
             for s in EXPONENTS:
-                assert success_scan(m, S, s) == node_walk.success_scan(m.value, S, s)
+                assert _scan(m, S, s) == node_walk.success_scan(m.value, S, s)
             if n:
                 assert empirical_dimension(m, S) == node_walk.empirical_dimension(
                     m.value, S
@@ -95,7 +104,7 @@ def test_exact_ties_are_hits():
     m = biimmunity_martingale(A)
     S = BitString("1" * 64)
     half = Dyadic(1, 1)
-    report = success_scan(m, S, half)
+    report = _scan(m, S, half)
     assert report == node_walk.success_scan(m.value, S, half)
     assert report.values[40] == Dyadic(1 << 20)
     assert set(range(0, 65, 2)) <= report.success_levels
@@ -124,7 +133,7 @@ def test_covers_past_the_enumeration_cap_scan_from_their_counts(census3):
         assert _diagonal_trace(m, N) == node_walk.diagonalize(value, N)
         for S in (_sequence(rnd, N), member + _sequence(rnd, 4)):
             for s in EXPONENTS:
-                assert success_scan(m, S, s) == node_walk.success_scan(value, S, s)
+                assert _scan(m, S, s) == node_walk.success_scan(value, S, s)
 
 
 def _negative_gap(i: int) -> int:
@@ -243,7 +252,7 @@ def test_sum_kernel_compares_children_over_their_larger_denominator():
 
         assert _diagonal_trace(m, 5) == node_walk.diagonalize(value, 5)
         S = _sequence(rnd, 5)
-        assert success_scan(m, S, Dyadic(1, 1)) == node_walk.success_scan(
+        assert _scan(m, S, Dyadic(1, 1)) == node_walk.success_scan(
             value, S, Dyadic(1, 1)
         )
 
@@ -302,8 +311,8 @@ def test_scans_over_a_composed_form_are_linear(n):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_scans_build_a_dyadic_only_per_reported_value(kind, census2, budget, monkeypatch):
-    """A success scan builds one ``Dyadic`` per reported value, ``|S| + 1``,
-    and a dimension report at most one per grid floor, ``|S|``: the walk,
+    """A success scan builds no ``Dyadic``: it reports its walk's pairs.  A
+    dimension report builds at most one per grid floor, ``|S|``: the walk,
     the threshold comparisons and the floors read integer pairs."""
     rnd = random.Random(5)
     m = KINDS[kind][0](rnd, census2, budget)
@@ -320,7 +329,7 @@ def test_scans_build_a_dyadic_only_per_reported_value(kind, census2, budget, mon
     for s in EXPONENTS:
         built.clear()
         success_scan(m, S, s)
-        assert len(built) == len(S) + 1, (kind, s)
+        assert not built, (kind, s)
     built.clear()
     empirical_dimension(m, S)
     assert len(built) <= len(S), kind
