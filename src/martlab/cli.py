@@ -7,8 +7,10 @@ the seed, where one applies), so runs are diffable.
 Exit codes: 0 pass, 1 check failure, 2 configuration error (a query past a
 language's declared horizon counts as one), 3 resource cap.  A stdout
 whose reader closes early ends the run with exit 1 and no traceback.
-``success`` and ``diagonalize`` render every line of a path's values
-before one write, so a value past the print cap leaves stdout empty.
+Every command writes to one :class:`Output` that :func:`main` makes, and
+only ``main`` commits it: when the command returns its code, 0 or 1, the
+``--out`` file is moved into place and stdout is written.  A raised error
+discards both, so a refused run leaves stdout empty and no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import functools
 import json
 import os
 import sys
+from itertools import compress
+from operator import add
 from pathlib import Path
 
 from . import cache
@@ -62,14 +66,107 @@ from .martingale import (
 __all__ = ["main"]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
+# stdout text past this many characters is held in an anonymous file
+SPOOL_CHARS = 1 << 22
+
+
+class Output:
+    """What one command writes: stdout text, and the ``--out`` file if the
+    command was given one.
+
+    Stdout text is held as a list of parts, and in an anonymous temporary
+    file once it passes :data:`SPOOL_CHARS`.  ``--out`` text streams into a
+    temporary file beside its target, made before the command runs, so an
+    unusable path is refused before any work.  :meth:`commit` moves that
+    file into place, unless nothing was written to it, and writes stdout;
+    :meth:`close` drops whatever was not committed.
+    """
+
+    def __init__(self, path: str | None) -> None:
+        self.parts: list[str] = []
+        self.held = 0
+        self.spool = None
+        self.path, self.file = path, None
+        if path:
+            self.tmp, self.file = _beside(path)
+        # where a dump goes: the --out file, or else stdout
+        self.export = self.write if self.file is None else self.file.write
+
+    def write(self, text: str) -> None:
+        """Add ``text`` to stdout."""
+        if self.spool is not None:
+            self.spool.write(text)
+            return
+        self.parts.append(text)
+        self.held += len(text)
+        if self.held > SPOOL_CHARS:
+            import tempfile
+
+            self.spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+            self.spool.writelines(self.parts)
+            self.parts = []
+
+    def commit(self) -> None:
+        if self.file is not None:
+            written = self.file.tell()
+            self.file.close()
+            try:
+                os.replace(self.tmp, self.path) if written else os.unlink(self.tmp)
+            except OSError as exc:
+                raise _unwritable(self.path, exc) from exc
+            self.file = None
+        try:
+            if self.spool is None:
+                sys.stdout.write("".join(self.parts))
+            else:
+                self.spool.seek(0)
+                while chunk := self.spool.read(SPOOL_CHARS):
+                    sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away: send the rest of stdout to devnull, so
+            # the interpreter's own flush at exit raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
+
+    def close(self) -> None:
+        if self.spool is not None:
+            self.spool.close()
+        if self.file is not None:
+            self.file.close()
+            os.unlink(self.tmp)
+
+    def __enter__(self) -> "Output":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _beside(path: str):
+    """A new temporary file in ``path``'s directory, its name and a text
+    stream onto it, with the mode a new file at ``path`` would get."""
+    import errno
+    import tempfile
+
+    target = Path(path)
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
+                                   dir=target.parent)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out} ({exc.strerror})", field="--out") from exc
+        raise _unwritable(path, exc) from exc
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
+    return tmp, open(fd, "w", encoding="utf-8")
+
+
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path} ({exc.strerror})", field="--out")
 
 
 def _config_construction(args) -> "Martingale":
@@ -87,54 +184,53 @@ def _cache_dir(args) -> Path | None:
                           field="--cache-dir") from exc
 
 
-def cmd_figures(args) -> int:
+def cmd_figures(args, out: Output) -> int:
     failed = False
     ids = [args.id] if args.id else list(figure_ids())
-    rendered = []
-    for fid in ids:
-        m = build_figure(fid)
+    built = [build_figure(fid) for fid in ids]
+    for fid, m in zip(ids, built):
         mismatches = golden_mismatches(fid, m)
         status = "PASS" if not mismatches else "FAIL"
-        print(f"figure {fid}: {status} ({len(GOLDEN_TREES[fid])} nodes)")
+        out.write(f"figure {fid}: {status} ({len(GOLDEN_TREES[fid])} nodes)\n")
         for node, expected, actual in mismatches:
             failed = True
-            print(f"  node {node or 'λ'}: expected {expected}, got {actual}")
-        if args.format == "dot":
-            rendered.append(tree_dot(m, FIGURE_DEPTH))
-        elif args.format == "csv":
-            rendered.append(tree_csv(m, FIGURE_DEPTH))
-    if rendered:
-        _emit("\n".join(rendered), args.out)
+            out.write(f"  node {node or 'λ'}: expected {expected}, got {actual}\n")
+    if args.format is not None:
+        export = tree_dot if args.format == "dot" else tree_csv
+        for i, m in enumerate(built):
+            if i:
+                out.export("\n")
+            export(m, FIGURE_DEPTH, out.export)
     return 1 if failed else 0
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, out: Output) -> int:
     depth = _natural(args.depth, "--depth")
     m = _config_construction(args)
     export = {"csv": tree_csv, "dot": tree_dot, "json": tree_json}[args.format]
-    _emit(export(m, depth), args.out)
+    export(m, depth, out.export)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: Output) -> int:
     depth = _natural(args.depth, "--depth")
     m = _config_construction(args)
     report = verify_averaging(m, depth)
     law = ">=" if report.supermartingale else "=="
-    print(
+    out.write(
         f"averaging law (2*d(w) {law} d(w0)+d(w1)) to depth {report.depth}: "
-        f"{'PASS' if report.passed else 'FAIL'}"
+        f"{'PASS' if report.passed else 'FAIL'}\n"
     )
     for violation in report.violations:
-        print(
+        out.write(
             f"  node {violation.node or 'λ'}: 2*{violation.parent_value} "
-            f"vs {violation.child_sum}"
+            f"vs {violation.child_sum}\n"
         )
     if report.freeze_depth is not None:
         for w in report.unfrozen:
-            print(f"  freeze violated below {w}")
-        print(f"freeze at depth {report.freeze_depth}: "
-              f"{'PASS' if report.frozen else 'FAIL'}")
+            out.write(f"  freeze violated below {w}\n")
+        out.write(f"freeze at depth {report.freeze_depth}: "
+                  f"{'PASS' if report.frozen else 'FAIL'}\n")
     return 0 if report.passed and report.frozen else 1
 
 
@@ -145,7 +241,7 @@ def _parse_arg(parse, text: str, option: str):
         raise ConfigError(str(exc), field=option) from exc
 
 
-def cmd_success(args) -> int:
+def cmd_success(args, out: Output) -> int:
     m = _config_construction(args)
     S = _bits(args.sequence, "--sequence")
     s = _dyadic(args.s, "--s")
@@ -156,11 +252,11 @@ def cmd_success(args) -> int:
               for n, value in enumerate(texts(report.values))]
     lines.append(f"levels passing: {sorted(hits)}\n"
                  f"first unit-capital level: {report.unitary_hit}\n")
-    sys.stdout.write("".join(lines))
+    out.write("".join(lines))
     return 0
 
 
-def cmd_diagonalize(args) -> int:
+def cmd_diagonalize(args, out: Output) -> int:
     length = _natural(args.length, "--length")
     m = _config_construction(args)
     w = diagonalize(m, length)
@@ -171,11 +267,11 @@ def cmd_diagonalize(args) -> int:
     lines = [f"diagonal prefix: {w or 'λ'}\n"]
     lines += [f"  n={k}: d={value}\n" for k, value in enumerate(texts(trace))]
     lines.append(f"non-increasing: {'PASS' if monotone else 'FAIL'}\n")
-    sys.stdout.write("".join(lines))
+    out.write("".join(lines))
     return 0 if monotone else 1
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args, out: Output) -> int:
     import random
 
     precision = _natural(args.precision, "--precision")
@@ -194,11 +290,11 @@ def cmd_sum(args) -> int:
             probe = BitString.from_int(rnd.randrange(1 << k) if k else 0, k)
             sum_family(family, modulus, probe, rnd.randrange(0, 16))
     value = sum_family(family, modulus, w, precision)
-    print(f"truncated sum at {w or 'λ'} (precision 2^-{precision}): {value}")
+    out.write(f"truncated sum at {w or 'λ'} (precision 2^-{precision}): {value}\n")
     return 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(args, out: Output) -> int:
     from .circuits import DEFAULT_BASIS, cached_census, mnp_cover_check, mnp_size_bound_floor
 
     inputs = _positive(args.inputs, "--inputs")
@@ -215,26 +311,24 @@ def cmd_census(args) -> int:
             "histogram": {str(k): v for k, v in census.histogram().items()},
             "reachable": census.count_at_most(census.max_size),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        print("size,count")
+        out.write("size,count\n")
         for size, count in census.histogram().items():
-            print(f"{size},{count}")
+            out.write(f"{size},{count}\n")
     if alpha is not None:
         report = mnp_cover_check(inputs, alpha, census)
-        print(f"size bound floor: {report.size_bound_floor}")
-        print(f"tables within bound: {report.census_count}")
-        print(
-            f"cover count at length {report.prefix_length}: {report.cover_count}"
-        )
-        print(f"log2(count) < N - f(N) with f(N)={report.f_value}: "
-              f"{'yes' if report.log2_count_below_gap else 'no (asymptotic gap, reported)'}")
-        print(f"analytic (48*e*s)^s bound: "
-              f"{'holds' if report.analytic_bound_holds else 'violated (reported)'}")
+        out.write(f"size bound floor: {report.size_bound_floor}\n"
+                  f"tables within bound: {report.census_count}\n"
+                  f"cover count at length {report.prefix_length}: {report.cover_count}\n")
+        out.write(f"log2(count) < N - f(N) with f(N)={report.f_value}: "
+                  f"{'yes' if report.log2_count_below_gap else 'no (asymptotic gap, reported)'}\n")
+        out.write(f"analytic (48*e*s)^s bound: "
+                  f"{'holds' if report.analytic_bound_holds else 'violated (reported)'}\n")
     return 0
 
 
-def cmd_mcsp(args) -> int:
+def cmd_mcsp(args, out: Output) -> int:
     from .circuits import TruthTable, cached_census, mcsp
 
     tt = _parse_arg(lambda t: TruthTable.from_bits(BitString(t)), args.table, "--table")
@@ -244,14 +338,14 @@ def cmd_mcsp(args) -> int:
     census = cached_census(tt.n, bound, _cache_dir(args))
     verdict = mcsp(tt, bound, census)
     size = census.min_size(tt)
-    print(f"table {args.table} (n={tt.n}): "
-          f"{'ACCEPT' if verdict else 'REJECT'} at size {bound}"
-          + (f" (min size {size})" if size is not None
-             else f" (not reachable within {census.max_size})"))
+    out.write(f"table {args.table} (n={tt.n}): "
+              f"{'ACCEPT' if verdict else 'REJECT'} at size {bound}"
+              + (f" (min size {size})\n" if size is not None
+                 else f" (not reachable within {census.max_size})\n"))
     return 0
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, out: Output) -> int:
     import random
 
     from .entropy import mc_certificate
@@ -271,11 +365,11 @@ def cmd_certify(args) -> int:
     cert = mc_certificate(
         family, gap, modulus, horizon, witnesses, audit_is=audit_is
     )
-    _emit(cert.to_text(), args.out)
+    out.export(cert.to_text())
     return 0 if cert.valid else 1
 
 
-def cmd_kolmogorov(args) -> int:
+def cmd_kolmogorov(args, out: Output) -> int:
     from .kolmogorov import NO_PROGRAM, cached_kt_table, k_rate
 
     length_cap = _natural(args.length_cap, "--length-cap")
@@ -286,24 +380,29 @@ def cmd_kolmogorov(args) -> int:
     table = cached_kt_table(budget, length_cap, _cache_dir(args))
     if S is not None:
         report = _parse_arg(lambda w: k_rate(w, table), S, "--sequence")
-        print(f"kt rates along {S} under budget {budget}")
-        print("n,kt,ratio")
+        out.write(f"kt rates along {S} under budget {budget}\nn,kt,ratio\n")
         for n, (value, ratio) in enumerate(
             zip(report.values, report.ratios), start=1
         ):
-            print(f"{n},{value},{ratio}")
-        print(f"lowest ratio: {report.lowest}")
-        print(f"highest ratio: {report.highest}")
+            out.write(f"{n},{value},{ratio}\n")
+        out.write(f"lowest ratio: {report.lowest}\nhighest ratio: {report.highest}\n")
     else:
-        print(f"kt table: machine {table.machine_version}, budget {budget}, "
-              f"lengths to {table.length_cap}, {table.count()} strings")
+        out.write(f"kt table: machine {table.machine_version}, budget {budget}, "
+                  f"lengths to {table.length_cap}, {table.count()} strings\n")
         if args.format == "csv":
-            print("string,kt")
-            # kts is indexed by the enumeration: every level in index order
-            names = (w for k in range(table.length_cap + 1)
-                     for level in level_names(k) for w in level)
-            print("".join(f"{w},{value}\n" for w, value in zip(names, table.kts)
-                          if value != NO_PROGRAM), end="")
+            out.write("string,kt\n")
+            # kts is indexed by the enumeration: level k starts at 2**k - 1,
+            # in index order; a string that no program prints is left out
+            tails = [f",{v}\n" for v in range(NO_PROGRAM)]
+            printed = bytes(v != NO_PROGRAM for v in range(256))
+            for k in range(table.length_cap + 1):
+                start = (1 << k) - 1
+                for names in level_names(k):
+                    kts = table.kts[start:start + len(names)]
+                    start += len(names)
+                    out.write("".join(map(add, compress(names, kts.translate(printed)),
+                                          map(tails.__getitem__,
+                                              kts.replace(bytes([NO_PROGRAM]), b"")))))
     return 0
 
 
@@ -401,14 +500,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()
+        with Output(getattr(args, "out", None)) as out:
+            code = args.fn(args, out)
+            out.commit()
         return code
-    except BrokenPipeError:
-        # the reader went away: send the rest of stdout to devnull, no traceback
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader went away: no traceback
         return 1
     except (ConfigError, HorizonExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)

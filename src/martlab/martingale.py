@@ -15,11 +15,13 @@ export over a whole prefix tree reads the ``RatioForm`` rows through
 :func:`levels`, integer numerators over one power of two per level;
 ``BitString`` names and value text are built only for the findings and the
 dump lines.  The CSV, JSON and DOT dumps render a level a slice at a
-time: node names come from :func:`~martlab.cantor.level_names`, at most
-``2**SLICE_BITS`` per slice, each distinct numerator is rendered once, and a
-slice's lines are joined into one string, so no whole deep level of names or
-lines is held.  The JSON dump sorts its rendered lines as text, which is the
-key order of ``json.dumps(..., sort_keys=True)``.  Every read along one
+time and pass each slice's lines, joined into one string, to the ``write``
+they are given: node names come from :func:`~martlab.cantor.level_names`,
+at most ``2**SLICE_BITS`` per slice, and each distinct numerator is rendered
+once, so no whole deep level of names or lines, and no whole text, is held.
+The JSON dump holds every level's row and writes the tree in pre-order,
+which is the key order of ``json.dumps(..., sort_keys=True)``, one subtree
+of up to ``SLICE_BITS`` levels at a time.  Every read along one
 path (the success scan, the dimension statistics, diagonalization and its
 trace, a node's value) steps the ``RatioForm`` kernel through one checked
 walker, which yields integer pairs ``(numerator, log_den)``.  The success
@@ -33,11 +35,11 @@ renders; a ``Dyadic`` is built only for each reported grid floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from operator import add, lt
 from typing import Callable, Generator, Iterator, Mapping, Sequence
 
-from .cantor import BitString, level_names
+from .cantor import SLICE_BITS, BitString, level_names
 from .dyadic import (
     GRID_BITS,
     Dyadic,
@@ -412,34 +414,71 @@ def empirical_dimension(m: Martingale, S: BitString) -> DimensionReport:
     return DimensionReport(GRID_BITS, tuple(levels), best, worst)
 
 
-def tree_csv(m: Martingale, depth: int) -> str:
-    """Level-order ``node,value`` dump with values rendered ``p/2**k``."""
-    parts = ["node,value\n"]
+def tree_csv(m: Martingale, depth: int, write: Callable[[str], object]) -> None:
+    """Level-order ``node,value`` dump with values rendered ``p/2**k``,
+    written a slice at a time."""
+    write("node,value\n")
     for k, names, nums, log_den in _slices(m, depth):
         tails = _texts(nums, lambda v: f",{text(v, log_den)}\n")
-        parts.append("".join(map(add, names if k else ("λ",), tails)))
-    return "".join(parts)
+        write("".join(map(add, names if k else ("λ",), tails)))
 
 
-def tree_json(m: Martingale, depth: int) -> str:
-    """``{node: value}`` as key-sorted JSON; the root's key is ``""``.
+@cache
+def _preorder(b: int) -> list[int]:
+    """The nodes of a ``b``-level subtree in pre-order, which is their
+    names' sorted order, as positions in its rows laid end to end in level
+    order: the ``r``-bit string reading ``q`` is at ``2**r - 1 + q``."""
+    names = []
+    for r in range(b + 1):
+        (level,) = level_names(r)
+        names += level
+    return sorted(range(len(names)), key=names.__getitem__)
 
-    The text is ``json.dumps(..., indent=2, sort_keys=True)``'s, rendered
-    line by line: sorting the ``w": "v"`` lines as text sorts them by key,
-    since keys are distinct and ``"`` sorts before ``0`` and ``1``, so a
-    key's line comes before its extensions'.  Nothing needs escaping.
+
+def tree_json(m: Martingale, depth: int, write: Callable[[str], object]) -> None:
+    """``{node: value}`` as ``json.dumps(..., indent=2, sort_keys=True)``
+    writes it; the root's key is ``""``.  Nothing needs escaping.
+
+    Sorted keys are the tree's pre-order: a node, its 0-subtree, then its
+    1-subtree.  Every level's row is held, and the tree is written one
+    subtree of ``b = min(depth, SLICE_BITS)`` levels at a time, rooted at
+    level ``t = depth - b``.  A subtree's lines are rendered from one slice
+    of each of its levels' rows, in level order, and put in pre-order by
+    :func:`_preorder`.  Before subtree ``j`` come its ancestors above level
+    ``t`` that no earlier subtree shares.
     """
-    lines = []
-    for k, names, nums, log_den in _slices(m, depth):
-        lines += map(add, names, _texts(nums, lambda v: f'": "{text(v, log_den)}"'))
-    lines.sort()
-    return '{\n  "' + ',\n  "'.join(lines) + '\n}\n' if lines else "{}\n"
+    rows = [(nums, log_den) for _, nums, log_den in levels(m, depth)]
+    b = min(depth, SLICE_BITS)
+    t = depth - b
+    order = _preorder(b)
+    sep = '{\n  "'
+    for j in range(1 << t):
+        # the ancestors at levels t - z .. t - 1, where j ends in z zero bits
+        z = (j & -j).bit_length() - 1 if j else t
+        lines = [f'{_bits(j >> (t - k), k)}": "{text(rows[k][0][j >> (t - k)], rows[k][1])}"'
+                 for k in range(t - z, t)]
+        prefix, subtree = _bits(j, t), []
+        for r in range(b + 1):
+            nums, log_den = rows[t + r]
+            (names,) = level_names(r)
+            tails = _texts(nums[j << r:(j + 1) << r], lambda v: f'": "{text(v, log_den)}"')
+            subtree += map(add, map(prefix.__add__, names) if t else names, tails)
+        lines += map(subtree.__getitem__, order)
+        write(sep + ',\n  "'.join(lines))
+        sep = ',\n  "'
+    write("\n}\n")
 
 
-def tree_dot(m: Martingale, depth: int) -> str:
-    """DOT rendering, root on top, 0-child left, value-1 leaves highlighted."""
-    parts = ['digraph martingale {\n  ordering=out;\n'
-             '  node [shape=box, fontname="monospace"];\n']
+def _bits(i: int, k: int) -> str:
+    """The bits of the length-``k`` string of index ``i``."""
+    return format(i, f"0{k}b") if k else ""
+
+
+def tree_dot(m: Martingale, depth: int, write: Callable[[str], object]) -> None:
+    """DOT rendering, root on top, 0-child left, value-1 leaves highlighted,
+    written a slice at a time."""
+    write('digraph martingale {\n  ordering=out;\n'
+          '  node [shape=box, fontname="monospace"];\n')
     for k, names, nums, log_den in _slices(m, depth):
         one = 1 << log_den
 
@@ -455,6 +494,5 @@ def tree_dot(m: Martingale, depth: int) -> str:
                      for s, w, t in zip(shown, names, tails)]
         else:
             lines = [f'  "{s}{t}' for s, t in zip(shown, tails)]
-        parts.append("".join(lines))
-    parts.append("}\n")
-    return "".join(parts)
+        write("".join(lines))
+    write("}\n")

@@ -6,7 +6,8 @@ by a callable, once per node, as a ``Dyadic`` (or a ``Fraction``) compared
 exactly: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
 on ``Fraction`` values, of ``verify_averaging_exact``), and
 :func:`tree_csv`, :func:`tree_json` and :func:`tree_dot` are the twins of
-the dumps.  Pass ``m.value`` and ``m.freeze_depth`` of a martingale ``m``.
+the dumps, whose written text :func:`dumped` collects.  Pass ``m.value`` and
+``m.freeze_depth`` of a martingale ``m``.
 
 The scans along one path, as martlab ran them before path kernels, are here
 too: every prefix is a ``BitString`` evaluated by ``value`` as a ``Dyadic``,
@@ -166,6 +167,14 @@ def tree_dot(value: Callable[[BitString], T], depth: int) -> str:
                 lines.extend(f'  {name} -> "{w}{b}";' for b in "01")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dumped(dump: Callable, m: Martingale, depth: int) -> str:
+    """The text that ``dump``, one of martlab's tree dumps, writes for ``m``
+    to ``depth``, collected into one string."""
+    parts = []
+    dump(m, depth, parts.append)
+    return "".join(parts)
 
 
 def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:

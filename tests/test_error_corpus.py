@@ -229,7 +229,7 @@ CASES = [
     ("subset construct", ["construct", "--config", "{config}", "--format", "json"],
      _language("subset", {"members": ["0", "01", "11"], "horizon": 7}, level=3)),
     # resource caps: a tree deeper than martingale.LEVEL_CAP, and values whose
-    # text passes the interpreter's 4300-digit limit (lines printed before stay)
+    # text passes the interpreter's 4300-digit limit
     ("verify --depth past the level cap", ["verify", "--config", "{config}", "--depth", "40"],
      _construction({"type": "cover", "level": 3, "members": ["001", "110"]})),
     ("construct --depth one past the level cap",
@@ -287,3 +287,27 @@ def test_error_corpus(tmp_path, request):
         if got[key] != want[key]
     ]
     assert not mismatches, "\n".join(mismatches)
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+def test_a_refused_run_writes_nothing(tmp_path):
+    """Every corpus entry that exits 2 or 3 has empty stdout, and every
+    ``--out`` entry that exits non-zero leaves no file behind: neither its
+    target nor a temporary file in the target's directory."""
+    corpus = json.loads(CORPUS.read_text())
+    assert [e["name"] for e in corpus if e["exit"] in (2, 3)
+            and e["stdout_sha256"] != EMPTY_SHA256] == []
+    refused = [e for e in corpus if "--out" in e["argv"] and e["exit"] != 0]
+    assert refused
+    for k, entry in enumerate(refused):
+        # {tmp} is one level down, so a target of {tmp} itself has a directory
+        case = tmp_path / str(k)
+        tmp = case / "tmp"
+        tmp.mkdir(parents=True)
+        got = run_case(entry["argv"], entry["config"], tmp)
+        assert got["exit"] == entry["exit"], entry["name"]
+        left = sorted(str(p.relative_to(case)) for p in case.rglob("*"))
+        assert left == ["tmp"] + [f"tmp/{f}" for f in sorted(
+            ["plain"] + ["config.json"] * (entry["config"] is not None))], entry["name"]

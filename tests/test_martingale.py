@@ -99,7 +99,7 @@ def test_levels_refuse_a_depth_past_the_cap():
     assert next(levels(m, LEVEL_CAP))[0] == 0
     for depth, walk in ((LEVEL_CAP + 1, lambda d: next(levels(m, d))),
                         (LEVEL_CAP + 1, lambda d: verify_averaging(m, d)),
-                        (40, lambda d: tree_csv(m, d))):
+                        (40, lambda d: node_walk.dumped(tree_csv, m, d))):
         with pytest.raises(CapExceeded, match=f"^depth {depth} exceeds enumeration cap 22"):
             walk(depth)
 
@@ -239,7 +239,7 @@ def test_empirical_dimension_zero_sentinel():
 
 
 def test_tree_csv_shape():
-    text = tree_csv(figure_cover(), 2)
+    text = node_walk.dumped(tree_csv, figure_cover(), 2)
     lines = text.strip().splitlines()
     assert lines[0] == "node,value"
     assert len(lines) == 1 + 1 + 2 + 4
@@ -247,6 +247,6 @@ def test_tree_csv_shape():
 
 
 def test_tree_dot_highlights_unit_leaves():
-    text = tree_dot(figure_cover(), 4)
+    text = node_walk.dumped(tree_dot, figure_cover(), 4)
     assert '"0001" [label="1", style=filled' in text
     assert '"0000" [label="0"]' in text

@@ -10,6 +10,7 @@ hand-corrupted ones.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -66,9 +67,9 @@ def assert_same_as_twin(m: Martingale, depth: int, value=None):
     value = value or m.value
     report = verify_averaging(m, depth)
     assert report == twin_report(m, depth, value)
-    assert tree_csv(m, depth) == node_walk.tree_csv(value, depth)
-    assert tree_json(m, depth) == node_walk.tree_json(value, depth)
-    assert tree_dot(m, depth) == node_walk.tree_dot(value, depth)
+    assert node_walk.dumped(tree_csv, m, depth) == node_walk.tree_csv(value, depth)
+    assert node_walk.dumped(tree_json, m, depth) == node_walk.tree_json(value, depth)
+    assert node_walk.dumped(tree_dot, m, depth) == node_walk.tree_dot(value, depth)
     return report
 
 
@@ -265,7 +266,8 @@ def test_negative_numerator_raises_the_same_message():
     m = _tabled(rows, [4, 3, 2, 1, 0])
     with pytest.raises(NegativeValue) as twin:
         twin_report(m, 4)
-    for check in (verify_averaging, tree_csv, tree_json, tree_dot):
+    dumps = [partial(node_walk.dumped, dump) for dump in (tree_csv, tree_json, tree_dot)]
+    for check in (verify_averaging, *dumps):
         with pytest.raises(NegativeValue) as rows_error:
             check(m, 4)
         assert str(rows_error.value) == str(twin.value)
