@@ -89,8 +89,6 @@ class Output:
         self.path, self.file = path, None
         if path:
             self.tmp, self.file = _beside(path)
-        # where a dump goes: the --out file, or else stdout
-        self.export = self.write if self.file is None else self.file.write
 
     def write(self, text: str) -> None:
         """Add ``text`` to stdout."""
@@ -105,6 +103,13 @@ class Output:
             self.spool = tempfile.TemporaryFile("w+", encoding="utf-8")
             self.spool.writelines(self.parts)
             self.parts = []
+
+    def export(self, text: str) -> None:
+        """Add ``text`` to the dump: the ``--out`` file, or else stdout."""
+        if self.file is None:
+            self.write(text)
+        else:
+            self.file.write(text)
 
     def commit(self) -> None:
         if self.file is not None:
@@ -393,16 +398,18 @@ def cmd_kolmogorov(args, out: Output) -> int:
             out.write("string,kt\n")
             # kts is indexed by the enumeration: level k starts at 2**k - 1,
             # in index order; a string that no program prints is left out
-            tails = [f",{v}\n" for v in range(NO_PROGRAM)]
-            printed = bytes(v != NO_PROGRAM for v in range(256))
+            tails = {v: f",{v}\n" for v in set(table.kts)}
+            # maps a kt byte to 1, and NO_PROGRAM to 0, for compress
+            printed = bytearray(b"\1" * 256)
+            printed[NO_PROGRAM] = 0
             for k in range(table.length_cap + 1):
                 start = (1 << k) - 1
                 for names in level_names(k):
                     kts = table.kts[start:start + len(names)]
                     start += len(names)
+                    values = kts.replace(bytes([NO_PROGRAM]), b"")
                     out.write("".join(map(add, compress(names, kts.translate(printed)),
-                                          map(tails.__getitem__,
-                                              kts.replace(bytes([NO_PROGRAM]), b"")))))
+                                          map(tails.__getitem__, values))))
     return 0
 
 

@@ -455,9 +455,9 @@ def tree_json(m: Martingale, depth: int, write: Callable[[str], object]) -> None
     for j in range(1 << t):
         # the ancestors at levels t - z .. t - 1, where j ends in z zero bits
         z = (j & -j).bit_length() - 1 if j else t
-        lines = [f'{_bits(j >> (t - k), k)}": "{text(rows[k][0][j >> (t - k)], rows[k][1])}"'
-                 for k in range(t - z, t)]
-        prefix, subtree = _bits(j, t), []
+        lines = [f'{BitString.from_int(j >> (t - k), k)}": '
+                 f'"{text(rows[k][0][j >> (t - k)], rows[k][1])}"' for k in range(t - z, t)]
+        prefix, subtree = str(BitString.from_int(j, t)), []
         for r in range(b + 1):
             nums, log_den = rows[t + r]
             (names,) = level_names(r)
@@ -467,11 +467,6 @@ def tree_json(m: Martingale, depth: int, write: Callable[[str], object]) -> None
         write(sep + ',\n  "'.join(lines))
         sep = ',\n  "'
     write("\n}\n")
-
-
-def _bits(i: int, k: int) -> str:
-    """The bits of the length-``k`` string of index ``i``."""
-    return format(i, f"0{k}b") if k else ""
 
 
 def tree_dot(m: Martingale, depth: int, write: Callable[[str], object]) -> None:
