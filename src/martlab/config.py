@@ -15,6 +15,7 @@ Construction objects (field "type" selects one):
     {"type": "cover", "level": n, "members": ["0001", ...]}
     {"type": "cover", "level": n, "relation": REL, "decide": "exists|unique"}
     {"type": "condexp", "level": n, "values": {"0001": 2, ...}}
+      (every key has length n; a length-n string without a key counts 0)
     {"type": "subset", "level": n, "language": LANG}
     {"type": "acceptance", "q": 2, "correct": 3, "target": LANG}
     {"type": "acceptance-gap", "t": q, "values": {"01": 3, ...}, "default": g}
@@ -66,7 +67,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .cantor import BitString, LanguageView, index_of
+from .cantor import BitString, LanguageView
 from .combinators import ConvergenceModulus, MartingaleFamily, geometric_modulus
 from .constructions import (
     AcceptanceSpec,
@@ -169,20 +170,38 @@ def _int_map(spec: Any, path: str) -> dict[int, int]:
     }
 
 
-def _bits(text: Any, path: str) -> BitString:
+def _text(text: Any, path: str) -> str:
+    """``text`` checked to be bits, and kept as text."""
     if not isinstance(text, str) or text.strip("01"):
         raise ConfigError(f"not a bit string: {text!r}", field=path)
-    return BitString(text)
+    return text
+
+
+def _bits(text: Any, path: str) -> BitString:
+    return BitString(_text(text, path))
+
+
+def _texts(value: Any, path: str) -> list[str]:
+    """A list of bit strings, checked and kept as text: one pass over the
+    joined text, or the slow pass that names the first member not bits."""
+    texts = _list(value, path)
+    try:
+        if not "".join(texts).strip("01"):
+            return texts
+    except TypeError:  # a member that is not a str
+        pass
+    return [_text(m, path) for m in texts]
 
 
 def _bits_list(value: Any, path: str) -> list[BitString]:
     return [_bits(m, path) for m in _list(value, path)]
 
 
-def _values(spec: Any, path: str, convert=_int) -> dict[BitString, int]:
+def _values(spec: Any, path: str, convert=_int) -> dict[str, int]:
     """``spec.values``: bit string -> integer, each passed through ``convert``."""
+    field = f"{path}.values"
     return {
-        _bits(k, f"{path}.values"): convert(v, f"{path}.values.{k}")
+        _text(k, field): convert(v, f"{field}.{k}")
         for k, v in _need(spec, "values", path, _object).items()
     }
 
@@ -193,7 +212,7 @@ def _level_covers(spec: Any, path: str) -> dict[int, Cover]:
     for key, members in _need(spec, "levels", path, _object).items():
         level = _int(key, f"{path}.levels")
         covers[level] = Cover.from_members(
-            _bits_list(members, f"{path}.levels.{key}"), level
+            _texts(members, f"{path}.levels.{key}"), level
         )
     return covers
 
@@ -256,7 +275,7 @@ def build_construction(spec: dict) -> Martingale:
     if kind == "cover":
         level = _need(spec, "level", path, _int)
         if "members" in spec:
-            members = _bits_list(spec["members"], f"{path}.members")
+            members = _texts(spec["members"], f"{path}.members")
             return cover_martingale(Cover.from_members(members, level))
         rel = build_relation(_need(spec, "relation", path), f"{path}.relation")
         decide = spec.get("decide", "exists")
@@ -271,7 +290,12 @@ def build_construction(spec: dict) -> Martingale:
     if kind == "condexp":
         level = _need(spec, "level", path, _int)
         values = _values(spec, path)
-        return condexp_martingale(lambda x: values.get(x, 0), level)
+        for x in values:  # in input order, as a cover names its members
+            if len(x) != level:
+                raise ConfigError(
+                    f"key {x} does not have length {level}", field=f"{path}.values"
+                )
+        return condexp_martingale({int(x or "0", 2): v for x, v in values.items()}, level)
     if kind == "subset":
         return subset_martingale(
             build_language(_need(spec, "language", path), f"{path}.language"),
@@ -298,7 +322,7 @@ def build_construction(spec: dict) -> Martingale:
             return paths
 
         default = gap(spec.get("default", 0), f"{path}.default")
-        g = {index_of(x): v for x, v in _values(spec, path, gap).items()}
+        g = {int("1" + x, 2) - 1: v for x, v in _values(spec, path, gap).items()}
         return acceptance_martingale(
             AcceptanceSpec.from_gap(lambda i: g.get(i, default), lambda n: t)
         )

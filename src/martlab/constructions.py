@@ -5,8 +5,10 @@ form: an integer numerator, from witness counts or the construction's closed
 form, over a power of two.  The leveled constructions (cover, conditional
 expectation, subset) freeze at their level; the acceptance and
 superset-tracking constructions grow without bound.  Leveled numerators come
-from a binary search over sorted members or from one pass over the ``2**n``
-leaves, summed pairwise up to the root.
+from a binary search over sorted members or from one leaf row of the
+``2**n`` leaves, summed pairwise up to the root.  A leaf row is filled from
+sparse row positions, ``x.to_int()`` of each length-``n`` string ``x`` that
+counts, so building one reads no string that counts nothing.
 
 Each construction also supplies its counting form a level at a time, as the
 ``row`` kernel that :func:`~martlab.martingale.levels` reads: per-level
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .cantor import EMPTY, BitString, LanguageView, all_strings, char_prefix, string_index
 from .errors import (
@@ -88,11 +90,20 @@ class Cover:
 
     @classmethod
     def from_members(cls, members: Iterable[BitString | str], level: int) -> "Cover":
-        members = [m if isinstance(m, BitString) else BitString(m) for m in members]
-        for m in members:  # in input order, so the member named is always the first
+        """The cover of ``members``, each a :class:`BitString` or its bits as
+        text, read as an integer: every text is checked before any length,
+        and each check names the first member in input order that fails it."""
+        members = list(members)
+        texts = [m for m in members if isinstance(m, str)]
+        if "".join(texts).strip("01"):
+            bad = next(m for m in texts if m.strip("01"))
+            raise ValueError(f"not a bit string: {bad!r}")
+        for m in members:
             if len(m) != level:
                 raise ValueError(f"member {m} does not have length {level}")
-        values = sorted({m.to_int() for m in members})
+        values = sorted({
+            int(m or "0", 2) if isinstance(m, str) else m.to_int() for m in members
+        })
 
         def count(w: BitString) -> int:
             # the extensions of w read as the integers [v << free, (v+1) << free)
@@ -250,25 +261,35 @@ def cover_martingale(cover: Cover) -> Martingale:
     return _leveled(cover.count, cover.level_row, n, "cover")
 
 
-def condexp_martingale(f: Callable[[BitString], int], n: int) -> Martingale:
+def condexp_martingale(values: Mapping[int, int], n: int) -> Martingale:
     """Bet the conditional expectation of a counting function.
 
-    The value at ``w`` is the average of ``f`` over uniform length-``n``
-    extensions of ``w``; leaves take ``f`` itself.  Negative ``f`` values are
-    rejected (gap-valued functions do not make betting values).
+    ``values`` maps the row position ``x.to_int()`` of each length-``n``
+    string ``x`` to ``f(x)``; an absent position counts 0.  The value at
+    ``w`` is the average of ``f`` over uniform length-``n`` extensions of
+    ``w``; leaves take ``f`` itself.  Negative ``f`` values are rejected
+    (gap-valued functions do not make betting values), naming the least
+    negative position.  The leaf row is filled in one pass over ``values``.
     """
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if n > LEVEL_CAP:
         raise CapExceeded(f"level {n} exceeds enumeration cap {LEVEL_CAP}")
+    if values and not 0 <= min(values) <= max(values) < 1 << n:
+        bad = next(i for i in values if not 0 <= i < 1 << n)
+        raise ValueError(f"position {bad} is not a {n}-bit value")
+    negative = [i for i, v in values.items() if v < 0]
+    if negative:
+        i = min(negative)
+        raise NegativeValue(f"f({BitString.from_int(i, n)!r}) = {values[i]} is negative")
 
-    def f_checked(x: BitString) -> int:
-        v = f(x)
-        if v < 0:
-            raise NegativeValue(f"f({x!r}) = {v} is negative")
-        return v
+    def leaves() -> list[int]:
+        row = [0] * (1 << n)
+        for i, v in values.items():
+            row[i] = v
+        return row
 
-    row = _subtree_sums(lambda: [f_checked(x) for x in all_strings(n)], n)
+    row = _subtree_sums(leaves, n)
     return _leveled(_indexed(row), row, n, "condexp")
 
 

@@ -46,7 +46,7 @@ def build_figure(figure_id: int) -> Martingale:
         return cover_martingale(Cover.from_members(_COVER_MEMBERS, 4))
     if figure_id == 2:
         return condexp_martingale(
-            lambda x: _CONDEXP_VALUES.get(str(x), 0), 4
+            {int(x, 2): v for x, v in _CONDEXP_VALUES.items()}, 4
         )
     if figure_id == 3:
         return subset_martingale(_marked_language(), 4)

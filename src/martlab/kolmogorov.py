@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cache
-from .cantor import BitString, all_strings, index_of, string_index
+from .cantor import BitString, all_strings, index_of
 from .constructions import condexp_martingale
 from .errors import CapExceeded, MartlabError
 from .machine import (
@@ -215,8 +215,8 @@ def short_program_counts(
     """How many programs shorter than the bound print each length-``n`` string.
 
     Counts the programs by term length once with budget ``budget(n)``; the
-    result maps each :class:`BitString` printed to its program count
-    (strings absent map to zero).
+    result maps the row position ``x.to_int()`` of each string ``x`` printed
+    to its program count (strings absent map to zero).
     """
     if max_program_len_exclusive - 1 > n + C_LIT:
         raise CapExceeded(
@@ -226,8 +226,9 @@ def short_program_counts(
     for level in _term_counts(max_program_len_exclusive - 1, n, budget(n)):
         for (code, _), count in level.items():
             if code.bit_length() == n + 1:
-                counts[code] = counts.get(code, 0) + count
-    return {string_index(code - 1): count for code, count in counts.items()}
+                position = code ^ (1 << n)
+                counts[position] = counts.get(position, 0) + count
+    return counts
 
 
 def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
@@ -243,7 +244,7 @@ def kt_cover_martingale(n: int, gap: int, budget: BudgetPoly) -> Martingale:
     bound = n - gap
     counts = short_program_counts(n, bound, budget) if bound >= 1 else {}
 
-    m = condexp_martingale(lambda x: counts.get(x, 0), n)
+    m = condexp_martingale(counts, n)
     return replace(m, meta={"construction": "kt-cover"})
 
 

@@ -131,7 +131,7 @@ def test_criterion_02_averaging_10000():
         for _ in range(per_kind):
             n = rnd.randrange(1, 5)
             values = [rnd.randrange(8) for _ in range(1 << n)]
-            m = condexp_martingale(lambda x: values[x.to_int()], n)
+            m = condexp_martingale(dict(enumerate(values)), n)
             assert verify_averaging(m, n + 2).passed
 
         for _ in range(per_kind):
@@ -179,7 +179,7 @@ def test_criterion_03_construction_laws():
                     assert m.value(x) == (ONE if x in members else ZERO)
 
                 values = [rnd.randrange(6) for _ in range(1 << n)]
-                ce = condexp_martingale(lambda x: values[x.to_int()], n)
+                ce = condexp_martingale(dict(enumerate(values)), n)
                 for x in all_strings(n):
                     assert ce.value(x) == Dyadic(values[x.to_int()])
 
@@ -325,7 +325,7 @@ def test_criterion_06_diagonalization():
             elif kind == 1:
                 n = rnd.randrange(1, 5)
                 values = [rnd.randrange(6) for _ in range(1 << n)]
-                m = condexp_martingale(lambda x: values[x.to_int()], n)
+                m = condexp_martingale(dict(enumerate(values)), n)
             elif kind == 2:
                 n = rnd.randrange(1, 6)
                 m = subset_martingale(_random_language(rnd, n), n)

@@ -113,6 +113,10 @@ CASES = [
     ("cover level past the cap", VERIFY, _cover(23, {"builtin": "sat", "vars": 1})),
     ("condexp level -1", VERIFY,
      _construction({"type": "condexp", "level": -1, "values": {}})),
+    ("condexp key of another length", VERIFY,
+     _construction({"type": "condexp", "level": 2, "values": {"0": 3, "01": 2}})),
+    ("condexp key not a bit string", VERIFY,
+     _construction({"type": "condexp", "level": 2, "values": {"01": 2, "0x": 3}})),
     ("subset level -1", VERIFY,
      _language("subset", {"indices": [1], "horizon": 4}, level=-1)),
     ("kt-cover level -1", VERIFY,

@@ -50,8 +50,8 @@ def brute_program_counts(n, max_program_len_exclusive, budget):
     counts = {}
     for program in _programs(max_program_len_exclusive - 1):
         out = run(program, budget(n)).output
-        if out is not None and len(out) == n:
-            counts[out] = counts.get(out, 0) + 1
+        if out is not None and len(out) == n:  # keyed by row position
+            counts[out.to_int()] = counts.get(out.to_int(), 0) + 1
     return counts
 
 
@@ -224,8 +224,8 @@ def test_kt_cover_leaf_counts_programs(kt_table_10, budget):
     n = 10
     counts = short_program_counts(n, n, budget)
     m = kt_cover_martingale(n, 0, budget)
-    for x, expected in counts.items():
-        assert m.value(x) == Dyadic(expected)
+    for i, expected in counts.items():
+        assert m.value(BitString.from_int(i, n)) == Dyadic(expected)
 
 
 def test_kt_cover_decides_the_level_cap_before_the_sweep(budget, monkeypatch):

@@ -84,7 +84,7 @@ def _members(rnd: random.Random, n: int) -> list[BitString]:
 
 def _cover_sum(rnd):
     a = cover_martingale(Cover.from_members(_members(rnd, 3), 3))
-    b = condexp_martingale(lambda x: x.to_int().bit_count(), 4)
+    b = condexp_martingale({v: v.bit_count() for v in range(16)}, 4)
     return sum_finite(a, scale_pow2(b, -2))
 
 
@@ -126,7 +126,7 @@ KINDS = {
             explicit_set_relation("set", _members(rnd, 4)), 4, "unique"
         )), (4, 6)),
     "condexp": (lambda rnd, c, b: condexp_martingale(
-        lambda x: (x.to_int() * 7) % 5, 5), (2, 5, 7)),
+        {v: v * 7 % 5 for v in range(32)}, 5), (2, 5, 7)),
     "subset": (lambda rnd, c, b: subset_martingale(_language(rnd, 6), 6), (6, 8)),
     "mcsp": (lambda rnd, c, b: cover_martingale(mcsp_cover(2, 2, c)), (7, 8)),
     "kt-cover": (lambda rnd, c, b: kt_cover_martingale(6, 1, b), (6, 8)),
@@ -170,7 +170,7 @@ FORMS = {
     **{kind: build for kind, (build, _) in KINDS.items()},
     "constant": lambda rnd, c, b: Martingale.constant(Dyadic(5, 3)),
     "scale-up": lambda rnd, c, b: scale_pow2(
-        condexp_martingale(lambda x: x.to_int().bit_count(), 3), 2),
+        condexp_martingale({v: v.bit_count() for v in range(8)}, 3), 2),
     "approx": lambda rnd, c, b: _approx_scaled(rnd),
 }
 
@@ -206,7 +206,7 @@ def test_row_entries_are_the_node_form(kind, census2, budget):
 
 
 def test_meta_of_the_scaled_and_approximate_forms():
-    m = condexp_martingale(lambda x: x.to_int().bit_count(), 4)
+    m = condexp_martingale({v: v.bit_count() for v in range(16)}, 4)
     assert scale_pow2(m, 3).meta == {"construction": "condexp"}
     # the transform's export is an approximation, which names no construction
     approx = approx_supermartingale(m.ratio, m.ratio.numerator, 4)

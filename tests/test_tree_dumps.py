@@ -43,7 +43,7 @@ def _level3_cover():
 # numerator per leaf residue, and a product that never freezes
 DEEP = {
     "cover": _level3_cover,
-    "condexp": lambda: condexp_martingale(lambda x: (x.to_int() * 7) % 5, 14),
+    "condexp": lambda: condexp_martingale({v: v * 7 % 5 for v in range(1 << 14)}, 14),
     "acceptance": lambda: acceptance_martingale(AcceptanceSpec.biased(
         LanguageView.from_indices(random.Random(3).sample(range(64), 24), 64), 3, 2)),
 }
