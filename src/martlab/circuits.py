@@ -18,12 +18,21 @@ On top of the census sit the minimum-circuit-size decision, the covering
 check for characteristic prefixes whose top length has a small circuit, and
 the witness relation that decides circuit size from stack programs run by
 the toy machine's table evaluator.
+
+A census counts its sizes once, on first use, and keeps the counts on the
+object: the histogram, ``count_at_most``, the covering report and an
+``mcsp`` cover's whole-table count all read them.  The covering report
+decides on integers: a ``log2`` bracket is a pair of numerators over
+``2**g``, the size bound's bracket a pair over one shared denominator, and
+each verdict one cross-multiplied comparison, with no power raised to a
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Callable
 from pathlib import Path
 
@@ -90,7 +99,8 @@ class CircuitCensus:
     Dense and indexed by mask: ``sizes[mask]`` is the table's minimum size,
     or :data:`UNREACHED`.  The fields are what the cache stores, so equality
     compares exactly that.  No witness circuit is kept: ``mcsp``, the
-    covers and the covering report read sizes only.
+    covers and the covering report read sizes only, and every whole-census
+    count reads the per-size counts, taken once per census.
     """
 
     n: int
@@ -108,27 +118,45 @@ class CircuitCensus:
             raise CensusUnavailable(
                 f"census caps at size {self.max_size}, asked for {s}"
             )
-        return _at_most(self.sizes, s)
+        return sum(self._counts[: max(s + 1, 0)])
 
     def histogram(self) -> dict[int, int]:
-        counts = {s: self.sizes.count(s) for s in range(self.max_size + 1)}
-        return {s: c for s, c in counts.items() if c}
+        return {s: c for s, c in enumerate(self._counts) if c}
+
+    @cached_property
+    def _counts(self) -> tuple[int, ...]:
+        """How many tables take each size ``0..max_size``: one pass drops
+        the unreached bytes, and each size is counted on what is left."""
+        reached = self.sizes.translate(None, bytes([UNREACHED]))
+        return tuple(map(reached.count, range(self.max_size + 1)))
 
 
 def _at_most(sizes: bytes, s: int) -> int:
-    """How many entries of ``sizes`` are at most ``s``."""
+    """How many entries of ``sizes`` are at most ``s``; an ``mcsp`` cover
+    counts its table slices with it."""
     return len(sizes) - len(sizes.translate(None, bytes(range(s + 1))))
+
+
+# rows per band of an equal split's upper triangle
+_BAND = 64
 
 
 def _cells(by_size: list, s: int, full: int):
     """Level ``s``'s candidate tables as grids: NOT of every level ``s - 1``
     table, then AND and OR of every size split, ``grid[r, c] = lo[r] op
-    hi[c]``."""
+    hi[c]``.  AND and OR are symmetric, so an equal split (``lo`` is ``hi``)
+    takes only its upper triangle, ``c >= r``: each band of ``_BAND`` rows
+    against the columns from the band's first row on."""
     prev = by_size[s - 1]
     yield full ^ prev
     for i in range((s + 1) // 2):
         lo, hi = by_size[i], by_size[s - 1 - i]
-        if len(lo) and len(hi):
+        if i == s - 1 - i:
+            for r in range(0, len(lo), _BAND):
+                band = lo[r : r + _BAND, None]
+                yield band & lo[r:]
+                yield band | lo[r:]
+        elif len(lo) and len(hi):
             yield lo[:, None] & hi
             yield lo[:, None] | hi
 
@@ -200,7 +228,7 @@ def mcsp_cover(n: int, s: int, census: CircuitCensus) -> Cover:
     _check_census(census, n, s)
     level = (1 << (n + 1)) - 1
     table_start = (1 << n) - 1  # strings of length n begin at this index
-    tables = _at_most(census.sizes, s)
+    tables = census.count_at_most(s)
 
     def count(w: BitString) -> int:
         if len(w) <= table_start:  # every table, under each free prefix bit
@@ -291,34 +319,27 @@ def _refine(decide: Callable[[int], bool | int | None], what: str):
     )
 
 
-def _log2_bracket(m: int, g: int) -> tuple[Fraction, Fraction]:
-    """``[lo, hi]`` around ``log2(m)`` for an integer ``m >= 1``: the grid
-    floor at ``2**-g`` and one grid step above it, a point when ``m`` is a
-    power of two."""
+def _log2_bracket(m: int, g: int) -> tuple[int, int]:
+    """Grid numerators ``(lo, hi)`` with ``lo / 2**g <= log2(m) <= hi / 2**g``
+    for an integer ``m >= 1``: the grid floor and one grid step above it, a
+    point when ``m`` is a power of two."""
     if m & (m - 1) == 0:
-        k = Fraction(m.bit_length() - 1)
+        k = m.bit_length() - 1 << g
         return k, k
     low = grid_floor_log2_ratio(m, 1, g)
-    lo = Fraction(low.num, low.denominator)
-    return lo, lo + Fraction(1, 1 << g)
+    lo = low.num << g - low.log_den
+    return lo, lo + 1
 
 
-def _log2_ratio_bracket(
-    x_lo: Fraction, x_hi: Fraction, g: int
-) -> tuple[Fraction, Fraction]:
-    """``[lo, hi]`` around ``log2(x)`` for rationals ``0 < x_lo <= x <= x_hi``."""
-    lo = _log2_bracket(x_lo.numerator, g)[0] - _log2_bracket(x_lo.denominator, g)[1]
-    hi = _log2_bracket(x_hi.numerator, g)[1] - _log2_bracket(x_hi.denominator, g)[0]
-    return lo, hi
-
-
-def _size_bracket(n: int, alpha: Dyadic, g: int) -> tuple[Fraction, Fraction]:
-    """``[lo, hi]`` around ``s = (2**n / n) (1 + alpha log2(n) / n)``, from
-    the bracket on ``log2(n)``; a point when ``s`` is rational."""
-    base = Fraction(1 << n, n)
-    slope = base * Fraction(alpha.num, alpha.denominator) / n
-    ends = [base + slope * end for end in _log2_bracket(n, g)]
-    return min(ends), max(ends)
+def _size_bracket(n: int, alpha: Dyadic, g: int) -> tuple[int, int, int]:
+    """``(lo, hi, den)`` with ``lo / den <= s <= hi / den`` for ``s = (2**n /
+    n) (1 + alpha log2(n) / n)``, from the bracket on ``log2(n)``; ``den =
+    n**2 2**(k + g)`` for ``alpha = a / 2**k``.  A point when ``s`` is
+    rational."""
+    k = alpha.log_den
+    base = n << n + k + g  # 2**n / n over den
+    ends = [base + (alpha.num * log << n) for log in _log2_bracket(n, g)]
+    return min(ends), max(ends), n * n << k + g
 
 
 def lutz_size_bound_floor(n: int, alpha: Dyadic) -> int:
@@ -332,20 +353,21 @@ def lutz_size_bound_floor(n: int, alpha: Dyadic) -> int:
         raise DegenerateParameter("size bound needs n >= 2")
 
     def floor(g: int) -> int | None:
-        lo, hi = _size_bracket(n, alpha, g)
-        return lo // 1 if lo // 1 == hi // 1 else None
+        lo, hi, den = _size_bracket(n, alpha, g)
+        return lo // den if lo // den == hi // den else None
 
     return _refine(floor, "size bound floor")
 
 
-def _e_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e: the factorial series to ``terms``
-    terms, and that sum plus ``2 / terms!``, which exceeds the tail."""
+def _e_bounds(terms: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lower and upper bounds on e as ``(num, den)`` pairs: the factorial
+    series to ``terms`` terms, and that sum plus ``2 / terms!``, which exceeds
+    the tail."""
     num, fact = 1, 1  # num / fact = sum of 1/k! for k < terms, fact = (terms-1)!
     for k in range(1, terms):
         num = num * k + 1
         fact *= k
-    return Fraction(num, fact), Fraction(num * terms + 2, fact * terms)
+    return (num, fact), (num * terms + 2, fact * terms)
 
 
 def _analytic_bound(count: int, n: int, alpha: Dyadic) -> bool:
@@ -355,41 +377,55 @@ def _analytic_bound(count: int, n: int, alpha: Dyadic) -> bool:
     """
 
     def holds(g: int) -> bool | None:
-        s_lo, s_hi = _size_bracket(n, alpha, g)
+        s_lo, s_hi, den = _size_bracket(n, alpha, g)
         if s_lo == s_hi == 0:
             return count <= 1
         if s_lo <= 0:
             return None
-        e_lo, e_hi = _e_bounds(g // 2 + 4)  # (g/2 + 4)! > 2**g: e is as tight as the logs
-        log_lo, log_hi = _log2_ratio_bracket(48 * e_lo * s_lo, 48 * e_hi * s_hi, g)
+        # (g/2 + 4)! > 2**g: e is as tight as the logs
+        (e_lo, f_lo), (e_hi, f_hi) = _e_bounds(g // 2 + 4)
+        # log2(48 e s) within [log_lo, log_hi] / 2**g, from its ends' numerators
+        # and denominators
+        log_lo = _log2_bracket(48 * e_lo * s_lo, g)[0] - _log2_bracket(f_lo * den, g)[1]
+        log_hi = _log2_bracket(48 * e_hi * s_hi, g)[1] - _log2_bracket(f_hi * den, g)[0]
+        # s log2(48 e s) and log2(count), both over den 2**g
         rhs = [s * log for s in (s_lo, s_hi) for log in (log_lo, log_hi)]
         lhs_lo, lhs_hi = _log2_bracket(count, g)
-        if lhs_hi <= min(rhs):
+        if lhs_hi * den <= min(rhs):
             return True
-        if lhs_lo > max(rhs):
+        if lhs_lo * den > max(rhs):
             return False
         return None
 
     return _refine(holds, f"{count} <= (48 e s)**s")
 
 
-def _log2_below(count: int, n: int, Q: Fraction, target: Fraction) -> bool:
-    """Exact verdict of ``log2(count) + Q log2(n) < target`` for ``count >= 1``,
-    from the brackets on ``log2(count)`` and ``log2(n)``.  For ``n <= 4`` and
-    ``count <= 2**(2**n)``, equality needs both terms rational; their brackets
-    are then points, so the refinement ends.
+def _ratio_text(num: int, den: int) -> str:
+    """``num / den`` for ``den > 0`` in lowest terms, ``p`` or ``p/q``."""
+    d = gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
+
+
+def _log2_below(count: int, n: int, q: int, t: int, den: int) -> bool:
+    """Exact verdict of ``log2(count) + (q / den) log2(n) < t / den`` for
+    ``count >= 1`` and ``den > 0``, from the brackets on ``log2(count)`` and
+    ``log2(n)``.  For ``n <= 4`` and ``count <= 2**(2**n)``, equality needs
+    both terms rational; their brackets are then points, so the refinement
+    ends.
     """
 
     def below(g: int) -> bool | None:
         c_lo, c_hi = _log2_bracket(count, g)
-        ends = [Q * end for end in _log2_bracket(n, g)]
-        if c_hi + max(ends) < target:
+        ends = [q * end for end in _log2_bracket(n, g)]
+        # both sides over den 2**g
+        if c_hi * den + max(ends) < t << g:
             return True
-        if c_lo + min(ends) >= target:
+        if c_lo * den + min(ends) >= t << g:
             return False
         return None
 
-    return _refine(below, f"log2({count}) + {Q} log2({n}) < {target}")
+    what = f"log2({count}) + {_ratio_text(q, den)} log2({n}) < {_ratio_text(t, den)}"
+    return _refine(below, what)
 
 
 def mnp_size_bound_floor(n: int, alpha: Dyadic, max_size: int) -> int:
@@ -423,23 +459,24 @@ def mnp_cover_check(
     """
     s_floor = mnp_size_bound_floor(n, alpha, census.max_size)
     _check_census(census, n, s_floor)
-    count = _at_most(census.sizes, s_floor)
+    count = census.count_at_most(s_floor)
     rows = 1 << n
     N = (1 << (n + 1)) - 1
     cover_count = (1 << (N - rows)) * count
 
     # condition (ii): log2(cover_count) < N - f(N), i.e. log2(count) < 2**n - f(N)
-    # f(N) = (1 - alpha/2) * (2**n / n) * log2(n) = R + Q * log2(n)
-    alpha_frac = Fraction(alpha.num, alpha.denominator)
-    coeff = (1 - alpha_frac / 2) * Fraction(rows, n)
+    # f(N) = (1 - alpha/2) * (2**n / n) * log2(n) = (R + Q * log2(n)) / den,
+    # with alpha = a / 2**k and (1 - alpha/2) (2**n / n) = coeff / den
+    den = n << alpha.log_den + 1
+    coeff = ((1 << alpha.log_den + 1) - alpha.num) << n
     if n & (n - 1) == 0:
-        R, Q = coeff * (n.bit_length() - 1), Fraction(0)
-        f_text = str(R)
+        R, Q = coeff * (n.bit_length() - 1), 0
+        f_text = _ratio_text(R, den)
     else:
-        R, Q = Fraction(0), coeff
-        f_text = f"{coeff}*log2({n})"
+        R, Q = 0, coeff
+        f_text = f"{_ratio_text(coeff, den)}*log2({n})"
     # an empty cover has log2 = -inf, trivially below
-    gap_ok = count == 0 or _log2_below(count, n, Q, rows - R)
+    gap_ok = count == 0 or _log2_below(count, n, Q, rows * den - R, den)
 
     # condition (iii): census_count <= (48 e s)**s
     analytic = count == 0 or _analytic_bound(count, n, alpha)

@@ -95,10 +95,6 @@ class Dyadic:
 
     # -- value queries -----------------------------------------------------
 
-    @property
-    def denominator(self) -> int:
-        return 1 << self.log_den
-
     def is_zero(self) -> bool:
         return self.num == 0
 
@@ -152,11 +148,10 @@ class Dyadic:
         # canonical form makes equality structural
         return self.num == other.num and self.log_den == other.log_den
 
+    # ``a <= b`` is answered by its reflection, ``b >= a``
+
     def __lt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
 
     def __gt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) > 0

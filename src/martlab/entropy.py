@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from .cantor import EMPTY, BitString
 from .combinators import ConvergenceModulus, MartingaleFamily
 from .constructions import Cover, cover_martingale
-from .dyadic import GRID_BITS, Dyadic, ZERO, grid_floor_log2_ratio
+from .dyadic import GRID_BITS, Dyadic, grid_floor_log2_ratio
 
 __all__ = [
     "LevelFamily",
@@ -174,16 +174,20 @@ def mc_certificate(
     promises ``sum_{n >= modulus(i)} 2**-gap(n) <= 2**-i``, audited here over
     the family's levels, 1 to the horizon.  Each level's cover is fetched
     once, for its count and for the witnesses not yet covered, and dropped
-    before the next.
+    before the next.  Each tail is one integer over ``2**G``, for ``G`` at
+    least every gap and every audited ``i``, compared with ``2**-i`` by a
+    shift; only the tail the certificate prints is a ``Dyadic``.
     """
     levels = []
     failing = None
     witnesses = tuple(witnesses)
     covered_at: list[int | None] = [None] * len(witnesses)
+    gaps = []  # gap(n) of level n at gaps[n - 1]
     for n in range(1, horizon + 1):
         cover = fam.cover_at(n)
         c = _size(cover)
         g = gap(n)
+        gaps.append(g)
         if c == 0:
             ok = True
         elif n - g < 0:
@@ -203,14 +207,13 @@ def mc_certificate(
                 covered_at[j] = n
     witness_verdicts = list(map(WitnessVerdict, witnesses, covered_at))
 
+    G = max([0, *gaps, *audit_is])
     audits = []
     for i in audit_is:
         start = modulus(i)
-        tail = ZERO
-        for n in range(max(start, 1), horizon + 1):
-            tail = tail + Dyadic.pow2(-gap(n))
-        ok = tail <= Dyadic.pow2(-i)
-        audits.append(ModulusVerdict(i, start, tail, ok))
+        # sum of 2**-gap(n) over levels max(start, 1)..horizon, over 2**G
+        tail = sum(1 << G - g for g in gaps[max(start, 1) - 1 :])
+        audits.append(ModulusVerdict(i, start, Dyadic(tail, G), tail <= 1 << G - i))
 
     valid = (
         failing is None

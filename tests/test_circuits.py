@@ -454,7 +454,7 @@ def _log2_3_at_least(x: Fraction) -> bool:
 def _size_floor_oracle(n: int, alpha: Dyadic) -> int:
     """Fraction floor where ``log2(n)`` is an integer; at ``n = 3`` the largest
     ``k`` with ``s >= k``, decided by a sign-aware ``3**q`` vs ``2**p`` test."""
-    a = Fraction(alpha.num, alpha.denominator)
+    a = Fraction(alpha.num, 1 << alpha.log_den)
     base = Fraction(1 << n, n)
     if n != 3:
         return math.floor(base * (1 + a * (n.bit_length() - 1) / n))
@@ -509,7 +509,7 @@ def test_gap_condition_matches_decimal_oracle(census2, census3, census4):
 def _gap_terms(n: int, alpha: Dyadic) -> tuple[Fraction, Fraction]:
     """``(Q, 2**n - R)`` of condition (ii), as the report splits ``f(N)``."""
     rows = 1 << n
-    coeff = (1 - Fraction(alpha.num, alpha.denominator) / 2) * Fraction(rows, n)
+    coeff = (1 - Fraction(alpha.num, 1 << alpha.log_den) / 2) * Fraction(rows, n)
     if n & (n - 1) == 0:
         return Fraction(0), rows - coeff * (n.bit_length() - 1)
     return coeff, Fraction(rows)
@@ -525,6 +525,10 @@ def _power_gap_oracle(count: int, n: int, alpha: Dyadic) -> bool:
     a, b = int(Q * d), int(target * d)
     lhs = count**d * n ** max(a, 0) << max(-b, 0)
     return lhs < n ** max(-a, 0) << max(b, 0)
+
+
+# counts on either side of powers of two, and the reports' own counts
+GAP_COUNTS = (1, 2, 3, 5, 14, 40, 84, 255, 256, 886, 2254, 65535, 65536)
 
 
 @pytest.mark.parametrize("start_bits", [16, 1])  # 1: the first rounds are too coarse
@@ -544,10 +548,12 @@ def test_gap_condition_matches_power_oracle(monkeypatch, cache_dir, start_bits):
                 assert report.log2_count_below_gap == expected, (n, k)
                 reported += 1
             Q, target = _gap_terms(n, alpha)
-            for count in (1, 2, 3, 5, 14, 40, 84, 255, 256, 886, 2254, 65535, 65536):
+            d = math.lcm(Q.denominator, target.denominator)  # the helper takes numerators over d
+            for count in GAP_COUNTS:
                 if count <= 1 << (1 << n):
                     expected = _power_gap_oracle(count, n, alpha)
-                    assert circuits._log2_below(count, n, Q, target) == expected, (n, k, count)
+                    verdict = circuits._log2_below(count, n, int(Q * d), int(target * d), d)
+                    assert verdict == expected, (n, k, count)
             cases += 1
     assert cases == 579 and reported > 500
 
@@ -567,7 +573,7 @@ def _bound_decimal(n: int, alpha: Dyadic) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 60
         log2_n = Decimal(n).ln() / Decimal(2).ln()
-        a = Decimal(alpha.num) / Decimal(alpha.denominator)
+        a = Decimal(alpha.num) / (1 << alpha.log_den)
         s = Decimal(1 << n) / n * (1 + a * log2_n / n)
         return (s * (48 * Decimal(1).exp() * s).ln()).exp()
 
@@ -588,33 +594,60 @@ def test_analytic_bound_on_either_side_of_threshold(
 
 
 def test_brackets_contain_their_values():
+    # the integer brackets: e as (num, den) pairs, log2 as numerators over
+    # 2**g, and the size bound as numerators over n**2 2**(k + g)
     with localcontext() as ctx:
         ctx.prec = 60
         ln2 = Decimal(2).ln()
         for terms in range(1, 30):
-            lo, hi = circuits._e_bounds(terms)
-            assert Decimal(lo.numerator) / lo.denominator < Decimal(1).exp()
-            assert Decimal(1).exp() < Decimal(hi.numerator) / hi.denominator
+            (lo, lo_den), (hi, hi_den) = circuits._e_bounds(terms)
+            assert Decimal(lo) / lo_den < Decimal(1).exp() < Decimal(hi) / hi_den
         for g in (1, 4, 16, 64):
             for m in (1, 2, 3, 5, 8, 1000, 3**40):
                 lo, hi = circuits._log2_bracket(m, g)
-                assert hi - lo == (0 if m & (m - 1) == 0 else Fraction(1, 1 << g))
+                assert hi - lo == (0 if m & (m - 1) == 0 else 1)
                 log2_m = Decimal(m).ln() / ln2
-                assert Decimal(lo.numerator) / lo.denominator <= log2_m
-                assert log2_m <= Decimal(hi.numerator) / hi.denominator
+                assert Decimal(lo) / (1 << g) <= log2_m <= Decimal(hi) / (1 << g)
             for n in (2, 3, 5):
                 for k in (-40, -3, 0, 7, 64):
-                    lo, hi = circuits._size_bracket(n, Dyadic(k, 4), g)
+                    alpha = Dyadic(k, 4)
+                    lo, hi, den = circuits._size_bracket(n, alpha, g)
+                    assert den == n * n << alpha.log_den + g
                     size = Decimal(1 << n) / n * (1 + Decimal(k) / 16 * Decimal(n).ln() / ln2 / n)
                     assert lo <= hi
-                    assert Decimal(lo.numerator) / lo.denominator <= size
-                    assert size <= Decimal(hi.numerator) / hi.denominator
+                    assert Decimal(lo) / den <= size <= Decimal(hi) / den
+                    assert (lo == hi) == (n & (n - 1) == 0 or k == 0)
+
+
+def test_reports_decide_in_one_round(monkeypatch, cache_dir):
+    # the first grid decides every report for n <= 4 and alpha = k/16,
+    # -8 <= alpha <= 4, as _BRACKET_BITS says, and both verdicts for the
+    # spread of counts: with the cap at the start, a second round would raise
+    monkeypatch.setattr(circuits, "_BRACKET_CAP", circuits._BRACKET_BITS)
+    reported = decided = 0
+    for n in (2, 3, 4):
+        census = cached_census(n, 8, cache_dir)
+        for k in range(-128, 65):
+            alpha = Dyadic(k, 4)
+            s_floor = lutz_size_bound_floor(n, alpha)
+            if s_floor <= census.max_size:
+                mnp_cover_check(n, alpha, census)
+                reported += 1
+            Q, target = _gap_terms(n, alpha)
+            d = math.lcm(Q.denominator, target.denominator)
+            for count in GAP_COUNTS:
+                if count <= 1 << (1 << n):
+                    circuits._log2_below(count, n, int(Q * d), int(target * d), d)
+                    if s_floor >= 0:  # s >= 0, where the analytic bound is read
+                        circuits._analytic_bound(count, n, alpha)
+                    decided += 1
+    assert reported > 500 and decided > 5000
 
 
 def _float_verdict(count: int, n: int, alpha: Dyadic) -> bool | None:
     """The float comparison the analytic bound once used, or ``None`` where
     its margin is not wide."""
-    a = alpha.num / alpha.denominator
+    a = alpha.num / (1 << alpha.log_den)
     s = (2**n / n) * (1 + a * math.log2(n) / n)
     lhs = math.log2(count)
     rhs = s * (math.log2(48 * math.e) + math.log2(s))

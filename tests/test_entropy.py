@@ -248,6 +248,43 @@ def test_modulus_tails_start_at_level_one():
     assert "  i=0: tail from 0 sums to 15/16 <= 2^-0\n" in cert.to_text()
 
 
+def _dyadic_tail(gap, start: int, horizon: int) -> Dyadic:
+    """A modulus tail summed one ``Dyadic`` power at a time."""
+    tail = Dyadic(0)
+    for n in range(max(start, 1), horizon + 1):
+        tail = tail + Dyadic.pow2(-gap(n))
+    return tail
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 5, 12])
+def test_modulus_tails_match_dyadic_sums(horizon):
+    """The integer tails over ``2**G`` print and compare as the ``Dyadic``
+    sums do: negative gaps (a tail above 1), gaps past every ``i``, starts
+    past the horizon (an empty tail, 0) and starts below level 1."""
+    rng = random.Random(horizon)
+    for _ in range(40):
+        gaps = {n: rng.randint(-3, 20) for n in range(1, horizon + 1)}
+        starts = {i: rng.randint(-1, horizon + 2) for i in range(12)}
+        cert = mc_certificate(
+            LevelFamily(lambda n: None, name="empty"),
+            gap=gaps.__getitem__,
+            modulus=starts.__getitem__,
+            horizon=horizon,
+            audit_is=tuple(range(12)),
+        )
+        for audit in cert.modulus_audits:
+            expected = _dyadic_tail(gaps.__getitem__, starts[audit.i], horizon)
+            assert audit.tail == expected
+            assert str(audit.tail) == str(expected)
+            assert audit.ok == (expected <= Dyadic.pow2(-audit.i))
+    empty = mc_certificate(
+        LevelFamily(lambda n: None, name="empty"), gap=lambda n: -2,
+        modulus=lambda i: horizon + 1, horizon=horizon, audit_is=(0, 3),
+    )
+    assert [(a.tail, a.ok) for a in empty.modulus_audits] == [(Dyadic(0), True)] * 2
+    assert "sums to 0 <= 2^-3" in empty.to_text()
+
+
 def test_certificate_bridge_to_covering_martingale():
     fam = LevelFamily(
         lambda n: Cover.from_members(
