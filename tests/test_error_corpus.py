@@ -104,6 +104,14 @@ CASES = [
     ("sum affine offset -3", ["sum", "--config", "{config}", "--precision", "0"],
      {"version": 1, "family": {"type": "geometric-constants"},
       "modulus": {"type": "affine", "slope": 1, "offset": -3}}),
+    # a modulus whose audit window already sums past 2**-precision
+    ("sum covers modulus audit", ["sum", "--config", "{config}", "-w", "01", "--precision", "4"],
+     {"version": 1, "family": {"type": "covers",
+                               "levels": {"3": ["001", "010", "100"], "5": ["00000"]}},
+      "modulus": {"type": "affine", "slope": 0, "offset": 0}}),
+    ("sum geometric modulus audit", ["sum", "--config", "{config}", "--precision", "4"],
+     {"version": 1, "family": {"type": "geometric-constants"},
+      "modulus": {"type": "affine", "slope": 0, "offset": 0}}),
     # negative levels and relation fields
     ("cover members level -1", VERIFY,
      _construction({"type": "cover", "level": -1, "members": []})),
