@@ -9,9 +9,14 @@ truncated through a declared convergence modulus: ``m(w, i)`` promises that
 the tail from index ``m(w, i)`` onward is at most ``2**-i``, and every query
 audits that promise on a finite window (a necessary check; no finite
 artifact can verify the infinite claim); the sum of an infinite family is an
-:class:`Approximation`, known only to a requested precision.  On top of
+:class:`Approximation`, known only to a requested precision.  A truncated
+sum reads each member's value as its ``(num, log_den)`` pair, brings the
+pairs once to their largest log-denominator and adds the integers; each
+tail audit is one shift comparison of such a sum against ``2**-i``, and a
+``Dyadic`` is built only for a result.  On top of
 the truncated sums sit the two covering certificates — one of unit value on
-covered prefixes, one of ``2**((1-t)n)`` growth — and the
+covered prefixes, one of ``2**((1-t)n)`` growth, with ``1-s``, ``1-t`` and
+``t-s`` as numerators over one power of two — and the
 approximate-counting transform that trades an exact martingale for a
 supermartingale evaluable from a multiplicative approximation of its
 numerator, whose relaxed averaging law is checked on one integer row form.
@@ -26,7 +31,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .cantor import EMPTY, BitString, all_strings
-from .dyadic import Dyadic, ONE, ZERO, cmp_pow2
+from .dyadic import Dyadic, ONE, ZERO, cmp_pow2, text
 from .errors import (
     ApproximatorOutOfBand,
     CapitalBoundViolation,
@@ -201,14 +206,27 @@ def _indices(fam: MartingaleFamily, start: int, stop: int) -> Iterable[int]:
     return [n for n in fam.support if start <= n < stop]
 
 
+def _sum_pairs(values: list[Dyadic]) -> tuple[int, int]:
+    """The sum of ``values`` as ``(num, log_den)``: every value's pair
+    brought once to their largest log-denominator, and the numerators
+    added.  No values sum to ``(0, 0)``."""
+    common = max([v.log_den for v in values], default=0)
+    return sum(v.num << common - v.log_den for v in values), common
+
+
+def _exceeds(num: int, log_den: int, r: int) -> bool:
+    """Whether ``num / 2**log_den > 2**-r``: ``num * 2**r`` against
+    ``2**log_den``, with both shifts nonnegative."""
+    return num << max(r, 0) > 1 << log_den - min(r, 0)
+
+
 def _partial_sum(
     fam: MartingaleFamily, w: BitString, start: int, stop: int
-) -> Dyadic:
-    """``sum_{start <= n < stop} d_n(w)``, over the support's indices only."""
-    total = ZERO
-    for n in _indices(fam, start, stop):
-        total = total + fam.member(n).value(w)
-    return total
+) -> tuple[int, int]:
+    """``sum_{start <= n < stop} d_n(w)`` as ``(num, log_den)``, over the
+    support's indices only: each member's ``value(w)`` read as its pair,
+    and the pairs summed by :func:`_sum_pairs`."""
+    return _sum_pairs([fam.member(n).value(w) for n in _indices(fam, start, stop)])
 
 
 def sum_family(
@@ -218,16 +236,18 @@ def sum_family(
 
     Within ``2**-r`` of the full sum whenever the modulus promise holds; the
     promise is audited first, on the ``DEFAULT_AUDIT_PAD`` terms from
-    ``m(w, r)`` on.
+    ``m(w, r)`` on, as one integer comparison of their summed pair against
+    ``2**-r``.  The truncated sum is a pair too, and only the result is a
+    ``Dyadic``.
     """
     start = mod(w, r)
     tail = _partial_sum(fam, w, start, start + DEFAULT_AUDIT_PAD)
-    if tail > Dyadic.pow2(-r):
+    if _exceeds(*tail, r):
         raise ModulusViolation(
             f"{mod.name}: tail from {start} at ({w!r}, {r}) already sums to "
-            f"{tail} > 2**-{r} within the audit window"
+            f"{text(*tail)} > 2**-{r} within the audit window"
         )
-    return _partial_sum(fam, w, 0, start)
+    return Dyadic(*_partial_sum(fam, w, 0, start))
 
 
 def aggregate_martingale(
@@ -256,14 +276,14 @@ def _audit_family(
 ) -> None:
     degenerate = True
     for n in _indices(fam, 0, audit_levels):
-        member = fam.member(n)
+        capital = fam.member(n).initial_capital
         bound = fam.capital_bound(n)
-        if member.initial_capital > bound:
+        if capital > bound:
             raise CapitalBoundViolation(
-                f"{fam.name}: member {n} has capital {member.initial_capital} "
+                f"{fam.name}: member {n} has capital {capital} "
                 f"> declared bound {bound}"
             )
-        if not member.initial_capital.is_zero():
+        if capital.num:
             degenerate = False
     if degenerate:
         raise DegenerateFamily(
@@ -272,10 +292,8 @@ def _audit_family(
     # the declared capital series must survive its own modulus
     for i in (0, 4, 8):
         start = mod(EMPTY, i)
-        tail = ZERO
-        for n in _indices(fam, start, start + DEFAULT_AUDIT_PAD):
-            tail = tail + fam.capital_bound(n)
-        if tail > Dyadic.pow2(-i):
+        window = _indices(fam, start, start + DEFAULT_AUDIT_PAD)
+        if _exceeds(*_sum_pairs([fam.capital_bound(n) for n in window]), i):
             raise ModulusViolation(
                 f"{fam.name}: declared capital tail from {start} exceeds "
                 f"2**-{i} on audit"
@@ -330,29 +348,33 @@ def borel_cantelli_dimension(
     """
     if not t > s:
         raise ValueError(f"needs t > s, got s={s}, t={t}")
-    one_minus_s = ONE - s
+    # 1 - s, 1 - t and t - s as numerators over one 2**L
+    L = max(s.log_den, t.log_den)
+    s_num, t_num = s.num << L - s.log_den, t.num << L - t.log_den
+    one_minus_s, one_minus_t = (1 << L) - s_num, (1 << L) - t_num
     for n in _indices(fam, 0, audit_levels):
         capital = fam.member(n).initial_capital
         # d_n(root) <= 2**((s-1)n), compared without evaluating the power
-        if cmp_pow2(capital.num, capital.log_den, -one_minus_s.num * n,
-                    one_minus_s.log_den) > 0:
+        if cmp_pow2(capital.num, capital.log_den, -one_minus_s * n, L) > 0:
             raise CapitalBoundViolation(
                 f"{fam.name}: member {n} capital {capital} exceeds "
                 f"2**((s-1)*{n}) for s={s}"
             )
 
-    one_minus_t = ONE - t
-
     def shift(n: int) -> int:
-        return (one_minus_t * Dyadic(n)).ceil()
+        return -(-one_minus_t * n >> L)  # ceil((1-t)n)
+
+    def capital_bound(n: int) -> Dyadic:
+        bound, k = fam.capital_bound(n), shift(n)
+        return Dyadic(bound.num << max(k, 0), bound.log_den - min(k, 0))
 
     scaled = MartingaleFamily(
         generator=lambda n: scale_pow2(fam.member(n), shift(n)),
-        capital_bound=lambda n: fam.capital_bound(n).scale2(shift(n)),
+        capital_bound=capital_bound,
         name=f"{fam.name}*2^ceil((1-t)n)",
         support=fam.support,
     )
-    return scaled, geometric_modulus(t - s, log2_scale=1)
+    return scaled, geometric_modulus(Dyadic(t_num - s_num, L), log2_scale=1)
 
 
 def dimension_certificate(
@@ -366,12 +388,12 @@ def dimension_certificate(
     """Certify aggregate value at least ``2**((1-t)n)`` at a covered node."""
     member_value = base_fam.member(n).value(w)
     stop = max(mod(w, DEFAULT_ROOT_PRECISION), n + 1)
-    partial = _partial_sum(scaled_fam, w, 0, stop)
-    one_minus_t = ONE - t
+    num, log_den = _partial_sum(scaled_fam, w, 0, stop)
+    one_minus_t = (1 << t.log_den) - t.num  # over 2**t.log_den
     covered = member_value >= ONE and cmp_pow2(
-        partial.num, partial.log_den, one_minus_t.num * n, one_minus_t.log_den
+        num, log_den, one_minus_t * n, t.log_den
     ) >= 0
-    return CoverageCertificate(n, w, partial, covered)
+    return CoverageCertificate(n, w, Dyadic(num, log_den), covered)
 
 
 def ratio_power(n: int) -> Fraction:

@@ -2,8 +2,11 @@
 
 A :class:`Dyadic` is ``num / 2**log_den`` with an arbitrary-precision integer
 numerator.  Every value is kept in canonical form (numerator odd, or
-``log_den == 0``), so equality of values is structural equality.  Addition,
-multiplication, and comparison are exact; nothing in this module ever rounds.
+``log_den == 0``), so equality of values is structural equality.  A
+``Dyadic`` parses, prints and compares exactly, and has no arithmetic: code
+that sums or scales values reads their ``(num, log_den)`` pairs, brings them
+to one power of two and adds or shifts the integers, and builds a
+``Dyadic`` only for a result.  Nothing in this module ever rounds.
 
 Signed numerators are permitted because accept-minus-reject counting can go
 negative; betting values proper are checked for nonnegativity where they are
@@ -95,45 +98,8 @@ class Dyadic:
 
     # -- value queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def is_negative(self) -> bool:
         return self.num < 0
-
-    def ceil(self) -> int:
-        return -((-self.num) >> self.log_den)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        if self.log_den >= other.log_den:
-            return Dyadic(
-                self.num + (other.num << (self.log_den - other.log_den)),
-                self.log_den,
-            )
-        return Dyadic(
-            (self.num << (other.log_den - self.log_den)) + other.num,
-            other.log_den,
-        )
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self + Dyadic(-other.num, other.log_den)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.log_den + other.log_den)
-
-    def scale2(self, k: int) -> "Dyadic":
-        """Exact multiplication by ``2**k`` (``k`` may be negative)."""
-        if k >= 0:
-            return Dyadic(self.num << k, self.log_den)
-        return Dyadic(self.num, self.log_den - k)
 
     # -- ordering ----------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Test-local oracles for :func:`martlab.martingale.levels` and everything that
 reads it.  Here every node is a ``BitString`` and every value is evaluated
-by a callable, once per node, as a ``Dyadic`` (or a ``Fraction``) compared
-exactly: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
+by a callable, once per node, as a ``Dyadic`` (or a ``Fraction``), and
+added and compared as a ``Fraction``: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
 on ``Fraction`` values, of ``verify_averaging_exact``), and
 :func:`tree_csv`, :func:`tree_json` and :func:`tree_dot` are the twins of
 the dumps, whose written text :func:`dumped` collects.  Pass ``m.value`` and
@@ -11,9 +11,10 @@ the dumps, whose written text :func:`dumped` collects.  Pass ``m.value`` and
 
 The scans along one path, as martlab ran them before path kernels, are here
 too: every prefix is a ``BitString`` evaluated by ``value`` as a ``Dyadic``,
-and thresholds are ``Dyadic`` exponents, compared by :func:`cmp_pow2`, the
-``Dyadic`` form of ``martlab.dyadic.cmp_pow2`` before it took integer
-pairs.  :func:`success_scan`,
+and thresholds are ``Fraction`` exponents, compared by :func:`cmp_pow2`, the
+form of ``martlab.dyadic.cmp_pow2`` before it took integer pairs.  No value
+is added through ``Dyadic``, which has no arithmetic, so these twins share
+no sum with the code they check.  :func:`success_scan`,
 :func:`empirical_dimension` and :func:`diagonalize` (with the value trace
 along its result) are the twins of ``martingale``'s functions of those
 names and of ``cmd_diagonalize``'s trace.
@@ -21,6 +22,7 @@ names and of ``cmd_diagonalize``'s trace.
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
 from martlab.cantor import EMPTY, BitString, all_strings
@@ -28,6 +30,7 @@ from martlab.constructions import _leveled
 from martlab.dyadic import (
     GRID_BITS,
     ONE,
+    ZERO,
     Dyadic,
     grid_floor_one_minus_log2_ratio,
     pow_bit_length,
@@ -42,6 +45,18 @@ from martlab.martingale import (
 )
 
 T = TypeVar("T")
+
+
+def as_fraction(v: Dyadic | Fraction) -> Fraction:
+    """A value as a ``Fraction``: a ``Dyadic`` is ``num / 2**log_den``."""
+    return v if isinstance(v, Fraction) else Fraction(v.num, 1 << v.log_den)
+
+
+def as_dyadic(f: Fraction) -> Dyadic:
+    """A ``Fraction`` whose denominator is a power of two, as a ``Dyadic``."""
+    log_den = f.denominator.bit_length() - 1
+    assert f.denominator == 1 << log_den, f
+    return Dyadic(f.numerator, log_den)
 
 
 def levels(
@@ -124,9 +139,11 @@ def averaging_report(
     for k, (nodes, values) in enumerate(levels(value, depth)):
         children = zip(parents, parent_values, values[0::2], values[1::2])
         for w, v, v0, v1 in children:
-            child_sum = v0 + v1
-            doubled = v + v
+            child_sum = as_fraction(v0) + as_fraction(v1)
+            doubled = 2 * as_fraction(v)
             if doubled < child_sum if supermartingale else doubled != child_sum:
+                if isinstance(v, Dyadic):  # reported as verify_averaging does
+                    child_sum = as_dyadic(child_sum)
                 violations.append(AveragingViolation(w, v, child_sum))
             if k - 1 == freeze_depth and (v0 != v or v1 != v):
                 unfrozen.append(w)
@@ -177,17 +194,19 @@ def dumped(dump: Callable, m: Martingale, depth: int) -> str:
     return "".join(parts)
 
 
-def cmp_pow2(value: Dyadic, exponent: Dyadic) -> int:
-    """Exact three-way comparison of ``value`` against ``2**exponent``, both
-    canonical ``Dyadic``s: for ``value = m / 2**j > 0`` and ``exponent =
-    p / 2**k``, ``m**(2**k)`` against ``2**(p + j * 2**k)``, outside
+def cmp_pow2(value: Dyadic, exponent: Fraction) -> int:
+    """Exact three-way comparison of ``value`` against ``2**exponent``, a
+    canonical ``Dyadic`` against a ``Fraction`` whose denominator is a power
+    of two: for ``value = m / 2**j > 0`` and ``exponent = p / 2**k`` in
+    lowest terms, ``m**(2**k)`` against ``2**(p + j * 2**k)``, outside
     ``m``'s bit-length band from the bit length alone, inside it from
     :func:`~martlab.dyadic.pow_bit_length`."""
     m = value.num
     if m <= 0:
         return -1
-    k = exponent.log_den
-    target = exponent.num + (value.log_den << k)
+    k = exponent.denominator.bit_length() - 1
+    assert exponent.denominator == 1 << k, exponent
+    target = exponent.numerator + (value.log_den << k)
     b = m.bit_length()
     if target < (b - 1) << k:
         return 1
@@ -204,10 +223,11 @@ def success_scan(
 ) -> SuccessReport:
     """``d(S[:n]) >= 2**((1-s)*n)`` at every level, ``value`` per prefix."""
     values, levels, unitary = [], set(), None
+    one_minus_s = 1 - as_fraction(s)
     for n in range(len(S) + 1):
         v = value(S.prefix(n))
         values.append(v)
-        if cmp_pow2(v, (ONE - s) * Dyadic(n)) >= 0:
+        if cmp_pow2(v, one_minus_s * n) >= 0:
             levels.add(n)
         if unitary is None and v >= ONE:
             unitary = n
@@ -222,7 +242,7 @@ def empirical_dimension(
     for n in range(1, len(S) + 1):
         v = value(S.prefix(n))
         levels.append(
-            None if v.is_zero()
+            None if v == ZERO
             else grid_floor_one_minus_log2_ratio(v.num, v.log_den, n, GRID_BITS)
         )
     finite = [v for v in levels if v is not None]

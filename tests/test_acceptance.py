@@ -237,7 +237,7 @@ def test_criterion_04_summation_lemma():
         for w in samples:
             for r in range(21):
                 value = sum_family(geometric, mod1, w, r)
-                assert ZERO <= Dyadic(2) - value <= Dyadic.pow2(-r)
+                assert 0 <= 2 - as_fraction(value) <= Fraction(1, 2**r)
 
         # 2^-f(n) family with f(n) = 2n: true sum is 4/3 at every node
         squares = MartingaleFamily(
@@ -264,7 +264,8 @@ def test_criterion_04_summation_lemma():
             for r in (0, 5, 10, 20):
                 value = sum_family(covers, mod1, w, r)
                 reference = sum_family(covers, mod1, w, r + 16)
-                assert ZERO <= reference - value <= Dyadic.pow2(-r)
+                error = as_fraction(reference) - as_fraction(value)
+                assert 0 <= error <= Fraction(1, 2**r)
 
 
 # -- 5: covering aggregates ---------------------------------------------------
@@ -296,7 +297,7 @@ def test_criterion_05_borel_cantelli():
         aggregate = borel_cantelli_measure(fam, mod, audit_levels=13)
         s, t = Dyadic(1, 1), Dyadic(3, 2)
         scaled, dim_mod = borel_cantelli_dimension(fam, s, t, audit_levels=13)
-        one_minus_t = ONE - t
+        one_minus_t = 1 - as_fraction(t)
         for n, cover in covers.items():
             for x in all_strings(n):
                 if not cover.contains(x):
@@ -308,7 +309,7 @@ def test_criterion_05_borel_cantelli():
                     scaled, fam, dim_mod, t, n, x
                 )
                 assert dim_cert.covered
-                assert node_walk.cmp_pow2(dim_cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
+                assert node_walk.cmp_pow2(dim_cert.partial_sum, one_minus_t * n) >= 0
 
 
 # -- 6: diagonalization -------------------------------------------------------
@@ -572,7 +573,11 @@ def test_criterion_10_entropy_bridge(census2, census3, census4, cache_dir):
             x = p + BitString(tt_bits)
             value = aggregate.value(x)
             assert value >= ONE
-            factored = member7.value(p.prefix(7)) + member15.value(p) + ONE
-            assert value == factored
+            factored = (
+                as_fraction(member7.value(p.prefix(7)))
+                + as_fraction(member15.value(p))
+                + 1
+            )
+            assert as_fraction(value) == factored
 
         assert time.perf_counter() - started < 120.0

@@ -1,13 +1,17 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import node_walk
+from node_walk import as_dyadic, as_fraction
 
 from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.combinators import (
+    DEFAULT_AUDIT_PAD,
     DEFAULT_ROOT_PRECISION,
     ApproxSupermartingale,
     Approximation,
@@ -25,6 +29,7 @@ from martlab.combinators import (
     sum_finite,
     unit_certificate,
     worst_case_gamma,
+    _audit_family,
 )
 from martlab.constructions import Cover, cover_martingale, subset_cover
 from martlab.cantor import LanguageView
@@ -58,7 +63,7 @@ def plus_two_modulus():
 def test_sum_roots_of_reference_trees():
     total = sum_finite(build_figure(1), build_figure(2))
     assert total.value(EMPTY) == Dyadic(19, 4)
-    assert total.initial_capital == Dyadic(5, 4) + Dyadic(7, 3)
+    assert as_fraction(total.initial_capital) == Fraction(5, 16) + Fraction(7, 8)
 
 
 def test_sum_with_zero_is_identity():
@@ -72,7 +77,7 @@ def test_sum_with_self_doubles():
     m = build_figure(3)
     total = sum_finite(m, m)
     for w in all_strings(4):
-        assert total.value(w) == m.value(w).scale2(1)
+        assert as_fraction(total.value(w)) == 2 * as_fraction(m.value(w))
 
 
 def test_sum_commutes_and_associates():
@@ -99,7 +104,8 @@ def test_sum_ratio_form_uses_common_power_of_two():
     zero, one, log_den = kernel.send(0)  # the children of 0
     assert log_den == max(a.ratio.row(2)[1], b.ratio.row(2)[1])
     w = BitString("01")
-    assert Dyadic(one, log_den) == total.value(w) == a.value(w) + b.value(w)
+    assert Dyadic(one, log_den) == total.value(w)
+    assert as_fraction(total.value(w)) == as_fraction(a.value(w)) + as_fraction(b.value(w))
 
 
 def test_scale_pow2():
@@ -107,8 +113,8 @@ def test_scale_pow2():
     doubled = scale_pow2(m, 3)
     halved = scale_pow2(m, -2)
     for w in all_strings(4):
-        assert doubled.value(w) == m.value(w).scale2(3)
-        assert halved.value(w) == m.value(w).scale2(-2)
+        assert as_fraction(doubled.value(w)) == 8 * as_fraction(m.value(w))
+        assert as_fraction(halved.value(w)) == as_fraction(m.value(w)) / 4
     assert verify_averaging(doubled, 4).passed
 
 
@@ -118,9 +124,9 @@ def test_scale_pow2():
 def test_sum_family_geometric_example():
     fam, mod = geometric_family(), plus_two_modulus()
     for r in (0, 3, 8):
-        value = sum_family(fam, mod, EMPTY, r)
-        assert value == Dyadic(2) - Dyadic.pow2(-(r + 1))
-        assert Dyadic(2) - value <= Dyadic.pow2(-r)
+        value = as_fraction(sum_family(fam, mod, EMPTY, r))
+        assert value == 2 - Fraction(1, 2 ** (r + 1))
+        assert 2 - value <= Fraction(1, 2**r)
 
 
 def test_sum_family_single_member():
@@ -143,10 +149,9 @@ def test_sum_family_precision_consistency():
         k = rnd.randrange(6)
         w = BitString.from_int(rnd.randrange(1 << k), k)
         r1, r2 = sorted(rnd.sample(range(21), 2))
-        v1 = sum_family(fam, mod, w, r1)
-        v2 = sum_family(fam, mod, w, r2)
-        diff = v2 - v1 if v2 >= v1 else v1 - v2
-        assert diff <= Dyadic.pow2(-r1) + Dyadic.pow2(-r2)
+        v1 = as_fraction(sum_family(fam, mod, w, r1))
+        v2 = as_fraction(sum_family(fam, mod, w, r2))
+        assert abs(v2 - v1) <= Fraction(1, 2**r1) + Fraction(1, 2**r2)
 
 
 def test_modulus_violation_raises():
@@ -160,8 +165,8 @@ def test_geometric_modulus_is_valid():
     fam = geometric_family()
     mod = geometric_modulus(ONE)
     for r in (0, 5, 12):
-        value = sum_family(fam, mod, EMPTY, r)
-        assert Dyadic(2) - value <= Dyadic.pow2(-r)
+        value = as_fraction(sum_family(fam, mod, EMPTY, r))
+        assert 2 - value <= Fraction(1, 2**r)
 
 
 # -- covering aggregates ------------------------------------------------------
@@ -236,7 +241,9 @@ def test_a_finitely_supported_aggregate_is_a_martingale():
     assert isinstance(agg, Martingale)
     total = sum_finite(agg, members[0])
     for w in all_strings(5):
-        assert total.value(w) == sum((m.value(w) for m in members), members[0].value(w))
+        assert as_fraction(total.value(w)) == sum(
+            (as_fraction(m.value(w)) for m in members), as_fraction(members[0].value(w))
+        )
 
 
 def _counted_family(support):
@@ -306,14 +313,14 @@ def test_borel_cantelli_dimension_guarantee():
     )
     s, t = Dyadic(1, 1), Dyadic(3, 2)
     scaled, mod = borel_cantelli_dimension(base, s, t, audit_levels=13)
-    one_minus_t = ONE - t
+    one_minus_t = 1 - as_fraction(t)
     for n in (1, 4, 7, 12):
         for v in rnd.sample(range(1 << n), min(8, 1 << n)):
             x = BitString.from_int(v, n)
             if covers[n].contains(x):
                 cert = dimension_certificate(scaled, base, mod, t, n, x)
                 assert cert.covered
-                assert node_walk.cmp_pow2(cert.partial_sum, one_minus_t * Dyadic(n)) >= 0
+                assert node_walk.cmp_pow2(cert.partial_sum, one_minus_t * n) >= 0
 
 
 def test_borel_cantelli_dimension_requires_t_above_s():
@@ -325,7 +332,7 @@ def test_borel_cantelli_dimension_requires_t_above_s():
 def test_borel_cantelli_dimension_t_one_reduces_to_measure():
     fam = MartingaleFamily(
         generator=lambda n: scale_pow2(build_figure(1), -n),
-        capital_bound=lambda n: Dyadic(5, 4).scale2(-n),
+        capital_bound=lambda n: Dyadic(5, 4 + n),
         name="scaled-figs",
         support=tuple(range(6)),
     )
@@ -339,16 +346,189 @@ def test_borel_cantelli_dimension_t_one_reduces_to_measure():
 def test_scaled_capital_series_geometric_tail():
     # 2^(ceil((1-t)n) + (s-1)n) <= 2^(-(t-s)n + 1) termwise to horizon 64,
     # so partial sums sit under the convergent geometric tail
-    s, t = Dyadic(1, 1), Dyadic(3, 2)
     s_frac, t_frac = Fraction(1, 2), Fraction(3, 4)
     numeric_bound = 0.0
     for n in range(65):
-        shift = ((ONE - t) * Dyadic(n)).ceil()
+        shift = math.ceil((1 - t_frac) * n)
         term_exp = shift + (s_frac - 1) * n
         bound_exp = -(t_frac - s_frac) * n + 1
         assert term_exp <= bound_exp
         numeric_bound += 2.0 ** float(bound_exp)
     assert numeric_bound < 16.0
+
+
+def _half_density(rnd, top):
+    """Covers of ``2**(n // 2)`` random strings at each level ``1..top``, as
+    a finite family whose capitals are at most ``2**(-n/2)``."""
+    covers = {
+        n: Cover.from_members(
+            [BitString.from_int(v, n) for v in rnd.sample(range(1 << n), 1 << (n // 2))], n
+        )
+        for n in range(1, top + 1)
+    }
+    return MartingaleFamily(
+        generator=lambda n: cover_martingale(covers[n]),
+        capital_bound=lambda n: Dyadic(1 << (n // 2), n),
+        name="half-density",
+        support=tuple(covers),
+    )
+
+
+def _geometric_support(top):
+    """``2**-n`` constants on ``0..top - 1``, capitals at most ``2**-n``."""
+    return MartingaleFamily(
+        generator=lambda n: Martingale.constant(Dyadic.pow2(-n)),
+        capital_bound=Dyadic.pow2,
+        name="geometric",
+        support=tuple(range(top)),
+    )
+
+
+# (base family, s) pairs whose capitals meet 2**((s-1)n), and t values above s
+DIMENSION_BASES = [
+    (lambda: _half_density(random.Random(17), 12), "1/2", ("3/4", "1", "5/4")),
+    (lambda: _geometric_support(16), "0", ("1/2", "1", "3/2")),
+]
+
+
+@pytest.mark.parametrize("base, s, ts", DIMENSION_BASES, ids=["half-density", "geometric"])
+def test_scaled_capital_bound_holds_for_every_member(base, s, ts):
+    """The scaled family's ``capital_bound`` is the base bound times
+    ``2**ceil((1-t)n)``, computed with ``Fraction``, and it bounds each
+    scaled member's capital, for ``t`` below, at and above 1."""
+    base = base()
+    for t in ts:
+        scaled, _ = borel_cantelli_dimension(base, Dyadic.parse(s), Dyadic.parse(t))
+        for n in base.support:
+            factor = Fraction(2) ** math.ceil((1 - Fraction(t)) * n)
+            capital = scaled.member(n).initial_capital
+            assert as_fraction(capital) == as_fraction(base.member(n).initial_capital) * factor
+            assert as_fraction(scaled.capital_bound(n)) == as_fraction(base.capital_bound(n)) * factor
+            assert capital <= scaled.capital_bound(n)
+
+
+# -- the pair sums against a Fraction twin --------------------------------------
+
+
+def _fraction_sum(fam, w, start, stop):
+    """``sum_{start <= n < stop} d_n(w)`` added as ``Fraction``s, reading only
+    the support's members."""
+    return sum(
+        (as_fraction(fam.member(n).value(w)) for n in range(start, stop)
+         if fam.support is None or n in fam.support),
+        Fraction(0),
+    )
+
+
+@st.composite
+def families(draw):
+    """Geometric constants ``c * 2**(-d*n)``, or a finite support of
+    constants and scaled covers, with capital bounds of ``f / 2**g`` times
+    each capital: ``f / 2**g < 1`` declares a bound the capitals break."""
+    f, g = draw(st.sampled_from([(1, 0), (1, 1), (3, 0), (3, 1)]))
+    if draw(st.booleans()):
+        c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        capitals = support = None
+        generator = lambda n: Martingale.constant(Dyadic(c, d * n))  # noqa: E731
+    else:
+        support = tuple(sorted(draw(st.sets(st.integers(0, 20), max_size=6))))
+        members = {}
+        for n in support:
+            if draw(st.booleans()):
+                value = Dyadic(draw(st.integers(0, 64)), draw(st.integers(0, 12)))
+                members[n] = Martingale.constant(value)
+            else:
+                level = draw(st.integers(0, 5))
+                strings = draw(st.sets(st.integers(0, (1 << level) - 1), max_size=4))
+                cover = Cover.from_members([BitString.from_int(v, level) for v in strings], level)
+                members[n] = scale_pow2(cover_martingale(cover), draw(st.integers(-6, 2)))
+        generator = members.__getitem__
+
+    def capital_bound(n):
+        capital = generator(n).initial_capital
+        return Dyadic(capital.num * f, capital.log_den + g)
+
+    return MartingaleFamily(generator, capital_bound, "random", support=support)
+
+
+moduli = st.builds(
+    lambda a, b, e: ConvergenceModulus(lambda w, i: a * i + b + e * len(w), f"{a}i+{b}+{e}|w|"),
+    st.integers(0, 2), st.integers(0, 6), st.integers(0, 1),
+)
+nodes = st.integers(0, 6).flatmap(
+    lambda k: st.integers(0, (1 << k) - 1).map(lambda v: BitString.from_int(v, k))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), moduli, nodes, st.integers(0, 12))
+def test_sum_family_matches_the_fraction_twin(fam, mod, w, r):
+    """The truncated sum is the ``Fraction`` sum below ``m(w, r)``, and the
+    audit refuses exactly when the window's ``Fraction`` tail passes
+    ``2**-r``."""
+    start = mod(w, r)
+    if _fraction_sum(fam, w, start, start + DEFAULT_AUDIT_PAD) > Fraction(1, 2**r):
+        with pytest.raises(ModulusViolation):
+            sum_family(fam, mod, w, r)
+    else:
+        assert as_fraction(sum_family(fam, mod, w, r)) == _fraction_sum(fam, w, 0, start)
+
+
+def _audit_twin(fam, mod, levels):
+    """The error ``_audit_family`` should raise, from ``Fraction`` sums."""
+    indices = [n for n in range(levels) if fam.support is None or n in fam.support]
+    capitals = [as_fraction(fam.member(n).initial_capital) for n in indices]
+    bounds = [as_fraction(fam.capital_bound(n)) for n in indices]
+    if any(c > b for c, b in zip(capitals, bounds)):
+        return CapitalBoundViolation
+    if not any(capitals):
+        return DegenerateFamily
+    for i in (0, 4, 8):
+        start = mod(EMPTY, i)
+        window = range(start, start + DEFAULT_AUDIT_PAD)
+        tail = sum(as_fraction(fam.capital_bound(n)) for n in window
+                   if fam.support is None or n in fam.support)
+        if tail > Fraction(1, 2**i):
+            return ModulusViolation
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), moduli, st.integers(0, 16))
+def test_family_audit_matches_the_fraction_twin(fam, mod, levels):
+    try:
+        _audit_family(fam, mod, levels)
+        raised = None
+    except (CapitalBoundViolation, DegenerateFamily, ModulusViolation) as exc:
+        raised = type(exc)
+    assert raised is _audit_twin(fam, mod, levels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(base, s, t) for base, s, ts in DIMENSION_BASES for t in ts]),
+       st.randoms(use_true_random=False))
+def test_dimension_certificates_match_the_fraction_twin(case, rnd):
+    """A certificate's partial sum is the base members' ``Fraction`` values
+    times ``2**ceil((1-t)k)``, added below its stop, and it is covered
+    exactly when member ``n`` reaches 1 and ``cmp_pow2`` against the
+    ``Fraction`` exponent ``(1-t)n`` finds the sum at or above it."""
+    base, s, t = case
+    base = base()
+    scaled, mod = borel_cantelli_dimension(base, Dyadic.parse(s), Dyadic.parse(t))
+    one_minus_t = 1 - Fraction(t)
+    for n in base.support:
+        x = BitString.from_int(rnd.getrandbits(n), n) if n else EMPTY
+        cert = dimension_certificate(scaled, base, mod, Dyadic.parse(t), n, x)
+        stop = max(mod(x, DEFAULT_ROOT_PRECISION), n + 1)
+        partial = sum(
+            as_fraction(base.member(k).value(x)) * Fraction(2) ** math.ceil(one_minus_t * k)
+            for k in base.support if k < stop
+        )
+        assert as_fraction(cert.partial_sum) == partial
+        reaches = as_fraction(base.member(n).value(x)) >= 1
+        assert cert.covered == (
+            reaches and node_walk.cmp_pow2(as_dyadic(partial), one_minus_t * n) >= 0
+        )
 
 
 # -- the approximation transform ----------------------------------------------

@@ -578,7 +578,8 @@ def test_acceptance_deep_cold_prefix():
     # a 1 bit wins odds 3/4 on a member and 1/4 elsewhere
     expected = Dyadic(2**n * 3 ** len(members), 2 * n)
     assert m.value(w) == expected
-    assert m.value(w.append(0)) == expected * Dyadic(3, 1)
+    # a further 0 bit wins odds 3/4 off the language's members
+    assert m.value(w.append(0)) == Dyadic(3 * expected.num, expected.log_den + 1)
 
 
 def _last(path):

@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import node_walk
 from martlab.cantor import BitString, EMPTY, all_strings
 from martlab.circuits import mcsp_cover, mcsp_witness_relation
 from martlab.cli import main
@@ -249,11 +251,13 @@ def test_modulus_tails_start_at_level_one():
 
 
 def _dyadic_tail(gap, start: int, horizon: int) -> Dyadic:
-    """A modulus tail summed one ``Dyadic`` power at a time."""
-    tail = Dyadic(0)
-    for n in range(max(start, 1), horizon + 1):
-        tail = tail + Dyadic.pow2(-gap(n))
-    return tail
+    """A modulus tail summed one ``Fraction`` power at a time, as a
+    ``Dyadic``."""
+    tail = sum(
+        (Fraction(2) ** -gap(n) for n in range(max(start, 1), horizon + 1)),
+        Fraction(0),
+    )
+    return node_walk.as_dyadic(tail)
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 5, 12])

@@ -104,17 +104,22 @@ def test_levels_refuse_a_depth_past_the_cap():
             walk(depth)
 
 
+def plus_one(v: Dyadic) -> Dyadic:
+    """``v + 1``, added as the integer pair ``(num + 2**log_den, log_den)``."""
+    return Dyadic(v.num + (1 << v.log_den), v.log_den)
+
+
 def test_averaging_localizes_corruption():
     values = figure_cover_table()
-    values["0010"] = values["0010"] + ONE  # perturb one leaf
+    values["0010"] = plus_one(values["0010"])  # perturb one leaf
     report = verify_averaging(table_martingale(values), 4)
     assert [str(v.node) for v in report.violations] == ["001"]
 
 
 def test_averaging_violations_in_level_then_lex_order():
     values = figure_cover_table()
-    values["0010"] = values["0010"] + ONE  # a leaf under the 0-branch
-    values["10"] = values["10"] + ONE  # a level-2 node under the 1-branch
+    values["0010"] = plus_one(values["0010"])  # a leaf under the 0-branch
+    values["10"] = plus_one(values["10"])  # a level-2 node under the 1-branch
     report = verify_averaging(table_martingale(values), 4)
     # depth-first order would give 001, 1, 10 and string order the same
     assert [str(v.node) for v in report.violations] == ["1", "10", "001"]

@@ -13,6 +13,7 @@ scan's length.
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -248,7 +249,8 @@ def test_sum_kernel_compares_children_over_their_larger_denominator():
         m = sum_finite(a, scale_pow2(b, k))
 
         def value(w):
-            return tables[0][str(w)] + tables[1][str(w)].scale2(k)
+            a, b = (node_walk.as_fraction(t[str(w)]) for t in tables)
+            return node_walk.as_dyadic(a + b * Fraction(2) ** k)
 
         assert _diagonal_trace(m, 5) == node_walk.diagonalize(value, 5)
         S = _sequence(rnd, 5)
