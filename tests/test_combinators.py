@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import node_walk
 from node_walk import as_dyadic, as_fraction
@@ -43,6 +43,7 @@ from martlab.errors import (
 )
 from martlab.golden import build_figure
 from martlab.martingale import Martingale, verify_averaging
+from test_acceptance import _half_density_family
 
 
 def geometric_family():
@@ -357,28 +358,11 @@ def test_scaled_capital_series_geometric_tail():
     assert numeric_bound < 16.0
 
 
-def _half_density(rnd, top):
-    """Covers of ``2**(n // 2)`` random strings at each level ``1..top``, as
-    a finite family whose capitals are at most ``2**(-n/2)``."""
-    covers = {
-        n: Cover.from_members(
-            [BitString.from_int(v, n) for v in rnd.sample(range(1 << n), 1 << (n // 2))], n
-        )
-        for n in range(1, top + 1)
-    }
-    return MartingaleFamily(
-        generator=lambda n: cover_martingale(covers[n]),
-        capital_bound=lambda n: Dyadic(1 << (n // 2), n),
-        name="half-density",
-        support=tuple(covers),
-    )
-
-
 def _geometric_support(top):
     """``2**-n`` constants on ``0..top - 1``, capitals at most ``2**-n``."""
     return MartingaleFamily(
         generator=lambda n: Martingale.constant(Dyadic.pow2(-n)),
-        capital_bound=Dyadic.pow2,
+        capital_bound=lambda n: Dyadic.pow2(-n),
         name="geometric",
         support=tuple(range(top)),
     )
@@ -386,7 +370,7 @@ def _geometric_support(top):
 
 # (base family, s) pairs whose capitals meet 2**((s-1)n), and t values above s
 DIMENSION_BASES = [
-    (lambda: _half_density(random.Random(17), 12), "1/2", ("3/4", "1", "5/4")),
+    (lambda: _half_density_family(random.Random(17), 12)[1], "1/2", ("3/4", "1", "5/4")),
     (lambda: _geometric_support(16), "0", ("1/2", "1", "3/2")),
 ]
 
@@ -428,7 +412,7 @@ def families(draw):
     f, g = draw(st.sampled_from([(1, 0), (1, 1), (3, 0), (3, 1)]))
     if draw(st.booleans()):
         c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-        capitals = support = None
+        support = None
         generator = lambda n: Martingale.constant(Dyadic(c, d * n))  # noqa: E731
     else:
         support = tuple(sorted(draw(st.sets(st.integers(0, 20), max_size=6))))
@@ -452,7 +436,9 @@ def families(draw):
 
 
 moduli = st.builds(
-    lambda a, b, e: ConvergenceModulus(lambda w, i: a * i + b + e * len(w), f"{a}i+{b}+{e}|w|"),
+    lambda a, b, e: ConvergenceModulus(
+        lambda w, i: max(0, a * i + b + e * len(w)), f"{a}i+{b}+{e}|w|"
+    ),
     st.integers(0, 2), st.integers(0, 6), st.integers(0, 1),
 )
 nodes = st.integers(0, 6).flatmap(
@@ -460,14 +446,23 @@ nodes = st.integers(0, 6).flatmap(
 )
 
 
+def _constant_at(value):
+    """The family whose one member, at index 0, is the constant ``value``."""
+    member = Martingale.constant(value)
+    return MartingaleFamily(lambda n: member, lambda n: value, "one", support=(0,))
+
+
 @settings(max_examples=80, deadline=None)
-@given(families(), moduli, nodes, st.integers(0, 12))
+@given(families(), moduli, nodes, st.integers(-3, 12))
+@example(_constant_at(Dyadic(1, 4)), ConvergenceModulus(lambda w, i: 0), EMPTY, 4)
+@example(_constant_at(Dyadic(4)), ConvergenceModulus(lambda w, i: 0), EMPTY, -2)
 def test_sum_family_matches_the_fraction_twin(fam, mod, w, r):
     """The truncated sum is the ``Fraction`` sum below ``m(w, r)``, and the
     audit refuses exactly when the window's ``Fraction`` tail passes
-    ``2**-r``."""
+    ``2**-r``, for a negative ``r`` too; a tail of exactly ``2**-r``
+    passes."""
     start = mod(w, r)
-    if _fraction_sum(fam, w, start, start + DEFAULT_AUDIT_PAD) > Fraction(1, 2**r):
+    if _fraction_sum(fam, w, start, start + DEFAULT_AUDIT_PAD) > Fraction(2) ** -r:
         with pytest.raises(ModulusViolation):
             sum_family(fam, mod, w, r)
     else:
@@ -511,7 +506,9 @@ def test_dimension_certificates_match_the_fraction_twin(case, rnd):
     """A certificate's partial sum is the base members' ``Fraction`` values
     times ``2**ceil((1-t)k)``, added below its stop, and it is covered
     exactly when member ``n`` reaches 1 and ``cmp_pow2`` against the
-    ``Fraction`` exponent ``(1-t)n`` finds the sum at or above it."""
+    ``Fraction`` exponent ``(1-t)n`` finds the sum at or above it.  The
+    modulus returned with the scaled family truncates its sum within
+    ``2**-r``."""
     base, s, t = case
     base = base()
     scaled, mod = borel_cantelli_dimension(base, Dyadic.parse(s), Dyadic.parse(t))
@@ -529,6 +526,9 @@ def test_dimension_certificates_match_the_fraction_twin(case, rnd):
         assert cert.covered == (
             reaches and node_walk.cmp_pow2(as_dyadic(partial), one_minus_t * n) >= 0
         )
+        total = _fraction_sum(scaled, x, 0, base.support[-1] + 1)
+        for r in (0, 4, 8):
+            assert 0 <= total - as_fraction(sum_family(scaled, mod, x, r)) <= Fraction(1, 2**r)
 
 
 # -- the approximation transform ----------------------------------------------
