@@ -3,11 +3,12 @@
 Test-local oracles for :func:`martlab.martingale.levels` and everything that
 reads it.  Here every node is a ``BitString`` and every value is evaluated
 by a callable, once per node, as a ``Dyadic`` (or a ``Fraction``), and
-added and compared as a ``Fraction``: :func:`averaging_report` is the twin of ``verify_averaging`` (and,
-on ``Fraction`` values, of ``verify_averaging_exact``), and
-:func:`tree_csv`, :func:`tree_json` and :func:`tree_dot` are the twins of
-the dumps, whose written text :func:`dumped` collects.  Pass ``m.value`` and
-``m.freeze_depth`` of a martingale ``m``.
+added and compared as a ``Fraction``: :func:`averaging_report` is the twin
+of ``verify_averaging`` (and, on ``Fraction`` values, of
+``verify_averaging_exact``), and :func:`tree_csv`, :func:`tree_json` and
+:func:`tree_dot` are the twins of the dumps, whose written text
+:func:`dumped` collects.  Pass ``m.value`` and ``m.freeze_depth`` of a
+martingale ``m``.
 
 The scans along one path, as martlab ran them before path kernels, are here
 too: every prefix is a ``BitString`` evaluated by ``value`` as a ``Dyadic``,

@@ -385,10 +385,10 @@ def test_scaled_capital_bound_holds_for_every_member(base, s, ts):
         scaled, _ = borel_cantelli_dimension(base, Dyadic.parse(s), Dyadic.parse(t))
         for n in base.support:
             factor = Fraction(2) ** math.ceil((1 - Fraction(t)) * n)
-            capital = scaled.member(n).initial_capital
+            capital, bound = scaled.member(n).initial_capital, scaled.capital_bound(n)
             assert as_fraction(capital) == as_fraction(base.member(n).initial_capital) * factor
-            assert as_fraction(scaled.capital_bound(n)) == as_fraction(base.capital_bound(n)) * factor
-            assert capital <= scaled.capital_bound(n)
+            assert as_fraction(bound) == as_fraction(base.capital_bound(n)) * factor
+            assert capital <= bound
 
 
 # -- the pair sums against a Fraction twin --------------------------------------
