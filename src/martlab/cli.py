@@ -4,6 +4,12 @@ Every subcommand is a thin shell over module operations; the CLI does no
 arithmetic of its own.  Output is deterministic given the arguments (plus
 the seed, where one applies), so runs are diffable.
 
+A command line is declared once, by the ``add_argument`` calls in
+:func:`build_parser`.  :func:`read_argv` reads a well-formed line in one
+pass from the actions those calls return; argparse reads every other line
+(help, abbreviations, ``--opt=value``, negative numbers, errors) and is the
+reader's twin in the tests.
+
 Exit codes: 0 pass, 1 check failure, 2 configuration error (a query past a
 language's declared horizon counts as one), 3 resource cap.  A stdout
 whose reader closes early ends the run with exit 1 and no traceback.
@@ -87,7 +93,7 @@ class Output:
         self.held = 0
         self.spool = None
         self.path, self.file = path, None
-        if path:
+        if path is not None:
             self.tmp, self.file = _beside(path)
 
     def write(self, text: str) -> None:
@@ -417,75 +423,112 @@ def _add_config_arg(parser) -> None:
     parser.add_argument("--config", required=True, help="experiment JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """The CLI's argparse parser; ``commands`` maps each subcommand's name to
+    the :class:`_Command` that :func:`read_argv` reads."""
+
+    commands: dict[str, "_Command"]
+
+
+class _Command:
+    """One subcommand: its argparse subparser, and the table :func:`read_argv`
+    reads, built from the actions its ``add_argument`` calls return.
+
+    The table holds what ``parse_args`` would set for an empty line (the
+    subcommand name, each action's default and the ``set_defaults`` value
+    ``fn``), each option string's action, the positional actions in order
+    and the destinations that are required.  Every action declared here
+    stores its value: one, or a list of ``nargs`` of them.
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser, name: str, fn) -> None:
+        self.parser = parser
+        parser.set_defaults(fn=fn)
+        self.defaults = {"command": name, "fn": fn}
+        self.options: dict[str, argparse.Action] = {}
+        self.positionals: list[argparse.Action] = []
+        self.required: list[str] = []
+
+    def add_argument(self, *names, **kwargs) -> None:
+        action = self.parser.add_argument(*names, **kwargs)
+        default = action.default
+        if isinstance(default, str) and action.type is not None:
+            default = action.type(default)  # as argparse types a string default
+        self.defaults[action.dest] = default
+        for option in action.option_strings:
+            self.options[option] = action
+        if not action.option_strings:
+            self.positionals.append(action)
+        if action.required:
+            self.required.append(action.dest)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The CLI parser, built once per process: parsing keeps no state on it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="martlab",
         description="exact betting-martingale laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = {}
 
-    p = sub.add_parser("figures", help="reproduce the golden trees")
+    def command(name: str, fn, help: str) -> _Command:
+        parser.commands[name] = p = _Command(sub.add_parser(name, help=help), name, fn)
+        return p
+
+    p = command("figures", cmd_figures, "reproduce the golden trees")
     p.add_argument("id", nargs="?", type=int, choices=figure_ids())
     p.add_argument("--format", choices=("csv", "dot"), default=None)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_figures)
 
-    p = sub.add_parser("construct", help="evaluate a construction as a tree")
+    p = command("construct", cmd_construct, "evaluate a construction as a tree")
     _add_config_arg(p)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--format", choices=("csv", "dot", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("verify", help="check the averaging law")
+    p = command("verify", cmd_verify, "check the averaging law")
     _add_config_arg(p)
     p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("success", help="threshold scan along a prefix")
+    p = command("success", cmd_success, "threshold scan along a prefix")
     _add_config_arg(p)
     p.add_argument("--sequence", required=True)
     p.add_argument("--s", default="1", help="success exponent, dyadic p/2^k")
-    p.set_defaults(fn=cmd_success)
 
-    p = sub.add_parser("diagonalize", help="build the defeating prefix")
+    p = command("diagonalize", cmd_diagonalize, "build the defeating prefix")
     _add_config_arg(p)
     p.add_argument("-N", "--length", type=int, default=8)
-    p.set_defaults(fn=cmd_diagonalize)
 
-    p = sub.add_parser("sum", help="truncated family sum at a node")
+    p = command("sum", cmd_sum, "truncated family sum at a node")
     _add_config_arg(p)
     p.add_argument("-w", default="", help="node bits")
     p.add_argument("--precision", type=int, default=10)
     p.add_argument("--seed", type=int, default=None,
                    help="extra modulus audits at seeded random instances")
-    p.set_defaults(fn=cmd_sum)
 
-    p = sub.add_parser("census", help="circuit census histogram")
+    p = command("census", cmd_census, "circuit census histogram")
     p.add_argument("-n", "--inputs", type=int, required=True)
     p.add_argument("-S", "--size", type=int, required=True)
     p.add_argument("--alpha", help="also run the covering report at this alpha")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_census)
 
-    p = sub.add_parser("mcsp", help="decide circuit size from the census")
+    p = command("mcsp", cmd_mcsp, "decide circuit size from the census")
     p.add_argument("--table", required=True, help="truth table bits")
     p.add_argument("-s", "--size", type=int, required=True)
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_mcsp)
 
-    p = sub.add_parser("certify", help="audit a covering certificate")
+    p = command("certify", cmd_certify, "audit a covering certificate")
     _add_config_arg(p)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=None,
                    help="extra modulus audits at seeded random points")
-    p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("kolmogorov", help="complexity tables and rates")
+    p = command("kolmogorov", cmd_kolmogorov, "complexity tables and rates")
     p.add_argument("-L", "--length-cap", type=int, default=10)
     p.add_argument(
         "--budget",
@@ -498,14 +541,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", help="report per-prefix rates for these bits")
     p.add_argument("--format", choices=("summary", "csv"), default="summary")
     p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_kolmogorov)
 
     return parser
 
 
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read in one
+    pass, or ``None`` where the line is left to argparse.
+
+    A line is read here only when its first word is a subcommand's name and
+    each later word is that subcommand's positional or one of its exact
+    option strings followed by ``nargs`` values; no option appears twice,
+    no value starts with ``-``, every value passes its action's ``type`` and
+    ``choices``, and every required option is present.  So ``-h``, an
+    abbreviation, ``--opt=value``, a negative number and every malformed
+    line go to argparse, with its own help, usage and errors.
+    """
+    command = build_parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = dict(command.defaults)
+    seen = set()
+    positionals = iter(command.positionals)
+    at, stop = 1, len(argv)
+    while at < stop:
+        action = command.options.get(argv[at])
+        if action is not None:
+            at += 1
+        elif argv[at].startswith("-") or (action := next(positionals, None)) is None:
+            return None
+        many = isinstance(action.nargs, int)
+        count = action.nargs if many else 1
+        words = argv[at:at + count]
+        at += count
+        if len(words) < count or action.dest in seen:
+            return None
+        seen.add(action.dest)
+        typed = []
+        for word in words:
+            if word.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    word = action.type(word)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and word not in action.choices:
+                return None
+            typed.append(word)
+        values[action.dest] = typed if many else typed[0]
+    if not seen.issuperset(command.required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line, ``sys.argv[1:]`` by default, and return its
+    exit code.
+
+    :func:`read_argv` reads a well-formed line in one pass; any line it
+    declines goes to ``build_parser().parse_args``, which reads it to the
+    same namespace or exits with its own help or usage message.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         with Output(getattr(args, "out", None)) as out:
             code = args.fn(args, out)

@@ -2,9 +2,10 @@
 
 ``main`` must return a documented exit code (0 pass, 1 check failure,
 2 configuration error, 3 resource cap), or argparse must exit with status 2
-on a malformed command line.  Config files are the ``experiments/`` fixtures
-with a few fields replaced by arbitrary small JSON; sizes stay small so every
-example runs in milliseconds.
+on a malformed command line.  Wherever the one-pass reader takes a command
+line, argparse must read it to the same namespace.  Config files are the
+``experiments/`` fixtures with a few fields replaced by arbitrary small
+JSON; sizes stay small so every example runs in milliseconds.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from martlab.cli import main
+from martlab.cli import build_parser, main, read_argv
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 FIXTURES = {path.stem: json.loads(path.read_text()) for path in EXPERIMENTS.glob("*.json")}
@@ -163,6 +164,9 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, run):
         argv = argv[:at] + [str(root / argv[at])] + argv[at + 1 :]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
+        # where the one-pass reader takes the line, argparse reads it the same
+        if (read := read_argv(argv)) is not None:
+            assert vars(read) == vars(build_parser().parse_args(argv)), argv
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -345,17 +345,26 @@ def test_borel_cantelli_dimension_t_one_reduces_to_measure():
 
 
 def test_scaled_capital_series_geometric_tail():
-    # 2^(ceil((1-t)n) + (s-1)n) <= 2^(-(t-s)n + 1) termwise to horizon 64,
-    # so partial sums sit under the convergent geometric tail
-    s_frac, t_frac = Fraction(1, 2), Fraction(3, 4)
-    numeric_bound = 0.0
-    for n in range(65):
-        shift = math.ceil((1 - t_frac) * n)
-        term_exp = shift + (s_frac - 1) * n
-        bound_exp = -(t_frac - s_frac) * n + 1
-        assert term_exp <= bound_exp
-        numeric_bound += 2.0 ** float(bound_exp)
-    assert numeric_bound < 16.0
+    """``borel_cantelli_dimension``'s scaled capital bounds, read as
+    ``Fraction``s: from base bounds ``2**-ceil(n/2) <= 2**((s-1)n)`` at
+    ``s = 1/2`` and ``t = 3/4``, each scaled bound is at most
+    ``2**(1 - (t-s)n)``, so to horizon 64 the partial sums sit under the
+    convergent geometric tail ``2 / (1 - 2**(-1/4)) < 16``."""
+    s, t = Dyadic.parse("1/2"), Dyadic.parse("3/4")
+    base = MartingaleFamily(
+        generator=lambda n: Martingale.constant(Dyadic.pow2(-((n + 1) // 2))),
+        capital_bound=lambda n: Dyadic.pow2(-((n + 1) // 2)),
+        name="half-rate",
+        support=tuple(range(65)),
+    )
+    scaled, _ = borel_cantelli_dimension(base, s, t)
+    total = Fraction(0)
+    for n in base.support:
+        bound = as_fraction(scaled.capital_bound(n))
+        # bound <= 2**(1 - (t-s)n) = 2**(1 - n/4), both sides to the 4th power
+        assert bound ** 4 <= Fraction(2) ** (4 - n)
+        total += bound
+    assert total < 16
 
 
 def _geometric_support(top):

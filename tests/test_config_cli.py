@@ -965,14 +965,15 @@ def _run(argv, capsys):
     return code, out, err
 
 
-def test_repeated_main_matches_a_fresh_parser(tmp_path, capsys):
+def repeated_calls(tmp_path) -> list[list[str]]:
+    """Every subcommand with options away from their defaults, then
+    argparse's own exits, then every subcommand at its defaults; configs
+    and the cache directory under ``tmp_path``."""
     figure1 = str(EXPERIMENTS / "figure1_cover.json")
     geometric = str(EXPERIMENTS / "geometric_sum.json")
     certify = write_config(tmp_path, CERTIFY_CONFIG)
     cache = ["--cache-dir", str(tmp_path / "cache")]
-    # every subcommand with options away from their defaults, then argparse's
-    # own exits, then every subcommand at its defaults
-    calls = [
+    return [
         ["kolmogorov", "--budget", "9", "1", "48", "--format", "csv", "-L", "4"],
         ["kolmogorov", "-L", "5", "--sequence", "01101", *cache],
         ["figures", "2", "--format", "csv"],
@@ -1000,6 +1001,10 @@ def test_repeated_main_matches_a_fresh_parser(tmp_path, capsys):
         ["mcsp", "--table", "0110", "-s", "2"],
         ["certify", "--config", certify],
     ]
+
+
+def test_repeated_main_matches_a_fresh_parser(tmp_path, capsys):
+    calls = repeated_calls(tmp_path)
     assert build_parser() is build_parser()
     repeated = [_run(argv, capsys) for argv in calls]
     assert {code for code, _, _ in repeated} == {0, 2}

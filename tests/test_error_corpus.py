@@ -175,6 +175,7 @@ CASES = [
     ("construct --out a directory", ["construct", "--config", FIG1, "--out", "{tmp}"], None),
     ("figures --out below a file",
      ["figures", "1", "--format", "csv", "--out", "{tmp}/plain/tree.csv"], None),
+    ("construct --out ''", ["construct", "--config", FIG1, "--out", ""], None),
     # decide modes
     ("decide exists sat", VERIFY, _cover(4, {"builtin": "sat", "vars": 2})),
     ("decide exists mcsp-witness", VERIFY,
