@@ -427,7 +427,7 @@ class _Parser(argparse.ArgumentParser):
     """The CLI's argparse parser; ``commands`` maps each subcommand's name to
     the :class:`_Command` that :func:`read_argv` reads."""
 
-    commands: dict[str, "_Command"]
+    commands: dict[str, _Command]
 
 
 class _Command:
@@ -438,7 +438,8 @@ class _Command:
     subcommand name, each action's default and the ``set_defaults`` value
     ``fn``), each option string's action, the positional actions in order
     and the destinations that are required.  Every action declared here
-    stores its value: one, or a list of ``nargs`` of them.
+    stores its value: one, or a list of ``nargs`` of them; no string
+    default has a ``type`` for argparse to apply.
     """
 
     def __init__(self, parser: argparse.ArgumentParser, name: str, fn) -> None:
@@ -451,10 +452,7 @@ class _Command:
 
     def add_argument(self, *names, **kwargs) -> None:
         action = self.parser.add_argument(*names, **kwargs)
-        default = action.default
-        if isinstance(default, str) and action.type is not None:
-            default = action.type(default)  # as argparse types a string default
-        self.defaults[action.dest] = default
+        self.defaults[action.dest] = action.default
         for option in action.option_strings:
             self.options[option] = action
         if not action.option_strings:
