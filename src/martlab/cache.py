@@ -1,15 +1,15 @@
 """The one persistence path for cached tables (censuses and kt tables).
 
-A cache file is one header line, ``martlab-cache v5 <file name>
-sha256=<payload digest>``, followed by the payload.  The file name spells out
-every parameter the contents depend on, so the header carries the key.  A
-load trusts the payload only when the whole header matches; anything else (an
-older format, a cut or edited file, a copy under another key's name) is
-rebuilt and rewritten.  Writes go to a per-process temporary file in the same
-directory and are moved into place with ``os.replace``, so no reader sees
-half a file.  Callers supply only the payload encoding; a decoder gets a
-``memoryview`` of the payload, so a load hashes and reads the file's bytes in
-place.
+A cache file is one header line, ``martlab-cache v<FORMAT_VERSION> <file
+name> sha256=<payload digest>``, followed by the payload.  The file name
+spells out every parameter the contents depend on, so the header carries the
+key.  A load trusts the payload only when the whole header matches; anything
+else (an older format, a cut or edited file, a copy under another key's
+name) is rebuilt and rewritten.  Writes go to a per-process temporary file
+in the same directory and are moved into place with ``os.replace``, so no
+reader sees half a file.  Callers supply only the payload encoding; a
+decoder gets a ``memoryview`` of the payload, so a load hashes and reads the
+file's bytes in place.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ __all__ = ["FORMAT_VERSION", "directory", "fetch"]
 # version 1 was the census "MLC1" layout and the "# martlab kt table v1" CSV;
 # version 2 stored a census as one 14-byte record per reached table; versions
 # 2 and 3 stored a kt table as ``string,kt`` CSV lines; versions 3 and 4
-# stored a census's witness kinds and operands after its size bytes
-FORMAT_VERSION = 5
+# stored a census's witness kinds and operands after its size bytes; version
+# 5 stored a census as its size bytes alone
+FORMAT_VERSION = 6
 
 T = TypeVar("T")
 

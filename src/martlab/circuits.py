@@ -11,17 +11,19 @@ them against a state-space enumeration over circuit DAGs (which can share
 gates) at ``n = 2``, where the two notions provably coincide, and bound
 them from below with it at ``n = 3`` up to 5 gates.
 
-A census holds sizes only: the paper's circuit lower bound needs only how
-many tables have small circuits, so no witness circuit is named or stored.
+A census holds sizes and their counts only: the paper's circuit lower bound
+needs only how many tables have small circuits, so no witness circuit is
+named or stored.
 
 On top of the census sit the minimum-circuit-size decision, the covering
 check for characteristic prefixes whose top length has a small circuit, and
 the witness relation that decides circuit size from stack programs run by
 the toy machine's table evaluator.
 
-A census counts its sizes once, on first use, and keeps the counts on the
-object: the histogram, ``count_at_most``, the covering report and an
-``mcsp`` cover's whole-table count all read them.  The covering report
+A census carries how many tables take each size: a build has them as the
+lengths of its levels, and the cache stores them after the size bytes, so
+no load recounts.  The histogram, ``count_at_most``, the covering report and
+an ``mcsp`` cover's whole-table count all read them.  The covering report
 decides on integers: a ``log2`` bracket is a pair of numerators over
 ``2**g``, the size bound's bracket a pair over one shared denominator, and
 each verdict one cross-multiplied comparison, with no power raised to a
@@ -30,8 +32,8 @@ denominator.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Callable
 from pathlib import Path
@@ -97,15 +99,17 @@ class CircuitCensus:
     """Minimum gate counts for every table reachable within ``max_size``.
 
     Dense and indexed by mask: ``sizes[mask]`` is the table's minimum size,
-    or :data:`UNREACHED`.  The fields are what the cache stores, so equality
-    compares exactly that.  No witness circuit is kept: ``mcsp``, the
-    covers and the covering report read sizes only, and every whole-census
-    count reads the per-size counts, taken once per census.
+    or :data:`UNREACHED`; ``counts[s]`` is how many tables take size ``s``,
+    for ``s = 0..max_size``.  The fields are what the cache stores, so
+    equality compares exactly that.  No witness circuit is kept: ``mcsp``,
+    the covers and the covering report read sizes only, and every
+    whole-census count reads ``counts``.
     """
 
     n: int
     max_size: int
     sizes: bytes
+    counts: tuple[int, ...]
 
     def min_size(self, tt: TruthTable) -> int | None:
         if tt.n != self.n:
@@ -118,17 +122,10 @@ class CircuitCensus:
             raise CensusUnavailable(
                 f"census caps at size {self.max_size}, asked for {s}"
             )
-        return sum(self._counts[: max(s + 1, 0)])
+        return sum(self.counts[: max(s + 1, 0)])
 
     def histogram(self) -> dict[int, int]:
-        return {s: c for s, c in enumerate(self._counts) if c}
-
-    @cached_property
-    def _counts(self) -> tuple[int, ...]:
-        """How many tables take each size ``0..max_size``: one pass drops
-        the unreached bytes, and each size is counted on what is left."""
-        reached = self.sizes.translate(None, bytes([UNREACHED]))
-        return tuple(map(reached.count, range(self.max_size + 1)))
+        return {s: c for s, c in enumerate(self.counts) if c}
 
 
 def _at_most(sizes: bytes, s: int) -> int:
@@ -169,13 +166,15 @@ def _check_caps(n: int, max_size: int) -> None:
 
 
 def build_census(n: int, max_size: int) -> CircuitCensus:
-    """Breadth-first closure census: every table's minimum size, nothing else.
+    """Breadth-first closure census: every table's minimum size and how many
+    tables take each size, nothing else.
 
     Level ``s`` marks every candidate of :func:`_cells` (NOT of the previous
     level, AND and OR of every size split), and the marked tables no earlier
-    level reached take size ``s``.  No witness is found here, as no caller
-    reads one.  Once every table is reached the closure stops, as every
-    later level would be empty (``n = 1`` at 1 gate, ``n = 2`` at 4).
+    level reached take size ``s``; their number is size ``s``'s count.  No
+    witness is found here, as no caller reads one.  Once every table is
+    reached the closure stops, as every later level would be empty (``n = 1``
+    at 1 gate, ``n = 2`` at 4), and each size past it counts 0.
     """
     _check_caps(n, max_size)
     import numpy as np  # only a cold build pays for numpy; warm paths read bytes
@@ -195,7 +194,8 @@ def build_census(n: int, max_size: int) -> CircuitCensus:
         by_size.append(np.flatnonzero(hit & (sizes == UNREACHED)))
         sizes[by_size[s]] = s
         todo -= len(by_size[s])
-    return CircuitCensus(n, max_size, sizes.tobytes())
+    counts = (tuple(map(len, by_size)) + (0,) * max_size)[: max_size + 1]
+    return CircuitCensus(n, max_size, sizes.tobytes(), counts)
 
 
 def _check_census(census: CircuitCensus, n: int, s: int) -> None:
@@ -500,19 +500,23 @@ def mnp_cover_check(
 def save_census(census: CircuitCensus) -> bytes:
     """The census payload; ``martlab.cache`` stores it under its key.
 
-    The ``T = 2**(2**n)`` size bytes, indexed by mask, and nothing else:
-    no command reads a witness circuit, so none is stored.
+    The ``T = 2**(2**n)`` size bytes, indexed by mask, then a trailer of the
+    ``max_size + 1`` per-size counts as little-endian u32s: no command reads
+    a witness circuit, so none is stored.
     """
-    return bytes(census.sizes)
+    return census.sizes + struct.pack(f"<{len(census.counts)}I", *census.counts)
 
 
 def load_census(payload: bytes, n: int, max_size: int) -> CircuitCensus:
     """Decode a :func:`save_census` payload for the census it was keyed by."""
-    if len(payload) != 1 << (1 << n):
+    tables, trailer = 1 << (1 << n), 4 * (max_size + 1)
+    if len(payload) != tables + trailer:
         raise CensusUnavailable(
-            f"census payload holds {len(payload)} bytes, n={n} needs {1 << (1 << n)}"
+            f"census payload holds {len(payload)} bytes, n={n} up to size "
+            f"{max_size} needs {tables} size bytes and a {trailer}-byte trailer"
         )
-    return CircuitCensus(n, max_size, bytes(payload))
+    counts = struct.unpack_from(f"<{max_size + 1}I", payload, tables)
+    return CircuitCensus(n, max_size, bytes(payload[:tables]), counts)
 
 
 def cached_census(n: int, max_size: int, cache_dir: Path | str | None) -> CircuitCensus:

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from martlab import circuits, kolmogorov
+from martlab import cache, circuits, kolmogorov
 from martlab.cantor import all_strings
 from martlab.machine import MACHINE_VERSION, BudgetPoly
 
@@ -75,16 +75,23 @@ def _v2(table, name) -> bytes:
     return _headed(2, name, payload)
 
 
+def _size_bytes(table) -> bytes:
+    """The census's ``T`` size bytes, from the dict oracle: the payload of
+    version 5, and what every payload of versions 3 to 6 begins with."""
+    n, max_size = TABLES[table][3]
+    sizes, _ = census_v2.build(n, max_size)
+    return bytes(sizes.get(m, circuits.UNREACHED) for m in range(1 << (1 << n)))
+
+
 def _dense_census(table) -> bytes:
     """The census payload of versions 3 and 4, from the dict oracle: for all
     ``T`` tables, ``T`` size bytes, ``T`` witness-kind bytes, then the left
     and the right witness fields as ``T`` little-endian u16 each."""
     n, max_size = TABLES[table][3]
-    sizes, witness = census_v2.build(n, max_size)
-    tables = range(1 << (1 << n))
-    rows = [witness.get(m, ("VAR", 0)) for m in tables]
+    _, witness = census_v2.build(n, max_size)
+    rows = [witness.get(m, ("VAR", 0)) for m in range(1 << (1 << n))]
     return b"".join([
-        bytes(sizes.get(m, circuits.UNREACHED) for m in tables),
+        _size_bytes(table),
         bytes(census_v2.KINDS.index(kind) for kind, *_ in rows),
         b"".join(a.to_bytes(2, "little") for _, a, *_ in rows),
         b"".join((b[0] if b else 0).to_bytes(2, "little") for _, _, *b in rows),
@@ -114,6 +121,13 @@ def _v4(table, name) -> bytes:
     return _headed(4, name, payload)
 
 
+def _v5(table, name) -> bytes:
+    """The file the version-5 writer produced for the table's key: a census
+    as its size bytes alone, a kt table in the dense payload it still has."""
+    payload = _size_bytes(table) if table == "census" else _dense_kt(table)
+    return _headed(5, name, payload)
+
+
 def _damage(case, path, table, scratch):
     data = path.read_bytes()
     start = data.find(b"\n") + 1
@@ -121,9 +135,17 @@ def _damage(case, path, table, scratch):
     if case == "truncated":
         data = data[: len(data) // 2]
     elif case == "flipped-byte":
-        # eight bytes from the end is a size byte of one of the last eight
-        # tables, or the kt of a 5-bit string
+        # eight bytes from the end is in the census trailer, the low byte of
+        # its size-3 count, or the kt of a 5-bit string
         data = data[:-8] + bytes([data[-8] ^ 1]) + data[-7:]
+    elif case == "flipped-size-byte":
+        # the middle size byte of the census, or the middle kt byte
+        at = start + len(_size_bytes(table)) // 2 if table == "census" else mid
+        data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+    elif case == "cut-last-count":
+        # four bytes short: the census loses its last count, the kt table
+        # the kts of four 5-bit strings
+        data = data[:-4]
     elif case in ("other-key", "other-table"):
         other = OTHER_TABLE[table] if case == "other-table" else table
         params = TABLES[other][3 if case == "other-table" else 4]
@@ -138,6 +160,8 @@ def _damage(case, path, table, scratch):
         data = _v3(table, path.name)
     elif case == "v4-format":
         data = _v4(table, path.name)
+    elif case == "v5-format":
+        data = _v5(table, path.name)
     elif case == "leftover-tmp":
         # an earlier process with this pid died between writing and renaming
         path.with_name(f"{path.name}.{os.getpid()}.tmp").write_bytes(data[:-8])
@@ -154,19 +178,36 @@ def _damage(case, path, table, scratch):
 
 OTHER_TABLE = {"census": "kt", "kt": "census"}
 CASES = [(table, case) for table in TABLES
-         for case in ("truncated", "flipped-byte", "other-key", "other-table",
+         for case in ("truncated", "flipped-byte", "flipped-size-byte",
+                      "cut-last-count", "other-key", "other-table",
                       "v1-format", "v2-format", "v3-format", "v4-format",
-                      "leftover-tmp", "duplicated-byte", "dropped-byte",
-                      "inserted-byte")]
+                      "v5-format", "leftover-tmp", "duplicated-byte",
+                      "dropped-byte", "inserted-byte")]
 
 
-def test_v4_payloads_begin_with_the_v5_payload():
-    # a v4 census is its size bytes, the whole v5 payload, then its
-    # witnesses; a v4 kt table differs from a v5 one only in its header
-    sizes = circuits.save_census(_fresh("census"))
+def test_v4_and_v5_payloads_begin_with_the_v6_size_bytes():
+    # a v6 census is its size bytes, then one u32 count per size; a v5
+    # census is those size bytes alone, and a v4 census follows them with
+    # its witnesses; a kt table differs across v4 to v6 only in its header
+    sizes = _size_bytes("census")
+    payload = circuits.save_census(_fresh("census"))
+    max_size = TABLES["census"][3][1]
+    assert payload[: len(sizes)] == sizes
+    assert len(payload) == len(sizes) + 4 * (max_size + 1)
     dense = _dense_census("census")
     assert dense[: len(sizes)] == sizes and len(dense) == 6 * len(sizes)
     assert _dense_kt("kt") == kolmogorov.save_kt_table(_fresh("kt"))
+
+
+def test_readme_names_the_current_format_version():
+    # the README's header line and its list of rebuilt versions follow
+    # cache.FORMAT_VERSION, so a format bump cannot leave them stale
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    headers = [line for line in readme.splitlines() if "`martlab-cache v" in line]
+    assert headers
+    for line in headers:
+        assert f"`martlab-cache v{cache.FORMAT_VERSION} <file name>" in line
+    assert f"versions 1–{cache.FORMAT_VERSION - 1}" in readme
 
 
 @pytest.mark.parametrize("table, case", CASES)

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import time
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -44,6 +45,14 @@ import census_v2
 def sizes_of(census) -> dict:
     """mask -> minimum size over the reached tables, read through ``min_size``."""
     return {m: census.min_size(TruthTable(census.n, m)) for m in census_v2.reached(census)}
+
+
+def recount(census) -> tuple:
+    """How many tables take each size ``0..max_size``, counted from the size
+    bytes: one pass drops the unreached bytes, and each size is counted on
+    what is left.  The twin of the ``counts`` a census carries."""
+    reached = census.sizes.translate(None, bytes([UNREACHED]))
+    return tuple(map(reached.count, range(census.max_size + 1)))
 
 
 def test_truth_table_roundtrip():
@@ -154,12 +163,22 @@ def test_census_caps():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_dense_census_matches_dict_oracle(n):
+def test_dense_census_matches_dict_oracle(n, tmp_path):
     tables = range(1 << (1 << n))
     for S in range(circuits.SIZE_CAP + 1):
         sizes, _ = census_v2.build(n, S)
         census = build_census(n, S)
-        assert load_census(save_census(census), n, S) == census
+        loaded = load_census(save_census(census), n, S)
+        assert loaded == census
+        # the carried counts, built, decoded and read back from a cache file,
+        # equal the recount and the dict census's; past a saturated closure
+        # (n = 1 from 2 gates, n = 2 from 5) the later sizes count 0
+        oracle = Counter(sizes.values())
+        expected = tuple(oracle[s] for s in range(S + 1))
+        assert recount(census) == expected
+        cached_census(n, S, tmp_path)  # builds and stores; the next call loads
+        for carried in (census, loaded, cached_census(n, S, tmp_path)):
+            assert carried.counts == expected
         assert [census.min_size(TruthTable(n, m)) for m in tables] == [
             sizes.get(m) for m in tables
         ]
@@ -173,19 +192,33 @@ def test_dense_census_matches_dict_oracle(n):
 def test_dense_payload_layout():
     census = build_census(2, 4)
     payload = save_census(census)
-    # one size byte per table, indexed by mask; no witnesses
-    assert payload == bytes(
+    # one size byte per table, indexed by mask, then the count of each size
+    # 0..4 as a little-endian u32; no witnesses
+    sizes = bytes(
         UNREACHED if size is None else size
         for size in (census.min_size(TruthTable(2, m)) for m in range(16))
     )
+    assert payload == sizes + struct.pack("<5I", 4, 4, 6, 0, 2)
     assert payload[0b0110] == 4  # xor
-    assert len(save_census(build_census(4, 8))) == 1 << 16
+    large = build_census(4, 8)
+    assert save_census(large) == large.sizes + struct.pack("<9I", *recount(large))
+    assert len(large.sizes) == 1 << 16
 
 
 def test_load_census_checks_the_payload_length():
-    payload = save_census(build_census(2, 4))
-    with pytest.raises(CensusUnavailable, match="17 bytes, n=2 needs 16"):
-        load_census(payload + b"\0", 2, 4)
+    payload = save_census(build_census(2, 4))  # 16 size bytes and 5 counts
+    with pytest.raises(CensusUnavailable, match="37 bytes, n=2 up to size 4 needs 16 "
+                       "size bytes and a 20-byte trailer"):
+        load_census(payload + b"\0", 2, 4)  # one byte long
+    for damaged, max_size in [
+        (payload[:-1], 4),  # one byte short
+        (payload[:-4], 4),  # four counts where size 4 needs five
+        (payload, 5),  # five counts, read for a census up to size 5
+    ]:
+        message = (f"{len(damaged)} bytes, n=2 up to size {max_size} needs 16 "
+                   f"size bytes and a {4 * (max_size + 1)}-byte trailer")
+        with pytest.raises(CensusUnavailable, match=message):
+            load_census(damaged, 2, max_size)
 
 
 def test_cache_roundtrip(census3):
@@ -265,7 +298,8 @@ def test_closure_stops_once_every_table_is_reached(n, saturated_at):
     for S in range(saturated_at, circuits.SIZE_CAP + 1):
         census = build_census(n, S)
         assert census.max_size == S
-        assert save_census(census) == save_census(saturated)
+        assert census.sizes == saturated.sizes
+        assert census.counts == saturated.counts + (0,) * (S - saturated_at)
 
 
 def test_encode_circuit_decodes_on_machine():
